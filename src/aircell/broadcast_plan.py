@@ -299,8 +299,3 @@ class BatchingServer:
         self.responses_sent += len(fired)
         self.saved += sum(m.saved_transmissions for m in fired)
         return fired
-
-    def pending_count(self) -> int:
-        return sum(len(v) for v in self._open.values()) + sum(
-            m.batch_size for m in self._ready
-        )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .freshness import FreshnessStats, p_not_modified_or_zero
+from .freshness import FreshnessStats, InvariantError, p_not_modified_or_zero
 
 
 class PolicyKind(str, Enum):
@@ -29,6 +29,10 @@ class PolicyKind(str, Enum):
     TTL_REQUERY = "ttl_requery"
     CQF = "cqf"
     ACQF = "acqf"
+
+
+# the only policies whose tick does anything
+TTL_POLICIES = frozenset({PolicyKind.TTL_DROP, PolicyKind.TTL_REQUERY})
 
 
 @dataclass(frozen=True)
@@ -51,23 +55,41 @@ class CacheEntry:
 
     def __post_init__(self) -> None:
         # clocks are global in-sim, so a copy can never predate its write
-        assert self.cached_at >= self.source_stats_snapshot.t_last_update
+        if self.cached_at < self.source_stats_snapshot.t_last_update:
+            raise InvariantError(
+                f"{self.object_id}: cached at {self.cached_at} before its write "
+                f"at {self.source_stats_snapshot.t_last_update}"
+            )
 
 
 class ReadTracker:
-    """Sliding window over a client's reads, shared by all its entries."""
+    """Sliding window over a client's reads, shared by all its entries.
+
+    The window keeps the object id of each read in order, and each object
+    keeps the times of its own reads in the window, oldest first. A read
+    leaving the window is the oldest read of its object, so sliding costs
+    one pop from each, and ``stats_for`` looks only at one object's reads.
+    """
 
     def __init__(self, window: int = 256):
         if window < 2:
             raise ValueError("window must hold at least 2 reads")
-        self._reads: deque[tuple[float, str]] = deque(maxlen=window)
+        self._order: deque[str] = deque(maxlen=window)
+        self._times: dict[str, list[float]] = {}
 
     def record(self, t: float, object_id: str) -> None:
-        self._reads.append((t, object_id))
+        if len(self._order) == self._order.maxlen:
+            oldest = self._order[0]  # the append below pushes it out
+            times = self._times[oldest]
+            del times[0]
+            if not times:
+                del self._times[oldest]
+        self._order.append(object_id)
+        self._times.setdefault(object_id, []).append(t)
 
     def stats_for(self, object_id: str) -> ReadStats:
-        times = [t for t, o in self._reads if o == object_id]
-        total = len(self._reads)
+        times = self._times.get(object_id, ())
+        total = len(self._order)
         f_r = len(times) / total if total else 0.0
         if len(times) < 2:
             return ReadStats(None, f_r, len(times))
@@ -192,7 +214,7 @@ class ClientCache:
 
     def tick(self, now: float) -> list[TickAction]:
         """Expire entries under the TTL policies (strict age > ttl)."""
-        if self.policy not in (PolicyKind.TTL_DROP, PolicyKind.TTL_REQUERY):
+        if self.policy not in TTL_POLICIES:
             return []
         actions: list[TickAction] = []
         for object_id in list(self.entries):

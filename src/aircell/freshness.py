@@ -24,6 +24,10 @@ class NonMonotonicUpdate(ValueError):
     """An update was recorded at or before the previously recorded one."""
 
 
+class InvariantError(RuntimeError):
+    """A simulation invariant broke; an explicit check, so ``-O`` keeps it."""
+
+
 @dataclass(frozen=True)
 class FreshnessStats:
     """Update statistics a source hands out alongside every payload.
@@ -43,6 +47,9 @@ class UpdateLog:
     """Strictly increasing write times for one object at its source."""
 
     update_times: list[float] = field(default_factory=list)
+    _memo: tuple[int, FreshnessStats] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def record_update(self, t: float) -> "UpdateLog":
         if self.update_times and t <= self.update_times[-1]:
@@ -57,7 +64,19 @@ class UpdateLog:
         return max(0, len(self.update_times) - 1)
 
     def stats(self) -> FreshnessStats:
-        """Derive MTBU / STDV / time-of-last-update from the log."""
+        """Derive MTBU / STDV / time-of-last-update from the log.
+
+        Memoized on the log length. The log only grows, so a length change
+        is exactly a new write, whether it came through ``record_update`` or
+        a direct append to ``update_times``; the floats are those of a full
+        recomputation.
+        """
+        n = len(self.update_times)
+        if self._memo is None or self._memo[0] != n:
+            self._memo = (n, self._compute_stats())
+        return self._memo[1]
+
+    def _compute_stats(self) -> FreshnessStats:
         if not self.update_times:
             raise InsufficientHistory("empty update log")
         times = self.update_times
@@ -68,11 +87,6 @@ class UpdateLog:
         mtbu = sum(intervals) / n
         var = sum((x - mtbu) ** 2 for x in intervals) / n
         return FreshnessStats(mtbu, math.sqrt(var), times[-1], n)
-
-
-def record_update(log: UpdateLog, t: float) -> UpdateLog:
-    """Append a source write time to the log (monotonicity enforced)."""
-    return log.record_update(t)
 
 
 def p_modified(stats: FreshnessStats, now: float) -> float:

@@ -7,6 +7,12 @@ resolution chain or a broadcast cell with a published/on-demand split,
 air indexing, and request batching. Every random draw comes from a named
 substream of the master seed, so toggling one subsystem never perturbs
 another's stream and identical seeds give byte-identical metrics.
+
+The engine's work follows the events, not slots times population. Each
+source advances its update process only when it is about to be read, and
+only caches under a TTL policy are ticked. Both are exact: a source's
+draws come from its own substream, so deferring them changes no value,
+and the other policies' ``tick`` does nothing.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import air_schedule, broadcast_plan, fidelity, retrieval
-from .cache import CacheEntry, ClientCache, PolicyKind
-from .freshness import SourceObject, accepts
+from .cache import TTL_POLICIES, CacheEntry, ClientCache, PolicyKind
+from .freshness import InvariantError, SourceObject, accepts
 from .p2p import InformationManager, LinkCosts, P2PCell, Resolution
 
 SCHEMA_ID = "aircell-scenario/1"
@@ -138,9 +144,16 @@ def _expand_objects(spec, seed: int, errs: list[str]) -> list[ObjectSpec]:
         count = spec.get("count", 0)
         prefix = spec.get("id_prefix", "obj")
         if "mtbu_range" in spec:
-            lo, hi = spec["mtbu_range"]
-            rng = substream(seed, "object-params")
-            mtbus = rng.uniform(lo, hi, size=count)
+            try:
+                lo, hi = (float(x) for x in spec["mtbu_range"])
+            except (TypeError, ValueError):
+                lo = hi = math.nan
+            if math.isfinite(lo) and math.isfinite(hi):
+                rng = substream(seed, "object-params")
+                mtbus = rng.uniform(lo, hi, size=count)
+            else:
+                errs.append("objects.mtbu_range: must be two finite numbers")
+                mtbus = [1.0] * count  # placeholder; the document is rejected
         else:
             mtbus = [spec.get("mtbu", 100.0)] * count
         stdv = spec.get("stdv_mtbu", 0.2 * float(np.mean(mtbus)) if count else 0.0)
@@ -262,11 +275,13 @@ def scenario_from_dict(data: dict) -> Scenario:
         duration = 0
 
     objects = _expand_objects(data.get("objects", []), seed, errs)
+    # NaN fails every comparison, so finiteness is checked first: a NaN or
+    # infinite draw parameter would otherwise loop forever or run silently
     for i, o in enumerate(objects):
-        if o.mtbu <= 0:
-            errs.append(f"objects[{i}]: mtbu must be > 0")
-        if o.stdv_mtbu < 0:
-            errs.append(f"objects[{i}]: stdv_mtbu must be >= 0")
+        if not (math.isfinite(o.mtbu) and o.mtbu > 0):
+            errs.append(f"objects[{i}]: mtbu must be finite and > 0")
+        if not (math.isfinite(o.stdv_mtbu) and o.stdv_mtbu >= 0):
+            errs.append(f"objects[{i}]: stdv_mtbu must be finite and >= 0")
     if len({o.object_id for o in objects}) != len(objects):
         errs.append("objects: duplicate object ids")
 
@@ -279,8 +294,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             errs.append(f"clients[{i}]: cache_capacity must be >= 1")
         if not 0.0 <= c.default_qos <= 1.0:
             errs.append(f"clients[{i}]: default_qos must be in [0, 1]")
-        if c.request_rate < 0:
-            errs.append(f"clients[{i}]: request_rate must be >= 0")
+        if not (math.isfinite(c.request_rate) and c.request_rate >= 0):
+            errs.append(f"clients[{i}]: request_rate must be finite and >= 0")
         for oid, q in c.qos_overrides.items():
             if oid not in object_ids:
                 errs.append(f"clients[{i}].qos: unknown object {oid!r}")
@@ -712,7 +727,18 @@ def _select_fidelity(config: dict) -> dict:
 
 
 def run(scenario: Scenario) -> Metrics:
-    """Advance the slot clock through one fully seeded scenario."""
+    """Advance the slot clock through one fully seeded scenario.
+
+    An object's update process is advanced to slot ``t`` just before each
+    source access at ``t``: the query for it (p2p resolution, broadcast or
+    batching), a TTL requery of it, or a fired batch for it. Processes
+    nobody reads are never advanced. Only TTL-policy caches are ticked,
+    in client order. The metrics are byte-identical to advancing every
+    process and ticking every cache in every slot.
+
+    Raises ``InvariantError`` if an answer carries a write from after its
+    slot, or if answered plus unresolved queries differ from those issued.
+    """
     metrics = Metrics(scenario.schema_id, scenario.seed, scenario.duration_slots)
     counters = metrics.counters
     for key in (
@@ -734,6 +760,7 @@ def run(scenario: Scenario) -> Metrics:
     )
     qos_of: dict[str, dict[str, float]] = {}
     ims: dict[str, InformationManager] = {}
+    ttl_caches: list[ClientCache] = []  # in client order, the order of ticks
     for spec in sorted(scenario.clients, key=lambda c: c.client_id):
         cache = None
         if scenario.caching:
@@ -745,6 +772,8 @@ def run(scenario: Scenario) -> Metrics:
                 default_ttl=scenario.default_ttl,
                 read_window=scenario.read_window,
             )
+            if spec.policy in TTL_POLICIES:
+                ttl_caches.append(cache)
         im = InformationManager(spec.client_id, cell, cache)
         for service in spec.providers:
             im.register_provider(service)
@@ -799,9 +828,6 @@ def run(scenario: Scenario) -> Metrics:
         )
 
     for t in range(scenario.duration_slots):
-        for process in processes.values():
-            process.advance_to(t)
-
         if (
             scenario.resolution_mode == "broadcast"
             and scenario.cell.replan_interval > 0
@@ -820,10 +846,15 @@ def run(scenario: Scenario) -> Metrics:
             counters["issued"] += 1
             observed_requests[oid] += 1
             qos = qos_for(cid, oid)
+            processes[oid].advance_to(t)
 
             if scenario.resolution_mode == "p2p":
                 outcome = ims[cid].resolve_query(oid, qos, t)
-                assert outcome.payload_write_time <= t + 1  # causality
+                if outcome.payload_write_time > t + 1:
+                    raise InvariantError(
+                        f"query {qid}: {oid} answered with a write at "
+                        f"{outcome.payload_write_time}, after slot {t}"
+                    )
                 if outcome.resolution is Resolution.UNRESOLVED:
                     counters["unresolved"] += 1
                     record(qid, cid, oid, t, "unresolved", outcome.latency,
@@ -866,6 +897,7 @@ def run(scenario: Scenario) -> Metrics:
 
         if batching is not None:
             for multicast in batching.advance(t):
+                processes[multicast.object_id].advance_to(t)
                 waiting = pending.get(multicast.object_id, [])
                 batch, rest = (
                     waiting[: multicast.batch_size],
@@ -881,20 +913,18 @@ def run(scenario: Scenario) -> Metrics:
                         sources[multicast.object_id].t_last_update, 1.0, qos,
                     )
 
-        if scenario.caching and t % max(1, scenario.tick_interval) == 0:
-            for cid in sorted(ims):
-                im = ims[cid]
-                if im.query_cache is None:
-                    continue
-                for action in im.query_cache.tick(t):
+        if ttl_caches and t % max(1, scenario.tick_interval) == 0:
+            for cache in ttl_caches:
+                for action in cache.tick(t):
                     if action.action == "drop":
                         counters["ttl_drops"] += 1
                         continue
                     source = sources[action.object_id]
                     if not source.reachable:
                         continue
+                    processes[action.object_id].advance_to(t)
                     payload, stats = source.read(t)
-                    im.query_cache.insert(
+                    cache.insert(
                         CacheEntry(action.object_id, payload, stats, cached_at=t), t
                     )
                     counters["requeries"] += 1
@@ -903,6 +933,7 @@ def run(scenario: Scenario) -> Metrics:
     if batching is not None:
         # flush batches still open at the end of the run
         for multicast in batching.advance(math.inf):
+            processes[multicast.object_id].advance_to(scenario.duration_slots - 1)
             waiting = pending.get(multicast.object_id, [])
             batch = waiting[: multicast.batch_size]
             pending[multicast.object_id] = waiting[multicast.batch_size :]
@@ -922,7 +953,11 @@ def run(scenario: Scenario) -> Metrics:
 
     metrics.records.sort(key=lambda r: r.query_id)
     metrics.per_client_energy = energy
-    assert counters["answered"] + counters["unresolved"] == counters["issued"]
+    if counters["answered"] + counters["unresolved"] != counters["issued"]:
+        raise InvariantError(
+            f"{counters['answered']} answered + {counters['unresolved']} "
+            f"unresolved != {counters['issued']} issued"
+        )
     return metrics
 
 

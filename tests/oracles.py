@@ -21,6 +21,19 @@ def mean_and_pop_std(xs: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
+def read_stats_reference(
+    reads: list[tuple[float, str]], window: int, object_id: str
+) -> tuple[float | None, float, int]:
+    """Full rescan of the last ``window`` reads: (mtbr, f_r, n_reads)."""
+    recent = reads[-window:]
+    times = [t for t, o in recent if o == object_id]
+    f_r = len(times) / len(recent) if recent else 0.0
+    if len(times) < 2:
+        return None, f_r, len(times)
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    return sum(gaps) / len(gaps), f_r, len(times)
+
+
 def normal_cdf(z: float) -> float:
     """Standard normal CDF by Simpson quadrature of the density."""
     if z < -12:

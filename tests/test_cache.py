@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aircell.cache import (
     CacheEntry,
     ClientCache,
     PolicyKind,
+    ReadStats,
     ReadTracker,
     acqf,
     cqf,
 )
-from aircell.freshness import FreshnessStats
-from oracles import lru_reference, score_admission_replay
+from aircell.freshness import FreshnessStats, InvariantError
+from oracles import lru_reference, read_stats_reference, score_admission_replay
 
 
 def stats(mtbu, stdv=0.0, t_last=0.0, n=10):
@@ -74,6 +77,34 @@ class TestReadTracker:
             tracker.record(float(t), "old" if t < 6 else "new")
         assert tracker.stats_for("old").n_reads == 0
         assert tracker.stats_for("new").n_reads == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        window=st.integers(2, 16),
+        reads=st.lists(
+            st.tuples(
+                st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False),
+                st.sampled_from("abcde"),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_matches_full_window_rescan(self, window, reads):
+        tracker = ReadTracker(window=window)
+        for i, (t, oid) in enumerate(reads):
+            tracker.record(t, oid)
+            for probe in "abcdef":
+                expected = ReadStats(*read_stats_reference(reads[: i + 1], window, probe))
+                assert tracker.stats_for(probe) == expected
+
+
+class TestCacheEntry:
+    def test_copy_predating_its_write_is_an_invariant_error(self):
+        with pytest.raises(InvariantError):
+            entry("a", cached_at=5.0, t_last=6.0)
+
+    def test_copy_at_its_write_is_accepted(self):
+        assert entry("a", cached_at=6.0, t_last=6.0).cached_at == 6.0
 
 
 class TestScoredAdmission:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aircell.freshness import (
     FreshnessStats,
@@ -11,7 +13,6 @@ from aircell.freshness import (
     p_modified,
     p_not_modified,
     p_not_modified_or_zero,
-    record_update,
 )
 from oracles import mean_and_pop_std, normal_cdf
 
@@ -28,7 +29,7 @@ def stats(mtbu, stdv, t_last=0.0, n=10):
 
 class TestUpdateLog:
     def test_first_update_leaves_no_interval(self):
-        log = record_update(UpdateLog(), 10)
+        log = UpdateLog().record_update(10)
         assert log.update_times == [10]
         assert log.n_intervals == 0
 
@@ -60,6 +61,39 @@ class TestUpdateLog:
     def test_empty_log_has_no_stats(self):
         with pytest.raises(InsufficientHistory):
             UpdateLog().stats()
+
+
+def fresh_stats(times: list[float]) -> FreshnessStats:
+    if len(times) == 1:
+        return FreshnessStats(0.0, 0.0, times[-1], 0)
+    intervals = [b - a for a, b in zip(times, times[1:])]
+    mean, std = mean_and_pop_std(intervals)
+    return FreshnessStats(mean, std, times[-1], len(intervals))
+
+
+class TestMemoizedStats:
+    @settings(max_examples=100, deadline=None)
+    @given(gaps=st.lists(
+        st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=40,
+    ))
+    def test_equals_fresh_computation_after_every_write(self, gaps):
+        log = UpdateLog()
+        t = -1e3
+        for gap in gaps:
+            t += gap
+            log.record_update(t)
+            assert log.stats() == fresh_stats(log.update_times)
+            assert log.stats() == log.stats()
+
+    def test_direct_append_invalidates(self):
+        log = UpdateLog([0.0, 100.0, 220.0])
+        before = log.stats()
+        log.update_times.append(300.0)
+        after = log.stats()
+        assert after != before
+        assert after == fresh_stats([0.0, 100.0, 220.0, 300.0])
+        assert after.mtbu == GOLDEN_MTBU
 
 
 class TestModifiedProbability:

@@ -1,9 +1,13 @@
+import dataclasses
+import hashlib
 import math
 import statistics
 
 import numpy as np
 import pytest
 
+from aircell import p2p, sim
+from aircell.freshness import InvariantError
 from aircell.sim import (
     ScenarioError,
     generate_workload,
@@ -41,6 +45,72 @@ def broadcast_doc(seed=1, **over):
     }
     doc.update(over)
     return doc
+
+
+def system_doc(seed=3):
+    """The p2p document of acceptance criterion 10."""
+    return {
+        "seed": seed,
+        "duration_slots": 400,
+        "objects": {"count": 100, "mtbu": 150.0, "stdv_mtbu": 30.0},
+        "clients": {"count": 50, "cache_capacity": 12, "policy": "lru",
+                    "default_qos": 0.3, "request_rate": 0.05},
+        "adjacency": {"kind": "ring", "degree": 4},
+        "resolution_mode": "p2p",
+        "toggles": {"p2p": True, "caching": True},
+        "workload": {"zipf_theta": 0.8},
+    }
+
+
+def system_broadcast_doc(seed=3):
+    """The broadcast document of acceptance criterion 10."""
+    return {
+        "seed": seed,
+        "duration_slots": 400,
+        "objects": {"count": 24, "mtbu": 150.0, "stdv_mtbu": 30.0},
+        "clients": {"count": 12, "cache_capacity": 8, "policy": "lru",
+                    "default_qos": 0.3, "request_rate": 0.08},
+        "adjacency": {"kind": "ring", "degree": 2},
+        "resolution_mode": "broadcast",
+        "workload": {"zipf_theta": 0.8},
+        "cell": {"channels": 3, "scheme": "one_m", "m": 2,
+                 "total_bandwidth": 10.0, "request_size": 0.25,
+                 "threshold": 0.6, "batching_window": 4.0},
+    }
+
+
+def mixed_doc(seed=5):
+    """Every cache policy, idle clients, sparse ticks, overhearing, a dead source."""
+    policies = ["lru", "acqf", "cqf", "ttl_drop", "ttl_requery"]
+    objects = [
+        {"object_id": f"o{i:02d}", "mtbu": 20.0 + 13.5 * i,
+         "stdv_mtbu": 0.25 * (20.0 + 13.5 * i)}
+        for i in range(15)
+    ]
+    objects.append({"object_id": "down", "mtbu": 60.0, "stdv_mtbu": 12.0,
+                    "reachable": False})
+    clients = [
+        {"client_id": f"c{i:02d}", "cache_capacity": 3, "policy": policies[i % 5],
+         "default_qos": 0.25, "request_rate": 0.15}
+        for i in range(10)
+    ]
+    clients[1]["qos"] = {"o00": 0.6}
+    clients[2]["providers"] = ["o03"]
+    clients += [
+        {"client_id": f"idle{i}", "policy": policies[i % 5], "cache_capacity": 2}
+        for i in range(5)
+    ]
+    return {
+        "seed": seed,
+        "duration_slots": 900,
+        "objects": objects,
+        "clients": clients,
+        "adjacency": {"kind": "ring", "degree": 2},
+        "resolution_mode": "p2p",
+        "toggles": {"p2p": True, "caching": True, "overhearing": True},
+        "workload": {"zipf_theta": 0.5},
+        "cache": {"default_ttl": 12.0, "tick_interval": 5, "read_window": 8},
+    }
 
 
 class TestSubstreams:
@@ -116,6 +186,30 @@ class TestDeterminism:
         a = run(scenario_from_dict(p2p_doc(seed=7)))
         b = run(scenario_from_dict(p2p_doc(seed=8)))
         assert a.to_json_bytes() != b.to_json_bytes()
+
+    # SHA-256 of to_json_bytes(): a change that alters the bytes the same way
+    # on every rerun passes the rerun tests above but fails here.
+    GOLDEN = {
+        "system_p2p": (system_doc,
+                       "c6253ab656c438e27727831e72078e540e2d8b0b6b3cebc50c240c4fbc07b848"),
+        "system_broadcast": (system_broadcast_doc,
+                             "48a78becbb832c0050ac83d13fc6b8230836ba090b74796f7f0519e3cfe65650"),
+        "mixed": (mixed_doc,
+                  "ddbb031bf96c887238936e374e3521148ba744b3ef58641ed8b48f3653b59fd5"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_digest(self, name):
+        doc_fn, expected = self.GOLDEN[name]
+        metrics = run(scenario_from_dict(doc_fn()))
+        assert hashlib.sha256(metrics.to_json_bytes()).hexdigest() == expected
+
+    def test_mixed_document_exercises_every_path(self):
+        metrics = run(scenario_from_dict(mixed_doc()))
+        c = metrics.counters
+        assert c["unresolved"] > 0 and c["requeries"] > 0 and c["ttl_drops"] > 0
+        kinds = {r.resolution for r in metrics.records}
+        assert {"local_cache", "neighbor_cache", "local_provider", "source"} <= kinds
 
     def test_zero_duration_is_empty(self):
         metrics = run(scenario_from_dict(p2p_doc(duration_slots=0)))
@@ -326,3 +420,62 @@ class TestScenarioValidation:
         scn = scenario_from_dict(broadcast_doc(seed=2))
         again = scenario_from_dict(scenario_to_dict(scn))
         assert scn == again
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInputs:
+    """NaN or infinite draw parameters would hang or silently skip the run."""
+
+    @staticmethod
+    def rejected(doc, field_name):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert any(field_name in v for v in err.value.violations)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_mtbu(self, value):
+        self.rejected(p2p_doc(objects={"count": 3, "mtbu": value, "stdv_mtbu": 5.0}),
+                      "mtbu must be finite")
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_stdv_mtbu(self, value):
+        doc = p2p_doc(objects=[{"object_id": "a", "mtbu": 50.0, "stdv_mtbu": value}])
+        self.rejected(doc, "stdv_mtbu must be finite")
+
+    @pytest.mark.parametrize("bounds", [[math.nan, 200.0], [20.0, math.inf],
+                                        [-math.inf, 5.0], [20.0], "ab"])
+    def test_mtbu_range(self, bounds):
+        self.rejected(p2p_doc(objects={"count": 3, "mtbu_range": bounds}), "mtbu_range")
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_request_rate(self, value):
+        doc = p2p_doc(clients={"count": 2, "policy": "lru", "request_rate": value})
+        self.rejected(doc, "request_rate must be finite")
+
+
+class TestInvariants:
+    def test_causality_violation_raises(self, monkeypatch):
+        resolve = p2p.InformationManager.resolve_query
+
+        def from_the_future(self, service_id, qos, now):
+            outcome = resolve(self, service_id, qos, now)
+            return dataclasses.replace(outcome, payload_write_time=now + 2)
+
+        monkeypatch.setattr(p2p.InformationManager, "resolve_query", from_the_future)
+        with pytest.raises(InvariantError, match="after slot"):
+            run(scenario_from_dict(p2p_doc()))
+
+    def test_conservation_violation_raises(self, monkeypatch):
+        class LosesFirstAnswer(dict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, 0 if (key, value) == ("answered", 1) else value)
+
+        @dataclasses.dataclass
+        class LeakyMetrics(sim.Metrics):
+            counters: dict = dataclasses.field(default_factory=LosesFirstAnswer)
+
+        monkeypatch.setattr(sim, "Metrics", LeakyMetrics)
+        with pytest.raises(InvariantError, match="issued"):
+            run(scenario_from_dict(p2p_doc()))
