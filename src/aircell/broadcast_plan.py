@@ -9,6 +9,11 @@ and 1 / (mu_d - lambda_d) for on-demand ones; the split of the total
 bandwidth between the two groups is optimized numerically, and the
 partition itself is grown greedily from the most demanded object while the
 optimized access time stays under a threshold.
+
+A plan is one pass over the objects plus a golden-section search per
+prefix: the rates are listed once in move order, each prefix's group
+rates are sums over that list, and the search evaluates a scalar
+objective with no per-step allocation.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ class ObjectDemand:
     size: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError("arrival rate must be >= 0")
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError("arrival rate must be finite and >= 0")
         if self.size <= 0:
             raise ValueError("object size must be > 0")
 
@@ -79,15 +84,6 @@ def _uniform_size(demands: list[ObjectDemand]) -> float:
     return sizes.pop()
 
 
-def _group_rates(
-    partition: Partition, demands: list[ObjectDemand]
-) -> tuple[float, float]:
-    by_id = {d.object_id: d.rate for d in demands}
-    pub = sum(by_id[o] for o in partition.published)
-    dem = sum(by_id[o] for o in partition.on_demand)
-    return pub, dem
-
-
 def _access_time(
     k: int,
     pub_rate: float,
@@ -117,7 +113,9 @@ def expected_access_time(
 ) -> AccessTime:
     """Expected access time of a partition at its recorded bandwidth split."""
     size = _uniform_size(demands)
-    pub_rate, od_rate = _group_rates(partition, demands)
+    by_id = {d.object_id: d.rate for d in demands}
+    pub_rate = sum(by_id[o] for o in partition.published)
+    od_rate = sum(by_id[o] for o in partition.on_demand)
     total = sum(d.rate for d in demands)
     return _access_time(
         len(partition.published), pub_rate, od_rate,
@@ -144,6 +142,44 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
+def _split(
+    k: int, pub_rate: float, od_rate: float, size: float, params: PlanParams
+) -> tuple[float, float]:
+    """Optimal (b_b, b_d) for k published objects with the given group rates.
+
+    An empty group has a zero rate, so the rates alone pick the degenerate
+    cases. The objective is ``_access_time(...).raw`` with the invariants
+    hoisted out of the search; it must keep that function's float
+    operations and their order, or the split moves in the last bits.
+    """
+    total_b = params.total_bandwidth
+    per_request = size + params.request_size
+    if od_rate == 0:
+        return (total_b, 0.0)
+    if pub_rate == 0:
+        if total_b / per_request <= od_rate:
+            raise Unstable("no stable split: on-demand demand exceeds capacity")
+        return (0.0, total_b)
+
+    upper = total_b - od_rate * per_request
+    if upper <= 0:
+        raise Unstable("no stable split: on-demand demand exceeds capacity")
+    cycle = k * size
+
+    def objective(b_b: float) -> float:
+        mu_d = (total_b - b_b) / per_request
+        if mu_d <= od_rate:
+            raise Unstable(f"mu_d={mu_d} <= lambda_d={od_rate}")
+        return pub_rate * (cycle / (2.0 * b_b)) + od_rate * (1.0 / (mu_d - od_rate))
+
+    tol = 1e-6 * total_b
+    if upper <= 2 * tol:
+        b_b = upper / 2.0
+    else:
+        b_b = _golden_section(objective, tol, upper - tol, tol)
+    return (b_b, total_b - b_b)
+
+
 def optimize_bandwidth_split(
     published: list[str],
     on_demand: list[str],
@@ -161,56 +197,14 @@ def optimize_bandwidth_split(
         raise ValueError("both groups empty")
     by_id = {d.object_id: d.rate for d in demands}
     size = _uniform_size(demands)
-    total_b = params.total_bandwidth
     pub_rate = sum(by_id[o] for o in published)
     od_rate = sum(by_id[o] for o in on_demand)
-    k = len(published)
-
-    if not on_demand or od_rate == 0:
-        return (total_b, 0.0)
-    if not published or pub_rate == 0:
-        if total_b / (size + params.request_size) <= od_rate:
-            raise Unstable("no stable split: on-demand demand exceeds capacity")
-        return (0.0, total_b)
-
-    upper = total_b - od_rate * (size + params.request_size)
-    if upper <= 0:
-        raise Unstable("no stable split: on-demand demand exceeds capacity")
-
-    def objective(b_b: float) -> float:
-        return _access_time(
-            k, pub_rate, od_rate, b_b, total_b - b_b, size,
-            params.request_size, pub_rate + od_rate,
-        ).raw
-
-    tol = 1e-6 * total_b
-    if upper <= 2 * tol:
-        b_b = upper / 2.0
-    else:
-        b_b = _golden_section(objective, tol, upper - tol, tol)
-    return (b_b, total_b - b_b)
+    return _split(len(published), pub_rate, od_rate, size, params)
 
 
 def move_order(demands: list[ObjectDemand]) -> list[str]:
     """Objects by descending arrival rate, ties by ascending id."""
     return [d.object_id for d in sorted(demands, key=lambda d: (-d.rate, d.object_id))]
-
-
-def _evaluate_prefix(
-    order: list[str], k: int, demands: list[ObjectDemand], params: PlanParams
-) -> tuple[Partition, AccessTime]:
-    published, on_demand = order[:k], order[k:]
-    try:
-        b_b, b_d = optimize_bandwidth_split(published, on_demand, demands, params)
-    except Unstable:
-        part = Partition(tuple(published), tuple(on_demand), 0.0, params.total_bandwidth)
-        size = _uniform_size(demands)
-        by_id = {d.object_id: d.rate for d in demands}
-        od_rate = sum(by_id[o] for o in on_demand)
-        mu_d = params.total_bandwidth / (size + params.request_size)
-        return part, AccessTime(math.inf, math.inf, math.inf, math.inf, mu_d, od_rate)
-    part = Partition(tuple(published), tuple(on_demand), b_b, b_d)
-    return part, expected_access_time(part, demands, params)
 
 
 def partition_objects(
@@ -224,23 +218,47 @@ def partition_objects(
     threshold (or is unstable) and returns the last satisfying one. If even
     the initial configuration violates the threshold, it is returned flagged
     infeasible.
+
+    The rates are listed once in move order. Prefix k sums the first k of
+    them and the rest left to right, the same additions in the same order
+    as ``expected_access_time`` makes for that partition.
     """
     if not demands:
         raise ValueError("no demands given")
     order = move_order(demands)
+    size = _uniform_size(demands)
+    by_id = {d.object_id: d.rate for d in demands}
+    rates = [by_id[o] for o in order]
+    total = sum(d.rate for d in demands)
+
+    def evaluate(k: int) -> tuple[float, float, AccessTime]:
+        pub_rate, od_rate = sum(rates[:k]), sum(rates[k:])
+        try:
+            b_b, b_d = _split(k, pub_rate, od_rate, size, params)
+        except Unstable:
+            mu_d = params.total_bandwidth / (size + params.request_size)
+            access = AccessTime(math.inf, math.inf, math.inf, math.inf, mu_d, od_rate)
+            return 0.0, params.total_bandwidth, access
+        access = _access_time(
+            k, pub_rate, od_rate, b_b, b_d, size, params.request_size, total
+        )
+        return b_b, b_d, access
 
     def satisfies(access: AccessTime) -> bool:
         return math.isfinite(access.raw) and access.raw <= params.threshold
 
-    current_part, current_access = _evaluate_prefix(order, 0, demands, params)
-    if not satisfies(current_access):
-        return PartitionResult(current_part, current_access, feasible=False)
-    for k in range(1, len(order) + 1):
-        part, access = _evaluate_prefix(order, k, demands, params)
-        if not satisfies(access):
-            break
-        current_part, current_access = part, access
-    return PartitionResult(current_part, current_access, feasible=True)
+    k = 0
+    current = evaluate(0)
+    feasible = satisfies(current[2])
+    if feasible:
+        for nxt in range(1, len(order) + 1):
+            candidate = evaluate(nxt)
+            if not satisfies(candidate[2]):
+                break
+            k, current = nxt, candidate
+    b_b, b_d, access = current
+    partition = Partition(tuple(order[:k]), tuple(order[k:]), b_b, b_d)
+    return PartitionResult(partition, access, feasible)
 
 
 @dataclass(frozen=True)

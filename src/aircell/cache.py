@@ -33,6 +33,8 @@ class PolicyKind(str, Enum):
 
 # the only policies whose tick does anything
 TTL_POLICIES = frozenset({PolicyKind.TTL_DROP, PolicyKind.TTL_REQUERY})
+# the only policies that score entries, and so the only readers of the window
+SCORED_POLICIES = frozenset({PolicyKind.CQF, PolicyKind.ACQF})
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,12 @@ class ClientCache:
         return object_id in self.entries
 
     def record_read(self, object_id: str, now: float) -> None:
-        """Count a local request for an object toward its read statistics."""
-        self.reads.record(now, object_id)
+        """Count a local request for an object toward its read statistics.
+
+        Only the scored policies read the window, so the others skip it.
+        """
+        if self.policy in SCORED_POLICIES:
+            self.reads.record(now, object_id)
 
     def get(self, object_id: str, now: float) -> CacheEntry | None:
         """Owner read: returns the entry and refreshes its recency."""
@@ -195,7 +201,7 @@ class ClientCache:
             self.entries[entry.object_id] = entry
             return EvictionReport(admitted=True)
 
-        if self.policy in (PolicyKind.CQF, PolicyKind.ACQF):
+        if self.policy in SCORED_POLICIES:
             incoming = self.score(entry, now)
             scored = [(self.score(e, now), e.cached_at, oid)
                       for oid, e in self.entries.items()]

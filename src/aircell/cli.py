@@ -17,12 +17,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import air_schedule, broadcast_plan, fidelity
+from . import air_schedule, fidelity
 from .sim import (
     SCHEMA_ID,
     Metrics,
     Scenario,
     ScenarioError,
+    initial_rates,
+    plan_cell,
     run,
     scenario_from_dict,
     scenario_to_dict,
@@ -183,27 +185,10 @@ def cmd_dump_program(args: argparse.Namespace) -> int:
     if scenario.cell is None:
         print("error: scenario has no cell section", file=sys.stderr)
         return 2
-    from .sim import zipf_pmf
-
-    total_rate = sum(c.request_rate for c in scenario.clients)
-    pmf = zipf_pmf(len(scenario.objects), scenario.zipf_theta)
-    demands = [
-        broadcast_plan.ObjectDemand(o.object_id, total_rate * float(pmf[i]))
-        for i, o in enumerate(scenario.objects)
-    ]
-    params = broadcast_plan.PlanParams(
-        scenario.cell.total_bandwidth, scenario.cell.request_size,
-        scenario.cell.threshold,
-    )
-    result = broadcast_plan.partition_objects(demands, params)
-    if not result.partition.published:
+    _, program = plan_cell(scenario, initial_rates(scenario))
+    if program is None:
         print("(no published objects; everything is on demand)")
         return 0
-    program = air_schedule.build_program(
-        list(result.partition.published), scenario.cell.channels,
-        scenario.index_scheme(), scenario.cell.slot_duration,
-        scenario.cell.dedicated_index_channel,
-    )
     width = max(
         [len(s.object_id or "") for ch in program.channels for s in ch] + [5]
     )
@@ -271,19 +256,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if scenario.cell is None:
         print("error: scenario has no cell section", file=sys.stderr)
         return 2
-    from .sim import zipf_pmf
-
-    total_rate = sum(c.request_rate for c in scenario.clients)
-    pmf = zipf_pmf(len(scenario.objects), scenario.zipf_theta)
-    demands = [
-        broadcast_plan.ObjectDemand(o.object_id, total_rate * float(pmf[i]))
-        for i, o in enumerate(scenario.objects)
-    ]
-    params = broadcast_plan.PlanParams(
-        scenario.cell.total_bandwidth, scenario.cell.request_size,
-        scenario.cell.threshold,
-    )
-    result = broadcast_plan.partition_objects(demands, params)
+    result, _ = plan_cell(scenario, initial_rates(scenario))
     report = {
         "feasible": result.feasible,
         "published_count": len(result.partition.published),

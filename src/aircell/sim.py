@@ -20,7 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -137,44 +138,91 @@ _CELL_KEYS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _mapping(value, where: str, errs: list[str]) -> dict:
+    """``value`` if it is a mapping; otherwise a violation and ``{}``."""
+    if isinstance(value, dict):
+        return value
+    errs.append(f"{where}: must be a mapping, got {type(value).__name__}")
+    return {}
+
+
+def _number(section: dict, key: str, default, where: str, errs: list[str], kind=float):
+    """``section[key]``, or ``default`` if absent, converted by ``kind``.
+
+    A value that is not a number (a string, a boolean, a container, null)
+    or that ``kind`` cannot hold (NaN or inf as an integer) is a violation
+    and reads as ``default``, so later checks see a well-typed document.
+    """
+    value = section.get(key, default)
+    if _is_number(value):
+        try:
+            return kind(value)
+        except (ValueError, OverflowError):
+            pass
+    noun = "an integer" if kind is int else "a number"
+    errs.append(f"{where}.{key}: must be {noun}, got {value!r}" if where
+                else f"{key}: must be {noun}, got {value!r}")
+    return default
+
+
 def _expand_objects(spec, seed: int, errs: list[str]) -> list[ObjectSpec]:
     if isinstance(spec, dict):
         for key in spec.keys() - _OBJECTS_COMPACT_KEYS:
             errs.append(f"objects: unknown key {key!r}")
-        count = spec.get("count", 0)
+        count = _number(spec, "count", 0, "objects", errs, int)
+        if count < 0:
+            errs.append("objects.count: must be >= 0")
+            count = 0
         prefix = spec.get("id_prefix", "obj")
         if "mtbu_range" in spec:
-            try:
-                lo, hi = (float(x) for x in spec["mtbu_range"])
-            except (TypeError, ValueError):
-                lo = hi = math.nan
-            if math.isfinite(lo) and math.isfinite(hi):
+            bounds = spec["mtbu_range"]
+            if (
+                isinstance(bounds, (list, tuple)) and len(bounds) == 2
+                and all(_is_number(x) and math.isfinite(x) for x in bounds)
+            ):
                 rng = substream(seed, "object-params")
-                mtbus = rng.uniform(lo, hi, size=count)
+                mtbus = rng.uniform(float(bounds[0]), float(bounds[1]), size=count)
             else:
                 errs.append("objects.mtbu_range: must be two finite numbers")
                 mtbus = [1.0] * count  # placeholder; the document is rejected
         else:
-            mtbus = [spec.get("mtbu", 100.0)] * count
-        stdv = spec.get("stdv_mtbu", 0.2 * float(np.mean(mtbus)) if count else 0.0)
+            mtbus = [_number(spec, "mtbu", 100.0, "objects", errs)] * count
+        stdv = _number(
+            spec, "stdv_mtbu", 0.2 * float(np.mean(mtbus)) if count else 0.0,
+            "objects", errs,
+        )
         width = len(str(max(count - 1, 1)))
         return [
-            ObjectSpec(f"{prefix}{i:0{width}d}", float(mtbus[i]), float(stdv))
+            ObjectSpec(f"{prefix}{i:0{width}d}", float(mtbus[i]), stdv)
             for i in range(count)
         ]
+    if not isinstance(spec, list):
+        errs.append(f"objects: must be a list or a mapping, got {type(spec).__name__}")
+        return []
     out = []
     for i, o in enumerate(spec):
+        where = f"objects[{i}]"
+        if not isinstance(o, dict):
+            errs.append(f"{where}: must be a mapping, got {type(o).__name__}")
+            continue
         for key in o.keys() - _OBJECT_KEYS:
-            errs.append(f"objects[{i}]: unknown key {key!r}")
-        try:
-            out.append(
-                ObjectSpec(
-                    str(o["object_id"]), float(o["mtbu"]),
-                    float(o.get("stdv_mtbu", 0.0)), bool(o.get("reachable", True)),
-                )
+            errs.append(f"{where}: unknown key {key!r}")
+        missing = [key for key in ("object_id", "mtbu") if key not in o]
+        for key in missing:
+            errs.append(f"{where}: missing key {key!r}")
+        if missing:
+            continue
+        out.append(
+            ObjectSpec(
+                str(o["object_id"]), _number(o, "mtbu", 100.0, where, errs),
+                _number(o, "stdv_mtbu", 0.0, where, errs),
+                bool(o.get("reachable", True)),
             )
-        except KeyError as e:
-            errs.append(f"objects[{i}]: missing key {e.args[0]!r}")
+        )
     return out
 
 
@@ -185,27 +233,46 @@ def _expand_clients(spec, errs: list[str]) -> list[ClientSpec]:
         except ValueError:
             errs.append(f"{where}: unknown policy {c.get('policy')!r}")
             return None
-        qos = {str(k): float(v) for k, v in c.get("qos", {}).items()}
+        qos_d = _mapping(c.get("qos", {}), f"{where}.qos", errs)
+        qos = {str(k): _number(qos_d, k, 0.0, f"{where}.qos", errs) for k in qos_d}
+        providers = c.get("providers", ())
+        if not isinstance(providers, (list, tuple)):
+            errs.append(f"{where}.providers: must be a list")
+            providers = ()
         return ClientSpec(
-            client_id, int(c.get("cache_capacity", 8)), policy,
-            float(c.get("default_qos", 0.0)), float(c.get("request_rate", 0.0)),
-            qos, tuple(c.get("providers", ())),
+            client_id, _number(c, "cache_capacity", 8, where, errs, int), policy,
+            _number(c, "default_qos", 0.0, where, errs),
+            _number(c, "request_rate", 0.0, where, errs),
+            qos, tuple(providers),
         )
 
     if isinstance(spec, dict):
         for key in spec.keys() - _CLIENTS_COMPACT_KEYS:
             errs.append(f"clients: unknown key {key!r}")
-        count = spec.get("count", 0)
+        count = _number(spec, "count", 0, "clients", errs, int)
+        if count < 0:
+            errs.append("clients.count: must be >= 0")
+            count = 0
         prefix = spec.get("id_prefix", "client")
         width = len(str(max(count - 1, 1)))
-        out = []
-        for i in range(count):
-            parsed = parse_one(spec, "clients", f"{prefix}{i:0{width}d}")
-            if parsed is not None:
-                out.append(parsed)
-        return out
+        template = parse_one(spec, "clients", prefix) if count else None
+        if template is None:
+            return []
+        return [
+            replace(
+                template, client_id=f"{prefix}{i:0{width}d}",
+                qos_overrides=dict(template.qos_overrides),
+            )
+            for i in range(count)
+        ]
+    if not isinstance(spec, list):
+        errs.append(f"clients: must be a list or a mapping, got {type(spec).__name__}")
+        return []
     out = []
     for i, c in enumerate(spec):
+        if not isinstance(c, dict):
+            errs.append(f"clients[{i}]: must be a mapping, got {type(c).__name__}")
+            continue
         for key in c.keys() - _CLIENT_KEYS:
             errs.append(f"clients[{i}]: unknown key {key!r}")
         if "client_id" not in c:
@@ -222,8 +289,11 @@ def _expand_adjacency(
 ) -> dict[str, set[str]]:
     if spec is None:
         return {cid: set() for cid in client_ids}
-    if isinstance(spec, dict) and spec.get("kind") == "ring":
-        degree = int(spec.get("degree", 2))
+    if not isinstance(spec, dict):
+        errs.append(f"adjacency: must be a mapping, got {type(spec).__name__}")
+        return {cid: set() for cid in client_ids}
+    if spec.get("kind") == "ring":
+        degree = _number(spec, "degree", 2, "adjacency", errs, int)
         half = degree // 2
         n = len(client_ids)
         adj: dict[str, set[str]] = {cid: set() for cid in client_ids}
@@ -241,6 +311,9 @@ def _expand_adjacency(
             return adj
         if cid not in known:
             errs.append(f"adjacency: unknown client {cid!r}")
+            continue
+        if not isinstance(neighbors, (list, tuple)):
+            errs.append(f"adjacency[{cid}]: must be a list")
             continue
         for nid in neighbors:
             if nid not in known:
@@ -309,22 +382,23 @@ def scenario_from_dict(data: dict) -> Scenario:
         data.get("adjacency"), [c.client_id for c in clients], errs
     )
 
-    toggles = data.get("toggles", {})
+    toggles = _mapping(data.get("toggles", {}), "toggles", errs)
     for key in toggles.keys() - {"p2p", "caching", "overhearing"}:
         errs.append(f"toggles: unknown key {key!r}")
-    workload = data.get("workload", {})
+    workload = _mapping(data.get("workload", {}), "workload", errs)
     for key in workload.keys() - {"zipf_theta"}:
         errs.append(f"workload: unknown key {key!r}")
-    zipf_theta = float(workload.get("zipf_theta", 0.8))
+    zipf_theta = _number(workload, "zipf_theta", 0.8, "workload", errs)
     if zipf_theta < 0:
         errs.append("workload.zipf_theta: must be >= 0")
 
-    costs_d = data.get("costs", {})
+    costs_d = _mapping(data.get("costs", {}), "costs", errs)
     for key in costs_d.keys() - {"local", "hop", "source"}:
         errs.append(f"costs: unknown key {key!r}")
     costs = LinkCosts(
-        float(costs_d.get("local", 0.0)), float(costs_d.get("hop", 1.0)),
-        float(costs_d.get("source", 5.0)),
+        _number(costs_d, "local", 0.0, "costs", errs),
+        _number(costs_d, "hop", 1.0, "costs", errs),
+        _number(costs_d, "source", 5.0, "costs", errs),
     )
     if min(costs.local, costs.hop, costs.source) < 0:
         errs.append("costs: latencies must be >= 0")
@@ -335,29 +409,31 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     cell = None
     if "cell" in data:
-        c = data["cell"]
+        c = _mapping(data["cell"], "cell", errs)
         for key in c.keys() - _CELL_KEYS:
             errs.append(f"cell: unknown key {key!r}")
-        cm = c.get("cost_model", {})
+        cm = _mapping(c.get("cost_model", {}), "cell.cost_model", errs)
         try:
             cost_model = retrieval.CostModel(
-                int(cm.get("switch_slots", 1)), float(cm.get("e_active", 1.0)),
-                float(cm.get("e_doze", 0.05)), float(cm.get("e_switch", 0.5)),
+                _number(cm, "switch_slots", 1, "cell.cost_model", errs, int),
+                _number(cm, "e_active", 1.0, "cell.cost_model", errs),
+                _number(cm, "e_doze", 0.05, "cell.cost_model", errs),
+                _number(cm, "e_switch", 0.5, "cell.cost_model", errs),
             )
         except ValueError as e:
             errs.append(f"cell.cost_model: {e}")
             cost_model = retrieval.CostModel()
         cell = CellSpec(
-            channels=int(c.get("channels", 1)),
+            channels=_number(c, "channels", 1, "cell", errs, int),
             scheme=str(c.get("scheme", "one_m")),
-            m=int(c.get("m", 1)),
-            slot_duration=float(c.get("slot_duration", 1.0)),
+            m=_number(c, "m", 1, "cell", errs, int),
+            slot_duration=_number(c, "slot_duration", 1.0, "cell", errs),
             dedicated_index_channel=bool(c.get("dedicated_index_channel", False)),
-            total_bandwidth=float(c.get("total_bandwidth", 10.0)),
-            request_size=float(c.get("request_size", 0.25)),
-            threshold=float(c.get("threshold", math.inf)),
-            batching_window=float(c.get("batching_window", 0.0)),
-            replan_interval=int(c.get("replan_interval", 0)),
+            total_bandwidth=_number(c, "total_bandwidth", 10.0, "cell", errs),
+            request_size=_number(c, "request_size", 0.25, "cell", errs),
+            threshold=_number(c, "threshold", math.inf, "cell", errs),
+            batching_window=_number(c, "batching_window", 0.0, "cell", errs),
+            replan_interval=_number(c, "replan_interval", 0, "cell", errs, int),
             cost_model=cost_model,
         )
         if cell.channels < 1:
@@ -372,22 +448,34 @@ def scenario_from_dict(data: dict) -> Scenario:
             errs.append(f"cell.scheme: unknown scheme {cell.scheme!r}")
         if cell.m < 1:
             errs.append("cell.m: must be >= 1")
+        if cell.dedicated_index_channel and cell.channels < 2:
+            errs.append("cell.dedicated_index_channel: needs at least 2 channels")
+        if mode == "broadcast" and cell.scheme == "none":
+            errs.append(
+                "cell.scheme: 'none' has no index for resolution_mode 'broadcast' "
+                "to read"
+            )
     elif mode == "broadcast":
         errs.append("resolution_mode 'broadcast' requires a cell section")
     if mode == "broadcast" and not objects:
         errs.append("resolution_mode 'broadcast' requires at least one object")
 
-    cache_d = data.get("cache", {})
+    cache_d = _mapping(data.get("cache", {}), "cache", errs)
     for key in cache_d.keys() - {"default_ttl", "tick_interval", "read_window"}:
         errs.append(f"cache: unknown key {key!r}")
-    if cache_d.get("default_ttl") is not None and float(cache_d["default_ttl"]) <= 0:
-        errs.append("cache.default_ttl: must be > 0")
-    if int(cache_d.get("tick_interval", 1)) < 1:
+    default_ttl = None
+    if cache_d.get("default_ttl") is not None:
+        default_ttl = _number(cache_d, "default_ttl", None, "cache", errs)
+        if default_ttl is not None and default_ttl <= 0:
+            errs.append("cache.default_ttl: must be > 0")
+    tick_interval = _number(cache_d, "tick_interval", 1, "cache", errs, int)
+    if tick_interval < 1:
         errs.append("cache.tick_interval: must be >= 1")
-    if int(cache_d.get("read_window", 256)) < 2:
+    read_window = _number(cache_d, "read_window", 256, "cache", errs, int)
+    if read_window < 2:
         errs.append("cache.read_window: must be >= 2")
 
-    burnin = int(data.get("history_burnin", 12))
+    burnin = _number(data, "history_burnin", 12, "", errs, int)
     if burnin < 3:
         errs.append("history_burnin: need at least 3 writes for usable statistics")
 
@@ -406,12 +494,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         zipf_theta=zipf_theta,
         costs=costs,
         cell=cell,
-        default_ttl=(
-            float(cache_d["default_ttl"]) if cache_d.get("default_ttl") is not None
-            else None
-        ),
-        tick_interval=int(cache_d.get("tick_interval", 1)),
-        read_window=int(cache_d.get("read_window", 256)),
+        default_ttl=default_ttl,
+        tick_interval=tick_interval,
+        read_window=read_window,
         history_burnin=burnin,
         fidelity_config=data.get("fidelity"),
         schema_id=schema_id,
@@ -659,9 +744,27 @@ class _UpdateProcess:
             self.next_update += self._draw()
 
 
-def _plan_cell(
+def initial_rates(scenario: Scenario) -> dict[str, float]:
+    """Per-object arrival rates before any are observed.
+
+    The clients' total request rate spread over the objects by the Zipf
+    popularity of their position in the scenario.
+    """
+    total_rate = sum(c.request_rate for c in scenario.clients)
+    pmf = zipf_pmf(len(scenario.objects), scenario.zipf_theta)
+    return {
+        o.object_id: total_rate * float(pmf[i])
+        for i, o in enumerate(scenario.objects)
+    }
+
+
+def plan_cell(
     scenario: Scenario, rates: dict[str, float]
 ) -> tuple[broadcast_plan.PartitionResult, air_schedule.BroadcastProgram | None]:
+    """Partition the cell's objects at ``rates`` and lay out the published set.
+
+    The program is None when nothing is published.
+    """
     demands = [
         broadcast_plan.ObjectDemand(o.object_id, rates.get(o.object_id, 0.0))
         for o in scenario.objects
@@ -794,13 +897,7 @@ def run(scenario: Scenario) -> Metrics:
     batching = None
     observed_requests: dict[str, int] = {o.object_id: 0 for o in scenario.objects}
     if scenario.resolution_mode == "broadcast":
-        total_rate = sum(c.request_rate for c in scenario.clients)
-        pmf = zipf_pmf(len(scenario.objects), scenario.zipf_theta)
-        rates = {
-            o.object_id: total_rate * float(pmf[i])
-            for i, o in enumerate(scenario.objects)
-        }
-        plan_result, program = _plan_cell(scenario, rates)
+        plan_result, program = plan_cell(scenario, initial_rates(scenario))
         batching = broadcast_plan.BatchingServer(scenario.cell.batching_window)
         metrics.plan = _plan_summary(plan_result)
 
@@ -835,7 +932,7 @@ def run(scenario: Scenario) -> Metrics:
             and t % scenario.cell.replan_interval == 0
         ):
             observed_rates = {oid: n / t for oid, n in observed_requests.items()}
-            new_result, new_program = _plan_cell(scenario, observed_rates)
+            new_result, new_program = plan_cell(scenario, observed_rates)
             if new_result.feasible:
                 plan_result, program = new_result, new_program
                 metrics.plan = _plan_summary(plan_result)

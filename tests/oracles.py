@@ -13,6 +13,8 @@ from collections import OrderedDict
 
 import numpy as np
 
+from aircell.broadcast_plan import AccessTime, Partition, PartitionResult, Unstable
+
 
 def mean_and_pop_std(xs: list[float]) -> tuple[float, float]:
     n = len(xs)
@@ -208,3 +210,141 @@ def score_admission_replay(capacity: int, offers: list[tuple[str, float, float]]
         del kept[victim]
         kept[object_id] = (score, offered_at)
     return set(kept)
+
+
+# --------------------------------------------------------------------------
+# The broadcast planner as it stood before the one-pass rewrite: every
+# prefix rebuilds the rate dict, the size set and the group sums, and each
+# golden-section step builds a full AccessTime. Kept verbatim so that the
+# rewrite can be held to bit-exact equality, not a tolerance.
+# --------------------------------------------------------------------------
+
+def _ref_uniform_size(demands) -> float:
+    sizes = {d.size for d in demands}
+    if len(sizes) != 1:
+        raise ValueError("objects must share one size")
+    return sizes.pop()
+
+
+def _ref_group_rates(partition, demands) -> tuple[float, float]:
+    by_id = {d.object_id: d.rate for d in demands}
+    pub = sum(by_id[o] for o in partition.published)
+    dem = sum(by_id[o] for o in partition.on_demand)
+    return pub, dem
+
+
+def _ref_access_time(
+    k, pub_rate, od_rate, b_b, b_d, size, request_size, total_rate,
+):
+    t_broadcast = (k * size) / (2.0 * b_b) if b_b > 0 else math.inf
+    mu_d = b_d / (size + request_size)
+    if od_rate > 0 and mu_d <= od_rate:
+        raise Unstable(f"mu_d={mu_d} <= lambda_d={od_rate}")
+    t_on_demand = 1.0 / (mu_d - od_rate) if mu_d > od_rate else math.inf
+    raw = 0.0
+    if pub_rate > 0:
+        raw += pub_rate * t_broadcast
+    if od_rate > 0:
+        raw += od_rate * t_on_demand
+    normalized = raw / total_rate if total_rate > 0 else 0.0
+    return AccessTime(raw, normalized, t_broadcast, t_on_demand, mu_d, od_rate)
+
+
+def _ref_expected_access_time(partition, demands, params):
+    size = _ref_uniform_size(demands)
+    pub_rate, od_rate = _ref_group_rates(partition, demands)
+    total = sum(d.rate for d in demands)
+    return _ref_access_time(
+        len(partition.published), pub_rate, od_rate,
+        partition.b_b, partition.b_d, size, params.request_size, total,
+    )
+
+
+def _ref_golden_section(f, lo: float, hi: float, tol: float) -> float:
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return (a + b) / 2.0
+
+
+def _ref_optimize_bandwidth_split(published, on_demand, demands, params):
+    if not published and not on_demand:
+        raise ValueError("both groups empty")
+    by_id = {d.object_id: d.rate for d in demands}
+    size = _ref_uniform_size(demands)
+    total_b = params.total_bandwidth
+    pub_rate = sum(by_id[o] for o in published)
+    od_rate = sum(by_id[o] for o in on_demand)
+    k = len(published)
+
+    if not on_demand or od_rate == 0:
+        return (total_b, 0.0)
+    if not published or pub_rate == 0:
+        if total_b / (size + params.request_size) <= od_rate:
+            raise Unstable("no stable split: on-demand demand exceeds capacity")
+        return (0.0, total_b)
+
+    upper = total_b - od_rate * (size + params.request_size)
+    if upper <= 0:
+        raise Unstable("no stable split: on-demand demand exceeds capacity")
+
+    def objective(b_b: float) -> float:
+        return _ref_access_time(
+            k, pub_rate, od_rate, b_b, total_b - b_b, size,
+            params.request_size, pub_rate + od_rate,
+        ).raw
+
+    tol = 1e-6 * total_b
+    if upper <= 2 * tol:
+        b_b = upper / 2.0
+    else:
+        b_b = _ref_golden_section(objective, tol, upper - tol, tol)
+    return (b_b, total_b - b_b)
+
+
+def _ref_evaluate_prefix(order, k, demands, params):
+    published, on_demand = order[:k], order[k:]
+    try:
+        b_b, b_d = _ref_optimize_bandwidth_split(published, on_demand, demands, params)
+    except Unstable:
+        part = Partition(tuple(published), tuple(on_demand), 0.0, params.total_bandwidth)
+        size = _ref_uniform_size(demands)
+        by_id = {d.object_id: d.rate for d in demands}
+        od_rate = sum(by_id[o] for o in on_demand)
+        mu_d = params.total_bandwidth / (size + params.request_size)
+        return part, AccessTime(math.inf, math.inf, math.inf, math.inf, mu_d, od_rate)
+    part = Partition(tuple(published), tuple(on_demand), b_b, b_d)
+    return part, _ref_expected_access_time(part, demands, params)
+
+
+def partition_reference(demands, params):
+    """The greedy publish loop, prefix by prefix through the public split."""
+    if not demands:
+        raise ValueError("no demands given")
+    order = [
+        d.object_id for d in sorted(demands, key=lambda d: (-d.rate, d.object_id))
+    ]
+
+    def satisfies(access) -> bool:
+        return math.isfinite(access.raw) and access.raw <= params.threshold
+
+    current_part, current_access = _ref_evaluate_prefix(order, 0, demands, params)
+    if not satisfies(current_access):
+        return PartitionResult(current_part, current_access, feasible=False)
+    for k in range(1, len(order) + 1):
+        part, access = _ref_evaluate_prefix(order, k, demands, params)
+        if not satisfies(access):
+            break
+        current_part, current_access = part, access
+    return PartitionResult(current_part, current_access, feasible=True)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aircell.broadcast_plan import (
     BatchingServer,
@@ -14,7 +16,7 @@ from aircell.broadcast_plan import (
     optimize_bandwidth_split,
     partition_objects,
 )
-from oracles import grid_search_split, replay_partition
+from oracles import grid_search_split, partition_reference, replay_partition
 
 
 def demands_of(rates: dict[str, float]) -> list[ObjectDemand]:
@@ -184,6 +186,64 @@ class TestPartition:
         for factor in (0.01, 3.0, 250.0):
             scaled = move_order(demands_of({k: v * factor for k, v in rates.items()}))
             assert scaled == base
+
+
+# tied and zero rates come from a short menu; the rest are arbitrary
+_rates = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    st.floats(1e-3, 10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestPartitionBitExact:
+    """The one-pass planner against the prefix-by-prefix original."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rates=st.integers(1, 60).flatmap(
+            lambda n: st.lists(_rates, min_size=n, max_size=n)
+        ),
+        size=st.sampled_from([0.5, 1.0, 1.5]),
+        request=st.sampled_from([0.0, 0.25, 0.4]),
+        # below 1 the all-on-demand configuration is unstable
+        headroom=st.floats(0.3, 4.0, allow_nan=False),
+        threshold=st.one_of(st.just(math.inf), st.floats(1e-12, 1e-6)),
+        # raw access time runs at about 0.002-0.07 per unit of total rate
+        # here, so a cap in that band stops the loop part-way
+        mid_cap=st.one_of(st.none(), st.floats(2e-3, 0.08)),
+    )
+    def test_matches_reference_exactly(
+        self, rates, size, request, headroom, threshold, mid_cap
+    ):
+        demands = [
+            ObjectDemand(f"o{i:02d}", r, size) for i, r in enumerate(rates)
+        ]
+        load = sum(rates) * (size + request)
+        bandwidth = max(load * headroom, 0.1)
+        if mid_cap is not None:
+            threshold = mid_cap * sum(rates)
+        params = PlanParams(bandwidth, request, threshold)
+        assert partition_objects(demands, params) == partition_reference(demands, params)
+
+    def test_saturated_cell_is_infeasible(self):
+        # on-demand load 10 * 1.25 exceeds the bandwidth, so prefix 0 is
+        # unstable; publishing only lowers that load, so later prefixes
+        # are unstable only through rounding
+        demands = demands_of({"a": 4.0, "b": 3.0, "c": 3.0})
+        params = PlanParams(10.0 * 1.25 * 0.9, 0.25, 50.0)
+        result = partition_objects(demands, params)
+        assert result == partition_reference(demands, params)
+        assert not result.feasible and math.isinf(result.access.raw)
+
+    def test_mixed_sizes_rejected(self):
+        demands = [ObjectDemand("a", 1.0, 1.0), ObjectDemand("b", 1.0, 2.0)]
+        with pytest.raises(ValueError):
+            partition_objects(demands, PlanParams(10.0, 0.25))
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_rate_rejected(self, rate):
+        with pytest.raises(ValueError):
+            ObjectDemand("a", rate)
 
 
 class TestBatching:

@@ -98,6 +98,24 @@ class TestReadTracker:
                 assert tracker.stats_for(probe) == expected
 
 
+class TestReadRecording:
+    @pytest.mark.parametrize(
+        "policy", [PolicyKind.LRU, PolicyKind.TTL_DROP, PolicyKind.TTL_REQUERY]
+    )
+    def test_unscored_policies_leave_the_window_empty(self, policy):
+        cache = ClientCache(4, policy)
+        for t in range(10):
+            cache.record_read("a", float(t))
+        assert cache.reads.stats_for("a") == ReadStats(None, 0.0, 0)
+
+    @pytest.mark.parametrize("policy", [PolicyKind.CQF, PolicyKind.ACQF])
+    def test_scored_policies_record_every_read(self, policy):
+        cache = ClientCache(4, policy)
+        for t in range(10):
+            cache.record_read("a", float(t))
+        assert cache.reads.stats_for("a") == ReadStats(1.0, 1.0, 10)
+
+
 class TestCacheEntry:
     def test_copy_predating_its_write_is_an_invariant_error(self):
         with pytest.raises(InvariantError):

@@ -455,6 +455,94 @@ class TestNonFiniteInputs:
         self.rejected(doc, "request_rate must be finite")
 
 
+class TestTypedFields:
+    """A field of the wrong type is a violation, not a raw exception."""
+
+    @staticmethod
+    def violations(doc) -> list[str]:
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        return err.value.violations
+
+    @pytest.mark.parametrize("value", ["abc", "4", True, None, [4]])
+    def test_cache_capacity_not_a_number(self, value):
+        doc = p2p_doc(clients=[{"client_id": "a", "cache_capacity": value}])
+        assert self.violations(doc) == [
+            f"clients[0].cache_capacity: must be an integer, got {value!r}"
+        ]
+
+    def test_compact_clients_report_once(self):
+        doc = p2p_doc(clients={"count": 5, "cache_capacity": "abc"})
+        assert self.violations(doc) == [
+            "clients.cache_capacity: must be an integer, got 'abc'"
+        ]
+
+    def test_mtbu_not_a_number(self):
+        doc = p2p_doc(objects={"count": 3, "mtbu": "x"})
+        assert self.violations(doc) == ["objects.mtbu: must be a number, got 'x'"]
+
+    def test_toggles_not_a_mapping(self):
+        assert self.violations(p2p_doc(toggles=[])) == [
+            "toggles: must be a mapping, got list"
+        ]
+
+    def test_every_violation_listed(self):
+        doc = p2p_doc(
+            objects={"count": 3, "mtbu": "x"},
+            clients={"count": 2, "cache_capacity": "abc"},
+            toggles=[],
+            cache={"read_window": 1.5e400},
+        )
+        assert self.violations(doc) == [
+            "objects.mtbu: must be a number, got 'x'",
+            "clients.cache_capacity: must be an integer, got 'abc'",
+            "toggles: must be a mapping, got list",
+            "cache.read_window: must be an integer, got inf",
+        ]
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"objects": 7},
+            {"objects": [3]},
+            {"clients": "c"},
+            {"adjacency": ["a"]},
+            {"workload": {"zipf_theta": "high"}},
+            {"costs": {"hop": [1]}},
+            {"history_burnin": "12"},
+            {"cell": {"channels": "two"}},
+            {"cell": {"cost_model": []}},
+        ],
+    )
+    def test_other_fields(self, over):
+        assert len(self.violations(p2p_doc(**over))) == 1
+
+
+class TestUnrunnableCells:
+    def test_dedicated_index_channel_needs_two_channels(self):
+        doc = broadcast_doc()
+        doc["cell"].update(channels=1, dedicated_index_channel=True)
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.violations == [
+            "cell.dedicated_index_channel: needs at least 2 channels"
+        ]
+
+    def test_broadcast_needs_an_index(self):
+        doc = broadcast_doc()
+        doc["cell"]["scheme"] = "none"
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert [v.split(":")[0] for v in err.value.violations] == ["cell.scheme"]
+
+    def test_unindexed_cell_still_plans_outside_broadcast_mode(self):
+        doc = broadcast_doc(resolution_mode="p2p")
+        doc["cell"].update(scheme="none", threshold=math.inf)
+        scn = scenario_from_dict(doc)
+        _, program = sim.plan_cell(scn, sim.initial_rates(scn))
+        assert program is not None and program.scheme.kind == "none"
+
+
 class TestInvariants:
     def test_causality_violation_raises(self, monkeypatch):
         resolve = p2p.InformationManager.resolve_query
