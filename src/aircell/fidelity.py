@@ -181,18 +181,33 @@ def feasible_configs(
     """Configurations whose predicted consumption fits every resource limit.
 
     With no limits the full (discretized) Cartesian domain is returned; an
-    empty result is a valid outcome meaning nothing fits.
+    empty result is a valid outcome meaning nothing fits. Each axis value is
+    encoded once, and each binding model's term ``c * x`` for it computed
+    once; a configuration's prediction is then its model's intercept plus
+    the sum of its terms, the float operations of ``ResourceModel.predict``
+    in the same order, so exactly the configurations it admits are kept.
     """
     grid = domain.grid(continuous_points)
     if not available:
         return grid
-    binding = [m for m in models if m.resource_id in available]
-    kept = []
-    for cfg in grid:
-        coords = domain.encode(cfg)
-        if all(m.predict(coords) <= available[m.resource_id] for m in binding):
-            kept.append(cfg)
-    return kept
+    axes = [p.grid_values(continuous_points) for p in domain.parameters]
+    coords = [[p.encode(v) for v in axis] for p, axis in zip(domain.parameters, axes)]
+    fits = [True] * len(grid)
+    for m in models:
+        if m.resource_id not in available:
+            continue
+        limit = available[m.resource_id]
+        # like predict, a model reads only the leading axes it has coefficients
+        # for; its prediction repeats over the grid points of the other axes
+        terms = [[c * float(x) for x in xs] for c, xs in zip(m.coefficients, coords)]
+        repeat = math.prod(len(axis) for axis in axes[len(terms):])
+        fits = [
+            ok and m.intercept + sum(t) <= limit
+            for ok, t in zip(
+                fits, (t for t in itertools.product(*terms) for _ in range(repeat))
+            )
+        ]
+    return [cfg for cfg, ok in zip(grid, fits) if ok]
 
 
 @dataclass(frozen=True)

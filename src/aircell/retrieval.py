@@ -10,12 +10,15 @@ to land on distinct slots.
 Planners: Row Scan (one pass per interesting channel, minimal switches),
 Next Object Access (earliest-feasible greedy), a TSP-style order search
 (nearest-neighbour order refined by 2-opt on the simulated elapsed time),
-and an exhaustive permutation search for small requests.
+and an exact search over all orders for small requests: depth first over
+the sorted ids, pruned by the incumbent's last slot, with the tie rule of
+plain enumeration (the lexicographically smallest order wins). The search
+and the 2-opt score orders by their slot arithmetic alone; a full
+``RetrievalPlan`` is built once, for the order returned.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .air_schedule import BroadcastProgram
@@ -73,45 +76,44 @@ class RetrievalRequest:
             raise ValueError("desired set is empty")
 
 
-def _next_occurrence(cycle_slot: int, length: int, min_abs: int) -> int:
-    """Smallest absolute slot >= min_abs congruent to cycle_slot mod length."""
-    return min_abs + (cycle_slot - min_abs) % length
-
-
-def _earliest_feasible(
+def _earliest_read(
     channel: int,
     cycle_slot: int,
     length: int,
-    prev_slot: int | None,
+    prev_slot: int,
     prev_channel: int | None,
-    start: int,
     sigma: int,
 ) -> tuple[int, bool]:
-    """Earliest retrieval slot for an object given the previous read."""
-    if prev_slot is None:
-        return _next_occurrence(cycle_slot, length, start), False
-    if channel == prev_channel:
-        return _next_occurrence(cycle_slot, length, prev_slot + 1), False
-    return _next_occurrence(cycle_slot, length, prev_slot + 1 + sigma), True
+    """Earliest absolute slot at which the object at (channel, cycle_slot) can
+    be read after a read at ``prev_slot`` on ``prev_channel``, and whether
+    reaching it switches channels.
+
+    ``prev_channel`` None means nothing has been read yet: ``prev_slot`` is
+    then the slot before the first one available, and no switch is paid.
+    """
+    if prev_channel is None or channel == prev_channel:
+        earliest, switched = prev_slot + 1, False
+    else:
+        earliest, switched = prev_slot + 1 + sigma, True
+    return earliest + (cycle_slot - earliest) % length, switched
 
 
 def simulate_order(
     order: list[str], program: BroadcastProgram, start: int, cost: CostModel
 ) -> RetrievalPlan:
     """Schedule a fixed retrieval order, each object at its earliest slot."""
-    length = program.cycle_len_slots
+    length, sigma = program.cycle_len_slots, cost.switch_slots
     reads: list[PlannedRead] = []
     switches = 0
-    prev_slot: int | None = None
-    prev_channel: int | None = None
+    slot, prev_channel = start - 1, None
     for obj in order:
         channel, cycle_slot = program.directory[obj]
-        slot, switched = _earliest_feasible(
-            channel, cycle_slot, length, prev_slot, prev_channel, start, cost.switch_slots
+        slot, switched = _earliest_read(
+            channel, cycle_slot, length, slot, prev_channel, sigma
         )
         switches += switched
         reads.append(PlannedRead(obj, channel, slot))
-        prev_slot, prev_channel = slot, channel
+        prev_channel = channel
     return RetrievalPlan(
         reads=tuple(reads),
         start_slot=start,
@@ -155,7 +157,7 @@ def row_scan(
     for ch in channels:
         in_pass = sorted(by_channel[ch], key=lambda e: ((e[0] - tune_in) % length, e[1]))
         order.extend(obj for _, obj in in_pass)
-        last = _next_occurrence(in_pass[-1][0], length, tune_in)
+        last, _ = _earliest_read(ch, in_pass[-1][0], length, tune_in - 1, None, 0)
         tune_in = last + 1 + cost.switch_slots
     return simulate_order(order, program, req.start, cost)
 
@@ -165,15 +167,14 @@ def next_object_access(req: RetrievalRequest, cost: CostModel) -> RetrievalPlan:
     program, length = req.program, req.program.cycle_len_slots
     remaining = sorted(req.desired)
     order: list[str] = []
-    prev_slot: int | None = None
-    prev_channel: int | None = None
+    prev_slot, prev_channel = req.start - 1, None
     while remaining:
         best: tuple[int, bool, int, str] | None = None
         for obj in remaining:
             channel, cycle_slot = program.directory[obj]
-            slot, switched = _earliest_feasible(
+            slot, switched = _earliest_read(
                 channel, cycle_slot, length, prev_slot, prev_channel,
-                req.start, cost.switch_slots,
+                cost.switch_slots,
             )
             key = (slot, switched, channel, obj)
             if best is None or key < best:
@@ -185,6 +186,20 @@ def next_object_access(req: RetrievalRequest, cost: CostModel) -> RetrievalPlan:
     return simulate_order(order, program, req.start, cost)
 
 
+def _last_slot(
+    reads: list[tuple[int, int]], length: int, prev_slot: int,
+    prev_channel: int | None, sigma: int,
+) -> int:
+    """Slot of the last read when ``reads`` (channel, cycle slot) follow a read
+    at ``prev_slot`` on ``prev_channel``, each at its earliest slot."""
+    for channel, cycle_slot in reads:
+        prev_slot, _ = _earliest_read(
+            channel, cycle_slot, length, prev_slot, prev_channel, sigma
+        )
+        prev_channel = channel
+    return prev_slot
+
+
 def tsp_order(
     req: RetrievalRequest, cost: CostModel, max_iterations: int = 10_000
 ) -> RetrievalPlan:
@@ -192,29 +207,42 @@ def tsp_order(
 
     Tour cost is the simulated elapsed slot count of executing the order
     under the conflict rules; the search is deterministic and stops at a
-    local optimum or after ``max_iterations`` candidate reversals.
+    local optimum or after ``max_iterations`` candidate reversals. A
+    candidate is scored by its last slot alone, walking only the reversed
+    segment and the suffix from the schedule of the unchanged prefix; the
+    plan is built once, for the winning order.
     """
-    program = req.program
+    program, length, sigma = req.program, req.program.cycle_len_slots, cost.switch_slots
     order = [r.object_id for r in next_object_access(req, cost).reads]
-    best_plan = simulate_order(order, program, req.start, cost)
+    where = [program.directory[obj] for obj in order]
+    best_last = _last_slot(where, length, req.start - 1, None, sigma)
     n = len(order)
     iterations = 0
     improved = True
     while improved and iterations < max_iterations:
         improved = False
+        # the schedule of where[:i], which no reversal at i or later changes
+        prefix_slot, prefix_channel = req.start - 1, None
         for i in range(n - 1):
             for j in range(i + 1, n):
                 iterations += 1
-                candidate = order[:i] + order[i : j + 1][::-1] + order[j + 1 :]
-                plan = simulate_order(candidate, program, req.start, cost)
-                if plan.total_slots < best_plan.total_slots:
-                    order, best_plan = candidate, plan
+                candidate = where[i : j + 1][::-1] + where[j + 1 :]
+                last = _last_slot(candidate, length, prefix_slot, prefix_channel, sigma)
+                if last < best_last:
+                    order[i : j + 1] = order[i : j + 1][::-1]
+                    where[i:] = candidate
+                    best_last = last
                     improved = True
                 if iterations >= max_iterations:
                     break
             if iterations >= max_iterations:
                 break
-    return best_plan
+            channel, cycle_slot = where[i]
+            prefix_slot, _ = _earliest_read(
+                channel, cycle_slot, length, prefix_slot, prefix_channel, sigma
+            )
+            prefix_channel = channel
+    return simulate_order(order, program, req.start, cost)
 
 
 def brute_force(
@@ -223,20 +251,48 @@ def brute_force(
     """Exact optimum over all retrieval orders (small requests only).
 
     Minimizes response slots, then switch count; among remaining ties the
-    lexicographically smallest object order wins (guaranteed by enumerating
-    permutations of the sorted ids).
+    lexicographically smallest object order wins. The orders are searched
+    depth first over the sorted ids, so they come in lexicographic order
+    and an incumbent is replaced only by a strictly better one. Each shared
+    prefix is scheduled once, and a prefix is cut off as soon as its
+    remaining objects, one slot each at the least, cannot finish by the
+    incumbent's last slot. The search is exact: the cut prefixes hold no
+    order that would have replaced the incumbent.
     """
-    if len(req.desired) > max_objects:
-        raise RefusedSize(f"{len(req.desired)} objects > limit {max_objects}")
-    best: RetrievalPlan | None = None
-    for perm in itertools.permutations(sorted(req.desired)):
-        plan = simulate_order(list(perm), req.program, req.start, cost)
-        if best is None or (plan.total_slots, plan.switches) < (
-            best.total_slots,
-            best.switches,
-        ):
-            best = plan
-    return best
+    n = len(req.desired)
+    if n > max_objects:
+        raise RefusedSize(f"{n} objects > limit {max_objects}")
+    program, length, sigma = req.program, req.program.cycle_len_slots, cost.switch_slots
+    ids = sorted(req.desired)
+    where = [program.directory[obj] for obj in ids]
+    unused = [True] * n
+    prefix: list[int] = []
+    best_key: tuple[int, int] | None = None
+    best_order: list[int] = []
+
+    def extend(prev_slot: int, prev_channel: int | None, switches: int) -> None:
+        nonlocal best_key, best_order
+        remaining = n - len(prefix) - 1  # objects left after the next read
+        for i in range(n):
+            if not unused[i]:
+                continue
+            channel, cycle_slot = where[i]
+            slot, switched = _earliest_read(
+                channel, cycle_slot, length, prev_slot, prev_channel, sigma
+            )
+            if remaining == 0:
+                key = (slot, switches + switched)
+                if best_key is None or key < best_key:
+                    best_key, best_order = key, prefix + [i]
+            elif best_key is None or slot + remaining <= best_key[0]:
+                unused[i] = False
+                prefix.append(i)
+                extend(slot, channel, switches + switched)
+                prefix.pop()
+                unused[i] = True
+
+    extend(req.start - 1, None, 0)
+    return simulate_order([ids[i] for i in best_order], program, req.start, cost)
 
 
 def plan_as_dict(plan: RetrievalPlan) -> dict:

@@ -150,22 +150,44 @@ def _mapping(value, where: str, errs: list[str]) -> dict:
     return {}
 
 
-def _number(section: dict, key: str, default, where: str, errs: list[str], kind=float):
+def _number(
+    section: dict, key: str, default, where: str, errs: list[str], kind=float,
+    allow_inf: bool = False,
+):
     """``section[key]``, or ``default`` if absent, converted by ``kind``.
 
     A value that is not a number (a string, a boolean, a container, null)
     or that ``kind`` cannot hold (NaN or inf as an integer) is a violation
     and reads as ``default``, so later checks see a well-typed document.
+    NaN fails every comparison, so the range checks downstream would let it
+    through: it is a violation for every field, and so is an infinity
+    unless ``allow_inf``, where +inf means "no limit".
     """
     value = section.get(key, default)
     if _is_number(value):
         try:
-            return kind(value)
+            number = kind(value)
         except (ValueError, OverflowError):
             pass
+        else:
+            if kind is int or math.isfinite(number) or (allow_inf and number == math.inf):
+                return number
+            need = "finite or inf" if allow_inf else "finite"
+            errs.append(f"{where}: {key} must be {need}, got {value!r}")
+            return default
     noun = "an integer" if kind is int else "a number"
     errs.append(f"{where}.{key}: must be {noun}, got {value!r}" if where
                 else f"{key}: must be {noun}, got {value!r}")
+    return default
+
+
+def _flag(section: dict, key: str, default: bool, where: str, errs: list[str]) -> bool:
+    """``section[key]``, or ``default`` if absent; anything but a boolean is a
+    violation and reads as ``default`` (``bool("no")`` would read as true)."""
+    value = section.get(key, default)
+    if isinstance(value, bool):
+        return value
+    errs.append(f"{where}.{key}: must be a boolean, got {value!r}")
     return default
 
 
@@ -220,7 +242,7 @@ def _expand_objects(spec, seed: int, errs: list[str]) -> list[ObjectSpec]:
             ObjectSpec(
                 str(o["object_id"]), _number(o, "mtbu", 100.0, where, errs),
                 _number(o, "stdv_mtbu", 0.0, where, errs),
-                bool(o.get("reachable", True)),
+                _flag(o, "reachable", True, where, errs),
             )
         )
     return out
@@ -348,8 +370,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         duration = 0
 
     objects = _expand_objects(data.get("objects", []), seed, errs)
-    # NaN fails every comparison, so finiteness is checked first: a NaN or
-    # infinite draw parameter would otherwise loop forever or run silently
+    # _number rejects a NaN or infinite field, but a draw from an extreme
+    # mtbu_range, or the stdv derived from it, can still overflow: such a
+    # parameter would loop forever or run silently
     for i, o in enumerate(objects):
         if not (math.isfinite(o.mtbu) and o.mtbu > 0):
             errs.append(f"objects[{i}]: mtbu must be finite and > 0")
@@ -385,6 +408,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     toggles = _mapping(data.get("toggles", {}), "toggles", errs)
     for key in toggles.keys() - {"p2p", "caching", "overhearing"}:
         errs.append(f"toggles: unknown key {key!r}")
+    caching = _flag(toggles, "caching", True, "toggles", errs)
+    p2p = _flag(toggles, "p2p", True, "toggles", errs)
+    overhearing = _flag(toggles, "overhearing", False, "toggles", errs)
     workload = _mapping(data.get("workload", {}), "workload", errs)
     for key in workload.keys() - {"zipf_theta"}:
         errs.append(f"workload: unknown key {key!r}")
@@ -428,10 +454,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             scheme=str(c.get("scheme", "one_m")),
             m=_number(c, "m", 1, "cell", errs, int),
             slot_duration=_number(c, "slot_duration", 1.0, "cell", errs),
-            dedicated_index_channel=bool(c.get("dedicated_index_channel", False)),
+            dedicated_index_channel=_flag(c, "dedicated_index_channel", False, "cell", errs),
             total_bandwidth=_number(c, "total_bandwidth", 10.0, "cell", errs),
             request_size=_number(c, "request_size", 0.25, "cell", errs),
-            threshold=_number(c, "threshold", math.inf, "cell", errs),
+            threshold=_number(c, "threshold", math.inf, "cell", errs, allow_inf=True),
             batching_window=_number(c, "batching_window", 0.0, "cell", errs),
             replan_interval=_number(c, "replan_interval", 0, "cell", errs, int),
             cost_model=cost_model,
@@ -465,7 +491,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         errs.append(f"cache: unknown key {key!r}")
     default_ttl = None
     if cache_d.get("default_ttl") is not None:
-        default_ttl = _number(cache_d, "default_ttl", None, "cache", errs)
+        default_ttl = _number(cache_d, "default_ttl", None, "cache", errs, allow_inf=True)
         if default_ttl is not None and default_ttl <= 0:
             errs.append("cache.default_ttl: must be > 0")
     tick_interval = _number(cache_d, "tick_interval", 1, "cache", errs, int)
@@ -488,9 +514,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         clients=tuple(clients),
         adjacency=adjacency,
         resolution_mode=mode,
-        caching=bool(toggles.get("caching", True)),
-        p2p=bool(toggles.get("p2p", True)),
-        overhearing=bool(toggles.get("overhearing", False)),
+        caching=caching,
+        p2p=p2p,
+        overhearing=overhearing,
         zipf_theta=zipf_theta,
         costs=costs,
         cell=cell,

@@ -8,12 +8,14 @@ is exhaustive, and plan feasibility is re-derived from first principles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 
 import numpy as np
 
 from aircell.broadcast_plan import AccessTime, Partition, PartitionResult, Unstable
+from aircell.retrieval import PlannedRead, RefusedSize, RetrievalPlan
 
 
 def mean_and_pop_std(xs: list[float]) -> tuple[float, float]:
@@ -348,3 +350,134 @@ def partition_reference(demands, params):
             break
         current_part, current_access = part, access
     return PartitionResult(current_part, current_access, feasible=True)
+
+
+# --------------------------------------------------------------------------
+# The retrieval planners as they stood before the pruned search: every
+# candidate order, exhaustive or 2-opt, is scheduled from scratch into a
+# full RetrievalPlan. Kept verbatim (with the scheduling helpers they call)
+# so that the rewrite is held to equal plans, ties and all.
+# --------------------------------------------------------------------------
+
+def _ref_next_occurrence(cycle_slot: int, length: int, min_abs: int) -> int:
+    """Smallest absolute slot >= min_abs congruent to cycle_slot mod length."""
+    return min_abs + (cycle_slot - min_abs) % length
+
+
+def _ref_earliest_feasible(
+    channel, cycle_slot, length, prev_slot, prev_channel, start, sigma,
+):
+    """Earliest retrieval slot for an object given the previous read."""
+    if prev_slot is None:
+        return _ref_next_occurrence(cycle_slot, length, start), False
+    if channel == prev_channel:
+        return _ref_next_occurrence(cycle_slot, length, prev_slot + 1), False
+    return _ref_next_occurrence(cycle_slot, length, prev_slot + 1 + sigma), True
+
+
+def simulate_order_reference(order, program, start, cost) -> RetrievalPlan:
+    """Schedule a fixed retrieval order, each object at its earliest slot."""
+    length = program.cycle_len_slots
+    reads = []
+    switches = 0
+    prev_slot = None
+    prev_channel = None
+    for obj in order:
+        channel, cycle_slot = program.directory[obj]
+        slot, switched = _ref_earliest_feasible(
+            channel, cycle_slot, length, prev_slot, prev_channel, start, cost.switch_slots
+        )
+        switches += switched
+        reads.append(PlannedRead(obj, channel, slot))
+        prev_slot, prev_channel = slot, channel
+    return RetrievalPlan(
+        reads=tuple(reads),
+        start_slot=start,
+        total_slots=reads[-1].slot - start + 1,
+        switches=switches,
+        active_slots=len(reads),
+    )
+
+
+def next_object_access_reference(req, cost) -> RetrievalPlan:
+    """Greedy: always fetch the remaining object with the earliest feasible slot."""
+    program, length = req.program, req.program.cycle_len_slots
+    remaining = sorted(req.desired)
+    order = []
+    prev_slot = None
+    prev_channel = None
+    while remaining:
+        best = None
+        for obj in remaining:
+            channel, cycle_slot = program.directory[obj]
+            slot, switched = _ref_earliest_feasible(
+                channel, cycle_slot, length, prev_slot, prev_channel,
+                req.start, cost.switch_slots,
+            )
+            key = (slot, switched, channel, obj)
+            if best is None or key < best:
+                best = key
+        slot, _, channel, obj = best
+        order.append(obj)
+        remaining.remove(obj)
+        prev_slot, prev_channel = slot, channel
+    return simulate_order_reference(order, program, req.start, cost)
+
+
+def tsp_order_reference(req, cost, max_iterations: int = 10_000) -> RetrievalPlan:
+    """Nearest-neighbour order improved by 2-opt, scoring whole plans."""
+    program = req.program
+    order = [r.object_id for r in next_object_access_reference(req, cost).reads]
+    best_plan = simulate_order_reference(order, program, req.start, cost)
+    n = len(order)
+    iterations = 0
+    improved = True
+    while improved and iterations < max_iterations:
+        improved = False
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                iterations += 1
+                candidate = order[:i] + order[i : j + 1][::-1] + order[j + 1 :]
+                plan = simulate_order_reference(candidate, program, req.start, cost)
+                if plan.total_slots < best_plan.total_slots:
+                    order, best_plan = candidate, plan
+                    improved = True
+                if iterations >= max_iterations:
+                    break
+            if iterations >= max_iterations:
+                break
+    return best_plan
+
+
+def brute_force_reference(req, cost, max_objects: int = 8) -> RetrievalPlan:
+    """Every permutation of the sorted ids, each scheduled in full."""
+    if len(req.desired) > max_objects:
+        raise RefusedSize(f"{len(req.desired)} objects > limit {max_objects}")
+    best = None
+    for perm in itertools.permutations(sorted(req.desired)):
+        plan = simulate_order_reference(list(perm), req.program, req.start, cost)
+        if best is None or (plan.total_slots, plan.switches) < (
+            best.total_slots,
+            best.switches,
+        ):
+            best = plan
+    return best
+
+
+# --------------------------------------------------------------------------
+# The fidelity grid filter as it stood before per-axis terms: every grid
+# point is encoded and every model's prediction recomputed from scratch.
+# --------------------------------------------------------------------------
+
+def feasible_configs_reference(models, domain, available, continuous_points: int = 32):
+    """Configurations whose predicted consumption fits every resource limit."""
+    grid = domain.grid(continuous_points)
+    if not available:
+        return grid
+    binding = [m for m in models if m.resource_id in available]
+    kept = []
+    for cfg in grid:
+        coords = domain.encode(cfg)
+        if all(m.predict(coords) <= available[m.resource_id] for m in binding):
+            kept.append(cfg)
+    return kept

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aircell.fidelity import (
     FidelityDomain,
@@ -20,7 +24,7 @@ from aircell.fidelity import (
     sigmoid_utility,
     table_utility,
 )
-from oracles import exhaustive_max_utility
+from oracles import exhaustive_max_utility, feasible_configs_reference
 
 TWO_PARAMS = FidelityDomain((continuous("p1", 0.0, 10.0), continuous("p2", 0.0, 10.0)))
 
@@ -138,6 +142,72 @@ class TestFeasibleConfigs:
         model = ResourceModel("bw", (1.0, 0.0), intercept=100.0)
         domain = FidelityDomain((discrete("p1", (1.0,)), discrete("p2", (1.0,))))
         assert feasible_configs([model], domain, {"bw": 1.0}) == []
+
+
+# integers over a prime: floats whose sums and products round
+finite = st.integers(-500_000, 500_000).map(lambda i: i / 9973)
+parameters = st.one_of(
+    st.lists(finite, min_size=1, max_size=4, unique=True),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4, unique=True),
+    st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True),
+    st.just([True, False]),
+).map(lambda values: ("discrete", tuple(values))) | st.tuples(
+    finite, st.floats(0.5, 20.0),
+).map(lambda lo_w: ("continuous", (lo_w[0], lo_w[0] + lo_w[1])))
+
+
+@st.composite
+def filter_instances(draw):
+    """A domain, models over it, and limits, some set exactly on a prediction."""
+    axes = draw(st.lists(parameters, max_size=4))
+    domain = FidelityDomain(tuple(
+        continuous(f"p{i}", *values) if kind == "continuous" else discrete(f"p{i}", values)
+        for i, (kind, values) in enumerate(axes)
+    ))
+    points = draw(st.integers(1, 5))
+    models = draw(st.lists(st.builds(
+        ResourceModel, st.sampled_from(("bw", "cpu", "mem")),
+        st.lists(finite, min_size=max(0, len(axes) - 1), max_size=len(axes) + 1).map(tuple),
+        finite,
+    ), max_size=3))
+    limits = draw(st.one_of(st.none(), st.dictionaries(
+        st.sampled_from(("bw", "cpu")),
+        st.one_of(finite, st.just(math.inf)), max_size=2,
+    )))
+    grid = domain.grid(points)
+    if limits and models and draw(st.booleans()):
+        model = draw(st.sampled_from(models))
+        cfg = draw(st.sampled_from(grid))
+        limits[model.resource_id] = model.predict(domain.encode(cfg))
+    return models, domain, limits, points
+
+
+# summed in another order, the terms of (0.9, 1.9, 0.7) come to 5.03, one
+# ulp above the limit that predict gives it
+ROUNDING = FidelityDomain(tuple(
+    discrete(f"p{i}", values)
+    for i, values in enumerate(((0.9, 3.3), (0.9, 1.9), (0.7, 1.7)))
+))
+ROUNDING_MODEL = ResourceModel("bw", (2.9, 0.2, 1.2), 1.2)
+
+
+class TestFeasibleConfigsOracle:
+    def test_a_limit_on_a_prediction_keeps_that_configuration(self):
+        limit = ROUNDING_MODEL.predict(ROUNDING.encode((0.9, 1.9, 0.7)))
+        assert limit == 5.029999999999999
+        kept = feasible_configs([ROUNDING_MODEL], ROUNDING, {"bw": limit})
+        assert (0.9, 1.9, 0.7) in kept
+        assert kept == feasible_configs_reference([ROUNDING_MODEL], ROUNDING, {"bw": limit})
+
+    @settings(max_examples=400, deadline=None)
+    @given(filter_instances())
+    def test_matches_the_per_point_filter(self, instance):
+        got = feasible_configs(*instance)
+        expected = feasible_configs_reference(*instance)
+        assert got == expected
+        assert [tuple(map(type, c)) for c in got] == [
+            tuple(map(type, c)) for c in expected
+        ]
 
 
 class TestConfigUtility:

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from aircell.air_schedule import NONE, build_program
+from aircell.air_schedule import DISTRIBUTED, NONE, ONCE_PER_CYCLE, build_program, one_m
 from aircell.retrieval import (
     CostModel,
     RefusedSize,
@@ -14,7 +16,13 @@ from aircell.retrieval import (
     tsp_order,
 )
 from conftest import random_retrieval_instance
-from oracles import check_plan
+from oracles import (
+    brute_force_reference,
+    check_plan,
+    next_object_access_reference,
+    simulate_order_reference,
+    tsp_order_reference,
+)
 
 COST = CostModel()
 
@@ -217,3 +225,63 @@ class TestStatisticalOrdering:
             sums["tsp"] += tsp_order(req, COST).total_slots
         assert sums["tsp"] <= sums["noa"]
         assert sums["tsp"] <= sums["rs"]
+
+
+@st.composite
+def retrieval_cases(draw):
+    """A request on an indexed multi-channel program, a radio and a 2-opt budget.
+
+    Programs are small next to the request, so objects share cycle slots
+    across channels and different orders often tie on (last slot, switches).
+    """
+    channels = draw(st.integers(1, 4))
+    dedicated = channels >= 2 and draw(st.booleans())
+    scheme = draw(st.sampled_from((NONE, DISTRIBUTED, ONCE_PER_CYCLE, one_m(2), one_m(3))))
+    names = draw(st.permutations([f"o{i:02d}" for i in range(draw(st.integers(1, 16)))]))
+    program = build_program(list(names), channels, scheme, dedicated_index_channel=dedicated)
+    k = draw(st.integers(1, min(7, len(names))))
+    desired = draw(st.lists(st.sampled_from(names), min_size=k, max_size=k, unique=True))
+    start = draw(st.integers(0, 3 * program.cycle_len_slots))
+    cost = CostModel(switch_slots=draw(st.integers(1, 4)))
+    max_iterations = draw(st.sampled_from((10_000, 1, 2, 5, 13)))
+    return RetrievalRequest(frozenset(desired), program, start), cost, max_iterations
+
+
+# the two orders of a and b tie on (last slot 4, one switch): a first wins
+TIED = request({"a": (0, 0), "b": (1, 0)}, 2, 4, ["b", "a"])
+# (b, c, d, a) ends at slot 8 with two switches; (c, b, d, a) also ends at 8,
+# with one, because after c at slot 3 the other three take slots 6, 7 and 8
+BACK_TO_BACK = request(
+    {"a": (1, 2), "b": (1, 0), "c": (2, 3), "d": (1, 1)}, 3, 6, "abcd"
+)
+
+
+class TestAgainstWholePlanSearch:
+    """The planners return exactly the plans of scoring every order in full."""
+
+    def test_tie_goes_to_the_smallest_order(self):
+        assert [r.object_id for r in brute_force(TIED, COST).reads] == ["a", "b"]
+        assert brute_force(TIED, COST) == brute_force_reference(TIED, COST)
+
+    def test_prefix_finishing_exactly_on_the_incumbent_is_searched(self):
+        plan = brute_force(BACK_TO_BACK, COST)
+        assert [r.object_id for r in plan.reads] == ["c", "b", "d", "a"]
+        assert (plan.total_slots, plan.switches) == (9, 1)
+        assert plan == brute_force_reference(BACK_TO_BACK, COST)
+
+    @settings(max_examples=400, deadline=None)
+    @given(retrieval_cases())
+    @example((TIED, COST, 10_000))
+    @example((BACK_TO_BACK, COST, 10_000))
+    def test_same_plans(self, case):
+        req, cost, max_iterations = case
+        assert brute_force(req, cost) == brute_force_reference(req, cost)
+        assert tsp_order(req, cost, max_iterations) == tsp_order_reference(
+            req, cost, max_iterations
+        )
+        greedy = next_object_access(req, cost)
+        assert greedy == next_object_access_reference(req, cost)
+        order = [r.object_id for r in reversed(greedy.reads)]
+        assert simulate_order(order, req.program, req.start, cost) == (
+            simulate_order_reference(order, req.program, req.start, cost)
+        )

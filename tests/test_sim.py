@@ -423,6 +423,32 @@ class TestScenarioValidation:
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
+# every float field of a scenario document, as a path of keys
+FLOAT_FIELDS = [
+    ("objects", "mtbu"), ("objects", "stdv_mtbu"),
+    ("clients", "default_qos"), ("clients", "request_rate"),
+    ("clients.qos", "obj0"),
+    ("workload", "zipf_theta"),
+    ("costs", "local"), ("costs", "hop"), ("costs", "source"),
+    ("cell.cost_model", "e_active"), ("cell.cost_model", "e_doze"),
+    ("cell.cost_model", "e_switch"),
+    ("cell", "slot_duration"), ("cell", "total_bandwidth"),
+    ("cell", "request_size"), ("cell", "threshold"), ("cell", "batching_window"),
+    ("cache", "default_ttl"),
+]
+# fields where +inf reads as "no limit"
+NO_LIMIT_FIELDS = [("cell", "threshold"), ("cache", "default_ttl")]
+
+
+def with_field(path, value):
+    """A valid broadcast document with the field at ``path`` set to ``value``."""
+    doc = broadcast_doc()
+    *section, key = path
+    node = doc
+    for name in ".".join(section).split("."):
+        node = node.setdefault(name, {})
+    node[key] = value
+    return doc
 
 
 class TestNonFiniteInputs:
@@ -453,6 +479,39 @@ class TestNonFiniteInputs:
     def test_request_rate(self, value):
         doc = p2p_doc(clients={"count": 2, "policy": "lru", "request_rate": value})
         self.rejected(doc, "request_rate must be finite")
+
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("path", FLOAT_FIELDS, ids=".".join)
+    def test_every_float_field(self, path, value):
+        doc = with_field(path, value)
+        *section, key = path
+        label = f"{'.'.join(section)}: {key}"
+        if path in NO_LIMIT_FIELDS:
+            if value == math.inf:
+                scenario_from_dict(doc)  # inf is "no limit" here
+                return
+            expected = f"{label} must be finite or inf, got {value!r}"
+        else:
+            expected = f"{label} must be finite, got {value!r}"
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.violations == [expected]
+
+    def test_nan_zipf_theta_rejected_before_the_run(self):
+        # it used to parse, and the run died in numpy's sampler
+        with pytest.raises(ScenarioError, match="zipf_theta must be finite"):
+            scenario_from_dict(p2p_doc(workload={"zipf_theta": math.nan}))
+
+    def test_infinite_ttl_never_expires(self):
+        doc = p2p_doc(seed=31, clients={
+            "count": 4, "cache_capacity": 6, "policy": "ttl_drop",
+            "default_qos": 0.0, "request_rate": 0.05,
+        })
+        doc["cache"] = {"default_ttl": math.inf, "tick_interval": 5}
+        metrics = run(scenario_from_dict(doc))
+        assert metrics.counters["issued"] > 0
+        assert metrics.counters["ttl_drops"] == 0
 
 
 class TestTypedFields:
@@ -498,6 +557,33 @@ class TestTypedFields:
             "clients.cache_capacity: must be an integer, got 'abc'",
             "toggles: must be a mapping, got list",
             "cache.read_window: must be an integer, got inf",
+        ]
+
+    @pytest.mark.parametrize("value", ["no", 1, 0, None, [True]])
+    @pytest.mark.parametrize("path", [
+        ("objects[0]", "reachable"),
+        ("toggles", "caching"), ("toggles", "p2p"), ("toggles", "overhearing"),
+        ("cell", "dedicated_index_channel"),
+    ], ids=".".join)
+    def test_boolean_fields(self, path, value):
+        where, key = path
+        if where == "objects[0]":
+            doc = broadcast_doc(objects=[
+                {"object_id": "a", "mtbu": 50.0, "stdv_mtbu": 5.0, key: value},
+            ])
+        else:
+            doc = with_field(path, value)
+        assert self.violations(doc) == [f"{where}.{key}: must be a boolean, got {value!r}"]
+
+    def test_boolean_violations_listed_with_the_others(self):
+        doc = p2p_doc(
+            objects=[{"object_id": "a", "mtbu": "x", "reachable": "no"}],
+            toggles={"caching": "yes", "p2p": True},
+        )
+        assert self.violations(doc) == [
+            "objects[0].mtbu: must be a number, got 'x'",
+            "objects[0].reachable: must be a boolean, got 'no'",
+            "toggles.caching: must be a boolean, got 'yes'",
         ]
 
     @pytest.mark.parametrize(
