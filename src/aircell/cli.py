@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
@@ -27,7 +28,6 @@ from .sim import (
     plan_cell,
     run,
     scenario_from_dict,
-    scenario_to_dict,
 )
 
 
@@ -44,9 +44,10 @@ def parse_scenario(path: str | Path) -> Scenario:
 
 
 def _with_seed(scenario: Scenario, seed: int) -> Scenario:
-    doc = scenario_to_dict(scenario)
-    doc["seed"] = seed
-    return scenario_from_dict(doc)
+    """The scenario under another master seed. Object parameters drawn from
+    an ``mtbu_range`` keep the values of the file's seed: a seed sweep varies
+    the workload and the updates over one fixed set of objects."""
+    return dataclasses.replace(scenario, seed=seed)
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -212,20 +213,26 @@ def cmd_fit(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    params = []
-    for p in doc["domain"]:
-        if p["kind"] == "discrete":
-            params.append(fidelity.discrete(p["name"], p["values"]))
-        else:
-            params.append(fidelity.continuous(p["name"], p["lo"], p["hi"]))
-    domain = fidelity.FidelityDomain(tuple(params))
+    errs: list[str] = []
+    domain = fidelity.read_domain(
+        doc.get("domain") if isinstance(doc, dict) else None, "domain", errs
+    )
+    if errs:
+        print(f"error: {'; '.join(errs)}", file=sys.stderr)
+        return 2
+    params = domain.parameters
     store = fidelity.SampleStore(domain)
     try:
         for s in doc["samples"]:
             config = tuple(s["config"][p.name] for p in params)
             fidelity.log_sample(store, config, s["consumption"])
         models = fidelity.fit_models(store)
-    except (ValueError, fidelity.InsufficientSamples, fidelity.RankDeficient) as e:
+    except KeyError as e:
+        print(f"error: missing key {e}", file=sys.stderr)
+        return 1
+    except (
+        TypeError, ValueError, fidelity.InsufficientSamples, fidelity.RankDeficient
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     report = {

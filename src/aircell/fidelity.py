@@ -102,6 +102,38 @@ class FidelityDomain:
         return tuple(p.encode(v) for p, v in zip(self.parameters, config))
 
 
+def read_domain(specs, where: str, errs: list[str]) -> FidelityDomain:
+    """The domain a document's parameter list describes.
+
+    Each entry is a mapping with ``name``, ``kind`` and either ``values``
+    (discrete) or finite ``lo`` and ``hi`` (continuous). A malformed entry
+    is a message in ``errs`` and is left out.
+    """
+    if not isinstance(specs, list):
+        errs.append(f"{where}: must be a list, got {type(specs).__name__}")
+        return FidelityDomain(())
+    params = []
+    for i, p in enumerate(specs):
+        try:
+            if p["kind"] == "discrete":
+                params.append(discrete(p["name"], p["values"]))
+            elif p["kind"] == "continuous":
+                if not (math.isfinite(p["lo"]) and math.isfinite(p["hi"])):
+                    raise ValueError("lo and hi must be finite")
+                params.append(continuous(p["name"], p["lo"], p["hi"]))
+            else:
+                raise ValueError(f"unknown kind {p['kind']!r}")
+        except KeyError as e:
+            errs.append(f"{where}[{i}]: missing key {e}")
+        except (TypeError, ValueError) as e:
+            errs.append(f"{where}[{i}]: {e}")
+    try:
+        return FidelityDomain(tuple(params))
+    except ValueError as e:  # duplicate names
+        errs.append(f"{where}: {e}")
+        return FidelityDomain(())
+
+
 @dataclass
 class SampleStore:
     """Logged (configuration, per-resource consumption) observations."""
@@ -286,22 +318,19 @@ def config_utility(
     utilities: Sequence[UtilityFn],
     weights: Sequence[float],
     f_s: float,
-    invert_weights: bool = False,
 ) -> float:
     """Overall utility of one configuration under one supplier.
 
     Per-parameter utilities are raised to their weights and multiplied, then
     scaled by the supplier preference; any zero factor with positive weight
-    zeroes the whole product. ``invert_weights`` switches to the reading in
-    which 0 is the strongest weight (exponent 1 - w).
+    zeroes the whole product.
     """
     if not len(config) == len(utilities) == len(weights):
         raise ValueError("config, utilities, and weights lengths differ")
     _check_weights(weights)
     product = 1.0
     for value, fn, w in zip(config, utilities, weights):
-        exponent = (1.0 - w) if invert_weights else w
-        product *= fn.eval(value) ** exponent
+        product *= fn.eval(value) ** w
     return f_s * product
 
 
@@ -318,7 +347,6 @@ def maximize_utility(
     utilities: Sequence[UtilityFn],
     weights: Sequence[float],
     feasible: dict[str, Sequence[tuple]],
-    invert_weights: bool = False,
 ) -> MaxUtilityResult:
     """Utility-maximal (supplier, configuration) with sound early termination.
 
@@ -334,7 +362,7 @@ def maximize_utility(
             break
         visited.append(supplier.supplier_id)
         for config in feasible.get(supplier.supplier_id, ()):
-            u = config_utility(config, utilities, weights, supplier.f_s, invert_weights)
+            u = config_utility(config, utilities, weights, supplier.f_s)
             if best is None or u > best[0]:
                 best = (u, supplier.supplier_id, tuple(config))
     if best is None:

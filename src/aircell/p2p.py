@@ -37,13 +37,6 @@ class LinkCosts:
 
 
 @dataclass(frozen=True)
-class Advertisement:
-    provider_id: str
-    service_id: str
-    issued_at: float
-
-
-@dataclass(frozen=True)
 class NeighborQuery:
     service_id: str
     qos: float
@@ -111,25 +104,12 @@ class InformationManager:
         self.cell = cell
         self.query_cache = query_cache
         self.providers: set[str] = set()
-        self.known_providers: dict[str, dict[str, float]] = {}
         cell.register(self)
 
     # -- provider registry ------------------------------------------------
 
     def register_provider(self, service_id: str) -> None:
         self.providers.add(service_id)
-
-    def advertise(self, service_id: str, now: float) -> list[Advertisement]:
-        """Announce a locally registered provider to current one-hop neighbours."""
-        if service_id not in self.providers:
-            raise ValueError(f"{service_id} has no provider on {self.client_id}")
-        ad = Advertisement(self.client_id, service_id, now)
-        delivered = []
-        for nid in self.cell.neighbors_of(self.client_id):
-            peer = self.cell.ims[nid]
-            peer.known_providers.setdefault(service_id, {})[self.client_id] = now
-            delivered.append(ad)
-        return delivered
 
     # -- serving neighbours ------------------------------------------------
 

@@ -123,13 +123,10 @@ def simulate_order(
     )
 
 
-def row_scan(
-    req: RetrievalRequest, cost: CostModel, channel_order: str = "ascending"
-) -> RetrievalPlan:
+def row_scan(req: RetrievalRequest, cost: CostModel) -> RetrievalPlan:
     """One pass over each channel that carries desired objects.
 
-    Channels are visited in ascending index order by default (or by first
-    desired occurrence with channel_order="first_object"); within a pass the
+    Channels are visited in ascending index order; within a pass the
     channel's desired objects are taken in the order they come around, so
     each channel needs at most one cycle and the switch count is exactly
     (interesting channels - 1).
@@ -140,21 +137,9 @@ def row_scan(
         channel, cycle_slot = program.directory[obj]
         by_channel.setdefault(channel, []).append((cycle_slot, obj))
 
-    if channel_order == "ascending":
-        channels = sorted(by_channel)
-    elif channel_order == "first_object":
-        channels = sorted(
-            by_channel,
-            key=lambda ch: min(
-                (s - req.start) % length for s, _ in by_channel[ch]
-            ),
-        )
-    else:
-        raise ValueError(f"unknown channel_order {channel_order!r}")
-
     order: list[str] = []
     tune_in = req.start
-    for ch in channels:
+    for ch in sorted(by_channel):
         in_pass = sorted(by_channel[ch], key=lambda e: ((e[0] - tune_in) % length, e[1]))
         order.extend(obj for _, obj in in_pass)
         last, _ = _earliest_read(ch, in_pass[-1][0], length, tune_in - 1, None, 0)

@@ -12,7 +12,12 @@ The engine's work follows the events, not slots times population. Each
 source advances its update process only when it is about to be read, and
 only caches under a TTL policy are ticked. Both are exact: a source's
 draws come from its own substream, so deferring them changes no value,
-and the other policies' ``tick`` does nothing.
+and the other policies' ``tick`` does nothing. A broadcast cell builds no
+update processes, caches or peer-to-peer managers at all: an aired or
+multicast answer is the source's current write, fresh by construction,
+so no broadcast metric depends on a source's history. Its reads go
+through the library's own lookup and accounting (``air_schedule.locate``,
+``retrieval.account``).
 """
 
 from __future__ import annotations
@@ -115,6 +120,14 @@ class Scenario:
             return air_schedule.one_m(cell.m)
         return air_schedule.IndexScheme(cell.scheme)
 
+
+# The largest mtbu and stdv_mtbu a source may have. The burn-in sums its
+# draws (``_UpdateProcess``) and the update statistics square the intervals'
+# deviations from their mean (``UpdateLog._compute_stats``): past
+# sqrt(float max) ~ 1.3e154 a square is inf, and mtbu 1e308 sums to -inf.
+# At 1e150 a draw even 100 standard deviations out stays below 1.1e152,
+# so the squares of 10^4 such intervals still sum to a finite number.
+_MAX_MTBU = 1e150
 
 _TOP_KEYS = {
     "schema_id", "seed", "duration_slots", "objects", "clients", "adjacency",
@@ -372,12 +385,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     objects = _expand_objects(data.get("objects", []), seed, errs)
     # _number rejects a NaN or infinite field, but a draw from an extreme
     # mtbu_range, or the stdv derived from it, can still overflow: such a
-    # parameter would loop forever or run silently
+    # parameter would loop forever, run silently or crash the run
     for i, o in enumerate(objects):
-        if not (math.isfinite(o.mtbu) and o.mtbu > 0):
-            errs.append(f"objects[{i}]: mtbu must be finite and > 0")
-        if not (math.isfinite(o.stdv_mtbu) and o.stdv_mtbu >= 0):
-            errs.append(f"objects[{i}]: stdv_mtbu must be finite and >= 0")
+        if not 0 < o.mtbu <= _MAX_MTBU:
+            errs.append(f"objects[{i}]: mtbu must be finite and in (0, {_MAX_MTBU:g}]")
+        if not 0 <= o.stdv_mtbu <= _MAX_MTBU:
+            errs.append(
+                f"objects[{i}]: stdv_mtbu must be finite and in [0, {_MAX_MTBU:g}]"
+            )
     if len({o.object_id for o in objects}) != len(objects):
         errs.append("objects: duplicate object ids")
 
@@ -505,6 +520,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     if burnin < 3:
         errs.append("history_burnin: need at least 3 writes for usable statistics")
 
+    if data.get("fidelity") is not None:
+        _read_fidelity(data["fidelity"], errs)
+
     if errs:
         raise ScenarioError(errs)
     return Scenario(
@@ -527,64 +545,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         fidelity_config=data.get("fidelity"),
         schema_id=schema_id,
     )
-
-
-def scenario_to_dict(scn: Scenario) -> dict:
-    """Serialize back to the document form (round-trips through the parser)."""
-    doc: dict = {
-        "schema_id": scn.schema_id,
-        "seed": scn.seed,
-        "duration_slots": scn.duration_slots,
-        "objects": [
-            {
-                "object_id": o.object_id, "mtbu": o.mtbu,
-                "stdv_mtbu": o.stdv_mtbu, "reachable": o.reachable,
-            }
-            for o in scn.objects
-        ],
-        "clients": [
-            {
-                "client_id": c.client_id, "cache_capacity": c.cache_capacity,
-                "policy": c.policy.value, "default_qos": c.default_qos,
-                "request_rate": c.request_rate, "qos": dict(c.qos_overrides),
-                "providers": list(c.providers),
-            }
-            for c in scn.clients
-        ],
-        "adjacency": {cid: sorted(ns) for cid, ns in sorted(scn.adjacency.items())},
-        "resolution_mode": scn.resolution_mode,
-        "toggles": {
-            "p2p": scn.p2p, "caching": scn.caching, "overhearing": scn.overhearing,
-        },
-        "workload": {"zipf_theta": scn.zipf_theta},
-        "costs": {
-            "local": scn.costs.local, "hop": scn.costs.hop, "source": scn.costs.source,
-        },
-        "cache": {
-            "default_ttl": scn.default_ttl, "tick_interval": scn.tick_interval,
-            "read_window": scn.read_window,
-        },
-        "history_burnin": scn.history_burnin,
-    }
-    if scn.cell is not None:
-        cm = scn.cell.cost_model
-        doc["cell"] = {
-            "channels": scn.cell.channels, "scheme": scn.cell.scheme,
-            "m": scn.cell.m, "slot_duration": scn.cell.slot_duration,
-            "dedicated_index_channel": scn.cell.dedicated_index_channel,
-            "total_bandwidth": scn.cell.total_bandwidth,
-            "request_size": scn.cell.request_size,
-            "threshold": scn.cell.threshold,
-            "batching_window": scn.cell.batching_window,
-            "replan_interval": scn.cell.replan_interval,
-            "cost_model": {
-                "switch_slots": cm.switch_slots, "e_active": cm.e_active,
-                "e_doze": cm.e_doze, "e_switch": cm.e_switch,
-            },
-        }
-    if scn.fidelity_config is not None:
-        doc["fidelity"] = scn.fidelity_config
-    return doc
 
 
 # --------------------------------------------------------------------------
@@ -812,41 +772,92 @@ def plan_cell(
     return result, program
 
 
+_FIDELITY_KEYS = {
+    "parameters", "utilities", "weights", "suppliers", "models", "limits",
+    "continuous_points",
+}
+
+
+def _read_fidelity(section, errs: list[str]) -> tuple | None:
+    """``(domain, suppliers, utilities, weights, models, limits, grid points)``
+    of a ``fidelity`` section, or None; every problem is a violation in ``errs``.
+    """
+    config = _mapping(section, "fidelity", errs)
+    for key in config.keys() - _FIDELITY_KEYS:
+        errs.append(f"fidelity: unknown key {key!r}")
+    limits = _mapping(config.get("limits") or {}, "fidelity.limits", errs)
+    for resource in limits:
+        _number(limits, resource, None, "fidelity.limits", errs, allow_inf=True)
+    points = _number(config, "continuous_points", 32, "fidelity", errs, int)
+    if points < 1:
+        errs.append("fidelity.continuous_points: must be >= 1")
+    missing = [k for k in ("parameters", "utilities", "weights", "suppliers")
+               if k not in config]
+    errs.extend(f"fidelity: missing key {k!r}" for k in missing)
+    before = len(errs)
+    domain = fidelity.read_domain(config.get("parameters", []), "fidelity.parameters", errs)
+    if missing or len(errs) > before:
+        return None
+    params = domain.parameters
+    try:
+        utilities = []
+        for p in params:
+            u = config["utilities"][p.name]
+            if "table" in u:
+                table = {v: u["table"][str(v)] for v in p.values}
+                utilities.append(fidelity.table_utility(table))
+            else:
+                lo, hi = u["sigmoid"]
+                if not all(_is_number(v) for v in p.values):
+                    raise ValueError(f"{p.name}: a sigmoid needs numeric values")
+                utilities.append(fidelity.sigmoid_utility(float(lo), float(hi)))
+        weights = [config["weights"][p.name] for p in params]
+        suppliers = [
+            fidelity.Supplier(s["supplier_id"], s["f_s"], domain)
+            for s in config["suppliers"]
+        ]
+        models = [
+            fidelity.ResourceModel(
+                m["resource_id"], tuple(m["coefficients"]), m["intercept"]
+            )
+            for m in config.get("models", [])
+        ]
+    except KeyError as e:
+        errs.append(f"fidelity: missing key {e}")
+        return None
+    except (TypeError, ValueError) as e:
+        errs.append(f"fidelity: {e}")
+        return None
+    if not all(_is_number(w) and 0 <= w <= 1 for w in weights):
+        errs.append("fidelity.weights: must be numbers in [0, 1]")
+    if not suppliers:
+        errs.append("fidelity.suppliers: need at least one supplier")
+    for m in models:
+        terms = (*m.coefficients, m.intercept)
+        if len(terms) != len(params) + 1 or not all(
+            _is_number(x) and math.isfinite(x) for x in terms
+        ):
+            errs.append(
+                f"fidelity.models: {m.resource_id!r} needs a finite coefficient "
+                f"for each of the {len(params)} parameters and a finite intercept"
+            )
+    return domain, suppliers, utilities, weights, models, limits, points
+
+
 def _select_fidelity(config: dict) -> dict:
-    params = []
-    for p in config["parameters"]:
-        if p["kind"] == "discrete":
-            params.append(fidelity.discrete(p["name"], p["values"]))
-        else:
-            params.append(fidelity.continuous(p["name"], p["lo"], p["hi"]))
-    domain = fidelity.FidelityDomain(tuple(params))
-    utilities = []
-    for p in params:
-        u = config["utilities"][p.name]
-        if "table" in u:
-            table = {
-                v: u["table"][str(v)] for v in p.values
-            }
-            utilities.append(fidelity.table_utility(table))
-        else:
-            lo, hi = u["sigmoid"]
-            utilities.append(fidelity.sigmoid_utility(lo, hi))
-    weights = [config["weights"][p.name] for p in params]
-    models = [
-        fidelity.ResourceModel(m["resource_id"], tuple(m["coefficients"]), m["intercept"])
-        for m in config.get("models", [])
-    ]
-    available = config.get("limits")
-    suppliers = [
-        fidelity.Supplier(s["supplier_id"], s["f_s"], domain)
-        for s in config["suppliers"]
-    ]
-    grid_points = int(config.get("continuous_points", 32))
-    feasible = {
-        s.supplier_id: fidelity.feasible_configs(models, domain, available, grid_points)
-        for s in suppliers
-    }
-    result = fidelity.maximize_utility(suppliers, utilities, weights, feasible)
+    """The utility-maximal supplier and configuration.
+
+    Every supplier offers the one domain under the one set of models and
+    limits, so the grid is filtered once for all of them.
+    """
+    # scenario_from_dict has read the section without a violation
+    domain, suppliers, utilities, weights, models, limits, points = (
+        _read_fidelity(config, [])
+    )
+    feasible = fidelity.feasible_configs(models, domain, limits, points)
+    result = fidelity.maximize_utility(
+        suppliers, utilities, weights, {s.supplier_id: feasible for s in suppliers}
+    )
     return {
         "supplier_id": result.supplier_id,
         "config": list(result.config),
@@ -858,12 +869,17 @@ def _select_fidelity(config: dict) -> dict:
 def run(scenario: Scenario) -> Metrics:
     """Advance the slot clock through one fully seeded scenario.
 
-    An object's update process is advanced to slot ``t`` just before each
-    source access at ``t``: the query for it (p2p resolution, broadcast or
-    batching), a TTL requery of it, or a fired batch for it. Processes
-    nobody reads are never advanced. Only TTL-policy caches are ticked,
-    in client order. The metrics are byte-identical to advancing every
-    process and ticking every cache in every slot.
+    A peer-to-peer run advances an object's update process to slot ``t``
+    just before a query or TTL requery reads it at ``t`` and ticks only
+    TTL-policy caches, in client order: the metrics are byte-identical to
+    advancing every process and ticking every cache in every slot.
+
+    A broadcast run builds no update processes, caches or information
+    managers. It consults no cache, and an aired or multicast answer
+    carries the source's current write, so its staleness is 0 whatever
+    the source's history. A published object is read at its next slot
+    after an index segment (``air_schedule.locate``), costed by
+    ``retrieval.account``; any other query waits for its batch.
 
     Raises ``InvariantError`` if an answer carries a write from after its
     slot, or if answered plus unresolved queries differ from those issued.
@@ -876,38 +892,36 @@ def run(scenario: Scenario) -> Metrics:
         "index_reads",
     ):
         counters[key] = 0
+    broadcast = scenario.resolution_mode == "broadcast"
 
-    processes = {
-        o.object_id: _UpdateProcess(o, scenario.seed, scenario.history_burnin)
-        for o in scenario.objects
-    }
-    sources = {oid: p.source for oid, p in processes.items()}
-
-    cell = P2PCell(
-        scenario.adjacency, sources, scenario.costs,
-        p2p_enabled=scenario.p2p, overhearing=scenario.overhearing,
-    )
-    qos_of: dict[str, dict[str, float]] = {}
+    processes: dict[str, _UpdateProcess] = {}
     ims: dict[str, InformationManager] = {}
     ttl_caches: list[ClientCache] = []  # in client order, the order of ticks
-    for spec in sorted(scenario.clients, key=lambda c: c.client_id):
-        cache = None
-        if scenario.caching:
-            overrides = spec.qos_overrides
-            default_q = spec.default_qos
-            cache = ClientCache(
-                spec.cache_capacity, spec.policy,
-                qos_for=lambda oid, o=overrides, d=default_q: o.get(oid, d),
-                default_ttl=scenario.default_ttl,
-                read_window=scenario.read_window,
-            )
-            if spec.policy in TTL_POLICIES:
-                ttl_caches.append(cache)
-        im = InformationManager(spec.client_id, cell, cache)
-        for service in spec.providers:
-            im.register_provider(service)
-        ims[spec.client_id] = im
-        qos_of[spec.client_id] = dict(spec.qos_overrides)
+    if not broadcast:
+        processes = {
+            o.object_id: _UpdateProcess(o, scenario.seed, scenario.history_burnin)
+            for o in scenario.objects
+        }
+        cell = P2PCell(
+            scenario.adjacency, {oid: p.source for oid, p in processes.items()},
+            scenario.costs, p2p_enabled=scenario.p2p,
+            overhearing=scenario.overhearing,
+        )
+        for spec in sorted(scenario.clients, key=lambda c: c.client_id):
+            cache = None
+            if scenario.caching:
+                cache = ClientCache(
+                    spec.cache_capacity, spec.policy,
+                    qos_for=lambda oid, s=spec: s.qos_overrides.get(oid, s.default_qos),
+                    default_ttl=scenario.default_ttl,
+                    read_window=scenario.read_window,
+                )
+                if spec.policy in TTL_POLICIES:
+                    ttl_caches.append(cache)
+            im = InformationManager(spec.client_id, cell, cache)
+            for service in spec.providers:
+                im.register_provider(service)
+            ims[spec.client_id] = im
 
     workload = generate_workload(scenario)
     by_slot: dict[int, list[tuple[str, str]]] = {}
@@ -915,26 +929,23 @@ def run(scenario: Scenario) -> Metrics:
         for slot, oid in workload.per_client[cid]:
             by_slot.setdefault(slot, []).append((cid, oid))
 
-    client_default_qos = {c.client_id: c.default_qos for c in scenario.clients}
+    specs = {c.client_id: c for c in scenario.clients}
     energy = {c.client_id: 0.0 for c in scenario.clients}
 
-    plan_result = None
     program = None
     batching = None
-    observed_requests: dict[str, int] = {o.object_id: 0 for o in scenario.objects}
-    if scenario.resolution_mode == "broadcast":
+    if broadcast:
+        cost = scenario.cell.cost_model
         plan_result, program = plan_cell(scenario, initial_rates(scenario))
         batching = broadcast_plan.BatchingServer(scenario.cell.batching_window)
         metrics.plan = _plan_summary(plan_result)
+        observed_requests = {o.object_id: 0 for o in scenario.objects}
+        pending: dict[str, list[tuple[int, str, int, float]]] = {}
 
     if scenario.fidelity_config is not None:
         metrics.fidelity_selection = _select_fidelity(scenario.fidelity_config)
 
-    pending: dict[str, list[tuple[int, str, int, float]]] = {}
     query_seq = 0
-
-    def qos_for(cid: str, oid: str) -> float:
-        return qos_of[cid].get(oid, client_default_qos[cid])
 
     def record(
         qid: int, cid: str, oid: str, issued: int, resolution: str,
@@ -943,16 +954,28 @@ def run(scenario: Scenario) -> Metrics:
         if write_t is None:
             staleness = 0.0
         else:
-            staleness = sources[oid].t_last_update - write_t
+            staleness = processes[oid].source.t_last_update - write_t
         met = accepts(qos, p_nm) if resolution != "unresolved" else False
         metrics.records.append(
             QueryRecord(qid, cid, oid, issued, resolution, latency, staleness,
                         qos, met, p_nm)
         )
 
+    def deliver(fired: list[broadcast_plan.Multicast]) -> None:
+        """Answer the queries each fired multicast carries, oldest first."""
+        for multicast in fired:
+            oid = multicast.object_id
+            batch = pending[oid][: multicast.batch_size]
+            pending[oid] = pending[oid][multicast.batch_size :]
+            counters["source_load"] += 1
+            for qid, cid, issued, qos in batch:
+                counters["answered"] += 1
+                record(qid, cid, oid, issued, "on_demand",
+                       multicast.response_time - issued + 1.0, None, 1.0, qos)
+
     for t in range(scenario.duration_slots):
         if (
-            scenario.resolution_mode == "broadcast"
+            broadcast
             and scenario.cell.replan_interval > 0
             and t > 0
             and t % scenario.cell.replan_interval == 0
@@ -960,81 +983,64 @@ def run(scenario: Scenario) -> Metrics:
             observed_rates = {oid: n / t for oid, n in observed_requests.items()}
             new_result, new_program = plan_cell(scenario, observed_rates)
             if new_result.feasible:
-                plan_result, program = new_result, new_program
-                metrics.plan = _plan_summary(plan_result)
+                program = new_program
+                metrics.plan = _plan_summary(new_result)
 
         for cid, oid in by_slot.get(t, ()):
             qid = query_seq
             query_seq += 1
             counters["issued"] += 1
-            observed_requests[oid] += 1
-            qos = qos_for(cid, oid)
-            processes[oid].advance_to(t)
+            qos = specs[cid].qos_overrides.get(oid, specs[cid].default_qos)
 
-            if scenario.resolution_mode == "p2p":
-                outcome = ims[cid].resolve_query(oid, qos, t)
-                if outcome.payload_write_time > t + 1:
-                    raise InvariantError(
-                        f"query {qid}: {oid} answered with a write at "
-                        f"{outcome.payload_write_time}, after slot {t}"
-                    )
-                if outcome.resolution is Resolution.UNRESOLVED:
-                    counters["unresolved"] += 1
-                    record(qid, cid, oid, t, "unresolved", outcome.latency,
-                           None, 0.0, qos)
-                else:
-                    counters["answered"] += 1
-                    if outcome.resolution is Resolution.SOURCE:
-                        counters["source_load"] += 1
-                    record(qid, cid, oid, t, outcome.resolution.value,
-                           outcome.latency, outcome.payload_write_time,
-                           outcome.p_nm, qos)
+            if broadcast:
+                observed_requests[oid] += 1
+                if program is None or oid not in program.directory:
+                    batching.submit(oid, t)
+                    pending.setdefault(oid, []).append((qid, cid, t, qos))
+                    continue
+                counters["index_reads"] += 1
+                # with a dedicated index channel every data read switches to
+                # another channel; otherwise the index is on the data channel
+                switches = int(program.dedicated_index_channel)
+                idx_end = air_schedule.next_index_read_end(program, t)
+                data = air_schedule.locate(
+                    program, idx_end + cost.switch_slots * switches, oid
+                )
+                index_read = retrieval.PlannedRead(
+                    air_schedule.INDEX, 0 if switches else data.channel, idx_end
+                )
+                plan = retrieval.RetrievalPlan(
+                    (index_read, retrieval.PlannedRead(oid, data.channel, data.slot)),
+                    start_slot=t, total_slots=data.slot - t + 1,
+                    switches=switches, active_slots=2,
+                )
+                energy[cid] += retrieval.account(plan, cost)["energy"]
+                counters["answered"] += 1
+                record(qid, cid, oid, t, "broadcast", float(plan.total_slots),
+                       None, 1.0, qos)
                 continue
 
-            # broadcast mode
-            if program is not None and oid in program.directory:
-                counters["index_reads"] += 1
-                cost = scenario.cell.cost_model
-                idx_end = air_schedule.next_index_read_end(program, t)
-                channel, cycle_slot = program.directory[oid]
-                index_channel = 0 if program.dedicated_index_channel else channel
-                if channel == index_channel:
-                    min_abs, switches = idx_end + 1, 0
-                else:
-                    min_abs, switches = idx_end + 1 + cost.switch_slots, 1
-                length = program.cycle_len_slots
-                slot = min_abs + (cycle_slot - min_abs) % length
-                span = slot - t + 1
-                active = 2  # one index slot + one data slot
-                doze = span - active - cost.switch_slots * switches
-                energy[cid] += (
-                    active * cost.e_active + doze * cost.e_doze
-                    + switches * cost.e_switch
+            processes[oid].advance_to(t)
+            outcome = ims[cid].resolve_query(oid, qos, t)
+            if outcome.payload_write_time > t + 1:
+                raise InvariantError(
+                    f"query {qid}: {oid} answered with a write at "
+                    f"{outcome.payload_write_time}, after slot {t}"
                 )
-                counters["answered"] += 1
-                record(qid, cid, oid, t, "broadcast", float(span),
-                       sources[oid].t_last_update, 1.0, qos)
+            if outcome.resolution is Resolution.UNRESOLVED:
+                counters["unresolved"] += 1
+                record(qid, cid, oid, t, "unresolved", outcome.latency,
+                       None, 0.0, qos)
             else:
-                batching.submit(oid, t)
-                pending.setdefault(oid, []).append((qid, cid, t, qos))
+                counters["answered"] += 1
+                if outcome.resolution is Resolution.SOURCE:
+                    counters["source_load"] += 1
+                record(qid, cid, oid, t, outcome.resolution.value,
+                       outcome.latency, outcome.payload_write_time,
+                       outcome.p_nm, qos)
 
-        if batching is not None:
-            for multicast in batching.advance(t):
-                processes[multicast.object_id].advance_to(t)
-                waiting = pending.get(multicast.object_id, [])
-                batch, rest = (
-                    waiting[: multicast.batch_size],
-                    waiting[multicast.batch_size :],
-                )
-                pending[multicast.object_id] = rest
-                counters["source_load"] += 1
-                for qid, cid, issued, qos in batch:
-                    counters["answered"] += 1
-                    record(
-                        qid, cid, multicast.object_id, issued, "on_demand",
-                        multicast.response_time - issued + 1.0,
-                        sources[multicast.object_id].t_last_update, 1.0, qos,
-                    )
+        if broadcast:
+            deliver(batching.advance(t))
 
         if ttl_caches and t % max(1, scenario.tick_interval) == 0:
             for cache in ttl_caches:
@@ -1042,37 +1048,23 @@ def run(scenario: Scenario) -> Metrics:
                     if action.action == "drop":
                         counters["ttl_drops"] += 1
                         continue
-                    source = sources[action.object_id]
-                    if not source.reachable:
+                    process = processes[action.object_id]
+                    if not process.source.reachable:
                         continue
-                    processes[action.object_id].advance_to(t)
-                    payload, stats = source.read(t)
+                    process.advance_to(t)
+                    payload, stats = process.source.read(t)
                     cache.insert(
                         CacheEntry(action.object_id, payload, stats, cached_at=t), t
                     )
                     counters["requeries"] += 1
                     counters["source_load"] += 1
 
-    if batching is not None:
-        # flush batches still open at the end of the run
-        for multicast in batching.advance(math.inf):
-            processes[multicast.object_id].advance_to(scenario.duration_slots - 1)
-            waiting = pending.get(multicast.object_id, [])
-            batch = waiting[: multicast.batch_size]
-            pending[multicast.object_id] = waiting[multicast.batch_size :]
-            counters["source_load"] += 1
-            for qid, cid, issued, qos in batch:
-                counters["answered"] += 1
-                record(
-                    qid, cid, multicast.object_id, issued, "on_demand",
-                    multicast.response_time - issued + 1.0,
-                    sources[multicast.object_id].t_last_update, 1.0, qos,
-                )
+    if broadcast:
+        deliver(batching.advance(math.inf))  # batches still open at the end
         counters["on_demand_responses"] = batching.responses_sent
         counters["batching_saved"] = batching.saved
-
-    if scenario.resolution_mode == "broadcast" and program is not None:
-        counters["broadcast_slots"] = program.n_channels * scenario.duration_slots
+        if program is not None:
+            counters["broadcast_slots"] = program.n_channels * scenario.duration_slots
 
     metrics.records.sort(key=lambda r: r.query_id)
     metrics.per_client_energy = energy

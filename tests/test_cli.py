@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from aircell.cli import aggregate_summaries, main, parse_scenario
-from aircell.sim import ScenarioError
+from aircell.cli import _with_seed, aggregate_summaries, main, parse_scenario
+from aircell.sim import ScenarioError, generate_workload, scenario_from_dict
 
 MINI = {
     "seed": 1,
@@ -60,6 +60,17 @@ class TestParseScenario:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(path)
         assert "total_bandwidth" in str(err.value)
+
+
+class TestSeeds:
+    def test_seeds_share_object_parameters_and_vary_the_workload(self):
+        doc = dict(MINI, objects={"count": 6, "mtbu_range": [40.0, 400.0]})
+        scn = scenario_from_dict(doc)
+        one, two = _with_seed(scn, 1), _with_seed(scn, 2)
+        assert len({o.mtbu for o in scn.objects}) == 6  # drawn, one per object
+        assert one.objects == two.objects == scn.objects
+        assert (one.seed, two.seed) == (1, 2)
+        assert generate_workload(one).per_client != generate_workload(two).per_client
 
 
 class TestRunCommand:
@@ -213,6 +224,18 @@ class TestPlanningCommands:
         assert by_id["bandwidth"]["coefficients"] == pytest.approx([0.3, 2.0], abs=1e-9)
         assert by_id["bandwidth"]["intercept"] == pytest.approx(1.5, abs=1e-9)
         assert by_id["cpu"]["coefficients"] == pytest.approx([0.1, 0.0], abs=1e-9)
+
+
+    @pytest.mark.parametrize("domain", [
+        None,
+        [{"name": "frame_rate", "kind": "stepped", "values": [1.0]}],
+        [{"name": "frame_rate", "kind": "discrete"}],
+    ])
+    def test_fit_rejects_a_malformed_domain(self, tmp_path, capsys, domain):
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps({"domain": domain, "samples": []}))
+        assert main(["fit", "--samples", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: domain")
 
 
 class TestAggregate:

@@ -225,11 +225,6 @@ class TestConfigUtility:
         utils = [table_utility({"a": 0.0})]
         assert config_utility(("a",), utils, [0.0], f_s=0.7) == pytest.approx(0.7)
 
-    def test_inverted_weight_reading(self):
-        direct = config_utility(("a",), self.UTILS, [0.25], f_s=1.0)
-        flipped = config_utility(("a",), self.UTILS, [0.75], f_s=1.0, invert_weights=True)
-        assert direct == pytest.approx(flipped)
-
     def test_bounded_and_monotone_in_factors(self, rng):
         for _ in range(200):
             values = rng.uniform(0, 1, size=3)

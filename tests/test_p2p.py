@@ -159,34 +159,6 @@ class TestNeighborService:
         assert next(iter(b.query_cache.entries)) == "svc"  # still oldest
 
 
-class TestAdvertise:
-    def test_delivery_counts_track_topology(self):
-        adjacency = {"p": {"x", "y", "z"}, "x": {"p"}, "y": {"p"}, "z": {"p"}}
-        cell = make_cell(adjacency)
-        p = make_im(cell, "p")
-        for nid in ("x", "y", "z"):
-            make_im(cell, nid)
-        p.register_provider("svc")
-        assert len(p.advertise("svc", now=1.0)) == 3
-        cell.adjacency["p"] = set()
-        assert p.advertise("svc", now=2.0) == []
-        cell.adjacency["p"] = {"x"}
-        assert len(p.advertise("svc", now=3.0)) == 1
-
-    def test_neighbors_learn_the_provider(self):
-        cell = make_cell({"p": {"x"}, "x": {"p"}})
-        p, x = make_im(cell, "p"), make_im(cell, "x")
-        p.register_provider("svc")
-        p.advertise("svc", now=4.0)
-        assert x.known_providers["svc"] == {"p": 4.0}
-
-    def test_unregistered_service_rejected(self):
-        cell = make_cell({"p": set()})
-        p = make_im(cell, "p")
-        with pytest.raises(ValueError):
-            p.advertise("svc", now=0.0)
-
-
 class TestOutcomeBookkeeping:
     def test_payload_age_consistent_with_snapshot(self):
         cell = make_cell({"a": {"b"}, "b": {"a"}})

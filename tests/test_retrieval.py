@@ -81,14 +81,6 @@ class TestRowScan:
         plan = row_scan(req, COST)
         assert plan.reads[1].slot >= req.program.cycle_len_slots
 
-    def test_first_object_channel_order(self):
-        req = request({"a": (0, 3), "b": (1, 0)}, 2, 4, ["a", "b"])
-        ascending = row_scan(req, COST, channel_order="ascending")
-        by_phase = row_scan(req, COST, channel_order="first_object")
-        assert ascending.reads[0].object_id == "a"
-        assert by_phase.reads[0].object_id == "b"
-        assert by_phase.total_slots <= ascending.total_slots
-
 
 class TestNextObjectAccess:
     def test_single_object_matches_row_scan(self, rng):

@@ -6,14 +6,13 @@ import statistics
 import numpy as np
 import pytest
 
-from aircell import p2p, sim
+from aircell import fidelity, p2p, sim
 from aircell.freshness import InvariantError
 from aircell.sim import (
     ScenarioError,
     generate_workload,
     run,
     scenario_from_dict,
-    scenario_to_dict,
     substream,
     zipf_pmf,
 )
@@ -113,6 +112,35 @@ def mixed_doc(seed=5):
     }
 
 
+def dedicated_index_doc(seed=4):
+    """A dedicated index channel on 4 channels, two-slot switches, a replan
+    every 50 slots, and batches still open when the run ends."""
+    doc = broadcast_doc(seed, duration_slots=603)
+    doc["objects"] = {"count": 30, "mtbu": 90.0, "stdv_mtbu": 20.0}
+    doc["clients"] = {"count": 8, "cache_capacity": 4, "policy": "lru",
+                      "default_qos": 0.3, "request_rate": 0.12}
+    doc["cell"] = {
+        "channels": 4, "scheme": "one_m", "m": 2, "dedicated_index_channel": True,
+        "total_bandwidth": 10.0, "request_size": 0.25, "threshold": 0.5,
+        "batching_window": 7.0, "replan_interval": 50,
+        "cost_model": {"switch_slots": 2, "e_active": 1.0, "e_doze": 0.1,
+                       "e_switch": 0.7},
+    }
+    return doc
+
+
+def distributed_ttl_doc(seed=6):
+    """The distributed index, with caching on and TTL-requery clients, which
+    a broadcast cell never consults."""
+    doc = broadcast_doc(seed, duration_slots=500)
+    doc["clients"] = {"count": 6, "cache_capacity": 4, "policy": "ttl_requery",
+                      "default_qos": 0.3, "request_rate": 0.1}
+    doc["toggles"] = {"p2p": True, "caching": True, "overhearing": True}
+    doc["cache"] = {"default_ttl": 10.0, "tick_interval": 1}
+    doc["cell"].update(scheme="distributed", channels=3)
+    return doc
+
+
 class TestSubstreams:
     def test_named_streams_are_stable_and_distinct(self):
         a = substream(9, "workload", "client1").integers(0, 1 << 30, 5)
@@ -196,6 +224,12 @@ class TestDeterminism:
                              "48a78becbb832c0050ac83d13fc6b8230836ba090b74796f7f0519e3cfe65650"),
         "mixed": (mixed_doc,
                   "ddbb031bf96c887238936e374e3521148ba744b3ef58641ed8b48f3653b59fd5"),
+        "broadcast_dedicated_index": (
+            dedicated_index_doc,
+            "1d7b08ec109afe7694ee391c7efc5e2520665251bd4965d348752c49735b8f61"),
+        "broadcast_distributed_ttl": (
+            distributed_ttl_doc,
+            "63254465e23a33520a754553c8bb57607d8b811d021ec148322159aa3240a376"),
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -335,6 +369,17 @@ class TestBroadcastMode:
         metrics = run(scenario_from_dict(broadcast_doc(seed=11)))
         assert sum(metrics.per_client_energy.values()) > 0
 
+    @pytest.mark.parametrize("doc_fn", [dedicated_index_doc, distributed_ttl_doc])
+    def test_builds_no_update_processes_caches_or_p2p(self, monkeypatch, doc_fn):
+        def refuse(*args, **kwargs):
+            raise AssertionError("constructed during a broadcast run")
+
+        for name in ("_UpdateProcess", "P2PCell", "InformationManager", "ClientCache"):
+            monkeypatch.setattr(sim, name, refuse)
+        metrics = run(scenario_from_dict(doc_fn()))
+        assert metrics.counters["index_reads"] > 0
+        assert metrics.counters["on_demand_responses"] > 0
+
     def test_replan_hook_runs_deterministically(self):
         doc = broadcast_doc(seed=13)
         doc["cell"]["replan_interval"] = 100
@@ -391,6 +436,80 @@ class TestFidelitySelection:
         assert sel["evaluated_suppliers"] == ["near"]
 
 
+class TestFidelitySection:
+    """The fidelity section is read when the scenario is, not inside ``run``."""
+
+    @staticmethod
+    def violations(**changes) -> list[str]:
+        section = {**TestFidelitySelection.FIDELITY, **changes}
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(p2p_doc(fidelity=section))
+        return err.value.violations
+
+    def test_empty_section(self):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(p2p_doc(fidelity={}))
+        assert err.value.violations == [
+            f"fidelity: missing key {key!r}"
+            for key in ("parameters", "utilities", "weights", "suppliers")
+        ]
+
+    def test_unknown_kind(self):
+        params = [{"name": "frame_rate", "kind": "stepped", "values": [20, 30]}]
+        assert self.violations(parameters=params) == [
+            "fidelity.parameters[0]: unknown kind 'stepped'"
+        ]
+
+    def test_missing_parameter_key(self):
+        params = [{"name": "frame_rate", "kind": "continuous", "lo": 20.0}]
+        assert self.violations(parameters=params) == [
+            "fidelity.parameters[0]: missing key 'hi'"
+        ]
+
+    @pytest.mark.parametrize("coefficients", [[0.2], [0.2, 0.0, 1.0], [0.2, "x"]])
+    def test_coefficient_count_must_match_parameters(self, coefficients):
+        models = [{"resource_id": "bandwidth", "coefficients": coefficients,
+                   "intercept": 1.0}]
+        assert self.violations(models=models) == [
+            "fidelity.models: 'bandwidth' needs a finite coefficient for each of "
+            "the 2 parameters and a finite intercept"
+        ]
+
+    def test_missing_utility(self):
+        assert self.violations(utilities={"frame_rate": {"sigmoid": [20, 40]}}) == [
+            "fidelity: missing key 'resolution'"
+        ]
+
+    def test_sigmoid_on_categorical_values(self):
+        utilities = {**TestFidelitySelection.FIDELITY["utilities"],
+                     "resolution": {"sigmoid": [0, 1]}}
+        assert self.violations(utilities=utilities) == [
+            "fidelity: resolution: a sigmoid needs numeric values"
+        ]
+
+    def test_listed_with_the_other_violations(self):
+        doc = p2p_doc(fidelity={**TestFidelitySelection.FIDELITY, "weights": 3},
+                      toggles=[])
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.violations == [
+            "toggles: must be a mapping, got list",
+            "fidelity: 'int' object is not subscriptable",
+        ]
+
+    def test_grid_filtered_once_per_selection(self, monkeypatch):
+        calls = []
+        feasible_configs = fidelity.feasible_configs
+
+        def counted(*args):
+            calls.append(args)
+            return feasible_configs(*args)
+
+        monkeypatch.setattr(fidelity, "feasible_configs", counted)
+        run(scenario_from_dict(p2p_doc(seed=41, fidelity=TestFidelitySelection.FIDELITY)))
+        assert len(calls) == 1
+
+
 class TestScenarioValidation:
     def test_all_violations_collected(self):
         doc = p2p_doc()
@@ -415,11 +534,6 @@ class TestScenarioValidation:
             scenario_from_dict(doc)
         text = str(err.value)
         assert "ghost" in text and "ghost2" in text and "nobody" in text
-
-    def test_round_trip_preserves_scenario(self):
-        scn = scenario_from_dict(broadcast_doc(seed=2))
-        again = scenario_from_dict(scenario_to_dict(scn))
-        assert scn == again
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -497,6 +611,22 @@ class TestNonFiniteInputs:
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(doc)
         assert err.value.violations == [expected]
+
+    @pytest.mark.parametrize("objects", [
+        {"count": 3, "mtbu": 1e308, "stdv_mtbu": 0},  # burn-in summed to -inf
+        {"count": 3, "mtbu": 1e300, "stdv_mtbu": 1e300},  # squared past float max
+        {"count": 3, "mtbu": 50.0, "stdv_mtbu": 1e151},
+        {"count": 3, "mtbu_range": [1e149, 1e300]},
+    ])
+    def test_huge_finite_mtbu_rejected_before_the_run(self, objects):
+        with pytest.raises(ScenarioError, match=r"must be finite and in .*1e\+150\]"):
+            scenario_from_dict(p2p_doc(objects=objects))
+
+    @pytest.mark.parametrize("doc_fn", [p2p_doc, broadcast_doc])
+    def test_largest_mtbu_runs(self, doc_fn):
+        doc = doc_fn(objects={"count": 3, "mtbu": 1e150, "stdv_mtbu": 1e150})
+        metrics = run(scenario_from_dict(doc))
+        assert metrics.counters["answered"] == metrics.counters["issued"] > 0
 
     def test_nan_zipf_theta_rejected_before_the_run(self):
         # it used to parse, and the run died in numpy's sampler
