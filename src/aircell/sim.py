@@ -26,7 +26,13 @@ import hashlib
 import json
 import math
 import numbers
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import itemgetter
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,6 +134,12 @@ class Scenario:
 # At 1e150 a draw even 100 standard deviations out stays below 1.1e152,
 # so the squares of 10^4 such intervals still sum to a finite number.
 _MAX_MTBU = 1e150
+# The most writes a run may ask of one source. An update process writes once
+# per mtbu of simulated time, so a run of duration_slots expects about
+# duration_slots / mtbu writes per object: mtbu below duration_slots / 10**6
+# asks for more than a million (mtbu 1e-9 over 400 slots asks for 4e11, and
+# once a draw is below the float spacing at next_update the loop never ends).
+_MAX_WRITES_PER_OBJECT = 10**6
 
 _TOP_KEYS = {
     "schema_id", "seed", "duration_slots", "objects", "clients", "adjacency",
@@ -170,27 +182,40 @@ def _number(
     """``section[key]``, or ``default`` if absent, converted by ``kind``.
 
     A value that is not a number (a string, a boolean, a container, null)
-    or that ``kind`` cannot hold (NaN or inf as an integer) is a violation
-    and reads as ``default``, so later checks see a well-typed document.
-    NaN fails every comparison, so the range checks downstream would let it
-    through: it is a violation for every field, and so is an infinity
-    unless ``allow_inf``, where +inf means "no limit".
+    or that ``kind`` cannot hold is a violation and reads as ``default``, so
+    later checks see a well-typed document. An integer field takes only an
+    integral value (``4.0`` reads as 4, ``2.7`` is a violation) of at most
+    ``sys.maxsize`` in magnitude. NaN fails every comparison, so the range
+    checks downstream would let it through: it is a violation for every
+    field, and so is an infinity unless ``allow_inf``, where +inf means "no
+    limit".
     """
     value = section.get(key, default)
+    label = f"{where}.{key}" if where else key
+    if kind is int:
+        if _is_number(value) and (
+            isinstance(value, numbers.Integral)
+            or math.isfinite(value) and value == int(value)
+        ):
+            if abs(value) <= sys.maxsize:
+                return int(value)
+            errs.append(f"{label}: must be at most {sys.maxsize} in magnitude, "
+                        f"got {value!r}")
+            return default
+        errs.append(f"{label}: must be an integer, got {value!r}")
+        return default
     if _is_number(value):
         try:
-            number = kind(value)
-        except (ValueError, OverflowError):
+            number = float(value)
+        except OverflowError:
             pass
         else:
-            if kind is int or math.isfinite(number) or (allow_inf and number == math.inf):
+            if math.isfinite(number) or (allow_inf and number == math.inf):
                 return number
             need = "finite or inf" if allow_inf else "finite"
             errs.append(f"{where}: {key} must be {need}, got {value!r}")
             return default
-    noun = "an integer" if kind is int else "a number"
-    errs.append(f"{where}.{key}: must be {noun}, got {value!r}" if where
-                else f"{key}: must be {noun}, got {value!r}")
+    errs.append(f"{label}: must be a number, got {value!r}")
     return default
 
 
@@ -204,7 +229,16 @@ def _flag(section: dict, key: str, default: bool, where: str, errs: list[str]) -
     return default
 
 
-def _expand_objects(spec, seed: int, errs: list[str]) -> list[ObjectSpec]:
+def _too_many_writes(mtbu: float, min_mtbu: float) -> str:
+    return (
+        f"{mtbu!r} is below duration_slots / {_MAX_WRITES_PER_OBJECT} = "
+        f"{min_mtbu!r}, more than {_MAX_WRITES_PER_OBJECT} writes per object"
+    )
+
+
+def _expand_objects(
+    spec, seed: int, min_mtbu: float, errs: list[str]
+) -> list[ObjectSpec]:
     if isinstance(spec, dict):
         for key in spec.keys() - _OBJECTS_COMPACT_KEYS:
             errs.append(f"objects: unknown key {key!r}")
@@ -219,6 +253,9 @@ def _expand_objects(spec, seed: int, errs: list[str]) -> list[ObjectSpec]:
                 isinstance(bounds, (list, tuple)) and len(bounds) == 2
                 and all(_is_number(x) and math.isfinite(x) for x in bounds)
             ):
+                if bounds[0] < min_mtbu:
+                    low = _too_many_writes(bounds[0], min_mtbu)
+                    errs.append(f"objects.mtbu_range: low end {low}")
                 rng = substream(seed, "object-params")
                 mtbus = rng.uniform(float(bounds[0]), float(bounds[1]), size=count)
             else:
@@ -373,22 +410,25 @@ def scenario_from_dict(data: dict) -> Scenario:
     if schema_id != SCHEMA_ID:
         errs.append(f"schema_id: expected {SCHEMA_ID!r}, got {schema_id!r}")
 
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int):
-        errs.append("seed: must be an integer")
+    seed = _number(data, "seed", 0, "", errs, int)
+    if seed < 0:
+        errs.append("seed: must be >= 0")
         seed = 0
-    duration = data.get("duration_slots", 0)
-    if not isinstance(duration, int) or duration < 0:
-        errs.append("duration_slots: must be a nonnegative integer")
+    duration = _number(data, "duration_slots", 0, "", errs, int)
+    if duration < 0:
+        errs.append("duration_slots: must be >= 0")
         duration = 0
 
-    objects = _expand_objects(data.get("objects", []), seed, errs)
+    min_mtbu = duration / _MAX_WRITES_PER_OBJECT
+    objects = _expand_objects(data.get("objects", []), seed, min_mtbu, errs)
     # _number rejects a NaN or infinite field, but a draw from an extreme
     # mtbu_range, or the stdv derived from it, can still overflow: such a
     # parameter would loop forever, run silently or crash the run
     for i, o in enumerate(objects):
         if not 0 < o.mtbu <= _MAX_MTBU:
             errs.append(f"objects[{i}]: mtbu must be finite and in (0, {_MAX_MTBU:g}]")
+        elif o.mtbu < min_mtbu:
+            errs.append(f"objects[{i}]: mtbu {_too_many_writes(o.mtbu, min_mtbu)}")
         if not 0 <= o.stdv_mtbu <= _MAX_MTBU:
             errs.append(
                 f"objects[{i}]: stdv_mtbu must be finite and in [0, {_MAX_MTBU:g}]"
@@ -594,8 +634,14 @@ def generate_workload(scenario: Scenario) -> Workload:
 # Metrics
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QueryRecord:
+class QueryRecord(NamedTuple):
+    """One query's outcome: a plain tuple whose fields also have names.
+
+    ``Metrics.to_json_bytes`` writes a record as a JSON object whose keys are
+    these names in sorted order; ``Metrics.to_csv_bytes`` writes the fields
+    in ``Metrics.CSV_COLUMNS`` order.
+    """
+
     query_id: int
     client_id: str
     object_id: str
@@ -606,6 +652,103 @@ class QueryRecord:
     qos: float
     qos_met: bool
     p_nm: float
+
+
+# How json.dumps spells what float.__repr__ writes as nan, inf and -inf.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value) -> str:
+    """``value`` as ``json.dumps`` writes a string, boolean or number.
+
+    A float goes through ``float.__repr__``, not ``repr``, so a subclass
+    such as a numpy scalar reads as the plain float it is, as json has it.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{type(value).__name__} {value!r} is not a JSON scalar")
+
+
+def _csv_text(value) -> str:
+    """``value`` as a CSV field: numbers as in the JSON, booleans as 1 and 0.
+
+    A string holding a comma, a double quote or a line break is quoted, its
+    quotes doubled (RFC 4180); any other string is written as it is.
+    """
+    if isinstance(value, str):
+        if any(c in value for c in ',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return _json_text(value)
+
+
+def _column_texts(values: list, text) -> list[str]:
+    """``text(v)`` for each of ``values``, one field of many records.
+
+    The same texts, with no Python call per value when the column has one
+    exact type: ints and floats are what their own ``__repr__`` writes in
+    both formats, unless non-finite, and floats, strings and booleans
+    repeat, so each distinct one is written once. Equal floats write alike
+    except 0.0 and -0.0, which one key would merge, so a float column
+    holding a zero and any negative value is written value by value.
+    """
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {float}:
+        distinct = list(set(values))
+        table = dict(zip(distinct, map(float.__repr__, distinct)))
+        if _NON_FINITE.keys().isdisjoint(table.values()) and not (
+            0.0 in table and -1.0 in map(math.copysign, repeat(1.0), values)
+        ):
+            return list(map(table.__getitem__, values))
+    elif kinds in ({str}, {bool}):
+        table = {v: text(v) for v in set(values)}
+        return list(map(table.__getitem__, values))
+    return list(map(text, values))
+
+
+# Records are written this many at a time, so the per-field texts held at
+# once stay small next to the output they make.
+_ROW_BATCH = 4096
+
+
+def _record_rows(
+    records: list[QueryRecord], fields: list[int], text, row: str, sep: str
+) -> Iterator[bytes]:
+    """``sep.join(row % texts for each record)``, encoded, a batch at a time.
+
+    ``texts`` are ``text`` (``_json_text`` or ``_csv_text``) of the record's
+    fields at the indices ``fields``, which ``row``'s ``%s`` take in order.
+    Each row is one ``str.join`` of its parts, the pieces of ``row`` between
+    the fields and the fields' texts, with no ``%`` per row.
+    """
+    *pieces, end = row.split("%s")
+    for start in range(0, len(records), _ROW_BATCH):
+        batch = records[start : start + _ROW_BATCH]
+        streams = []
+        for piece, i in zip(pieces, fields):
+            # not zip(*batch): an iterator per record is a tracked object,
+            # and enough of them set off the garbage collector mid-write
+            column = list(map(itemgetter(i), batch))
+            streams += (repeat(piece), _column_texts(column, text))
+        streams.append(repeat(end))
+        yield sep.join(map("".join, zip(*streams))).encode()
+
+
+# A record as json.dumps(sort_keys=True) writes it as a dict
+_JSON_KEYS = sorted(QueryRecord._fields)
+_JSON_FIELDS = [QueryRecord._fields.index(key) for key in _JSON_KEYS]
+_JSON_ROW = "{" + ", ".join(f"{_json_text(key)}: %s" for key in _JSON_KEYS) + "}"
 
 
 @dataclass
@@ -646,32 +789,35 @@ class Metrics:
         }
         return out
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json_bytes(self) -> bytes:
+        """The run as the bytes of ``json.dumps(..., sort_keys=True)``.
+
+        Everything but the records goes through ``json.dumps``, written in
+        two parts around the ``"records"`` key. The records are written
+        straight from their fields by ``_json_text``'s rules, with no dict
+        per record.
+        """
+        head = {
             "schema_id": self.schema_id,
             "seed": self.seed,
             "duration_slots": self.duration_slots,
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
-            "per_client_energy": {
-                k: self.per_client_energy[k] for k in sorted(self.per_client_energy)
-            },
+            "counters": self.counters,
+            "per_client_energy": self.per_client_energy,
             "plan": self.plan,
             "fidelity_selection": self.fidelity_selection,
             "summary": self.summary(),
-            "records": [
-                {
-                    "query_id": r.query_id, "client_id": r.client_id,
-                    "object_id": r.object_id, "issued_at": r.issued_at,
-                    "resolution": r.resolution, "latency_slots": r.latency_slots,
-                    "staleness_slots": r.staleness_slots, "qos": r.qos,
-                    "qos_met": r.qos_met, "p_nm": r.p_nm,
-                }
-                for r in self.records
-            ],
         }
-
-    def to_json_bytes(self) -> bytes:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=None).encode()
+        before = json.dumps({k: v for k, v in head.items() if k < "records"},
+                            sort_keys=True)
+        after = json.dumps({k: v for k, v in head.items() if k > "records"},
+                           sort_keys=True)
+        rows = b", ".join(
+            _record_rows(self.records, _JSON_FIELDS, _json_text, _JSON_ROW, ", ")
+        )
+        return b"".join((
+            before[:-1].encode(), b', "records": [', rows, b"], ",
+            after[1:].encode(),
+        ))
 
     CSV_COLUMNS = (
         "query_id", "client_id", "object_id", "resolution",
@@ -679,20 +825,20 @@ class Metrics:
     )
 
     def to_csv_bytes(self) -> bytes:
-        lines = [",".join(self.CSV_COLUMNS)]
-        for r in self.records:
-            lines.append(
-                f"{r.query_id},{r.client_id},{r.object_id},{r.resolution},"
-                f"{r.latency_slots!r},{r.staleness_slots!r},{r.qos!r},"
-                f"{int(r.qos_met)}"
-            )
+        """One row per record in ``CSV_COLUMNS``, then the summary rows.
+
+        Fields are written by ``_csv_text``.
+        """
+        fields = [QueryRecord._fields.index(c) for c in self.CSV_COLUMNS]
+        row = ",".join(["%s"] * len(fields))
+        lines = [",".join(self.CSV_COLUMNS).encode()]
+        lines.extend(_record_rows(self.records, fields, _csv_text, row, "\n"))
         for key, value in self.summary().items():
-            lines.append(f"summary,*,{key},{value!r},,,,")
+            lines.append(f"summary,*,{key},{_csv_text(value)},,,,".encode())
         for client in sorted(self.per_client_energy):
-            lines.append(
-                f"summary,{client},energy,{self.per_client_energy[client]!r},,,,"
-            )
-        return ("\n".join(lines) + "\n").encode()
+            energy = _csv_text(self.per_client_energy[client])
+            lines.append(f"summary,{_csv_text(client)},energy,{energy},,,,".encode())
+        return b"\n".join(lines) + b"\n"
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ is exhaustive, and plan feasibility is re-derived from first principles.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import OrderedDict
 
@@ -481,3 +482,31 @@ def feasible_configs_reference(models, domain, available, continuous_points: int
         if all(m.predict(coords) <= available[m.resource_id] for m in binding):
             kept.append(cfg)
     return kept
+
+
+def metrics_json_reference(metrics) -> bytes:
+    """``Metrics.to_json_bytes`` as it was before the record writer: one dict
+    per record, every byte written by ``json.dumps``."""
+    document = {
+        "schema_id": metrics.schema_id,
+        "seed": metrics.seed,
+        "duration_slots": metrics.duration_slots,
+        "counters": {k: metrics.counters[k] for k in sorted(metrics.counters)},
+        "per_client_energy": {
+            k: metrics.per_client_energy[k] for k in sorted(metrics.per_client_energy)
+        },
+        "plan": metrics.plan,
+        "fidelity_selection": metrics.fidelity_selection,
+        "summary": metrics.summary(),
+        "records": [
+            {
+                "query_id": r.query_id, "client_id": r.client_id,
+                "object_id": r.object_id, "issued_at": r.issued_at,
+                "resolution": r.resolution, "latency_slots": r.latency_slots,
+                "staleness_slots": r.staleness_slots, "qos": r.qos,
+                "qos_met": r.qos_met, "p_nm": r.p_nm,
+            }
+            for r in metrics.records
+        ],
+    }
+    return json.dumps(document, sort_keys=True, indent=None).encode()

@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
+import importlib.util
+import json
 import math
 import statistics
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,19 @@ from aircell.sim import (
     substream,
     zipf_pmf,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def benchmark_workloads():
+    """``perfbench/workloads.py``, loaded by path under its own module name."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def p2p_doc(seed=1, **over):
@@ -232,11 +249,34 @@ class TestDeterminism:
             "63254465e23a33520a754553c8bb57607d8b811d021ec148322159aa3240a376"),
     }
 
+    # SHA-256 of to_csv_bytes() for the same documents
+    GOLDEN_CSV = {
+        "system_p2p": "b7411a7f5b51b20035854d2fc4c9f519c5f5063531bfc303f260702fa7389e41",
+        "system_broadcast":
+            "9d68c295b6c4df09775beff60ffcc3c71822532a462be7ff1dc9f4795b1d3b5e",
+        "mixed": "6233c424ee059dcfc835f36d5c37687070a61d76f03916f2920f8b4b81eca3b1",
+        "broadcast_dedicated_index":
+            "59f6d92d11003107be7c81a549256acaddc41cb520f4e477b52c5a0dfa99ef53",
+        "broadcast_distributed_ttl":
+            "864d16bb8902f82736193797413f82fc3e8caa9e8d6f9473dbbdba0edc54dd93",
+    }
+
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_golden_digest(self, name):
         doc_fn, expected = self.GOLDEN[name]
         metrics = run(scenario_from_dict(doc_fn()))
         assert hashlib.sha256(metrics.to_json_bytes()).hexdigest() == expected
+        csv_digest = hashlib.sha256(metrics.to_csv_bytes()).hexdigest()
+        assert csv_digest == self.GOLDEN_CSV[name]
+
+    @pytest.mark.parametrize("name", ["p2p_lru", "p2p_qf_churn", "broadcast_replan"])
+    def test_benchmark_pins(self, name):
+        # the benchmark's own documents and pins, read without importing its
+        # harness: its correctness gate becomes a unit test
+        pins = json.loads((PERFBENCH / "digests.json").read_text())
+        doc = benchmark_workloads().SCENARIOS[name](pins["default_seed"])
+        metrics = run(scenario_from_dict(doc))
+        assert hashlib.sha256(metrics.to_json_bytes()).hexdigest() == pins["sha256"][name]
 
     def test_mixed_document_exercises_every_path(self):
         metrics = run(scenario_from_dict(mixed_doc()))
@@ -732,6 +772,91 @@ class TestTypedFields:
     )
     def test_other_fields(self, over):
         assert len(self.violations(p2p_doc(**over))) == 1
+
+
+class TestIntegerFields:
+    """An integer field, the seed and the duration take only integral
+    numbers a run can use; anything else is a violation, not an escape."""
+
+    @staticmethod
+    def violations(doc) -> list[str]:
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        return err.value.violations
+
+    def test_negative_seed(self):
+        # it used to parse, and the run died in numpy's seeding
+        assert self.violations(p2p_doc(seed=-1)) == ["seed: must be >= 0"]
+
+    @pytest.mark.parametrize("key", ["seed", "duration_slots"])
+    def test_boolean_seed_and_duration(self, key):
+        assert self.violations(p2p_doc(**{key: True})) == [
+            f"{key}: must be an integer, got True"
+        ]
+
+    @pytest.mark.parametrize("over, expected", [
+        ({"objects": {"count": 2.7, "mtbu": 100.0}},
+         "objects.count: must be an integer, got 2.7"),
+        ({"clients": {"count": 2, "cache_capacity": 1.9}},
+         "clients.cache_capacity: must be an integer, got 1.9"),
+        ({"cache": {"read_window": 2.99}},
+         "cache.read_window: must be an integer, got 2.99"),
+        ({"duration_slots": 400.5}, "duration_slots: must be an integer, got 400.5"),
+    ])
+    def test_non_integral_value(self, over, expected):
+        # each used to be truncated silently
+        assert self.violations(p2p_doc(**over)) == [expected]
+
+    @pytest.mark.parametrize("over, label, value", [
+        ({"objects": {"count": 1e300, "mtbu": 100.0}}, "objects.count", 1e300),
+        ({"cache": {"read_window": 1e300}}, "cache.read_window", 1e300),
+        ({"seed": 2**63}, "seed", 2**63),
+    ])
+    def test_value_above_sys_maxsize(self, over, label, value):
+        # objects.count used to escape as OverflowError from scenario_from_dict,
+        # cache.read_window as OverflowError from run
+        assert self.violations(p2p_doc(**over)) == [
+            f"{label}: must be at most {sys.maxsize} in magnitude, got {value!r}"
+        ]
+
+    def test_integral_float_reads_as_int(self):
+        doc = p2p_doc(seed=4.0, duration_slots=400.0,
+                      objects={"count": 10.0, "mtbu": 120.0, "stdv_mtbu": 25.0})
+        scn = scenario_from_dict(doc)
+        assert (scn.seed, scn.duration_slots, len(scn.objects)) == (4, 400, 10)
+        same = run(scenario_from_dict(p2p_doc(seed=4)))
+        assert run(scn).to_json_bytes() == same.to_json_bytes()
+
+
+class TestUpdateRate:
+    """A tiny mtbu asks for more writes than a run can make."""
+
+    def test_tiny_mtbu_rejected(self):
+        # it used to run until killed: about 4e11 writes over 400 slots
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(
+                p2p_doc(objects={"count": 3, "mtbu": 1e-9, "stdv_mtbu": 0.0})
+            )
+        assert err.value.violations == [
+            f"objects[{i}]: mtbu 1e-09 is below duration_slots / 1000000 = 0.0004, "
+            "more than 1000000 writes per object"
+            for i in range(3)
+        ]
+
+    def test_low_end_of_mtbu_range_rejected(self):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(p2p_doc(objects={"count": 3, "mtbu_range": [1e-9, 500.0]}))
+        assert err.value.violations == [
+            "objects.mtbu_range: low end 1e-09 is below duration_slots / 1000000 = "
+            "0.0004, more than 1000000 writes per object"
+        ]
+
+    def test_mtbu_at_the_bound_runs(self):
+        doc = p2p_doc(duration_slots=40,
+                      objects={"count": 1, "mtbu": 40 / 10**6, "stdv_mtbu": 0.0},
+                      clients={"count": 2, "policy": "lru", "request_rate": 0.5})
+        metrics = run(scenario_from_dict(doc))
+        assert metrics.counters["answered"] == metrics.counters["issued"] > 0
 
 
 class TestUnrunnableCells:
