@@ -71,7 +71,6 @@ class BroadcastProgram:
     channels: tuple[tuple[Slot, ...], ...]
     cycle_len_slots: int
     scheme: IndexScheme
-    slot_duration: float = 1.0
     dedicated_index_channel: bool = False
     directory: dict[str, tuple[int, int]] = field(default_factory=dict)
 
@@ -127,7 +126,6 @@ def build_program(
     published: list[str],
     channels: int,
     scheme: IndexScheme,
-    slot_duration: float = 1.0,
     dedicated_index_channel: bool = False,
 ) -> BroadcastProgram:
     """Build one broadcast cycle.
@@ -174,7 +172,6 @@ def build_program(
         channels=tuple(layouts),
         cycle_len_slots=cycle_len,
         scheme=scheme,
-        slot_duration=slot_duration,
         dedicated_index_channel=dedicated_index_channel,
         directory=directory,
     )

@@ -61,6 +61,8 @@ def _parse_seeds(text: str) -> list[int]:
             seeds.append(int(part))
     if not seeds:
         raise ValueError("at least one seed is required")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
     return seeds
 
 

@@ -34,6 +34,10 @@ class RankDeficient(Exception):
 class NoConfiguration(Exception):
     """Every supplier's feasible configuration set is empty."""
 
+    def __init__(self, evaluated_suppliers: tuple[str, ...]):
+        super().__init__("no feasible configuration under any supplier")
+        self.evaluated_suppliers = evaluated_suppliers  # in visit order
+
 
 @dataclass(frozen=True)
 class Parameter:
@@ -105,9 +109,9 @@ class FidelityDomain:
 def read_domain(specs, where: str, errs: list[str]) -> FidelityDomain:
     """The domain a document's parameter list describes.
 
-    Each entry is a mapping with ``name``, ``kind`` and either ``values``
-    (discrete) or finite ``lo`` and ``hi`` (continuous). A malformed entry
-    is a message in ``errs`` and is left out.
+    Each entry is a mapping with a string ``name``, ``kind`` and either
+    ``values`` (discrete) or finite ``lo`` and ``hi`` (continuous). A
+    malformed entry is a message in ``errs`` and is left out.
     """
     if not isinstance(specs, list):
         errs.append(f"{where}: must be a list, got {type(specs).__name__}")
@@ -115,6 +119,8 @@ def read_domain(specs, where: str, errs: list[str]) -> FidelityDomain:
     params = []
     for i, p in enumerate(specs):
         try:
+            if not isinstance(p["name"], str):
+                raise TypeError(f"name must be a string, got {p['name']!r}")
             if p["kind"] == "discrete":
                 params.append(discrete(p["name"], p["values"]))
             elif p["kind"] == "continuous":
@@ -125,7 +131,7 @@ def read_domain(specs, where: str, errs: list[str]) -> FidelityDomain:
                 raise ValueError(f"unknown kind {p['kind']!r}")
         except KeyError as e:
             errs.append(f"{where}[{i}]: missing key {e}")
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             errs.append(f"{where}[{i}]: {e}")
     try:
         return FidelityDomain(tuple(params))
@@ -366,5 +372,5 @@ def maximize_utility(
             if best is None or u > best[0]:
                 best = (u, supplier.supplier_id, tuple(config))
     if best is None:
-        raise NoConfiguration("no feasible configuration under any supplier")
+        raise NoConfiguration(tuple(visited))
     return MaxUtilityResult(best[1], best[2], best[0], tuple(visited))

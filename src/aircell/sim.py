@@ -28,7 +28,7 @@ import math
 import numbers
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii
@@ -70,7 +70,7 @@ class ObjectSpec:
     object_id: str
     mtbu: float
     stdv_mtbu: float
-    reachable: bool = True
+    reachable: bool
 
 
 @dataclass(frozen=True)
@@ -80,45 +80,56 @@ class ClientSpec:
     policy: PolicyKind
     default_qos: float
     request_rate: float
-    qos_overrides: dict[str, float] = field(default_factory=dict)
-    providers: tuple[str, ...] = ()
+    qos_overrides: dict[str, float]
+    providers: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class CellSpec:
-    channels: int = 1
-    scheme: str = "one_m"
-    m: int = 1
-    slot_duration: float = 1.0
-    dedicated_index_channel: bool = False
-    total_bandwidth: float = 10.0
-    request_size: float = 0.25
-    threshold: float = math.inf
-    batching_window: float = 0.0
-    replan_interval: int = 0
-    cost_model: retrieval.CostModel = retrieval.CostModel()
+    channels: int
+    scheme: str
+    m: int
+    dedicated_index_channel: bool
+    total_bandwidth: float
+    request_size: float
+    threshold: float
+    batching_window: float
+    replan_interval: int
+    cost_model: retrieval.CostModel
+
+
+class FidelitySection(NamedTuple):
+    """A scenario's fidelity section, read once by ``scenario_from_dict``."""
+
+    domain: fidelity.FidelityDomain
+    suppliers: tuple[fidelity.Supplier, ...]
+    utilities: tuple[fidelity.UtilityFn, ...]  # one per parameter
+    weights: tuple[float, ...]  # one per parameter
+    models: tuple[fidelity.ResourceModel, ...]
+    limits: dict[str, float]
+    continuous_points: int
 
 
 @dataclass(frozen=True)
 class Scenario:
+    schema_id: str
     seed: int
     duration_slots: int
+    resolution_mode: str  # "p2p" | "broadcast"
+    history_burnin: int
     objects: tuple[ObjectSpec, ...]
     clients: tuple[ClientSpec, ...]
     adjacency: dict[str, set[str]]
-    resolution_mode: str = "p2p"  # "p2p" | "broadcast"
-    caching: bool = True
-    p2p: bool = True
-    overhearing: bool = False
-    zipf_theta: float = 0.8
-    costs: LinkCosts = LinkCosts()
-    cell: CellSpec | None = None
-    default_ttl: float | None = None
-    tick_interval: int = 1
-    read_window: int = 256
-    history_burnin: int = 12
-    fidelity_config: dict | None = None
-    schema_id: str = SCHEMA_ID
+    caching: bool
+    p2p: bool
+    overhearing: bool
+    zipf_theta: float
+    costs: LinkCosts
+    cell: CellSpec | None
+    default_ttl: float | None
+    tick_interval: int
+    read_window: int
+    fidelity: FidelitySection | None
 
     def index_scheme(self) -> air_schedule.IndexScheme:
         cell = self.cell
@@ -134,37 +145,135 @@ class Scenario:
 # At 1e150 a draw even 100 standard deviations out stays below 1.1e152,
 # so the squares of 10^4 such intervals still sum to a finite number.
 _MAX_MTBU = 1e150
-# The most writes a run may ask of one source. An update process writes once
-# per mtbu of simulated time, so a run of duration_slots expects about
-# duration_slots / mtbu writes per object: mtbu below duration_slots / 10**6
-# asks for more than a million (mtbu 1e-9 over 400 slots asks for 4e11, and
-# once a draw is below the float spacing at next_update the loop never ends).
-_MAX_WRITES_PER_OBJECT = 10**6
+# The most draws a run may ask of one stream: writes of one source, or
+# requests of one client. A source writes once per mtbu of simulated time
+# and a client asks request_rate times per slot, so mtbu below
+# duration_slots / 10**6, or request_rate above 10**6 / duration_slots,
+# asks for more than a million (mtbu 1e-9 over 400 slots asks for 4e11,
+# and once a draw is below the float spacing at next_update the loop never
+# ends).
+_MAX_EVENTS = 10**6
 
-_TOP_KEYS = {
-    "schema_id", "seed", "duration_slots", "objects", "clients", "adjacency",
-    "resolution_mode", "toggles", "workload", "costs", "cell", "cache",
-    "history_burnin", "fidelity",
+_REQUIRED = object()
+
+
+class Field(NamedTuple):
+    """One field of a scenario section: its kind, default and range.
+
+    ``kind`` is ``int``, ``float``, ``bool``, ``str``, ``list``, a tuple of
+    the allowed strings, or ``object`` for a value its own reader checks.
+    An absent field reads as ``default``, and so does null where that is
+    None; a field with no default must be present. A number must be at
+    least ``lo``, above ``above`` and at most ``hi`` where these are set,
+    and finite, or also +inf ("no limit") where ``no_limit``.
+    """
+
+    key: str
+    kind: object
+    default: object = _REQUIRED
+    lo: float | None = None
+    hi: float | None = None
+    above: float | None = None
+    no_limit: bool = False
+
+
+_CLIENT_FIELDS = (
+    Field("cache_capacity", int, 8, lo=1),
+    Field("policy", tuple(p.value for p in PolicyKind), "lru"),
+    Field("default_qos", float, 0.0, lo=0, hi=1),
+    Field("request_rate", float, 0.0, lo=0),
+    Field("qos", object, {}),
+)
+# Every field of a scenario document, by the path of its section: "" is the
+# top level, "objects" and "clients" the compact blocks, a path ending in
+# "[]" each entry of a list, and "adjacency" the ring generator.
+SCHEMA: dict[str, dict[str, Field]] = {
+    section: {f.key: f for f in fields}
+    for section, fields in {
+        "": (
+            Field("schema_id", (SCHEMA_ID,), SCHEMA_ID),
+            Field("seed", int, 0, lo=0), Field("duration_slots", int, 0, lo=0),
+            Field("resolution_mode", ("p2p", "broadcast"), "p2p"),
+            Field("history_burnin", int, 12, lo=3),
+            Field("objects", object, []), Field("clients", object, []),
+            Field("adjacency", object, None), Field("toggles", object, {}),
+            Field("workload", object, {}), Field("costs", object, {}),
+            Field("cell", object, None), Field("cache", object, {}),
+            Field("fidelity", object, None),
+        ),
+        "objects": (
+            Field("count", int, 0, lo=0), Field("mtbu", float, 100.0),
+            Field("stdv_mtbu", float, None),  # absent: 0.2 times the mean mtbu
+            Field("mtbu_range", object, None), Field("id_prefix", str, "obj"),
+        ),
+        "objects[]": (
+            Field("object_id", str), Field("mtbu", float),
+            Field("stdv_mtbu", float, 0.0), Field("reachable", bool, True),
+        ),
+        "clients": (
+            Field("count", int, 0, lo=0), Field("id_prefix", str, "client"),
+            *_CLIENT_FIELDS,
+        ),
+        "clients[]": (
+            Field("client_id", str), *_CLIENT_FIELDS, Field("providers", list, []),
+        ),
+        "adjacency": (Field("kind", ("ring",)), Field("degree", int, 2, lo=0)),
+        "toggles": (
+            Field("caching", bool, True), Field("p2p", bool, True),
+            Field("overhearing", bool, False),
+        ),
+        "workload": (Field("zipf_theta", float, 0.8, lo=0),),
+        "costs": (
+            Field("local", float, 0.0, lo=0), Field("hop", float, 1.0, lo=0),
+            Field("source", float, 5.0, lo=0),
+        ),
+        "cell": (
+            Field("channels", int, 1, lo=1), Field("m", int, 1, lo=1),
+            Field("scheme", ("none", "distributed", "once_per_cycle", "one_m"), "one_m"),
+            Field("dedicated_index_channel", bool, False),
+            Field("total_bandwidth", float, 10.0, above=0),
+            Field("request_size", float, 0.25, lo=0),
+            Field("threshold", float, math.inf, no_limit=True),
+            Field("batching_window", float, 0.0, lo=0),
+            Field("replan_interval", int, 0),  # 0 or less: never replan
+            Field("cost_model", object, {}),
+        ),
+        # retrieval.CostModel checks the ranges of these
+        "cell.cost_model": (
+            Field("switch_slots", int, 1), Field("e_active", float, 1.0),
+            Field("e_doze", float, 0.05), Field("e_switch", float, 0.5),
+        ),
+        "cache": (
+            Field("default_ttl", float, None, above=0, no_limit=True),
+            Field("tick_interval", int, 1, lo=1), Field("read_window", int, 256, lo=2),
+        ),
+        "fidelity": (
+            Field("parameters", object), Field("utilities", object),
+            Field("weights", object), Field("suppliers", object),
+            Field("models", object, []), Field("limits", object, None),
+            Field("continuous_points", int, 32, lo=1),
+        ),
+        "fidelity.suppliers[]": (Field("supplier_id", str), Field("f_s", float, lo=0, hi=1)),
+        "fidelity.models[]": (
+            Field("resource_id", str), Field("coefficients", list), Field("intercept", float),
+        ),
+    }.items()
 }
-_OBJECT_KEYS = {"object_id", "mtbu", "stdv_mtbu", "reachable"}
-_OBJECTS_COMPACT_KEYS = {"count", "mtbu", "stdv_mtbu", "mtbu_range", "id_prefix"}
-_CLIENT_KEYS = {
-    "client_id", "cache_capacity", "policy", "default_qos", "request_rate",
-    "qos", "providers",
-}
-_CLIENTS_COMPACT_KEYS = {
-    "count", "cache_capacity", "policy", "default_qos", "request_rate", "qos",
-    "id_prefix",
-}
-_CELL_KEYS = {
-    "channels", "scheme", "m", "slot_duration", "dedicated_index_channel",
-    "total_bandwidth", "request_size", "threshold", "batching_window",
-    "replan_interval", "cost_model",
-}
+# a value of a ``qos`` map or of ``fidelity.limits``, read under its own key
+_QOS = Field("", float, 0.0, lo=0, hi=1)
+_LIMIT = Field("", float, math.inf, no_limit=True)
 
 
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """Whether ``value`` is a number a float holds as a finite value."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:  # an int past float max
+        return False
 
 
 def _mapping(value, where: str, errs: list[str]) -> dict:
@@ -175,64 +284,134 @@ def _mapping(value, where: str, errs: list[str]) -> dict:
     return {}
 
 
-def _number(
-    section: dict, key: str, default, where: str, errs: list[str], kind=float,
-    allow_inf: bool = False,
-):
-    """``section[key]``, or ``default`` if absent, converted by ``kind``.
+_KIND_NAMES = {bool: "a boolean", str: "a string", list: "a list"}
 
-    A value that is not a number (a string, a boolean, a container, null)
-    or that ``kind`` cannot hold is a violation and reads as ``default``, so
-    later checks see a well-typed document. An integer field takes only an
-    integral value (``4.0`` reads as 4, ``2.7`` is a violation) of at most
-    ``sys.maxsize`` in magnitude. NaN fails every comparison, so the range
-    checks downstream would let it through: it is a violation for every
-    field, and so is an infinity unless ``allow_inf``, where +inf means "no
-    limit".
+
+def _read_value(value, where: str, row: Field, errs: list[str]):
+    """``value`` of field ``row`` of section ``where``, converted by kind.
+
+    A violation goes to ``errs`` and reads as ``row.default``, so later
+    checks see a well-typed document. A number field takes no boolean, an
+    integer field only an integral value (``4.0`` reads as 4, ``2.7`` is a
+    violation) of at most ``sys.maxsize`` in magnitude. NaN fails every
+    range check, so it is a violation for every field, and so is an
+    infinity unless ``row.no_limit``. A string must encode as UTF-8, so the
+    CSV writer can write it.
     """
-    value = section.get(key, default)
-    label = f"{where}.{key}" if where else key
+    kind = row.kind
+    if kind is object or value is None and row.default is None:
+        return value
+    label = f"{where}.{row.key}" if where else row.key
     if kind is int:
         if _is_number(value) and (
             isinstance(value, numbers.Integral)
             or math.isfinite(value) and value == int(value)
         ):
             if abs(value) <= sys.maxsize:
-                return int(value)
-            errs.append(f"{label}: must be at most {sys.maxsize} in magnitude, "
-                        f"got {value!r}")
-            return default
-        errs.append(f"{label}: must be an integer, got {value!r}")
-        return default
-    if _is_number(value):
-        try:
-            number = float(value)
-        except OverflowError:
-            pass
+                return _in_range(int(value), label, row, errs)
+            need = f"at most {sys.maxsize} in magnitude"
         else:
-            if math.isfinite(number) or (allow_inf and number == math.inf):
-                return number
-            need = "finite or inf" if allow_inf else "finite"
-            errs.append(f"{where}: {key} must be {need}, got {value!r}")
-            return default
-    errs.append(f"{label}: must be a number, got {value!r}")
-    return default
-
-
-def _flag(section: dict, key: str, default: bool, where: str, errs: list[str]) -> bool:
-    """``section[key]``, or ``default`` if absent; anything but a boolean is a
-    violation and reads as ``default`` (``bool("no")`` would read as true)."""
-    value = section.get(key, default)
-    if isinstance(value, bool):
+            need = "an integer"
+    elif kind is float:
+        try:
+            number = float(value) if _is_number(value) else None
+        except OverflowError:  # an int past float max
+            number = None
+        if number is None:
+            need = "a number"
+        elif math.isfinite(number) or row.no_limit and number == math.inf:
+            return _in_range(number, label, row, errs)
+        else:
+            need = "finite or inf" if row.no_limit else "finite"
+            errs.append(f"{where}: {row.key} must be {need}, got {value!r}")
+            return row.default
+    elif isinstance(kind, tuple):
+        if isinstance(value, str) and value in kind:
+            return value
+        *rest, need = map(repr, kind)
+        if rest:
+            need = f"{', '.join(rest)} or {need}"
+    elif not isinstance(value, kind):
+        need = _KIND_NAMES[kind]
+    elif kind is not str or not any("\ud800" <= c <= "\udfff" for c in value):
         return value
-    errs.append(f"{where}.{key}: must be a boolean, got {value!r}")
-    return default
+    else:  # a lone surrogate, which no UTF-8 encoder writes
+        need = "valid UTF-8"
+    errs.append(f"{label}: must be {need}, got {value!r}")
+    return row.default
+
+
+def _in_range(number, label: str, row: Field, errs: list[str]):
+    """``number`` if it is within ``row``'s bounds; otherwise a violation in
+    ``errs`` and ``row.default``."""
+    if row.hi is not None and not row.lo <= number <= row.hi:
+        need = f"in [{row.lo}, {row.hi}]"
+    elif row.above is not None and number <= row.above:
+        need = f"> {row.above}"
+    elif row.lo is not None and number < row.lo:
+        need = f">= {row.lo}"
+    else:
+        return number
+    errs.append(f"{label}: must be {need}")
+    return row.default
+
+
+def _read_section(section, where: str, rows: dict[str, Field], errs: list[str]):
+    """The fields ``rows`` declare, read from the mapping ``section``.
+
+    Every field reads as its default unless present. An unknown key, a
+    missing required field and every bad value is a violation in ``errs``.
+    None if a required field is missing or bad; a ``section`` that is not
+    a mapping is one violation and has no field.
+    """
+    values = {key: row.default for key, row in rows.items()}
+    prefix = f"{where}: " if where else ""
+    for key, value in _mapping(section, where, errs).items():
+        row = rows.get(key)
+        if row is None:
+            errs.append(f"{prefix}unknown key {key!r}")
+        else:
+            values[key] = _read_value(value, where, row, errs)
+    if all(value is not _REQUIRED for value in values.values()):
+        return values
+    if isinstance(section, dict):
+        errs.extend(
+            f"{prefix}missing key {key!r}" for key, row in rows.items()
+            if row.default is _REQUIRED and key not in section
+        )
+    return None
+
+
+def _read_entries(spec, where: str, rows: dict[str, Field], errs: list[str]) -> list:
+    """The entries of the list ``spec``, each read as a section of ``rows``;
+    an entry whose required field is missing or bad is left out."""
+    if not isinstance(spec, list):
+        errs.append(f"{where}: must be a list, got {type(spec).__name__}")
+        return []
+    entries = (
+        _read_section(entry, f"{where}[{i}]", rows, errs) for i, entry in enumerate(spec)
+    )
+    return [v for v in entries if v is not None]
+
+
+def _read_map(section, where: str, row: Field, errs: list[str]) -> dict:
+    """A mapping of any keys, each value read as ``row`` under its key."""
+    return {
+        str(key): _read_value(value, where, row._replace(key=str(key)), errs)
+        for key, value in _mapping(section, where, errs).items()
+    }
+
+
+def _numbered(prefix: str, count: int) -> list[str]:
+    """The ids of a compact block: ``prefix`` and a zero-padded index."""
+    width = len(str(max(count - 1, 1)))
+    return [f"{prefix}{i:0{width}d}" for i in range(count)]
 
 
 def _too_many_writes(mtbu: float, min_mtbu: float) -> str:
     return (
-        f"{mtbu!r} is below duration_slots / {_MAX_WRITES_PER_OBJECT} = "
-        f"{min_mtbu!r}, more than {_MAX_WRITES_PER_OBJECT} writes per object"
+        f"{mtbu!r} is below duration_slots / {_MAX_EVENTS} = "
+        f"{min_mtbu!r}, more than {_MAX_EVENTS} writes per object"
     )
 
 
@@ -240,142 +419,84 @@ def _expand_objects(
     spec, seed: int, min_mtbu: float, errs: list[str]
 ) -> list[ObjectSpec]:
     if isinstance(spec, dict):
-        for key in spec.keys() - _OBJECTS_COMPACT_KEYS:
-            errs.append(f"objects: unknown key {key!r}")
-        count = _number(spec, "count", 0, "objects", errs, int)
-        if count < 0:
-            errs.append("objects.count: must be >= 0")
-            count = 0
-        prefix = spec.get("id_prefix", "obj")
-        if "mtbu_range" in spec:
-            bounds = spec["mtbu_range"]
-            if (
-                isinstance(bounds, (list, tuple)) and len(bounds) == 2
-                and all(_is_number(x) and math.isfinite(x) for x in bounds)
-            ):
-                if bounds[0] < min_mtbu:
-                    low = _too_many_writes(bounds[0], min_mtbu)
-                    errs.append(f"objects.mtbu_range: low end {low}")
-                rng = substream(seed, "object-params")
-                mtbus = rng.uniform(float(bounds[0]), float(bounds[1]), size=count)
-            else:
-                errs.append("objects.mtbu_range: must be two finite numbers")
-                mtbus = [1.0] * count  # placeholder; the document is rejected
+        v = _read_section(spec, "objects", SCHEMA["objects"], errs)
+        count, bounds = v["count"], v["mtbu_range"]
+        if bounds is None:
+            mtbus = [v["mtbu"]] * count
+        elif not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
+                  and all(map(_is_finite, bounds)) and bounds[0] <= bounds[1]):
+            errs.append("objects.mtbu_range: must be two finite numbers, low end first")
+            mtbus = [1.0] * count  # placeholder; the document is rejected
         else:
-            mtbus = [_number(spec, "mtbu", 100.0, "objects", errs)] * count
-        stdv = _number(
-            spec, "stdv_mtbu", 0.2 * float(np.mean(mtbus)) if count else 0.0,
-            "objects", errs,
-        )
-        width = len(str(max(count - 1, 1)))
+            if bounds[0] < min_mtbu:
+                low = _too_many_writes(bounds[0], min_mtbu)
+                errs.append(f"objects.mtbu_range: low end {low}")
+            rng = substream(seed, "object-params")
+            mtbus = rng.uniform(float(bounds[0]), float(bounds[1]), size=count)
+        stdv = v["stdv_mtbu"]
+        if stdv is None:
+            stdv = 0.2 * float(np.mean(mtbus)) if count else 0.0
+        ids = _numbered(v["id_prefix"], count)
         return [
-            ObjectSpec(f"{prefix}{i:0{width}d}", float(mtbus[i]), stdv)
-            for i in range(count)
+            ObjectSpec(ids[i], float(mtbus[i]), stdv, reachable=True) for i in range(count)
         ]
     if not isinstance(spec, list):
         errs.append(f"objects: must be a list or a mapping, got {type(spec).__name__}")
         return []
-    out = []
-    for i, o in enumerate(spec):
-        where = f"objects[{i}]"
-        if not isinstance(o, dict):
-            errs.append(f"{where}: must be a mapping, got {type(o).__name__}")
-            continue
-        for key in o.keys() - _OBJECT_KEYS:
-            errs.append(f"{where}: unknown key {key!r}")
-        missing = [key for key in ("object_id", "mtbu") if key not in o]
-        for key in missing:
-            errs.append(f"{where}: missing key {key!r}")
-        if missing:
-            continue
-        out.append(
-            ObjectSpec(
-                str(o["object_id"]), _number(o, "mtbu", 100.0, where, errs),
-                _number(o, "stdv_mtbu", 0.0, where, errs),
-                _flag(o, "reachable", True, where, errs),
-            )
-        )
-    return out
+    return [ObjectSpec(**v) for v in _read_entries(spec, "objects", SCHEMA["objects[]"], errs)]
 
 
-def _expand_clients(spec, errs: list[str]) -> list[ClientSpec]:
-    def parse_one(c: dict, where: str, client_id: str) -> ClientSpec | None:
-        try:
-            policy = PolicyKind(c.get("policy", "lru"))
-        except ValueError:
-            errs.append(f"{where}: unknown policy {c.get('policy')!r}")
-            return None
-        qos_d = _mapping(c.get("qos", {}), f"{where}.qos", errs)
-        qos = {str(k): _number(qos_d, k, 0.0, f"{where}.qos", errs) for k in qos_d}
-        providers = c.get("providers", ())
-        if not isinstance(providers, (list, tuple)):
-            errs.append(f"{where}.providers: must be a list")
-            providers = ()
+def _expand_clients(spec, duration: int, errs: list[str]) -> list[ClientSpec]:
+    def read(c, where: str, rows: dict[str, Field]) -> dict | None:
+        v = _read_section(c, where, rows, errs)
+        if v is not None:
+            v["qos"] = _read_map(v["qos"], f"{where}.qos", _QOS, errs)
+            if v["request_rate"] * duration > _MAX_EVENTS:
+                errs.append(
+                    f"{where}.request_rate: {v['request_rate']!r} is above "
+                    f"{_MAX_EVENTS} / duration_slots = {_MAX_EVENTS / duration!r}, "
+                    f"more than {_MAX_EVENTS} requests per client"
+                )
+        return v
+
+    def client(v: dict, client_id: str) -> ClientSpec:
         return ClientSpec(
-            client_id, _number(c, "cache_capacity", 8, where, errs, int), policy,
-            _number(c, "default_qos", 0.0, where, errs),
-            _number(c, "request_rate", 0.0, where, errs),
-            qos, tuple(providers),
+            client_id, v["cache_capacity"], PolicyKind(v["policy"]),
+            v["default_qos"], v["request_rate"], dict(v["qos"]),
+            tuple(v.get("providers", ())),
         )
 
     if isinstance(spec, dict):
-        for key in spec.keys() - _CLIENTS_COMPACT_KEYS:
-            errs.append(f"clients: unknown key {key!r}")
-        count = _number(spec, "count", 0, "clients", errs, int)
-        if count < 0:
-            errs.append("clients.count: must be >= 0")
-            count = 0
-        prefix = spec.get("id_prefix", "client")
-        width = len(str(max(count - 1, 1)))
-        template = parse_one(spec, "clients", prefix) if count else None
-        if template is None:
-            return []
-        return [
-            replace(
-                template, client_id=f"{prefix}{i:0{width}d}",
-                qos_overrides=dict(template.qos_overrides),
-            )
-            for i in range(count)
-        ]
+        v = read(spec, "clients", SCHEMA["clients"])
+        return [client(v, cid) for cid in _numbered(v["id_prefix"], v["count"])]
     if not isinstance(spec, list):
         errs.append(f"clients: must be a list or a mapping, got {type(spec).__name__}")
         return []
-    out = []
-    for i, c in enumerate(spec):
-        if not isinstance(c, dict):
-            errs.append(f"clients[{i}]: must be a mapping, got {type(c).__name__}")
-            continue
-        for key in c.keys() - _CLIENT_KEYS:
-            errs.append(f"clients[{i}]: unknown key {key!r}")
-        if "client_id" not in c:
-            errs.append(f"clients[{i}]: missing key 'client_id'")
-            continue
-        parsed = parse_one(c, f"clients[{i}]", str(c["client_id"]))
-        if parsed is not None:
-            out.append(parsed)
-    return out
+    entries = (
+        read(c, f"clients[{i}]", SCHEMA["clients[]"]) for i, c in enumerate(spec)
+    )
+    return [client(v, v["client_id"]) for v in entries if v is not None]
 
 
 def _expand_adjacency(
     spec, client_ids: list[str], errs: list[str]
 ) -> dict[str, set[str]]:
+    adj: dict[str, set[str]] = {cid: set() for cid in client_ids}
     if spec is None:
-        return {cid: set() for cid in client_ids}
+        return adj
     if not isinstance(spec, dict):
         errs.append(f"adjacency: must be a mapping, got {type(spec).__name__}")
-        return {cid: set() for cid in client_ids}
+        return adj
     if spec.get("kind") == "ring":
-        degree = _number(spec, "degree", 2, "adjacency", errs, int)
-        half = degree // 2
+        degree = _read_section(spec, "adjacency", SCHEMA["adjacency"], errs)["degree"]
         n = len(client_ids)
-        adj: dict[str, set[str]] = {cid: set() for cid in client_ids}
+        # a step past n // 2 reaches a neighbour a smaller step already has
         for i, cid in enumerate(client_ids):
-            for step in range(1, half + 1):
+            for step in range(1, min(degree // 2, n // 2) + 1):
                 adj[cid].add(client_ids[(i + step) % n])
                 adj[cid].add(client_ids[(i - step) % n])
             adj[cid].discard(cid)
         return adj
-    adj = {cid: set() for cid in client_ids}
     known = set(client_ids)
     for cid, neighbors in spec.items():
         if cid == "kind":
@@ -388,7 +509,7 @@ def _expand_adjacency(
             errs.append(f"adjacency[{cid}]: must be a list")
             continue
         for nid in neighbors:
-            if nid not in known:
+            if not (isinstance(nid, str) and nid in known):
                 errs.append(f"adjacency[{cid}]: unknown neighbour {nid!r}")
             elif nid != cid:
                 adj[cid].add(nid)
@@ -404,26 +525,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     errs: list[str] = []
     if not isinstance(data, dict):
         raise ScenarioError(["scenario document must be a mapping"])
-    for key in data.keys() - _TOP_KEYS:
-        errs.append(f"unknown key {key!r}")
-    schema_id = data.get("schema_id", SCHEMA_ID)
-    if schema_id != SCHEMA_ID:
-        errs.append(f"schema_id: expected {SCHEMA_ID!r}, got {schema_id!r}")
+    top = _read_section(data, "", SCHEMA[""], errs)
+    mode, duration = top["resolution_mode"], top["duration_slots"]
 
-    seed = _number(data, "seed", 0, "", errs, int)
-    if seed < 0:
-        errs.append("seed: must be >= 0")
-        seed = 0
-    duration = _number(data, "duration_slots", 0, "", errs, int)
-    if duration < 0:
-        errs.append("duration_slots: must be >= 0")
-        duration = 0
-
-    min_mtbu = duration / _MAX_WRITES_PER_OBJECT
-    objects = _expand_objects(data.get("objects", []), seed, min_mtbu, errs)
-    # _number rejects a NaN or infinite field, but a draw from an extreme
-    # mtbu_range, or the stdv derived from it, can still overflow: such a
-    # parameter would loop forever, run silently or crash the run
+    min_mtbu = duration / _MAX_EVENTS
+    objects = _expand_objects(top["objects"], top["seed"], min_mtbu, errs)
+    # a draw from an extreme mtbu_range, or the stdv derived from it, can
+    # overflow: such a parameter would loop forever, run silently or crash
     for i, o in enumerate(objects):
         if not 0 < o.mtbu <= _MAX_MTBU:
             errs.append(f"objects[{i}]: mtbu must be finite and in (0, {_MAX_MTBU:g}]")
@@ -433,102 +541,40 @@ def scenario_from_dict(data: dict) -> Scenario:
             errs.append(
                 f"objects[{i}]: stdv_mtbu must be finite and in [0, {_MAX_MTBU:g}]"
             )
-    if len({o.object_id for o in objects}) != len(objects):
+    object_ids = {o.object_id for o in objects}
+    if len(object_ids) != len(objects):
         errs.append("objects: duplicate object ids")
 
-    clients = _expand_clients(data.get("clients", []), errs)
+    clients = _expand_clients(top["clients"], duration, errs)
     if len({c.client_id for c in clients}) != len(clients):
         errs.append("clients: duplicate client ids")
-    object_ids = {o.object_id for o in objects}
     for i, c in enumerate(clients):
-        if c.cache_capacity < 1:
-            errs.append(f"clients[{i}]: cache_capacity must be >= 1")
-        if not 0.0 <= c.default_qos <= 1.0:
-            errs.append(f"clients[{i}]: default_qos must be in [0, 1]")
-        if not (math.isfinite(c.request_rate) and c.request_rate >= 0):
-            errs.append(f"clients[{i}]: request_rate must be finite and >= 0")
-        for oid, q in c.qos_overrides.items():
+        for oid in c.qos_overrides:
             if oid not in object_ids:
                 errs.append(f"clients[{i}].qos: unknown object {oid!r}")
-            if not 0.0 <= q <= 1.0:
-                errs.append(f"clients[{i}].qos[{oid}]: must be in [0, 1]")
         for oid in c.providers:
-            if oid not in object_ids:
+            if not (isinstance(oid, str) and oid in object_ids):
                 errs.append(f"clients[{i}].providers: unknown object {oid!r}")
 
     adjacency = _expand_adjacency(
-        data.get("adjacency"), [c.client_id for c in clients], errs
+        top["adjacency"], [c.client_id for c in clients], errs
     )
-
-    toggles = _mapping(data.get("toggles", {}), "toggles", errs)
-    for key in toggles.keys() - {"p2p", "caching", "overhearing"}:
-        errs.append(f"toggles: unknown key {key!r}")
-    caching = _flag(toggles, "caching", True, "toggles", errs)
-    p2p = _flag(toggles, "p2p", True, "toggles", errs)
-    overhearing = _flag(toggles, "overhearing", False, "toggles", errs)
-    workload = _mapping(data.get("workload", {}), "workload", errs)
-    for key in workload.keys() - {"zipf_theta"}:
-        errs.append(f"workload: unknown key {key!r}")
-    zipf_theta = _number(workload, "zipf_theta", 0.8, "workload", errs)
-    if zipf_theta < 0:
-        errs.append("workload.zipf_theta: must be >= 0")
-
-    costs_d = _mapping(data.get("costs", {}), "costs", errs)
-    for key in costs_d.keys() - {"local", "hop", "source"}:
-        errs.append(f"costs: unknown key {key!r}")
-    costs = LinkCosts(
-        _number(costs_d, "local", 0.0, "costs", errs),
-        _number(costs_d, "hop", 1.0, "costs", errs),
-        _number(costs_d, "source", 5.0, "costs", errs),
-    )
-    if min(costs.local, costs.hop, costs.source) < 0:
-        errs.append("costs: latencies must be >= 0")
-
-    mode = data.get("resolution_mode", "p2p")
-    if mode not in ("p2p", "broadcast"):
-        errs.append(f"resolution_mode: must be 'p2p' or 'broadcast', got {mode!r}")
+    toggles = _read_section(top["toggles"], "toggles", SCHEMA["toggles"], errs)
+    workload = _read_section(top["workload"], "workload", SCHEMA["workload"], errs)
+    costs = LinkCosts(**_read_section(top["costs"], "costs", SCHEMA["costs"], errs))
 
     cell = None
-    if "cell" in data:
-        c = _mapping(data["cell"], "cell", errs)
-        for key in c.keys() - _CELL_KEYS:
-            errs.append(f"cell: unknown key {key!r}")
-        cm = _mapping(c.get("cost_model", {}), "cell.cost_model", errs)
+    if top["cell"] is not None:
+        c = _read_section(top["cell"], "cell", SCHEMA["cell"], errs)
+        cm = _read_section(
+            c.pop("cost_model"), "cell.cost_model", SCHEMA["cell.cost_model"], errs
+        )
         try:
-            cost_model = retrieval.CostModel(
-                _number(cm, "switch_slots", 1, "cell.cost_model", errs, int),
-                _number(cm, "e_active", 1.0, "cell.cost_model", errs),
-                _number(cm, "e_doze", 0.05, "cell.cost_model", errs),
-                _number(cm, "e_switch", 0.5, "cell.cost_model", errs),
-            )
+            cost_model = retrieval.CostModel(**cm)
         except ValueError as e:
             errs.append(f"cell.cost_model: {e}")
             cost_model = retrieval.CostModel()
-        cell = CellSpec(
-            channels=_number(c, "channels", 1, "cell", errs, int),
-            scheme=str(c.get("scheme", "one_m")),
-            m=_number(c, "m", 1, "cell", errs, int),
-            slot_duration=_number(c, "slot_duration", 1.0, "cell", errs),
-            dedicated_index_channel=_flag(c, "dedicated_index_channel", False, "cell", errs),
-            total_bandwidth=_number(c, "total_bandwidth", 10.0, "cell", errs),
-            request_size=_number(c, "request_size", 0.25, "cell", errs),
-            threshold=_number(c, "threshold", math.inf, "cell", errs, allow_inf=True),
-            batching_window=_number(c, "batching_window", 0.0, "cell", errs),
-            replan_interval=_number(c, "replan_interval", 0, "cell", errs, int),
-            cost_model=cost_model,
-        )
-        if cell.channels < 1:
-            errs.append("cell.channels: must be >= 1")
-        if cell.total_bandwidth <= 0:
-            errs.append("cell.total_bandwidth: must be > 0")
-        if cell.request_size < 0:
-            errs.append("cell.request_size: must be >= 0")
-        if cell.batching_window < 0:
-            errs.append("cell.batching_window: must be >= 0")
-        if cell.scheme not in ("none", "distributed", "once_per_cycle", "one_m"):
-            errs.append(f"cell.scheme: unknown scheme {cell.scheme!r}")
-        if cell.m < 1:
-            errs.append("cell.m: must be >= 1")
+        cell = CellSpec(**c, cost_model=cost_model)
         if cell.dedicated_index_channel and cell.channels < 2:
             errs.append("cell.dedicated_index_channel: needs at least 2 channels")
         if mode == "broadcast" and cell.scheme == "none":
@@ -541,49 +587,18 @@ def scenario_from_dict(data: dict) -> Scenario:
     if mode == "broadcast" and not objects:
         errs.append("resolution_mode 'broadcast' requires at least one object")
 
-    cache_d = _mapping(data.get("cache", {}), "cache", errs)
-    for key in cache_d.keys() - {"default_ttl", "tick_interval", "read_window"}:
-        errs.append(f"cache: unknown key {key!r}")
-    default_ttl = None
-    if cache_d.get("default_ttl") is not None:
-        default_ttl = _number(cache_d, "default_ttl", None, "cache", errs, allow_inf=True)
-        if default_ttl is not None and default_ttl <= 0:
-            errs.append("cache.default_ttl: must be > 0")
-    tick_interval = _number(cache_d, "tick_interval", 1, "cache", errs, int)
-    if tick_interval < 1:
-        errs.append("cache.tick_interval: must be >= 1")
-    read_window = _number(cache_d, "read_window", 256, "cache", errs, int)
-    if read_window < 2:
-        errs.append("cache.read_window: must be >= 2")
-
-    burnin = _number(data, "history_burnin", 12, "", errs, int)
-    if burnin < 3:
-        errs.append("history_burnin: need at least 3 writes for usable statistics")
-
-    if data.get("fidelity") is not None:
-        _read_fidelity(data["fidelity"], errs)
+    cache = _read_section(top["cache"], "cache", SCHEMA["cache"], errs)
+    section = None
+    if top["fidelity"] is not None:
+        section = _read_fidelity(top["fidelity"], errs)
 
     if errs:
         raise ScenarioError(errs)
     return Scenario(
-        seed=seed,
-        duration_slots=duration,
-        objects=tuple(objects),
-        clients=tuple(clients),
-        adjacency=adjacency,
-        resolution_mode=mode,
-        caching=caching,
-        p2p=p2p,
-        overhearing=overhearing,
-        zipf_theta=zipf_theta,
-        costs=costs,
-        cell=cell,
-        default_ttl=default_ttl,
-        tick_interval=tick_interval,
-        read_window=read_window,
-        history_burnin=burnin,
-        fidelity_config=data.get("fidelity"),
-        schema_id=schema_id,
+        schema_id=top["schema_id"], seed=top["seed"], duration_slots=duration,
+        resolution_mode=mode, history_burnin=top["history_burnin"],
+        objects=tuple(objects), clients=tuple(clients), adjacency=adjacency,
+        costs=costs, cell=cell, fidelity=section, **toggles, **workload, **cache,
     )
 
 
@@ -912,37 +927,21 @@ def plan_cell(
             list(result.partition.published),
             scenario.cell.channels,
             scenario.index_scheme(),
-            scenario.cell.slot_duration,
-            scenario.cell.dedicated_index_channel,
+            dedicated_index_channel=scenario.cell.dedicated_index_channel,
         )
     return result, program
 
 
-_FIDELITY_KEYS = {
-    "parameters", "utilities", "weights", "suppliers", "models", "limits",
-    "continuous_points",
-}
-
-
-def _read_fidelity(section, errs: list[str]) -> tuple | None:
-    """``(domain, suppliers, utilities, weights, models, limits, grid points)``
-    of a ``fidelity`` section, or None; every problem is a violation in ``errs``.
-    """
-    config = _mapping(section, "fidelity", errs)
-    for key in config.keys() - _FIDELITY_KEYS:
-        errs.append(f"fidelity: unknown key {key!r}")
-    limits = _mapping(config.get("limits") or {}, "fidelity.limits", errs)
-    for resource in limits:
-        _number(limits, resource, None, "fidelity.limits", errs, allow_inf=True)
-    points = _number(config, "continuous_points", 32, "fidelity", errs, int)
-    if points < 1:
-        errs.append("fidelity.continuous_points: must be >= 1")
-    missing = [k for k in ("parameters", "utilities", "weights", "suppliers")
-               if k not in config]
-    errs.extend(f"fidelity: missing key {k!r}" for k in missing)
+def _read_fidelity(section, errs: list[str]) -> FidelitySection | None:
+    """The ``fidelity`` section of a document, or None; every problem is a
+    violation in ``errs``."""
+    config = _read_section(section, "fidelity", SCHEMA["fidelity"], errs)
+    if config is None:
+        return None
+    limits = _read_map(config["limits"] or {}, "fidelity.limits", _LIMIT, errs)
     before = len(errs)
-    domain = fidelity.read_domain(config.get("parameters", []), "fidelity.parameters", errs)
-    if missing or len(errs) > before:
+    domain = fidelity.read_domain(config["parameters"], "fidelity.parameters", errs)
+    if len(errs) > before:
         return None
     params = domain.parameters
     try:
@@ -958,52 +957,60 @@ def _read_fidelity(section, errs: list[str]) -> tuple | None:
                     raise ValueError(f"{p.name}: a sigmoid needs numeric values")
                 utilities.append(fidelity.sigmoid_utility(float(lo), float(hi)))
         weights = [config["weights"][p.name] for p in params]
-        suppliers = [
-            fidelity.Supplier(s["supplier_id"], s["f_s"], domain)
-            for s in config["suppliers"]
-        ]
-        models = [
-            fidelity.ResourceModel(
-                m["resource_id"], tuple(m["coefficients"]), m["intercept"]
-            )
-            for m in config.get("models", [])
-        ]
     except KeyError as e:
         errs.append(f"fidelity: missing key {e}")
         return None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         errs.append(f"fidelity: {e}")
         return None
     if not all(_is_number(w) and 0 <= w <= 1 for w in weights):
         errs.append("fidelity.weights: must be numbers in [0, 1]")
-    if not suppliers:
+    suppliers = [
+        fidelity.Supplier(v["supplier_id"], v["f_s"], domain)
+        for v in _read_entries(
+            config["suppliers"], "fidelity.suppliers", SCHEMA["fidelity.suppliers[]"], errs
+        )
+    ]
+    models = [
+        fidelity.ResourceModel(v["resource_id"], tuple(v["coefficients"]), v["intercept"])
+        for v in _read_entries(
+            config["models"], "fidelity.models", SCHEMA["fidelity.models[]"], errs
+        )
+    ]
+    if config["suppliers"] == []:
         errs.append("fidelity.suppliers: need at least one supplier")
     for m in models:
-        terms = (*m.coefficients, m.intercept)
-        if len(terms) != len(params) + 1 or not all(
-            _is_number(x) and math.isfinite(x) for x in terms
-        ):
+        if len(m.coefficients) != len(params) or not all(map(_is_finite, m.coefficients)):
             errs.append(
                 f"fidelity.models: {m.resource_id!r} needs a finite coefficient "
                 f"for each of the {len(params)} parameters and a finite intercept"
             )
-    return domain, suppliers, utilities, weights, models, limits, points
+    return FidelitySection(
+        domain, tuple(suppliers), tuple(utilities), tuple(weights), tuple(models),
+        limits, config["continuous_points"],
+    )
 
 
-def _select_fidelity(config: dict) -> dict:
-    """The utility-maximal supplier and configuration.
+def _select_fidelity(section: FidelitySection) -> dict:
+    """The utility-maximal supplier and configuration; all None, after every
+    supplier, if no configuration fits the limits.
 
     Every supplier offers the one domain under the one set of models and
     limits, so the grid is filtered once for all of them.
     """
-    # scenario_from_dict has read the section without a violation
-    domain, suppliers, utilities, weights, models, limits, points = (
-        _read_fidelity(config, [])
+    feasible = fidelity.feasible_configs(
+        section.models, section.domain, section.limits, section.continuous_points
     )
-    feasible = fidelity.feasible_configs(models, domain, limits, points)
-    result = fidelity.maximize_utility(
-        suppliers, utilities, weights, {s.supplier_id: feasible for s in suppliers}
-    )
+    try:
+        result = fidelity.maximize_utility(
+            section.suppliers, section.utilities, section.weights,
+            {s.supplier_id: feasible for s in section.suppliers},
+        )
+    except fidelity.NoConfiguration as e:
+        return {
+            "supplier_id": None, "config": None, "utility": None,
+            "evaluated_suppliers": list(e.evaluated_suppliers),
+        }
     return {
         "supplier_id": result.supplier_id,
         "config": list(result.config),
@@ -1088,8 +1095,8 @@ def run(scenario: Scenario) -> Metrics:
         observed_requests = {o.object_id: 0 for o in scenario.objects}
         pending: dict[str, list[tuple[int, str, int, float]]] = {}
 
-    if scenario.fidelity_config is not None:
-        metrics.fidelity_selection = _select_fidelity(scenario.fidelity_config)
+    if scenario.fidelity is not None:
+        metrics.fidelity_selection = _select_fidelity(scenario.fidelity)
 
     query_seq = 0
 

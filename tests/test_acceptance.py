@@ -61,9 +61,7 @@ def test_criterion_2_half_cycle_wait():
     failures = []
     k, size, b_b = 8, 1.0, 4.0
     slot_duration = size / b_b
-    program = air_schedule.build_program(
-        [f"o{i}" for i in range(k)], 1, air_schedule.NONE, slot_duration=slot_duration
-    )
+    program = air_schedule.build_program([f"o{i}" for i in range(k)], 1, air_schedule.NONE)
     length = program.cycle_len_slots
     expected = (k * size) / (2.0 * b_b)
     rng = np.random.default_rng(202)

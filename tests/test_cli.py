@@ -135,6 +135,17 @@ class TestRunCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("seeds, lowest", [("-1", -1), ("2,-3", -3), ("-2..1", -2)])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, seeds, lowest):
+        # "-1" used to run nothing and report numpy's seeding error per seed
+        scenario = write_scenario(tmp_path, MINI)
+        out = tmp_path / "x"
+        code = main(["run", "--scenario", str(scenario), f"--seeds={seeds}",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: seeds must be >= 0, got {lowest}\n"
+        assert not out.exists()
+
 
 class TestCompareCommand:
     def run_pair(self, tmp_path, doc_a, doc_b):

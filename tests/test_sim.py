@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aircell import fidelity, p2p, sim
 from aircell.freshness import InvariantError
@@ -61,6 +63,13 @@ def broadcast_doc(seed=1, **over):
     }
     doc.update(over)
     return doc
+
+
+def violations(doc) -> list[str]:
+    """The violations ``scenario_from_dict`` raises for ``doc``."""
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    return err.value.violations
 
 
 def system_doc(seed=3):
@@ -475,6 +484,17 @@ class TestFidelitySelection:
         assert sel["utility"] == pytest.approx(0.9 * 0.7 * 1.0 ** 0.5)
         assert sel["evaluated_suppliers"] == ["near"]
 
+    def test_no_feasible_configuration_recorded(self):
+        # it used to escape run as fidelity.NoConfiguration
+        section = {**self.FIDELITY, "limits": {"bandwidth": 0.5}}
+        metrics = run(scenario_from_dict(p2p_doc(seed=41, fidelity=section)))
+        empty = {"supplier_id": None, "config": None, "utility": None,
+                 "evaluated_suppliers": ["near", "far"]}
+        assert metrics.fidelity_selection == empty
+        assert json.loads(metrics.to_json_bytes())["fidelity_selection"] == empty
+        counters = metrics.counters
+        assert counters["answered"] + counters["unresolved"] == counters["issued"] > 0
+
 
 class TestFidelitySection:
     """The fidelity section is read when the scenario is, not inside ``run``."""
@@ -549,6 +569,32 @@ class TestFidelitySection:
         run(scenario_from_dict(p2p_doc(seed=41, fidelity=TestFidelitySelection.FIDELITY)))
         assert len(calls) == 1
 
+    def test_supplier_and_model_entries(self):
+        section = {
+            **TestFidelitySelection.FIDELITY,
+            "suppliers": [{"supplier_id": "near", "f_s": 2}, {"f_s": 0.5, "note": 1}],
+            "models": [{"resource_id": "bandwidth", "coefficients": [0.2, 0.0],
+                        "intercept": math.nan}],
+        }
+        assert violations(p2p_doc(fidelity=section)) == [
+            "fidelity.suppliers[0].f_s: must be in [0, 1]",
+            "fidelity.suppliers[1]: unknown key 'note'",
+            "fidelity.suppliers[1]: missing key 'supplier_id'",
+            "fidelity.models[0]: intercept must be finite, got nan",
+        ]
+
+    def test_read_once(self, monkeypatch):
+        scn = scenario_from_dict(p2p_doc(seed=41, fidelity=TestFidelitySelection.FIDELITY))
+        assert isinstance(scn.fidelity, sim.FidelitySection)
+        assert scn.fidelity.limits == {"bandwidth": 8.0}
+        assert [s.supplier_id for s in scn.fidelity.suppliers] == ["near", "far"]
+
+        def read_again(*args):
+            raise AssertionError("the fidelity section was read again")
+
+        monkeypatch.setattr(sim, "_read_fidelity", read_again)
+        assert run(scn).fidelity_selection["config"] == [30, "high"]
+
 
 class TestScenarioValidation:
     def test_all_violations_collected(self):
@@ -586,8 +632,8 @@ FLOAT_FIELDS = [
     ("costs", "local"), ("costs", "hop"), ("costs", "source"),
     ("cell.cost_model", "e_active"), ("cell.cost_model", "e_doze"),
     ("cell.cost_model", "e_switch"),
-    ("cell", "slot_duration"), ("cell", "total_bandwidth"),
-    ("cell", "request_size"), ("cell", "threshold"), ("cell", "batching_window"),
+    ("cell", "total_bandwidth"), ("cell", "request_size"), ("cell", "threshold"),
+    ("cell", "batching_window"),
     ("cache", "default_ttl"),
 ]
 # fields where +inf reads as "no limit"
@@ -859,6 +905,221 @@ class TestUpdateRate:
         assert metrics.counters["answered"] == metrics.counters["issued"] > 0
 
 
+class TestBoundaryEscapes:
+    """Documents that used to pass the reader and then crash or hang."""
+
+    def test_reversed_mtbu_range(self):
+        # it used to escape as numpy's ValueError: high - low < 0
+        doc = p2p_doc(objects={"count": 3, "mtbu_range": [200.0, 20.0]})
+        assert violations(doc) == [
+            "objects.mtbu_range: must be two finite numbers, low end first"
+        ]
+
+    def test_huge_ring_degree(self):
+        # it used to loop over 5e11 steps per client
+        scn = scenario_from_dict(p2p_doc(adjacency={"kind": "ring", "degree": 10**12}))
+        ids = [c.client_id for c in scn.clients]
+        assert scn.adjacency == {cid: set(ids) - {cid} for cid in ids}
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_ring_neighbours_at_every_degree(self, n):
+        ids = [f"c{i}" for i in range(n)]
+        for degree in range(2 * n + 3):
+            half = degree // 2
+            doc = p2p_doc(clients=[{"client_id": cid} for cid in ids],
+                          adjacency={"kind": "ring", "degree": degree})
+            expected = {
+                cid: {ids[(i + step) % n] for step in range(-half, half + 1)} - {cid}
+                for i, cid in enumerate(ids)
+            }
+            assert scenario_from_dict(doc).adjacency == expected
+
+    def test_negative_ring_degree(self):
+        # it used to give every client no neighbour
+        doc = p2p_doc(adjacency={"kind": "ring", "degree": -4})
+        assert violations(doc) == ["adjacency.degree: must be >= 0"]
+
+    def test_request_rate_past_a_million_requests(self):
+        # generate_workload used to draw about 4e17 arrivals
+        doc = p2p_doc(clients={"count": 1, "request_rate": 1e15})
+        assert violations(doc) == [
+            "clients.request_rate: 1000000000000000.0 is above 1000000 / "
+            "duration_slots = 2500.0, more than 1000000 requests per client"
+        ]
+
+    def test_request_rate_at_the_bound_parses(self):
+        doc = p2p_doc(clients=[{"client_id": "a", "request_rate": 2500.0}])
+        assert scenario_from_dict(doc).clients[0].request_rate == 2500.0
+        doc["clients"][0]["request_rate"] = 2500.5
+        assert violations(doc) == [
+            "clients[0].request_rate: 2500.5 is above 1000000 / duration_slots = "
+            "2500.0, more than 1000000 requests per client"
+        ]
+
+
+class TestIdFields:
+    """Ids are JSON strings that encode as UTF-8."""
+
+    @pytest.mark.parametrize("value, problem", [
+        (None, "a string"), (["a"], "a string"), (7, "a string"),
+        ("a\ud800", "valid UTF-8"),
+    ])
+    def test_object_client_and_prefix_ids(self, value, problem):
+        # None used to read as "None", ["a"] as "['a']"
+        docs = {
+            "objects[0].object_id": p2p_doc(objects=[{"object_id": value, "mtbu": 50.0}]),
+            "clients[0].client_id": p2p_doc(clients=[{"client_id": value}]),
+            "objects.id_prefix": p2p_doc(objects={"count": 2, "id_prefix": value}),
+            "clients.id_prefix": p2p_doc(clients={"count": 2, "id_prefix": value}),
+        }
+        for label, doc in docs.items():
+            assert violations(doc) == [f"{label}: must be {problem}, got {value!r}"]
+
+    @pytest.mark.parametrize("change, expected", [
+        ({"suppliers": [{"supplier_id": ["a"], "f_s": 0.5}]},
+         "fidelity.suppliers[0].supplier_id: must be a string, got ['a']"),
+        ({"models": [{"resource_id": ["bw"], "coefficients": [0.2, 0.0],
+                      "intercept": 1.0}]},
+         "fidelity.models[0].resource_id: must be a string, got ['bw']"),
+        ({"parameters": [{"name": ["x"], "kind": "discrete", "values": [1]}]},
+         "fidelity.parameters[0]: name must be a string, got ['x']"),
+    ])
+    def test_fidelity_ids(self, change, expected):
+        # each used to escape as TypeError: unhashable type: 'list'
+        section = {**TestFidelitySelection.FIDELITY, **change}
+        assert violations(p2p_doc(fidelity=section)) == [expected]
+
+    def test_lone_surrogate_rejected_before_the_csv(self):
+        # it used to run and write JSON, then fail in to_csv_bytes
+        doc = {"seed": 1, "duration_slots": 50,
+               "objects": [{"object_id": "a\ud800", "mtbu": 20.0}],
+               "clients": {"count": 2, "request_rate": 0.3}}
+        assert violations(doc) == [
+            "objects[0].object_id: must be valid UTF-8, got 'a\\ud800'"
+        ]
+
+    def test_non_ascii_ids_run(self):
+        doc = {"seed": 1, "duration_slots": 50,
+               "objects": [{"object_id": "é,\"x", "mtbu": 20.0}],
+               "clients": {"count": 2, "request_rate": 0.3, "id_prefix": "ü"}}
+        metrics = run(scenario_from_dict(doc))
+        assert metrics.counters["issued"] > 0
+        assert "ü0" in metrics.to_csv_bytes().decode()
+
+
+def field_table() -> list[str]:
+    """The README's table of scalar fields, one line per row of the schema."""
+    kinds = {int: "integer", float: "number", bool: "boolean", str: "string",
+             list: "list"}
+
+    def default(row):
+        if row.default is sim._REQUIRED:
+            return "required"
+        if row.default is None:
+            return "absent"
+        return "`inf`" if row.default == math.inf else f"`{json.dumps(row.default)}`"
+
+    def bounds(row):
+        text = [f"[{row.lo}, {row.hi}]" if row.hi is not None
+                else f"> {row.above}" if row.above is not None
+                else f">= {row.lo}" if row.lo is not None else ""]
+        if row.no_limit:
+            text.append("`inf` = no limit")
+        return ", ".join(filter(None, text)) or "—"
+
+    return [
+        f"| `{section or '(top)'}` | `{row.key}` | "
+        + (", ".join(f"`{v}`" for v in row.kind) if isinstance(row.kind, tuple)
+           else kinds[row.kind])
+        + f" | {default(row)} | {bounds(row)} |"
+        for section, rows in sim.SCHEMA.items() for row in rows.values()
+        if row.kind is not object
+    ]
+
+
+class TestSchemaTable:
+    """One table declares every field; the reader applies its rows alike."""
+
+    def test_defaults_come_from_the_table(self):
+        scn = scenario_from_dict({})
+        top, cache = sim.SCHEMA[""], sim.SCHEMA["cache"]
+        assert (scn.seed, scn.history_burnin, scn.resolution_mode) == (
+            top["seed"].default, top["history_burnin"].default,
+            top["resolution_mode"].default,
+        )
+        assert (scn.default_ttl, scn.read_window) == (
+            cache["default_ttl"].default, cache["read_window"].default,
+        )
+        cell = scenario_from_dict({"cell": {}}).cell
+        for key, row in sim.SCHEMA["cell"].items():
+            if key != "cost_model":
+                assert getattr(cell, key) == row.default
+
+    def test_readme_lists_every_field(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        missing = [line for line in field_table() if line not in readme.splitlines()]
+        assert not missing
+
+    def test_slot_duration_is_gone(self):
+        doc = broadcast_doc()
+        doc["cell"]["slot_duration"] = 1.0
+        assert violations(doc) == ["cell: unknown key 'slot_duration'"]
+
+    def test_compact_clients_report_a_range_once(self):
+        doc = p2p_doc(clients={"count": 5, "cache_capacity": 0, "default_qos": 2.0,
+                               "qos": {"obj0": -1}})
+        assert violations(doc) == [
+            "clients.cache_capacity: must be >= 1",
+            "clients.default_qos: must be in [0, 1]",
+            "clients.qos.obj0: must be in [0, 1]",
+        ]
+
+    def test_allowed_strings(self):
+        doc = broadcast_doc(schema_id="v2", resolution_mode="both",
+                            clients=[{"client_id": "a", "policy": "fifo"}])
+        doc["cell"]["scheme"] = "all"
+        # in the order of the document's keys
+        assert violations(doc) == [
+            "resolution_mode: must be 'p2p' or 'broadcast', got 'both'",
+            "schema_id: must be 'aircell-scenario/1', got 'v2'",
+            "clients[0].policy: must be 'lru', 'ttl_drop', 'ttl_requery', 'cqf' or "
+            "'acqf', got 'fifo'",
+            "cell.scheme: must be 'none', 'distributed', 'once_per_cycle' or "
+            "'one_m', got 'all'",
+        ]
+
+    def test_ranges_of_other_sections(self):
+        doc = p2p_doc(costs={"hop": -1.0}, history_burnin=2,
+                      cache={"default_ttl": 0, "tick_interval": 0})
+        assert violations(doc) == [
+            "history_burnin: must be >= 3",
+            "costs.hop: must be >= 0",
+            "cache.default_ttl: must be > 0",
+            "cache.tick_interval: must be >= 1",
+        ]
+
+    def test_null_reads_as_absent_for_optional_fields(self):
+        doc = p2p_doc(adjacency=None, cell=None, fidelity=None,
+                      cache={"default_ttl": None})
+        doc["objects"]["stdv_mtbu"] = None
+        scn = scenario_from_dict(doc)
+        assert scn.cell is None and scn.fidelity is None and scn.default_ttl is None
+        assert scn.objects[0].stdv_mtbu == 0.2 * 120.0
+
+    def test_huge_integers_where_floats_go(self):
+        big = 10**400
+        doc = p2p_doc(objects={"count": 2, "mtbu_range": [1.0, big]},
+                      fidelity={**TestFidelitySelection.FIDELITY, "models": [
+                          {"resource_id": "bandwidth", "coefficients": [big, 0.0],
+                           "intercept": 1.0},
+                      ]})
+        assert violations(doc) == [
+            "objects.mtbu_range: must be two finite numbers, low end first",
+            "fidelity.models: 'bandwidth' needs a finite coefficient for each of "
+            "the 2 parameters and a finite intercept",
+        ]
+
+
 class TestUnrunnableCells:
     def test_dedicated_index_channel_needs_two_channels(self):
         doc = broadcast_doc()
@@ -908,3 +1169,163 @@ class TestInvariants:
         monkeypatch.setattr(sim, "Metrics", LeakyMetrics)
         with pytest.raises(InvariantError, match="issued"):
             run(scenario_from_dict(p2p_doc()))
+
+
+# --------------------------------------------------------------------------
+# Every document either raises ScenarioError or runs and conserves queries
+# --------------------------------------------------------------------------
+
+# (lo, hi) of the in-range draws of the fields that size a run, or that
+# another field's range depends on; the table's own bounds still apply
+SMALL = {
+    "duration_slots": (20, 120), "count": (1, 5), "request_rate": (0.05, 0.3),
+    "mtbu": (1, 300), "stdv_mtbu": (0, 60), "cache_capacity": (1, 6),
+    "read_window": (2, 16), "history_burnin": (3, 12), "degree": (0, 12),
+    "channels": (2, 4), "m": (1, 5), "replan_interval": (-3, 40),
+    "tick_interval": (1, 6), "continuous_points": (1, 6), "switch_slots": (1, 3),
+    "e_active": (0.5, 2), "e_doze": (0, 0.4), "e_switch": (0, 2),
+}
+# fields always drawn, so that most documents issue queries
+SIZES = {"duration_slots", "count", "request_rate"}
+# JSON values of every type, for a field of any kind
+ANY_JSON = st.sampled_from([None, True, False, 0, 3, -1, 2.5, "x", "", [], [1], {},
+                            {"k": 1}])
+
+
+def in_range(row: sim.Field):
+    """Values the table accepts for ``row``, run sizes kept small."""
+    if row.kind is bool:
+        return st.booleans()
+    if row.kind is str:
+        return st.text(max_size=3)
+    if isinstance(row.kind, tuple):
+        return st.sampled_from(row.kind)
+    lo, hi = SMALL.get(row.key, (-50, 50))
+    lo = max([lo] + [b for b in (row.lo, row.above) if b is not None])
+    hi = hi if row.hi is None else min(hi, row.hi)
+    if row.kind is int:
+        return st.integers(lo, hi)
+    values = st.floats(lo, hi, exclude_min=row.above is not None and lo <= row.above)
+    return st.one_of(values, st.just(math.inf)) if row.no_limit else values
+
+
+def out_of_range(row: sim.Field):
+    """Values of ``row``'s kind that the table rejects."""
+    if row.kind is str:
+        return st.just("a\ud800")
+    if isinstance(row.kind, tuple):
+        return st.text(max_size=3).filter(lambda s: s not in row.kind)
+    if row.kind not in (int, float):
+        return ANY_JSON
+    bad = [math.nan, -math.inf, 10**400]
+    if not row.no_limit:
+        bad.append(math.inf)
+    if row.kind is int:
+        bad += [0.5, 2**63, 1e300]
+    if row.lo is not None:
+        bad.append(row.lo - (1 if row.kind is int else 0.5))
+    if row.above is not None:
+        bad.append(row.above)
+    if row.hi is not None:
+        bad.append(row.hi + 0.5)
+    return st.sampled_from(bad)
+
+
+def section(draw, name: str, **given) -> dict:
+    """Section ``name`` with the values in ``given`` (None leaves a key out),
+    and in-range values for its other required fields, its run sizes and a
+    drawn subset of the rest."""
+    out = {}
+    for key, row in sim.SCHEMA[name].items():
+        if key in given:
+            if given[key] is not None:
+                out[key] = given[key]
+        elif row.kind is not object and (
+            row.default is sim._REQUIRED or key in SIZES or draw(st.booleans())
+        ):
+            out[key] = draw(in_range(row))
+    return out
+
+
+def sections_of(doc: dict):
+    """(table section, mapping) of every section of the table the document
+    holds; a section ending in ``[]`` is each mapping of a list."""
+    for path in sim.SCHEMA:
+        nodes = [doc]
+        for name in filter(None, path.removesuffix("[]").split(".")):
+            nodes = [node[name] for node in nodes if isinstance(node, dict) and name in node]
+        if path.endswith("[]"):
+            nodes = [entry for node in nodes if isinstance(node, list) for entry in node]
+        yield from ((path, node) for node in nodes if isinstance(node, dict))
+
+
+def some(draw, values: list) -> list:
+    return draw(st.lists(st.sampled_from(values), max_size=3, unique=True)) if values else []
+
+
+@st.composite
+def documents(draw):
+    """A document of in-range values from the table, then a few of its
+    fields set to out-of-range or wrongly typed values."""
+    object_ids = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=4,
+                               unique=True))
+    if draw(st.booleans()):
+        low = draw(st.floats(1, 300))
+        mtbu_range = draw(st.sampled_from([None, [low, low * 2]]))
+        objects = section(draw, "objects", mtbu_range=mtbu_range)
+        object_ids = []
+    else:
+        objects = [section(draw, "objects[]", object_id=oid) for oid in object_ids]
+
+    def client(name: str, **given) -> dict:
+        qos = {oid: draw(in_range(sim._QOS)) for oid in some(draw, object_ids)}
+        return section(draw, name, qos=qos, **given)
+
+    client_ids = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=4,
+                               unique=True))
+    if draw(st.booleans()):
+        clients = client("clients")
+        client_ids = []
+    else:
+        clients = [client("clients[]", client_id=cid, providers=some(draw, object_ids))
+                   for cid in client_ids]
+    adjacency = draw(st.sampled_from([None, "ring", "map"]))
+    if adjacency == "ring":
+        adjacency = section(draw, "adjacency")
+    elif adjacency == "map":
+        adjacency = {cid: some(draw, client_ids) for cid in some(draw, client_ids)}
+    mode = draw(st.sampled_from(sim.SCHEMA[""]["resolution_mode"].kind))
+    cell = None
+    if mode == "broadcast" or draw(st.booleans()):
+        cell = section(draw, "cell", cost_model=section(draw, "cell.cost_model"))
+    fidelity_section = None
+    if draw(st.booleans()):
+        limits = {"bandwidth": draw(in_range(sim._LIMIT))}
+        fidelity_section = {**json.loads(json.dumps(TestFidelitySelection.FIDELITY)),
+                            **section(draw, "fidelity", limits=limits)}
+    doc = section(
+        draw, "", resolution_mode=mode, objects=objects, clients=clients,
+        adjacency=adjacency, toggles=section(draw, "toggles"),
+        workload=section(draw, "workload"), costs=section(draw, "costs"),
+        cache=section(draw, "cache"), cell=cell, fidelity=fidelity_section,
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        name, mapping = draw(st.sampled_from(list(sections_of(doc))))
+        row = draw(st.sampled_from(list(sim.SCHEMA[name].values())))
+        mapping[row.key] = draw(st.one_of(out_of_range(row), ANY_JSON))
+    return doc
+
+
+class TestEveryDocument:
+    @settings(max_examples=300, deadline=None)
+    @given(documents())
+    def test_rejected_or_conserving(self, doc):
+        try:
+            scn = scenario_from_dict(doc)
+        except ScenarioError:
+            return
+        metrics = run(scn)
+        counters = metrics.counters
+        assert counters["answered"] + counters["unresolved"] == counters["issued"]
+        metrics.to_json_bytes()
+        metrics.to_csv_bytes()
