@@ -49,7 +49,6 @@ class ReadStats:
 @dataclass
 class CacheEntry:
     object_id: str
-    payload: bytes
     source_stats_snapshot: FreshnessStats
     cached_at: float
     ttl: float | None = None

@@ -26,6 +26,7 @@ from .sim import (
     ScenarioError,
     initial_rates,
     plan_cell,
+    plan_summary,
     run,
     scenario_from_dict,
 )
@@ -179,14 +180,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_dump_program(args: argparse.Namespace) -> int:
+def _cell_scenario(path: str) -> Scenario | None:
+    """The scenario at ``path`` if it parses and has a cell section;
+    otherwise None, with the error on stderr."""
     try:
-        scenario = parse_scenario(args.scenario)
+        scenario = parse_scenario(path)
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return None
     if scenario.cell is None:
         print("error: scenario has no cell section", file=sys.stderr)
+        return None
+    return scenario
+
+
+def cmd_dump_program(args: argparse.Namespace) -> int:
+    scenario = _cell_scenario(args.scenario)
+    if scenario is None:
         return 2
     _, program = plan_cell(scenario, initial_rates(scenario))
     if program is None:
@@ -257,24 +267,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    try:
-        scenario = parse_scenario(args.scenario)
-    except ScenarioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    if scenario.cell is None:
-        print("error: scenario has no cell section", file=sys.stderr)
+    scenario = _cell_scenario(args.scenario)
+    if scenario is None:
         return 2
     result, _ = plan_cell(scenario, initial_rates(scenario))
     report = {
-        "feasible": result.feasible,
-        "published_count": len(result.partition.published),
-        "published": list(result.partition.published),
+        **plan_summary(result),
         "on_demand_count": len(result.partition.on_demand),
-        "b_b": result.partition.b_b,
-        "b_d": result.partition.b_d,
-        "expected_access_raw": result.access.raw,
-        "expected_access_normalized": result.access.normalized,
         "threshold": scenario.cell.threshold,
     }
     print(json.dumps(report, sort_keys=True, indent=2))

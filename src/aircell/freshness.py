@@ -30,7 +30,7 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class FreshnessStats:
-    """Update statistics a source hands out alongside every payload.
+    """Update statistics a source hands out with every read.
 
     mtbu and stdv_mtbu are in simulation time units; stdv_mtbu is the
     population standard deviation (divide by n) of the recorded intervals.
@@ -133,11 +133,12 @@ def accepts(qos: float, p_nm: float) -> bool:
 
 @dataclass
 class SourceObject:
-    """A data object at its source: current payload plus update history.
+    """A data object at its source: its update history.
 
-    The payload encodes the write time that produced it, so consumers can
-    account staleness without a side channel. ``reachable`` models a source
-    that cannot currently be queried directly.
+    A read hands out the history's statistics; their ``t_last_update`` is
+    the write the reader sees, so consumers account staleness from the
+    snapshot alone. ``reachable`` models a source that cannot currently be
+    queried directly.
     """
 
     object_id: str
@@ -153,10 +154,7 @@ class SourceObject:
             raise InsufficientHistory(f"{self.object_id}: no writes recorded")
         return self.log.update_times[-1]
 
-    def payload(self) -> bytes:
-        return f"{self.object_id}@{self.t_last_update!r}".encode()
-
-    def read(self, now: float) -> tuple[bytes, FreshnessStats]:
-        """A fresh source read: current payload and the stats snapshot."""
+    def read(self, now: float) -> FreshnessStats:
+        """A fresh source read: the stats snapshot of the latest write."""
         del now  # reads always reflect the latest write
-        return self.payload(), self.log.stats()
+        return self.log.stats()

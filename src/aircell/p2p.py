@@ -1,21 +1,23 @@
 """Query resolution among cooperating clients in one cell.
 
 Each client hosts an information manager that resolves service queries
-through a fixed chain: own cache, locally registered provider, a one-hop
-broadcast to neighbours (who may answer from cache or a provider of their
-own, never re-broadcasting), and finally the data source itself. Cached
-answers are used only when their not-modified probability meets the
-querier's QoS setting; when several neighbours can answer, the freshest
-copy wins.
+through a fixed chain: its own answer (cache, then locally registered
+provider), a one-hop broadcast to neighbours (who answer the same way,
+never re-broadcasting), and finally the data source itself. A cached copy
+is used only when its not-modified probability meets the querier's QoS
+setting; when several neighbours can answer, the freshest copy wins, the
+lowest client id on ties. An answer carries the source's update statistics,
+whose ``t_last_update`` is the write it reflects, and no data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .cache import CacheEntry, ClientCache
-from .freshness import SourceObject, accepts, p_not_modified_or_zero
+from .freshness import FreshnessStats, SourceObject, accepts, p_not_modified_or_zero
 
 
 class Resolution(str, Enum):
@@ -36,38 +38,26 @@ class LinkCosts:
     source: float = 5.0
 
 
-@dataclass(frozen=True)
-class NeighborQuery:
-    service_id: str
-    qos: float
-    sender_id: str
-    hops: int = 1
+class Answer(NamedTuple):
+    """A client's answer to a query: a cached copy or a provider read."""
 
-
-@dataclass(frozen=True)
-class NeighborResponse:
-    responder_id: str
-    kind: str  # "cache" | "provider"
-    payload: bytes
-    stats_snapshot: object
+    from_cache: bool
     p_nm: float
-    payload_write_time: float
+    stats: FreshnessStats
 
 
-@dataclass(frozen=True)
-class QueryOutcome:
+class QueryOutcome(NamedTuple):
     object_id: str
     resolution: Resolution
     latency: float
-    payload_age: float
     p_nm: float
     served_by: str | None
-    payload_write_time: float
-    payload: bytes | None
+    write_time: float  # the source write the answer reflects
 
 
 class P2PCell:
-    """Shared context: topology, data sources, link costs, toggles."""
+    """Shared context: topology, data sources, link costs, toggles, and the
+    information manager of each client, which registers itself."""
 
     def __init__(
         self,
@@ -77,65 +67,53 @@ class P2PCell:
         p2p_enabled: bool = True,
         overhearing: bool = False,
     ):
-        self.adjacency = adjacency
+        # in id order: the order neighbours are asked and overhear
+        self.neighbors = {cid: sorted(peers) for cid, peers in adjacency.items()}
         self.sources = sources
         self.costs = costs
         self.p2p_enabled = p2p_enabled
         self.overhearing = overhearing
         self.ims: dict[str, InformationManager] = {}
 
-    def register(self, im: "InformationManager") -> None:
-        self.ims[im.client_id] = im
-
-    def neighbors_of(self, client_id: str) -> list[str]:
-        return sorted(self.adjacency.get(client_id, set()))
-
 
 class InformationManager:
     """Per-client mediator between consumers, providers, and the cell."""
 
     def __init__(
-        self,
-        client_id: str,
-        cell: P2PCell,
-        query_cache: ClientCache | None = None,
+        self, client_id: str, cell: P2PCell, query_cache: ClientCache | None = None
     ):
         self.client_id = client_id
         self.cell = cell
         self.query_cache = query_cache
         self.providers: set[str] = set()
-        cell.register(self)
+        self.neighbors = cell.neighbors.get(client_id, [])
+        cell.ims[client_id] = self
 
     # -- provider registry ------------------------------------------------
 
     def register_provider(self, service_id: str) -> None:
         self.providers.add(service_id)
 
-    # -- serving neighbours ------------------------------------------------
+    # -- answering ---------------------------------------------------------
 
-    def handle_neighbor_query(
-        self, query: NeighborQuery, now: float
-    ) -> NeighborResponse | None:
-        """Answer a one-hop query from cache or a local provider, else stay silent."""
-        if query.hops > 1:
-            raise ValueError(f"query from {query.sender_id} traversed {query.hops} hops")
+    def _answer(self, service_id: str, qos: float, now: float) -> Answer | None:
+        """The cached copy if it meets ``qos``, else a read of a local
+        provider, else None. Recency-neutral: the cache is only peeked."""
         if self.query_cache is not None:
-            entry = self.query_cache.peek(query.service_id)
+            entry = self.query_cache.peek(service_id)
             if entry is not None:
                 p_nm = p_not_modified_or_zero(entry.source_stats_snapshot, now)
-                if accepts(query.qos, p_nm):
-                    return NeighborResponse(
-                        self.client_id, "cache", entry.payload,
-                        entry.source_stats_snapshot, p_nm,
-                        entry.source_stats_snapshot.t_last_update,
-                    )
-        if query.service_id in self.providers:
-            source = self.cell.sources[query.service_id]
-            payload, stats = source.read(now)
-            return NeighborResponse(
-                self.client_id, "provider", payload, stats, 1.0, stats.t_last_update
-            )
+                if accepts(qos, p_nm):
+                    return Answer(True, p_nm, entry.source_stats_snapshot)
+        if service_id in self.providers:
+            return Answer(False, 1.0, self.cell.sources[service_id].read(now))
         return None
+
+    def handle_neighbor_query(
+        self, service_id: str, qos: float, now: float
+    ) -> Answer | None:
+        """Answer a neighbour's one-hop query; the own step calls ``_answer``."""
+        return self._answer(service_id, qos, now)
 
     # -- the resolution chain ----------------------------------------------
 
@@ -144,86 +122,62 @@ class InformationManager:
         costs = self.cell.costs
         if self.query_cache is not None:
             self.query_cache.record_read(service_id, now)
-            entry = self.query_cache.peek(service_id)
-            if entry is not None:
-                p_nm = p_not_modified_or_zero(entry.source_stats_snapshot, now)
-                if accepts(qos, p_nm):
-                    self.query_cache.get(service_id, now)  # recency touch on a real hit
-                    write_t = entry.source_stats_snapshot.t_last_update
-                    return QueryOutcome(
-                        service_id, Resolution.LOCAL_CACHE, costs.local,
-                        now - write_t, p_nm, self.client_id, write_t, entry.payload,
-                    )
-
-        if service_id in self.providers:
-            source = self.cell.sources[service_id]
-            payload, stats = source.read(now)
+        answer = self._answer(service_id, qos, now)
+        if answer is not None:
+            if answer.from_cache:
+                self.query_cache.get(service_id, now)  # recency touch on a real hit
+                return QueryOutcome(
+                    service_id, Resolution.LOCAL_CACHE, costs.local, answer.p_nm,
+                    self.client_id, answer.stats.t_last_update,
+                )
             return self._finish(
-                service_id, Resolution.LOCAL_PROVIDER, costs.local,
-                now, 1.0, self.client_id, stats, payload,
+                service_id, Resolution.LOCAL_PROVIDER, costs.local, now,
+                answer, self.client_id,
             )
 
         if self.cell.p2p_enabled:
-            query = NeighborQuery(service_id, qos, self.client_id)
-            best: tuple[float, str, NeighborResponse] | None = None
-            for nid in self.cell.neighbors_of(self.client_id):
-                response = self.cell.ims[nid].handle_neighbor_query(query, now)
-                if response is None:
-                    continue
-                key = (-response.p_nm, response.responder_id)
-                if best is None or key < (best[0], best[1]):
-                    best = (key[0], key[1], response)
+            best, best_id = None, None
+            for nid in self.neighbors:  # in id order, so the first of equals wins
+                answer = self.cell.ims[nid].handle_neighbor_query(service_id, qos, now)
+                if answer is not None and (best is None or answer.p_nm > best.p_nm):
+                    best, best_id = answer, nid
             if best is not None:
-                response = best[2]
                 resolution = (
-                    Resolution.NEIGHBOR_CACHE
-                    if response.kind == "cache"
+                    Resolution.NEIGHBOR_CACHE if best.from_cache
                     else Resolution.NEIGHBOR_PROVIDER
                 )
                 return self._finish(
-                    service_id, resolution, 2 * costs.hop, now,
-                    response.p_nm, response.responder_id,
-                    response.stats_snapshot, response.payload,
+                    service_id, resolution, 2 * costs.hop, now, best, best_id
                 )
 
         source = self.cell.sources.get(service_id)
         if source is None:
             raise KeyError(f"no source serves {service_id}")
         if source.reachable:
-            payload, stats = source.read(now)
             return self._finish(
                 service_id, Resolution.SOURCE, costs.source, now,
-                1.0, "source", stats, payload,
+                Answer(False, 1.0, source.read(now)), "source",
             )
         return QueryOutcome(
-            service_id, Resolution.UNRESOLVED, costs.source, 0.0, 0.0, None, now, None
+            service_id, Resolution.UNRESOLVED, costs.source, 0.0, None, now
         )
 
     def _finish(
-        self,
-        service_id: str,
-        resolution: Resolution,
-        latency: float,
-        now: float,
-        p_nm: float,
-        served_by: str,
-        stats,
-        payload: bytes,
+        self, service_id: str, resolution: Resolution, latency: float, now: float,
+        answer: Answer, served_by: str,
     ) -> QueryOutcome:
-        write_t = stats.t_last_update
-        entry = CacheEntry(service_id, payload, stats, cached_at=now)
+        """Cache a copy of a fetched answer, and with overhearing a copy in
+        each neighbour but the one that served it; each cache gets its own
+        entry, since an entry's requery flag is its cache's alone."""
+        stats = answer.stats
         if self.query_cache is not None:
-            self.query_cache.insert(entry, now)
+            self.query_cache.insert(CacheEntry(service_id, stats, cached_at=now), now)
         if self.cell.overhearing:
-            for nid in self.cell.neighbors_of(self.client_id):
-                if nid == served_by:
-                    continue
+            for nid in self.neighbors:
                 peer = self.cell.ims[nid].query_cache
-                if peer is not None:
-                    peer.insert(
-                        CacheEntry(service_id, payload, stats, cached_at=now), now
-                    )
+                if nid != served_by and peer is not None:
+                    peer.insert(CacheEntry(service_id, stats, cached_at=now), now)
         return QueryOutcome(
-            service_id, resolution, latency, now - write_t,
-            p_nm, served_by, write_t, payload,
+            service_id, resolution, latency, answer.p_nm, served_by,
+            stats.t_last_update,
         )

@@ -421,6 +421,8 @@ def _expand_objects(
     if isinstance(spec, dict):
         v = _read_section(spec, "objects", SCHEMA["objects"], errs)
         count, bounds = v["count"], v["mtbu_range"]
+        if "mtbu" in spec and "mtbu_range" in spec:  # the raw keys: mtbu has a default
+            errs.append("objects: give mtbu or mtbu_range, not both")
         if bounds is None:
             mtbus = [v["mtbu"]] * count
         elif not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
@@ -979,6 +981,8 @@ def _read_fidelity(section, errs: list[str]) -> FidelitySection | None:
     ]
     if config["suppliers"] == []:
         errs.append("fidelity.suppliers: need at least one supplier")
+    if len({s.supplier_id for s in suppliers}) != len(suppliers):
+        errs.append("fidelity.suppliers: duplicate supplier ids")
     for m in models:
         if len(m.coefficients) != len(params) or not all(map(_is_finite, m.coefficients)):
             errs.append(
@@ -1048,7 +1052,6 @@ def run(scenario: Scenario) -> Metrics:
     broadcast = scenario.resolution_mode == "broadcast"
 
     processes: dict[str, _UpdateProcess] = {}
-    ims: dict[str, InformationManager] = {}
     ttl_caches: list[ClientCache] = []  # in client order, the order of ticks
     if not broadcast:
         processes = {
@@ -1074,7 +1077,6 @@ def run(scenario: Scenario) -> Metrics:
             im = InformationManager(spec.client_id, cell, cache)
             for service in spec.providers:
                 im.register_provider(service)
-            ims[spec.client_id] = im
 
     workload = generate_workload(scenario)
     by_slot: dict[int, list[tuple[str, str]]] = {}
@@ -1091,7 +1093,7 @@ def run(scenario: Scenario) -> Metrics:
         cost = scenario.cell.cost_model
         plan_result, program = plan_cell(scenario, initial_rates(scenario))
         batching = broadcast_plan.BatchingServer(scenario.cell.batching_window)
-        metrics.plan = _plan_summary(plan_result)
+        metrics.plan = plan_summary(plan_result)
         observed_requests = {o.object_id: 0 for o in scenario.objects}
         pending: dict[str, list[tuple[int, str, int, float]]] = {}
 
@@ -1137,7 +1139,7 @@ def run(scenario: Scenario) -> Metrics:
             new_result, new_program = plan_cell(scenario, observed_rates)
             if new_result.feasible:
                 program = new_program
-                metrics.plan = _plan_summary(new_result)
+                metrics.plan = plan_summary(new_result)
 
         for cid, oid in by_slot.get(t, ()):
             qid = query_seq
@@ -1174,11 +1176,11 @@ def run(scenario: Scenario) -> Metrics:
                 continue
 
             processes[oid].advance_to(t)
-            outcome = ims[cid].resolve_query(oid, qos, t)
-            if outcome.payload_write_time > t + 1:
+            outcome = cell.ims[cid].resolve_query(oid, qos, t)
+            if outcome.write_time > t + 1:
                 raise InvariantError(
                     f"query {qid}: {oid} answered with a write at "
-                    f"{outcome.payload_write_time}, after slot {t}"
+                    f"{outcome.write_time}, after slot {t}"
                 )
             if outcome.resolution is Resolution.UNRESOLVED:
                 counters["unresolved"] += 1
@@ -1189,7 +1191,7 @@ def run(scenario: Scenario) -> Metrics:
                 if outcome.resolution is Resolution.SOURCE:
                     counters["source_load"] += 1
                 record(qid, cid, oid, t, outcome.resolution.value,
-                       outcome.latency, outcome.payload_write_time,
+                       outcome.latency, outcome.write_time,
                        outcome.p_nm, qos)
 
         if broadcast:
@@ -1205,10 +1207,8 @@ def run(scenario: Scenario) -> Metrics:
                     if not process.source.reachable:
                         continue
                     process.advance_to(t)
-                    payload, stats = process.source.read(t)
-                    cache.insert(
-                        CacheEntry(action.object_id, payload, stats, cached_at=t), t
-                    )
+                    stats = process.source.read(t)
+                    cache.insert(CacheEntry(action.object_id, stats, cached_at=t), t)
                     counters["requeries"] += 1
                     counters["source_load"] += 1
 
@@ -1229,7 +1229,8 @@ def run(scenario: Scenario) -> Metrics:
     return metrics
 
 
-def _plan_summary(result: broadcast_plan.PartitionResult) -> dict:
+def plan_summary(result: broadcast_plan.PartitionResult) -> dict:
+    """The report of a partition: what ``Metrics.plan`` holds."""
     return {
         "published_count": len(result.partition.published),
         "published": list(result.partition.published),

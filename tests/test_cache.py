@@ -21,8 +21,7 @@ def stats(mtbu, stdv=0.0, t_last=0.0, n=10):
 
 
 def entry(oid, mtbu=100.0, cached_at=0.0, ttl=None, stdv=0.0, t_last=0.0):
-    return CacheEntry(oid, f"{oid}-payload".encode(), stats(mtbu, stdv, t_last),
-                      cached_at, ttl)
+    return CacheEntry(oid, stats(mtbu, stdv, t_last), cached_at, ttl)
 
 
 def reads_every(tracker: ReadTracker, oid: str, period: float, n: int, t0=0.0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aircell.cli import _with_seed, aggregate_summaries, main, parse_scenario
-from aircell.sim import ScenarioError, generate_workload, scenario_from_dict
+from aircell.sim import ScenarioError, generate_workload, run, scenario_from_dict
 
 MINI = {
     "seed": 1,
@@ -207,6 +207,23 @@ class TestPlanningCommands:
         assert report["feasible"] is True
         assert report["published_count"] + report["on_demand_count"] == 6
         assert report["b_b"] + report["b_d"] == pytest.approx(10.0)
+
+    def test_plan_stdout_matches_the_run_plan(self, tmp_path, capsys):
+        doc = self.broadcast_doc()
+        scenario = write_scenario(tmp_path, doc)
+        assert main(["plan", "--scenario", str(scenario)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert sorted(report) == [
+            "b_b", "b_d", "expected_access_normalized", "expected_access_raw",
+            "feasible", "on_demand_count", "published", "published_count",
+            "threshold",
+        ]
+        plan = run(scenario_from_dict(doc)).plan
+        assert report == {
+            **plan,
+            "on_demand_count": 6 - plan["published_count"],
+            "threshold": 0.2,
+        }
 
     def test_fit_recovers_planted_coefficients(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

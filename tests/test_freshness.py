@@ -168,8 +168,7 @@ class TestSourceObject:
         src = SourceObject("weather")
         for t in (0.0, 90.0, 210.0):
             src.write(t)
-        payload, snap = src.read(now=300.0)
-        assert payload == b"weather@210.0"
+        snap = src.read(now=300.0)
         assert snap.t_last_update == 210.0
         assert snap.n_intervals == 2
 

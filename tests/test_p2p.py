@@ -2,7 +2,7 @@ import pytest
 
 from aircell.cache import CacheEntry, ClientCache, PolicyKind
 from aircell.freshness import FreshnessStats, SourceObject, p_not_modified
-from aircell.p2p import InformationManager, NeighborQuery, P2PCell, Resolution
+from aircell.p2p import InformationManager, P2PCell, Resolution
 from oracles import normal_cdf
 
 MTBU, STDV = 100.0, 20.0
@@ -23,7 +23,7 @@ def elapsed_for_pnm(target_pnm: float) -> float:
 def aged_entry(oid: str, p_nm: float, now: float) -> CacheEntry:
     t_last = now - elapsed_for_pnm(p_nm)
     stats = FreshnessStats(MTBU, STDV, t_last, 10)
-    return CacheEntry(oid, f"{oid}@{t_last!r}".encode(), stats, cached_at=t_last)
+    return CacheEntry(oid, stats, cached_at=t_last)
 
 
 def make_cell(adjacency, object_ids=("svc",), **kwargs):
@@ -115,7 +115,7 @@ class TestChainOrder:
         im = make_im(cell, "a")
         outcome = im.resolve_query("svc", qos=0.9, now=10.0)
         assert outcome.resolution is Resolution.UNRESOLVED
-        assert outcome.payload is None
+        assert outcome.served_by is None
 
     def test_flood_is_one_hop_only(self):
         cell = make_cell({"a": {"b"}, "b": {"a", "c"}, "c": {"b"}})
@@ -124,38 +124,46 @@ class TestChainOrder:
         outcome = a.resolve_query("svc", qos=0.0, now=20.0)
         assert outcome.resolution is Resolution.SOURCE  # c is two hops away
 
-    def test_hop_counter_asserted(self):
-        cell = make_cell({"a": {"b"}, "b": {"a"}})
-        b = make_im(cell, "b")
-        with pytest.raises(ValueError):
-            b.handle_neighbor_query(NeighborQuery("svc", 0.0, "a", hops=2), now=0.0)
+    def test_each_neighbor_asked_once_never_the_querier(self, monkeypatch):
+        asked = []
+        handle = InformationManager.handle_neighbor_query
+
+        def counted(self, *args, **kwargs):
+            asked.append(self.client_id)
+            return handle(self, *args, **kwargs)
+
+        monkeypatch.setattr(InformationManager, "handle_neighbor_query", counted)
+        cell = make_cell({"a": {"b", "c"}, "b": {"a", "c"}, "c": {"a", "b"}})
+        a, b, c = make_im(cell, "a"), make_im(cell, "b"), make_im(cell, "c")
+        outcome = a.resolve_query("svc", qos=0.5, now=10.0)
+        assert outcome.resolution is Resolution.SOURCE
+        assert asked == ["b", "c"]
 
 
 class TestNeighborService:
     def test_cache_then_provider_then_silence(self):
         cell = make_cell({"a": {"b"}, "b": {"a"}})
         b = make_im(cell, "b")
-        query = NeighborQuery("svc", 0.2, "a")
-        assert b.handle_neighbor_query(query, now=10.0) is None
+        assert b.handle_neighbor_query("svc", 0.2, now=10.0) is None
         b.register_provider("svc")
-        assert b.handle_neighbor_query(query, now=10.0).kind == "provider"
+        assert b.handle_neighbor_query("svc", 0.2, now=10.0).from_cache is False
         b.query_cache.insert(aged_entry("svc", 0.6, now=10.0), now=10.0)
-        assert b.handle_neighbor_query(query, now=10.0).kind == "cache"
+        assert b.handle_neighbor_query("svc", 0.2, now=10.0).from_cache is True
 
     def test_stale_cache_falls_through_to_provider(self):
         cell = make_cell({"a": {"b"}, "b": {"a"}})
         b = make_im(cell, "b")
         b.register_provider("svc")
         b.query_cache.insert(aged_entry("svc", 0.1, now=10.0), now=10.0)
-        response = b.handle_neighbor_query(NeighborQuery("svc", 0.7, "a"), now=10.0)
-        assert response.kind == "provider" and response.p_nm == 1.0
+        answer = b.handle_neighbor_query("svc", 0.7, now=10.0)
+        assert answer.from_cache is False and answer.p_nm == 1.0
 
     def test_remote_serves_do_not_touch_recency(self):
         cell = make_cell({"a": {"b"}, "b": {"a"}}, object_ids=("svc", "other"))
         b = make_im(cell, "b", capacity=2)
         b.query_cache.insert(aged_entry("svc", 0.9, now=10.0), now=10.0)
         b.query_cache.insert(aged_entry("other", 0.9, now=11.0), now=11.0)
-        b.handle_neighbor_query(NeighborQuery("svc", 0.0, "a"), now=12.0)
+        b.handle_neighbor_query("svc", 0.0, now=12.0)
         assert next(iter(b.query_cache.entries)) == "svc"  # still oldest
 
 
@@ -167,9 +175,7 @@ class TestOutcomeBookkeeping:
         entry = aged_entry("svc", 0.75, now)
         b.query_cache.insert(entry, now=now)
         outcome = a.resolve_query("svc", qos=0.5, now=now)
-        assert outcome.payload_age == pytest.approx(
-            now - entry.source_stats_snapshot.t_last_update
-        )
+        assert outcome.write_time == entry.source_stats_snapshot.t_last_update
 
     def test_served_pnm_meets_qos(self, rng):
         for _ in range(50):
@@ -206,6 +212,17 @@ class TestOutcomeBookkeeping:
         a2, b2 = make_im(loud, "a"), make_im(loud, "b")
         a2.resolve_query("svc", qos=0.0, now=5.0)
         assert b2.query_cache.peek("svc") is not None
+
+    def test_overheard_copies_are_independent(self):
+        cell = make_cell({"a": {"b"}, "b": {"a"}}, overhearing=True)
+        requery = dict(policy=PolicyKind.TTL_REQUERY, default_ttl=5.0)
+        a, b = (InformationManager(cid, cell, ClientCache(4, **requery)) for cid in "ab")
+        a.resolve_query("svc", qos=0.0, now=10.0)
+        assert b.query_cache.peek("svc") is not a.query_cache.peek("svc")
+        actions = b.query_cache.tick(now=20.0)
+        assert [(x.action, x.object_id) for x in actions] == [("requery", "svc")]
+        assert b.query_cache.peek("svc").requery_pending is True
+        assert a.query_cache.peek("svc").requery_pending is False
 
     def test_warm_cache_reduces_source_resolutions(self):
         cell = make_cell({"a": set()})

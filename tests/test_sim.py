@@ -520,6 +520,13 @@ class TestFidelitySection:
             "fidelity.parameters[0]: unknown kind 'stepped'"
         ]
 
+    def test_duplicate_supplier_ids(self):
+        # the selection used to list the one id twice
+        suppliers = [{"supplier_id": "a", "f_s": 0.5}, {"supplier_id": "a", "f_s": 0.7}]
+        assert self.violations(suppliers=suppliers) == [
+            "fidelity.suppliers: duplicate supplier ids"
+        ]
+
     def test_missing_parameter_key(self):
         params = [{"name": "frame_rate", "kind": "continuous", "lo": 20.0}]
         assert self.violations(parameters=params) == [
@@ -915,6 +922,11 @@ class TestBoundaryEscapes:
             "objects.mtbu_range: must be two finite numbers, low end first"
         ]
 
+    def test_mtbu_beside_mtbu_range(self):
+        # the range used to win and the mtbu was silently dropped
+        doc = p2p_doc(objects={"count": 2, "mtbu": 50.0, "mtbu_range": [200.0, 300.0]})
+        assert violations(doc) == ["objects: give mtbu or mtbu_range, not both"]
+
     def test_huge_ring_degree(self):
         # it used to loop over 5e11 steps per client
         scn = scenario_from_dict(p2p_doc(adjacency={"kind": "ring", "degree": 10**12}))
@@ -1151,7 +1163,7 @@ class TestInvariants:
 
         def from_the_future(self, service_id, qos, now):
             outcome = resolve(self, service_id, qos, now)
-            return dataclasses.replace(outcome, payload_write_time=now + 2)
+            return outcome._replace(write_time=now + 2)
 
         monkeypatch.setattr(p2p.InformationManager, "resolve_query", from_the_future)
         with pytest.raises(InvariantError, match="after slot"):
