@@ -1,4 +1,4 @@
-"""Broadcast cycle construction and directory lookups for one cell.
+"""Broadcast cycle construction and index timing for one cell.
 
 A program lays the published objects out over one or more channels, all
 sharing one cycle length, under a chosen indexing scheme:
@@ -23,10 +23,6 @@ PAD = "pad"
 
 class NotApplicable(Exception):
     """The scheme has no aggregate index segments to wait for."""
-
-
-class NotBroadcast(Exception):
-    """The object is not carried by this program (fall back to on-demand)."""
 
 
 @dataclass(frozen=True)
@@ -57,14 +53,6 @@ class Slot:
 
 
 @dataclass(frozen=True)
-class DirectoryEntry:
-    object_id: str
-    channel: int
-    slot: int
-    valid_for_cycle: int
-
-
-@dataclass(frozen=True)
 class BroadcastProgram:
     """One immutable broadcast cycle across all channels of a cell."""
 
@@ -88,11 +76,8 @@ class BroadcastProgram:
         if self.scheme.kind == "once_per_cycle":
             return 1
         if self.scheme.kind == "one_m":
-            return len(self.index_slots(self._first_data_channel()))
+            return len(self.index_slots(0))
         raise NotApplicable(f"scheme {self.scheme.kind!r} has no aggregate index")
-
-    def _first_data_channel(self) -> int:
-        return 1 if self.dedicated_index_channel and self.n_channels > 1 else 0
 
 
 def _split_even(n: int, m: int) -> list[int]:
@@ -183,33 +168,15 @@ def expected_index_wait(program: BroadcastProgram) -> float:
     return program.cycle_len_slots / (2.0 * m)
 
 
-def locate(
-    program: BroadcastProgram, index_read_slot: int, object_id: str
-) -> DirectoryEntry:
-    """Next occurrence of an object strictly after the index read completes.
-
-    ``index_read_slot`` is the absolute slot at which the index read ended;
-    the returned slot is absolute, wrapping into the next cycle as needed.
-    """
-    if object_id not in program.directory:
-        raise NotBroadcast(object_id)
-    channel, cycle_slot = program.directory[object_id]
-    length = program.cycle_len_slots
-    delta = (cycle_slot - index_read_slot) % length
-    if delta == 0:
-        delta = length
-    absolute = index_read_slot + delta
-    return DirectoryEntry(object_id, channel, absolute, absolute // length)
-
-
 def next_index_read_end(program: BroadcastProgram, now_slot: int) -> int:
     """Absolute slot at which the next index segment read completes.
 
     The client starts listening at ``now_slot``; the read occupies the next
-    index slot at or after it (on the index channel if one is dedicated).
+    index slot at or after it on channel 0: the dedicated index channel if
+    there is one, else a data channel, and every data channel carries the
+    index slots at the same positions.
     """
-    channel = 0 if program.dedicated_index_channel else program._first_data_channel()
-    positions = program.index_slots(channel)
+    positions = program.index_slots(0)
     if not positions:
         raise NotApplicable(f"scheme {program.scheme.kind!r} has no aggregate index")
     length = program.cycle_len_slots

@@ -110,7 +110,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     results: dict[int, Metrics] = {}
     failures: list[str] = []
     if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             futures = {pool.submit(_run_one, job): job[1] for job in jobs}
             for future, seed in futures.items():
                 try:
@@ -147,13 +148,30 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def _read_summary(path: str) -> dict | None:
+    """The run summary (``summary.json``) at ``path``; otherwise None, with
+    the error on stderr."""
     try:
-        a = json.loads(Path(args.baseline).read_text())
-        b = json.loads(Path(args.candidate).read_text())
+        doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return None
+    metrics = doc.get("metrics") if isinstance(doc, dict) else None
+    if not (isinstance(metrics, dict)
+            and all(isinstance(m, dict) for m in metrics.values())):
+        print(f"error: {path}: not a run summary", file=sys.stderr)
+        return None
+    return doc
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
+    docs = []
+    for path in (args.baseline, args.candidate):
+        doc = _read_summary(path)
+        if doc is None:
+            return 2
+        docs.append(doc)
+    a, b = docs
     if a.get("schema_id") != b.get("schema_id"):
         print(
             f"error: schema mismatch: {a.get('schema_id')!r} vs {b.get('schema_id')!r}",

@@ -15,12 +15,17 @@ the sorted ids, pruned by the incumbent's last slot, with the tie rule of
 plain enumeration (the lexicographically smallest order wins). The search
 and the 2-opt score orders by their slot arithmetic alone; a full
 ``RetrievalPlan`` is built once, for the order returned.
+
+``after_index`` is the whole aired read from a cold start: the next index
+segment, then a fixed order scheduled by the same rule. The engine reads
+every published object this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import air_schedule
 from .air_schedule import BroadcastProgram
 
 
@@ -98,14 +103,19 @@ def _earliest_read(
     return earliest + (cycle_slot - earliest) % length, switched
 
 
-def simulate_order(
-    order: list[str], program: BroadcastProgram, start: int, cost: CostModel
+def _schedule(
+    order: list[str], program: BroadcastProgram, start: int, cost: CostModel,
+    first: PlannedRead | None = None,
 ) -> RetrievalPlan:
-    """Schedule a fixed retrieval order, each object at its earliest slot."""
+    """The plan from ``start`` that reads ``first``, if given, and then each
+    object of ``order`` at its earliest slot after the read before it."""
     length, sigma = program.cycle_len_slots, cost.switch_slots
     reads: list[PlannedRead] = []
     switches = 0
     slot, prev_channel = start - 1, None
+    if first is not None:
+        reads.append(first)
+        slot, prev_channel = first.slot, first.channel
     for obj in order:
         channel, cycle_slot = program.directory[obj]
         slot, switched = _earliest_read(
@@ -121,6 +131,30 @@ def simulate_order(
         switches=switches,
         active_slots=len(reads),
     )
+
+
+def simulate_order(
+    order: list[str], program: BroadcastProgram, start: int, cost: CostModel
+) -> RetrievalPlan:
+    """Schedule a fixed retrieval order, each object at its earliest slot."""
+    return _schedule(order, program, start, cost)
+
+
+def after_index(
+    order: list[str], program: BroadcastProgram, now: int, cost: CostModel
+) -> RetrievalPlan:
+    """Read the next index segment from ``now``, then ``order``, each object
+    at its earliest slot after the read before it.
+
+    A dedicated index channel is channel 0. Otherwise every data channel
+    carries the index slots at the same positions, and the index is read on
+    the first object's channel.
+    """
+    channel = 0 if program.dedicated_index_channel else program.directory[order[0]][0]
+    index_read = PlannedRead(
+        air_schedule.INDEX, channel, air_schedule.next_index_read_end(program, now)
+    )
+    return _schedule(order, program, now, cost, index_read)
 
 
 def row_scan(req: RetrievalRequest, cost: CostModel) -> RetrievalPlan:

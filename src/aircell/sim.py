@@ -15,9 +15,10 @@ draws come from its own substream, so deferring them changes no value,
 and the other policies' ``tick`` does nothing. A broadcast cell builds no
 update processes, caches or peer-to-peer managers at all: an aired or
 multicast answer is the source's current write, fresh by construction,
-so no broadcast metric depends on a source's history. Its reads go
-through the library's own lookup and accounting (``air_schedule.locate``,
-``retrieval.account``).
+so no broadcast metric depends on a source's history. Its reads are
+planned and costed by the retrieval library (``retrieval.after_index``,
+``retrieval.account``). ``run`` picks the engine for the cell's mode once;
+the two engines share no slot loop.
 """
 
 from __future__ import annotations
@@ -1023,23 +1024,33 @@ def _select_fidelity(section: FidelitySection) -> dict:
     }
 
 
+# A query as the engines take it: (query_id, client_id, object_id, qos).
+Query = tuple[int, str, str, float]
+
+
+def _queries_by_slot(scenario: Scenario) -> dict[int, list[Query]]:
+    """The workload's queries by the slot they are issued in, in client id
+    order within a slot; ids are numbered in this order from 0."""
+    specs = {c.client_id: c for c in scenario.clients}
+    per_client = generate_workload(scenario).per_client
+    issued = sorted(  # stable
+        ((slot, cid, oid) for cid in sorted(per_client)
+         for slot, oid in per_client[cid]),
+        key=itemgetter(0),
+    )
+    by_slot: dict[int, list[Query]] = {}
+    for qid, (slot, cid, oid) in enumerate(issued):
+        qos = specs[cid].qos_overrides.get(oid, specs[cid].default_qos)
+        by_slot.setdefault(slot, []).append((qid, cid, oid, qos))
+    return by_slot
+
+
 def run(scenario: Scenario) -> Metrics:
-    """Advance the slot clock through one fully seeded scenario.
+    """Advance the slot clock through one fully seeded scenario, in the
+    engine for the cell's resolution mode.
 
-    A peer-to-peer run advances an object's update process to slot ``t``
-    just before a query or TTL requery reads it at ``t`` and ticks only
-    TTL-policy caches, in client order: the metrics are byte-identical to
-    advancing every process and ticking every cache in every slot.
-
-    A broadcast run builds no update processes, caches or information
-    managers. It consults no cache, and an aired or multicast answer
-    carries the source's current write, so its staleness is 0 whatever
-    the source's history. A published object is read at its next slot
-    after an index segment (``air_schedule.locate``), costed by
-    ``retrieval.account``; any other query waits for its batch.
-
-    Raises ``InvariantError`` if an answer carries a write from after its
-    slot, or if answered plus unresolved queries differ from those issued.
+    Raises ``InvariantError`` if answered plus unresolved queries differ
+    from those issued.
     """
     metrics = Metrics(scenario.schema_id, scenario.seed, scenario.duration_slots)
     counters = metrics.counters
@@ -1049,133 +1060,63 @@ def run(scenario: Scenario) -> Metrics:
         "index_reads",
     ):
         counters[key] = 0
-    broadcast = scenario.resolution_mode == "broadcast"
-
-    processes: dict[str, _UpdateProcess] = {}
-    ttl_caches: list[ClientCache] = []  # in client order, the order of ticks
-    if not broadcast:
-        processes = {
-            o.object_id: _UpdateProcess(o, scenario.seed, scenario.history_burnin)
-            for o in scenario.objects
-        }
-        cell = P2PCell(
-            scenario.adjacency, {oid: p.source for oid, p in processes.items()},
-            scenario.costs, p2p_enabled=scenario.p2p,
-            overhearing=scenario.overhearing,
-        )
-        for spec in sorted(scenario.clients, key=lambda c: c.client_id):
-            cache = None
-            if scenario.caching:
-                cache = ClientCache(
-                    spec.cache_capacity, spec.policy,
-                    qos_for=lambda oid, s=spec: s.qos_overrides.get(oid, s.default_qos),
-                    default_ttl=scenario.default_ttl,
-                    read_window=scenario.read_window,
-                )
-                if spec.policy in TTL_POLICIES:
-                    ttl_caches.append(cache)
-            im = InformationManager(spec.client_id, cell, cache)
-            for service in spec.providers:
-                im.register_provider(service)
-
-    workload = generate_workload(scenario)
-    by_slot: dict[int, list[tuple[str, str]]] = {}
-    for cid in sorted(workload.per_client):
-        for slot, oid in workload.per_client[cid]:
-            by_slot.setdefault(slot, []).append((cid, oid))
-
-    specs = {c.client_id: c for c in scenario.clients}
-    energy = {c.client_id: 0.0 for c in scenario.clients}
-
-    program = None
-    batching = None
-    if broadcast:
-        cost = scenario.cell.cost_model
-        plan_result, program = plan_cell(scenario, initial_rates(scenario))
-        batching = broadcast_plan.BatchingServer(scenario.cell.batching_window)
-        metrics.plan = plan_summary(plan_result)
-        observed_requests = {o.object_id: 0 for o in scenario.objects}
-        pending: dict[str, list[tuple[int, str, int, float]]] = {}
-
+    metrics.per_client_energy = {c.client_id: 0.0 for c in scenario.clients}
     if scenario.fidelity is not None:
         metrics.fidelity_selection = _select_fidelity(scenario.fidelity)
-
-    query_seq = 0
-
-    def record(
-        qid: int, cid: str, oid: str, issued: int, resolution: str,
-        latency: float, write_t: float | None, p_nm: float, qos: float,
-    ) -> None:
-        if write_t is None:
-            staleness = 0.0
-        else:
-            staleness = processes[oid].source.t_last_update - write_t
-        met = accepts(qos, p_nm) if resolution != "unresolved" else False
-        metrics.records.append(
-            QueryRecord(qid, cid, oid, issued, resolution, latency, staleness,
-                        qos, met, p_nm)
+    queries = _queries_by_slot(scenario)
+    counters["issued"] = sum(map(len, queries.values()))
+    engine = _run_broadcast if scenario.resolution_mode == "broadcast" else _run_p2p
+    engine(scenario, metrics, queries)
+    metrics.records.sort(key=lambda r: r.query_id)
+    if counters["answered"] + counters["unresolved"] != counters["issued"]:
+        raise InvariantError(
+            f"{counters['answered']} answered + {counters['unresolved']} "
+            f"unresolved != {counters['issued']} issued"
         )
+    return metrics
 
-    def deliver(fired: list[broadcast_plan.Multicast]) -> None:
-        """Answer the queries each fired multicast carries, oldest first."""
-        for multicast in fired:
-            oid = multicast.object_id
-            batch = pending[oid][: multicast.batch_size]
-            pending[oid] = pending[oid][multicast.batch_size :]
-            counters["source_load"] += 1
-            for qid, cid, issued, qos in batch:
-                counters["answered"] += 1
-                record(qid, cid, oid, issued, "on_demand",
-                       multicast.response_time - issued + 1.0, None, 1.0, qos)
+
+def _run_p2p(
+    scenario: Scenario, metrics: Metrics, queries: dict[int, list[Query]]
+) -> None:
+    """Resolve each query down the peer-to-peer chain.
+
+    An object's update process is advanced to slot ``t`` just before a query
+    or TTL requery reads it at ``t``, and only TTL-policy caches are ticked,
+    in client order: the metrics are byte-identical to advancing every
+    process and ticking every cache in every slot.
+
+    Raises ``InvariantError`` if an answer carries a write from after its
+    slot.
+    """
+    counters, records = metrics.counters, metrics.records
+    processes = {
+        o.object_id: _UpdateProcess(o, scenario.seed, scenario.history_burnin)
+        for o in scenario.objects
+    }
+    cell = P2PCell(
+        scenario.adjacency, {oid: p.source for oid, p in processes.items()},
+        scenario.costs, p2p_enabled=scenario.p2p, overhearing=scenario.overhearing,
+    )
+    ttl_caches: list[ClientCache] = []  # in client order, the order of ticks
+    for spec in sorted(scenario.clients, key=lambda c: c.client_id):
+        cache = None
+        if scenario.caching:
+            cache = ClientCache(
+                spec.cache_capacity, spec.policy,
+                qos_for=lambda oid, s=spec: s.qos_overrides.get(oid, s.default_qos),
+                default_ttl=scenario.default_ttl, read_window=scenario.read_window,
+            )
+            if spec.policy in TTL_POLICIES:
+                ttl_caches.append(cache)
+        im = InformationManager(spec.client_id, cell, cache)
+        for service in spec.providers:
+            im.register_provider(service)
 
     for t in range(scenario.duration_slots):
-        if (
-            broadcast
-            and scenario.cell.replan_interval > 0
-            and t > 0
-            and t % scenario.cell.replan_interval == 0
-        ):
-            observed_rates = {oid: n / t for oid, n in observed_requests.items()}
-            new_result, new_program = plan_cell(scenario, observed_rates)
-            if new_result.feasible:
-                program = new_program
-                metrics.plan = plan_summary(new_result)
-
-        for cid, oid in by_slot.get(t, ()):
-            qid = query_seq
-            query_seq += 1
-            counters["issued"] += 1
-            qos = specs[cid].qos_overrides.get(oid, specs[cid].default_qos)
-
-            if broadcast:
-                observed_requests[oid] += 1
-                if program is None or oid not in program.directory:
-                    batching.submit(oid, t)
-                    pending.setdefault(oid, []).append((qid, cid, t, qos))
-                    continue
-                counters["index_reads"] += 1
-                # with a dedicated index channel every data read switches to
-                # another channel; otherwise the index is on the data channel
-                switches = int(program.dedicated_index_channel)
-                idx_end = air_schedule.next_index_read_end(program, t)
-                data = air_schedule.locate(
-                    program, idx_end + cost.switch_slots * switches, oid
-                )
-                index_read = retrieval.PlannedRead(
-                    air_schedule.INDEX, 0 if switches else data.channel, idx_end
-                )
-                plan = retrieval.RetrievalPlan(
-                    (index_read, retrieval.PlannedRead(oid, data.channel, data.slot)),
-                    start_slot=t, total_slots=data.slot - t + 1,
-                    switches=switches, active_slots=2,
-                )
-                energy[cid] += retrieval.account(plan, cost)["energy"]
-                counters["answered"] += 1
-                record(qid, cid, oid, t, "broadcast", float(plan.total_slots),
-                       None, 1.0, qos)
-                continue
-
-            processes[oid].advance_to(t)
+        for qid, cid, oid, qos in queries.get(t, ()):
+            process = processes[oid]
+            process.advance_to(t)
             outcome = cell.ims[cid].resolve_query(oid, qos, t)
             if outcome.write_time > t + 1:
                 raise InvariantError(
@@ -1184,20 +1125,18 @@ def run(scenario: Scenario) -> Metrics:
                 )
             if outcome.resolution is Resolution.UNRESOLVED:
                 counters["unresolved"] += 1
-                record(qid, cid, oid, t, "unresolved", outcome.latency,
-                       None, 0.0, qos)
-            else:
-                counters["answered"] += 1
-                if outcome.resolution is Resolution.SOURCE:
-                    counters["source_load"] += 1
-                record(qid, cid, oid, t, outcome.resolution.value,
-                       outcome.latency, outcome.write_time,
-                       outcome.p_nm, qos)
+                records.append(QueryRecord(qid, cid, oid, t, "unresolved",
+                                           outcome.latency, 0.0, qos, False, 0.0))
+                continue
+            counters["answered"] += 1
+            if outcome.resolution is Resolution.SOURCE:
+                counters["source_load"] += 1
+            staleness = process.source.t_last_update - outcome.write_time
+            records.append(QueryRecord(qid, cid, oid, t, outcome.resolution.value,
+                                       outcome.latency, staleness, qos,
+                                       accepts(qos, outcome.p_nm), outcome.p_nm))
 
-        if broadcast:
-            deliver(batching.advance(t))
-
-        if ttl_caches and t % max(1, scenario.tick_interval) == 0:
+        if ttl_caches and t % scenario.tick_interval == 0:
             for cache in ttl_caches:
                 for action in cache.tick(t):
                     if action.action == "drop":
@@ -1212,21 +1151,69 @@ def run(scenario: Scenario) -> Metrics:
                     counters["requeries"] += 1
                     counters["source_load"] += 1
 
-    if broadcast:
-        deliver(batching.advance(math.inf))  # batches still open at the end
-        counters["on_demand_responses"] = batching.responses_sent
-        counters["batching_saved"] = batching.saved
-        if program is not None:
-            counters["broadcast_slots"] = program.n_channels * scenario.duration_slots
 
-    metrics.records.sort(key=lambda r: r.query_id)
-    metrics.per_client_energy = energy
-    if counters["answered"] + counters["unresolved"] != counters["issued"]:
-        raise InvariantError(
-            f"{counters['answered']} answered + {counters['unresolved']} "
-            f"unresolved != {counters['issued']} issued"
-        )
-    return metrics
+def _run_broadcast(
+    scenario: Scenario, metrics: Metrics, queries: dict[int, list[Query]]
+) -> None:
+    """Answer each query from the air or from a batched multicast.
+
+    No update processes, caches or information managers are built: an aired
+    or multicast answer carries the source's current write, so its staleness
+    is 0 whatever the source's history. A published object is read by
+    ``retrieval.after_index`` and costed by ``retrieval.account``; any other
+    query waits for its batch.
+    """
+    counters, records = metrics.counters, metrics.records
+    cost = scenario.cell.cost_model
+    replan_interval = scenario.cell.replan_interval
+    plan_result, program = plan_cell(scenario, initial_rates(scenario))
+    metrics.plan = plan_summary(plan_result)
+    batching = broadcast_plan.BatchingServer(scenario.cell.batching_window)
+    observed_requests = {o.object_id: 0 for o in scenario.objects}
+    pending: dict[str, list[tuple[int, str, int, float]]] = {}
+
+    def deliver(fired: list[broadcast_plan.Multicast]) -> None:
+        """Answer the queries each fired multicast carries, oldest first."""
+        for multicast in fired:
+            oid = multicast.object_id
+            batch = pending[oid][: multicast.batch_size]
+            pending[oid] = pending[oid][multicast.batch_size :]
+            counters["source_load"] += 1
+            for qid, cid, issued, qos in batch:
+                counters["answered"] += 1
+                latency = multicast.response_time - issued + 1.0
+                records.append(QueryRecord(qid, cid, oid, issued, "on_demand", latency,
+                                           0.0, qos, accepts(qos, 1.0), 1.0))
+
+    for t in range(scenario.duration_slots):
+        if replan_interval > 0 and t > 0 and t % replan_interval == 0:
+            observed_rates = {oid: n / t for oid, n in observed_requests.items()}
+            new_result, new_program = plan_cell(scenario, observed_rates)
+            if new_result.feasible:
+                program = new_program
+                metrics.plan = plan_summary(new_result)
+
+        for qid, cid, oid, qos in queries.get(t, ()):
+            observed_requests[oid] += 1
+            if program is None or oid not in program.directory:
+                batching.submit(oid, t)
+                pending.setdefault(oid, []).append((qid, cid, t, qos))
+                continue
+            counters["index_reads"] += 1
+            plan = retrieval.after_index([oid], program, t, cost)
+            metrics.per_client_energy[cid] += retrieval.account(plan, cost)["energy"]
+            counters["answered"] += 1
+            latency = float(plan.total_slots)
+            records.append(QueryRecord(qid, cid, oid, t, "broadcast", latency,
+                                       0.0, qos, accepts(qos, 1.0), 1.0))
+
+        deliver(batching.advance(t))
+
+    deliver(batching.advance(math.inf))  # batches still open at the end
+    counters["on_demand_responses"] = batching.responses_sent
+    counters["batching_saved"] = batching.saved
+    if program is not None:
+        counters["broadcast_slots"] = program.n_channels * scenario.duration_slots
 
 
 def plan_summary(result: broadcast_plan.PartitionResult) -> dict:

@@ -12,9 +12,11 @@ import itertools
 import json
 import math
 from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
+from aircell.air_schedule import INDEX, NotApplicable
 from aircell.broadcast_plan import AccessTime, Partition, PartitionResult, Unstable
 from aircell.retrieval import PlannedRead, RefusedSize, RetrievalPlan
 
@@ -463,6 +465,70 @@ def brute_force_reference(req, cost, max_objects: int = 8) -> RetrievalPlan:
         ):
             best = plan
     return best
+
+
+# --------------------------------------------------------------------------
+# The engine's read of one aired object as it stood before the read moved
+# into retrieval: the next index segment, ``air_schedule.locate`` strictly
+# after it (plus the switch onto a data channel when the index channel is
+# dedicated), and a two-read plan built by hand. Kept verbatim but for the
+# deleted types: ``locate`` returns its entry as a named tuple and raises
+# KeyError for an object off the air, and ``_first_data_channel`` is
+# written out where ``next_index_read_end`` called it.
+# --------------------------------------------------------------------------
+
+class _DirectoryEntry(NamedTuple):
+    object_id: str
+    channel: int
+    slot: int
+    valid_for_cycle: int
+
+
+def locate_reference(program, index_read_slot: int, object_id: str) -> _DirectoryEntry:
+    """Next occurrence of an object strictly after the index read completes."""
+    if object_id not in program.directory:
+        raise KeyError(object_id)
+    channel, cycle_slot = program.directory[object_id]
+    length = program.cycle_len_slots
+    delta = (cycle_slot - index_read_slot) % length
+    if delta == 0:
+        delta = length
+    absolute = index_read_slot + delta
+    return _DirectoryEntry(object_id, channel, absolute, absolute // length)
+
+
+def next_index_read_end_reference(program, now_slot: int) -> int:
+    """Absolute slot at which the next index segment read completes."""
+    first_data_channel = (
+        1 if program.dedicated_index_channel and program.n_channels > 1 else 0
+    )
+    channel = 0 if program.dedicated_index_channel else first_data_channel
+    positions = program.index_slots(channel)
+    if not positions:
+        raise NotApplicable(f"scheme {program.scheme.kind!r} has no aggregate index")
+    length = program.cycle_len_slots
+    phase = now_slot % length
+    deltas = [(p - phase) % length for p in positions]
+    return now_slot + min(deltas)
+
+
+def aired_read_reference(program, oid: str, t: int, cost) -> RetrievalPlan:
+    """The index read, then ``oid``, for a query issued at slot ``t``."""
+    # with a dedicated index channel every data read switches to
+    # another channel; otherwise the index is on the data channel
+    switches = int(program.dedicated_index_channel)
+    idx_end = next_index_read_end_reference(program, t)
+    data = locate_reference(
+        program, idx_end + cost.switch_slots * switches, oid
+    )
+    index_read = PlannedRead(
+        INDEX, 0 if switches else data.channel, idx_end
+    )
+    return RetrievalPlan(
+        (index_read, PlannedRead(oid, data.channel, data.slot)),
+        start_slot=t, total_slots=data.slot - t + 1,
+        switches=switches, active_slots=2,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -10,10 +10,8 @@ from aircell.air_schedule import (
     PAD,
     IndexScheme,
     NotApplicable,
-    NotBroadcast,
     build_program,
     expected_index_wait,
-    locate,
     next_index_read_end,
     one_m,
 )
@@ -142,37 +140,6 @@ class TestIndexWait:
 
 
 class TestLocate:
-    def test_same_cycle(self):
-        p = build_program(OBJS4, 1, NONE)
-        entry = locate(p, index_read_slot=0, object_id="d")
-        assert (entry.channel, entry.slot) == (0, 3)
-
-    def test_wraps_to_next_cycle(self):
-        p = build_program(OBJS4, 1, NONE)
-        entry = locate(p, index_read_slot=2, object_id="b")
-        assert entry.slot == p.cycle_len_slots + 1
-
-    def test_strictly_after_read(self):
-        p = build_program(OBJS4, 1, NONE)
-        entry = locate(p, index_read_slot=1, object_id="b")
-        assert entry.slot == p.cycle_len_slots + 1
-
-    def test_unknown_object(self):
-        p = build_program(OBJS4, 1, NONE)
-        with pytest.raises(NotBroadcast):
-            locate(p, 0, "zzz")
-
-    def test_every_object_locatable_from_every_slot(self):
-        objs = [f"o{i}" for i in range(9)]
-        p = build_program(objs, 3, one_m(3))
-        for read_end in range(2 * p.cycle_len_slots):
-            for obj in objs:
-                entry = locate(p, read_end, obj)
-                assert entry.slot > read_end
-                channel, cycle_slot = p.directory[obj]
-                assert entry.channel == channel
-                assert entry.slot % p.cycle_len_slots == cycle_slot
-
     def test_next_index_read_end(self):
         p = build_program([f"o{i}" for i in range(6)], 1, one_m(2))
         assert p.index_slots(0) == [0, 4]

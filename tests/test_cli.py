@@ -1,8 +1,10 @@
 import json
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from aircell import cli
 from aircell.cli import _with_seed, aggregate_summaries, main, parse_scenario
 from aircell.sim import ScenarioError, generate_workload, run, scenario_from_dict
 
@@ -108,6 +110,32 @@ class TestRunCommand:
             assert ((seq / f"metrics_{seed}.json").read_bytes()
                     == (par / f"metrics_{seed}.json").read_bytes())
 
+    def test_worker_pool_no_larger_than_the_seed_count(self, tmp_path, monkeypatch):
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        scenario = write_scenario(tmp_path, MINI)
+        assert main(["run", "--scenario", str(scenario), "--seeds", "1,2",
+                     "--out", str(tmp_path / "out"), "--jobs", "64"]) == 0
+        assert started == [2]
+        assert sorted(p.name for p in (tmp_path / "out").glob("metrics_*.json")) == [
+            "metrics_1.json", "metrics_2.json"]
+
     def test_csv_format_has_frozen_columns(self, tmp_path):
         scenario = write_scenario(tmp_path, MINI)
         out = tmp_path / "csv_out"
@@ -181,6 +209,25 @@ class TestCompareCommand:
         doc["schema_id"] = "something-else/9"
         b.write_text(json.dumps(doc))
         assert main(["compare", str(a), str(b)]) == 2
+
+    def test_per_seed_metrics_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, MINI)),
+                     "--seeds", "1", "--out", str(out)]) == 0
+        metrics = out / "metrics_1.json"
+        capsys.readouterr()
+        assert main(["compare", str(out / "summary.json"), str(metrics)]) == 2
+        assert capsys.readouterr().err == f"error: {metrics}: not a run summary\n"
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"schema_id": "aircell-scenario/1", "seeds": [1]},
+        {"schema_id": "aircell-scenario/1", "metrics": {"issued": 3.0}},
+    ])
+    def test_non_summary_document_refused(self, tmp_path, capsys, doc):
+        path = write_scenario(tmp_path, doc, "not_a_summary.json")
+        assert main(["compare", str(path), str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not a run summary\n"
 
 
 class TestPlanningCommands:

@@ -1,13 +1,25 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aircell.air_schedule import DISTRIBUTED, NONE, ONCE_PER_CYCLE, build_program, one_m
+from aircell.air_schedule import (
+    DISTRIBUTED,
+    INDEX,
+    NONE,
+    ONCE_PER_CYCLE,
+    build_program,
+    next_index_read_end,
+    one_m,
+)
 from aircell.retrieval import (
     CostModel,
+    PlannedRead,
     RefusedSize,
     RetrievalRequest,
     account,
+    after_index,
     brute_force,
     next_object_access,
     plan_as_dict,
@@ -17,6 +29,7 @@ from aircell.retrieval import (
 )
 from conftest import random_retrieval_instance
 from oracles import (
+    aired_read_reference,
     brute_force_reference,
     check_plan,
     next_object_access_reference,
@@ -166,6 +179,95 @@ class TestFeasibility:
             for planner in (row_scan, next_object_access, tsp_order):
                 problems = check_plan(planner(req, wide), req, wide)
                 assert not problems, problems
+
+
+OBJS4 = ["a", "b", "c", "d"]
+
+
+class TestAfterIndex:
+    def test_same_cycle(self):
+        p = build_program(OBJS4, 1, ONCE_PER_CYCLE)  # I a b c d
+        plan = after_index(["d"], p, 0, COST)
+        assert plan.reads == (PlannedRead(INDEX, 0, 0), PlannedRead("d", 0, 4))
+        assert (plan.start_slot, plan.total_slots) == (0, 5)
+        assert (plan.switches, plan.active_slots) == (0, 2)
+
+    def test_wraps_to_next_cycle(self):
+        p = build_program(OBJS4, 1, one_m(2))  # I a b I c d
+        plan = after_index(["a"], p, 2, COST)
+        assert plan.reads[0].slot == 3
+        assert plan.reads[1].slot == p.cycle_len_slots + 1
+        assert plan.total_slots == p.cycle_len_slots
+
+    def test_strictly_after_read(self):
+        # the index channel carries an index slot at the object's own slot:
+        # the object is read a cycle later, after the switch
+        p = build_program(OBJS4, 3, ONCE_PER_CYCLE, dedicated_index_channel=True)
+        assert p.directory["b"] == (2, 0) and p.cycle_len_slots == 2
+        plan = after_index(["b"], p, 0, COST)
+        assert plan.reads == (PlannedRead(INDEX, 0, 0), PlannedRead("b", 2, 2))
+        assert plan.switches == 1
+
+    def test_unknown_object(self):
+        p = build_program(OBJS4, 1, ONCE_PER_CYCLE)
+        with pytest.raises(KeyError):
+            after_index(["zzz"], p, 0, COST)
+
+    @pytest.mark.parametrize("dedicated", [False, True])
+    def test_every_object_readable_from_every_slot(self, dedicated):
+        objs = [f"o{i}" for i in range(9)]
+        p = build_program(objs, 3, one_m(3), dedicated_index_channel=dedicated)
+        length = p.cycle_len_slots
+        for now in range(2 * length):
+            for obj in objs:
+                index_read, read = after_index([obj], p, now, COST).reads
+                assert now <= index_read.slot < read.slot <= index_read.slot + 2 * length
+                channel, cycle_slot = p.directory[obj]
+                assert read.channel == channel
+                assert read.slot % length == cycle_slot
+
+    def test_orders_read_after_the_index_as_simulate_order(self, rng):
+        for _ in range(200):
+            channels = int(rng.integers(1, 5))
+            dedicated = channels >= 2 and bool(rng.integers(2))
+            names = [f"o{i}" for i in range(int(rng.integers(1, 12)))]
+            p = build_program(names, channels, one_m(2), dedicated_index_channel=dedicated)
+            k = int(rng.integers(1, len(names) + 1))
+            order = [names[int(i)] for i in rng.permutation(len(names))[:k]]
+            cost = CostModel(switch_slots=int(rng.integers(1, 4)))
+            now = int(rng.integers(0, 3 * p.cycle_len_slots))
+            plan = after_index(order, p, now, cost)
+            idx_end = next_index_read_end(p, now)
+            rest = simulate_order(order, p, idx_end + 1 + cost.switch_slots * dedicated, cost)
+            assert plan.reads[1:] == rest.reads
+            assert plan.reads[0] == PlannedRead(
+                INDEX, 0 if dedicated else rest.reads[0].channel, idx_end
+            )
+            assert plan.switches == rest.switches + dedicated
+            assert (plan.start_slot, plan.active_slots) == (now, k + 1)
+            assert plan.total_slots == rest.reads[-1].slot - now + 1
+
+    def test_same_read_as_locate_and_hand_built_plan(self):
+        layouts = [
+            (channels, dedicated)
+            for channels in range(1, 5) for dedicated in (False, True)
+            if channels >= 2 or not dedicated
+        ]
+        schemes = (DISTRIBUTED, ONCE_PER_CYCLE, one_m(1), one_m(2), one_m(3))
+        cases = 0
+        for (channels, dedicated), scheme, n, sigma in itertools.product(
+            layouts, schemes, (1, 4, 7), (1, 2, 3)
+        ):
+            objs = [f"o{i}" for i in range(n)]
+            p = build_program(objs, channels, scheme, dedicated_index_channel=dedicated)
+            cost = CostModel(switch_slots=sigma)
+            for now, obj in itertools.product(range(3 * p.cycle_len_slots), objs):
+                plan = after_index([obj], p, now, cost)
+                expected = aired_read_reference(p, obj, now, cost)
+                assert plan == expected
+                assert account(plan, cost) == account(expected, cost)
+                cases += 1
+        assert cases == 16_866
 
 
 class TestAccount:
