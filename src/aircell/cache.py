@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .freshness import FreshnessStats, InvariantError, p_not_modified_or_zero
 
@@ -37,8 +37,7 @@ TTL_POLICIES = frozenset({PolicyKind.TTL_DROP, PolicyKind.TTL_REQUERY})
 SCORED_POLICIES = frozenset({PolicyKind.CQF, PolicyKind.ACQF})
 
 
-@dataclass(frozen=True)
-class ReadStats:
+class ReadStats(NamedTuple):
     """Windowed read statistics for one object on one client."""
 
     mtbr: float | None  # mean time between reads; None with < 2 reads
@@ -70,6 +69,10 @@ class ReadTracker:
     keeps the times of its own reads in the window, oldest first. A read
     leaving the window is the oldest read of its object, so sliding costs
     one pop from each, and ``stats_for`` looks only at one object's reads.
+    An object's MTBR is re-derived only after its reads in the window
+    change: ``record`` forgets the memoized mean of the object it appends
+    and of the object whose oldest read it pushes out, and a miss computes
+    the mean of that object's gaps as a full rescan does.
     """
 
     def __init__(self, window: int = 256):
@@ -77,6 +80,7 @@ class ReadTracker:
             raise ValueError("window must hold at least 2 reads")
         self._order: deque[str] = deque(maxlen=window)
         self._times: dict[str, list[float]] = {}
+        self._mtbr: dict[str, float] = {}
 
     def record(self, t: float, object_id: str) -> None:
         if len(self._order) == self._order.maxlen:
@@ -85,8 +89,10 @@ class ReadTracker:
             del times[0]
             if not times:
                 del self._times[oldest]
+            self._mtbr.pop(oldest, None)
         self._order.append(object_id)
         self._times.setdefault(object_id, []).append(t)
+        self._mtbr.pop(object_id, None)
 
     def stats_for(self, object_id: str) -> ReadStats:
         times = self._times.get(object_id, ())
@@ -94,8 +100,11 @@ class ReadTracker:
         f_r = len(times) / total if total else 0.0
         if len(times) < 2:
             return ReadStats(None, f_r, len(times))
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        return ReadStats(sum(gaps) / len(gaps), f_r, len(times))
+        mtbr = self._mtbr.get(object_id)
+        if mtbr is None:
+            gaps = [b - a for a, b in zip(times, times[1:])]
+            mtbr = self._mtbr[object_id] = sum(gaps) / len(gaps)
+        return ReadStats(mtbr, f_r, len(times))
 
 
 def cqf(stats: FreshnessStats, reads: ReadStats) -> float:

@@ -182,6 +182,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for key in sorted(set(a["metrics"]) | set(b["metrics"])):
         mean_a = a["metrics"].get(key, {}).get("mean", 0.0)
         mean_b = b["metrics"].get(key, {}).get("mean", 0.0)
+        for path, mean in ((args.baseline, mean_a), (args.candidate, mean_b)):
+            if isinstance(mean, bool) or not isinstance(mean, (int, float)):
+                print(f"error: {path}: metric {key!r}: mean is not a number",
+                      file=sys.stderr)
+                return 2
         delta = mean_b - mean_a
         deltas[key] = {
             "baseline": mean_a,
@@ -189,7 +194,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "delta": delta,
             "sign": (delta > 0) - (delta < 0),
         }
-    report = {"schema_id": a["schema_id"], "deltas": deltas}
+    report = {"schema_id": a.get("schema_id"), "deltas": deltas}
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text)

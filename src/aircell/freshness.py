@@ -50,6 +50,9 @@ class UpdateLog:
     _memo: tuple[int, FreshnessStats] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _intervals: list[float] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def record_update(self, t: float) -> "UpdateLog":
         if self.update_times and t <= self.update_times[-1]:
@@ -68,8 +71,10 @@ class UpdateLog:
 
         Memoized on the log length. The log only grows, so a length change
         is exactly a new write, whether it came through ``record_update`` or
-        a direct append to ``update_times``; the floats are those of a full
-        recomputation.
+        a direct append to ``update_times``. The intervals are kept between
+        refreshes and a write adds one to the kept list; the mean and the
+        variance are summed over that list in order, so the floats are
+        those of a full recomputation.
         """
         n = len(self.update_times)
         if self._memo is None or self._memo[0] != n:
@@ -82,10 +87,12 @@ class UpdateLog:
         times = self.update_times
         if len(times) == 1:
             return FreshnessStats(0.0, 0.0, times[-1], 0)
-        intervals = [b - a for a, b in zip(times, times[1:])]
+        intervals = self._intervals
+        intervals.extend([times[i + 1] - times[i]
+                          for i in range(len(intervals), len(times) - 1)])
         n = len(intervals)
         mtbu = sum(intervals) / n
-        var = sum((x - mtbu) ** 2 for x in intervals) / n
+        var = sum([(x - mtbu) ** 2 for x in intervals]) / n
         return FreshnessStats(mtbu, math.sqrt(var), times[-1], n)
 
 

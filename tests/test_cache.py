@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aircell.cache import (
@@ -95,6 +95,43 @@ class TestReadTracker:
             for probe in "abcdef":
                 expected = ReadStats(*read_stats_reference(reads[: i + 1], window, probe))
                 assert tracker.stats_for(probe) == expected
+
+    # window 3: the slide past the fourth read thins "a" from [0, 1, 1] to
+    # [1, 1] (MTBR 0.5 -> 0.0), the fifth removes its next-to-last read and
+    # the sixth its last; "a" then returns with two fresh reads
+    @example(window=3, every=1, reads=[
+        (0.0, "a"), (1.0, "a"), (0.0, "a"), (1.0, "b"), (0.0, "b"), (1.0, "b"),
+        (6.0, "a"), (2.0, "a"),
+    ])
+    # window 4, probed every third read: "a" is memoized at [0, 1, 1], then
+    # three unprobed reads slide out two of its reads before the next probe
+    @example(window=4, every=3, reads=[
+        (0.0, "a"), (1.0, "a"), (0.0, "a"), (0.0, "b"), (1.0, "b"), (0.0, "b"),
+        (7.0, "b"), (0.0, "a"), (1.0, "a"),
+    ])
+    @settings(max_examples=300, deadline=None)
+    @given(
+        window=st.integers(2, 12),
+        every=st.integers(1, 9),
+        reads=st.lists(
+            st.tuples(st.sampled_from([0.0, 0.0, 0.5, 1.0, 7.25]), st.sampled_from("abcd")),
+            max_size=80,
+        ),
+    )
+    def test_sparse_probes_match_full_window_rescan(self, window, every, reads):
+        # probing after every read refreshes each memo before it can go
+        # stale; here several reads, and slides, pass between probes
+        tracker = ReadTracker(window=window)
+        seen = []
+        t = 0.0
+        for i, (gap, oid) in enumerate(reads, 1):
+            t += gap
+            tracker.record(t, oid)
+            seen.append((t, oid))
+            if i % every == 0:
+                for probe in "abcde":
+                    expected = ReadStats(*read_stats_reference(seen, window, probe))
+                    assert tracker.stats_for(probe) == expected
 
 
 class TestReadRecording:

@@ -229,6 +229,21 @@ class TestCompareCommand:
         assert main(["compare", str(path), str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: not a run summary\n"
 
+    def test_summaries_without_schema_id_compare(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {"metrics": {}}, "bare.json")
+        assert main(["compare", str(path), str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"schema_id": None, "deltas": {}}
+
+    @pytest.mark.parametrize("mean", ["x", True, None])
+    def test_non_numeric_mean_refused(self, tmp_path, capsys, mean):
+        good = write_scenario(tmp_path, {"schema_id": "aircell-scenario/1",
+                                         "metrics": {"issued": {"mean": 3.0}}}, "good.json")
+        bad = write_scenario(tmp_path, {"schema_id": "aircell-scenario/1",
+                                        "metrics": {"issued": {"mean": mean}}}, "bad.json")
+        assert main(["compare", str(good), str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: metric 'issued': mean is not a number\n")
+
 
 class TestPlanningCommands:
     def broadcast_doc(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aircell.freshness import (
@@ -94,6 +94,42 @@ class TestMemoizedStats:
         assert after != before
         assert after == fresh_stats([0.0, 100.0, 220.0, 300.0])
         assert after.mtbu == GOLDEN_MTBU
+
+    @example(preset=[1.0, 100.0], steps=[
+        ("stats", 1.0), ("append", 50.0), ("append", 20.0), ("record", 3.0),
+        ("stats", 1.0), ("append", 7.0), ("append", 0.5), ("stats", 1.0),
+    ])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        preset=st.lists(st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
+                        min_size=1, max_size=6),
+        steps=st.lists(st.tuples(
+            st.sampled_from(["record", "append", "stats"]),
+            st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
+        ), max_size=40),
+    )
+    def test_kept_intervals_follow_interleaved_writes(self, preset, steps):
+        times = [sum(preset[: i + 1]) for i in range(len(preset))]
+        log = UpdateLog(times)
+        for kind, gap in steps:
+            t = log.update_times[-1] + gap
+            if kind == "record":
+                log.record_update(t)
+            elif kind == "append":
+                log.update_times.append(t)
+            else:
+                assert log.stats() == fresh_stats(log.update_times)
+        assert log.stats() == fresh_stats(log.update_times)
+
+    def test_kept_intervals_over_a_long_history(self, rng):
+        log = UpdateLog([0.0])
+        gaps = rng.exponential(100.0, size=4_999) + 1e-3
+        for i, gap in enumerate(gaps, 1):
+            log.record_update(log.update_times[-1] + float(gap))
+            if i % 250 == 0:
+                assert log.stats() == fresh_stats(log.update_times)
+        assert len(log.update_times) == 5_000
+        assert log.stats() == fresh_stats(log.update_times)
 
 
 class TestModifiedProbability:
