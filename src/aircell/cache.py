@@ -15,6 +15,7 @@ F_R) come from a sliding window over the client's own reads.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
@@ -50,7 +51,6 @@ class CacheEntry:
     object_id: str
     source_stats_snapshot: FreshnessStats
     cached_at: float
-    ttl: float | None = None
     requery_pending: bool = False
 
     def __post_init__(self) -> None:
@@ -140,9 +140,9 @@ class ClientCache:
     """Count-bounded cache owned by a single client.
 
     ``qos_for`` supplies the owner's QoS setting per object (ACQF scoring);
-    ``default_ttl`` applies to entries without their own ttl under the TTL
-    policies. Only the owner's reads (get) update recency and read stats;
-    remote serves should use ``peek``.
+    ``default_ttl`` is every entry's time-to-live under the TTL policies.
+    Only the owner's reads (get) update recency and read stats; remote
+    serves should use ``peek``.
     """
 
     def __init__(
@@ -161,6 +161,8 @@ class ClientCache:
         self.default_ttl = default_ttl
         self.entries: OrderedDict[str, CacheEntry] = OrderedDict()
         self.reads = ReadTracker(read_window)
+        # at most the least cached_at of the entries not pending a requery
+        self._oldest = math.inf
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -201,6 +203,7 @@ class ClientCache:
 
     def insert(self, entry: CacheEntry, now: float) -> EvictionReport:
         """Admit an entry, evicting per policy when the cache is full."""
+        self._oldest = min(self._oldest, entry.cached_at)
         if entry.object_id in self.entries:
             self.entries[entry.object_id] = entry
             self.entries.move_to_end(entry.object_id)
@@ -227,16 +230,24 @@ class ClientCache:
         return EvictionReport(True, victim)
 
     def tick(self, now: float) -> list[TickAction]:
-        """Expire entries under the TTL policies (strict age > ttl)."""
-        if self.policy not in TTL_POLICIES:
+        """Expire entries under the TTL policies (strict age > ttl).
+
+        The entries are walked only if the oldest one not pending a requery
+        may have expired: ``now - cached_at`` only shrinks as ``cached_at``
+        grows, so no other entry can have expired if that one has not, and
+        an entry pending a requery does nothing when walked.
+        """
+        ttl = self.default_ttl
+        if self.policy not in TTL_POLICIES or ttl is None or now - self._oldest <= ttl:
             return []
         actions: list[TickAction] = []
+        self._oldest = math.inf
         for object_id in list(self.entries):
             entry = self.entries[object_id]
-            ttl = entry.ttl if entry.ttl is not None else self.default_ttl
-            if ttl is None or now - entry.cached_at <= ttl:
-                continue
-            if self.policy is PolicyKind.TTL_DROP:
+            if now - entry.cached_at <= ttl:
+                if not entry.requery_pending:
+                    self._oldest = min(self._oldest, entry.cached_at)
+            elif self.policy is PolicyKind.TTL_DROP:
                 del self.entries[object_id]
                 actions.append(TickAction("drop", object_id))
             elif not entry.requery_pending:

@@ -27,6 +27,7 @@ from .sim import (
     initial_rates,
     plan_cell,
     plan_summary,
+    read_sample_log,
     run,
     scenario_from_dict,
 )
@@ -244,42 +245,18 @@ def cmd_dump_program(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     try:
-        doc = json.loads(Path(args.samples).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+        store = read_sample_log(json.loads(Path(args.samples).read_text()))
+    except (OSError, json.JSONDecodeError, ScenarioError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    errs: list[str] = []
-    domain = fidelity.read_domain(
-        doc.get("domain") if isinstance(doc, dict) else None, "domain", errs
-    )
-    if errs:
-        print(f"error: {'; '.join(errs)}", file=sys.stderr)
-        return 2
-    params = domain.parameters
-    store = fidelity.SampleStore(domain)
     try:
-        for s in doc["samples"]:
-            config = tuple(s["config"][p.name] for p in params)
-            fidelity.log_sample(store, config, s["consumption"])
         models = fidelity.fit_models(store)
-    except KeyError as e:
-        print(f"error: missing key {e}", file=sys.stderr)
-        return 1
-    except (
-        TypeError, ValueError, fidelity.InsufficientSamples, fidelity.RankDeficient
-    ) as e:
+    except (fidelity.InsufficientSamples, fidelity.RankDeficient) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     report = {
-        "parameters": [p.name for p in params],
-        "models": [
-            {
-                "resource_id": m.resource_id,
-                "coefficients": list(m.coefficients),
-                "intercept": m.intercept,
-            }
-            for m in models
-        ],
+        "parameters": [p.name for p in store.domain.parameters],
+        "models": [dataclasses.asdict(m) for m in models],
     }
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:

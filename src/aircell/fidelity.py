@@ -1,16 +1,17 @@
 """Adaptive fidelity: consumption models, utilities, and configuration choice.
 
-Three phases. Logging collects (configuration, measured consumption)
-samples per resource. Learning fits one linear model per resource by
-ordinary least squares over the fidelity parameters. Online, the models
-prune the configuration grid to those satisfying the live resource limits,
-and the surviving configuration with the greatest utility
+Logging collects (configuration, measured consumption) samples per
+resource, and learning fits one linear model per resource by ordinary
+least squares over the fidelity parameters. Selection keeps the grid
+configurations whose predicted consumption fits the resource limits and
+chooses, across suppliers, the one with the greatest utility
 
     f_s * prod_p F_p(c_p) ** w_p
 
-is chosen across suppliers, visiting them in descending preference f_s and
-stopping early once no remaining supplier's f_s can beat the best utility
-found (the product term never exceeds 1).
+visiting suppliers in descending preference f_s and stopping once no
+remaining f_s can beat the best utility found (the product is at most 1).
+The types here do not check their fields: a scenario's or a sample log's
+fidelity inputs are checked once, by the schema reader in ``sim``.
 """
 
 from __future__ import annotations
@@ -47,16 +48,6 @@ class Parameter:
     lo: float = 0.0
     hi: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.kind == "discrete":
-            if not self.values:
-                raise ValueError(f"{self.name}: discrete domain is empty")
-        elif self.kind == "continuous":
-            if not self.lo < self.hi:
-                raise ValueError(f"{self.name}: need lo < hi")
-        else:
-            raise ValueError(f"{self.name}: unknown kind {self.kind!r}")
-
     def contains(self, value) -> bool:
         if self.kind == "discrete":
             return value in self.values
@@ -86,11 +77,6 @@ def continuous(name: str, lo: float, hi: float) -> Parameter:
 class FidelityDomain:
     parameters: tuple[Parameter, ...]
 
-    def __post_init__(self) -> None:
-        names = [p.name for p in self.parameters]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate parameter names")
-
     def contains(self, config: Sequence) -> bool:
         return len(config) == len(self.parameters) and all(
             p.contains(v) for p, v in zip(self.parameters, config)
@@ -104,40 +90,6 @@ class FidelityDomain:
     def encode(self, config: Sequence) -> tuple[float, ...]:
         """Numeric coordinates of a configuration, for the linear models."""
         return tuple(p.encode(v) for p, v in zip(self.parameters, config))
-
-
-def read_domain(specs, where: str, errs: list[str]) -> FidelityDomain:
-    """The domain a document's parameter list describes.
-
-    Each entry is a mapping with a string ``name``, ``kind`` and either
-    ``values`` (discrete) or finite ``lo`` and ``hi`` (continuous). A
-    malformed entry is a message in ``errs`` and is left out.
-    """
-    if not isinstance(specs, list):
-        errs.append(f"{where}: must be a list, got {type(specs).__name__}")
-        return FidelityDomain(())
-    params = []
-    for i, p in enumerate(specs):
-        try:
-            if not isinstance(p["name"], str):
-                raise TypeError(f"name must be a string, got {p['name']!r}")
-            if p["kind"] == "discrete":
-                params.append(discrete(p["name"], p["values"]))
-            elif p["kind"] == "continuous":
-                if not (math.isfinite(p["lo"]) and math.isfinite(p["hi"])):
-                    raise ValueError("lo and hi must be finite")
-                params.append(continuous(p["name"], p["lo"], p["hi"]))
-            else:
-                raise ValueError(f"unknown kind {p['kind']!r}")
-        except KeyError as e:
-            errs.append(f"{where}[{i}]: missing key {e}")
-        except (TypeError, ValueError, OverflowError) as e:
-            errs.append(f"{where}[{i}]: {e}")
-    try:
-        return FidelityDomain(tuple(params))
-    except ValueError as e:  # duplicate names
-        errs.append(f"{where}: {e}")
-        return FidelityDomain(())
 
 
 @dataclass
@@ -257,19 +209,6 @@ class UtilityFn:
     knee_lo: float = 0.0
     knee_hi: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.kind == "table":
-            if not self.table:
-                raise ValueError("empty utility table")
-            bad = {k: v for k, v in self.table.items() if not 0.0 <= v <= 1.0}
-            if bad:
-                raise ValueError(f"utilities outside [0, 1]: {bad}")
-        elif self.kind == "sigmoid":
-            if not self.knee_lo < self.knee_hi:
-                raise ValueError("need knee_lo < knee_hi")
-        else:
-            raise ValueError(f"unknown utility kind {self.kind!r}")
-
     def eval(self, value) -> float:
         if self.kind == "table":
             if value not in self.table:
@@ -308,10 +247,6 @@ class Supplier:
     supplier_id: str
     f_s: float  # user's preference for this provider
     domain: FidelityDomain
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.f_s <= 1.0:
-            raise ValueError("supplier preference must be in [0, 1]")
 
 
 def _check_weights(weights: Sequence[float]) -> None:

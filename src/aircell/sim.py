@@ -162,7 +162,7 @@ class Field(NamedTuple):
     """One field of a scenario section: its kind, default and range.
 
     ``kind`` is ``int``, ``float``, ``bool``, ``str``, ``list``, a tuple of
-    the allowed strings, or ``object`` for a value its own reader checks.
+    the allowed values, or ``object`` for a value its own reader checks.
     An absent field reads as ``default``, and so does null where that is
     None; a field with no default must be present. A number must be at
     least ``lo``, above ``above`` and at most ``hi`` where these are set,
@@ -187,7 +187,8 @@ _CLIENT_FIELDS = (
 )
 # Every field of a scenario document, by the path of its section: "" is the
 # top level, "objects" and "clients" the compact blocks, a path ending in
-# "[]" each entry of a list, and "adjacency" the ring generator.
+# "[]" each entry of a list, one ending in ".*" each value of a mapping, and
+# "adjacency" the ring generator.
 SCHEMA: dict[str, dict[str, Field]] = {
     section: {f.key: f for f in fields}
     for section, fields in {
@@ -254,15 +255,31 @@ SCHEMA: dict[str, dict[str, Field]] = {
             Field("models", object, []), Field("limits", object, None),
             Field("continuous_points", int, 32, lo=1),
         ),
+        # values for a discrete parameter, finite lo < hi for a continuous one
+        "fidelity.parameters[]": (
+            Field("name", str), Field("kind", ("discrete", "continuous")),
+            Field("values", list, None), Field("lo", float, None), Field("hi", float, None),
+        ),
+        # one per parameter, under its name: a table of values' utilities in
+        # [0, 1] or two sigmoid knees
+        "fidelity.utilities.*": (Field("table", object, None), Field("sigmoid", list, None)),
         "fidelity.suppliers[]": (Field("supplier_id", str), Field("f_s", float, lo=0, hi=1)),
         "fidelity.models[]": (
             Field("resource_id", str), Field("coefficients", list), Field("intercept", float),
         ),
     }.items()
 }
-# a value of a ``qos`` map or of ``fidelity.limits``, read under its own key
+# a value read under its own key: of a ``qos`` map and a fidelity weight or
+# table utility, of ``fidelity.limits``, of a sample's ``consumption``, and
+# one that its reader checks
 _QOS = Field("", float, 0.0, lo=0, hi=1)
 _LIMIT = Field("", float, math.inf, no_limit=True)
+_AMOUNT = Field("", float, 0.0)
+_ANY = Field("", object)
+# The most configurations a fidelity grid may hold: the product of the
+# parameters' value counts, continuous_points for a continuous one. The
+# selection builds and scores every configuration of the grid.
+_MAX_GRID = 10**6
 
 
 def _is_number(value) -> bool:
@@ -283,6 +300,14 @@ def _mapping(value, where: str, errs: list[str]) -> dict:
         return value
     errs.append(f"{where}: must be a mapping, got {type(value).__name__}")
     return {}
+
+
+def _listed(value, where: str, errs: list[str]) -> list:
+    """``value`` if it is a list; otherwise a violation and ``[]``."""
+    if isinstance(value, list):
+        return value
+    errs.append(f"{where}: must be a list, got {type(value).__name__}")
+    return []
 
 
 _KIND_NAMES = {bool: "a boolean", str: "a string", list: "a list"}
@@ -327,7 +352,7 @@ def _read_value(value, where: str, row: Field, errs: list[str]):
             errs.append(f"{where}: {row.key} must be {need}, got {value!r}")
             return row.default
     elif isinstance(kind, tuple):
-        if isinstance(value, str) and value in kind:
+        if not isinstance(value, bool) and value in kind:
             return value
         *rest, need = map(repr, kind)
         if rest:
@@ -386,11 +411,9 @@ def _read_section(section, where: str, rows: dict[str, Field], errs: list[str]):
 def _read_entries(spec, where: str, rows: dict[str, Field], errs: list[str]) -> list:
     """The entries of the list ``spec``, each read as a section of ``rows``;
     an entry whose required field is missing or bad is left out."""
-    if not isinstance(spec, list):
-        errs.append(f"{where}: must be a list, got {type(spec).__name__}")
-        return []
     entries = (
-        _read_section(entry, f"{where}[{i}]", rows, errs) for i, entry in enumerate(spec)
+        _read_section(entry, f"{where}[{i}]", rows, errs)
+        for i, entry in enumerate(_listed(spec, where, errs))
     )
     return [v for v in entries if v is not None]
 
@@ -401,6 +424,12 @@ def _read_map(section, where: str, row: Field, errs: list[str]) -> dict:
         str(key): _read_value(value, where, row._replace(key=str(key)), errs)
         for key, value in _mapping(section, where, errs).items()
     }
+
+
+def _named(names, row: Field) -> dict[str, Field]:
+    """Rows for a mapping that holds ``row`` under each of ``names`` and no
+    other key."""
+    return {name: row._replace(key=name, default=_REQUIRED) for name in names}
 
 
 def _numbered(prefix: str, count: int) -> list[str]:
@@ -935,65 +964,133 @@ def plan_cell(
     return result, program
 
 
+def read_parameters(spec, where: str, errs: list[str]) -> fidelity.FidelityDomain | None:
+    """The domain a list of ``fidelity.parameters[]`` entries describes, or
+    None and every violation in ``errs``."""
+    before, params = len(errs), []
+    for i, entry in enumerate(_listed(spec, where, errs)):
+        here, start = f"{where}[{i}]", len(errs)
+        v = _read_section(entry, here, SCHEMA["fidelity.parameters[]"], errs)
+        if len(errs) > start:
+            continue
+        needs = ("values",) if v["kind"] == "discrete" else ("lo", "hi")
+        missing = [key for key in needs if v[key] is None]
+        values = v["values"]
+        if missing:
+            errs.extend(f"{here}: missing key {key!r}" for key in missing)
+        elif v["kind"] == "continuous":
+            if v["lo"] < v["hi"]:
+                params.append(fidelity.continuous(v["name"], v["lo"], v["hi"]))
+            else:
+                errs.append(f"{here}: lo must be below hi")
+        elif values and all(isinstance(x, str) or _is_finite(x) for x in values) and (
+            len(set(values)) == len(values)
+        ):
+            params.append(fidelity.discrete(v["name"], values))
+        else:
+            errs.append(f"{here}.values: must be distinct strings or finite numbers")
+    if len({p.name for p in params}) < len(params):
+        errs.append(f"{where}: duplicate parameter names")
+    return None if len(errs) > before else fidelity.FidelityDomain(tuple(params))
+
+
+def _read_utility(p: fidelity.Parameter, spec, errs: list[str]) -> fidelity.UtilityFn | None:
+    """Parameter ``p``'s utility as ``spec`` gives it, or None and the
+    violations in ``errs``."""
+    where, start = f"fidelity.utilities.{p.name}", len(errs)
+    v = _read_section(spec, where, SCHEMA["fidelity.utilities.*"], errs)
+    table, knees = v["table"], v["sigmoid"]
+    if len(errs) > start:
+        return None
+    if (table is None) == (knees is None):
+        errs.append(f"{where}: give one of table and sigmoid")
+    elif knees is None and p.kind == "continuous":
+        errs.append(f"{where}.table: {p.name} is continuous, so it needs a sigmoid")
+    elif knees is None:
+        table = _read_section(table, f"{where}.table", _named(map(str, p.values), _QOS), errs)
+        return table and fidelity.table_utility({x: table[str(x)] for x in p.values})
+    elif not (len(knees) == 2 and all(map(_is_finite, knees)) and knees[0] < knees[1]):
+        errs.append(f"{where}.sigmoid: must be two finite numbers, low first")
+    elif not all(map(_is_number, p.values)):
+        errs.append(f"{where}.sigmoid: {p.name} has values that are not numbers")
+    else:
+        return fidelity.sigmoid_utility(float(knees[0]), float(knees[1]))
+    return None
+
+
 def _read_fidelity(section, errs: list[str]) -> FidelitySection | None:
     """The ``fidelity`` section of a document, or None; every problem is a
-    violation in ``errs``."""
+    violation in ``errs``. The other fields are read against the parameter
+    list, so a malformed list ends the reading after its own violations."""
     config = _read_section(section, "fidelity", SCHEMA["fidelity"], errs)
     if config is None:
         return None
     limits = _read_map(config["limits"] or {}, "fidelity.limits", _LIMIT, errs)
-    before = len(errs)
-    domain = fidelity.read_domain(config["parameters"], "fidelity.parameters", errs)
-    if len(errs) > before:
+    domain = read_parameters(config["parameters"], "fidelity.parameters", errs)
+    if domain is None:
         return None
-    params = domain.parameters
-    try:
-        utilities = []
-        for p in params:
-            u = config["utilities"][p.name]
-            if "table" in u:
-                table = {v: u["table"][str(v)] for v in p.values}
-                utilities.append(fidelity.table_utility(table))
-            else:
-                lo, hi = u["sigmoid"]
-                if not all(_is_number(v) for v in p.values):
-                    raise ValueError(f"{p.name}: a sigmoid needs numeric values")
-                utilities.append(fidelity.sigmoid_utility(float(lo), float(hi)))
-        weights = [config["weights"][p.name] for p in params]
-    except KeyError as e:
-        errs.append(f"fidelity: missing key {e}")
-        return None
-    except (TypeError, ValueError, OverflowError) as e:
-        errs.append(f"fidelity: {e}")
-        return None
-    if not all(_is_number(w) and 0 <= w <= 1 for w in weights):
-        errs.append("fidelity.weights: must be numbers in [0, 1]")
-    suppliers = [
-        fidelity.Supplier(v["supplier_id"], v["f_s"], domain)
-        for v in _read_entries(
-            config["suppliers"], "fidelity.suppliers", SCHEMA["fidelity.suppliers[]"], errs
-        )
-    ]
-    models = [
-        fidelity.ResourceModel(v["resource_id"], tuple(v["coefficients"]), v["intercept"])
-        for v in _read_entries(
-            config["models"], "fidelity.models", SCHEMA["fidelity.models[]"], errs
-        )
-    ]
+    params, points = domain.parameters, config["continuous_points"]
+    names = [p.name for p in params]
+    size = math.prod(points if p.kind == "continuous" else len(p.values) for p in params)
+    if size > _MAX_GRID:
+        errs.append(f"fidelity: {size} configurations in the grid, more than {_MAX_GRID}")
+    specs = _read_section(config["utilities"], "fidelity.utilities", _named(names, _ANY), errs)
+    utilities = [_read_utility(p, specs[p.name], errs) for p in params] if specs else []
+    weights = _read_section(config["weights"], "fidelity.weights", _named(names, _QOS), errs)
+    suppliers, models = (
+        _read_entries(config[key], f"fidelity.{key}", SCHEMA[f"fidelity.{key}[]"], errs)
+        for key in ("suppliers", "models")
+    )
     if config["suppliers"] == []:
         errs.append("fidelity.suppliers: need at least one supplier")
-    if len({s.supplier_id for s in suppliers}) != len(suppliers):
+    if len({v["supplier_id"] for v in suppliers}) != len(suppliers):
         errs.append("fidelity.suppliers: duplicate supplier ids")
     for m in models:
-        if len(m.coefficients) != len(params) or not all(map(_is_finite, m.coefficients)):
+        if len(m["coefficients"]) != len(params) or not all(map(_is_finite, m["coefficients"])):
             errs.append(
-                f"fidelity.models: {m.resource_id!r} needs a finite coefficient "
+                f"fidelity.models: {m['resource_id']!r} needs a finite coefficient "
                 f"for each of the {len(params)} parameters and a finite intercept"
             )
+    if errs:  # the document is rejected
+        return None
     return FidelitySection(
-        domain, tuple(suppliers), tuple(utilities), tuple(weights), tuple(models),
-        limits, config["continuous_points"],
+        domain, tuple(fidelity.Supplier(v["supplier_id"], v["f_s"], domain) for v in suppliers),
+        tuple(utilities), tuple(weights[n] for n in names),
+        tuple(fidelity.ResourceModel(m["resource_id"], tuple(m["coefficients"]), m["intercept"])
+              for m in models),
+        limits, points,
     )
+
+
+_SAMPLE_LOG = _named(("domain", "samples"), _ANY)
+_SAMPLE = _named(("config", "consumption"), _ANY)
+
+
+def read_sample_log(doc) -> fidelity.SampleStore:
+    """An ``aircell fit`` log's samples, in a store over its ``domain``, a
+    parameter list; raises ``ScenarioError`` listing every violation."""
+    errs: list[str] = []
+    log = _read_section(doc, "sample log", _SAMPLE_LOG, errs)
+    domain = log and read_parameters(log["domain"], "domain", errs)
+    if domain is None:
+        raise ScenarioError(errs)
+    store = fidelity.SampleStore(domain)
+    # a sample's config holds each parameter, by name, at a value of its domain
+    rows = {
+        p.name: Field(p.name, p.values) if p.kind == "discrete"
+        else Field(p.name, float, lo=p.lo, hi=p.hi) for p in domain.parameters
+    }
+    for i, sample in enumerate(_listed(log["samples"], "samples", errs)):
+        v = _read_section(sample, f"samples[{i}]", _SAMPLE, errs)
+        config = v and _read_section(v["config"], f"samples[{i}].config", rows, errs)
+        measured = v and _read_map(v["consumption"], f"samples[{i}].consumption", _AMOUNT, errs)
+        if v and v["consumption"] == {}:
+            errs.append(f"samples[{i}].consumption: must name at least one resource")
+        if config is not None and measured:
+            fidelity.log_sample(store, list(config.values()), measured)
+    if errs:
+        raise ScenarioError(errs)
+    return store
 
 
 def _select_fidelity(section: FidelitySection) -> dict:

@@ -192,6 +192,23 @@ def lru_reference(capacity: int, accesses: list[tuple[str, str]]):
     return list(order), evictions
 
 
+def ttl_tick_reference(entries, drop: bool, ttl: float, now: float) -> list[tuple[str, str]]:
+    """The TTL tick as a walk over every entry: drop, or flag for a requery,
+    each entry older than ``ttl`` (strictly), in place; its (action, id)s."""
+    actions = []
+    for object_id in list(entries):
+        entry = entries[object_id]
+        if now - entry.cached_at <= ttl:
+            continue
+        if drop:
+            del entries[object_id]
+            actions.append(("drop", object_id))
+        elif not entry.requery_pending:
+            entry.requery_pending = True
+            actions.append(("requery", object_id))
+    return actions
+
+
 def score_admission_replay(capacity: int, offers: list[tuple[str, float, float]]):
     """Replay of score-based admission: (object, score, offered_at) -> kept set.
 

@@ -1,3 +1,5 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,15 +15,20 @@ from aircell.cache import (
     cqf,
 )
 from aircell.freshness import FreshnessStats, InvariantError
-from oracles import lru_reference, read_stats_reference, score_admission_replay
+from oracles import (
+    lru_reference,
+    read_stats_reference,
+    score_admission_replay,
+    ttl_tick_reference,
+)
 
 
 def stats(mtbu, stdv=0.0, t_last=0.0, n=10):
     return FreshnessStats(mtbu, stdv, t_last, n)
 
 
-def entry(oid, mtbu=100.0, cached_at=0.0, ttl=None, stdv=0.0, t_last=0.0):
-    return CacheEntry(oid, stats(mtbu, stdv, t_last), cached_at, ttl)
+def entry(oid, mtbu=100.0, cached_at=0.0, stdv=0.0, t_last=0.0):
+    return CacheEntry(oid, stats(mtbu, stdv, t_last), cached_at)
 
 
 def reads_every(tracker: ReadTracker, oid: str, period: float, n: int, t0=0.0):
@@ -269,21 +276,21 @@ class TestLruPolicy:
 
 class TestTtlPolicies:
     def test_drop_after_ttl_strictly(self):
-        cache = ClientCache(4, PolicyKind.TTL_DROP)
-        cache.insert(entry("a", cached_at=0.0, ttl=50.0), now=0.0)
+        cache = ClientCache(4, PolicyKind.TTL_DROP, default_ttl=50.0)
+        cache.insert(entry("a", cached_at=0.0), now=0.0)
         assert cache.tick(now=50.0) == []      # boundary: age == ttl is kept
         actions = cache.tick(now=51.0)
         assert [(a.action, a.object_id) for a in actions] == [("drop", "a")]
         assert "a" not in cache
 
     def test_requery_emitted_once(self):
-        cache = ClientCache(4, PolicyKind.TTL_REQUERY)
-        cache.insert(entry("a", cached_at=0.0, ttl=50.0), now=0.0)
+        cache = ClientCache(4, PolicyKind.TTL_REQUERY, default_ttl=50.0)
+        cache.insert(entry("a", cached_at=0.0), now=0.0)
         first = cache.tick(now=51.0)
         assert [(a.action, a.object_id) for a in first] == [("requery", "a")]
         assert cache.tick(now=52.0) == []      # pending; not re-emitted
         assert "a" in cache                    # entry stays until refreshed
-        cache.insert(entry("a", cached_at=60.0, ttl=50.0), now=60.0)
+        cache.insert(entry("a", cached_at=60.0), now=60.0)
         assert cache.tick(now=61.0) == []
 
     def test_default_ttl_applies(self):
@@ -292,9 +299,56 @@ class TestTtlPolicies:
         assert cache.tick(now=11.0)[0].object_id == "a"
 
     def test_non_ttl_policies_never_tick(self):
-        cache = ClientCache(4, PolicyKind.LRU)
-        cache.insert(entry("a", cached_at=0.0, ttl=1.0), now=0.0)
+        cache = ClientCache(4, PolicyKind.LRU, default_ttl=1.0)
+        cache.insert(entry("a", cached_at=0.0), now=0.0)
         assert cache.tick(now=100.0) == []
+
+    def test_tick_walks_only_when_an_entry_may_have_expired(self):
+        walks = []
+
+        class Entries(OrderedDict):
+            def __iter__(self):
+                walks.append(1)
+                return super().__iter__()
+
+        cache = ClientCache(4, PolicyKind.TTL_REQUERY, default_ttl=10.0)
+        cache.entries = Entries()
+        cache.insert(entry("a", cached_at=0.0), now=0.0)
+        cache.insert(entry("b", cached_at=5.0), now=5.0)
+        assert [cache.tick(float(t)) for t in range(11)] == [[]] * 11
+        assert walks == []
+        assert [(a.action, a.object_id) for a in cache.tick(11.0)] == [("requery", "a")]
+        assert len(walks) == 1
+        assert [cache.tick(float(t)) for t in range(12, 16)] == [[]] * 4
+        assert len(walks) == 1  # "a" is pending and "b" is not yet due
+        assert [(a.action, a.object_id) for a in cache.tick(16.0)] == [("requery", "b")]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        drop=st.booleans(),
+        ttl=st.sampled_from([0.5, 3.0, 7.25, float("inf")]),
+        steps=st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from("abcdef"), st.integers(0, 4)),
+            max_size=60,
+        ),
+    )
+    def test_matches_a_walk_over_every_entry(self, drop, ttl, steps):
+        # both caches see the same inserts at nondecreasing times; one ticks,
+        # the other's entries are walked whole by the reference
+        policy = PolicyKind.TTL_DROP if drop else PolicyKind.TTL_REQUERY
+        cache, mirror = (ClientCache(3, policy, default_ttl=ttl) for _ in range(2))
+        now = 0.0
+        for advance, oid, age in steps:
+            now += advance
+            if age < 3:  # insert a copy cached ``age`` slots ago
+                for c in (cache, mirror):
+                    c.insert(entry(oid, cached_at=max(now - age, 0.0)), now)
+            else:
+                actions = [(a.action, a.object_id) for a in cache.tick(now)]
+                assert actions == ttl_tick_reference(mirror.entries, drop, ttl, now)
+            assert [(k, e.cached_at, e.requery_pending) for k, e in cache.entries.items()] == [
+                (k, e.cached_at, e.requery_pending) for k, e in mirror.entries.items()
+            ]
 
 
 class TestReinsertion:

@@ -1,5 +1,7 @@
 import json
+import re
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +328,63 @@ class TestPlanningCommands:
         path.write_text(json.dumps({"domain": domain, "samples": []}))
         assert main(["fit", "--samples", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: domain")
+
+    DOMAIN = [{"name": "frame_rate", "kind": "discrete", "values": [10.0, 20.0]},
+              {"name": "level", "kind": "continuous", "lo": 0, "hi": 5}]
+
+    @pytest.mark.parametrize("log, message", [
+        pytest.param({"domain": DOMAIN, "samples": 5},
+                     "samples: must be a list, got int", id="samples a number"),
+        pytest.param({"domain": DOMAIN},
+                     "sample log: missing key 'samples'", id="samples missing"),
+        pytest.param([DOMAIN], "sample log: must be a mapping, got list", id="a list"),
+        pytest.param({"domain": DOMAIN, "samples": [
+            {"config": {"frame_rate": 15.0, "level": 9}, "consumption": {}},
+            {"config": {"frame_rate": True, "lvl": 1}, "consumption": {"cpu": "a"}},
+            [],
+        ]}, "samples[0].config.frame_rate: must be 10.0 or 20.0, got 15.0; "
+            "samples[0].config.level: must be in [0.0, 5.0]; "
+            "samples[0].consumption: must name at least one resource; "
+            "samples[1].config.frame_rate: must be 10.0 or 20.0, got True; "
+            "samples[1].config: unknown key 'lvl'; "
+            "samples[1].config: missing key 'level'; "
+            "samples[1].consumption.cpu: must be a number, got 'a'; "
+            "samples[2]: must be a mapping, got list", id="bad samples"),
+    ])
+    def test_fit_rejects_a_malformed_sample_log(self, tmp_path, capsys, log, message):
+        # each used to exit 1 with Python's exception text, or name the domain
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps(log))
+        assert main(["fit", "--samples", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_too_few_samples_still_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps({"domain": self.DOMAIN, "samples": [
+            {"config": {"frame_rate": 10.0, "level": 1}, "consumption": {"cpu": 1.0}}]}))
+        assert main(["fit", "--samples", str(path)]) == 1
+        assert capsys.readouterr().err == "error: cpu: 1 samples for 3 coefficients\n"
+
+
+def readme_json_blocks() -> list[str]:
+    """The text of every ```json block of the README."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+
+
+class TestReadme:
+    def test_every_json_block_is_read(self, tmp_path, capsys):
+        blocks = readme_json_blocks()
+        logs = [b for b in blocks if '"samples"' in b]
+        assert logs and len(logs) < len(blocks)
+        for block in blocks:
+            doc = json.loads(block)
+            if block in logs:
+                path = tmp_path / "samples.json"
+                path.write_text(block)
+                assert main(["fit", "--samples", str(path)]) == 0, capsys.readouterr().err
+            else:
+                run(scenario_from_dict(doc))
 
 
 class TestAggregate:

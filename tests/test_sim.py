@@ -517,7 +517,7 @@ class TestFidelitySection:
     def test_unknown_kind(self):
         params = [{"name": "frame_rate", "kind": "stepped", "values": [20, 30]}]
         assert self.violations(parameters=params) == [
-            "fidelity.parameters[0]: unknown kind 'stepped'"
+            "fidelity.parameters[0].kind: must be 'discrete' or 'continuous', got 'stepped'"
         ]
 
     def test_duplicate_supplier_ids(self):
@@ -544,14 +544,14 @@ class TestFidelitySection:
 
     def test_missing_utility(self):
         assert self.violations(utilities={"frame_rate": {"sigmoid": [20, 40]}}) == [
-            "fidelity: missing key 'resolution'"
+            "fidelity.utilities: missing key 'resolution'"
         ]
 
     def test_sigmoid_on_categorical_values(self):
         utilities = {**TestFidelitySelection.FIDELITY["utilities"],
                      "resolution": {"sigmoid": [0, 1]}}
         assert self.violations(utilities=utilities) == [
-            "fidelity: resolution: a sigmoid needs numeric values"
+            "fidelity.utilities.resolution.sigmoid: resolution has values that are not numbers"
         ]
 
     def test_listed_with_the_other_violations(self):
@@ -561,7 +561,7 @@ class TestFidelitySection:
             scenario_from_dict(doc)
         assert err.value.violations == [
             "toggles: must be a mapping, got list",
-            "fidelity: 'int' object is not subscriptable",
+            "fidelity.weights: must be a mapping, got int",
         ]
 
     def test_grid_filtered_once_per_selection(self, monkeypatch):
@@ -601,6 +601,167 @@ class TestFidelitySection:
 
         monkeypatch.setattr(sim, "_read_fidelity", read_again)
         assert run(scn).fidelity_selection["config"] == [30, "high"]
+
+
+def continuous_rate(**entry) -> dict:
+    """The selection's section with frame_rate made continuous, with a
+    sigmoid utility, and the parameter entry's fields set to ``entry``."""
+    section = json.loads(json.dumps(TestFidelitySelection.FIDELITY))
+    section["parameters"][0] = {"name": "frame_rate", "kind": "continuous", "lo": 20,
+                                "hi": 40, **entry}
+    section["utilities"]["frame_rate"] = {"sigmoid": [25, 35]}
+    return section
+
+
+def changed(path: str, value) -> dict:
+    """The selection's section with the value at ``path`` (keys and list
+    indices joined by dots) replaced by ``value``."""
+    section = json.loads(json.dumps(TestFidelitySelection.FIDELITY))
+    *parents, last = path.split(".")
+    node = section
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+    return section
+
+
+class TestFidelityRows:
+    """Each fidelity input is read by the table; every violation starts
+    with its field's path. Each of these documents was accepted before, or
+    reported with Python's exception text in place of a path."""
+
+    @pytest.mark.parametrize("section, expected", [
+        pytest.param(changed("parameters.0.values", "234"), [
+            "fidelity.parameters[0].values: must be a list, got '234'",
+        ], id="string values"),
+        pytest.param(changed("parameters.0.values", [20, 30, 20]), [
+            "fidelity.parameters[0].values: must be distinct strings or finite numbers",
+        ], id="duplicate values"),
+        pytest.param(changed("parameters.0.values", {"20": 20}), [
+            "fidelity.parameters[0].values: must be a list, got {'20': 20}",
+        ], id="mapping values"),
+        pytest.param(changed("parameters.1.unit", "px"), [
+            "fidelity.parameters[1]: unknown key 'unit'",
+        ], id="unknown parameter key"),
+        pytest.param(changed("utilities.codec", {"table": {"h264": 1.0}}), [
+            "fidelity.utilities: unknown key 'codec'",
+        ], id="unknown utility"),
+        pytest.param(changed("weights.codec", 0.5), [
+            "fidelity.weights: unknown key 'codec'",
+        ], id="unknown weight"),
+        pytest.param(
+            {**continuous_rate(), "continuous_points": 10**6, "parameters": [
+                {"name": "frame_rate", "kind": "continuous", "lo": 20, "hi": 40},
+                {"name": "resolution", "kind": "continuous", "lo": 0, "hi": 1},
+            ], "utilities": {"frame_rate": {"sigmoid": [25, 35]},
+                             "resolution": {"sigmoid": [0.2, 0.8]}}},
+            ["fidelity: 1000000000000 configurations in the grid, more than 1000000"],
+            id="grid of 10**12"),
+        pytest.param(changed("weights", 3), [
+            "fidelity.weights: must be a mapping, got int",
+        ], id="weights a number"),
+        pytest.param(changed("utilities.frame_rate", 0.5), [
+            "fidelity.utilities.frame_rate: must be a mapping, got float",
+        ], id="utility a number"),
+        pytest.param(changed("utilities.frame_rate.table.30", "high"), [
+            "fidelity.utilities.frame_rate.table.30: must be a number, got 'high'",
+        ], id="non-numeric table value"),
+        pytest.param(continuous_rate(lo="20"), [
+            "fidelity.parameters[0].lo: must be a number, got '20'",
+        ], id="string lo"),
+        pytest.param(changed("utilities.frame_rate", {"sigmoid": [25, "35"]}), [
+            "fidelity.utilities.frame_rate.sigmoid: must be two finite numbers, low first",
+        ], id="non-numeric sigmoid knee"),
+    ])
+    def test_violation_paths(self, section, expected):
+        assert violations(p2p_doc(fidelity=section)) == expected
+
+    @pytest.mark.parametrize("section, expected", [
+        (continuous_rate(lo=40), ["fidelity.parameters[0]: lo must be below hi"]),
+        (changed("parameters.0", {"name": "frame_rate", "kind": "discrete"}),
+         ["fidelity.parameters[0]: missing key 'values'"]),
+        (changed("parameters.0", {"name": "frame_rate", "kind": "continuous"}),
+         ["fidelity.parameters[0]: missing key 'lo'",
+          "fidelity.parameters[0]: missing key 'hi'"]),
+        (changed("parameters.0.values", [20, True]),
+         ["fidelity.parameters[0].values: must be distinct strings or finite numbers"]),
+        (changed("parameters.1.name", "frame_rate"),
+         ["fidelity.parameters: duplicate parameter names"]),
+        (changed("utilities.frame_rate", {"table": {"20": 1.0}, "sigmoid": [25, 35]}),
+         ["fidelity.utilities.frame_rate: give one of table and sigmoid"]),
+        (changed("utilities.frame_rate", {}),
+         ["fidelity.utilities.frame_rate: give one of table and sigmoid"]),
+        (changed("utilities.frame_rate.table", {"20": 0.3, "40": 1.0}),
+         ["fidelity.utilities.frame_rate.table: missing key '30'"]),
+        (changed("utilities.frame_rate.table.40", 1.5),
+         ["fidelity.utilities.frame_rate.table.40: must be in [0, 1]"]),
+        (changed("utilities.frame_rate", {"sigmoid": [35, 25]}),
+         ["fidelity.utilities.frame_rate.sigmoid: must be two finite numbers, low first"]),
+        ({**continuous_rate(), "utilities": {
+            "frame_rate": {"table": {"20": 1.0}},
+            "resolution": TestFidelitySelection.FIDELITY["utilities"]["resolution"]}},
+         ["fidelity.utilities.frame_rate.table: frame_rate is continuous, so it needs a "
+          "sigmoid"]),
+        (changed("weights", {"frame_rate": 1.0}), ["fidelity.weights: missing key 'resolution'"]),
+        (changed("weights.resolution", -0.5), ["fidelity.weights.resolution: must be in [0, 1]"]),
+    ], ids=[
+        "lo not below hi", "discrete without values", "continuous without bounds",
+        "boolean value", "duplicate names", "table and sigmoid", "neither table nor sigmoid",
+        "table misses a value", "table value out of range", "knees reversed",
+        "table on a continuous parameter", "weight missing", "weight out of range",
+    ])
+    def test_checks_that_span_fields(self, section, expected):
+        assert violations(p2p_doc(fidelity=section)) == expected
+
+    def test_a_malformed_parameter_list_ends_the_reading(self):
+        # the utilities, weights and models no longer match it, unreported
+        section = {**changed("parameters.0.values", "234"), "weights": 3}
+        assert violations(p2p_doc(fidelity=section)) == [
+            "fidelity.parameters[0].values: must be a list, got '234'",
+        ]
+
+    def test_grid_bound_is_inclusive(self):
+        # 1000 values times 1000 points: read, not built
+        values = list(range(1000))
+        section = {**continuous_rate(), "continuous_points": 1000, "parameters": [
+            {"name": "frame_rate", "kind": "continuous", "lo": 20, "hi": 40},
+            {"name": "resolution", "kind": "discrete", "values": values},
+        ]}
+        section["utilities"]["resolution"] = {"table": {str(v): 0.5 for v in values}}
+        assert scenario_from_dict(p2p_doc(fidelity=section)).fidelity is not None
+        values.append(1000)
+        section["utilities"]["resolution"]["table"]["1000"] = 0.5
+        assert violations(p2p_doc(fidelity=section)) == [
+            "fidelity: 1001000 configurations in the grid, more than 1000000"
+        ]
+
+    def test_continuous_parameter_with_a_sigmoid_selects(self):
+        metrics = run(scenario_from_dict(p2p_doc(seed=41, fidelity={
+            **continuous_rate(), "continuous_points": 5})))
+        # frame rates 20, 25, 30, 35, 40; the limit allows up to 35
+        assert metrics.fidelity_selection["config"] == [35.0, "high"]
+
+    def test_one_reader_for_the_parameter_list(self, monkeypatch, tmp_path, capsys):
+        from aircell import cli
+
+        calls = []
+        read_parameters = sim.read_parameters
+
+        def counted(spec, where, errs):
+            calls.append(where)
+            return read_parameters(spec, where, errs)
+
+        monkeypatch.setattr(sim, "read_parameters", counted)
+        scenario_from_dict(p2p_doc(fidelity=TestFidelitySelection.FIDELITY))
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps({"domain": [], "samples": [
+            {"config": {}, "consumption": {"cpu": 2.0}}]}))
+        assert cli.main(["fit", "--samples", str(path)]) == 0
+        assert calls == ["fidelity.parameters", "domain"]
+        # with no parameters, the model is the mean
+        assert json.loads(capsys.readouterr().out)["models"] == [
+            {"resource_id": "cpu", "coefficients": [], "intercept": 2.0}]
+        assert not hasattr(fidelity, "read_domain")
 
 
 class TestScenarioValidation:
@@ -994,7 +1155,7 @@ class TestIdFields:
                       "intercept": 1.0}]},
          "fidelity.models[0].resource_id: must be a string, got ['bw']"),
         ({"parameters": [{"name": ["x"], "kind": "discrete", "values": [1]}]},
-         "fidelity.parameters[0]: name must be a string, got ['x']"),
+         "fidelity.parameters[0].name: must be a string, got ['x']"),
     ])
     def test_fidelity_ids(self, change, expected):
         # each used to escape as TypeError: unhashable type: 'list'
@@ -1261,11 +1422,16 @@ def section(draw, name: str, **given) -> dict:
 
 def sections_of(doc: dict):
     """(table section, mapping) of every section of the table the document
-    holds; a section ending in ``[]`` is each mapping of a list."""
+    holds; a section ending in ``[]`` is each mapping of a list, and one
+    ending in ``.*`` each mapping that is a value of a mapping."""
     for path in sim.SCHEMA:
         nodes = [doc]
         for name in filter(None, path.removesuffix("[]").split(".")):
-            nodes = [node[name] for node in nodes if isinstance(node, dict) and name in node]
+            nodes = [
+                child for node in nodes if isinstance(node, dict)
+                for child in (node.values() if name == "*" else [node.get(name)])
+                if name == "*" or name in node
+            ]
         if path.endswith("[]"):
             nodes = [entry for node in nodes if isinstance(node, list) for entry in node]
         yield from ((path, node) for node in nodes if isinstance(node, dict))
@@ -1315,6 +1481,16 @@ def documents(draw):
         limits = {"bandwidth": draw(in_range(sim._LIMIT))}
         fidelity_section = {**json.loads(json.dumps(TestFidelitySelection.FIDELITY)),
                             **section(draw, "fidelity", limits=limits)}
+        if draw(st.booleans()):  # a continuous parameter with a sigmoid utility
+            lo = draw(st.floats(-50, 50))
+            hi = lo + draw(st.floats(0.5, 50))
+            knee = draw(st.floats(-60, 60))
+            fidelity_section["parameters"].append(
+                {"name": "bitrate", "kind": "continuous", "lo": lo, "hi": hi})
+            fidelity_section["utilities"]["bitrate"] = {
+                "sigmoid": [knee, knee + draw(st.floats(0.5, 60))]}
+            fidelity_section["weights"]["bitrate"] = draw(in_range(sim._QOS))
+            fidelity_section["models"][0]["coefficients"].append(draw(st.floats(-1, 1)))
     doc = section(
         draw, "", resolution_mode=mode, objects=objects, clients=clients,
         adjacency=adjacency, toggles=section(draw, "toggles"),
