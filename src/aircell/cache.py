@@ -94,17 +94,25 @@ class ReadTracker:
         self._times.setdefault(object_id, []).append(t)
         self._mtbr.pop(object_id, None)
 
-    def stats_for(self, object_id: str) -> ReadStats:
-        times = self._times.get(object_id, ())
-        total = len(self._order)
-        f_r = len(times) / total if total else 0.0
-        if len(times) < 2:
-            return ReadStats(None, f_r, len(times))
+    def mtbr(self, object_id: str) -> float | None:
+        """Mean time between the object's reads in the window; None with < 2."""
         mtbr = self._mtbr.get(object_id)
         if mtbr is None:
+            times = self._times.get(object_id, ())
+            if len(times) < 2:
+                return None
             gaps = [b - a for a, b in zip(times, times[1:])]
             mtbr = self._mtbr[object_id] = sum(gaps) / len(gaps)
-        return ReadStats(mtbr, f_r, len(times))
+        return mtbr
+
+    def f_r(self, object_id: str) -> float:
+        """The object's share of the window's reads; 0 while it is empty."""
+        total = len(self._order)
+        return len(self._times.get(object_id, ())) / total if total else 0.0
+
+    def stats_for(self, object_id: str) -> ReadStats:
+        return ReadStats(self.mtbr(object_id), self.f_r(object_id),
+                         len(self._times.get(object_id, ())))
 
 
 def cqf(stats: FreshnessStats, reads: ReadStats) -> float:
@@ -122,8 +130,7 @@ def acqf(f_r: float, p_nm: float, qos: float) -> float:
     return f_r * (p_nm - qos)
 
 
-@dataclass(frozen=True)
-class EvictionReport:
+class EvictionReport(NamedTuple):
     admitted: bool
     evicted: str | None = None
     incoming_score: float | None = None
@@ -201,6 +208,29 @@ class ClientCache:
             )
         raise ValueError(f"policy {self.policy} has no score")
 
+    def _scored(self, now: float) -> list[tuple[float, float, str]]:
+        """(score, cached_at, object_id) of every entry, in one pass.
+
+        Each policy's loop computes what ``score`` does per entry, with the
+        same float operations in the same order (``cqf``: mtbu / mtbr;
+        ``acqf``: f_r * (p_nm - qos)), asking the tracker only for the one
+        statistic the policy reads.
+        """
+        entries = self.entries.items()
+        if self.policy is PolicyKind.CQF:
+            mtbr = self.reads.mtbr
+            scored = []
+            for oid, e in entries:
+                m = mtbr(oid)
+                score = 0.0 if m is None or m <= 0 else e.source_stats_snapshot.mtbu / m
+                scored.append((score, e.cached_at, oid))
+            return scored
+        f_r, qos_for, p_nm = self.reads.f_r, self.qos_for, p_not_modified_or_zero
+        return [
+            (f_r(oid) * (p_nm(e.source_stats_snapshot, now) - qos_for(oid)), e.cached_at, oid)
+            for oid, e in entries
+        ]
+
     def insert(self, entry: CacheEntry, now: float) -> EvictionReport:
         """Admit an entry, evicting per policy when the cache is full."""
         self._oldest = min(self._oldest, entry.cached_at)
@@ -214,13 +244,10 @@ class ClientCache:
 
         if self.policy in SCORED_POLICIES:
             incoming = self.score(entry, now)
-            scored = [(self.score(e, now), e.cached_at, oid)
-                      for oid, e in self.entries.items()]
-            min_score, _, _ = min(scored)
+            # the minimum score, oldest cached_at first on ties
+            min_score, _, victim = min(self._scored(now))
             if incoming <= min_score:
                 return EvictionReport(False, None, incoming, min_score)
-            victims = [(at, oid) for sc, at, oid in scored if sc == min_score]
-            _, victim = min(victims)  # oldest cached_at first
             del self.entries[victim]
             self.entries[entry.object_id] = entry
             return EvictionReport(True, victim, incoming, min_score)

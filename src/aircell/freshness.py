@@ -127,10 +127,7 @@ def p_not_modified_or_zero(stats: FreshnessStats, now: float) -> float:
     Cached copies without a usable probability estimate are then acceptable
     only under a QoS setting of 0, which is the intended degenerate rule.
     """
-    try:
-        return p_not_modified(stats, now)
-    except InsufficientHistory:
-        return 0.0
+    return 0.0 if stats.n_intervals < 2 else 1.0 - p_modified(stats, now)
 
 
 def accepts(qos: float, p_nm: float) -> bool:

@@ -2,12 +2,15 @@
 
 Each client hosts an information manager that resolves service queries
 through a fixed chain: its own answer (cache, then locally registered
-provider), a one-hop broadcast to neighbours (who answer the same way,
-never re-broadcasting), and finally the data source itself. A cached copy
-is used only when its not-modified probability meets the querier's QoS
-setting; when several neighbours can answer, the freshest copy wins, the
-lowest client id on ties. An answer carries the source's update statistics,
-whose ``t_last_update`` is the write it reflects, and no data.
+provider), a one-hop query to each neighbour that holds a cached copy or a
+provider of the object (who answers the same way, never re-broadcasting;
+the others would have nothing to answer, so asking only the holders is an
+exact cache-signature lookup), and finally the data source itself. A
+cached copy is used only when its not-modified probability meets the
+querier's QoS setting; when several neighbours can answer, the freshest
+copy wins, the lowest client id on ties. An answer carries the source's
+update statistics, whose ``t_last_update`` is the write it reflects, and
+no data.
 """
 
 from __future__ import annotations
@@ -136,9 +139,15 @@ class InformationManager:
             )
 
         if self.cell.p2p_enabled:
-            best, best_id = None, None
+            best, best_id, ims = None, None, self.cell.ims
             for nid in self.neighbors:  # in id order, so the first of equals wins
-                answer = self.cell.ims[nid].handle_neighbor_query(service_id, qos, now)
+                peer = ims[nid]
+                cache = peer.query_cache
+                if service_id not in peer.providers and (
+                    cache is None or service_id not in cache
+                ):
+                    continue  # holds no copy and no provider: it would answer None
+                answer = peer.handle_neighbor_query(service_id, qos, now)
                 if answer is not None and (best is None or answer.p_nm > best.p_nm):
                     best, best_id = answer, nid
             if best is not None:

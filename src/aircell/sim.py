@@ -892,12 +892,19 @@ class Metrics:
 # Engine
 # --------------------------------------------------------------------------
 
+# Normals an update process draws at once. The generator is the process's
+# own, and numpy's array draw yields the same floats as that many scalar
+# draws, so the write times do not depend on this size.
+_DRAW_BLOCK = 32
+
+
 class _UpdateProcess:
     """Normal inter-update draws, resampled if nonpositive."""
 
     def __init__(self, spec: ObjectSpec, seed: int, burnin: int):
         self.spec = spec
         self.rng = substream(seed, "updates", spec.object_id)
+        self._block: Iterator[float] = iter(())
         self.source = SourceObject(spec.object_id, reachable=spec.reachable)
         draws = [self._draw() for _ in range(burnin)]
         acc = 0.0
@@ -913,9 +920,12 @@ class _UpdateProcess:
         if self.spec.stdv_mtbu == 0.0:
             return self.spec.mtbu
         while True:
-            d = float(self.rng.normal(self.spec.mtbu, self.spec.stdv_mtbu))
-            if d > 0:
-                return d
+            for d in self._block:
+                if d > 0:
+                    return d
+            self._block = iter(
+                self.rng.normal(self.spec.mtbu, self.spec.stdv_mtbu, _DRAW_BLOCK).tolist()
+            )
 
     def advance_to(self, t: float) -> None:
         while self.next_update <= t:
@@ -979,13 +989,17 @@ def read_parameters(spec, where: str, errs: list[str]) -> fidelity.FidelityDomai
         if missing:
             errs.extend(f"{here}: missing key {key!r}" for key in missing)
         elif v["kind"] == "continuous":
-            if v["lo"] < v["hi"]:
-                params.append(fidelity.continuous(v["name"], v["lo"], v["hi"]))
-            else:
+            if not v["lo"] < v["hi"]:
                 errs.append(f"{here}: lo must be below hi")
-        elif values and all(isinstance(x, str) or _is_finite(x) for x in values) and (
-            len(set(values)) == len(values)
-        ):
+            elif not math.isfinite(v["hi"] - v["lo"]):  # the grid steps would be NaN
+                errs.append(f"{here}: hi - lo must be finite")
+            else:
+                params.append(fidelity.continuous(v["name"], v["lo"], v["hi"]))
+        # one kind of value: a string is encoded by its rank and a number as
+        # itself, so a mixed list could give two values one coordinate
+        elif values and (
+            all(isinstance(x, str) for x in values) or all(map(_is_finite, values))
+        ) and len(set(values)) == len(values):
             params.append(fidelity.discrete(v["name"], values))
         else:
             errs.append(f"{here}.values: must be distinct strings or finite numbers")

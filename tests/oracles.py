@@ -18,7 +18,25 @@ import numpy as np
 
 from aircell.air_schedule import INDEX, NotApplicable
 from aircell.broadcast_plan import AccessTime, Partition, PartitionResult, Unstable
+from aircell.cache import (
+    SCORED_POLICIES,
+    CacheEntry,
+    ClientCache,
+    EvictionReport,
+    PolicyKind,
+    ReadStats,
+    ReadTracker,
+    acqf,
+    cqf,
+)
+from aircell.freshness import (
+    FreshnessStats,
+    InsufficientHistory,
+    SourceObject,
+    p_not_modified,
+)
 from aircell.retrieval import PlannedRead, RefusedSize, RetrievalPlan
+from aircell.sim import substream
 
 
 def mean_and_pop_std(xs: list[float]) -> tuple[float, float]:
@@ -232,6 +250,116 @@ def score_admission_replay(capacity: int, offers: list[tuple[str, float, float]]
         del kept[victim]
         kept[object_id] = (score, offered_at)
     return set(kept)
+
+
+# --------------------------------------------------------------------------
+# Eviction scoring as it stood before the one-pass loop: a full cache
+# scores every entry through ``score``, which asks the tracker for the
+# entry's ``stats_for`` and, under ACQF, the try/except P_NM. Kept verbatim
+# so that the loop is held to equal reports and entry order, not a tolerance.
+# --------------------------------------------------------------------------
+
+def _p_not_modified_or_zero_reference(stats: FreshnessStats, now: float) -> float:
+    try:
+        return p_not_modified(stats, now)
+    except InsufficientHistory:
+        return 0.0
+
+
+class ReadTrackerReference(ReadTracker):
+    """The tracker with the ``stats_for`` that computed MTBR and F_R itself."""
+
+    def stats_for(self, object_id: str) -> ReadStats:
+        times = self._times.get(object_id, ())
+        total = len(self._order)
+        f_r = len(times) / total if total else 0.0
+        if len(times) < 2:
+            return ReadStats(None, f_r, len(times))
+        mtbr = self._mtbr.get(object_id)
+        if mtbr is None:
+            gaps = [b - a for a, b in zip(times, times[1:])]
+            mtbr = self._mtbr[object_id] = sum(gaps) / len(gaps)
+        return ReadStats(mtbr, f_r, len(times))
+
+
+class ClientCacheReference(ClientCache):
+    """A cache whose ``insert`` scores a full cache one ``score`` per entry."""
+
+    def __init__(self, capacity, policy, qos_for=None, default_ttl=None,
+                 read_window: int = 256):
+        super().__init__(capacity, policy, qos_for, default_ttl, read_window)
+        self.reads = ReadTrackerReference(read_window)
+
+    def score(self, entry: CacheEntry, now: float) -> float:
+        if self.policy is PolicyKind.CQF:
+            return cqf(entry.source_stats_snapshot, self.reads.stats_for(entry.object_id))
+        if self.policy is PolicyKind.ACQF:
+            p_nm = _p_not_modified_or_zero_reference(entry.source_stats_snapshot, now)
+            return acqf(
+                self.reads.stats_for(entry.object_id).f_r,
+                p_nm,
+                self.qos_for(entry.object_id),
+            )
+        raise ValueError(f"policy {self.policy} has no score")
+
+    def insert(self, entry: CacheEntry, now: float) -> EvictionReport:
+        self._oldest = min(self._oldest, entry.cached_at)
+        if entry.object_id in self.entries:
+            self.entries[entry.object_id] = entry
+            self.entries.move_to_end(entry.object_id)
+            return EvictionReport(admitted=True)
+        if len(self.entries) < self.capacity:
+            self.entries[entry.object_id] = entry
+            return EvictionReport(admitted=True)
+
+        if self.policy in SCORED_POLICIES:
+            incoming = self.score(entry, now)
+            scored = [(self.score(e, now), e.cached_at, oid)
+                      for oid, e in self.entries.items()]
+            min_score, _, _ = min(scored)
+            if incoming <= min_score:
+                return EvictionReport(False, None, incoming, min_score)
+            victims = [(at, oid) for sc, at, oid in scored if sc == min_score]
+            _, victim = min(victims)  # oldest cached_at first
+            del self.entries[victim]
+            self.entries[entry.object_id] = entry
+            return EvictionReport(True, victim, incoming, min_score)
+
+        victim, _ = self.entries.popitem(last=False)  # least recently used
+        self.entries[entry.object_id] = entry
+        return EvictionReport(True, victim)
+
+
+class UpdateProcessReference:
+    """``sim._UpdateProcess`` as it stood with one scalar normal draw per
+    interval: the write times the block draws must reproduce."""
+
+    def __init__(self, spec, seed: int, burnin: int):
+        self.spec = spec
+        self.rng = substream(seed, "updates", spec.object_id)
+        self.source = SourceObject(spec.object_id, reachable=spec.reachable)
+        draws = [self._draw() for _ in range(burnin)]
+        acc = 0.0
+        past = []
+        for d in draws:
+            acc += d
+            past.append(-acc)
+        for t in sorted(past):
+            self.source.write(t)
+        self.next_update = past[0] + self._draw()
+
+    def _draw(self) -> float:
+        if self.spec.stdv_mtbu == 0.0:
+            return self.spec.mtbu
+        while True:
+            d = float(self.rng.normal(self.spec.mtbu, self.spec.stdv_mtbu))
+            if d > 0:
+                return d
+
+    def advance_to(self, t: float) -> None:
+        while self.next_update <= t:
+            self.source.write(self.next_update)
+            self.next_update += self._draw()
 
 
 # --------------------------------------------------------------------------

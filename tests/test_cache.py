@@ -16,6 +16,7 @@ from aircell.cache import (
 )
 from aircell.freshness import FreshnessStats, InvariantError
 from oracles import (
+    ClientCacheReference,
     lru_reference,
     read_stats_reference,
     score_admission_replay,
@@ -243,6 +244,75 @@ class TestScoredAdmission:
         cache.insert(entry("fails", mtbu=1e6, stdv=1.0, cached_at=40.0), now=40.0)
         report = cache.insert(entry("meets", mtbu=1e6, stdv=1.0, cached_at=40.0), now=40.0)
         assert report.admitted and report.evicted == "fails"
+
+
+_OIDS = "abcdefghij"
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("read"), st.sampled_from(_OIDS)),
+        # a copy whose snapshot has mtbu, stdv, the age of its write, and
+        # n_intervals, cached now; 0 and 1 intervals score P_NM 0. Mostly
+        # the owner read it first (a miss), else it was overheard
+        st.tuples(st.just("insert"), st.sampled_from(_OIDS),
+                  st.sampled_from([25.0, 10.0, 40.0]), st.sampled_from([15.0, 4.0, 0.0]),
+                  st.sampled_from([12.5, 3.0, 60.0, 0.0]), st.sampled_from([9, 2, 1, 0]),
+                  st.sampled_from([True, True, True, False])),
+        # time moves only here, so reads and copies often share a time
+        st.tuples(st.just("tick"), st.sampled_from([7.0, 1.0, 0.5, 0.0])),
+    ),
+    min_size=10,
+    max_size=80,
+)
+
+
+class TestOnePassScoring:
+    """A full cache is scored in one pass per policy; the reference scores
+    it one ``score`` call per entry, as ``insert`` did before."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        policy=st.sampled_from([PolicyKind.CQF, PolicyKind.ACQF]),
+        capacity=st.integers(1, 8),
+        window=st.integers(2, 12),
+        default_qos=st.sampled_from([0.0, 0.3, 1.0]),
+        overrides=st.dictionaries(st.sampled_from(_OIDS), st.sampled_from([0.0, 0.5, 0.9])),
+        steps=_STEPS,
+    )
+    # two unread copies tie at score 0; the older one goes
+    @example(PolicyKind.CQF, 2, 4, 0.0, {}, [
+        ("insert", "a", 10.0, 0.0, 0.0, 9, False), ("insert", "b", 10.0, 0.0, 0.0, 9, False),
+        ("read", "c"), ("tick", 1.0), ("insert", "c", 10.0, 0.0, 0.0, 9, True),
+    ])
+    # an aged copy is scored at its P_NM now, not when it was cached
+    @example(PolicyKind.ACQF, 1, 4, 0.3, {}, [
+        ("insert", "a", 25.0, 15.0, 12.5, 9, True), ("tick", 7.0),
+        ("insert", "b", 25.0, 15.0, 12.5, 9, True),
+    ])
+    def test_matches_the_per_entry_scores(
+        self, policy, capacity, window, default_qos, overrides, steps
+    ):
+        def qos_for(oid):
+            return overrides.get(oid, default_qos)
+
+        cache = ClientCache(capacity, policy, qos_for, read_window=window)
+        reference = ClientCacheReference(capacity, policy, qos_for, read_window=window)
+        now = 0.0
+        for step in steps:
+            if step[0] == "read":
+                for c in (cache, reference):
+                    c.record_read(step[1], now)
+                    c.get(step[1], now)
+            elif step[0] == "insert":
+                _, oid, mtbu, stdv, age, n, read_first = step
+                copy = CacheEntry(oid, stats(mtbu, stdv, now - age, n), cached_at=now)
+                if read_first:
+                    for c in (cache, reference):
+                        c.record_read(oid, now)
+                assert repr(cache.insert(copy, now)) == repr(reference.insert(copy, now))
+            else:
+                now += step[1]
+                assert cache.tick(now) == reference.tick(now) == []
+            assert list(cache.entries.items()) == list(reference.entries.items())
 
 
 class TestLruPolicy:

@@ -329,6 +329,13 @@ class TestPlanningCommands:
         assert main(["fit", "--samples", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: domain")
 
+    def test_fit_rejects_an_overflowing_span(self, tmp_path, capsys):
+        path = tmp_path / "samples.json"
+        domain = [{"name": "level", "kind": "continuous", "lo": -1e308, "hi": 1e308}]
+        path.write_text(json.dumps({"domain": domain, "samples": []}))
+        assert main(["fit", "--samples", str(path)]) == 2
+        assert capsys.readouterr().err == "error: domain[0]: hi - lo must be finite\n"
+
     DOMAIN = [{"name": "frame_rate", "kind": "discrete", "values": [10.0, 20.0]},
               {"name": "level", "kind": "continuous", "lo": 0, "hi": 5}]
 

@@ -124,7 +124,9 @@ class TestChainOrder:
         outcome = a.resolve_query("svc", qos=0.0, now=20.0)
         assert outcome.resolution is Resolution.SOURCE  # c is two hops away
 
-    def test_each_neighbor_asked_once_never_the_querier(self, monkeypatch):
+    @staticmethod
+    def record_asks(monkeypatch) -> list[str]:
+        """The ids of the clients asked by a neighbour, in order."""
         asked = []
         handle = InformationManager.handle_neighbor_query
 
@@ -133,10 +135,31 @@ class TestChainOrder:
             return handle(self, *args, **kwargs)
 
         monkeypatch.setattr(InformationManager, "handle_neighbor_query", counted)
+        return asked
+
+    def test_each_neighbor_asked_once_never_the_querier(self, monkeypatch):
+        asked = self.record_asks(monkeypatch)
         cell = make_cell({"a": {"b", "c"}, "b": {"a", "c"}, "c": {"a", "b"}})
         a, b, c = make_im(cell, "a"), make_im(cell, "b"), make_im(cell, "c")
+        # both hold a copy, and both copies fail the QoS test
+        b.query_cache.insert(aged_entry("svc", 0.3, now=10.0), now=10.0)
+        c.query_cache.insert(aged_entry("svc", 0.2, now=10.0), now=10.0)
         outcome = a.resolve_query("svc", qos=0.5, now=10.0)
         assert outcome.resolution is Resolution.SOURCE
+        assert asked == ["b", "c"]
+
+    def test_non_holders_are_not_asked(self, monkeypatch):
+        asked = self.record_asks(monkeypatch)
+        cell = make_cell({"a": {"b", "c", "d", "e"}, "b": {"a"}, "c": {"a"},
+                          "d": {"a"}, "e": {"a"}})
+        a, b, c, d = (make_im(cell, cid) for cid in "abcd")
+        InformationManager("e", cell)  # no cache at all
+        b.query_cache.insert(aged_entry("svc", 0.3, now=10.0), now=10.0)  # fails QoS
+        c.register_provider("svc")
+        d.query_cache.insert(aged_entry("other", 0.9, now=10.0), now=10.0)
+        outcome = a.resolve_query("svc", qos=0.5, now=10.0)
+        assert outcome.resolution is Resolution.NEIGHBOR_PROVIDER
+        assert outcome.served_by == "c"
         assert asked == ["b", "c"]
 
 

@@ -22,6 +22,7 @@ from aircell.sim import (
     substream,
     zipf_pmf,
 )
+from oracles import UpdateProcessReference
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -174,6 +175,34 @@ class TestSubstreams:
         c = substream(9, "workload", "client2").integers(0, 1 << 30, 5)
         assert list(a) == list(b)
         assert list(a) != list(c)
+
+
+class TestUpdateDraws:
+    """Update intervals come from blocks of normals; the reference draws one
+    scalar normal per interval, as ``_UpdateProcess`` did before."""
+
+    @pytest.mark.parametrize("mtbu, stdv", [
+        (10.0, 3.0),
+        (10.0, 0.0),  # no draws at all: every interval is mtbu
+        (5.0, 50.0),  # nearly half the draws are nonpositive and drawn again
+    ])
+    def test_write_times_match_scalar_draws(self, mtbu, stdv):
+        spec = sim.ObjectSpec("o", mtbu, stdv, True)
+        blocks = sim._UpdateProcess(spec, 7, 12)
+        scalars = UpdateProcessReference(spec, 7, 12)
+        for t in range(0, 20_001, 1000):
+            blocks.advance_to(t)
+            scalars.advance_to(t)
+            assert blocks.source.log.update_times == scalars.source.log.update_times
+            assert blocks.next_update == scalars.next_update
+        # each write takes at least one draw, so many blocks were crossed
+        assert len(blocks.source.log.update_times) > 10 * sim._DRAW_BLOCK
+
+    def test_an_array_draw_is_scalar_draws(self):
+        # the installed numpy's ``normal(size=k)`` must equal k scalar draws
+        blocks, scalars = substream(3, "updates", "o"), substream(3, "updates", "o")
+        drawn = [x for k in (1, 5, 32, 7) for x in blocks.normal(4.0, 9.0, size=k).tolist()]
+        assert drawn == [float(scalars.normal(4.0, 9.0)) for _ in drawn]
 
 
 class TestWorkload:
@@ -704,14 +733,28 @@ class TestFidelityRows:
           "sigmoid"]),
         (changed("weights", {"frame_rate": 1.0}), ["fidelity.weights: missing key 'resolution'"]),
         (changed("weights.resolution", -0.5), ["fidelity.weights.resolution: must be in [0, 1]"]),
+        # np.linspace over an infinite span gives NaN grid values
+        (continuous_rate(lo=-1e308, hi=1e308), ["fidelity.parameters[0]: hi - lo must be finite"]),
+        # 'a' would be encoded as its rank 0, the coordinate of the value 0
+        (changed("parameters.0.values", ["a", 0, 5]),
+         ["fidelity.parameters[0].values: must be distinct strings or finite numbers"]),
     ], ids=[
         "lo not below hi", "discrete without values", "continuous without bounds",
         "boolean value", "duplicate names", "table and sigmoid", "neither table nor sigmoid",
         "table misses a value", "table value out of range", "knees reversed",
         "table on a continuous parameter", "weight missing", "weight out of range",
+        "span overflows", "strings and numbers mixed",
     ])
     def test_checks_that_span_fields(self, section, expected):
         assert violations(p2p_doc(fidelity=section)) == expected
+
+    @pytest.mark.parametrize("values", [["low", "high"], [0, 2.5, 5]])
+    def test_discrete_values_of_one_kind_read(self, values):
+        errs = []
+        entry = {"name": "v", "kind": "discrete", "values": values}
+        domain = sim.read_parameters([entry], "fidelity.parameters", errs)
+        assert errs == []
+        assert domain.parameters[0].values == tuple(values)
 
     def test_a_malformed_parameter_list_ends_the_reading(self):
         # the utilities, weights and models no longer match it, unreported
