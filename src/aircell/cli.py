@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -52,20 +53,31 @@ def _with_seed(scenario: Scenario, seed: int) -> Scenario:
     return dataclasses.replace(scenario, seed=seed)
 
 
+# The most seeds one ``run`` may sweep.
+_MAX_SEEDS = 10**6
+
+
 def _parse_seeds(text: str) -> list[int]:
-    seeds: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            seeds.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            seeds.append(int(part))
-    if not seeds:
+    """The seeds of ``--seeds``: comma-separated seeds and ``lo..hi`` ranges.
+
+    Their count is checked from each range's ends before any list is built.
+    """
+    bounds: list[tuple[int, int]] = []
+    for part in filter(None, map(str.strip, text.split(","))):
+        lo, dots, hi = part.partition("..")
+        try:
+            bounds.append((int(lo), int(hi if dots else lo)))
+        except ValueError:
+            raise ValueError(f"--seeds: {part!r} is not a seed or a lo..hi range") from None
+    count = sum(max(hi - lo + 1, 0) for lo, hi in bounds)
+    if not count:
         raise ValueError("at least one seed is required")
-    if min(seeds) < 0:
-        raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
-    return seeds
+    if count > _MAX_SEEDS:
+        raise ValueError(f"--seeds: {count} seeds, more than {_MAX_SEEDS}")
+    lowest = min(lo for lo, hi in bounds if lo <= hi)
+    if lowest < 0:
+        raise ValueError(f"seeds must be >= 0, got {lowest}")
+    return [seed for lo, hi in bounds for seed in range(lo, hi + 1)]
 
 
 def _run_one(args: tuple[Scenario, int]) -> tuple[int, Metrics]:
@@ -110,9 +122,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     jobs = [(scenario, seed) for seed in seeds]
     results: dict[int, Metrics] = {}
     failures: list[str] = []
-    if args.jobs > 1 and len(jobs) > 1:
-        # the pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
+    # the pool starts all its workers at the first submit
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_run_one, job): job[1] for job in jobs}
             for future, seed in futures.items():
                 try:

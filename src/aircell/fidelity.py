@@ -10,8 +10,9 @@ chooses, across suppliers, the one with the greatest utility
 
 visiting suppliers in descending preference f_s and stopping once no
 remaining f_s can beat the best utility found (the product is at most 1).
-The types here do not check their fields: a scenario's or a sample log's
-fidelity inputs are checked once, by the schema reader in ``sim``.
+The types here do not check their fields. The one fidelity input the
+schema reader in ``sim`` reads is an ``aircell fit`` sample log, which it
+checks once; a library caller passes well-formed values.
 """
 
 from __future__ import annotations

@@ -99,18 +99,6 @@ class CellSpec:
     cost_model: retrieval.CostModel
 
 
-class FidelitySection(NamedTuple):
-    """A scenario's fidelity section, read once by ``scenario_from_dict``."""
-
-    domain: fidelity.FidelityDomain
-    suppliers: tuple[fidelity.Supplier, ...]
-    utilities: tuple[fidelity.UtilityFn, ...]  # one per parameter
-    weights: tuple[float, ...]  # one per parameter
-    models: tuple[fidelity.ResourceModel, ...]
-    limits: dict[str, float]
-    continuous_points: int
-
-
 @dataclass(frozen=True)
 class Scenario:
     schema_id: str
@@ -130,7 +118,6 @@ class Scenario:
     default_ttl: float | None
     tick_interval: int
     read_window: int
-    fidelity: FidelitySection | None
 
     def index_scheme(self) -> air_schedule.IndexScheme:
         cell = self.cell
@@ -187,8 +174,7 @@ _CLIENT_FIELDS = (
 )
 # Every field of a scenario document, by the path of its section: "" is the
 # top level, "objects" and "clients" the compact blocks, a path ending in
-# "[]" each entry of a list, one ending in ".*" each value of a mapping, and
-# "adjacency" the ring generator.
+# "[]" each entry of a list, and "adjacency" the ring generator.
 SCHEMA: dict[str, dict[str, Field]] = {
     section: {f.key: f for f in fields}
     for section, fields in {
@@ -201,7 +187,6 @@ SCHEMA: dict[str, dict[str, Field]] = {
             Field("adjacency", object, None), Field("toggles", object, {}),
             Field("workload", object, {}), Field("costs", object, {}),
             Field("cell", object, None), Field("cache", object, {}),
-            Field("fidelity", object, None),
         ),
         "objects": (
             Field("count", int, 0, lo=0), Field("mtbu", float, 100.0),
@@ -240,46 +225,28 @@ SCHEMA: dict[str, dict[str, Field]] = {
             Field("replan_interval", int, 0),  # 0 or less: never replan
             Field("cost_model", object, {}),
         ),
-        # retrieval.CostModel checks the ranges of these
         "cell.cost_model": (
-            Field("switch_slots", int, 1), Field("e_active", float, 1.0),
-            Field("e_doze", float, 0.05), Field("e_switch", float, 0.5),
+            Field("switch_slots", int, 1, lo=1), Field("e_active", float, 1.0, lo=0),
+            Field("e_doze", float, 0.05, lo=0), Field("e_switch", float, 0.5, lo=0),
         ),
         "cache": (
             Field("default_ttl", float, None, above=0, no_limit=True),
             Field("tick_interval", int, 1, lo=1), Field("read_window", int, 256, lo=2),
         ),
-        "fidelity": (
-            Field("parameters", object), Field("utilities", object),
-            Field("weights", object), Field("suppliers", object),
-            Field("models", object, []), Field("limits", object, None),
-            Field("continuous_points", int, 32, lo=1),
-        ),
-        # values for a discrete parameter, finite lo < hi for a continuous one
-        "fidelity.parameters[]": (
+        # not a scenario section: each parameter entry of the domain of an
+        # ``aircell fit`` sample log; values for a discrete parameter, finite
+        # lo < hi for a continuous one
+        "domain[]": (
             Field("name", str), Field("kind", ("discrete", "continuous")),
             Field("values", list, None), Field("lo", float, None), Field("hi", float, None),
         ),
-        # one per parameter, under its name: a table of values' utilities in
-        # [0, 1] or two sigmoid knees
-        "fidelity.utilities.*": (Field("table", object, None), Field("sigmoid", list, None)),
-        "fidelity.suppliers[]": (Field("supplier_id", str), Field("f_s", float, lo=0, hi=1)),
-        "fidelity.models[]": (
-            Field("resource_id", str), Field("coefficients", list), Field("intercept", float),
-        ),
     }.items()
 }
-# a value read under its own key: of a ``qos`` map and a fidelity weight or
-# table utility, of ``fidelity.limits``, of a sample's ``consumption``, and
-# one that its reader checks
+# a value read under its own key: of a ``qos`` map, of a sample's
+# ``consumption``, and one that its reader checks
 _QOS = Field("", float, 0.0, lo=0, hi=1)
-_LIMIT = Field("", float, math.inf, no_limit=True)
 _AMOUNT = Field("", float, 0.0)
 _ANY = Field("", object)
-# The most configurations a fidelity grid may hold: the product of the
-# parameters' value counts, continuous_points for a continuous one. The
-# selection builds and scores every configuration of the grid.
-_MAX_GRID = 10**6
 
 
 def _is_number(value) -> bool:
@@ -519,7 +486,13 @@ def _expand_adjacency(
     if not isinstance(spec, dict):
         errs.append(f"adjacency: must be a mapping, got {type(spec).__name__}")
         return adj
-    if spec.get("kind") == "ring":
+    # a string under "kind" names a generator; a list is the neighbours of a
+    # client named "kind"
+    kind = spec.get("kind")
+    if isinstance(kind, str):
+        if kind != "ring":
+            errs.append(f"adjacency: unknown topology kind {kind!r}")
+            return adj
         degree = _read_section(spec, "adjacency", SCHEMA["adjacency"], errs)["degree"]
         n = len(client_ids)
         # a step past n // 2 reaches a neighbour a smaller step already has
@@ -531,9 +504,6 @@ def _expand_adjacency(
         return adj
     known = set(client_ids)
     for cid, neighbors in spec.items():
-        if cid == "kind":
-            errs.append(f"adjacency: unknown topology kind {spec.get('kind')!r}")
-            return adj
         if cid not in known:
             errs.append(f"adjacency: unknown client {cid!r}")
             continue
@@ -598,15 +568,15 @@ def scenario_from_dict(data: dict) -> Scenario:
     cell = None
     if top["cell"] is not None:
         c = _read_section(top["cell"], "cell", SCHEMA["cell"], errs)
+        start = len(errs)
         cm = _read_section(
             c.pop("cost_model"), "cell.cost_model", SCHEMA["cell.cost_model"], errs
         )
-        try:
-            cost_model = retrieval.CostModel(**cm)
-        except ValueError as e:
-            errs.append(f"cell.cost_model: {e}")
-            cost_model = retrieval.CostModel()
-        cell = CellSpec(**c, cost_model=cost_model)
+        # compared only as given: a refused energy reads as its default
+        if len(errs) == start and not cm["e_doze"] < cm["e_active"]:
+            errs.append("cell.cost_model.e_doze: must be below e_active")
+        # None only in a document that is rejected
+        cell = CellSpec(**c, cost_model=None if errs else retrieval.CostModel(**cm))
         if cell.dedicated_index_channel and cell.channels < 2:
             errs.append("cell.dedicated_index_channel: needs at least 2 channels")
         if mode == "broadcast" and cell.scheme == "none":
@@ -620,9 +590,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         errs.append("resolution_mode 'broadcast' requires at least one object")
 
     cache = _read_section(top["cache"], "cache", SCHEMA["cache"], errs)
-    section = None
-    if top["fidelity"] is not None:
-        section = _read_fidelity(top["fidelity"], errs)
 
     if errs:
         raise ScenarioError(errs)
@@ -630,7 +597,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         schema_id=top["schema_id"], seed=top["seed"], duration_slots=duration,
         resolution_mode=mode, history_burnin=top["history_burnin"],
         objects=tuple(objects), clients=tuple(clients), adjacency=adjacency,
-        costs=costs, cell=cell, fidelity=section, **toggles, **workload, **cache,
+        costs=costs, cell=cell, **toggles, **workload, **cache,
     )
 
 
@@ -807,7 +774,6 @@ class Metrics:
     counters: dict[str, float] = field(default_factory=dict)
     per_client_energy: dict[str, float] = field(default_factory=dict)
     plan: dict | None = None
-    fidelity_selection: dict | None = None
 
     def summary(self) -> dict[str, float]:
         served = [r for r in self.records if r.resolution != "unresolved"]
@@ -851,7 +817,8 @@ class Metrics:
             "counters": self.counters,
             "per_client_energy": self.per_client_energy,
             "plan": self.plan,
-            "fidelity_selection": self.fidelity_selection,
+            # no selection is made; the key stays so the bytes stay those pinned
+            "fidelity_selection": None,
             "summary": self.summary(),
         }
         before = json.dumps({k: v for k, v in head.items() if k < "records"},
@@ -975,12 +942,12 @@ def plan_cell(
 
 
 def read_parameters(spec, where: str, errs: list[str]) -> fidelity.FidelityDomain | None:
-    """The domain a list of ``fidelity.parameters[]`` entries describes, or
-    None and every violation in ``errs``."""
+    """The domain a list of ``domain[]`` entries describes, or None and
+    every violation in ``errs``."""
     before, params = len(errs), []
     for i, entry in enumerate(_listed(spec, where, errs)):
         here, start = f"{where}[{i}]", len(errs)
-        v = _read_section(entry, here, SCHEMA["fidelity.parameters[]"], errs)
+        v = _read_section(entry, here, SCHEMA["domain[]"], errs)
         if len(errs) > start:
             continue
         needs = ("values",) if v["kind"] == "discrete" else ("lo", "hi")
@@ -1006,74 +973,6 @@ def read_parameters(spec, where: str, errs: list[str]) -> fidelity.FidelityDomai
     if len({p.name for p in params}) < len(params):
         errs.append(f"{where}: duplicate parameter names")
     return None if len(errs) > before else fidelity.FidelityDomain(tuple(params))
-
-
-def _read_utility(p: fidelity.Parameter, spec, errs: list[str]) -> fidelity.UtilityFn | None:
-    """Parameter ``p``'s utility as ``spec`` gives it, or None and the
-    violations in ``errs``."""
-    where, start = f"fidelity.utilities.{p.name}", len(errs)
-    v = _read_section(spec, where, SCHEMA["fidelity.utilities.*"], errs)
-    table, knees = v["table"], v["sigmoid"]
-    if len(errs) > start:
-        return None
-    if (table is None) == (knees is None):
-        errs.append(f"{where}: give one of table and sigmoid")
-    elif knees is None and p.kind == "continuous":
-        errs.append(f"{where}.table: {p.name} is continuous, so it needs a sigmoid")
-    elif knees is None:
-        table = _read_section(table, f"{where}.table", _named(map(str, p.values), _QOS), errs)
-        return table and fidelity.table_utility({x: table[str(x)] for x in p.values})
-    elif not (len(knees) == 2 and all(map(_is_finite, knees)) and knees[0] < knees[1]):
-        errs.append(f"{where}.sigmoid: must be two finite numbers, low first")
-    elif not all(map(_is_number, p.values)):
-        errs.append(f"{where}.sigmoid: {p.name} has values that are not numbers")
-    else:
-        return fidelity.sigmoid_utility(float(knees[0]), float(knees[1]))
-    return None
-
-
-def _read_fidelity(section, errs: list[str]) -> FidelitySection | None:
-    """The ``fidelity`` section of a document, or None; every problem is a
-    violation in ``errs``. The other fields are read against the parameter
-    list, so a malformed list ends the reading after its own violations."""
-    config = _read_section(section, "fidelity", SCHEMA["fidelity"], errs)
-    if config is None:
-        return None
-    limits = _read_map(config["limits"] or {}, "fidelity.limits", _LIMIT, errs)
-    domain = read_parameters(config["parameters"], "fidelity.parameters", errs)
-    if domain is None:
-        return None
-    params, points = domain.parameters, config["continuous_points"]
-    names = [p.name for p in params]
-    size = math.prod(points if p.kind == "continuous" else len(p.values) for p in params)
-    if size > _MAX_GRID:
-        errs.append(f"fidelity: {size} configurations in the grid, more than {_MAX_GRID}")
-    specs = _read_section(config["utilities"], "fidelity.utilities", _named(names, _ANY), errs)
-    utilities = [_read_utility(p, specs[p.name], errs) for p in params] if specs else []
-    weights = _read_section(config["weights"], "fidelity.weights", _named(names, _QOS), errs)
-    suppliers, models = (
-        _read_entries(config[key], f"fidelity.{key}", SCHEMA[f"fidelity.{key}[]"], errs)
-        for key in ("suppliers", "models")
-    )
-    if config["suppliers"] == []:
-        errs.append("fidelity.suppliers: need at least one supplier")
-    if len({v["supplier_id"] for v in suppliers}) != len(suppliers):
-        errs.append("fidelity.suppliers: duplicate supplier ids")
-    for m in models:
-        if len(m["coefficients"]) != len(params) or not all(map(_is_finite, m["coefficients"])):
-            errs.append(
-                f"fidelity.models: {m['resource_id']!r} needs a finite coefficient "
-                f"for each of the {len(params)} parameters and a finite intercept"
-            )
-    if errs:  # the document is rejected
-        return None
-    return FidelitySection(
-        domain, tuple(fidelity.Supplier(v["supplier_id"], v["f_s"], domain) for v in suppliers),
-        tuple(utilities), tuple(weights[n] for n in names),
-        tuple(fidelity.ResourceModel(m["resource_id"], tuple(m["coefficients"]), m["intercept"])
-              for m in models),
-        limits, points,
-    )
 
 
 _SAMPLE_LOG = _named(("domain", "samples"), _ANY)
@@ -1105,34 +1004,6 @@ def read_sample_log(doc) -> fidelity.SampleStore:
     if errs:
         raise ScenarioError(errs)
     return store
-
-
-def _select_fidelity(section: FidelitySection) -> dict:
-    """The utility-maximal supplier and configuration; all None, after every
-    supplier, if no configuration fits the limits.
-
-    Every supplier offers the one domain under the one set of models and
-    limits, so the grid is filtered once for all of them.
-    """
-    feasible = fidelity.feasible_configs(
-        section.models, section.domain, section.limits, section.continuous_points
-    )
-    try:
-        result = fidelity.maximize_utility(
-            section.suppliers, section.utilities, section.weights,
-            {s.supplier_id: feasible for s in section.suppliers},
-        )
-    except fidelity.NoConfiguration as e:
-        return {
-            "supplier_id": None, "config": None, "utility": None,
-            "evaluated_suppliers": list(e.evaluated_suppliers),
-        }
-    return {
-        "supplier_id": result.supplier_id,
-        "config": list(result.config),
-        "utility": result.utility,
-        "evaluated_suppliers": list(result.evaluated_suppliers),
-    }
 
 
 # A query as the engines take it: (query_id, client_id, object_id, qos).
@@ -1172,8 +1043,6 @@ def run(scenario: Scenario) -> Metrics:
     ):
         counters[key] = 0
     metrics.per_client_energy = {c.client_id: 0.0 for c in scenario.clients}
-    if scenario.fidelity is not None:
-        metrics.fidelity_selection = _select_fidelity(scenario.fidelity)
     queries = _queries_by_slot(scenario)
     counters["issued"] = sum(map(len, queries.values()))
     engine = _run_broadcast if scenario.resolution_mode == "broadcast" else _run_p2p

@@ -707,7 +707,7 @@ def metrics_json_reference(metrics) -> bytes:
             k: metrics.per_client_energy[k] for k in sorted(metrics.per_client_energy)
         },
         "plan": metrics.plan,
-        "fidelity_selection": metrics.fidelity_selection,
+        "fidelity_selection": None,
         "summary": metrics.summary(),
         "records": [
             {

@@ -112,7 +112,10 @@ class TestRunCommand:
             assert ((seq / f"metrics_{seed}.json").read_bytes()
                     == (par / f"metrics_{seed}.json").read_bytes())
 
-    def test_worker_pool_no_larger_than_the_seed_count(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The ``max_workers`` of every pool ``run`` starts; the pool runs
+        its jobs inline, so no process is started."""
         started = []
 
         class InlinePool:
@@ -131,12 +134,30 @@ class TestRunCommand:
                 return future
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        return started
+
+    def test_worker_pool_no_larger_than_the_seed_count(self, tmp_path, monkeypatch, pools):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
         scenario = write_scenario(tmp_path, MINI)
         assert main(["run", "--scenario", str(scenario), "--seeds", "1,2",
                      "--out", str(tmp_path / "out"), "--jobs", "64"]) == 0
-        assert started == [2]
+        assert pools == [2]
         assert sorted(p.name for p in (tmp_path / "out").glob("metrics_*.json")) == [
             "metrics_1.json", "metrics_2.json"]
+
+    @pytest.mark.parametrize("jobs, cpus, started", [
+        ("100000", 3, [3]), ("2", 3, [2]), ("100000", 1, []), ("100000", None, []),
+    ], ids=["capped by the cpus", "below the cpus", "one cpu", "cpu count unknown"])
+    def test_worker_pool_no_larger_than_the_cpu_count(
+        self, tmp_path, monkeypatch, pools, jobs, cpus, started
+    ):
+        # a large --jobs used to start that many processes, up to one per seed
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, MINI)),
+                     "--seeds", "1..5", "--out", str(out), "--jobs", jobs]) == 0
+        assert pools == started
+        assert len(list(out.glob("metrics_*.json"))) == 5
 
     def test_csv_format_has_frozen_columns(self, tmp_path):
         scenario = write_scenario(tmp_path, MINI)
@@ -175,6 +196,31 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: seeds must be >= 0, got {lowest}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["1..2..3", "a", "3..", "1,,x"])
+    def test_malformed_seeds_exit_2(self, tmp_path, capsys, seeds):
+        # they used to report Python's unpacking or int() error
+        out = tmp_path / "x"
+        code = main(["run", "--scenario", str(write_scenario(tmp_path, MINI)),
+                     f"--seeds={seeds}", "--out", str(out)])
+        assert code == 2
+        bad = seeds.split(",")[-1]
+        assert capsys.readouterr().err == (
+            f"error: --seeds: {bad!r} is not a seed or a lo..hi range\n")
+        assert not out.exists()
+
+    def test_too_many_seeds_refused_before_any_list(self, monkeypatch):
+        # "0..10000000000" used to build the whole list of seeds first
+        def no_list(*args):
+            raise AssertionError("a range of seeds was built")
+
+        monkeypatch.setattr(cli, "range", no_list, raising=False)
+        with pytest.raises(ValueError, match=r"^--seeds: 10000000001 seeds, more than 1000000$"):
+            cli._parse_seeds("0..10000000000")
+        with pytest.raises(ValueError, match="1000001 seeds"):
+            cli._parse_seeds("5,1..1000000")
+        monkeypatch.undo()
+        assert cli._parse_seeds("0..2, 7") == [0, 1, 2, 7]
 
 
 class TestCompareCommand:

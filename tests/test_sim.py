@@ -482,307 +482,127 @@ class TestUnreachableSource:
                 == metrics.counters["issued"])
 
 
-class TestFidelitySelection:
-    FIDELITY = {
-        "parameters": [
-            {"name": "frame_rate", "kind": "discrete", "values": [20, 30, 40]},
-            {"name": "resolution", "kind": "discrete", "values": ["high", "low"]},
-        ],
-        "utilities": {
-            "frame_rate": {"table": {"20": 0.3, "30": 0.7, "40": 1.0}},
-            "resolution": {"table": {"high": 1.0, "low": 0.4}},
-        },
-        "weights": {"frame_rate": 1.0, "resolution": 0.5},
-        "suppliers": [
-            {"supplier_id": "near", "f_s": 0.9},
-            {"supplier_id": "far", "f_s": 0.4},
-        ],
-        "models": [
-            {"resource_id": "bandwidth", "coefficients": [0.2, 0.0], "intercept": 1.0},
-        ],
-        "limits": {"bandwidth": 8.0},
-    }
-
-    def test_selection_recorded(self):
-        doc = p2p_doc(seed=41, fidelity=self.FIDELITY)
-        metrics = run(scenario_from_dict(doc))
-        sel = metrics.fidelity_selection
-        assert sel["supplier_id"] == "near"
-        # bandwidth limit 8 allows frame rates up to (8 - 1) / 0.2 = 35
-        assert sel["config"] == [30, "high"]
-        assert sel["utility"] == pytest.approx(0.9 * 0.7 * 1.0 ** 0.5)
-        assert sel["evaluated_suppliers"] == ["near"]
-
-    def test_no_feasible_configuration_recorded(self):
-        # it used to escape run as fidelity.NoConfiguration
-        section = {**self.FIDELITY, "limits": {"bandwidth": 0.5}}
-        metrics = run(scenario_from_dict(p2p_doc(seed=41, fidelity=section)))
-        empty = {"supplier_id": None, "config": None, "utility": None,
-                 "evaluated_suppliers": ["near", "far"]}
-        assert metrics.fidelity_selection == empty
-        assert json.loads(metrics.to_json_bytes())["fidelity_selection"] == empty
-        counters = metrics.counters
-        assert counters["answered"] + counters["unresolved"] == counters["issued"] > 0
-
-
-class TestFidelitySection:
-    """The fidelity section is read when the scenario is, not inside ``run``."""
-
-    @staticmethod
-    def violations(**changes) -> list[str]:
-        section = {**TestFidelitySelection.FIDELITY, **changes}
-        with pytest.raises(ScenarioError) as err:
-            scenario_from_dict(p2p_doc(fidelity=section))
-        return err.value.violations
-
-    def test_empty_section(self):
-        with pytest.raises(ScenarioError) as err:
-            scenario_from_dict(p2p_doc(fidelity={}))
-        assert err.value.violations == [
-            f"fidelity: missing key {key!r}"
-            for key in ("parameters", "utilities", "weights", "suppliers")
-        ]
-
-    def test_unknown_kind(self):
-        params = [{"name": "frame_rate", "kind": "stepped", "values": [20, 30]}]
-        assert self.violations(parameters=params) == [
-            "fidelity.parameters[0].kind: must be 'discrete' or 'continuous', got 'stepped'"
-        ]
-
-    def test_duplicate_supplier_ids(self):
-        # the selection used to list the one id twice
-        suppliers = [{"supplier_id": "a", "f_s": 0.5}, {"supplier_id": "a", "f_s": 0.7}]
-        assert self.violations(suppliers=suppliers) == [
-            "fidelity.suppliers: duplicate supplier ids"
-        ]
-
-    def test_missing_parameter_key(self):
-        params = [{"name": "frame_rate", "kind": "continuous", "lo": 20.0}]
-        assert self.violations(parameters=params) == [
-            "fidelity.parameters[0]: missing key 'hi'"
-        ]
-
-    @pytest.mark.parametrize("coefficients", [[0.2], [0.2, 0.0, 1.0], [0.2, "x"]])
-    def test_coefficient_count_must_match_parameters(self, coefficients):
-        models = [{"resource_id": "bandwidth", "coefficients": coefficients,
-                   "intercept": 1.0}]
-        assert self.violations(models=models) == [
-            "fidelity.models: 'bandwidth' needs a finite coefficient for each of "
-            "the 2 parameters and a finite intercept"
-        ]
-
-    def test_missing_utility(self):
-        assert self.violations(utilities={"frame_rate": {"sigmoid": [20, 40]}}) == [
-            "fidelity.utilities: missing key 'resolution'"
-        ]
-
-    def test_sigmoid_on_categorical_values(self):
-        utilities = {**TestFidelitySelection.FIDELITY["utilities"],
-                     "resolution": {"sigmoid": [0, 1]}}
-        assert self.violations(utilities=utilities) == [
-            "fidelity.utilities.resolution.sigmoid: resolution has values that are not numbers"
-        ]
-
-    def test_listed_with_the_other_violations(self):
-        doc = p2p_doc(fidelity={**TestFidelitySelection.FIDELITY, "weights": 3},
-                      toggles=[])
-        with pytest.raises(ScenarioError) as err:
-            scenario_from_dict(doc)
-        assert err.value.violations == [
+class TestNoFidelitySection:
+    def test_a_fidelity_section_is_an_unknown_key(self):
+        # the engine no longer selects a configuration, so no scenario reads one
+        section = {"parameters": [{"name": "rate", "kind": "discrete", "values": [1, 2]}],
+                   "utilities": {"rate": {"table": {"1": 0.5, "2": 1.0}}},
+                   "weights": {"rate": 1.0}, "suppliers": [{"supplier_id": "s", "f_s": 1}]}
+        assert violations(p2p_doc(fidelity=section, toggles=[])) == [
+            "unknown key 'fidelity'",
             "toggles: must be a mapping, got list",
-            "fidelity.weights: must be a mapping, got int",
         ]
 
-    def test_grid_filtered_once_per_selection(self, monkeypatch):
-        calls = []
-        feasible_configs = fidelity.feasible_configs
-
-        def counted(*args):
-            calls.append(args)
-            return feasible_configs(*args)
-
-        monkeypatch.setattr(fidelity, "feasible_configs", counted)
-        run(scenario_from_dict(p2p_doc(seed=41, fidelity=TestFidelitySelection.FIDELITY)))
-        assert len(calls) == 1
-
-    def test_supplier_and_model_entries(self):
-        section = {
-            **TestFidelitySelection.FIDELITY,
-            "suppliers": [{"supplier_id": "near", "f_s": 2}, {"f_s": 0.5, "note": 1}],
-            "models": [{"resource_id": "bandwidth", "coefficients": [0.2, 0.0],
-                        "intercept": math.nan}],
-        }
-        assert violations(p2p_doc(fidelity=section)) == [
-            "fidelity.suppliers[0].f_s: must be in [0, 1]",
-            "fidelity.suppliers[1]: unknown key 'note'",
-            "fidelity.suppliers[1]: missing key 'supplier_id'",
-            "fidelity.models[0]: intercept must be finite, got nan",
+    @pytest.mark.parametrize("doc_fn", [p2p_doc, broadcast_doc])
+    def test_json_head_keys(self, doc_fn):
+        head = json.loads(run(scenario_from_dict(doc_fn())).to_json_bytes())
+        assert sorted(head) == [
+            "counters", "duration_slots", "fidelity_selection", "per_client_energy",
+            "plan", "records", "schema_id", "seed", "summary",
         ]
-
-    def test_read_once(self, monkeypatch):
-        scn = scenario_from_dict(p2p_doc(seed=41, fidelity=TestFidelitySelection.FIDELITY))
-        assert isinstance(scn.fidelity, sim.FidelitySection)
-        assert scn.fidelity.limits == {"bandwidth": 8.0}
-        assert [s.supplier_id for s in scn.fidelity.suppliers] == ["near", "far"]
-
-        def read_again(*args):
-            raise AssertionError("the fidelity section was read again")
-
-        monkeypatch.setattr(sim, "_read_fidelity", read_again)
-        assert run(scn).fidelity_selection["config"] == [30, "high"]
+        assert head["fidelity_selection"] is None
 
 
-def continuous_rate(**entry) -> dict:
-    """The selection's section with frame_rate made continuous, with a
-    sigmoid utility, and the parameter entry's fields set to ``entry``."""
-    section = json.loads(json.dumps(TestFidelitySelection.FIDELITY))
-    section["parameters"][0] = {"name": "frame_rate", "kind": "continuous", "lo": 20,
-                                "hi": 40, **entry}
-    section["utilities"]["frame_rate"] = {"sigmoid": [25, 35]}
-    return section
+# The domain of a sample log: a discrete numeric and a discrete string parameter.
+DOMAIN = [
+    {"name": "frame_rate", "kind": "discrete", "values": [20, 30, 40]},
+    {"name": "resolution", "kind": "discrete", "values": ["high", "low"]},
+]
 
 
-def changed(path: str, value) -> dict:
-    """The selection's section with the value at ``path`` (keys and list
-    indices joined by dots) replaced by ``value``."""
-    section = json.loads(json.dumps(TestFidelitySelection.FIDELITY))
+def domain_violations(domain) -> list[str]:
+    """The violations ``read_sample_log`` raises for a log over ``domain``."""
+    with pytest.raises(ScenarioError) as err:
+        sim.read_sample_log({"domain": domain, "samples": []})
+    return err.value.violations
+
+
+def continuous_rate(**entry) -> list:
+    """``DOMAIN`` with frame_rate made continuous and its entry's fields set
+    to ``entry``."""
+    domain = json.loads(json.dumps(DOMAIN))
+    domain[0] = {"name": "frame_rate", "kind": "continuous", "lo": 20, "hi": 40, **entry}
+    return domain
+
+
+def changed(path: str, value) -> list:
+    """``DOMAIN`` with the value at ``path`` (list indices and keys joined by
+    dots) replaced by ``value``."""
+    domain = json.loads(json.dumps(DOMAIN))
     *parents, last = path.split(".")
-    node = section
+    node = domain
     for key in parents:
         node = node[int(key)] if isinstance(node, list) else node[key]
     node[int(last) if isinstance(node, list) else last] = value
-    return section
+    return domain
 
 
 class TestFidelityRows:
-    """Each fidelity input is read by the table; every violation starts
-    with its field's path. Each of these documents was accepted before, or
-    reported with Python's exception text in place of a path."""
+    """A sample log's parameter list is read by the table; every violation
+    starts with its field's path. Each of these lists was accepted before,
+    or reported with Python's exception text in place of a path."""
 
-    @pytest.mark.parametrize("section, expected", [
-        pytest.param(changed("parameters.0.values", "234"), [
-            "fidelity.parameters[0].values: must be a list, got '234'",
+    @pytest.mark.parametrize("domain, expected", [
+        pytest.param(changed("0.values", "234"), [
+            "domain[0].values: must be a list, got '234'",
         ], id="string values"),
-        pytest.param(changed("parameters.0.values", [20, 30, 20]), [
-            "fidelity.parameters[0].values: must be distinct strings or finite numbers",
+        pytest.param(changed("0.values", [20, 30, 20]), [
+            "domain[0].values: must be distinct strings or finite numbers",
         ], id="duplicate values"),
-        pytest.param(changed("parameters.0.values", {"20": 20}), [
-            "fidelity.parameters[0].values: must be a list, got {'20': 20}",
+        pytest.param(changed("0.values", {"20": 20}), [
+            "domain[0].values: must be a list, got {'20': 20}",
         ], id="mapping values"),
-        pytest.param(changed("parameters.1.unit", "px"), [
-            "fidelity.parameters[1]: unknown key 'unit'",
+        pytest.param(changed("1.unit", "px"), [
+            "domain[1]: unknown key 'unit'",
         ], id="unknown parameter key"),
-        pytest.param(changed("utilities.codec", {"table": {"h264": 1.0}}), [
-            "fidelity.utilities: unknown key 'codec'",
-        ], id="unknown utility"),
-        pytest.param(changed("weights.codec", 0.5), [
-            "fidelity.weights: unknown key 'codec'",
-        ], id="unknown weight"),
-        pytest.param(
-            {**continuous_rate(), "continuous_points": 10**6, "parameters": [
-                {"name": "frame_rate", "kind": "continuous", "lo": 20, "hi": 40},
-                {"name": "resolution", "kind": "continuous", "lo": 0, "hi": 1},
-            ], "utilities": {"frame_rate": {"sigmoid": [25, 35]},
-                             "resolution": {"sigmoid": [0.2, 0.8]}}},
-            ["fidelity: 1000000000000 configurations in the grid, more than 1000000"],
-            id="grid of 10**12"),
-        pytest.param(changed("weights", 3), [
-            "fidelity.weights: must be a mapping, got int",
-        ], id="weights a number"),
-        pytest.param(changed("utilities.frame_rate", 0.5), [
-            "fidelity.utilities.frame_rate: must be a mapping, got float",
-        ], id="utility a number"),
-        pytest.param(changed("utilities.frame_rate.table.30", "high"), [
-            "fidelity.utilities.frame_rate.table.30: must be a number, got 'high'",
-        ], id="non-numeric table value"),
         pytest.param(continuous_rate(lo="20"), [
-            "fidelity.parameters[0].lo: must be a number, got '20'",
+            "domain[0].lo: must be a number, got '20'",
         ], id="string lo"),
-        pytest.param(changed("utilities.frame_rate", {"sigmoid": [25, "35"]}), [
-            "fidelity.utilities.frame_rate.sigmoid: must be two finite numbers, low first",
-        ], id="non-numeric sigmoid knee"),
+        pytest.param(changed("0.kind", "stepped"), [
+            "domain[0].kind: must be 'discrete' or 'continuous', got 'stepped'",
+        ], id="unknown kind"),
     ])
-    def test_violation_paths(self, section, expected):
-        assert violations(p2p_doc(fidelity=section)) == expected
+    def test_violation_paths(self, domain, expected):
+        assert domain_violations(domain) == expected
 
-    @pytest.mark.parametrize("section, expected", [
-        (continuous_rate(lo=40), ["fidelity.parameters[0]: lo must be below hi"]),
-        (changed("parameters.0", {"name": "frame_rate", "kind": "discrete"}),
-         ["fidelity.parameters[0]: missing key 'values'"]),
-        (changed("parameters.0", {"name": "frame_rate", "kind": "continuous"}),
-         ["fidelity.parameters[0]: missing key 'lo'",
-          "fidelity.parameters[0]: missing key 'hi'"]),
-        (changed("parameters.0.values", [20, True]),
-         ["fidelity.parameters[0].values: must be distinct strings or finite numbers"]),
-        (changed("parameters.1.name", "frame_rate"),
-         ["fidelity.parameters: duplicate parameter names"]),
-        (changed("utilities.frame_rate", {"table": {"20": 1.0}, "sigmoid": [25, 35]}),
-         ["fidelity.utilities.frame_rate: give one of table and sigmoid"]),
-        (changed("utilities.frame_rate", {}),
-         ["fidelity.utilities.frame_rate: give one of table and sigmoid"]),
-        (changed("utilities.frame_rate.table", {"20": 0.3, "40": 1.0}),
-         ["fidelity.utilities.frame_rate.table: missing key '30'"]),
-        (changed("utilities.frame_rate.table.40", 1.5),
-         ["fidelity.utilities.frame_rate.table.40: must be in [0, 1]"]),
-        (changed("utilities.frame_rate", {"sigmoid": [35, 25]}),
-         ["fidelity.utilities.frame_rate.sigmoid: must be two finite numbers, low first"]),
-        ({**continuous_rate(), "utilities": {
-            "frame_rate": {"table": {"20": 1.0}},
-            "resolution": TestFidelitySelection.FIDELITY["utilities"]["resolution"]}},
-         ["fidelity.utilities.frame_rate.table: frame_rate is continuous, so it needs a "
-          "sigmoid"]),
-        (changed("weights", {"frame_rate": 1.0}), ["fidelity.weights: missing key 'resolution'"]),
-        (changed("weights.resolution", -0.5), ["fidelity.weights.resolution: must be in [0, 1]"]),
+    @pytest.mark.parametrize("domain, expected", [
+        (continuous_rate(lo=40), ["domain[0]: lo must be below hi"]),
+        (changed("0", {"name": "frame_rate", "kind": "discrete"}),
+         ["domain[0]: missing key 'values'"]),
+        (changed("0", {"name": "frame_rate", "kind": "continuous"}),
+         ["domain[0]: missing key 'lo'", "domain[0]: missing key 'hi'"]),
+        (changed("0", {"name": "frame_rate", "kind": "continuous", "lo": 20.0}),
+         ["domain[0]: missing key 'hi'"]),
+        (changed("0.values", [20, True]),
+         ["domain[0].values: must be distinct strings or finite numbers"]),
+        (changed("1.name", "frame_rate"), ["domain: duplicate parameter names"]),
         # np.linspace over an infinite span gives NaN grid values
-        (continuous_rate(lo=-1e308, hi=1e308), ["fidelity.parameters[0]: hi - lo must be finite"]),
+        (continuous_rate(lo=-1e308, hi=1e308), ["domain[0]: hi - lo must be finite"]),
         # 'a' would be encoded as its rank 0, the coordinate of the value 0
-        (changed("parameters.0.values", ["a", 0, 5]),
-         ["fidelity.parameters[0].values: must be distinct strings or finite numbers"]),
+        (changed("0.values", ["a", 0, 5]),
+         ["domain[0].values: must be distinct strings or finite numbers"]),
     ], ids=[
         "lo not below hi", "discrete without values", "continuous without bounds",
-        "boolean value", "duplicate names", "table and sigmoid", "neither table nor sigmoid",
-        "table misses a value", "table value out of range", "knees reversed",
-        "table on a continuous parameter", "weight missing", "weight out of range",
-        "span overflows", "strings and numbers mixed",
+        "continuous without hi", "boolean value", "duplicate names", "span overflows",
+        "strings and numbers mixed",
     ])
-    def test_checks_that_span_fields(self, section, expected):
-        assert violations(p2p_doc(fidelity=section)) == expected
+    def test_checks_that_span_fields(self, domain, expected):
+        assert domain_violations(domain) == expected
 
     @pytest.mark.parametrize("values", [["low", "high"], [0, 2.5, 5]])
     def test_discrete_values_of_one_kind_read(self, values):
         errs = []
         entry = {"name": "v", "kind": "discrete", "values": values}
-        domain = sim.read_parameters([entry], "fidelity.parameters", errs)
+        domain = sim.read_parameters([entry], "domain", errs)
         assert errs == []
         assert domain.parameters[0].values == tuple(values)
 
     def test_a_malformed_parameter_list_ends_the_reading(self):
-        # the utilities, weights and models no longer match it, unreported
-        section = {**changed("parameters.0.values", "234"), "weights": 3}
-        assert violations(p2p_doc(fidelity=section)) == [
-            "fidelity.parameters[0].values: must be a list, got '234'",
-        ]
-
-    def test_grid_bound_is_inclusive(self):
-        # 1000 values times 1000 points: read, not built
-        values = list(range(1000))
-        section = {**continuous_rate(), "continuous_points": 1000, "parameters": [
-            {"name": "frame_rate", "kind": "continuous", "lo": 20, "hi": 40},
-            {"name": "resolution", "kind": "discrete", "values": values},
-        ]}
-        section["utilities"]["resolution"] = {"table": {str(v): 0.5 for v in values}}
-        assert scenario_from_dict(p2p_doc(fidelity=section)).fidelity is not None
-        values.append(1000)
-        section["utilities"]["resolution"]["table"]["1000"] = 0.5
-        assert violations(p2p_doc(fidelity=section)) == [
-            "fidelity: 1001000 configurations in the grid, more than 1000000"
-        ]
-
-    def test_continuous_parameter_with_a_sigmoid_selects(self):
-        metrics = run(scenario_from_dict(p2p_doc(seed=41, fidelity={
-            **continuous_rate(), "continuous_points": 5})))
-        # frame rates 20, 25, 30, 35, 40; the limit allows up to 35
-        assert metrics.fidelity_selection["config"] == [35.0, "high"]
+        # the samples are read against the list, so theirs go unreported
+        log = {"domain": changed("0.values", "234"), "samples": [{"config": 3}]}
+        with pytest.raises(ScenarioError) as err:
+            sim.read_sample_log(log)
+        assert err.value.violations == ["domain[0].values: must be a list, got '234'"]
 
     def test_one_reader_for_the_parameter_list(self, monkeypatch, tmp_path, capsys):
         from aircell import cli
@@ -795,12 +615,11 @@ class TestFidelityRows:
             return read_parameters(spec, where, errs)
 
         monkeypatch.setattr(sim, "read_parameters", counted)
-        scenario_from_dict(p2p_doc(fidelity=TestFidelitySelection.FIDELITY))
         path = tmp_path / "samples.json"
         path.write_text(json.dumps({"domain": [], "samples": [
             {"config": {}, "consumption": {"cpu": 2.0}}]}))
         assert cli.main(["fit", "--samples", str(path)]) == 0
-        assert calls == ["fidelity.parameters", "domain"]
+        assert calls == ["domain"]
         # with no parameters, the model is the mean
         assert json.loads(capsys.readouterr().out)["models"] == [
             {"resource_id": "cpu", "coefficients": [], "intercept": 2.0}]
@@ -1150,6 +969,19 @@ class TestBoundaryEscapes:
             }
             assert scenario_from_dict(doc).adjacency == expected
 
+    def test_a_client_named_kind_has_neighbours(self):
+        # its neighbour list used to be read as a topology kind
+        doc = {"clients": [{"client_id": "kind"}, {"client_id": "b"}],
+               "adjacency": {"kind": ["b"]}}
+        scn = scenario_from_dict(doc)
+        assert scn.adjacency == {"kind": {"b"}, "b": {"kind"}}
+        assert run(scn).counters["issued"] == 0
+
+    def test_unknown_topology_kind(self):
+        assert violations(p2p_doc(adjacency={"kind": "torus"})) == [
+            "adjacency: unknown topology kind 'torus'"
+        ]
+
     def test_negative_ring_degree(self):
         # it used to give every client no neighbour
         doc = p2p_doc(adjacency={"kind": "ring", "degree": -4})
@@ -1191,19 +1023,11 @@ class TestIdFields:
         for label, doc in docs.items():
             assert violations(doc) == [f"{label}: must be {problem}, got {value!r}"]
 
-    @pytest.mark.parametrize("change, expected", [
-        ({"suppliers": [{"supplier_id": ["a"], "f_s": 0.5}]},
-         "fidelity.suppliers[0].supplier_id: must be a string, got ['a']"),
-        ({"models": [{"resource_id": ["bw"], "coefficients": [0.2, 0.0],
-                      "intercept": 1.0}]},
-         "fidelity.models[0].resource_id: must be a string, got ['bw']"),
-        ({"parameters": [{"name": ["x"], "kind": "discrete", "values": [1]}]},
-         "fidelity.parameters[0].name: must be a string, got ['x']"),
-    ])
-    def test_fidelity_ids(self, change, expected):
-        # each used to escape as TypeError: unhashable type: 'list'
-        section = {**TestFidelitySelection.FIDELITY, **change}
-        assert violations(p2p_doc(fidelity=section)) == [expected]
+    def test_fidelity_ids(self):
+        # it used to escape as TypeError: unhashable type: 'list'
+        assert domain_violations([{"name": ["x"], "kind": "discrete", "values": [1]}]) == [
+            "domain[0].name: must be a string, got ['x']"
+        ]
 
     def test_lone_surrogate_rejected_before_the_csv(self):
         # it used to run and write JSON, then fail in to_csv_bytes
@@ -1315,25 +1139,37 @@ class TestSchemaTable:
         ]
 
     def test_null_reads_as_absent_for_optional_fields(self):
-        doc = p2p_doc(adjacency=None, cell=None, fidelity=None,
-                      cache={"default_ttl": None})
+        doc = p2p_doc(adjacency=None, cell=None, cache={"default_ttl": None})
         doc["objects"]["stdv_mtbu"] = None
         scn = scenario_from_dict(doc)
-        assert scn.cell is None and scn.fidelity is None and scn.default_ttl is None
+        assert scn.cell is None and scn.default_ttl is None
         assert scn.objects[0].stdv_mtbu == 0.2 * 120.0
 
     def test_huge_integers_where_floats_go(self):
         big = 10**400
-        doc = p2p_doc(objects={"count": 2, "mtbu_range": [1.0, big]},
-                      fidelity={**TestFidelitySelection.FIDELITY, "models": [
-                          {"resource_id": "bandwidth", "coefficients": [big, 0.0],
-                           "intercept": 1.0},
-                      ]})
+        doc = p2p_doc(objects={"count": 2, "mtbu_range": [1.0, big]})
         assert violations(doc) == [
             "objects.mtbu_range: must be two finite numbers, low end first",
-            "fidelity.models: 'bandwidth' needs a finite coefficient for each of "
-            "the 2 parameters and a finite intercept",
         ]
+        assert domain_violations(changed("0.values", [20, big])) == [
+            "domain[0].values: must be distinct strings or finite numbers",
+        ]
+
+    def test_cost_model_lists_every_violation(self):
+        # CostModel used to report only the first, as cell.cost_model: <its text>
+        doc = broadcast_doc()
+        doc["cell"]["cost_model"] = {"switch_slots": 0, "e_active": -1.0, "e_switch": -2}
+        assert violations(doc) == [
+            "cell.cost_model.switch_slots: must be >= 1",
+            "cell.cost_model.e_active: must be >= 0",
+            "cell.cost_model.e_switch: must be >= 0",
+        ]
+
+    @pytest.mark.parametrize("e_doze, e_active", [(2.0, 1.0), (0.5, 0.5), (0.1, 0)])
+    def test_dozing_must_cost_less_than_listening(self, e_doze, e_active):
+        doc = broadcast_doc()
+        doc["cell"]["cost_model"] = {"e_doze": e_doze, "e_active": e_active}
+        assert violations(doc) == ["cell.cost_model.e_doze: must be below e_active"]
 
 
 class TestUnrunnableCells:
@@ -1398,7 +1234,7 @@ SMALL = {
     "mtbu": (1, 300), "stdv_mtbu": (0, 60), "cache_capacity": (1, 6),
     "read_window": (2, 16), "history_burnin": (3, 12), "degree": (0, 12),
     "channels": (2, 4), "m": (1, 5), "replan_interval": (-3, 40),
-    "tick_interval": (1, 6), "continuous_points": (1, 6), "switch_slots": (1, 3),
+    "tick_interval": (1, 6), "switch_slots": (1, 3),
     "e_active": (0.5, 2), "e_doze": (0, 0.4), "e_switch": (0, 2),
 }
 # fields always drawn, so that most documents issue queries
@@ -1465,16 +1301,11 @@ def section(draw, name: str, **given) -> dict:
 
 def sections_of(doc: dict):
     """(table section, mapping) of every section of the table the document
-    holds; a section ending in ``[]`` is each mapping of a list, and one
-    ending in ``.*`` each mapping that is a value of a mapping."""
+    holds; a section ending in ``[]`` is each mapping of a list."""
     for path in sim.SCHEMA:
         nodes = [doc]
         for name in filter(None, path.removesuffix("[]").split(".")):
-            nodes = [
-                child for node in nodes if isinstance(node, dict)
-                for child in (node.values() if name == "*" else [node.get(name)])
-                if name == "*" or name in node
-            ]
+            nodes = [node[name] for node in nodes if isinstance(node, dict) and name in node]
         if path.endswith("[]"):
             nodes = [entry for node in nodes if isinstance(node, list) for entry in node]
         yield from ((path, node) for node in nodes if isinstance(node, dict))
@@ -1519,26 +1350,11 @@ def documents(draw):
     cell = None
     if mode == "broadcast" or draw(st.booleans()):
         cell = section(draw, "cell", cost_model=section(draw, "cell.cost_model"))
-    fidelity_section = None
-    if draw(st.booleans()):
-        limits = {"bandwidth": draw(in_range(sim._LIMIT))}
-        fidelity_section = {**json.loads(json.dumps(TestFidelitySelection.FIDELITY)),
-                            **section(draw, "fidelity", limits=limits)}
-        if draw(st.booleans()):  # a continuous parameter with a sigmoid utility
-            lo = draw(st.floats(-50, 50))
-            hi = lo + draw(st.floats(0.5, 50))
-            knee = draw(st.floats(-60, 60))
-            fidelity_section["parameters"].append(
-                {"name": "bitrate", "kind": "continuous", "lo": lo, "hi": hi})
-            fidelity_section["utilities"]["bitrate"] = {
-                "sigmoid": [knee, knee + draw(st.floats(0.5, 60))]}
-            fidelity_section["weights"]["bitrate"] = draw(in_range(sim._QOS))
-            fidelity_section["models"][0]["coefficients"].append(draw(st.floats(-1, 1)))
     doc = section(
         draw, "", resolution_mode=mode, objects=objects, clients=clients,
         adjacency=adjacency, toggles=section(draw, "toggles"),
         workload=section(draw, "workload"), costs=section(draw, "costs"),
-        cache=section(draw, "cache"), cell=cell, fidelity=fidelity_section,
+        cache=section(draw, "cache"), cell=cell,
     )
     for _ in range(draw(st.integers(0, 2))):
         name, mapping = draw(st.sampled_from(list(sections_of(doc))))
