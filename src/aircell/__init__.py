@@ -2,8 +2,8 @@
 
 Subpackages cover freshness-aware caching (freshness, cache, p2p),
 broadcast planning and air indexing (broadcast_plan, air_schedule,
-retrieval), utility-driven fidelity adaptation (fidelity), and the
-deterministic slot-based engine tying them together (sim, cli).
+retrieval), fidelity adaptation (fidelity) and the slot-based engine (sim).
+The command line (aircell.cli) is left out, for ``python -m`` to run alone.
 """
 
 __version__ = "0.1.0"
@@ -12,7 +12,6 @@ from . import (  # noqa: F401
     air_schedule,
     broadcast_plan,
     cache,
-    cli,
     fidelity,
     freshness,
     p2p,

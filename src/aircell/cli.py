@@ -34,16 +34,29 @@ from .sim import (
 )
 
 
+class InputError(ValueError):
+    """An input the command cannot use; the message names it."""
+
+
+def _load(path: str | Path):
+    """The JSON document in the file at ``path``, read as UTF-8."""
+    p = Path(path)
+    try:
+        return json.loads(p.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise InputError(f"{p}: no such file") from None
+    except OSError as e:
+        raise InputError(f"{p}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"{p}: not UTF-8 ({e})") from None
+    except (ValueError, RecursionError) as e:
+        # a JSONDecodeError, an integer of too many digits or too deep a nesting
+        raise InputError(f"{p}: invalid JSON ({e})") from None
+
+
 def parse_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario file; raises with every violation listed."""
-    p = Path(path)
-    if not p.exists():
-        raise ScenarioError([f"{p}: no such file"])
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ScenarioError([f"{p}: invalid JSON ({e})"]) from e
-    return scenario_from_dict(data)
+    return scenario_from_dict(_load(path))
 
 
 def _with_seed(scenario: Scenario, seed: int) -> Scenario:
@@ -68,15 +81,15 @@ def _parse_seeds(text: str) -> list[int]:
         try:
             bounds.append((int(lo), int(hi if dots else lo)))
         except ValueError:
-            raise ValueError(f"--seeds: {part!r} is not a seed or a lo..hi range") from None
+            raise InputError(f"--seeds: {part!r} is not a seed or a lo..hi range") from None
     count = sum(max(hi - lo + 1, 0) for lo, hi in bounds)
     if not count:
-        raise ValueError("at least one seed is required")
+        raise InputError("at least one seed is required")
     if count > _MAX_SEEDS:
-        raise ValueError(f"--seeds: {count} seeds, more than {_MAX_SEEDS}")
+        raise InputError(f"--seeds: {count} seeds, more than {_MAX_SEEDS}")
     lowest = min(lo for lo, hi in bounds if lo <= hi)
     if lowest < 0:
-        raise ValueError(f"seeds must be >= 0, got {lowest}")
+        raise InputError(f"seeds must be >= 0, got {lowest}")
     return [seed for lo, hi in bounds for seed in range(lo, hi + 1)]
 
 
@@ -102,13 +115,19 @@ def aggregate_summaries(per_seed: dict[int, dict[str, float]]) -> dict:
     }
 
 
+def _write_report(report: dict, out: str | None) -> int:
+    """``report`` as indented JSON, to the file ``out`` or else to stdout."""
+    text = json.dumps(report, sort_keys=True, indent=2)
+    if out:
+        Path(out).write_text(text)
+    else:
+        print(text)
+    return 0
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = parse_scenario(args.scenario)
-        seeds = _parse_seeds(args.seeds)
-    except (ScenarioError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    scenario = parse_scenario(args.scenario)
+    seeds = _parse_seeds(args.seeds)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -116,8 +135,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         probe.write_text("")
         probe.unlink()
     except OSError as e:
-        print(f"error: output directory not writable: {e}", file=sys.stderr)
-        return 2
+        raise InputError(f"output directory not writable: {e}") from None
 
     jobs = [(scenario, seed) for seed in seeds]
     results: dict[int, Metrics] = {}
@@ -162,45 +180,29 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_summary(path: str) -> dict | None:
-    """The run summary (``summary.json``) at ``path``; otherwise None, with
-    the error on stderr."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return None
+def _read_summary(path: str) -> dict:
+    """The run summary (``summary.json``) at ``path``."""
+    doc = _load(path)
     metrics = doc.get("metrics") if isinstance(doc, dict) else None
     if not (isinstance(metrics, dict)
             and all(isinstance(m, dict) for m in metrics.values())):
-        print(f"error: {path}: not a run summary", file=sys.stderr)
-        return None
+        raise InputError(f"{path}: not a run summary")
     return doc
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    docs = []
-    for path in (args.baseline, args.candidate):
-        doc = _read_summary(path)
-        if doc is None:
-            return 2
-        docs.append(doc)
-    a, b = docs
+    a, b = _read_summary(args.baseline), _read_summary(args.candidate)
     if a.get("schema_id") != b.get("schema_id"):
-        print(
-            f"error: schema mismatch: {a.get('schema_id')!r} vs {b.get('schema_id')!r}",
-            file=sys.stderr,
+        raise InputError(
+            f"schema mismatch: {a.get('schema_id')!r} vs {b.get('schema_id')!r}"
         )
-        return 2
     deltas = {}
     for key in sorted(set(a["metrics"]) | set(b["metrics"])):
         mean_a = a["metrics"].get(key, {}).get("mean", 0.0)
         mean_b = b["metrics"].get(key, {}).get("mean", 0.0)
         for path, mean in ((args.baseline, mean_a), (args.candidate, mean_b)):
             if isinstance(mean, bool) or not isinstance(mean, (int, float)):
-                print(f"error: {path}: metric {key!r}: mean is not a number",
-                      file=sys.stderr)
-                return 2
+                raise InputError(f"{path}: metric {key!r}: mean is not a number")
         delta = mean_b - mean_a
         deltas[key] = {
             "baseline": mean_a,
@@ -209,32 +211,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "sign": (delta > 0) - (delta < 0),
         }
     report = {"schema_id": a.get("schema_id"), "deltas": deltas}
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
-    return 0
+    return _write_report(report, args.out)
 
 
-def _cell_scenario(path: str) -> Scenario | None:
-    """The scenario at ``path`` if it parses and has a cell section;
-    otherwise None, with the error on stderr."""
-    try:
-        scenario = parse_scenario(path)
-    except ScenarioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return None
+def _cell_scenario(path: str) -> Scenario:
+    """The scenario at ``path``, which must have a cell section."""
+    scenario = parse_scenario(path)
     if scenario.cell is None:
-        print("error: scenario has no cell section", file=sys.stderr)
-        return None
+        raise InputError("scenario has no cell section")
     return scenario
 
 
 def cmd_dump_program(args: argparse.Namespace) -> int:
     scenario = _cell_scenario(args.scenario)
-    if scenario is None:
-        return 2
     _, program = plan_cell(scenario, initial_rates(scenario))
     if program is None:
         print("(no published objects; everything is on demand)")
@@ -244,24 +233,17 @@ def cmd_dump_program(args: argparse.Namespace) -> int:
     )
     print(f"cycle length: {program.cycle_len_slots} slots")
     for i, channel in enumerate(program.channels):
-        cells = []
-        for slot in channel:
-            if slot.kind == air_schedule.DATA:
-                cells.append(slot.object_id.rjust(width))
-            elif slot.kind == air_schedule.INDEX:
-                cells.append("INDEX".rjust(width))
-            else:
-                cells.append("-".rjust(width))
-        print(f"ch{i}: " + " ".join(cells))
+        labels = (
+            slot.object_id if slot.kind == air_schedule.DATA
+            else "INDEX" if slot.kind == air_schedule.INDEX else "-"
+            for slot in channel
+        )
+        print(f"ch{i}: " + " ".join(label.rjust(width) for label in labels))
     return 0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    try:
-        store = read_sample_log(json.loads(Path(args.samples).read_text()))
-    except (OSError, json.JSONDecodeError, ScenarioError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    store = read_sample_log(_load(args.samples))
     try:
         models = fidelity.fit_models(store)
     except (fidelity.InsufficientSamples, fidelity.RankDeficient) as e:
@@ -271,26 +253,18 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "parameters": [p.name for p in store.domain.parameters],
         "models": [dataclasses.asdict(m) for m in models],
     }
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
-    return 0
+    return _write_report(report, args.out)
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     scenario = _cell_scenario(args.scenario)
-    if scenario is None:
-        return 2
     result, _ = plan_cell(scenario, initial_rates(scenario))
     report = {
         **plan_summary(result),
         "on_demand_count": len(result.partition.on_demand),
         "threshold": scenario.cell.threshold,
     }
-    print(json.dumps(report, sort_keys=True, indent=2))
-    return 0
+    return _write_report(report, None)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -331,8 +305,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. An input it cannot use exits 2 with one
+    ``error:`` line; failed seeds and models that cannot be fitted exit 1."""
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InputError, ScenarioError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

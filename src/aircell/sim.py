@@ -189,13 +189,15 @@ SCHEMA: dict[str, dict[str, Field]] = {
             Field("cell", object, None), Field("cache", object, {}),
         ),
         "objects": (
-            Field("count", int, 0, lo=0), Field("mtbu", float, 100.0),
-            Field("stdv_mtbu", float, None),  # absent: 0.2 times the mean mtbu
+            Field("count", int, 0, lo=0), Field("mtbu", float, 100.0, above=0, hi=_MAX_MTBU),
+            # absent: 0.2 times the mean mtbu
+            Field("stdv_mtbu", float, None, lo=0, hi=_MAX_MTBU),
             Field("mtbu_range", object, None), Field("id_prefix", str, "obj"),
         ),
         "objects[]": (
-            Field("object_id", str), Field("mtbu", float),
-            Field("stdv_mtbu", float, 0.0), Field("reachable", bool, True),
+            Field("object_id", str), Field("mtbu", float, above=0, hi=_MAX_MTBU),
+            Field("stdv_mtbu", float, 0.0, lo=0, hi=_MAX_MTBU),
+            Field("reachable", bool, True),
         ),
         "clients": (
             Field("count", int, 0, lo=0), Field("id_prefix", str, "client"),
@@ -316,8 +318,6 @@ def _read_value(value, where: str, row: Field, errs: list[str]):
             return _in_range(number, label, row, errs)
         else:
             need = "finite or inf" if row.no_limit else "finite"
-            errs.append(f"{where}: {row.key} must be {need}, got {value!r}")
-            return row.default
     elif isinstance(kind, tuple):
         if not isinstance(value, bool) and value in kind:
             return value
@@ -337,14 +337,14 @@ def _read_value(value, where: str, row: Field, errs: list[str]):
 def _in_range(number, label: str, row: Field, errs: list[str]):
     """``number`` if it is within ``row``'s bounds; otherwise a violation in
     ``errs`` and ``row.default``."""
-    if row.hi is not None and not row.lo <= number <= row.hi:
-        need = f"in [{row.lo}, {row.hi}]"
-    elif row.above is not None and number <= row.above:
-        need = f"> {row.above}"
-    elif row.lo is not None and number < row.lo:
-        need = f">= {row.lo}"
-    else:
+    above, lo, hi = row.above, row.lo, row.hi
+    if ((above is None or number > above) and (lo is None or number >= lo)
+            and (hi is None or number <= hi)):
         return number
+    if hi is None:
+        need = f"> {above}" if above is not None else f">= {lo}"
+    else:
+        need = f"in ({above}, {hi}]" if above is not None else f"in [{lo}, {hi}]"
     errs.append(f"{label}: must be {need}")
     return row.default
 
@@ -405,31 +405,39 @@ def _numbered(prefix: str, count: int) -> list[str]:
     return [f"{prefix}{i:0{width}d}" for i in range(count)]
 
 
-def _too_many_writes(mtbu: float, min_mtbu: float) -> str:
-    return (
-        f"{mtbu!r} is below duration_slots / {_MAX_EVENTS} = "
-        f"{min_mtbu!r}, more than {_MAX_EVENTS} writes per object"
-    )
+def _check_writes(mtbu: float, prefix: str, min_mtbu: float, errs: list[str]) -> None:
+    """A violation in ``errs`` if a source that writes once per ``mtbu`` would
+    write more than ``_MAX_EVENTS`` times."""
+    if mtbu < min_mtbu:
+        errs.append(
+            f"{prefix}{mtbu!r} is below duration_slots / {_MAX_EVENTS} = "
+            f"{min_mtbu!r}, more than {_MAX_EVENTS} writes per object"
+        )
 
 
 def _expand_objects(
     spec, seed: int, min_mtbu: float, errs: list[str]
 ) -> list[ObjectSpec]:
     if isinstance(spec, dict):
+        start = len(errs)
         v = _read_section(spec, "objects", SCHEMA["objects"], errs)
         count, bounds = v["count"], v["mtbu_range"]
         if "mtbu" in spec and "mtbu_range" in spec:  # the raw keys: mtbu has a default
             errs.append("objects: give mtbu or mtbu_range, not both")
         if bounds is None:
+            # only once the block reads cleanly: a refused mtbu reads as the default
+            if len(errs) == start:
+                _check_writes(v["mtbu"], "objects.mtbu: ", min_mtbu, errs)
             mtbus = [v["mtbu"]] * count
         elif not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
-                  and all(map(_is_finite, bounds)) and bounds[0] <= bounds[1]):
-            errs.append("objects.mtbu_range: must be two finite numbers, low end first")
+                  and all(map(_is_number, bounds))
+                  and 0 < bounds[0] <= bounds[1] <= _MAX_MTBU):
+            errs.append(
+                f"objects.mtbu_range: must be two numbers, 0 < low <= high <= {_MAX_MTBU:g}"
+            )
             mtbus = [1.0] * count  # placeholder; the document is rejected
         else:
-            if bounds[0] < min_mtbu:
-                low = _too_many_writes(bounds[0], min_mtbu)
-                errs.append(f"objects.mtbu_range: low end {low}")
+            _check_writes(bounds[0], "objects.mtbu_range: low end ", min_mtbu, errs)
             rng = substream(seed, "object-params")
             mtbus = rng.uniform(float(bounds[0]), float(bounds[1]), size=count)
         stdv = v["stdv_mtbu"]
@@ -442,10 +450,18 @@ def _expand_objects(
     if not isinstance(spec, list):
         errs.append(f"objects: must be a list or a mapping, got {type(spec).__name__}")
         return []
-    return [ObjectSpec(**v) for v in _read_entries(spec, "objects", SCHEMA["objects[]"], errs)]
+    objects = []
+    for i, entry in enumerate(spec):
+        v = _read_section(entry, f"objects[{i}]", SCHEMA["objects[]"], errs)
+        if v is not None:
+            _check_writes(v["mtbu"], f"objects[{i}].mtbu: ", min_mtbu, errs)
+            objects.append(ObjectSpec(**v))
+    return objects
 
 
-def _expand_clients(spec, duration: int, errs: list[str]) -> list[ClientSpec]:
+def _expand_clients(
+    spec, duration: int, object_ids: set[str], errs: list[str]
+) -> list[ClientSpec]:
     def read(c, where: str, rows: dict[str, Field]) -> dict | None:
         v = _read_section(c, where, rows, errs)
         if v is not None:
@@ -456,6 +472,11 @@ def _expand_clients(spec, duration: int, errs: list[str]) -> list[ClientSpec]:
                     f"{_MAX_EVENTS} / duration_slots = {_MAX_EVENTS / duration!r}, "
                     f"more than {_MAX_EVENTS} requests per client"
                 )
+            errs.extend(
+                f"{where}.{key}: unknown object {oid!r}"
+                for key in ("qos", "providers") for oid in v.get(key, ())
+                if not (isinstance(oid, str) and oid in object_ids)
+            )
         return v
 
     def client(v: dict, client_id: str) -> ClientSpec:
@@ -532,31 +553,13 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     min_mtbu = duration / _MAX_EVENTS
     objects = _expand_objects(top["objects"], top["seed"], min_mtbu, errs)
-    # a draw from an extreme mtbu_range, or the stdv derived from it, can
-    # overflow: such a parameter would loop forever, run silently or crash
-    for i, o in enumerate(objects):
-        if not 0 < o.mtbu <= _MAX_MTBU:
-            errs.append(f"objects[{i}]: mtbu must be finite and in (0, {_MAX_MTBU:g}]")
-        elif o.mtbu < min_mtbu:
-            errs.append(f"objects[{i}]: mtbu {_too_many_writes(o.mtbu, min_mtbu)}")
-        if not 0 <= o.stdv_mtbu <= _MAX_MTBU:
-            errs.append(
-                f"objects[{i}]: stdv_mtbu must be finite and in [0, {_MAX_MTBU:g}]"
-            )
     object_ids = {o.object_id for o in objects}
     if len(object_ids) != len(objects):
         errs.append("objects: duplicate object ids")
 
-    clients = _expand_clients(top["clients"], duration, errs)
+    clients = _expand_clients(top["clients"], duration, object_ids, errs)
     if len({c.client_id for c in clients}) != len(clients):
         errs.append("clients: duplicate client ids")
-    for i, c in enumerate(clients):
-        for oid in c.qos_overrides:
-            if oid not in object_ids:
-                errs.append(f"clients[{i}].qos: unknown object {oid!r}")
-        for oid in c.providers:
-            if not (isinstance(oid, str) and oid in object_ids):
-                errs.append(f"clients[{i}].providers: unknown object {oid!r}")
 
     adjacency = _expand_adjacency(
         top["adjacency"], [c.client_id for c in clients], errs
@@ -605,24 +608,15 @@ def scenario_from_dict(data: dict) -> Scenario:
 # Workload
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Workload:
-    """Per-client request streams: (slot, object_id), reproducible from seed."""
-
-    per_client: dict[str, tuple[tuple[int, str], ...]]
-
-    def total_requests(self) -> int:
-        return sum(len(v) for v in self.per_client.values())
-
-
 def zipf_pmf(n: int, theta: float) -> np.ndarray:
     """Popularity of ranks 0..n-1, proportional to 1 / (rank+1)^theta."""
     weights = 1.0 / np.power(np.arange(1, n + 1, dtype=float), theta)
     return weights / weights.sum()
 
 
-def generate_workload(scenario: Scenario) -> Workload:
-    """Poisson arrivals per client with Zipf-distributed object popularity."""
+def generate_workload(scenario: Scenario) -> dict[str, tuple[tuple[int, str], ...]]:
+    """Each client's request stream, (slot, object_id) pairs reproducible from
+    the seed: Poisson arrivals with Zipf-distributed object popularity."""
     n = len(scenario.objects)
     pmf = zipf_pmf(n, scenario.zipf_theta) if n else None
     ids = [o.object_id for o in scenario.objects]
@@ -641,7 +635,7 @@ def generate_workload(scenario: Scenario) -> Workload:
         else:
             stream = ()
         per_client[spec.client_id] = stream
-    return Workload(per_client)
+    return per_client
 
 
 # --------------------------------------------------------------------------
@@ -1014,7 +1008,7 @@ def _queries_by_slot(scenario: Scenario) -> dict[int, list[Query]]:
     """The workload's queries by the slot they are issued in, in client id
     order within a slot; ids are numbered in this order from 0."""
     specs = {c.client_id: c for c in scenario.clients}
-    per_client = generate_workload(scenario).per_client
+    per_client = generate_workload(scenario)
     issued = sorted(  # stable
         ((slot, cid, oid) for cid in sorted(per_client)
          for slot, oid in per_client[cid]),

@@ -1,13 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aircell
 from aircell import cli
-from aircell.cli import _with_seed, aggregate_summaries, main, parse_scenario
+from aircell.cli import InputError, _with_seed, aggregate_summaries, main, parse_scenario
 from aircell.sim import ScenarioError, generate_workload, run, scenario_from_dict
 
 MINI = {
@@ -37,14 +41,14 @@ class TestParseScenario:
         assert len(scn.clients) == 4
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(InputError) as err:
             parse_scenario(tmp_path / "nope.json")
         assert "no such file" in str(err.value)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(InputError) as err:
             parse_scenario(path)
         assert "invalid JSON" in str(err.value)
 
@@ -74,7 +78,7 @@ class TestSeeds:
         assert len({o.mtbu for o in scn.objects}) == 6  # drawn, one per object
         assert one.objects == two.objects == scn.objects
         assert (one.seed, two.seed) == (1, 2)
-        assert generate_workload(one).per_client != generate_workload(two).per_client
+        assert generate_workload(one) != generate_workload(two)
 
 
 class TestRunCommand:
@@ -417,6 +421,82 @@ class TestPlanningCommands:
             {"config": {"frame_rate": 10.0, "level": 1}, "consumption": {"cpu": 1.0}}]}))
         assert main(["fit", "--samples", str(path)]) == 1
         assert capsys.readouterr().err == "error: cpu: 1 samples for 3 coefficients\n"
+
+
+def unreadable(tmp_path, kind: str) -> Path:
+    """A path no command can read as a JSON document."""
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not UTF-8":
+        path.write_bytes(b"\xff{")
+    elif kind == "not JSON":
+        path.write_text("{not json")
+    return path
+
+
+# each subcommand's arguments, reading its one input file from ``path``
+COMMANDS = {
+    "run": lambda path, out: ["run", "--scenario", path, "--out", out],
+    "plan": lambda path, out: ["plan", "--scenario", path],
+    "dump-program": lambda path, out: ["dump-program", "--scenario", path],
+    "fit": lambda path, out: ["fit", "--samples", path],
+    "compare": lambda path, out: ["compare", path, path],
+}
+
+
+def python_m_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -W error::RuntimeWarning -m aircell.cli`` in a fresh process."""
+    src = str(Path(aircell.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "aircell.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestUnreadableInput:
+    """Every input a command cannot use exits 2 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not UTF-8", "not JSON"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_one_error_line_and_exit_2(self, tmp_path, capsys, command, kind):
+        # a directory used to escape every command as IsADirectoryError, and
+        # bytes that are not UTF-8 every command but run (which caught any
+        # ValueError) as UnicodeDecodeError
+        path = unreadable(tmp_path, kind)
+        assert main(COMMANDS[command](str(path), str(tmp_path / "out"))) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: ")
+        if kind == "missing":
+            assert err == f"error: {path}: no such file\n"
+        if kind == "not JSON":
+            assert err.startswith(f"error: {path}: invalid JSON (")
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5000],
+                             ids=["nested too deep", "a very long integer"])
+    def test_documents_json_cannot_hold(self, tmp_path, capsys, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        # they used to escape as RecursionError and ValueError
+        assert main(["plan", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_scenario_without_a_cell(self, tmp_path, capsys):
+        assert main(["plan", "--scenario", str(write_scenario(tmp_path, MINI))]) == 2
+        assert capsys.readouterr().err == "error: scenario has no cell section\n"
+
+    def test_python_m_runs_without_a_warning(self, tmp_path):
+        # the package imported cli, so runpy warned that it was already loaded
+        assert python_m_cli("--help").returncode == 0
+        path = unreadable(tmp_path, "directory")
+        done = python_m_cli("plan", "--scenario", str(path))
+        assert done.returncode == 2 and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith(f"error: {path}: ")
 
 
 def readme_json_blocks() -> list[str]:

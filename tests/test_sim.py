@@ -210,22 +210,22 @@ class TestWorkload:
         scn = scenario_from_dict(p2p_doc(clients={
             "count": 3, "request_rate": 0.0, "policy": "lru",
         }))
-        wl = generate_workload(scn)
-        assert wl.total_requests() == 0
+        streams = generate_workload(scn)
+        assert sorted(streams) == ["client0", "client1", "client2"]
+        assert not any(streams.values())
 
     def test_same_seed_identical_streams(self):
         scn = scenario_from_dict(p2p_doc(seed=42))
-        assert generate_workload(scn).per_client == generate_workload(scn).per_client
+        assert generate_workload(scn) == generate_workload(scn)
 
     def test_different_seeds_differ(self):
         a = generate_workload(scenario_from_dict(p2p_doc(seed=1)))
         b = generate_workload(scenario_from_dict(p2p_doc(seed=2)))
-        assert a.per_client != b.per_client
+        assert a != b
 
     def test_times_within_duration(self):
         scn = scenario_from_dict(p2p_doc(seed=5))
-        wl = generate_workload(scn)
-        for stream in wl.per_client.values():
+        for stream in generate_workload(scn).values():
             assert all(0 <= t < scn.duration_slots for t, _ in stream)
 
     def test_theta_zero_is_uniform_by_chi_square(self):
@@ -237,9 +237,8 @@ class TestWorkload:
             clients={"count": 4, "request_rate": 0.5, "policy": "lru"},
             workload={"zipf_theta": 0.0},
         ))
-        wl = generate_workload(scn)
         counts = {}
-        for stream in wl.per_client.values():
+        for stream in generate_workload(scn).values():
             for _, oid in stream:
                 counts[oid] = counts.get(oid, 0) + 1
         total = sum(counts.values())
@@ -693,12 +692,12 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("value", NON_FINITE)
     def test_mtbu(self, value):
         self.rejected(p2p_doc(objects={"count": 3, "mtbu": value, "stdv_mtbu": 5.0}),
-                      "mtbu must be finite")
+                      "objects.mtbu: must be finite")
 
     @pytest.mark.parametrize("value", NON_FINITE)
     def test_stdv_mtbu(self, value):
         doc = p2p_doc(objects=[{"object_id": "a", "mtbu": 50.0, "stdv_mtbu": value}])
-        self.rejected(doc, "stdv_mtbu must be finite")
+        self.rejected(doc, "objects[0].stdv_mtbu: must be finite")
 
     @pytest.mark.parametrize("bounds", [[math.nan, 200.0], [20.0, math.inf],
                                         [-math.inf, 5.0], [20.0], "ab"])
@@ -708,7 +707,7 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("value", NON_FINITE)
     def test_request_rate(self, value):
         doc = p2p_doc(clients={"count": 2, "policy": "lru", "request_rate": value})
-        self.rejected(doc, "request_rate must be finite")
+        self.rejected(doc, "clients.request_rate: must be finite")
 
 
     @pytest.mark.parametrize("value", NON_FINITE)
@@ -716,27 +715,34 @@ class TestNonFiniteInputs:
     def test_every_float_field(self, path, value):
         doc = with_field(path, value)
         *section, key = path
-        label = f"{'.'.join(section)}: {key}"
+        label = ".".join(path)
         if path in NO_LIMIT_FIELDS:
             if value == math.inf:
                 scenario_from_dict(doc)  # inf is "no limit" here
                 return
-            expected = f"{label} must be finite or inf, got {value!r}"
+            expected = f"{label}: must be finite or inf, got {value!r}"
         else:
-            expected = f"{label} must be finite, got {value!r}"
+            expected = f"{label}: must be finite, got {value!r}"
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(doc)
         assert err.value.violations == [expected]
 
-    @pytest.mark.parametrize("objects", [
-        {"count": 3, "mtbu": 1e308, "stdv_mtbu": 0},  # burn-in summed to -inf
-        {"count": 3, "mtbu": 1e300, "stdv_mtbu": 1e300},  # squared past float max
-        {"count": 3, "mtbu": 50.0, "stdv_mtbu": 1e151},
-        {"count": 3, "mtbu_range": [1e149, 1e300]},
-    ])
-    def test_huge_finite_mtbu_rejected_before_the_run(self, objects):
-        with pytest.raises(ScenarioError, match=r"must be finite and in .*1e\+150\]"):
-            scenario_from_dict(p2p_doc(objects=objects))
+    @pytest.mark.parametrize("objects, expected", [
+        # burn-in summed to -inf
+        ({"count": 3, "mtbu": 1e308, "stdv_mtbu": 0}, ["objects.mtbu: must be in (0, 1e+150]"]),
+        # squared past float max
+        ({"count": 3, "mtbu": 1e300, "stdv_mtbu": 1e300},
+         ["objects.mtbu: must be in (0, 1e+150]", "objects.stdv_mtbu: must be in [0, 1e+150]"]),
+        ({"count": 3, "mtbu": 50.0, "stdv_mtbu": 1e151},
+         ["objects.stdv_mtbu: must be in [0, 1e+150]"]),
+        ({"count": 3, "mtbu_range": [1e149, 1e300]},
+         ["objects.mtbu_range: must be two numbers, 0 < low <= high <= 1e+150"]),
+        ([{"object_id": "a", "mtbu": 1e151}, {"object_id": "b", "mtbu": 5.0, "stdv_mtbu": 1e151}],
+         ["objects[0].mtbu: must be in (0, 1e+150]",
+          "objects[1].stdv_mtbu: must be in [0, 1e+150]"]),
+    ], ids=[f"objects{i}" for i in range(5)])
+    def test_huge_finite_mtbu_rejected_before_the_run(self, objects, expected):
+        assert violations(p2p_doc(objects=objects)) == expected
 
     @pytest.mark.parametrize("doc_fn", [p2p_doc, broadcast_doc])
     def test_largest_mtbu_runs(self, doc_fn):
@@ -746,7 +752,7 @@ class TestNonFiniteInputs:
 
     def test_nan_zipf_theta_rejected_before_the_run(self):
         # it used to parse, and the run died in numpy's sampler
-        with pytest.raises(ScenarioError, match="zipf_theta must be finite"):
+        with pytest.raises(ScenarioError, match="workload.zipf_theta: must be finite"):
             scenario_from_dict(p2p_doc(workload={"zipf_theta": math.nan}))
 
     def test_infinite_ttl_never_expires(self):
@@ -914,9 +920,8 @@ class TestUpdateRate:
                 p2p_doc(objects={"count": 3, "mtbu": 1e-9, "stdv_mtbu": 0.0})
             )
         assert err.value.violations == [
-            f"objects[{i}]: mtbu 1e-09 is below duration_slots / 1000000 = 0.0004, "
+            "objects.mtbu: 1e-09 is below duration_slots / 1000000 = 0.0004, "
             "more than 1000000 writes per object"
-            for i in range(3)
         ]
 
     def test_low_end_of_mtbu_range_rejected(self):
@@ -935,6 +940,60 @@ class TestUpdateRate:
         assert metrics.counters["answered"] == metrics.counters["issued"] > 0
 
 
+WRITES = "is below duration_slots / 1000000 = {}, more than 1000000 writes per object"
+
+
+class TestCheckedWhereRead:
+    """Each value is checked once, where the reader reads it."""
+
+    def test_bad_mtbu_of_a_block_reported_once(self):
+        # it was reported once per object, and so was the stdv_mtbu derived
+        # from it: six violations
+        assert violations(p2p_doc(objects={"count": 3, "mtbu": -1.0})) == [
+            "objects.mtbu: must be in (0, 1e+150]"
+        ]
+
+    def test_unknown_qos_object_of_a_block_reported_once(self):
+        # it was reported once per client
+        doc = p2p_doc(clients={"count": 4, "qos": {"nope": 0.5}})
+        assert violations(doc) == ["clients.qos: unknown object 'nope'"]
+
+    def test_unknown_ids_named_by_their_entry(self):
+        # they were numbered among the clients read, so an entry left out
+        # shifted the next entry's index
+        doc = p2p_doc(clients=[
+            {"client_id": "a"}, {"cache_capacity": 2},
+            {"client_id": "c", "qos": {"ghost": 0.5}, "providers": ["obj0", 7]},
+        ])
+        assert violations(doc) == [
+            "clients[1]: missing key 'client_id'",
+            "clients[2].qos: unknown object 'ghost'",
+            "clients[2].providers: unknown object 7",
+        ]
+
+    def test_tiny_mtbu_of_an_entry(self):
+        doc = p2p_doc(objects=[{"object_id": "a", "mtbu": 50.0},
+                               {"object_id": "b", "mtbu": 1e-9}])
+        assert violations(doc) == ["objects[1].mtbu: 1e-09 " + WRITES.format(0.0004)]
+
+    def test_default_mtbu_of_a_block_checked_against_the_duration(self):
+        doc = p2p_doc(duration_slots=10**9, objects={"count": 3}, clients={"count": 2})
+        assert violations(doc) == ["objects.mtbu: 100.0 " + WRITES.format(1000.0)]
+        # a refused mtbu reads as that default, and is reported alone
+        doc["objects"]["mtbu"] = -1.0
+        assert violations(doc) == ["objects.mtbu: must be in (0, 1e+150]"]
+
+    @pytest.mark.parametrize("low", [-5.0, 0.0, -1e-300])
+    def test_non_positive_low_end_of_mtbu_range(self, low):
+        # it was reported as more than 10**6 writes, beside whichever of the
+        # objects the seed drew at or below 0
+        for seed in range(4):
+            doc = p2p_doc(seed=seed, objects={"count": 3, "mtbu_range": [low, 100.0]})
+            assert violations(doc) == [
+                "objects.mtbu_range: must be two numbers, 0 < low <= high <= 1e+150"
+            ]
+
+
 class TestBoundaryEscapes:
     """Documents that used to pass the reader and then crash or hang."""
 
@@ -942,7 +1001,7 @@ class TestBoundaryEscapes:
         # it used to escape as numpy's ValueError: high - low < 0
         doc = p2p_doc(objects={"count": 3, "mtbu_range": [200.0, 20.0]})
         assert violations(doc) == [
-            "objects.mtbu_range: must be two finite numbers, low end first"
+            "objects.mtbu_range: must be two numbers, 0 < low <= high <= 1e+150"
         ]
 
     def test_mtbu_beside_mtbu_range(self):
@@ -1060,7 +1119,8 @@ def field_table() -> list[str]:
         return "`inf`" if row.default == math.inf else f"`{json.dumps(row.default)}`"
 
     def bounds(row):
-        text = [f"[{row.lo}, {row.hi}]" if row.hi is not None
+        low = f"({row.above}" if row.above is not None else f"[{row.lo}"
+        text = [f"{low}, {row.hi}]" if row.hi is not None
                 else f"> {row.above}" if row.above is not None
                 else f">= {row.lo}" if row.lo is not None else ""]
         if row.no_limit:
@@ -1149,7 +1209,7 @@ class TestSchemaTable:
         big = 10**400
         doc = p2p_doc(objects={"count": 2, "mtbu_range": [1.0, big]})
         assert violations(doc) == [
-            "objects.mtbu_range: must be two finite numbers, low end first",
+            "objects.mtbu_range: must be two numbers, 0 < low <= high <= 1e+150",
         ]
         assert domain_violations(changed("0.values", [20, big])) == [
             "domain[0].values: must be distinct strings or finite numbers",
