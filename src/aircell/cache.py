@@ -19,7 +19,7 @@ import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .freshness import FreshnessStats, InvariantError, p_not_modified_or_zero
 
@@ -115,21 +115,6 @@ class ReadTracker:
                          len(self._times.get(object_id, ())))
 
 
-def cqf(stats: FreshnessStats, reads: ReadStats) -> float:
-    """Caching quality: update interval over read interval (0 if unread)."""
-    if reads.mtbr is None or reads.mtbr <= 0:
-        return 0.0
-    return stats.mtbu / reads.mtbr
-
-
-def acqf(f_r: float, p_nm: float, qos: float) -> float:
-    """User-centric caching quality: read share times the QoS margin.
-
-    Negative exactly when a read object fails its owner's QoS test.
-    """
-    return f_r * (p_nm - qos)
-
-
 class EvictionReport(NamedTuple):
     admitted: bool
     evicted: str | None = None
@@ -197,26 +182,23 @@ class ClientCache:
         return self.entries.get(object_id)
 
     def score(self, entry: CacheEntry, now: float) -> float:
-        if self.policy is PolicyKind.CQF:
-            return cqf(entry.source_stats_snapshot, self.reads.stats_for(entry.object_id))
-        if self.policy is PolicyKind.ACQF:
-            p_nm = p_not_modified_or_zero(entry.source_stats_snapshot, now)
-            return acqf(
-                self.reads.stats_for(entry.object_id).f_r,
-                p_nm,
-                self.qos_for(entry.object_id),
-            )
-        raise ValueError(f"policy {self.policy} has no score")
+        """The entry's score under CQF or ACQF, as ``insert`` scores it."""
+        if self.policy not in SCORED_POLICIES:
+            raise ValueError(f"policy {self.policy} has no score")
+        return self._scored([(entry.object_id, entry)], now)[0][0]
 
-    def _scored(self, now: float) -> list[tuple[float, float, str]]:
-        """(score, cached_at, object_id) of every entry, in one pass.
+    def _scored(
+        self, entries: Iterable[tuple[str, CacheEntry]], now: float
+    ) -> list[tuple[float, float, str]]:
+        """(score, cached_at, object_id) of each ``(object_id, entry)`` pair,
+        in one pass.
 
-        Each policy's loop computes what ``score`` does per entry, with the
-        same float operations in the same order (``cqf``: mtbu / mtbr;
-        ``acqf``: f_r * (p_nm - qos)), asking the tracker only for the one
-        statistic the policy reads.
+        CQF is the update interval over the read interval, mtbu / mtbr, and
+        0 for an object read fewer than twice. ACQF is the read share times
+        the QoS margin, f_r * (p_nm - qos), negative exactly when a read
+        object fails its owner's QoS test. Each loop asks the tracker only
+        for the one statistic its policy reads.
         """
-        entries = self.entries.items()
         if self.policy is PolicyKind.CQF:
             mtbr = self.reads.mtbr
             scored = []
@@ -243,9 +225,10 @@ class ClientCache:
             return EvictionReport(admitted=True)
 
         if self.policy in SCORED_POLICIES:
-            incoming = self.score(entry, now)
+            (incoming, _, _), *residents = self._scored(
+                [(entry.object_id, entry), *self.entries.items()], now)
             # the minimum score, oldest cached_at first on ties
-            min_score, _, victim = min(self._scored(now))
+            min_score, _, victim = min(residents)
             if incoming <= min_score:
                 return EvictionReport(False, None, incoming, min_score)
             del self.entries[victim]

@@ -17,12 +17,13 @@ import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 from . import air_schedule, fidelity
 from .sim import (
     SCHEMA_ID,
-    Metrics,
     Scenario,
     ScenarioError,
     initial_rates,
@@ -74,6 +75,7 @@ def _parse_seeds(text: str) -> list[int]:
     """The seeds of ``--seeds``: comma-separated seeds and ``lo..hi`` ranges.
 
     Their count is checked from each range's ends before any list is built.
+    A seed listed more than once is kept once, where it is first listed.
     """
     bounds: list[tuple[int, int]] = []
     for part in filter(None, map(str.strip, text.split(","))):
@@ -90,12 +92,15 @@ def _parse_seeds(text: str) -> list[int]:
     lowest = min(lo for lo, hi in bounds if lo <= hi)
     if lowest < 0:
         raise InputError(f"seeds must be >= 0, got {lowest}")
-    return [seed for lo, hi in bounds for seed in range(lo, hi + 1)]
+    return list(dict.fromkeys(seed for lo, hi in bounds for seed in range(lo, hi + 1)))
 
 
-def _run_one(args: tuple[Scenario, int]) -> tuple[int, Metrics]:
-    scenario, seed = args
-    return seed, run(_with_seed(scenario, seed))
+def _run_one(scenario: Scenario, seed: int, out: Path, fmt: str) -> dict[str, float]:
+    """Run ``seed``, write its ``metrics_<seed>.<fmt>`` and return its summary."""
+    metrics = run(_with_seed(scenario, seed))
+    data = metrics.to_csv_bytes() if fmt == "csv" else metrics.to_json_bytes()
+    (out / f"metrics_{seed}.{fmt}").write_bytes(data)
+    return metrics.summary()
 
 
 def aggregate_summaries(per_seed: dict[int, dict[str, float]]) -> dict:
@@ -115,13 +120,16 @@ def aggregate_summaries(per_seed: dict[int, dict[str, float]]) -> dict:
     }
 
 
-def _write_report(report: dict, out: str | None) -> int:
+def _write_report(report: dict, out: str | Path | None) -> int:
     """``report`` as indented JSON, to the file ``out`` or else to stdout."""
     text = json.dumps(report, sort_keys=True, indent=2)
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         print(text)
+        return 0
+    try:
+        Path(out).write_text(text)
+    except OSError as e:
+        raise InputError(f"{out}: {e.strerror}") from None
     return 0
 
 
@@ -137,42 +145,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     except OSError as e:
         raise InputError(f"output directory not writable: {e}") from None
 
-    jobs = [(scenario, seed) for seed in seeds]
-    results: dict[int, Metrics] = {}
+    summaries: dict[int, dict[str, float]] = {}
     failures: list[str] = []
     # the pool starts all its workers at the first submit
-    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_one, job): job[1] for job in jobs}
-            for future, seed in futures.items():
-                try:
-                    _, metrics = future.result()
-                    results[seed] = metrics
-                except Exception as e:  # label partial output, keep going
-                    failures.append(f"seed {seed}: {e}")
-    else:
-        for job in jobs:
+    workers = min(args.jobs, len(seeds), os.cpu_count() or 1)
+    run_seed = partial(_run_one, scenario, out=out, fmt=args.format)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        futures = [pool.submit(run_seed, seed) if pool else None for seed in seeds]
+        for seed, future in zip(seeds, futures):
             try:
-                seed, metrics = _run_one(job)
-                results[seed] = metrics
-            except Exception as e:
-                failures.append(f"seed {job[1]}: {e}")
+                summaries[seed] = future.result() if future else run_seed(seed)
+            except Exception as e:  # label partial output, keep going
+                failures.append(f"seed {seed}: {e}")
 
-    for seed in sorted(results):
-        metrics = results[seed]
-        if args.format == "csv":
-            (out / f"metrics_{seed}.csv").write_bytes(metrics.to_csv_bytes())
-        else:
-            (out / f"metrics_{seed}.json").write_bytes(metrics.to_json_bytes())
-
-    summary = aggregate_summaries({s: m.summary() for s, m in results.items()})
+    summary = aggregate_summaries(summaries)
     if failures:
         summary["failures"] = failures
-    (out / "summary.json").write_bytes(
-        json.dumps(summary, sort_keys=True, indent=2).encode()
-    )
-    print(f"{len(results)} run(s) written to {out}")
+    _write_report(summary, out / "summary.json")
+    print(f"{len(summaries)} run(s) written to {out}")
     if failures:
         for line in failures:
             print(f"failed: {line}", file=sys.stderr)

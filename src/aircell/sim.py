@@ -28,6 +28,7 @@ import json
 import math
 import numbers
 import sys
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -373,16 +374,6 @@ def _read_section(section, where: str, rows: dict[str, Field], errs: list[str]):
             if row.default is _REQUIRED and key not in section
         )
     return None
-
-
-def _read_entries(spec, where: str, rows: dict[str, Field], errs: list[str]) -> list:
-    """The entries of the list ``spec``, each read as a section of ``rows``;
-    an entry whose required field is missing or bad is left out."""
-    entries = (
-        _read_section(entry, f"{where}[{i}]", rows, errs)
-        for i, entry in enumerate(_listed(spec, where, errs))
-    )
-    return [v for v in entries if v is not None]
 
 
 def _read_map(section, where: str, row: Field, errs: list[str]) -> dict:
@@ -1025,28 +1016,35 @@ def run(scenario: Scenario) -> Metrics:
     """Advance the slot clock through one fully seeded scenario, in the
     engine for the cell's resolution mode.
 
-    Raises ``InvariantError`` if answered plus unresolved queries differ
-    from those issued.
+    The records are the run's one account of its queries: the query
+    counters are counted from them. Raises ``InvariantError`` unless each
+    issued query has exactly one record.
     """
     metrics = Metrics(scenario.schema_id, scenario.seed, scenario.duration_slots)
-    counters = metrics.counters
-    for key in (
-        "issued", "answered", "unresolved", "source_load", "requeries",
-        "ttl_drops", "broadcast_slots", "on_demand_responses", "batching_saved",
-        "index_reads",
-    ):
-        counters[key] = 0
+    metrics.counters = counters = dict.fromkeys(("requeries", "ttl_drops", "broadcast_slots",
+                                                 "on_demand_responses", "batching_saved"), 0)
     metrics.per_client_energy = {c.client_id: 0.0 for c in scenario.clients}
     queries = _queries_by_slot(scenario)
-    counters["issued"] = sum(map(len, queries.values()))
+    issued = sum(map(len, queries.values()))
     engine = _run_broadcast if scenario.resolution_mode == "broadcast" else _run_p2p
     engine(scenario, metrics, queries)
-    metrics.records.sort(key=lambda r: r.query_id)
-    if counters["answered"] + counters["unresolved"] != counters["issued"]:
-        raise InvariantError(
-            f"{counters['answered']} answered + {counters['unresolved']} "
-            f"unresolved != {counters['issued']} issued"
-        )
+    records = metrics.records
+    records.sort(key=itemgetter(0))
+    ids = list(map(itemgetter(0), records))
+    if ids != list(range(issued)):
+        # the first place where the sorted ids leave 0, 1, 2, ...
+        i = next((i for i, qid in enumerate(ids) if qid != i), len(ids))
+        problem = (f"query {ids[i]} has more than one record" if i < len(ids) and ids[i] < i
+                   else f"query {i} has no record" if i < issued
+                   else f"query {ids[issued]} was never issued")
+        raise InvariantError(f"{len(ids)} records for {issued} issued queries: {problem}")
+    resolutions = Counter(map(itemgetter(4), records))
+    counters.update(
+        issued=issued, answered=len(records) - resolutions["unresolved"],
+        unresolved=resolutions["unresolved"], index_reads=resolutions["broadcast"],
+        source_load=(resolutions["source"] + counters["requeries"]
+                     + counters["on_demand_responses"]),
+    )
     return metrics
 
 
@@ -1098,13 +1096,9 @@ def _run_p2p(
                     f"{outcome.write_time}, after slot {t}"
                 )
             if outcome.resolution is Resolution.UNRESOLVED:
-                counters["unresolved"] += 1
                 records.append(QueryRecord(qid, cid, oid, t, "unresolved",
                                            outcome.latency, 0.0, qos, False, 0.0))
                 continue
-            counters["answered"] += 1
-            if outcome.resolution is Resolution.SOURCE:
-                counters["source_load"] += 1
             staleness = process.source.t_last_update - outcome.write_time
             records.append(QueryRecord(qid, cid, oid, t, outcome.resolution.value,
                                        outcome.latency, staleness, qos,
@@ -1123,7 +1117,6 @@ def _run_p2p(
                     stats = process.source.read(t)
                     cache.insert(CacheEntry(action.object_id, stats, cached_at=t), t)
                     counters["requeries"] += 1
-                    counters["source_load"] += 1
 
 
 def _run_broadcast(
@@ -1152,9 +1145,7 @@ def _run_broadcast(
             oid = multicast.object_id
             batch = pending[oid][: multicast.batch_size]
             pending[oid] = pending[oid][multicast.batch_size :]
-            counters["source_load"] += 1
             for qid, cid, issued, qos in batch:
-                counters["answered"] += 1
                 latency = multicast.response_time - issued + 1.0
                 records.append(QueryRecord(qid, cid, oid, issued, "on_demand", latency,
                                            0.0, qos, accepts(qos, 1.0), 1.0))
@@ -1173,10 +1164,8 @@ def _run_broadcast(
                 batching.submit(oid, t)
                 pending.setdefault(oid, []).append((qid, cid, t, qos))
                 continue
-            counters["index_reads"] += 1
             plan = retrieval.after_index([oid], program, t, cost)
             metrics.per_client_energy[cid] += retrieval.account(plan, cost)["energy"]
-            counters["answered"] += 1
             latency = float(plan.total_slots)
             records.append(QueryRecord(qid, cid, oid, t, "broadcast", latency,
                                        0.0, qos, accepts(qos, 1.0), 1.0))

@@ -26,8 +26,6 @@ from aircell.cache import (
     PolicyKind,
     ReadStats,
     ReadTracker,
-    acqf,
-    cqf,
 )
 from aircell.freshness import (
     FreshnessStats,
@@ -255,8 +253,9 @@ def score_admission_replay(capacity: int, offers: list[tuple[str, float, float]]
 # --------------------------------------------------------------------------
 # Eviction scoring as it stood before the one-pass loop: a full cache
 # scores every entry through ``score``, which asks the tracker for the
-# entry's ``stats_for`` and, under ACQF, the try/except P_NM. Kept verbatim
-# so that the loop is held to equal reports and entry order, not a tolerance.
+# entry's ``stats_for`` and, under ACQF, the try/except P_NM, with the CQF
+# and ACQF formulas as their own functions. Kept verbatim so that the loop
+# is held to equal reports and entry order, not a tolerance.
 # --------------------------------------------------------------------------
 
 def _p_not_modified_or_zero_reference(stats: FreshnessStats, now: float) -> float:
@@ -264,6 +263,21 @@ def _p_not_modified_or_zero_reference(stats: FreshnessStats, now: float) -> floa
         return p_not_modified(stats, now)
     except InsufficientHistory:
         return 0.0
+
+
+def _cqf_reference(stats: FreshnessStats, reads: ReadStats) -> float:
+    """Caching quality: update interval over read interval (0 if unread)."""
+    if reads.mtbr is None or reads.mtbr <= 0:
+        return 0.0
+    return stats.mtbu / reads.mtbr
+
+
+def _acqf_reference(f_r: float, p_nm: float, qos: float) -> float:
+    """User-centric caching quality: read share times the QoS margin.
+
+    Negative exactly when a read object fails its owner's QoS test.
+    """
+    return f_r * (p_nm - qos)
 
 
 class ReadTrackerReference(ReadTracker):
@@ -292,10 +306,11 @@ class ClientCacheReference(ClientCache):
 
     def score(self, entry: CacheEntry, now: float) -> float:
         if self.policy is PolicyKind.CQF:
-            return cqf(entry.source_stats_snapshot, self.reads.stats_for(entry.object_id))
+            return _cqf_reference(entry.source_stats_snapshot,
+                                  self.reads.stats_for(entry.object_id))
         if self.policy is PolicyKind.ACQF:
             p_nm = _p_not_modified_or_zero_reference(entry.source_stats_snapshot, now)
-            return acqf(
+            return _acqf_reference(
                 self.reads.stats_for(entry.object_id).f_r,
                 p_nm,
                 self.qos_for(entry.object_id),

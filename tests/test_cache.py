@@ -11,10 +11,8 @@ from aircell.cache import (
     PolicyKind,
     ReadStats,
     ReadTracker,
-    acqf,
-    cqf,
 )
-from aircell.freshness import FreshnessStats, InvariantError
+from aircell.freshness import FreshnessStats, InvariantError, p_not_modified
 from oracles import (
     ClientCacheReference,
     lru_reference,
@@ -37,36 +35,62 @@ def reads_every(tracker: ReadTracker, oid: str, period: float, n: int, t0=0.0):
         tracker.record(t0 + i * period, oid)
 
 
+def scored_cache(policy, qos=0.0):
+    return ClientCache(4, policy, qos_for=lambda _oid: qos)
+
+
 class TestScores:
     def test_cqf_is_update_over_read_interval(self):
-        tracker = ReadTracker()
-        reads_every(tracker, "a", 50.0, 5)
-        assert cqf(stats(200.0), tracker.stats_for("a")) == 4.0
+        cache = scored_cache(PolicyKind.CQF)
+        reads_every(cache.reads, "a", 50.0, 5)
+        assert cache.score(entry("a", mtbu=200.0), now=200.0) == 4.0
 
     def test_cqf_below_one_for_hot_updates(self):
-        tracker = ReadTracker()
-        reads_every(tracker, "a", 200.0, 5)
-        assert cqf(stats(50.0), tracker.stats_for("a")) == 0.25
+        cache = scored_cache(PolicyKind.CQF)
+        reads_every(cache.reads, "a", 200.0, 5)
+        assert cache.score(entry("a", mtbu=50.0), now=800.0) == 0.25
 
     def test_cqf_zero_without_reads(self):
-        tracker = ReadTracker()
-        assert cqf(stats(500.0), tracker.stats_for("ghost")) == 0.0
-        tracker.record(0.0, "once")
-        assert cqf(stats(500.0), tracker.stats_for("once")) == 0.0
+        cache = scored_cache(PolicyKind.CQF)
+        assert cache.score(entry("ghost", mtbu=500.0), now=0.0) == 0.0
+        cache.reads.record(0.0, "once")
+        assert cache.score(entry("once", mtbu=500.0), now=0.0) == 0.0
 
     def test_acqf_examples(self):
-        assert acqf(0.2, 0.8, 0.3) == pytest.approx(0.10)
-        assert acqf(0.5, 0.2, 0.9) == pytest.approx(-0.35)
-        assert acqf(0.0, 0.99, 0.01) == 0.0
+        # read share 1/5, P_NM 1 (mtbu not yet elapsed), QoS 0.3
+        cache = scored_cache(PolicyKind.ACQF, qos=0.3)
+        for oid in "abcde":
+            cache.reads.record(0.0, oid)
+        assert cache.score(entry("a", mtbu=100.0), now=50.0) == pytest.approx(0.14)
+        # read share 1/2, P_NM 1/2 (mtbu elapsed exactly, with spread), QoS 0.9
+        cache = scored_cache(PolicyKind.ACQF, qos=0.9)
+        for oid in "ab":
+            cache.reads.record(0.0, oid)
+        assert cache.score(entry("a", mtbu=100.0, stdv=10.0), now=100.0) == pytest.approx(-0.2)
+        # unread
+        cache = scored_cache(PolicyKind.ACQF, qos=0.01)
+        assert cache.score(entry("a", mtbu=100.0), now=50.0) == 0.0
 
     def test_acqf_negative_iff_qos_fails_and_read(self, rng):
         for _ in range(200):
-            f_r = float(rng.uniform(0.01, 1.0))
-            p_nm = float(rng.uniform(0, 1))
             qos = float(rng.uniform(0, 1))
-            score = acqf(f_r, p_nm, qos)
+            cache = scored_cache(PolicyKind.ACQF, qos=qos)
+            for t in range(int(rng.integers(1, 20))):
+                cache.reads.record(float(t), "a" if rng.random() < 0.5 else "b")
+            cache.reads.record(20.0, "a")
+            copy = entry("a", mtbu=100.0, stdv=float(rng.uniform(1, 50)))
+            now = float(rng.uniform(0, 200))
+            p_nm = p_not_modified(copy.source_stats_snapshot, now)
+            score = cache.score(copy, now)
             assert (score < 0) == (p_nm < qos)
             assert -1.0 <= score <= 1.0
+
+    @pytest.mark.parametrize(
+        "policy", [PolicyKind.LRU, PolicyKind.TTL_DROP, PolicyKind.TTL_REQUERY]
+    )
+    def test_unscored_policies_have_no_score(self, policy):
+        with pytest.raises(ValueError, match="has no score"):
+            ClientCache(4, policy).score(entry("a"), now=0.0)
 
 
 class TestReadTracker:

@@ -163,6 +163,37 @@ class TestRunCommand:
         assert pools == started
         assert len(list(out.glob("metrics_*.json"))) == 5
 
+    def test_each_seed_is_written_when_its_run_ends(self, tmp_path, monkeypatch):
+        # every seed's metrics used to be held until the last seed had run
+        out = tmp_path / "out"
+        written = {}
+
+        def watched(scenario):
+            written[scenario.seed] = sorted(p.name for p in out.glob("metrics_*"))
+            return run(scenario)
+
+        monkeypatch.setattr(cli, "run", watched)
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, MINI)),
+                     "--seeds", "1..3", "--out", str(out)]) == 0
+        assert written == {1: [], 2: ["metrics_1.json"],
+                           3: ["metrics_1.json", "metrics_2.json"]}
+
+    def test_a_repeated_seed_runs_once(self, tmp_path, monkeypatch):
+        # "1,1" used to run seed 1 twice
+        seeds = []
+
+        def counted(scenario):
+            seeds.append(scenario.seed)
+            return run(scenario)
+
+        monkeypatch.setattr(cli, "run", counted)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, MINI)),
+                     "--seeds", "1,1,2", "--out", str(out)]) == 0
+        assert seeds == [1, 2]
+        assert json.loads((out / "summary.json").read_text())["seeds"] == [1, 2]
+        assert cli._parse_seeds("2, 1..3, 2") == [2, 1, 3]
+
     def test_csv_format_has_frozen_columns(self, tmp_path):
         scenario = write_scenario(tmp_path, MINI)
         out = tmp_path / "csv_out"
@@ -497,6 +528,22 @@ class TestUnreadableInput:
         assert done.returncode == 2 and done.stdout == ""
         assert len(done.stderr.splitlines()) == 1
         assert done.stderr.startswith(f"error: {path}: ")
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_one_error_line_and_exit_2(self, tmp_path, capsys, command):
+        # the report's bare write let FileNotFoundError escape with exit 1
+        if command == "fit":
+            path = tmp_path / "samples.json"
+            path.write_text(next(b for b in readme_json_blocks() if '"samples"' in b))
+            args = ["fit", "--samples", str(path)]
+        else:
+            path = write_scenario(tmp_path, {"metrics": {}}, "summary.json")
+            args = ["compare", str(path), str(path)]
+        out = tmp_path / "missing" / "report.json"
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {out}: No such file or directory\n")
 
 
 def readme_json_blocks() -> list[str]:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -1270,17 +1269,29 @@ class TestInvariants:
             run(scenario_from_dict(p2p_doc()))
 
     def test_conservation_violation_raises(self, monkeypatch):
-        class LosesFirstAnswer(dict):
-            def __setitem__(self, key, value):
-                super().__setitem__(key, 0 if (key, value) == ("answered", 1) else value)
+        # the records are the run's account: every issued query has exactly one
+        scn = scenario_from_dict(p2p_doc())
+        issued = run(scn).counters["issued"]
+        engine = sim._run_p2p
 
-        @dataclasses.dataclass
-        class LeakyMetrics(sim.Metrics):
-            counters: dict = dataclasses.field(default_factory=LosesFirstAnswer)
+        def record(records, qid):
+            return next(r for r in records if r.query_id == qid)
 
-        monkeypatch.setattr(sim, "Metrics", LeakyMetrics)
-        with pytest.raises(InvariantError, match="issued"):
-            run(scenario_from_dict(p2p_doc()))
+        cases = {
+            "query 3 has no record": lambda records: records.remove(record(records, 3)),
+            "query 5 has more than one record":
+                lambda records: records.append(record(records, 5)),
+            f"query {issued} was never issued":
+                lambda records: records.append(records[-1]._replace(query_id=issued)),
+        }
+        for message, tamper in cases.items():
+            def tampered(scenario, metrics, queries, tamper=tamper):
+                engine(scenario, metrics, queries)
+                tamper(metrics.records)
+
+            monkeypatch.setattr(sim, "_run_p2p", tampered)
+            with pytest.raises(InvariantError, match=f"issued queries: {message}$"):
+                run(scn)
 
 
 # --------------------------------------------------------------------------
