@@ -13,7 +13,8 @@ per-object QoS setting in [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import InitVar, dataclass, field
 
 
 class InsufficientHistory(Exception):
@@ -137,28 +138,39 @@ def accepts(qos: float, p_nm: float) -> bool:
 
 @dataclass
 class SourceObject:
-    """A data object at its source: its update history.
+    """A data object at its source: its update history, and the writes it
+    is scheduled to make (``schedule``, in increasing order).
 
-    A read hands out the history's statistics; their ``t_last_update`` is
-    the write the reader sees, so consumers account staleness from the
-    snapshot alone. ``reachable`` models a source that cannot currently be
-    queried directly.
+    ``read`` and ``last_write`` at ``now`` first apply, through ``write``,
+    each scheduled write due by ``now``, so a reader sees exactly the
+    writes at or before its slot. A read hands out the history's stats,
+    whose ``t_last_update`` is the write the reader sees. ``reachable``
+    models a source that cannot currently be queried directly.
     """
 
     object_id: str
     log: UpdateLog = field(default_factory=UpdateLog)
     reachable: bool = True
+    schedule: InitVar[Iterable[float]] = ()
+
+    def __post_init__(self, schedule: Iterable[float]) -> None:
+        self._schedule = iter(schedule)
+        self._next_write = next(self._schedule, math.inf)
 
     def write(self, t: float) -> None:
         self.log.record_update(t)
 
-    @property
-    def t_last_update(self) -> float:
+    def last_write(self, now: float) -> float:
+        """The time of the latest write at or before ``now``."""
+        while self._next_write <= now:
+            self.write(self._next_write)
+            self._next_write = next(self._schedule, math.inf)
         if not self.log.update_times:
             raise InsufficientHistory(f"{self.object_id}: no writes recorded")
         return self.log.update_times[-1]
 
     def read(self, now: float) -> FreshnessStats:
-        """A fresh source read: the stats snapshot of the latest write."""
-        del now  # reads always reflect the latest write
+        """A fresh source read at ``now``: the stats snapshot of the latest
+        write at or before it."""
+        self.last_write(now)
         return self.log.stats()

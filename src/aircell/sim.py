@@ -8,14 +8,15 @@ air indexing, and request batching. Every random draw comes from a named
 substream of the master seed, so toggling one subsystem never perturbs
 another's stream and identical seeds give byte-identical metrics.
 
-The engine's work follows the events, not slots times population. Each
-source advances its update process only when it is about to be read, and
-only caches under a TTL policy are ticked. Both are exact: a source's
-draws come from its own substream, so deferring them changes no value,
-and the other policies' ``tick`` does nothing. A broadcast cell builds no
-update processes, caches or peer-to-peer managers at all: an aired or
-multicast answer is the source's current write, fresh by construction,
-so no broadcast metric depends on a source's history. Its reads are
+The engine's work follows the events, not slots times population. A
+source holds its schedule of write times (``_write_times``) and applies
+the writes due by ``now`` itself when it is read at ``now``, and only
+caches under a TTL policy are ticked. Both are exact: a source's draws
+come from its own substream, so deferring them changes no value, and the
+other policies' ``tick`` does nothing. A broadcast cell builds no
+sources, caches or peer-to-peer managers at all: an aired or multicast
+answer is the source's current write, fresh by construction, so no
+broadcast metric depends on a source's history. Its reads are
 planned and costed by the retrieval library (``retrieval.after_index``,
 ``retrieval.account``). ``run`` picks the engine for the cell's mode once;
 the two engines share no slot loop.
@@ -31,7 +32,7 @@ import sys
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, islice, repeat
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -85,6 +86,10 @@ class ClientSpec:
     qos_overrides: dict[str, float]
     providers: tuple[str, ...]
 
+    def qos(self, object_id: str) -> float:
+        """The QoS setting this client asks of copies of ``object_id``."""
+        return self.qos_overrides.get(object_id, self.default_qos)
+
 
 @dataclass(frozen=True)
 class CellSpec:
@@ -128,7 +133,7 @@ class Scenario:
 
 
 # The largest mtbu and stdv_mtbu a source may have. The burn-in sums its
-# draws (``_UpdateProcess``) and the update statistics square the intervals'
+# draws (``_write_times``) and the update statistics square the intervals'
 # deviations from their mean (``UpdateLog._compute_stats``): past
 # sqrt(float max) ~ 1.3e154 a square is inf, and mtbu 1e308 sums to -inf.
 # At 1e150 a draw even 100 standard deviations out stays below 1.1e152,
@@ -844,45 +849,34 @@ class Metrics:
 # Engine
 # --------------------------------------------------------------------------
 
-# Normals an update process draws at once. The generator is the process's
-# own, and numpy's array draw yields the same floats as that many scalar
-# draws, so the write times do not depend on this size.
+# Normals drawn at once for a source's write times. The generator is the
+# source's own, and numpy's array draw yields the same floats as that many
+# scalar draws, so the write times do not depend on this size.
 _DRAW_BLOCK = 32
 
 
-class _UpdateProcess:
-    """Normal inter-update draws, resampled if nonpositive."""
+def _write_times(spec: ObjectSpec, seed: int, burnin: int) -> Iterator[float]:
+    """A source's write times, in increasing order and without end:
+    ``burnin`` writes before slot 0, then one per further inter-update
+    draw. Draws are normal, resampled if nonpositive, from the object's own
+    substream, so when they are taken changes no value."""
+    rng = substream(seed, "updates", spec.object_id)
 
-    def __init__(self, spec: ObjectSpec, seed: int, burnin: int):
-        self.spec = spec
-        self.rng = substream(seed, "updates", spec.object_id)
-        self._block: Iterator[float] = iter(())
-        self.source = SourceObject(spec.object_id, reachable=spec.reachable)
-        draws = [self._draw() for _ in range(burnin)]
-        acc = 0.0
-        past = []
-        for d in draws:
-            acc += d
-            past.append(-acc)
-        for t in sorted(past):
-            self.source.write(t)
-        self.next_update = past[0] + self._draw()
-
-    def _draw(self) -> float:
-        if self.spec.stdv_mtbu == 0.0:
-            return self.spec.mtbu
+    def draws() -> Iterator[float]:
+        if spec.stdv_mtbu == 0.0:
+            yield from repeat(spec.mtbu)  # without end: no draws at all
         while True:
-            for d in self._block:
+            for d in rng.normal(spec.mtbu, spec.stdv_mtbu, _DRAW_BLOCK).tolist():
                 if d > 0:
-                    return d
-            self._block = iter(
-                self.rng.normal(self.spec.mtbu, self.spec.stdv_mtbu, _DRAW_BLOCK).tolist()
-            )
+                    yield d
 
-    def advance_to(self, t: float) -> None:
-        while self.next_update <= t:
-            self.source.write(self.next_update)
-            self.next_update += self._draw()
+    gaps = draws()
+    past = [-acc for acc in accumulate(islice(gaps, burnin))]
+    yield from sorted(past)
+    t = past[0]
+    for gap in gaps:
+        t += gap
+        yield t
 
 
 def initial_rates(scenario: Scenario) -> dict[str, float]:
@@ -1007,8 +1001,7 @@ def _queries_by_slot(scenario: Scenario) -> dict[int, list[Query]]:
     )
     by_slot: dict[int, list[Query]] = {}
     for qid, (slot, cid, oid) in enumerate(issued):
-        qos = specs[cid].qos_overrides.get(oid, specs[cid].default_qos)
-        by_slot.setdefault(slot, []).append((qid, cid, oid, qos))
+        by_slot.setdefault(slot, []).append((qid, cid, oid, specs[cid].qos(oid)))
     return by_slot
 
 
@@ -1053,30 +1046,29 @@ def _run_p2p(
 ) -> None:
     """Resolve each query down the peer-to-peer chain.
 
-    An object's update process is advanced to slot ``t`` just before a query
-    or TTL requery reads it at ``t``, and only TTL-policy caches are ticked,
-    in client order: the metrics are byte-identical to advancing every
-    process and ticking every cache in every slot.
+    Each source applies its own scheduled writes when read, and only
+    TTL-policy caches are ticked, in client order: the metrics are the
+    bytes of writing every source and ticking every cache in every slot.
 
     Raises ``InvariantError`` if an answer carries a write from after its
     slot.
     """
     counters, records = metrics.counters, metrics.records
-    processes = {
-        o.object_id: _UpdateProcess(o, scenario.seed, scenario.history_burnin)
+    sources = {
+        o.object_id: SourceObject(
+            o.object_id, reachable=o.reachable,
+            schedule=_write_times(o, scenario.seed, scenario.history_burnin),
+        )
         for o in scenario.objects
     }
-    cell = P2PCell(
-        scenario.adjacency, {oid: p.source for oid, p in processes.items()},
-        scenario.costs, p2p_enabled=scenario.p2p, overhearing=scenario.overhearing,
-    )
+    cell = P2PCell(scenario.adjacency, sources, scenario.costs,
+                   p2p_enabled=scenario.p2p, overhearing=scenario.overhearing)
     ttl_caches: list[ClientCache] = []  # in client order, the order of ticks
     for spec in sorted(scenario.clients, key=lambda c: c.client_id):
         cache = None
         if scenario.caching:
             cache = ClientCache(
-                spec.cache_capacity, spec.policy,
-                qos_for=lambda oid, s=spec: s.qos_overrides.get(oid, s.default_qos),
+                spec.cache_capacity, spec.policy, qos_for=spec.qos,
                 default_ttl=scenario.default_ttl, read_window=scenario.read_window,
             )
             if spec.policy in TTL_POLICIES:
@@ -1087,8 +1079,6 @@ def _run_p2p(
 
     for t in range(scenario.duration_slots):
         for qid, cid, oid, qos in queries.get(t, ()):
-            process = processes[oid]
-            process.advance_to(t)
             outcome = cell.ims[cid].resolve_query(oid, qos, t)
             if outcome.write_time > t + 1:
                 raise InvariantError(
@@ -1099,7 +1089,7 @@ def _run_p2p(
                 records.append(QueryRecord(qid, cid, oid, t, "unresolved",
                                            outcome.latency, 0.0, qos, False, 0.0))
                 continue
-            staleness = process.source.t_last_update - outcome.write_time
+            staleness = sources[oid].last_write(t) - outcome.write_time
             records.append(QueryRecord(qid, cid, oid, t, outcome.resolution.value,
                                        outcome.latency, staleness, qos,
                                        accepts(qos, outcome.p_nm), outcome.p_nm))
@@ -1110,13 +1100,11 @@ def _run_p2p(
                     if action.action == "drop":
                         counters["ttl_drops"] += 1
                         continue
-                    process = processes[action.object_id]
-                    if not process.source.reachable:
-                        continue
-                    process.advance_to(t)
-                    stats = process.source.read(t)
-                    cache.insert(CacheEntry(action.object_id, stats, cached_at=t), t)
-                    counters["requeries"] += 1
+                    source = sources[action.object_id]
+                    if source.reachable:
+                        stats = source.read(t)
+                        cache.insert(CacheEntry(action.object_id, stats, cached_at=t), t)
+                        counters["requeries"] += 1
 
 
 def _run_broadcast(
@@ -1124,11 +1112,12 @@ def _run_broadcast(
 ) -> None:
     """Answer each query from the air or from a batched multicast.
 
-    No update processes, caches or information managers are built: an aired
+    No sources, caches or information managers are built: an aired
     or multicast answer carries the source's current write, so its staleness
     is 0 whatever the source's history. A published object is read by
     ``retrieval.after_index`` and costed by ``retrieval.account``; any other
-    query waits for its batch.
+    query waits for its batch. ``broadcast_slots`` counts channel-slots on
+    air: each slot adds the channels of the program then in force, if any.
     """
     counters, records = metrics.counters, metrics.records
     cost = scenario.cell.cost_model
@@ -1157,6 +1146,8 @@ def _run_broadcast(
             if new_result.feasible:
                 program = new_program
                 metrics.plan = plan_summary(new_result)
+        if program is not None:  # channel-slots on air
+            counters["broadcast_slots"] += program.n_channels
 
         for qid, cid, oid, qos in queries.get(t, ()):
             observed_requests[oid] += 1
@@ -1175,8 +1166,6 @@ def _run_broadcast(
     deliver(batching.advance(math.inf))  # batches still open at the end
     counters["on_demand_responses"] = batching.responses_sent
     counters["batching_saved"] = batching.saved
-    if program is not None:
-        counters["broadcast_slots"] = program.n_channels * scenario.duration_slots
 
 
 def plan_summary(result: broadcast_plan.PartitionResult) -> dict:

@@ -213,3 +213,44 @@ class TestSourceObject:
         src.write(5.0)
         with pytest.raises(NonMonotonicUpdate):
             src.write(5.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        start=st.floats(-500.0, 50.0),
+        gaps=st.lists(st.floats(0.5, 200.0), max_size=40),
+        steps=st.lists(st.tuples(st.sampled_from(["read", "last_write"]),
+                                 st.floats(0.0, 300.0)), min_size=1, max_size=20),
+    )
+    def test_a_schedule_is_writes_made_by_hand(self, start, gaps, steps):
+        times = [start]
+        for gap in gaps:
+            times.append(times[-1] + gap)
+        scheduled = SourceObject("x", schedule=iter(times))  # a one-shot iterator will do
+        by_hand, pending = SourceObject("x"), list(times)
+        now = 0.0
+        for method, step in steps:
+            now += step  # readers come in slot order
+            while pending and pending[0] <= now:
+                by_hand.write(pending.pop(0))
+            if not by_hand.log.update_times:
+                with pytest.raises(InsufficientHistory):
+                    getattr(scheduled, method)(now)
+                continue
+            if method == "read":
+                assert scheduled.read(now) == by_hand.read(now)
+            else:
+                assert scheduled.last_write(now) == by_hand.log.update_times[-1]
+            assert scheduled.log.update_times == by_hand.log.update_times
+
+    def test_due_writes_go_through_write(self, monkeypatch):
+        written, write = [], SourceObject.write
+
+        def counted(self, t):
+            written.append(t)
+            write(self, t)
+
+        monkeypatch.setattr(SourceObject, "write", counted)
+        src = SourceObject("x", schedule=(-20.0, -10.0, 0.0, 10.0, 20.0))
+        assert src.last_write(0.0) == 0.0
+        assert src.read(15.0).t_last_update == 10.0
+        assert written == [-20.0, -10.0, 0.0, 10.0]  # 20.0 is not due yet

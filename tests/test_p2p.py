@@ -255,3 +255,22 @@ class TestOutcomeBookkeeping:
         bare = InformationManager("bare", make_cell({"bare": set()}), None)
         misses = [bare.resolve_query("svc", 0.0, float(t)).resolution for t in range(5)]
         assert misses.count(Resolution.SOURCE) == 5
+
+
+class TestScheduledSource:
+    @pytest.mark.parametrize("now, write", [(39.0, -95.0), (40.0, 40.0), (90.0, 90.0)])
+    @pytest.mark.parametrize("client, tier", [
+        ("a", Resolution.SOURCE), ("b", Resolution.NEIGHBOR_PROVIDER),
+    ])
+    def test_the_write_due_at_now_is_served_unadvanced(self, client, tier, now, write):
+        # a library caller: nothing advances the source but the cell's own reads
+        schedule = (-300.0, -200.0, -95.0, 40.0, 90.0)
+        sources = {"svc": SourceObject("svc", schedule=schedule)}
+        cell = P2PCell({"a": set(), "b": {"c"}, "c": {"b"}}, sources)
+        for cid in "abc":
+            InformationManager(cid, cell)
+        cell.ims["c"].register_provider("svc")
+        outcome = cell.ims[client].resolve_query("svc", qos=0.0, now=now)
+        assert outcome.resolution is tier
+        assert outcome.write_time == write
+        assert sources["svc"].log.update_times[-1] == write  # and no later one

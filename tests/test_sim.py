@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aircell import fidelity, p2p, sim
-from aircell.freshness import InvariantError
+from aircell.freshness import InvariantError, SourceObject
 from aircell.sim import (
     ScenarioError,
     generate_workload,
@@ -178,7 +178,7 @@ class TestSubstreams:
 
 class TestUpdateDraws:
     """Update intervals come from blocks of normals; the reference draws one
-    scalar normal per interval, as ``_UpdateProcess`` did before."""
+    scalar normal per interval, as the engine's update process did before."""
 
     @pytest.mark.parametrize("mtbu, stdv", [
         (10.0, 3.0),
@@ -187,15 +187,16 @@ class TestUpdateDraws:
     ])
     def test_write_times_match_scalar_draws(self, mtbu, stdv):
         spec = sim.ObjectSpec("o", mtbu, stdv, True)
-        blocks = sim._UpdateProcess(spec, 7, 12)
+        source = SourceObject("o", schedule=sim._write_times(spec, 7, 12))
         scalars = UpdateProcessReference(spec, 7, 12)
         for t in range(0, 20_001, 1000):
-            blocks.advance_to(t)
             scalars.advance_to(t)
-            assert blocks.source.log.update_times == scalars.source.log.update_times
-            assert blocks.next_update == scalars.next_update
+            assert source.last_write(t) == scalars.source.log.update_times[-1]
+            assert source.log.update_times == scalars.source.log.update_times
+        # the write after the last one applied is the reference's next one
+        assert source.last_write(scalars.next_update) == scalars.next_update
         # each write takes at least one draw, so many blocks were crossed
-        assert len(blocks.source.log.update_times) > 10 * sim._DRAW_BLOCK
+        assert len(source.log.update_times) > 10 * sim._DRAW_BLOCK
 
     def test_an_array_draw_is_scalar_draws(self):
         # the installed numpy's ``normal(size=k)`` must equal k scalar draws
@@ -450,11 +451,44 @@ class TestBroadcastMode:
         def refuse(*args, **kwargs):
             raise AssertionError("constructed during a broadcast run")
 
-        for name in ("_UpdateProcess", "P2PCell", "InformationManager", "ClientCache"):
+        for name in ("SourceObject", "_write_times", "P2PCell", "InformationManager",
+                     "ClientCache"):
             monkeypatch.setattr(sim, name, refuse)
         metrics = run(scenario_from_dict(doc_fn()))
         assert metrics.counters["index_reads"] > 0
         assert metrics.counters["on_demand_responses"] > 0
+
+    @pytest.mark.parametrize("bandwidth, seed, on_air, index_reads", [
+        (4.0, 2, 80, 0),  # on air for one 40-slot interval of ten
+        (4.0, 5, 80, 3),  # the same, and queries read its index
+        (10.0, 1, 720, 10),  # off air for one interval of ten
+    ])
+    def test_broadcast_slots_count_the_programs_on_air(
+        self, monkeypatch, bandwidth, seed, on_air, index_reads
+    ):
+        doc = broadcast_doc(seed)
+        doc["objects"]["count"] = 12
+        doc["clients"].update(count=4, request_rate=0.02)
+        doc["cell"].update(total_bandwidth=bandwidth, threshold=0.02, replan_interval=40)
+        plans = []  # every plan made, in order: at slot 0, then every 40 slots
+        plan_cell = sim.plan_cell
+
+        def recording(*args):
+            plans.append(plan_cell(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(sim, "plan_cell", recording)
+        metrics = run(scenario_from_dict(doc))
+        assert len(plans) == 10
+        in_force, expected, aired = None, 0, set()
+        for i, (result, program) in enumerate(plans):
+            if i == 0 or result.feasible:  # the first plan is adopted whatever it is
+                in_force = program
+            aired.add(in_force is not None)
+            expected += 40 * (in_force.n_channels if in_force is not None else 0)
+        assert aired == {True, False}  # the cell went on or off air
+        assert metrics.counters["broadcast_slots"] == expected == on_air
+        assert metrics.counters["index_reads"] == index_reads
 
     def test_replan_hook_runs_deterministically(self):
         doc = broadcast_doc(seed=13)

@@ -1,0 +1,69 @@
+"""The benchmark's tracer against the package: every name it wraps exists,
+and tracing a run changes none of its bytes.
+
+``perfbench/tracing.py`` is read and executed here, never imported or
+written, so a renamed method fails this suite, not only the benchmark.
+"""
+
+import hashlib
+import types
+from pathlib import Path
+
+import pytest
+
+import aircell
+from aircell import sim
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    module = types.ModuleType("perfbench_tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def small_p2p_run() -> bytes:
+    """A p2p run that reads sources through every tier and TTL requeries."""
+    doc = {
+        "seed": 4, "duration_slots": 300,
+        "objects": {"count": 8, "mtbu": 40.0, "stdv_mtbu": 10.0},
+        "clients": [
+            {"client_id": f"c{i}", "cache_capacity": 3, "policy": policy,
+             "request_rate": 0.1, "providers": ["obj1"] if i == 0 else []}
+            for i, policy in enumerate(["lru", "ttl_requery", "acqf", "cqf"])
+        ],
+        "adjacency": {"kind": "ring", "degree": 2},
+        "resolution_mode": "p2p",
+        "cache": {"default_ttl": 20.0, "tick_interval": 2},
+    }
+    return sim.run(sim.scenario_from_dict(doc)).to_json_bytes()
+
+
+class TestTracedNames:
+    def test_every_target_resolves(self, tracing):
+        missing = []
+        for layer, owner, attr, name, _, _ in tracing.TARGETS:
+            holder = getattr(aircell, layer)
+            if owner is not None:
+                holder = vars(holder).get(owner)
+                # the tracer patches the class's own attribute, not an inherited one
+                found = holder is not None and attr in vars(holder)
+            else:
+                found = callable(getattr(holder, attr, None))
+            if not found:
+                missing.append(f"{name}: {layer}.{owner or '-'}.{attr}")
+        assert missing == []
+
+    def test_a_traced_run_keeps_its_bytes(self, tracing):
+        plain = small_p2p_run()
+        before = {attr: vars(aircell.freshness.SourceObject)[attr] for attr in ("read", "write")}
+        with tracing.Tracer(aircell) as tracer:
+            traced = small_p2p_run()
+        assert hashlib.sha256(traced).hexdigest() == hashlib.sha256(plain).hexdigest()
+        # the wrappers ran, and exit put the originals back
+        for name in ("freshness.read", "freshness.write", "p2p.resolve", "cache.tick"):
+            assert tracer.totals[name][0] > 0, name
+        assert {attr: vars(aircell.freshness.SourceObject)[attr] for attr in before} == before
+        assert small_p2p_run() == plain
