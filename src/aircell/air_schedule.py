@@ -15,6 +15,7 @@ client that has read any index segment can plan retrieval of any object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 DATA = "data"
 INDEX = "index"
@@ -69,6 +70,11 @@ class BroadcastProgram:
     def index_slots(self, channel: int) -> list[int]:
         return [i for i, s in enumerate(self.channels[channel]) if s.kind == INDEX]
 
+    @cached_property
+    def index_positions(self) -> tuple[int, ...]:
+        """``index_slots(0)``, worked out once: where every index read is made."""
+        return tuple(self.index_slots(0))
+
     def index_segment_count(self) -> int:
         """Aggregate index segments per cycle on an index-carrying channel."""
         if self.dedicated_index_channel:
@@ -76,7 +82,7 @@ class BroadcastProgram:
         if self.scheme.kind == "once_per_cycle":
             return 1
         if self.scheme.kind == "one_m":
-            return len(self.index_slots(0))
+            return len(self.index_positions)
         raise NotApplicable(f"scheme {self.scheme.kind!r} has no aggregate index")
 
 
@@ -176,10 +182,9 @@ def next_index_read_end(program: BroadcastProgram, now_slot: int) -> int:
     there is one, else a data channel, and every data channel carries the
     index slots at the same positions.
     """
-    positions = program.index_slots(0)
+    positions = program.index_positions
     if not positions:
         raise NotApplicable(f"scheme {program.scheme.kind!r} has no aggregate index")
     length = program.cycle_len_slots
     phase = now_slot % length
-    deltas = [(p - phase) % length for p in positions]
-    return now_slot + min(deltas)
+    return now_slot + min((p - phase) % length for p in positions)

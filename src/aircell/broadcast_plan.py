@@ -10,33 +10,26 @@ bandwidth between the two groups is optimized numerically, and the
 partition itself is grown greedily from the most demanded object while the
 optimized access time stays under a threshold.
 
-A plan is one pass over the objects plus a golden-section search per
-prefix: the rates are listed once in move order, each prefix's group
-rates are sums over that list, and the search evaluates a scalar
-objective with no per-step allocation.
+The planner's input is a rate map, object id to arrival rate, whose
+iteration order is the caller's and fixes the order in which the total
+rate is summed. A plan is one pass over the objects plus a golden-section
+search per prefix: the rates are listed once in move order, each prefix's
+group rates are sums over that list, and the search evaluates its
+objective inline, with no call or allocation per step.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+
+# 1/phi, the golden-section search's step ratio
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class Unstable(Exception):
     """On-demand arrivals meet or exceed the service rate."""
-
-
-@dataclass(frozen=True)
-class ObjectDemand:
-    object_id: str
-    rate: float  # request arrivals per time unit
-    size: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate >= 0):
-            raise ValueError("arrival rate must be finite and >= 0")
-        if self.size <= 0:
-            raise ValueError("object size must be > 0")
 
 
 @dataclass(frozen=True)
@@ -77,11 +70,12 @@ class PartitionResult:
     feasible: bool
 
 
-def _uniform_size(demands: list[ObjectDemand]) -> float:
-    sizes = {d.size for d in demands}
-    if len(sizes) != 1:
-        raise ValueError("objects must share one size")
-    return sizes.pop()
+def _check(rates: Mapping[str, float], size: float = 1.0) -> None:
+    """Refuse a rate that is not finite and >= 0, or a size that is not > 0."""
+    if not size > 0:
+        raise ValueError("object size must be > 0")
+    if not all(0 <= rate < math.inf for rate in rates.values()):
+        raise ValueError("arrival rate must be finite and >= 0")
 
 
 def _access_time(
@@ -109,37 +103,17 @@ def _access_time(
 
 
 def expected_access_time(
-    partition: Partition, demands: list[ObjectDemand], params: PlanParams
+    partition: Partition, rates: Mapping[str, float], params: PlanParams, size: float = 1.0
 ) -> AccessTime:
     """Expected access time of a partition at its recorded bandwidth split."""
-    size = _uniform_size(demands)
-    by_id = {d.object_id: d.rate for d in demands}
-    pub_rate = sum(by_id[o] for o in partition.published)
-    od_rate = sum(by_id[o] for o in partition.on_demand)
-    total = sum(d.rate for d in demands)
+    _check(rates, size)
+    pub_rate = sum(rates[o] for o in partition.published)
+    od_rate = sum(rates[o] for o in partition.on_demand)
+    total = sum(rates.values())
     return _access_time(
         len(partition.published), pub_rate, od_rate,
         partition.b_b, partition.b_d, size, params.request_size, total,
     )
-
-
-def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    """Minimize a unimodal f on [lo, hi] to within tol."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
 
 
 def _split(
@@ -148,9 +122,9 @@ def _split(
     """Optimal (b_b, b_d) for k published objects with the given group rates.
 
     An empty group has a zero rate, so the rates alone pick the degenerate
-    cases. The objective is ``_access_time(...).raw`` with the invariants
-    hoisted out of the search; it must keep that function's float
-    operations and their order, or the split moves in the last bits.
+    cases. The search minimizes ``_access_time(...).raw`` with the
+    invariants hoisted out; it must keep that function's float operations
+    and their order, or the split moves in the last bits.
     """
     total_b = params.total_bandwidth
     per_request = size + params.request_size
@@ -165,26 +139,45 @@ def _split(
     if upper <= 0:
         raise Unstable("no stable split: on-demand demand exceeds capacity")
     cycle = k * size
-
-    def objective(b_b: float) -> float:
-        mu_d = (total_b - b_b) / per_request
-        if mu_d <= od_rate:
-            raise Unstable(f"mu_d={mu_d} <= lambda_d={od_rate}")
-        return pub_rate * (cycle / (2.0 * b_b)) + od_rate * (1.0 / (mu_d - od_rate))
-
     tol = 1e-6 * total_b
     if upper <= 2 * tol:
-        b_b = upper / 2.0
-    else:
-        b_b = _golden_section(objective, tol, upper - tol, tol)
+        return (upper / 2.0, total_b - upper / 2.0)
+
+    # Golden-section search on [tol, upper - tol] down to a bracket of tol,
+    # the objective written out: c < d are the inner points and x the one
+    # evaluated next, first c, then d, then the one each step moves.
+    a, b = tol, upper - tol
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    x, at_c, fd = c, True, None
+    while True:
+        mu_d = (total_b - x) / per_request
+        if mu_d <= od_rate:
+            raise Unstable(f"mu_d={mu_d} <= lambda_d={od_rate}")
+        fx = pub_rate * (cycle / (2.0 * x)) + od_rate * (1.0 / (mu_d - od_rate))
+        if at_c:
+            fc = fx
+        else:
+            fd = fx
+        if fd is None:
+            x, at_c = d, False
+        elif not (b - a) > tol:
+            break
+        elif fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            x, at_c = c, True
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            x, at_c = d, False
+    b_b = (a + b) / 2.0
     return (b_b, total_b - b_b)
 
 
 def optimize_bandwidth_split(
-    published: list[str],
-    on_demand: list[str],
-    demands: list[ObjectDemand],
-    params: PlanParams,
+    published: list[str], on_demand: list[str], rates: Mapping[str, float],
+    params: PlanParams, size: float = 1.0,
 ) -> tuple[float, float]:
     """Bandwidth split minimizing the expected access time.
 
@@ -195,20 +188,25 @@ def optimize_bandwidth_split(
     """
     if not published and not on_demand:
         raise ValueError("both groups empty")
-    by_id = {d.object_id: d.rate for d in demands}
-    size = _uniform_size(demands)
-    pub_rate = sum(by_id[o] for o in published)
-    od_rate = sum(by_id[o] for o in on_demand)
+    _check(rates, size)
+    pub_rate = sum(rates[o] for o in published)
+    od_rate = sum(rates[o] for o in on_demand)
     return _split(len(published), pub_rate, od_rate, size, params)
 
 
-def move_order(demands: list[ObjectDemand]) -> list[str]:
+def _by_demand(rates: Mapping[str, float]) -> list[str]:
+    # a reversed sort keeps equal rates in their ascending id order
+    return sorted(sorted(rates), key=rates.__getitem__, reverse=True)
+
+
+def move_order(rates: Mapping[str, float]) -> list[str]:
     """Objects by descending arrival rate, ties by ascending id."""
-    return [d.object_id for d in sorted(demands, key=lambda d: (-d.rate, d.object_id))]
+    _check(rates)
+    return _by_demand(rates)
 
 
 def partition_objects(
-    demands: list[ObjectDemand], params: PlanParams
+    rates: Mapping[str, float], params: PlanParams, size: float = 1.0
 ) -> PartitionResult:
     """Grow the published set greedily while the threshold holds.
 
@@ -219,46 +217,36 @@ def partition_objects(
     the initial configuration violates the threshold, it is returned flagged
     infeasible.
 
-    The rates are listed once in move order. Prefix k sums the first k of
-    them and the rest left to right, the same additions in the same order
-    as ``expected_access_time`` makes for that partition.
+    All objects share one ``size``. The rates are listed once in move
+    order. Prefix k sums the first k of them and the rest left to right, the
+    same additions in the same order as ``expected_access_time`` makes.
     """
-    if not demands:
-        raise ValueError("no demands given")
-    order = move_order(demands)
-    size = _uniform_size(demands)
-    by_id = {d.object_id: d.rate for d in demands}
-    rates = [by_id[o] for o in order]
-    total = sum(d.rate for d in demands)
-
-    def evaluate(k: int) -> tuple[float, float, AccessTime]:
-        pub_rate, od_rate = sum(rates[:k]), sum(rates[k:])
+    if not rates:
+        raise ValueError("no rates given")
+    _check(rates, size)
+    order = _by_demand(rates)
+    listed = [rates[o] for o in order]
+    total, total_b = sum(rates.values()), params.total_bandwidth
+    kept = None  # the last prefix that holds: (k, b_b, b_d, access)
+    for k in range(len(order) + 1):
+        pub_rate, od_rate = sum(listed[:k]), sum(listed[k:])
         try:
             b_b, b_d = _split(k, pub_rate, od_rate, size, params)
         except Unstable:
-            mu_d = params.total_bandwidth / (size + params.request_size)
+            b_b, b_d = 0.0, total_b
+            mu_d = total_b / (size + params.request_size)
             access = AccessTime(math.inf, math.inf, math.inf, math.inf, mu_d, od_rate)
-            return 0.0, params.total_bandwidth, access
-        access = _access_time(
-            k, pub_rate, od_rate, b_b, b_d, size, params.request_size, total
-        )
-        return b_b, b_d, access
-
-    def satisfies(access: AccessTime) -> bool:
-        return math.isfinite(access.raw) and access.raw <= params.threshold
-
-    k = 0
-    current = evaluate(0)
-    feasible = satisfies(current[2])
-    if feasible:
-        for nxt in range(1, len(order) + 1):
-            candidate = evaluate(nxt)
-            if not satisfies(candidate[2]):
-                break
-            k, current = nxt, candidate
-    b_b, b_d, access = current
+        else:
+            access = _access_time(
+                k, pub_rate, od_rate, b_b, b_d, size, params.request_size, total
+            )
+        if not (math.isfinite(access.raw) and access.raw <= params.threshold):
+            break
+        kept = (k, b_b, b_d, access)
+    # infeasible if even prefix 0 fails: that prefix is returned, flagged
+    k, b_b, b_d, access = kept or (k, b_b, b_d, access)
     partition = Partition(tuple(order[:k]), tuple(order[k:]), b_b, b_d)
-    return PartitionResult(partition, access, feasible)
+    return PartitionResult(partition, access, kept is not None)
 
 
 @dataclass(frozen=True)
@@ -305,14 +293,13 @@ class BatchingServer:
 
     def advance(self, now: float) -> list[Multicast]:
         """Fire every batch whose window has closed by ``now``."""
-        fired = self._ready
-        self._ready = []
-        for object_id in sorted(self._open):
-            arrivals = self._open[object_id]
-            due = arrivals[0] + self.window
-            if due <= now:
-                fired.append(Multicast(object_id, due, tuple(arrivals)))
-                del self._open[object_id]
+        fired, self._ready, window = self._ready, [], self.window
+        for object_id in [o for o, arrivals in self._open.items()
+                          if arrivals[0] + window <= now]:
+            arrivals = self._open.pop(object_id)
+            fired.append(Multicast(object_id, arrivals[0] + window, tuple(arrivals)))
+        # the only equal keys are one object's sealed batch and its open one
+        # at window 0, and the sort is stable: the sealed batch comes first
         fired.sort(key=lambda m: (m.response_time, m.object_id))
         self.responses_sent += len(fired)
         self.saved += sum(m.saved_transmissions for m in fired)

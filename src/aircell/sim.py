@@ -6,7 +6,8 @@ settings arranged in a neighbour topology, and either a peer-to-peer
 resolution chain or a broadcast cell with a published/on-demand split,
 air indexing, and request batching. Every random draw comes from a named
 substream of the master seed, so toggling one subsystem never perturbs
-another's stream and identical seeds give byte-identical metrics.
+another's stream and identical seeds give byte-identical metrics; a
+block of request gaps leaves the floats and generator state of scalar draws.
 
 The engine's work follows the events, not slots times population. A
 source holds its schedule of write times (``_write_times``) and applies
@@ -610,26 +611,42 @@ def zipf_pmf(n: int, theta: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _arrival_times(rng: np.random.Generator, rate: float, duration: int) -> list[float]:
+    """Poisson arrival times below ``duration``, as adding one
+    ``rng.exponential(1 / rate)`` gap at a time makes them: ``np.cumsum``
+    adds each block of gaps in order onto the last time kept. The last block
+    is drawn again up to the gap past the end, where a scalar loop stops."""
+    scale, expected = 1.0 / rate, rate * duration
+    size = min(_MAX_EVENTS, int(expected + 4.0 * math.sqrt(expected)) + 16)
+    times, kept, t = [], size, 0.0
+    while kept == size:  # every gap of the block ended below the duration
+        state = rng.bit_generator.state
+        gaps = rng.exponential(scale, size)
+        gaps[0] += t
+        ends = np.cumsum(gaps)
+        kept = int(np.searchsorted(ends, duration))  # how many end below it
+        times.extend(ends[:kept].tolist())
+        t = ends[-1]
+    rng.bit_generator.state = state
+    rng.exponential(scale, kept + 1)
+    return times
+
+
 def generate_workload(scenario: Scenario) -> dict[str, tuple[tuple[int, str], ...]]:
     """Each client's request stream, (slot, object_id) pairs reproducible from
-    the seed: Poisson arrivals with Zipf-distributed object popularity."""
+    the seed: Poisson arrivals with Zipf-distributed object popularity, the
+    gaps drawn in blocks (``_arrival_times``); an idle client has no generator."""
     n = len(scenario.objects)
     pmf = zipf_pmf(n, scenario.zipf_theta) if n else None
     ids = [o.object_id for o in scenario.objects]
     per_client: dict[str, tuple[tuple[int, str], ...]] = {}
     for spec in sorted(scenario.clients, key=lambda c: c.client_id):
-        rng = substream(scenario.seed, "workload", spec.client_id)
-        times: list[float] = []
+        stream: tuple[tuple[int, str], ...] = ()
         if spec.request_rate > 0 and n:
-            t = rng.exponential(1.0 / spec.request_rate)
-            while t < scenario.duration_slots:
-                times.append(t)
-                t += rng.exponential(1.0 / spec.request_rate)
-        if times:
-            picks = rng.choice(n, size=len(times), p=pmf)
+            rng = substream(scenario.seed, "workload", spec.client_id)
+            times = _arrival_times(rng, spec.request_rate, scenario.duration_slots)
+            picks = rng.choice(n, size=len(times), p=pmf).tolist()
             stream = tuple((int(t), ids[k]) for t, k in zip(times, picks))
-        else:
-            stream = ()
         per_client[spec.client_id] = stream
     return per_client
 
@@ -898,17 +915,14 @@ def plan_cell(
 ) -> tuple[broadcast_plan.PartitionResult, air_schedule.BroadcastProgram | None]:
     """Partition the cell's objects at ``rates`` and lay out the published set.
 
-    The program is None when nothing is published.
+    ``rates`` holds every object's rate in scenario order, as
+    ``initial_rates`` does. The program is None when nothing is published.
     """
-    demands = [
-        broadcast_plan.ObjectDemand(o.object_id, rates.get(o.object_id, 0.0))
-        for o in scenario.objects
-    ]
     params = broadcast_plan.PlanParams(
         scenario.cell.total_bandwidth, scenario.cell.request_size,
         scenario.cell.threshold,
     )
-    result = broadcast_plan.partition_objects(demands, params)
+    result = broadcast_plan.partition_objects(rates, params)
     program = None
     if result.partition.published:
         program = air_schedule.build_program(
@@ -1131,9 +1145,8 @@ def _run_broadcast(
     def deliver(fired: list[broadcast_plan.Multicast]) -> None:
         """Answer the queries each fired multicast carries, oldest first."""
         for multicast in fired:
-            oid = multicast.object_id
-            batch = pending[oid][: multicast.batch_size]
-            pending[oid] = pending[oid][multicast.batch_size :]
+            oid, size = multicast.object_id, multicast.batch_size
+            batch, pending[oid] = pending[oid][:size], pending[oid][size:]
             for qid, cid, issued, qos in batch:
                 latency = multicast.response_time - issued + 1.0
                 records.append(QueryRecord(qid, cid, oid, issued, "on_demand", latency,

@@ -34,7 +34,7 @@ from aircell.freshness import (
     p_not_modified,
 )
 from aircell.retrieval import PlannedRead, RefusedSize, RetrievalPlan
-from aircell.sim import substream
+from aircell.sim import substream, zipf_pmf
 
 
 def mean_and_pop_std(xs: list[float]) -> tuple[float, float]:
@@ -377,12 +377,56 @@ class UpdateProcessReference:
             self.next_update += self._draw()
 
 
+def arrival_times_reference(rng, request_rate: float, duration_slots: int) -> list[float]:
+    """``generate_workload_reference``'s arrival loop on its own: one scalar
+    exponential gap per arrival, and the one that passes the end."""
+    times: list[float] = []
+    t = rng.exponential(1.0 / request_rate)
+    while t < duration_slots:
+        times.append(t)
+        t += rng.exponential(1.0 / request_rate)
+    return times
+
+
+def generate_workload_reference(scenario) -> dict[str, tuple[tuple[int, str], ...]]:
+    """``sim.generate_workload`` as it stood with one scalar draw per
+    arrival, kept verbatim: the streams and generator states that the
+    block draws must reproduce. Every client builds its generator."""
+    n = len(scenario.objects)
+    pmf = zipf_pmf(n, scenario.zipf_theta) if n else None
+    ids = [o.object_id for o in scenario.objects]
+    per_client: dict[str, tuple[tuple[int, str], ...]] = {}
+    for spec in sorted(scenario.clients, key=lambda c: c.client_id):
+        rng = substream(scenario.seed, "workload", spec.client_id)
+        times: list[float] = []
+        if spec.request_rate > 0 and n:
+            t = rng.exponential(1.0 / spec.request_rate)
+            while t < scenario.duration_slots:
+                times.append(t)
+                t += rng.exponential(1.0 / spec.request_rate)
+        if times:
+            picks = rng.choice(n, size=len(times), p=pmf)
+            stream = tuple((int(t), ids[k]) for t, k in zip(times, picks))
+        else:
+            stream = ()
+        per_client[spec.client_id] = stream
+    return per_client
+
+
 # --------------------------------------------------------------------------
 # The broadcast planner as it stood before the one-pass rewrite: every
 # prefix rebuilds the rate dict, the size set and the group sums, and each
 # golden-section step builds a full AccessTime. Kept verbatim so that the
-# rewrite can be held to bit-exact equality, not a tolerance.
+# rewrite can be held to bit-exact equality, not a tolerance. It reads the
+# fields of the planner's old per-object input, which ``DemandRecord``
+# holds; the planner itself now takes a rate map.
 # --------------------------------------------------------------------------
+
+class DemandRecord(NamedTuple):
+    object_id: str
+    rate: float  # request arrivals per time unit
+    size: float = 1.0
+
 
 def _ref_uniform_size(demands) -> float:
     sizes = {d.size for d in demands}

@@ -170,10 +170,10 @@ def test_criterion_6_bandwidth_split_against_grid_oracle():
         bandwidth = float((size + request) * sum(rates.values()) * rng.uniform(1.5, 4.0))
         k = int(rng.integers(1, n))
         order = sorted(rates, key=lambda o: (-rates[o], o))
-        demands = [broadcast_plan.ObjectDemand(o, rates[o], size) for o in sorted(rates)]
+        demands = dict(sorted(rates.items()))
         params = broadcast_plan.PlanParams(bandwidth, request)
         b_b, b_d = broadcast_plan.optimize_bandwidth_split(
-            order[:k], order[k:], demands, params
+            order[:k], order[k:], demands, params, size
         )
         grid_b, _ = grid_search_split(
             k, sum(rates[o] for o in order[:k]), sum(rates[o] for o in order[k:]),
@@ -196,7 +196,7 @@ def test_criterion_7_partition_against_replay_oracle():
         rates = {f"o{j}": float(rng.uniform(0.1, 2.0)) for j in range(n)}
         bandwidth = float(sum(rates.values()) * 1.25 * rng.uniform(1.0, 3.0))
         threshold = float(rng.uniform(0.3, 8.0))
-        demands = [broadcast_plan.ObjectDemand(o, rates[o]) for o in sorted(rates)]
+        demands = dict(sorted(rates.items()))
         params = broadcast_plan.PlanParams(bandwidth, 0.25, threshold)
         result = broadcast_plan.partition_objects(demands, params)
         order = broadcast_plan.move_order(demands)

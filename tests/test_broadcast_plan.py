@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aircell import sim
 from aircell.broadcast_plan import (
     BatchingServer,
-    ObjectDemand,
     Partition,
     PlanParams,
     Unstable,
@@ -16,11 +16,22 @@ from aircell.broadcast_plan import (
     optimize_bandwidth_split,
     partition_objects,
 )
-from oracles import grid_search_split, partition_reference, replay_partition
+from oracles import (
+    DemandRecord,
+    grid_search_split,
+    partition_reference,
+    replay_partition,
+)
 
 
-def demands_of(rates: dict[str, float]) -> list[ObjectDemand]:
-    return [ObjectDemand(oid, r) for oid, r in sorted(rates.items())]
+def demands_of(rates: dict[str, float]) -> dict[str, float]:
+    """``rates`` in ascending id order, the order the planner sums them in."""
+    return dict(sorted(rates.items()))
+
+
+def records_of(rates: dict[str, float], size: float = 1.0) -> list[DemandRecord]:
+    """The reference planner's input for a rate map, in the map's order."""
+    return [DemandRecord(oid, r, size) for oid, r in rates.items()]
 
 
 class TestExpectedAccessTime:
@@ -94,11 +105,10 @@ class TestBandwidthSplit:
             k = int(rng.integers(1, n))
             order = sorted(rates, key=lambda o: (-rates[o], o))
             pub, od = order[:k], order[k:]
-            demands = [ObjectDemand(o, rates[o], size) for o in sorted(rates)]
             params = PlanParams(bandwidth, request)
             pub_rate = sum(rates[o] for o in pub)
             od_rate = sum(rates[o] for o in od)
-            b_b, _ = optimize_bandwidth_split(pub, od, demands, params)
+            b_b, _ = optimize_bandwidth_split(pub, od, demands_of(rates), params, size)
             grid_b, _ = grid_search_split(k, pub_rate, od_rate, bandwidth, size, request)
             assert abs(b_b - grid_b) <= 1e-3 * bandwidth
 
@@ -211,19 +221,21 @@ class TestPartitionBitExact:
         # raw access time runs at about 0.002-0.07 per unit of total rate
         # here, so a cap in that band stops the loop part-way
         mid_cap=st.one_of(st.none(), st.floats(2e-3, 0.08)),
+        # the map's order is the caller's, and the planner sums it in that order
+        ids_descending=st.booleans(),
     )
     def test_matches_reference_exactly(
-        self, rates, size, request, headroom, threshold, mid_cap
+        self, rates, size, request, headroom, threshold, mid_cap, ids_descending
     ):
-        demands = [
-            ObjectDemand(f"o{i:02d}", r, size) for i, r in enumerate(rates)
-        ]
+        listed = list(enumerate(rates))
+        by_id = {f"o{i:02d}": r for i, r in (listed[::-1] if ids_descending else listed)}
         load = sum(rates) * (size + request)
         bandwidth = max(load * headroom, 0.1)
         if mid_cap is not None:
             threshold = mid_cap * sum(rates)
         params = PlanParams(bandwidth, request, threshold)
-        assert partition_objects(demands, params) == partition_reference(demands, params)
+        expected = partition_reference(records_of(by_id, size), params)
+        assert partition_objects(by_id, params, size) == expected
 
     def test_saturated_cell_is_infeasible(self):
         # on-demand load 10 * 1.25 exceeds the bandwidth, so prefix 0 is
@@ -232,18 +244,53 @@ class TestPartitionBitExact:
         demands = demands_of({"a": 4.0, "b": 3.0, "c": 3.0})
         params = PlanParams(10.0 * 1.25 * 0.9, 0.25, 50.0)
         result = partition_objects(demands, params)
-        assert result == partition_reference(demands, params)
+        assert result == partition_reference(records_of(demands), params)
         assert not result.feasible and math.isinf(result.access.raw)
-
-    def test_mixed_sizes_rejected(self):
-        demands = [ObjectDemand("a", 1.0, 1.0), ObjectDemand("b", 1.0, 2.0)]
-        with pytest.raises(ValueError):
-            partition_objects(demands, PlanParams(10.0, 0.25))
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
     def test_non_finite_or_negative_rate_rejected(self, rate):
-        with pytest.raises(ValueError):
-            ObjectDemand("a", rate)
+        with pytest.raises(ValueError, match="arrival rate must be finite and >= 0"):
+            partition_objects({"a": 1.0, "b": rate}, PlanParams(10.0, 0.25))
+
+    @pytest.mark.parametrize("size", [0.0, -1.0, math.nan])
+    def test_nonpositive_size_rejected(self, size):
+        with pytest.raises(ValueError, match="object size must be > 0"):
+            partition_objects({"a": 1.0}, PlanParams(10.0, 0.25), size)
+
+    def test_engine_plans_match_reference(self, monkeypatch):
+        # a replanning cell whose observed rates, counts over slots so far,
+        # hold many zeros and many ties
+        doc = {
+            "seed": 11, "duration_slots": 1200, "resolution_mode": "broadcast",
+            "objects": {"count": 40, "mtbu": 100.0},
+            "clients": {"count": 3, "request_rate": 0.05},
+            "workload": {"zipf_theta": 0.9},
+            "cell": {"channels": 2, "total_bandwidth": 1.0, "threshold": 0.3,
+                     "batching_window": 2.0, "replan_interval": 40},
+        }
+        scenario = sim.scenario_from_dict(doc)
+        plans = []
+        plan_cell = sim.plan_cell
+
+        def recording(scn, rates):
+            made = plan_cell(scn, rates)
+            plans.append((dict(rates), made[0]))
+            return made
+
+        monkeypatch.setattr(sim, "plan_cell", recording)
+        sim.run(scenario)
+        assert len(plans) == 30  # at slot 0, then every 40 slots
+        cell = scenario.cell
+        params = PlanParams(cell.total_bandwidth, cell.request_size, cell.threshold)
+        for rates, result in plans:
+            assert list(rates) == [o.object_id for o in scenario.objects]
+            assert result == partition_reference(records_of(rates), params)
+        zeros = [sum(r == 0.0 for r in rates.values()) for rates, _ in plans[1:]]
+        ties = [len(rates) - len(set(rates.values())) for rates, _ in plans[1:]]
+        assert min(zeros) > 0 and min(ties) > 0
+        # the cut moves as demand is observed, and one plan is refused
+        assert {len(result.partition.published) for _, result in plans} == {0, 1, 2}
+        assert {result.feasible for _, result in plans} == {True, False}
 
 
 class TestBatching:
@@ -289,6 +336,30 @@ class TestBatching:
         server.submit("a", 5)  # exactly at the firing instant
         fired = server.advance(20)
         assert [m.batch_size for m in fired] == [1, 1]
+
+    def test_fired_order_is_response_time_then_id(self):
+        server = BatchingServer(3.0)
+        for oid, t in [("d", 2), ("b", 0), ("c", 1), ("a", 2), ("b", 1)]:
+            server.submit(oid, t)
+        fired = server.advance(5)
+        assert [(m.response_time, m.object_id) for m in fired] == [
+            (3.0, "b"), (4.0, "c"), (5.0, "a"), (5.0, "d"),
+        ]
+        assert server.advance(10) == []
+
+    def test_sealed_batch_fires_before_the_open_one(self):
+        # at window 0 a same-slot duplicate seals the first batch and opens
+        # another with the same (response_time, object_id); 0.0 and -0.0
+        # are one time to the server, but they tell the two batches apart
+        server = BatchingServer(0.0)
+        for oid, t in [("c", 5.0), ("a", 0.0), ("b", 0.0), ("a", -0.0)]:
+            server.submit(oid, t)
+        fired = server.advance(5)
+        assert [(m.response_time, m.object_id) for m in fired] == [
+            (0.0, "a"), (0.0, "a"), (0.0, "b"), (5.0, "c"),
+        ]
+        signs = [math.copysign(1.0, m.arrivals[0]) for m in fired[:2]]
+        assert signs == [1.0, -1.0]  # the sealed batch, then the open one
 
     def test_conservation_against_zero_window(self, rng):
         arrivals = sorted(

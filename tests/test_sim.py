@@ -5,12 +5,14 @@ import math
 import statistics
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from aircell import fidelity, p2p, sim
 from aircell.freshness import InvariantError, SourceObject
 from aircell.sim import (
@@ -21,7 +23,11 @@ from aircell.sim import (
     substream,
     zipf_pmf,
 )
-from oracles import UpdateProcessReference
+from oracles import (
+    UpdateProcessReference,
+    arrival_times_reference,
+    generate_workload_reference,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -254,6 +260,77 @@ class TestWorkload:
         assert all(a > b for a, b in zip(pmf, pmf[1:]))
         flat = zipf_pmf(5, 0.0)
         assert np.allclose(flat, 0.2)
+
+
+def workload_and_generators(generate, module, scenario):
+    """``generate(scenario)`` and the final state of each generator it
+    built through ``module.substream``, by label."""
+    made = {}
+    original = module.substream
+
+    def recording(seed, *labels):
+        made[labels] = original(seed, *labels)
+        return made[labels]
+
+    with mock.patch.object(module, "substream", recording):
+        streams = generate(scenario)
+    return streams, {labels: rng.bit_generator.state for labels, rng in made.items()}
+
+
+# a client's rate: one that never asks, one whose first gap passes the end
+# of any run here, and one that asks many times
+_KINDS = {"idle": 0.0, "past_end": 1e-12, "busy": None}
+
+
+class TestBlockDraws:
+    """Arrival gaps drawn in blocks against one scalar draw per arrival."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        duration=st.integers(0, 500),
+        kinds=st.lists(st.sampled_from(sorted(_KINDS)), min_size=1, max_size=4),
+        busy_rate=st.floats(0.01, 2.0),
+        # blocks this small make a busy client draw many of them
+        block=st.sampled_from([1, 2, 5, 64, sim._MAX_EVENTS]),
+    )
+    def test_same_streams_and_generator_states(
+        self, seed, duration, kinds, busy_rate, block
+    ):
+        rates = dict(_KINDS, busy=busy_rate)
+        scenario = scenario_from_dict(p2p_doc(
+            seed=seed, duration_slots=duration,
+            clients=[{"client_id": f"c{i}", "request_rate": rates[kind]}
+                     for i, kind in enumerate(kinds)],
+        ))
+        with mock.patch.object(sim, "_MAX_EVENTS", block):
+            streams, states = workload_and_generators(generate_workload, sim, scenario)
+        expected, expected_states = workload_and_generators(
+            generate_workload_reference, oracles, scenario
+        )
+        assert streams == expected
+        for i, kind in enumerate(kinds):
+            labels = ("workload", f"c{i}")
+            if kind == "idle":
+                assert labels not in states  # it builds no generator
+            else:
+                assert states[labels] == expected_states[labels]
+            if kind == "past_end":
+                assert streams[f"c{i}"] == ()
+
+    @pytest.mark.parametrize("seed, blocks", [(1, 2), (3, 1)])
+    def test_the_schema_maximum_rate(self, seed, blocks):
+        duration = 400
+        rate = sim._MAX_EVENTS / duration
+        scenario_from_dict(p2p_doc(duration_slots=duration, clients=[
+            {"client_id": "c", "request_rate": rate}
+        ]))  # the schema takes it
+        drawn, scalar = substream(seed, "workload", "c"), substream(seed, "workload", "c")
+        times = sim._arrival_times(drawn, rate, duration)
+        assert times == arrival_times_reference(scalar, rate, duration)
+        assert drawn.bit_generator.state == scalar.bit_generator.state
+        # a full first block means a second one was drawn
+        assert (len(times) >= sim._MAX_EVENTS) == (blocks == 2)
 
 
 class TestDeterminism:

@@ -67,3 +67,29 @@ class TestTracedNames:
             assert tracer.totals[name][0] > 0, name
         assert {attr: vars(aircell.freshness.SourceObject)[attr] for attr in before} == before
         assert small_p2p_run() == plain
+
+
+def small_broadcast_run() -> sim.Metrics:
+    """A broadcast run that replans every 40 slots and reads the air."""
+    doc = {
+        "seed": 5, "duration_slots": 600, "resolution_mode": "broadcast",
+        "objects": {"count": 30, "mtbu": 100.0},
+        "clients": {"count": 4, "request_rate": 0.1},
+        "cell": {"channels": 2, "m": 2, "total_bandwidth": 5.0, "threshold": 0.3,
+                 "batching_window": 2.0, "replan_interval": 40},
+    }
+    return sim.run(sim.scenario_from_dict(doc))
+
+
+class TestTracedBroadcast:
+    def test_every_plan_and_aired_read_is_a_span(self, tracing):
+        # a planner or read path that routes around a traced name fails here
+        plain = small_broadcast_run().to_json_bytes()
+        with tracing.Tracer(aircell) as tracer:
+            traced = small_broadcast_run()
+        assert traced.to_json_bytes() == plain
+        plans = 1 + len(range(40, 600, 40))  # at slot 0, then every 40 slots
+        assert tracer.totals["broadcast_plan.partition"][0] == plans
+        aired = sum(r.resolution == "broadcast" for r in traced.records)
+        assert aired > 0 and traced.counters["on_demand_responses"] > 0
+        assert tracer.totals["air_schedule.next_index_read_end"][0] == aired
