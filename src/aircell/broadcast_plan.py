@@ -271,25 +271,27 @@ class BatchingServer:
     A batch opens at the first request for an object and fires at
     first_arrival + window; a request arriving at or after that firing
     instant opens a new batch. With window 0 every request is answered
-    individually at its arrival time.
+    individually at its arrival time. A request's response time is fixed
+    when it joins its batch, so ``submit`` returns it; ``advance`` only
+    sends the multicasts.
     """
 
     window: float
     _open: dict[str, list[float]] = field(default_factory=dict)
     _ready: list[Multicast] = field(default_factory=list)
-    responses_sent: int = 0
-    saved: int = 0
 
-    def submit(self, object_id: str, t: float) -> None:
+    def submit(self, object_id: str, t: float) -> float:
+        """Add a request at ``t``; return its multicast's response time."""
         arrivals = self._open.get(object_id)
         if arrivals is not None and t < arrivals[0] + self.window:
             arrivals.append(t)
-            return
+            return arrivals[0] + self.window
         if arrivals is not None:  # window already closed; seal the old batch
             self._ready.append(
                 Multicast(object_id, arrivals[0] + self.window, tuple(arrivals))
             )
         self._open[object_id] = [t]
+        return t + self.window
 
     def advance(self, now: float) -> list[Multicast]:
         """Fire every batch whose window has closed by ``now``."""
@@ -301,6 +303,4 @@ class BatchingServer:
         # the only equal keys are one object's sealed batch and its open one
         # at window 0, and the sort is stable: the sealed batch comes first
         fired.sort(key=lambda m: (m.response_time, m.object_id))
-        self.responses_sent += len(fired)
-        self.saved += sum(m.saved_transmissions for m in fired)
         return fired

@@ -205,10 +205,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cell_scenario(path: str) -> Scenario:
-    """The scenario at ``path``, which must have a cell section."""
+    """The scenario at ``path``, which must have a cell section and objects."""
     scenario = parse_scenario(path)
     if scenario.cell is None:
         raise InputError("scenario has no cell section")
+    if not scenario.objects:
+        raise InputError("scenario has no objects to plan")
     return scenario
 
 

@@ -19,7 +19,10 @@ sources, caches or peer-to-peer managers at all: an aired or multicast
 answer is the source's current write, fresh by construction, so no
 broadcast metric depends on a source's history. Its reads are
 planned and costed by the retrieval library (``retrieval.after_index``,
-``retrieval.account``). ``run`` picks the engine for the cell's mode once;
+``retrieval.account``). An on-demand answer's time is fixed when its
+request joins a batch, so every broadcast query is recorded in the slot it
+is issued, and the batching server sends its multicasts once, after the
+slot loop. ``run`` picks the engine for the cell's mode once;
 the two engines share no slot loop.
 """
 
@@ -146,7 +149,9 @@ _MAX_MTBU = 1e150
 # duration_slots / 10**6, or request_rate above 10**6 / duration_slots,
 # asks for more than a million (mtbu 1e-9 over 400 slots asks for 4e11,
 # and once a draw is below the float spacing at next_update the loop never
-# ends).
+# ends). It also caps what the reader or the engine expands before any
+# other check: history_burnin, the burn-in writes of each source, and the
+# count of a compact objects or clients block.
 _MAX_EVENTS = 10**6
 
 _REQUIRED = object()
@@ -189,14 +194,15 @@ SCHEMA: dict[str, dict[str, Field]] = {
             Field("schema_id", (SCHEMA_ID,), SCHEMA_ID),
             Field("seed", int, 0, lo=0), Field("duration_slots", int, 0, lo=0),
             Field("resolution_mode", ("p2p", "broadcast"), "p2p"),
-            Field("history_burnin", int, 12, lo=3),
+            Field("history_burnin", int, 12, lo=3, hi=_MAX_EVENTS),
             Field("objects", object, []), Field("clients", object, []),
             Field("adjacency", object, None), Field("toggles", object, {}),
             Field("workload", object, {}), Field("costs", object, {}),
             Field("cell", object, None), Field("cache", object, {}),
         ),
         "objects": (
-            Field("count", int, 0, lo=0), Field("mtbu", float, 100.0, above=0, hi=_MAX_MTBU),
+            Field("count", int, 0, lo=0, hi=_MAX_EVENTS),
+            Field("mtbu", float, 100.0, above=0, hi=_MAX_MTBU),
             # absent: 0.2 times the mean mtbu
             Field("stdv_mtbu", float, None, lo=0, hi=_MAX_MTBU),
             Field("mtbu_range", object, None), Field("id_prefix", str, "obj"),
@@ -207,7 +213,7 @@ SCHEMA: dict[str, dict[str, Field]] = {
             Field("reachable", bool, True),
         ),
         "clients": (
-            Field("count", int, 0, lo=0), Field("id_prefix", str, "client"),
+            Field("count", int, 0, lo=0, hi=_MAX_EVENTS), Field("id_prefix", str, "client"),
             *_CLIENT_FIELDS,
         ),
         "clients[]": (
@@ -1130,8 +1136,11 @@ def _run_broadcast(
     or multicast answer carries the source's current write, so its staleness
     is 0 whatever the source's history. A published object is read by
     ``retrieval.after_index`` and costed by ``retrieval.account``; any other
-    query waits for its batch. ``broadcast_slots`` counts channel-slots on
-    air: each slot adds the channels of the program then in force, if any.
+    query joins its object's batch, whose response time ``submit`` returns.
+    Either way the query is recorded in the slot it is issued. The server
+    sends its multicasts once, after the slot loop, and they are counted
+    there. ``broadcast_slots`` counts channel-slots on air: each slot adds
+    the channels of the program then in force, if any.
     """
     counters, records = metrics.counters, metrics.records
     cost = scenario.cell.cost_model
@@ -1140,17 +1149,6 @@ def _run_broadcast(
     metrics.plan = plan_summary(plan_result)
     batching = broadcast_plan.BatchingServer(scenario.cell.batching_window)
     observed_requests = {o.object_id: 0 for o in scenario.objects}
-    pending: dict[str, list[tuple[int, str, int, float]]] = {}
-
-    def deliver(fired: list[broadcast_plan.Multicast]) -> None:
-        """Answer the queries each fired multicast carries, oldest first."""
-        for multicast in fired:
-            oid, size = multicast.object_id, multicast.batch_size
-            batch, pending[oid] = pending[oid][:size], pending[oid][size:]
-            for qid, cid, issued, qos in batch:
-                latency = multicast.response_time - issued + 1.0
-                records.append(QueryRecord(qid, cid, oid, issued, "on_demand", latency,
-                                           0.0, qos, accepts(qos, 1.0), 1.0))
 
     for t in range(scenario.duration_slots):
         if replan_interval > 0 and t > 0 and t % replan_interval == 0:
@@ -1165,20 +1163,17 @@ def _run_broadcast(
         for qid, cid, oid, qos in queries.get(t, ()):
             observed_requests[oid] += 1
             if program is None or oid not in program.directory:
-                batching.submit(oid, t)
-                pending.setdefault(oid, []).append((qid, cid, t, qos))
-                continue
-            plan = retrieval.after_index([oid], program, t, cost)
-            metrics.per_client_energy[cid] += retrieval.account(plan, cost)["energy"]
-            latency = float(plan.total_slots)
-            records.append(QueryRecord(qid, cid, oid, t, "broadcast", latency,
+                kind, latency = "on_demand", batching.submit(oid, t) - t + 1.0
+            else:
+                plan = retrieval.after_index([oid], program, t, cost)
+                metrics.per_client_energy[cid] += retrieval.account(plan, cost)["energy"]
+                kind, latency = "broadcast", float(plan.total_slots)
+            records.append(QueryRecord(qid, cid, oid, t, kind, latency,
                                        0.0, qos, accepts(qos, 1.0), 1.0))
 
-        deliver(batching.advance(t))
-
-    deliver(batching.advance(math.inf))  # batches still open at the end
-    counters["on_demand_responses"] = batching.responses_sent
-    counters["batching_saved"] = batching.saved
+    multicasts = batching.advance(math.inf)
+    counters["on_demand_responses"] = len(multicasts)
+    counters["batching_saved"] = sum(m.saved_transmissions for m in multicasts)
 
 
 def plan_summary(result: broadcast_plan.PartitionResult) -> dict:

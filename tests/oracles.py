@@ -413,6 +413,32 @@ def generate_workload_reference(scenario) -> dict[str, tuple[tuple[int, str], ..
     return per_client
 
 
+def batches_reference(records, window: float):
+    """The batching rule replayed over a run's ``on_demand`` records.
+
+    Per object, in query-id order, a request joins the open batch if it is
+    issued before that batch's first arrival + window, and opens a new one
+    otherwise. Returns each record's expected latency by query id (the
+    batch's first arrival + window, less the issue slot, plus the slot of
+    receipt) and the size of every batch.
+    """
+    latency: dict[int, float] = {}
+    sizes: list[int] = []
+    by_object: dict[str, list] = {}
+    for r in sorted(records, key=lambda r: r.query_id):
+        if r.resolution == "on_demand":
+            by_object.setdefault(r.object_id, []).append(r)
+    for batch_requests in by_object.values():
+        first = None
+        for r in batch_requests:
+            if first is None or not r.issued_at < first + window:
+                first = r.issued_at
+                sizes.append(0)
+            sizes[-1] += 1
+            latency[r.query_id] = first + window - r.issued_at + 1.0
+    return latency, sizes
+
+
 # --------------------------------------------------------------------------
 # The broadcast planner as it stood before the one-pass rewrite: every
 # prefix rebuilds the rate dict, the size set and the group sums, and each

@@ -296,12 +296,14 @@ class TestPartitionBitExact:
 class TestBatching:
     def test_zero_window_answers_individually(self):
         server = BatchingServer(0.0)
+        sent = []
         for t in (0, 1, 2):
-            server.submit("a", t)
+            assert server.submit("a", t) == t
             fired = server.advance(t)
             assert len(fired) == 1 and fired[0].response_time == t
-        assert server.responses_sent == 3
-        assert server.saved == 0
+            sent += fired
+        assert len(sent) == 3
+        assert sum(m.saved_transmissions for m in sent) == 0
 
     def test_same_slot_duplicates_with_zero_window(self):
         server = BatchingServer(0.0)
@@ -313,13 +315,13 @@ class TestBatching:
 
     def test_window_batches_and_waits(self):
         server = BatchingServer(5.0)
-        for t in (0, 1, 2):
-            server.submit("a", t)
+        promised = [server.submit("a", t) for t in (0, 1, 2)]
         assert server.advance(4) == []
         fired = server.advance(5)
         assert len(fired) == 1
         m = fired[0]
         assert m.response_time == 5.0
+        assert promised == [m.response_time] * 3  # known when each joined
         assert [m.response_time - t for t in m.arrivals] == [5.0, 4.0, 3.0]
         assert m.saved_transmissions == 2
 
@@ -368,8 +370,10 @@ class TestBatching:
         )
         for window in (0.0, 1.0, 3.0, 10.0):
             server = BatchingServer(window)
+            fired = []
             for t, oid in arrivals:
                 server.submit(oid, t)
-                server.advance(t)
-            server.advance(math.inf)
-            assert server.responses_sent + server.saved == len(arrivals)
+                fired += server.advance(t)
+            fired += server.advance(math.inf)
+            saved = sum(m.saved_transmissions for m in fired)
+            assert len(fired) + saved == len(arrivals)

@@ -520,6 +520,13 @@ class TestUnreadableInput:
         assert main(["plan", "--scenario", str(write_scenario(tmp_path, MINI))]) == 2
         assert capsys.readouterr().err == "error: scenario has no cell section\n"
 
+    @pytest.mark.parametrize("command", ["plan", "dump-program"])
+    def test_cell_without_objects(self, tmp_path, capsys, command):
+        # the planner used to end in a ValueError traceback and exit 1
+        doc = {"seed": 1, "duration_slots": 10, "cell": {"channels": 1}}
+        assert main([command, "--scenario", str(write_scenario(tmp_path, doc))]) == 2
+        assert capsys.readouterr() == ("", "error: scenario has no objects to plan\n")
+
     def test_python_m_runs_without_a_warning(self, tmp_path):
         # the package imported cli, so runpy warned that it was already loaded
         assert python_m_cli("--help").returncode == 0

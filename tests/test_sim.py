@@ -512,6 +512,24 @@ class TestBroadcastMode:
         assert lhs == no_window.counters["on_demand_responses"]
         assert no_window.counters["batching_saved"] == 0
 
+    @pytest.mark.parametrize("doc", [
+        *(broadcast_doc(seed=7, cell=dict(broadcast_doc()["cell"], batching_window=w))
+          for w in (0.0, 0.5, 4.0, 7.0)),
+        dedicated_index_doc(),
+    ], ids=["window 0", "window 0.5", "window 4", "window 7", "dedicated index"])
+    def test_on_demand_answers_follow_the_batching_rule(self, doc):
+        metrics = run(scenario_from_dict(doc))
+        window = doc["cell"]["batching_window"]
+        expected, sizes = oracles.batches_reference(metrics.records, window)
+        assert len(expected) > len(set(r.object_id for r in metrics.records
+                                       if r.resolution == "on_demand")) > 1
+        got = {r.query_id: r.latency_slots for r in metrics.records
+               if r.resolution == "on_demand"}
+        assert got == expected
+        assert metrics.counters["on_demand_responses"] == len(sizes)
+        assert metrics.counters["batching_saved"] == sum(n - 1 for n in sizes)
+        assert (metrics.counters["batching_saved"] > 0) == (window > 0)
+
     def test_broadcast_answers_are_fresh(self):
         metrics = run(scenario_from_dict(broadcast_doc(seed=9)))
         aired = [r for r in metrics.records if r.resolution == "broadcast"]
@@ -1011,6 +1029,19 @@ class TestIntegerFields:
             f"{label}: must be at most {sys.maxsize} in magnitude, got {value!r}"
         ]
 
+    @pytest.mark.parametrize("size", [10**6 + 1, 10**12])
+    @pytest.mark.parametrize("over, label", [
+        (lambda n: {"history_burnin": n}, "history_burnin"),
+        (lambda n: {"objects": {"count": n, "mtbu": 100.0}}, "objects.count"),
+        (lambda n: {"clients": {"count": n, "request_rate": 0.1}}, "clients.count"),
+    ], ids=["history_burnin", "objects.count", "clients.count"])
+    def test_sizes_expanded_before_any_check_are_capped(self, over, label, size):
+        # history_burnin 10**12 used to parse, and the run drew 10**12 burn-in
+        # writes per source; a refused count reads as 0, so nothing is built
+        assert self.violations(p2p_doc(**over(size))) == [
+            f"{label}: must be in [{0 if 'count' in label else 3}, 1000000]"
+        ]
+
     def test_integral_float_reads_as_int(self):
         doc = p2p_doc(seed=4.0, duration_slots=400.0,
                       objects={"count": 10.0, "mtbu": 120.0, "stdv_mtbu": 25.0})
@@ -1302,7 +1333,7 @@ class TestSchemaTable:
         doc = p2p_doc(costs={"hop": -1.0}, history_burnin=2,
                       cache={"default_ttl": 0, "tick_interval": 0})
         assert violations(doc) == [
-            "history_burnin: must be >= 3",
+            "history_burnin: must be in [3, 1000000]",
             "costs.hop: must be >= 0",
             "cache.default_ttl: must be > 0",
             "cache.tick_interval: must be >= 1",
