@@ -13,9 +13,11 @@ optimized access time stays under a threshold.
 The planner's input is a rate map, object id to arrival rate, whose
 iteration order is the caller's and fixes the order in which the total
 rate is summed. A plan is one pass over the objects plus a golden-section
-search per prefix: the rates are listed once in move order, each prefix's
-group rates are sums over that list, and the search evaluates its
-objective inline, with no call or allocation per step.
+search per prefix: the rates are listed once in ``move_order``, each
+prefix's group rates are sums over that list, and
+``optimize_bandwidth_split`` takes the prefix's length and its two group
+rates and evaluates its objective inline, with no call or allocation per
+step.
 """
 
 from __future__ import annotations
@@ -116,16 +118,24 @@ def expected_access_time(
     )
 
 
-def _split(
-    k: int, pub_rate: float, od_rate: float, size: float, params: PlanParams
+def optimize_bandwidth_split(
+    k: int, pub_rate: float, od_rate: float, params: PlanParams, size: float = 1.0
 ) -> tuple[float, float]:
-    """Optimal (b_b, b_d) for k published objects with the given group rates.
+    """Bandwidth split (b_b, b_d) minimizing the expected access time of k
+    published objects with the given group arrival rates.
 
-    An empty group has a zero rate, so the rates alone pick the degenerate
-    cases. The search minimizes ``_access_time(...).raw`` with the
+    The objective is convex on the stable interval, so a golden-section
+    search (tolerance 1e-6 of the total bandwidth) suffices. An empty group
+    has a zero rate, so the rates alone pick the degenerate cases: a
+    demand-free on-demand group yields (B, 0) and a demand-free published
+    group (0, B). The search minimizes ``_access_time(...).raw`` with the
     invariants hoisted out; it must keep that function's float operations
     and their order, or the split moves in the last bits.
     """
+    if not size > 0:
+        raise ValueError("object size must be > 0")
+    if not (k >= 0 and pub_rate >= 0 and od_rate >= 0):
+        raise ValueError("published count and group rates must be >= 0")
     total_b = params.total_bandwidth
     per_request = size + params.request_size
     if od_rate == 0:
@@ -175,34 +185,11 @@ def _split(
     return (b_b, total_b - b_b)
 
 
-def optimize_bandwidth_split(
-    published: list[str], on_demand: list[str], rates: Mapping[str, float],
-    params: PlanParams, size: float = 1.0,
-) -> tuple[float, float]:
-    """Bandwidth split minimizing the expected access time.
-
-    The objective is convex on the stable interval, so a golden-section
-    search (tolerance 1e-6 of the total bandwidth) suffices. Degenerate
-    groups get the whole bandwidth: an empty or demand-free on-demand group
-    yields (B, 0) and an empty published group yields (0, B).
-    """
-    if not published and not on_demand:
-        raise ValueError("both groups empty")
-    _check(rates, size)
-    pub_rate = sum(rates[o] for o in published)
-    od_rate = sum(rates[o] for o in on_demand)
-    return _split(len(published), pub_rate, od_rate, size, params)
-
-
-def _by_demand(rates: Mapping[str, float]) -> list[str]:
-    # a reversed sort keeps equal rates in their ascending id order
-    return sorted(sorted(rates), key=rates.__getitem__, reverse=True)
-
-
 def move_order(rates: Mapping[str, float]) -> list[str]:
     """Objects by descending arrival rate, ties by ascending id."""
     _check(rates)
-    return _by_demand(rates)
+    # a reversed sort keeps equal rates in their ascending id order
+    return sorted(sorted(rates), key=rates.__getitem__, reverse=True)
 
 
 def partition_objects(
@@ -220,18 +207,18 @@ def partition_objects(
     All objects share one ``size``. The rates are listed once in move
     order. Prefix k sums the first k of them and the rest left to right, the
     same additions in the same order as ``expected_access_time`` makes.
+    ``move_order`` refuses a bad rate, and the first split a bad size.
     """
     if not rates:
         raise ValueError("no rates given")
-    _check(rates, size)
-    order = _by_demand(rates)
+    order = move_order(rates)
     listed = [rates[o] for o in order]
     total, total_b = sum(rates.values()), params.total_bandwidth
     kept = None  # the last prefix that holds: (k, b_b, b_d, access)
     for k in range(len(order) + 1):
         pub_rate, od_rate = sum(listed[:k]), sum(listed[k:])
         try:
-            b_b, b_d = _split(k, pub_rate, od_rate, size, params)
+            b_b, b_d = optimize_bandwidth_split(k, pub_rate, od_rate, params, size)
         except Unstable:
             b_b, b_d = 0.0, total_b
             mu_d = total_b / (size + params.request_size)
@@ -253,15 +240,11 @@ def partition_objects(
 class Multicast:
     object_id: str
     response_time: float
-    arrivals: tuple[float, ...]
-
-    @property
-    def batch_size(self) -> int:
-        return len(self.arrivals)
+    size: int  # the requests the one transmission answers
 
     @property
     def saved_transmissions(self) -> int:
-        return len(self.arrivals) - 1
+        return self.size - 1
 
 
 @dataclass
@@ -273,33 +256,34 @@ class BatchingServer:
     instant opens a new batch. With window 0 every request is answered
     individually at its arrival time. A request's response time is fixed
     when it joins its batch, so ``submit`` returns it; ``advance`` only
-    sends the multicasts.
+    sends the multicasts. An open batch is its response time and its
+    request count, and a sealed one a ``Multicast``.
     """
 
     window: float
-    _open: dict[str, list[float]] = field(default_factory=dict)
+    _open: dict[str, list] = field(default_factory=dict)  # [response_time, size]
     _ready: list[Multicast] = field(default_factory=list)
 
     def submit(self, object_id: str, t: float) -> float:
         """Add a request at ``t``; return its multicast's response time."""
-        arrivals = self._open.get(object_id)
-        if arrivals is not None and t < arrivals[0] + self.window:
-            arrivals.append(t)
-            return arrivals[0] + self.window
-        if arrivals is not None:  # window already closed; seal the old batch
-            self._ready.append(
-                Multicast(object_id, arrivals[0] + self.window, tuple(arrivals))
-            )
-        self._open[object_id] = [t]
-        return t + self.window
+        batch = self._open.get(object_id)
+        if batch is not None:
+            if t < batch[0]:
+                batch[1] += 1
+                return batch[0]
+            # the window has closed; seal the old batch
+            self._ready.append(Multicast(object_id, batch[0], batch[1]))
+        response_time = t + self.window
+        self._open[object_id] = [response_time, 1]
+        return response_time
 
     def advance(self, now: float) -> list[Multicast]:
         """Fire every batch whose window has closed by ``now``."""
-        fired, self._ready, window = self._ready, [], self.window
-        for object_id in [o for o, arrivals in self._open.items()
-                          if arrivals[0] + window <= now]:
-            arrivals = self._open.pop(object_id)
-            fired.append(Multicast(object_id, arrivals[0] + window, tuple(arrivals)))
+        fired, self._ready = self._ready, []
+        for object_id in [o for o, (response_time, _) in self._open.items()
+                          if response_time <= now]:
+            response_time, size = self._open.pop(object_id)
+            fired.append(Multicast(object_id, response_time, size))
         # the only equal keys are one object's sealed batch and its open one
         # at window 0, and the sort is stable: the sealed batch comes first
         fired.sort(key=lambda m: (m.response_time, m.object_id))

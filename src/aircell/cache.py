@@ -9,8 +9,10 @@ Policies:
 
 Score-based policies admit a new entry into a full cache only when its
 score strictly exceeds the current minimum; the minimum-score entry is
-evicted, oldest first on ties. Read statistics (MTBR and the read-share
-F_R) come from a sliding window over the client's own reads.
+evicted, oldest first on ties. ``ClientCache.score`` rates the incoming
+entry and every resident in one pass, and ``insert`` calls it for each
+admission into a full scored cache. Read statistics (MTBR and the
+read-share F_R) come from a sliding window over the client's own reads.
 """
 
 from __future__ import annotations
@@ -181,13 +183,7 @@ class ClientCache:
         """Recency-neutral lookup used when serving other clients."""
         return self.entries.get(object_id)
 
-    def score(self, entry: CacheEntry, now: float) -> float:
-        """The entry's score under CQF or ACQF, as ``insert`` scores it."""
-        if self.policy not in SCORED_POLICIES:
-            raise ValueError(f"policy {self.policy} has no score")
-        return self._scored([(entry.object_id, entry)], now)[0][0]
-
-    def _scored(
+    def score(
         self, entries: Iterable[tuple[str, CacheEntry]], now: float
     ) -> list[tuple[float, float, str]]:
         """(score, cached_at, object_id) of each ``(object_id, entry)`` pair,
@@ -197,7 +193,8 @@ class ClientCache:
         0 for an object read fewer than twice. ACQF is the read share times
         the QoS margin, f_r * (p_nm - qos), negative exactly when a read
         object fails its owner's QoS test. Each loop asks the tracker only
-        for the one statistic its policy reads.
+        for the one statistic its policy reads; the other policies have no
+        score.
         """
         if self.policy is PolicyKind.CQF:
             mtbr = self.reads.mtbr
@@ -207,6 +204,8 @@ class ClientCache:
                 score = 0.0 if m is None or m <= 0 else e.source_stats_snapshot.mtbu / m
                 scored.append((score, e.cached_at, oid))
             return scored
+        if self.policy is not PolicyKind.ACQF:
+            raise ValueError(f"policy {self.policy} has no score")
         f_r, qos_for, p_nm = self.reads.f_r, self.qos_for, p_not_modified_or_zero
         return [
             (f_r(oid) * (p_nm(e.source_stats_snapshot, now) - qos_for(oid)), e.cached_at, oid)
@@ -225,7 +224,7 @@ class ClientCache:
             return EvictionReport(admitted=True)
 
         if self.policy in SCORED_POLICIES:
-            (incoming, _, _), *residents = self._scored(
+            (incoming, _, _), *residents = self.score(
                 [(entry.object_id, entry), *self.entries.items()], now)
             # the minimum score, oldest cached_at first on ties
             min_score, _, victim = min(residents)

@@ -16,9 +16,11 @@ plain enumeration (the lexicographically smallest order wins). The search
 and the 2-opt score orders by their slot arithmetic alone; a full
 ``RetrievalPlan`` is built once, for the order returned.
 
+``simulate_order`` schedules a fixed order, each object at its earliest
+slot after the read before it; every planner builds its plan with it.
 ``after_index`` is the whole aired read from a cold start: the next index
-segment, then a fixed order scheduled by the same rule. The engine reads
-every published object this way.
+segment, then a fixed order handed to ``simulate_order`` behind that
+index read. The engine reads every published object this way.
 """
 
 from __future__ import annotations
@@ -103,12 +105,13 @@ def _earliest_read(
     return earliest + (cycle_slot - earliest) % length, switched
 
 
-def _schedule(
+def simulate_order(
     order: list[str], program: BroadcastProgram, start: int, cost: CostModel,
     first: PlannedRead | None = None,
 ) -> RetrievalPlan:
-    """The plan from ``start`` that reads ``first``, if given, and then each
-    object of ``order`` at its earliest slot after the read before it."""
+    """Schedule a fixed retrieval order from ``start``: read ``first``, if
+    given, and then each object of ``order`` at its earliest slot after the
+    read before it."""
     length, sigma = program.cycle_len_slots, cost.switch_slots
     reads: list[PlannedRead] = []
     switches = 0
@@ -133,13 +136,6 @@ def _schedule(
     )
 
 
-def simulate_order(
-    order: list[str], program: BroadcastProgram, start: int, cost: CostModel
-) -> RetrievalPlan:
-    """Schedule a fixed retrieval order, each object at its earliest slot."""
-    return _schedule(order, program, start, cost)
-
-
 def after_index(
     order: list[str], program: BroadcastProgram, now: int, cost: CostModel
 ) -> RetrievalPlan:
@@ -154,7 +150,7 @@ def after_index(
     index_read = PlannedRead(
         air_schedule.INDEX, channel, air_schedule.next_index_read_end(program, now)
     )
-    return _schedule(order, program, now, cost, index_read)
+    return simulate_order(order, program, now, cost, index_read)
 
 
 def row_scan(req: RetrievalRequest, cost: CostModel) -> RetrievalPlan:

@@ -151,7 +151,9 @@ _MAX_MTBU = 1e150
 # and once a draw is below the float spacing at next_update the loop never
 # ends). It also caps what the reader or the engine expands before any
 # other check: history_burnin, the burn-in writes of each source, and the
-# count of a compact objects or clients block.
+# count of a compact objects or clients block. And it caps duration_slots,
+# as both slot loops step through every slot, loaded or not, so an idle
+# run's time grows with it (10**12 slots would run for days).
 _MAX_EVENTS = 10**6
 
 _REQUIRED = object()
@@ -192,7 +194,7 @@ SCHEMA: dict[str, dict[str, Field]] = {
     for section, fields in {
         "": (
             Field("schema_id", (SCHEMA_ID,), SCHEMA_ID),
-            Field("seed", int, 0, lo=0), Field("duration_slots", int, 0, lo=0),
+            Field("seed", int, 0, lo=0), Field("duration_slots", int, 0, lo=0, hi=_MAX_EVENTS),
             Field("resolution_mode", ("p2p", "broadcast"), "p2p"),
             Field("history_burnin", int, 12, lo=3, hi=_MAX_EVENTS),
             Field("objects", object, []), Field("clients", object, []),

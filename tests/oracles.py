@@ -297,14 +297,14 @@ class ReadTrackerReference(ReadTracker):
 
 
 class ClientCacheReference(ClientCache):
-    """A cache whose ``insert`` scores a full cache one ``score`` per entry."""
+    """A cache whose ``insert`` scores a full cache one ``score_one`` per entry."""
 
     def __init__(self, capacity, policy, qos_for=None, default_ttl=None,
                  read_window: int = 256):
         super().__init__(capacity, policy, qos_for, default_ttl, read_window)
         self.reads = ReadTrackerReference(read_window)
 
-    def score(self, entry: CacheEntry, now: float) -> float:
+    def score_one(self, entry: CacheEntry, now: float) -> float:
         if self.policy is PolicyKind.CQF:
             return _cqf_reference(entry.source_stats_snapshot,
                                   self.reads.stats_for(entry.object_id))
@@ -328,8 +328,8 @@ class ClientCacheReference(ClientCache):
             return EvictionReport(admitted=True)
 
         if self.policy in SCORED_POLICIES:
-            incoming = self.score(entry, now)
-            scored = [(self.score(e, now), e.cached_at, oid)
+            incoming = self.score_one(entry, now)
+            scored = [(self.score_one(e, now), e.cached_at, oid)
                       for oid, e in self.entries.items()]
             min_score, _, _ = min(scored)
             if incoming <= min_score:

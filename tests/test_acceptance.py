@@ -170,15 +170,11 @@ def test_criterion_6_bandwidth_split_against_grid_oracle():
         bandwidth = float((size + request) * sum(rates.values()) * rng.uniform(1.5, 4.0))
         k = int(rng.integers(1, n))
         order = sorted(rates, key=lambda o: (-rates[o], o))
-        demands = dict(sorted(rates.items()))
+        pub_rate = sum(rates[o] for o in order[:k])
+        od_rate = sum(rates[o] for o in order[k:])
         params = broadcast_plan.PlanParams(bandwidth, request)
-        b_b, b_d = broadcast_plan.optimize_bandwidth_split(
-            order[:k], order[k:], demands, params, size
-        )
-        grid_b, _ = grid_search_split(
-            k, sum(rates[o] for o in order[:k]), sum(rates[o] for o in order[k:]),
-            bandwidth, size, request,
-        )
+        b_b, b_d = broadcast_plan.optimize_bandwidth_split(k, pub_rate, od_rate, params, size)
+        grid_b, _ = grid_search_split(k, pub_rate, od_rate, bandwidth, size, request)
         if abs(b_b - grid_b) > 1e-3 * bandwidth:
             failures.append(f"instance {i}: split {b_b:.5f} vs grid {grid_b:.5f}")
         if b_d < 0 or b_b < 0 or abs(b_b + b_d - bandwidth) > 1e-9:
@@ -216,7 +212,8 @@ def test_criterion_7_partition_against_replay_oracle():
             if k < n:
                 try:
                     b_b, b_d = broadcast_plan.optimize_bandwidth_split(
-                        order[: k + 1], order[k + 1 :], demands, params
+                        k + 1, sum(demands[o] for o in order[: k + 1]),
+                        sum(demands[o] for o in order[k + 1 :]), params,
                     )
                     nxt = broadcast_plan.expected_access_time(
                         broadcast_plan.Partition(

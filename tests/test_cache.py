@@ -39,37 +39,44 @@ def scored_cache(policy, qos=0.0):
     return ClientCache(4, policy, qos_for=lambda _oid: qos)
 
 
+def score_of(cache: ClientCache, e, now: float) -> float:
+    """One entry's score through the batch ``score`` that ``insert`` calls."""
+    [(score, cached_at, oid)] = cache.score([(e.object_id, e)], now)
+    assert (cached_at, oid) == (e.cached_at, e.object_id)
+    return score
+
+
 class TestScores:
     def test_cqf_is_update_over_read_interval(self):
         cache = scored_cache(PolicyKind.CQF)
         reads_every(cache.reads, "a", 50.0, 5)
-        assert cache.score(entry("a", mtbu=200.0), now=200.0) == 4.0
+        assert score_of(cache, entry("a", mtbu=200.0), 200.0) == 4.0
 
     def test_cqf_below_one_for_hot_updates(self):
         cache = scored_cache(PolicyKind.CQF)
         reads_every(cache.reads, "a", 200.0, 5)
-        assert cache.score(entry("a", mtbu=50.0), now=800.0) == 0.25
+        assert score_of(cache, entry("a", mtbu=50.0), 800.0) == 0.25
 
     def test_cqf_zero_without_reads(self):
         cache = scored_cache(PolicyKind.CQF)
-        assert cache.score(entry("ghost", mtbu=500.0), now=0.0) == 0.0
+        assert score_of(cache, entry("ghost", mtbu=500.0), 0.0) == 0.0
         cache.reads.record(0.0, "once")
-        assert cache.score(entry("once", mtbu=500.0), now=0.0) == 0.0
+        assert score_of(cache, entry("once", mtbu=500.0), 0.0) == 0.0
 
     def test_acqf_examples(self):
         # read share 1/5, P_NM 1 (mtbu not yet elapsed), QoS 0.3
         cache = scored_cache(PolicyKind.ACQF, qos=0.3)
         for oid in "abcde":
             cache.reads.record(0.0, oid)
-        assert cache.score(entry("a", mtbu=100.0), now=50.0) == pytest.approx(0.14)
+        assert score_of(cache, entry("a", mtbu=100.0), 50.0) == pytest.approx(0.14)
         # read share 1/2, P_NM 1/2 (mtbu elapsed exactly, with spread), QoS 0.9
         cache = scored_cache(PolicyKind.ACQF, qos=0.9)
         for oid in "ab":
             cache.reads.record(0.0, oid)
-        assert cache.score(entry("a", mtbu=100.0, stdv=10.0), now=100.0) == pytest.approx(-0.2)
+        assert score_of(cache, entry("a", mtbu=100.0, stdv=10.0), 100.0) == pytest.approx(-0.2)
         # unread
         cache = scored_cache(PolicyKind.ACQF, qos=0.01)
-        assert cache.score(entry("a", mtbu=100.0), now=50.0) == 0.0
+        assert score_of(cache, entry("a", mtbu=100.0), 50.0) == 0.0
 
     def test_acqf_negative_iff_qos_fails_and_read(self, rng):
         for _ in range(200):
@@ -81,7 +88,7 @@ class TestScores:
             copy = entry("a", mtbu=100.0, stdv=float(rng.uniform(1, 50)))
             now = float(rng.uniform(0, 200))
             p_nm = p_not_modified(copy.source_stats_snapshot, now)
-            score = cache.score(copy, now)
+            score = score_of(cache, copy, now)
             assert (score < 0) == (p_nm < qos)
             assert -1.0 <= score <= 1.0
 
@@ -90,7 +97,7 @@ class TestScores:
     )
     def test_unscored_policies_have_no_score(self, policy):
         with pytest.raises(ValueError, match="has no score"):
-            ClientCache(4, policy).score(entry("a"), now=0.0)
+            ClientCache(4, policy).score([("a", entry("a"))], now=0.0)
 
 
 class TestReadTracker:

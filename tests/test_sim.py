@@ -1042,6 +1042,14 @@ class TestIntegerFields:
             f"{label}: must be in [{0 if 'count' in label else 3}, 1000000]"
         ]
 
+    def test_duration_is_capped(self):
+        # 10**12 used to parse, and both slot loops step through every slot
+        assert self.violations({"seed": 1, "duration_slots": 10**12}) == [
+            "duration_slots: must be in [0, 1000000]"
+        ]
+        metrics = run(scenario_from_dict({"seed": 1, "duration_slots": 10**6}))
+        assert (metrics.duration_slots, metrics.counters["issued"]) == (10**6, 0)
+
     def test_integral_float_reads_as_int(self):
         doc = p2p_doc(seed=4.0, duration_slots=400.0,
                       objects={"count": 10.0, "mtbu": 120.0, "stdv_mtbu": 25.0})
@@ -1118,11 +1126,17 @@ class TestCheckedWhereRead:
         assert violations(doc) == ["objects[1].mtbu: 1e-09 " + WRITES.format(0.0004)]
 
     def test_default_mtbu_of_a_block_checked_against_the_duration(self):
-        doc = p2p_doc(duration_slots=10**9, objects={"count": 3}, clients={"count": 2})
-        assert violations(doc) == ["objects.mtbu: 100.0 " + WRITES.format(1000.0)]
-        # a refused mtbu reads as that default, and is reported alone
-        doc["objects"]["mtbu"] = -1.0
-        assert violations(doc) == ["objects.mtbu: must be in (0, 1e+150]"]
+        # duration_slots is capped at 10**6, which asks only 10**4 writes of
+        # the default mtbu 100, so the write cap is lowered to 100 here
+        doc = p2p_doc(duration_slots=10**5, objects={"count": 3}, clients={"count": 2})
+        with mock.patch.object(sim, "_MAX_EVENTS", 100):
+            assert violations(doc) == [
+                "objects.mtbu: 100.0 is below duration_slots / 100 = 1000.0, "
+                "more than 100 writes per object"
+            ]
+            # a refused mtbu reads as that default, and is reported alone
+            doc["objects"]["mtbu"] = -1.0
+            assert violations(doc) == ["objects.mtbu: must be in (0, 1e+150]"]
 
     @pytest.mark.parametrize("low", [-5.0, 0.0, -1e-300])
     def test_non_positive_low_end_of_mtbu_range(self, low):

@@ -93,3 +93,22 @@ class TestTracedBroadcast:
         aired = sum(r.resolution == "broadcast" for r in traced.records)
         assert aired > 0 and traced.counters["on_demand_responses"] > 0
         assert tracer.totals["air_schedule.next_index_read_end"][0] == aired
+
+
+class TestEngineReachesTracedNames:
+    """Each step the engine repeats is the traced public function itself."""
+
+    def test_full_scored_caches_call_score(self, tracing):
+        with tracing.Tracer(aircell) as tracer:
+            small_p2p_run()
+        assert tracer.totals["cache.score"][0] > 0
+
+    def test_plans_split_and_aired_reads_simulate_an_order(self, tracing):
+        with tracing.Tracer(aircell) as tracer:
+            traced = small_broadcast_run()
+        plans = tracer.totals["broadcast_plan.partition"][0]
+        assert plans > 0
+        assert tracer.totals["broadcast_plan.split"][0] >= plans
+        aired = sum(r.resolution == "broadcast" for r in traced.records)
+        assert aired > 0
+        assert tracer.totals["retrieval.simulate_order"][0] == aired
