@@ -1,25 +1,27 @@
 """Broadcast cycle construction and index timing for one cell.
 
 A program lays the published objects out over one or more channels, all
-sharing one cycle length, under a chosen indexing scheme:
+sharing one cycle length, under a chosen indexing scheme. Objects are of
+unit size: each airs in one slot of one channel per cycle, and an index
+segment fills one slot. On each data channel:
 
   NONE            data slots only
   DISTRIBUTED     one index slot immediately before each data slot
   ONCE_PER_CYCLE  one aggregate index slot at the start of the cycle
   ONE_M(m)        the whole aggregate index repeated m times, equally spaced
 
-Every index slot carries the full directory (object -> channel, slot), so a
-client that has read any index segment can plan retrieval of any object.
+With a dedicated index channel, channel 0 airs the index in every slot and
+the data channels carry data only. A program is stored as its directory
+(object -> channel, slot) and its index positions; every index slot carries
+the full directory, so a client that has read any index segment can plan
+retrieval of any object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
-DATA = "data"
-INDEX = "index"
-PAD = "pad"
+INDEX = "index"  # the label of an index read in a retrieval plan
 
 
 class NotApplicable(Exception):
@@ -48,68 +50,48 @@ def one_m(m: int) -> IndexScheme:
 
 
 @dataclass(frozen=True)
-class Slot:
-    kind: str  # DATA | INDEX | PAD
-    object_id: str | None = None
-
-
-@dataclass(frozen=True)
 class BroadcastProgram:
-    """One immutable broadcast cycle across all channels of a cell."""
+    """One immutable broadcast cycle across all channels of a cell: its
+    directory and its index slots. Any other channel-slot is padding."""
 
-    channels: tuple[tuple[Slot, ...], ...]
+    n_channels: int
     cycle_len_slots: int
     scheme: IndexScheme
     dedicated_index_channel: bool = False
     directory: dict[str, tuple[int, int]] = field(default_factory=dict)
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.channels)
+    # the index slots of channel 0, where every index read is made; each
+    # data channel repeats them unless channel 0 is a dedicated index channel
+    index_positions: tuple[int, ...] = ()
 
     def index_slots(self, channel: int) -> list[int]:
-        return [i for i, s in enumerate(self.channels[channel]) if s.kind == INDEX]
-
-    @cached_property
-    def index_positions(self) -> tuple[int, ...]:
-        """``index_slots(0)``, worked out once: where every index read is made."""
-        return tuple(self.index_slots(0))
+        if self.dedicated_index_channel and channel > 0:
+            return []
+        return list(self.index_positions)
 
     def index_segment_count(self) -> int:
         """Aggregate index segments per cycle on an index-carrying channel."""
-        if self.dedicated_index_channel:
-            return self.cycle_len_slots
-        if self.scheme.kind == "once_per_cycle":
-            return 1
-        if self.scheme.kind == "one_m":
-            return len(self.index_positions)
-        raise NotApplicable(f"scheme {self.scheme.kind!r} has no aggregate index")
-
-
-def _split_even(n: int, m: int) -> list[int]:
-    """n items into m contiguous groups, earlier groups one larger."""
-    base, extra = divmod(n, m)
-    return [base + (1 if i < extra else 0) for i in range(m)]
+        if self.scheme.kind in ("none", "distributed") and not self.dedicated_index_channel:
+            raise NotApplicable(f"scheme {self.scheme.kind!r} has no aggregate index")
+        return len(self.index_positions)
 
 
 def _layout_positions(n_data: int, scheme: IndexScheme) -> tuple[list[int], list[int]]:
-    """Cycle positions of (index slots, data slots) for one channel."""
+    """Cycle positions of (index slots, data slots) for a channel of n_data >= 1."""
     if scheme.kind == "none":
         return [], list(range(n_data))
     if scheme.kind == "distributed":
         return [2 * i for i in range(n_data)], [2 * i + 1 for i in range(n_data)]
     if scheme.kind == "once_per_cycle":
         return [0], list(range(1, 1 + n_data))
-    m = min(scheme.m, n_data) if n_data >= 1 else 1
-    groups = _split_even(n_data, m)
+    # m contiguous groups of data, earlier groups one larger, each after an index slot
+    m = min(scheme.m, n_data)
+    base, extra = divmod(n_data, m)
     index_pos: list[int] = []
     data_pos: list[int] = []
-    cursor = 0
-    for size in groups:
-        index_pos.append(cursor)
-        cursor += 1
-        data_pos.extend(range(cursor, cursor + size))
-        cursor += size
+    for group in range(m):
+        index_pos.append(len(index_pos) + len(data_pos))
+        start = index_pos[-1] + 1
+        data_pos.extend(range(start, start + base + (group < extra)))
     return index_pos, data_pos
 
 
@@ -121,12 +103,12 @@ def build_program(
 ) -> BroadcastProgram:
     """Build one broadcast cycle.
 
-    Objects are assigned round-robin across (data) channels in the given
-    order, preserving the planner's ordering. Index slots are injected per
-    scheme; positions are computed from the fullest channel so they coincide
-    on every channel, and shorter channels are padded to the common cycle
-    length. With a dedicated index channel, channel 0 carries only index
-    slots and the data channels carry bare data.
+    Objects go round-robin over the d data channels in the planner's order:
+    object i airs on data channel ``i mod d``, at data position ``i div d``.
+    Index slots are placed per scheme among the ``ceil(n / d)`` data slots
+    of the fullest channel, so they coincide on every channel. With a
+    dedicated index channel, channel 0 carries only index slots and the
+    data channels carry bare data.
     """
     if channels < 1:
         raise ValueError("need at least one channel")
@@ -135,36 +117,24 @@ def build_program(
     if dedicated_index_channel and channels < 2:
         raise ValueError("dedicated index channel needs at least 2 channels")
 
-    data_channels = channels - 1 if dedicated_index_channel else channels
-    per_channel: list[list[str]] = [[] for _ in range(data_channels)]
-    for i, obj in enumerate(published):
-        per_channel[i % data_channels].append(obj)
-    n_max = max(len(ch) for ch in per_channel)
-
-    data_scheme = NONE if dedicated_index_channel else scheme
-    index_pos, data_pos = _layout_positions(n_max, data_scheme)
-    cycle_len = (max(index_pos + data_pos) + 1) if (index_pos or data_pos) else 0
-
-    layouts: list[tuple[Slot, ...]] = []
-    directory: dict[str, tuple[int, int]] = {}
-    channel_offset = 1 if dedicated_index_channel else 0
-    for ch, objs in enumerate(per_channel):
-        slots = [Slot(PAD)] * cycle_len
-        for pos in index_pos:
-            slots[pos] = Slot(INDEX)
-        for obj, pos in zip(objs, data_pos):
-            slots[pos] = Slot(DATA, obj)
-            directory[obj] = (ch + channel_offset, pos)
-        layouts.append(tuple(slots))
-    if dedicated_index_channel:
-        layouts.insert(0, tuple(Slot(INDEX) for _ in range(cycle_len)))
-
+    offset = 1 if dedicated_index_channel else 0
+    data_channels = channels - offset
+    n_max = -(-len(published) // data_channels)
+    index_pos, data_pos = _layout_positions(
+        n_max, NONE if dedicated_index_channel else scheme
+    )
+    cycle_len = len(index_pos) + len(data_pos)
+    directory = {
+        obj: (i % data_channels + offset, data_pos[i // data_channels])
+        for i, obj in enumerate(published)
+    }
     return BroadcastProgram(
-        channels=tuple(layouts),
+        n_channels=channels,
         cycle_len_slots=cycle_len,
         scheme=scheme,
         dedicated_index_channel=dedicated_index_channel,
         directory=directory,
+        index_positions=tuple(range(cycle_len) if dedicated_index_channel else index_pos),
     )
 
 

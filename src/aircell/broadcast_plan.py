@@ -1,23 +1,26 @@
 """Published vs on-demand partitioning, bandwidth split, and batching.
 
-The cell serves n objects of uniform size S. Published objects are
-broadcast every cycle over bandwidth b_b; the rest are served on demand
-over bandwidth b_d as an M/M/1-style queue with service rate
-mu_d = b_d / (S + R) (R being the request size). Expected access time is
-the arrival-rate-weighted sum of half the cycle time for published objects
-and 1 / (mu_d - lambda_d) for on-demand ones; the split of the total
-bandwidth between the two groups is optimized numerically, and the
-partition itself is grown greedily from the most demanded object while the
-optimized access time stays under a threshold.
+The cell serves n objects of unit size: the broadcast program airs each
+published object in one channel-slot per cycle, so k published objects make
+a cycle of k units. Published objects are broadcast every cycle over
+bandwidth b_b; the rest are served on demand over bandwidth b_d as an
+M/M/1-style queue with service rate mu_d = b_d / (1 + R) (R being the
+request size). Expected access time is the arrival-rate-weighted sum of
+half the cycle time, k / (2 b_b), for published objects and
+1 / (mu_d - lambda_d) for on-demand ones; the split of the total bandwidth
+between the two groups is optimized numerically, and the partition itself
+is grown greedily from the most demanded object while the optimized access
+time stays under a threshold.
 
 The planner's input is a rate map, object id to arrival rate, whose
 iteration order is the caller's and fixes the order in which the total
-rate is summed. A plan is one pass over the objects plus a golden-section
-search per prefix: the rates are listed once in ``move_order``, each
-prefix's group rates are sums over that list, and
-``optimize_bandwidth_split`` takes the prefix's length and its two group
-rates and evaluates its objective inline, with no call or allocation per
-step.
+rate is summed; every sum of rates adds left to right from 0, as ``sum()``
+does before CPython 3.12 (whose ``sum()`` is compensated). A plan is one
+pass over the objects plus a golden-section search per prefix: the rates
+are listed once in ``move_order``, each prefix's group rates are sums over
+that list, and ``optimize_bandwidth_split`` takes the prefix's length and
+its two group rates and evaluates its objective inline, with no call or
+allocation per step.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
+
+import numpy as np
 
 # 1/phi, the golden-section search's step ratio
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -72,10 +79,8 @@ class PartitionResult:
     feasible: bool
 
 
-def _check(rates: Mapping[str, float], size: float = 1.0) -> None:
-    """Refuse a rate that is not finite and >= 0, or a size that is not > 0."""
-    if not size > 0:
-        raise ValueError("object size must be > 0")
+def _check(rates: Mapping[str, float]) -> None:
+    """Refuse a rate that is not finite and >= 0."""
     if not all(0 <= rate < math.inf for rate in rates.values()):
         raise ValueError("arrival rate must be finite and >= 0")
 
@@ -86,12 +91,11 @@ def _access_time(
     od_rate: float,
     b_b: float,
     b_d: float,
-    size: float,
     request_size: float,
     total_rate: float,
 ) -> AccessTime:
-    t_broadcast = (k * size) / (2.0 * b_b) if b_b > 0 else math.inf
-    mu_d = b_d / (size + request_size)
+    t_broadcast = k / (2.0 * b_b) if b_b > 0 else math.inf
+    mu_d = b_d / (1.0 + request_size)
     if od_rate > 0 and mu_d <= od_rate:
         raise Unstable(f"mu_d={mu_d} <= lambda_d={od_rate}")
     t_on_demand = 1.0 / (mu_d - od_rate) if mu_d > od_rate else math.inf
@@ -105,21 +109,21 @@ def _access_time(
 
 
 def expected_access_time(
-    partition: Partition, rates: Mapping[str, float], params: PlanParams, size: float = 1.0
+    partition: Partition, rates: Mapping[str, float], params: PlanParams
 ) -> AccessTime:
     """Expected access time of a partition at its recorded bandwidth split."""
-    _check(rates, size)
-    pub_rate = sum(rates[o] for o in partition.published)
-    od_rate = sum(rates[o] for o in partition.on_demand)
-    total = sum(rates.values())
+    _check(rates)
+    pub_rate = reduce(add, (rates[o] for o in partition.published), 0)
+    od_rate = reduce(add, (rates[o] for o in partition.on_demand), 0)
+    total = reduce(add, rates.values(), 0)
     return _access_time(
         len(partition.published), pub_rate, od_rate,
-        partition.b_b, partition.b_d, size, params.request_size, total,
+        partition.b_b, partition.b_d, params.request_size, total,
     )
 
 
 def optimize_bandwidth_split(
-    k: int, pub_rate: float, od_rate: float, params: PlanParams, size: float = 1.0
+    k: int, pub_rate: float, od_rate: float, params: PlanParams
 ) -> tuple[float, float]:
     """Bandwidth split (b_b, b_d) minimizing the expected access time of k
     published objects with the given group arrival rates.
@@ -132,12 +136,10 @@ def optimize_bandwidth_split(
     invariants hoisted out; it must keep that function's float operations
     and their order, or the split moves in the last bits.
     """
-    if not size > 0:
-        raise ValueError("object size must be > 0")
     if not (k >= 0 and pub_rate >= 0 and od_rate >= 0):
         raise ValueError("published count and group rates must be >= 0")
     total_b = params.total_bandwidth
-    per_request = size + params.request_size
+    per_request = 1.0 + params.request_size
     if od_rate == 0:
         return (total_b, 0.0)
     if pub_rate == 0:
@@ -148,7 +150,7 @@ def optimize_bandwidth_split(
     upper = total_b - od_rate * per_request
     if upper <= 0:
         raise Unstable("no stable split: on-demand demand exceeds capacity")
-    cycle = k * size
+    cycle = float(k)  # k unit-size objects: the float that k * size gave at size 1.0
     tol = 1e-6 * total_b
     if upper <= 2 * tol:
         return (upper / 2.0, total_b - upper / 2.0)
@@ -192,9 +194,7 @@ def move_order(rates: Mapping[str, float]) -> list[str]:
     return sorted(sorted(rates), key=rates.__getitem__, reverse=True)
 
 
-def partition_objects(
-    rates: Mapping[str, float], params: PlanParams, size: float = 1.0
-) -> PartitionResult:
+def partition_objects(rates: Mapping[str, float], params: PlanParams) -> PartitionResult:
     """Grow the published set greedily while the threshold holds.
 
     Starting from all-on-demand, the most demanded remaining object is moved
@@ -204,28 +204,33 @@ def partition_objects(
     the initial configuration violates the threshold, it is returned flagged
     infeasible.
 
-    All objects share one ``size``. The rates are listed once in move
-    order. Prefix k sums the first k of them and the rest left to right, the
-    same additions in the same order as ``expected_access_time`` makes.
-    ``move_order`` refuses a bad rate, and the first split a bad size.
+    The rates are listed once in move order. Prefix k's group rates are the
+    first k of them as a running sum and the rest as a scan from k on, the
+    additions ``expected_access_time`` makes, in its order. ``move_order``
+    refuses a bad rate.
     """
     if not rates:
         raise ValueError("no rates given")
     order = move_order(rates)
     listed = [rates[o] for o in order]
-    total, total_b = sum(rates.values()), params.total_bandwidth
-    kept = None  # the last prefix that holds: (k, b_b, b_d, access)
+    # the trailing 0.0 is the empty suffix's rate, and it turns a scan of
+    # -0.0 rates alone into the 0.0 that a fold from 0 gives
+    column = np.array(listed + [0.0])
+    total, total_b = reduce(add, rates.values(), 0), params.total_bandwidth
+    pub_rate, kept = 0, None  # kept: the last prefix that holds (k, b_b, b_d, access)
     for k in range(len(order) + 1):
-        pub_rate, od_rate = sum(listed[:k]), sum(listed[k:])
+        if k:
+            pub_rate += listed[k - 1]
+        od_rate = np.add.accumulate(column[k:])[-1].item()
         try:
-            b_b, b_d = optimize_bandwidth_split(k, pub_rate, od_rate, params, size)
+            b_b, b_d = optimize_bandwidth_split(k, pub_rate, od_rate, params)
         except Unstable:
             b_b, b_d = 0.0, total_b
-            mu_d = total_b / (size + params.request_size)
+            mu_d = total_b / (1.0 + params.request_size)
             access = AccessTime(math.inf, math.inf, math.inf, math.inf, mu_d, od_rate)
         else:
             access = _access_time(
-                k, pub_rate, od_rate, b_b, b_d, size, params.request_size, total
+                k, pub_rate, od_rate, b_b, b_d, params.request_size, total
             )
         if not (math.isfinite(access.raw) and access.raw <= params.threshold):
             break

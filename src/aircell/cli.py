@@ -21,7 +21,7 @@ from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 
-from . import air_schedule, fidelity
+from . import fidelity
 from .sim import (
     SCHEMA_ID,
     Scenario,
@@ -220,17 +220,15 @@ def cmd_dump_program(args: argparse.Namespace) -> int:
     if program is None:
         print("(no published objects; everything is on demand)")
         return 0
-    width = max(
-        [len(s.object_id or "") for ch in program.channels for s in ch] + [5]
-    )
+    width = max([len(oid) for oid in program.directory] + [5])
+    rows = [["-"] * program.cycle_len_slots for _ in range(program.n_channels)]
+    for oid, (channel, slot) in program.directory.items():
+        rows[channel][slot] = oid
     print(f"cycle length: {program.cycle_len_slots} slots")
-    for i, channel in enumerate(program.channels):
-        labels = (
-            slot.object_id if slot.kind == air_schedule.DATA
-            else "INDEX" if slot.kind == air_schedule.INDEX else "-"
-            for slot in channel
-        )
-        print(f"ch{i}: " + " ".join(label.rjust(width) for label in labels))
+    for i, row in enumerate(rows):
+        for slot in program.index_slots(i):
+            row[slot] = "INDEX"
+        print(f"ch{i}: " + " ".join(label.rjust(width) for label in row))
     return 0
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -131,8 +133,11 @@ class ResourceModel:
     intercept: float
 
     def predict(self, encoded_config: Sequence[float]) -> float:
-        return self.intercept + sum(
-            c * float(v) for c, v in zip(self.coefficients, encoded_config)
+        """The intercept plus the terms ``c * x``, added left to right from 0
+        (as ``sum()`` adds floats before CPython 3.12, whose ``sum()`` is
+        compensated)."""
+        return self.intercept + reduce(
+            add, (c * float(v) for c, v in zip(self.coefficients, encoded_config)), 0
         )
 
 
@@ -177,6 +182,9 @@ def feasible_configs(
     once; a configuration's prediction is then its model's intercept plus
     the sum of its terms, the float operations of ``ResourceModel.predict``
     in the same order, so exactly the configurations it admits are kept.
+    The sums are built axis by axis, each adding its terms to the sums of
+    the axes before it, so a prefix shared by many configurations is added
+    once.
     """
     grid = domain.grid(continuous_points)
     if not available:
@@ -190,13 +198,14 @@ def feasible_configs(
         limit = available[m.resource_id]
         # like predict, a model reads only the leading axes it has coefficients
         # for; its prediction repeats over the grid points of the other axes
-        terms = [[c * float(x) for x in xs] for c, xs in zip(m.coefficients, coords)]
-        repeat = math.prod(len(axis) for axis in axes[len(terms):])
+        sums = [0]
+        for c, xs in zip(m.coefficients, coords):
+            terms = [c * float(x) for x in xs]
+            sums = [s + t for s in sums for t in terms]
+        repeat = math.prod(len(axis) for axis in axes[len(m.coefficients):])
         fits = [
-            ok and m.intercept + sum(t) <= limit
-            for ok, t in zip(
-                fits, (t for t in itertools.product(*terms) for _ in range(repeat))
-            )
+            ok and m.intercept + s <= limit
+            for ok, s in zip(fits, (s for s in sums for _ in range(repeat)))
         ]
     return [cfg for cfg, ok in zip(grid, fits) if ok]
 

@@ -54,6 +54,7 @@ class UpdateLog:
     _intervals: list[float] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
+    _total: float = field(default=0, init=False, repr=False, compare=False)
 
     def record_update(self, t: float) -> "UpdateLog":
         if self.update_times and t <= self.update_times[-1]:
@@ -72,10 +73,10 @@ class UpdateLog:
 
         Memoized on the log length. The log only grows, so a length change
         is exactly a new write, whether it came through ``record_update`` or
-        a direct append to ``update_times``. The intervals are kept between
-        refreshes and a write adds one to the kept list; the mean and the
-        variance are summed over that list in order, so the floats are
-        those of a full recomputation.
+        a direct append to ``update_times``. A write adds one interval to
+        the kept list and to their running total, and the squared deviations
+        are added over that list in order: left to right from 0, as ``sum()``
+        adds floats before CPython 3.12 (whose ``sum()`` is compensated).
         """
         n = len(self.update_times)
         if self._memo is None or self._memo[0] != n:
@@ -89,12 +90,15 @@ class UpdateLog:
         if len(times) == 1:
             return FreshnessStats(0.0, 0.0, times[-1], 0)
         intervals = self._intervals
-        intervals.extend([times[i + 1] - times[i]
-                          for i in range(len(intervals), len(times) - 1)])
+        for i in range(len(intervals), len(times) - 1):
+            intervals.append(times[i + 1] - times[i])
+            self._total += intervals[-1]
         n = len(intervals)
-        mtbu = sum(intervals) / n
-        var = sum([(x - mtbu) ** 2 for x in intervals]) / n
-        return FreshnessStats(mtbu, math.sqrt(var), times[-1], n)
+        mtbu = self._total / n
+        squares = 0
+        for x in intervals:
+            squares += (x - mtbu) ** 2
+        return FreshnessStats(mtbu, math.sqrt(squares / n), times[-1], n)
 
 
 def p_modified(stats: FreshnessStats, now: float) -> float:

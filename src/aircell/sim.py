@@ -36,8 +36,9 @@ import sys
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, islice, repeat
-from operator import itemgetter
+from operator import add, itemgetter
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -153,7 +154,9 @@ _MAX_MTBU = 1e150
 # other check: history_burnin, the burn-in writes of each source, and the
 # count of a compact objects or clients block. And it caps duration_slots,
 # as both slot loops step through every slot, loaded or not, so an idle
-# run's time grows with it (10**12 slots would run for days).
+# run's time grows with it (10**12 slots would run for days). It caps
+# cell.channels too: a program costs nothing per empty channel, but
+# ``dump-program`` prints a row for each.
 _MAX_EVENTS = 10**6
 
 _REQUIRED = object()
@@ -232,7 +235,7 @@ SCHEMA: dict[str, dict[str, Field]] = {
             Field("source", float, 5.0, lo=0),
         ),
         "cell": (
-            Field("channels", int, 1, lo=1), Field("m", int, 1, lo=1),
+            Field("channels", int, 1, lo=1, hi=_MAX_EVENTS), Field("m", int, 1, lo=1),
             Field("scheme", ("none", "distributed", "once_per_cycle", "one_m"), "one_m"),
             Field("dedicated_index_channel", bool, False),
             Field("total_bandwidth", float, 10.0, above=0),
@@ -791,12 +794,18 @@ class Metrics:
     plan: dict | None = None
 
     def summary(self) -> dict[str, float]:
+        """The run's totals and means; each float sum adds left to right, as
+        ``sum()`` does before CPython 3.12, whose ``sum()`` is compensated."""
         served = [r for r in self.records if r.resolution != "unresolved"]
         cached = [
             r for r in self.records
             if r.resolution in ("local_cache", "neighbor_cache")
         ]
         violations = sum(1 for r in cached if not r.qos_met)
+        latency = staleness = 0
+        for r in served:
+            latency += r.latency_slots
+            staleness += r.staleness_slots
         out = {
             "issued": float(self.counters.get("issued", 0)),
             "answered": float(self.counters.get("answered", 0)),
@@ -804,16 +813,12 @@ class Metrics:
             "source_load": float(self.counters.get("source_load", 0)),
             "requeries": float(self.counters.get("requeries", 0)),
             "qos_violations": float(violations),
-            "mean_latency_slots": (
-                sum(r.latency_slots for r in served) / len(served) if served else 0.0
-            ),
-            "mean_staleness_slots": (
-                sum(r.staleness_slots for r in served) / len(served) if served else 0.0
-            ),
+            "mean_latency_slots": latency / len(served) if served else 0.0,
+            "mean_staleness_slots": staleness / len(served) if served else 0.0,
             "broadcast_slots": float(self.counters.get("broadcast_slots", 0)),
             "on_demand_responses": float(self.counters.get("on_demand_responses", 0)),
             "batching_saved": float(self.counters.get("batching_saved", 0)),
-            "total_energy": float(sum(self.per_client_energy.values())),
+            "total_energy": float(reduce(add, self.per_client_energy.values(), 0)),
         }
         return out
 
@@ -907,10 +912,10 @@ def _write_times(spec: ObjectSpec, seed: int, burnin: int) -> Iterator[float]:
 def initial_rates(scenario: Scenario) -> dict[str, float]:
     """Per-object arrival rates before any are observed.
 
-    The clients' total request rate spread over the objects by the Zipf
-    popularity of their position in the scenario.
+    The clients' total request rate, added left to right, spread over the
+    objects by the Zipf popularity of their position in the scenario.
     """
-    total_rate = sum(c.request_rate for c in scenario.clients)
+    total_rate = reduce(add, (c.request_rate for c in scenario.clients), 0)
     pmf = zipf_pmf(len(scenario.objects), scenario.zipf_theta)
     return {
         o.object_id: total_rate * float(pmf[i])

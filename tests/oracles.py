@@ -12,6 +12,8 @@ import itertools
 import json
 import math
 from collections import OrderedDict
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -37,10 +39,16 @@ from aircell.retrieval import PlannedRead, RefusedSize, RetrievalPlan
 from aircell.sim import substream, zipf_pmf
 
 
+def fold(xs) -> float:
+    """Add left to right from 0, as ``sum()`` does before CPython 3.12 and
+    as the engine adds its floats on every interpreter."""
+    return reduce(add, xs, 0)
+
+
 def mean_and_pop_std(xs: list[float]) -> tuple[float, float]:
     n = len(xs)
-    mean = sum(xs) / n
-    var = sum((x - mean) ** 2 for x in xs) / n
+    mean = fold(xs) / n
+    var = fold((x - mean) ** 2 for x in xs) / n
     return mean, math.sqrt(var)
 
 
@@ -443,9 +451,10 @@ def batches_reference(records, window: float):
 # The broadcast planner as it stood before the one-pass rewrite: every
 # prefix rebuilds the rate dict, the size set and the group sums, and each
 # golden-section step builds a full AccessTime. Kept verbatim so that the
-# rewrite can be held to bit-exact equality, not a tolerance. It reads the
-# fields of the planner's old per-object input, which ``DemandRecord``
-# holds; the planner itself now takes a rate map.
+# rewrite can be held to bit-exact equality, not a tolerance, except that
+# its rate sums ``fold`` left to right, as the planner now adds them. It
+# reads the fields of the planner's old per-object input, which
+# ``DemandRecord`` holds; the planner itself now takes a rate map.
 # --------------------------------------------------------------------------
 
 class DemandRecord(NamedTuple):
@@ -463,8 +472,8 @@ def _ref_uniform_size(demands) -> float:
 
 def _ref_group_rates(partition, demands) -> tuple[float, float]:
     by_id = {d.object_id: d.rate for d in demands}
-    pub = sum(by_id[o] for o in partition.published)
-    dem = sum(by_id[o] for o in partition.on_demand)
+    pub = fold(by_id[o] for o in partition.published)
+    dem = fold(by_id[o] for o in partition.on_demand)
     return pub, dem
 
 
@@ -488,7 +497,7 @@ def _ref_access_time(
 def _ref_expected_access_time(partition, demands, params):
     size = _ref_uniform_size(demands)
     pub_rate, od_rate = _ref_group_rates(partition, demands)
-    total = sum(d.rate for d in demands)
+    total = fold(d.rate for d in demands)
     return _ref_access_time(
         len(partition.published), pub_rate, od_rate,
         partition.b_b, partition.b_d, size, params.request_size, total,
@@ -519,8 +528,8 @@ def _ref_optimize_bandwidth_split(published, on_demand, demands, params):
     by_id = {d.object_id: d.rate for d in demands}
     size = _ref_uniform_size(demands)
     total_b = params.total_bandwidth
-    pub_rate = sum(by_id[o] for o in published)
-    od_rate = sum(by_id[o] for o in on_demand)
+    pub_rate = fold(by_id[o] for o in published)
+    od_rate = fold(by_id[o] for o in on_demand)
     k = len(published)
 
     if not on_demand or od_rate == 0:
@@ -556,7 +565,7 @@ def _ref_evaluate_prefix(order, k, demands, params):
         part = Partition(tuple(published), tuple(on_demand), 0.0, params.total_bandwidth)
         size = _ref_uniform_size(demands)
         by_id = {d.object_id: d.rate for d in demands}
-        od_rate = sum(by_id[o] for o in on_demand)
+        od_rate = fold(by_id[o] for o in on_demand)
         mu_d = params.total_bandwidth / (size + params.request_size)
         return part, AccessTime(math.inf, math.inf, math.inf, math.inf, mu_d, od_rate)
     part = Partition(tuple(published), tuple(on_demand), b_b, b_d)
@@ -806,3 +815,60 @@ def metrics_json_reference(metrics) -> bytes:
         ],
     }
     return json.dumps(document, sort_keys=True, indent=None).encode()
+
+
+# --------------------------------------------------------------------------
+# CPython 3.12's builtin ``sum``, for running 3.12's float sums on an older
+# interpreter. From 3.12 on, ``sum`` adds exact floats with Neumaier's
+# compensated summation, so a float total can differ in its last bits from
+# the left-to-right total of 3.10 and 3.11.
+# --------------------------------------------------------------------------
+
+_LONG_MIN, _LONG_MAX = -2**63, 2**63 - 1  # a C long on 64-bit Linux
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as CPython 3.12 computes it, written out in Python.
+
+    The C code's fast paths, in its order: ints are added exactly while the
+    total fits a C long; from the first exact float on, exact floats are
+    added with a running compensation term (ints that fit a C long are
+    added plainly), which is added back, if finite and nonzero, when the
+    floats end; anything else, a numpy scalar say, and everything after
+    it goes through ``+``.
+    """
+    items = iter(iterable)
+    result = start
+    if type(result) is int and _LONG_MIN <= result <= _LONG_MAX:
+        for item in items:
+            if type(item) in (int, bool) and _LONG_MIN <= result + item <= _LONG_MAX:
+                result += item
+            else:
+                result = result + item
+                break
+        else:
+            return result
+    if type(result) is float:
+        total, comp = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    comp += (total - t) + item
+                else:
+                    comp += (item - t) + total
+                total = t
+            elif isinstance(item, int) and _LONG_MIN <= item <= _LONG_MAX:
+                total += float(item)
+            else:
+                if comp and math.isfinite(comp):
+                    total += comp
+                result = total + item
+                break
+        else:
+            if comp and math.isfinite(comp):
+                total += comp
+            return total
+    for item in items:
+        result = result + item
+    return result

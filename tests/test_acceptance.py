@@ -165,16 +165,15 @@ def test_criterion_6_bandwidth_split_against_grid_oracle():
     for i in range(100):
         n = int(rng.integers(2, 9))
         rates = {f"o{j}": float(rng.uniform(0.2, 3.0)) for j in range(n)}
-        size = float(rng.uniform(0.5, 2.0))
         request = float(rng.uniform(0.0, 0.5))
-        bandwidth = float((size + request) * sum(rates.values()) * rng.uniform(1.5, 4.0))
+        bandwidth = float((1.0 + request) * sum(rates.values()) * rng.uniform(1.5, 4.0))
         k = int(rng.integers(1, n))
         order = sorted(rates, key=lambda o: (-rates[o], o))
         pub_rate = sum(rates[o] for o in order[:k])
         od_rate = sum(rates[o] for o in order[k:])
         params = broadcast_plan.PlanParams(bandwidth, request)
-        b_b, b_d = broadcast_plan.optimize_bandwidth_split(k, pub_rate, od_rate, params, size)
-        grid_b, _ = grid_search_split(k, pub_rate, od_rate, bandwidth, size, request)
+        b_b, b_d = broadcast_plan.optimize_bandwidth_split(k, pub_rate, od_rate, params)
+        grid_b, _ = grid_search_split(k, pub_rate, od_rate, bandwidth, 1.0, request)
         if abs(b_b - grid_b) > 1e-3 * bandwidth:
             failures.append(f"instance {i}: split {b_b:.5f} vs grid {grid_b:.5f}")
         if b_d < 0 or b_b < 0 or abs(b_b + b_d - bandwidth) > 1e-9:

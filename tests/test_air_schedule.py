@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from aircell.air_schedule import (
-    DATA,
     DISTRIBUTED,
     INDEX,
     NONE,
     ONCE_PER_CYCLE,
-    PAD,
     IndexScheme,
     NotApplicable,
     build_program,
@@ -17,10 +15,25 @@ from aircell.air_schedule import (
 )
 
 OBJS4 = ["a", "b", "c", "d"]
+DATA, PAD = "data", "pad"
 
 
 def kinds(program, channel=0):
-    return [s.kind for s in program.channels[channel]]
+    """The channel's slots as INDEX, DATA or PAD, from the index and directory."""
+    row = [PAD] * program.cycle_len_slots
+    for slot in program.index_slots(channel):
+        row[slot] = INDEX
+    for ch, slot in program.directory.values():
+        if ch == channel:
+            row[slot] = DATA
+    return row
+
+
+def aired(program, channel=0):
+    """The channel's objects in cycle order."""
+    on_channel = [(slot, oid) for oid, (ch, slot) in program.directory.items()
+                  if ch == channel]
+    return [oid for _, oid in sorted(on_channel)]
 
 
 class TestLayouts:
@@ -28,7 +41,7 @@ class TestLayouts:
         p = build_program(OBJS4, 1, NONE)
         assert p.cycle_len_slots == 4
         assert kinds(p) == [DATA] * 4
-        assert [s.object_id for s in p.channels[0]] == OBJS4
+        assert aired(p) == OBJS4
 
     def test_distributed_alternates(self):
         p = build_program(OBJS4, 1, DISTRIBUTED)
@@ -44,7 +57,7 @@ class TestLayouts:
         p = build_program(OBJS4, 1, one_m(2))
         assert p.cycle_len_slots == 6
         assert kinds(p) == [INDEX, DATA, DATA, INDEX, DATA, DATA]
-        assert [s.object_id for s in p.channels[0] if s.kind == DATA] == OBJS4
+        assert aired(p) == OBJS4
 
     def test_four_replica_layout(self):
         p = build_program(OBJS4, 1, one_m(4))
@@ -78,14 +91,21 @@ class TestMultiChannel:
         objs = [f"o{i}" for i in range(10)]
         p = build_program(objs, 3, NONE)
         assert p.n_channels == 3
-        assert len({len(ch) for ch in p.channels}) == 1
-        placed = [s.object_id for ch in p.channels for s in ch if s.kind == DATA]
+        assert len({len(kinds(p, ch)) for ch in range(3)}) == 1
+        placed = [oid for ch in range(3) for oid in aired(p, ch)]
         assert sorted(placed) == sorted(objs)
         assert p.directory["o0"] == (0, 0)
         assert p.directory["o1"] == (1, 0)
         assert p.directory["o2"] == (2, 0)
         assert p.directory["o3"] == (0, 1)
-        assert sum(1 for ch in p.channels for s in ch if s.kind == PAD) == 2
+        assert sum(kinds(p, ch).count(PAD) for ch in range(3)) == 2
+
+    def test_channels_up_to_the_cap(self):
+        # the scenario reader's cap on cell.channels; an empty channel is no work
+        p = build_program(["a", "b"], 10**6, one_m(1))
+        assert p.n_channels == 10**6
+        assert p.directory == {"a": (0, 1), "b": (1, 1)}
+        assert p.cycle_len_slots == 2 and p.index_slots(999_999) == [0]
 
     def test_index_positions_agree_across_channels(self):
         objs = [f"o{i}" for i in range(10)]
@@ -96,8 +116,8 @@ class TestMultiChannel:
     def test_dedicated_index_channel(self):
         objs = [f"o{i}" for i in range(6)]
         p = build_program(objs, 3, one_m(2), dedicated_index_channel=True)
-        assert all(s.kind == INDEX for s in p.channels[0])
-        assert all(s.kind != INDEX for ch in p.channels[1:] for s in ch)
+        assert all(kind == INDEX for kind in kinds(p, 0))
+        assert all(kind != INDEX for ch in (1, 2) for kind in kinds(p, ch))
         assert p.index_segment_count() == p.cycle_len_slots
         assert expected_index_wait(p) == 0.5
 

@@ -29,9 +29,9 @@ def demands_of(rates: dict[str, float]) -> dict[str, float]:
     return dict(sorted(rates.items()))
 
 
-def records_of(rates: dict[str, float], size: float = 1.0) -> list[DemandRecord]:
+def records_of(rates: dict[str, float]) -> list[DemandRecord]:
     """The reference planner's input for a rate map, in the map's order."""
-    return [DemandRecord(oid, r, size) for oid, r in rates.items()]
+    return [DemandRecord(oid, r, 1.0) for oid, r in rates.items()]
 
 
 class TestExpectedAccessTime:
@@ -97,18 +97,17 @@ class TestBandwidthSplit:
         for _ in range(40):
             n = int(rng.integers(2, 8))
             rates = {f"o{i}": float(rng.uniform(0.2, 3.0)) for i in range(n)}
-            size = float(rng.uniform(0.5, 2.0))
             request = float(rng.uniform(0.0, 0.5))
             total_rate = sum(rates.values())
-            bandwidth = float((size + request) * total_rate * rng.uniform(1.5, 4.0))
+            bandwidth = float((1.0 + request) * total_rate * rng.uniform(1.5, 4.0))
             k = int(rng.integers(1, n))
             order = sorted(rates, key=lambda o: (-rates[o], o))
             pub, od = order[:k], order[k:]
             params = PlanParams(bandwidth, request)
             pub_rate = sum(rates[o] for o in pub)
             od_rate = sum(rates[o] for o in od)
-            b_b, _ = optimize_bandwidth_split(k, pub_rate, od_rate, params, size)
-            grid_b, _ = grid_search_split(k, pub_rate, od_rate, bandwidth, size, request)
+            b_b, _ = optimize_bandwidth_split(k, pub_rate, od_rate, params)
+            grid_b, _ = grid_search_split(k, pub_rate, od_rate, bandwidth, 1.0, request)
             assert abs(b_b - grid_b) <= 1e-3 * bandwidth
 
     def test_unstable_split(self):
@@ -121,11 +120,6 @@ class TestBandwidthSplit:
     def test_negative_count_or_rate_rejected(self, k, pub_rate, od_rate):
         with pytest.raises(ValueError, match="published count and group rates must be >= 0"):
             optimize_bandwidth_split(k, pub_rate, od_rate, PlanParams(10.0, 0.25))
-
-    @pytest.mark.parametrize("size", [0.0, -1.0, math.nan])
-    def test_nonpositive_size_rejected(self, size):
-        with pytest.raises(ValueError, match="object size must be > 0"):
-            optimize_bandwidth_split(1, 1.0, 1.0, PlanParams(10.0, 0.25), size)
 
 
 class TestPartition:
@@ -224,7 +218,6 @@ class TestPartitionBitExact:
         rates=st.integers(1, 60).flatmap(
             lambda n: st.lists(_rates, min_size=n, max_size=n)
         ),
-        size=st.sampled_from([0.5, 1.0, 1.5]),
         request=st.sampled_from([0.0, 0.25, 0.4]),
         # below 1 the all-on-demand configuration is unstable
         headroom=st.floats(0.3, 4.0, allow_nan=False),
@@ -236,17 +229,17 @@ class TestPartitionBitExact:
         ids_descending=st.booleans(),
     )
     def test_matches_reference_exactly(
-        self, rates, size, request, headroom, threshold, mid_cap, ids_descending
+        self, rates, request, headroom, threshold, mid_cap, ids_descending
     ):
         listed = list(enumerate(rates))
         by_id = {f"o{i:02d}": r for i, r in (listed[::-1] if ids_descending else listed)}
-        load = sum(rates) * (size + request)
+        load = sum(rates) * (1.0 + request)
         bandwidth = max(load * headroom, 0.1)
         if mid_cap is not None:
             threshold = mid_cap * sum(rates)
         params = PlanParams(bandwidth, request, threshold)
-        expected = partition_reference(records_of(by_id, size), params)
-        assert partition_objects(by_id, params, size) == expected
+        expected = partition_reference(records_of(by_id), params)
+        assert partition_objects(by_id, params) == expected
 
     def test_saturated_cell_is_infeasible(self):
         # on-demand load 10 * 1.25 exceeds the bandwidth, so prefix 0 is
@@ -262,11 +255,6 @@ class TestPartitionBitExact:
     def test_non_finite_or_negative_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="arrival rate must be finite and >= 0"):
             partition_objects({"a": 1.0, "b": rate}, PlanParams(10.0, 0.25))
-
-    @pytest.mark.parametrize("size", [0.0, -1.0, math.nan])
-    def test_nonpositive_size_rejected(self, size):
-        with pytest.raises(ValueError, match="object size must be > 0"):
-            partition_objects({"a": 1.0}, PlanParams(10.0, 0.25), size)
 
     def test_engine_plans_match_reference(self, monkeypatch):
         # a replanning cell whose observed rates, counts over slots so far,

@@ -345,6 +345,42 @@ class TestPlanningCommands:
         assert "ch0:" in out and "ch1:" in out
         assert "INDEX" in out
 
+    # every object published (threshold 1e9), so the table is the whole cycle
+    DUMPS = {
+        "padded_one_m": (
+            {"count": 5, "mtbu": 80.0},
+            {"channels": 2, "scheme": "one_m", "m": 2},
+            "cycle length: 5 slots\n"
+            "ch0: INDEX  obj0  obj2 INDEX  obj4\n"
+            "ch1: INDEX  obj1  obj3 INDEX     -\n",
+        ),
+        "dedicated_index": (
+            {"count": 5, "mtbu": 80.0},
+            {"channels": 3, "scheme": "one_m", "m": 2, "dedicated_index_channel": True},
+            "cycle length: 3 slots\n"
+            "ch0: INDEX INDEX INDEX\n"
+            "ch1:  obj0  obj2  obj4\n"
+            "ch2:  obj1  obj3     -\n",
+        ),
+        # an empty id is a data slot, and the longest id sets the width
+        "distributed": (
+            [{"object_id": oid, "mtbu": 80.0} for oid in ("", "longer_id", "c")],
+            {"channels": 2, "scheme": "distributed"},
+            "cycle length: 4 slots\n"
+            "ch0:     INDEX               INDEX         c\n"
+            "ch1:     INDEX longer_id     INDEX         -\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DUMPS))
+    def test_dump_program_exact_table(self, tmp_path, capsys, name):
+        objects, cell, expected = self.DUMPS[name]
+        doc = dict(MINI, objects=objects, resolution_mode="broadcast",
+                   cell=dict(cell, total_bandwidth=10.0, threshold=1e9))
+        scenario = write_scenario(tmp_path, doc)
+        assert main(["dump-program", "--scenario", str(scenario)]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_plan_reports_partition(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, self.broadcast_doc())
         assert main(["plan", "--scenario", str(scenario)]) == 0

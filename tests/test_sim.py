@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import importlib.util
 import json
@@ -391,6 +392,34 @@ class TestDeterminism:
         doc = benchmark_workloads().SCENARIOS[name](pins["default_seed"])
         metrics = run(scenario_from_dict(doc))
         assert hashlib.sha256(metrics.to_json_bytes()).hexdigest() == pins["sha256"][name]
+
+    # CPython 3.12's float sum() is compensated; the engine adds its floats
+    # left to right itself, so one set of pins holds on every interpreter
+    @pytest.mark.parametrize(
+        "name", [*sorted(GOLDEN), "p2p_lru", "p2p_qf_churn", "broadcast_replan"])
+    def test_pins_hold_under_compensated_sum(self, name, monkeypatch):
+        monkeypatch.setattr(builtins, "sum", oracles.compensated_sum)
+        if name in self.GOLDEN:
+            self.test_golden_digest(name)
+        else:
+            self.test_benchmark_pins(name)
+
+    def test_compensated_sum_stand_in(self, rng):
+        stand_in = oracles.compensated_sum
+        # 0.1 added ten times left to right is 0.9999999999999999
+        assert stand_in([0.1] * 10) == 1.0
+        assert stand_in([1e100, 1.0, -1e100, 1.0]) == 2.0
+        assert stand_in([math.inf, 1.0]) == math.inf
+        assert math.copysign(1.0, stand_in([-0.0], -0.0)) == -1.0
+        assert stand_in([1, 2, True]) == 4 and type(stand_in([1, 2])) is int
+        assert stand_in([2**64, 0.5]) == 2**64 + 0.5
+        mixed = [0.1, 3, np.float64(0.2), 0.3]
+        assert stand_in(mixed) == ((0.1 + 3.0) + np.float64(0.2)) + 0.3
+        if sys.version_info >= (3, 12):  # the real thing is at hand
+            for _ in range(200):
+                xs = (rng.standard_normal(int(rng.integers(0, 30)))
+                      * 10.0 ** rng.integers(-5, 5)).tolist()
+                assert stand_in(xs) == sum(xs)
 
     def test_mixed_document_exercises_every_path(self):
         metrics = run(scenario_from_dict(mixed_doc()))
@@ -1049,6 +1078,13 @@ class TestIntegerFields:
         ]
         metrics = run(scenario_from_dict({"seed": 1, "duration_slots": 10**6}))
         assert (metrics.duration_slots, metrics.counters["issued"]) == (10**6, 0)
+
+    def test_channels_are_capped(self):
+        # 10**9 used to parse; dump-program prints a row per channel
+        assert self.violations(broadcast_doc(cell={"channels": 10**6 + 1})) == [
+            "cell.channels: must be in [1, 1000000]"
+        ]
+        assert scenario_from_dict(broadcast_doc(cell={"channels": 10**6})).cell.channels == 10**6
 
     def test_integral_float_reads_as_int(self):
         doc = p2p_doc(seed=4.0, duration_slots=400.0,
