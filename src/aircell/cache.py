@@ -238,6 +238,23 @@ class ClientCache:
         self.entries[entry.object_id] = entry
         return EvictionReport(True, victim)
 
+    def next_expiry(self) -> float:
+        """The first integer ``now`` at which ``tick`` may act, for entries
+        cached at integer times; inf if it never can.
+
+        An entry cached at c is first older than the ttl at
+        c + floor(ttl) + 1, and the kept oldest ``cached_at`` is a lower
+        bound on the entries not pending a requery, so ``tick`` does
+        nothing before this time. At or after it, ``tick``'s own test
+        decides. While entries are cached at nondecreasing times, only
+        ``tick`` raises it, and ``insert`` lowers it only from inf.
+        """
+        ttl = self.default_ttl
+        if (self.policy not in TTL_POLICIES or ttl is None or ttl == math.inf
+                or self._oldest == math.inf):
+            return math.inf
+        return math.floor(self._oldest) + math.floor(ttl) + 1
+
     def tick(self, now: float) -> list[TickAction]:
         """Expire entries under the TTL policies (strict age > ttl).
 

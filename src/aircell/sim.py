@@ -9,21 +9,25 @@ substream of the master seed, so toggling one subsystem never perturbs
 another's stream and identical seeds give byte-identical metrics; a
 block of request gaps leaves the floats and generator state of scalar draws.
 
-The engine's work follows the events, not slots times population. A
-source holds its schedule of write times (``_write_times``) and applies
-the writes due by ``now`` itself when it is read at ``now``, and only
-caches under a TTL policy are ticked. Both are exact: a source's draws
-come from its own substream, so deferring them changes no value, and the
-other policies' ``tick`` does nothing. A broadcast cell builds no
+The engine's work follows the events, not slots times population.
+``run`` walks the queries once, in issue order; the cell's mode supplies
+an ``advance`` step, which does what falls due before a slot's queries,
+and an ``answer`` step, which records one query. No code visits a slot in
+which nothing happens. A source holds its schedule of write times
+(``_write_times``) and applies the writes due by ``now`` itself when it is
+read at ``now``, and only caches under a TTL policy are ticked, each only
+at the tick slots from its next expiry on (``ClientCache.next_expiry``).
+Both are exact: a source's draws come from its own substream, so deferring
+them changes no value, and a ``tick`` before the next expiry, or under
+another policy, does nothing. A broadcast cell builds no
 sources, caches or peer-to-peer managers at all: an aired or multicast
 answer is the source's current write, fresh by construction, so no
 broadcast metric depends on a source's history. Its reads are
 planned and costed by the retrieval library (``retrieval.after_index``,
-``retrieval.account``). An on-demand answer's time is fixed when its
-request joins a batch, so every broadcast query is recorded in the slot it
-is issued, and the batching server sends its multicasts once, after the
-slot loop. ``run`` picks the engine for the cell's mode once;
-the two engines share no slot loop.
+``retrieval.account``), and it replans only at its replan slots. An
+on-demand answer's time is fixed when its request joins a batch, so every
+broadcast query is recorded in the slot it is issued, and the batching
+server sends its multicasts once, when the run ends.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ import math
 import numbers
 import sys
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import add, itemgetter
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -152,9 +156,10 @@ _MAX_MTBU = 1e150
 # and once a draw is below the float spacing at next_update the loop never
 # ends). It also caps what the reader or the engine expands before any
 # other check: history_burnin, the burn-in writes of each source, and the
-# count of a compact objects or clients block. And it caps duration_slots,
-# as both slot loops step through every slot, loaded or not, so an idle
-# run's time grows with it (10**12 slots would run for days). It caps
+# count of a compact objects or clients block. And it caps duration_slots:
+# the engine visits only slots where something happens, but a TTL-requery
+# cache refreshes each entry once per ttl, and a cell replans once per
+# replan_interval, so a run's events still grow with its length. It caps
 # cell.channels too: a program costs nothing per empty channel, but
 # ``dump-program`` prints a row for each.
 _MAX_EVENTS = 10**6
@@ -1012,13 +1017,16 @@ def read_sample_log(doc) -> fidelity.SampleStore:
     return store
 
 
-# A query as the engines take it: (query_id, client_id, object_id, qos).
-Query = tuple[int, str, str, float]
+# A query as ``run`` walks them: (slot, query_id, client_id, object_id, qos).
+Query = tuple[int, int, str, str, float]
+# A resolution mode's two steps: ``advance(slot)`` does what falls due
+# before the queries of ``slot``, and ``answer(*query)`` records one query.
+Steps = tuple[Callable[[int], None], Callable[[int, int, str, str, float], None]]
 
 
-def _queries_by_slot(scenario: Scenario) -> dict[int, list[Query]]:
-    """The workload's queries by the slot they are issued in, in client id
-    order within a slot; ids are numbered in this order from 0."""
+def _queries(scenario: Scenario) -> list[Query]:
+    """The workload's queries in issue order: by slot, and by client id
+    within a slot; ids are numbered in this order from 0."""
     specs = {c.client_id: c for c in scenario.clients}
     per_client = generate_workload(scenario)
     issued = sorted(  # stable
@@ -1026,15 +1034,13 @@ def _queries_by_slot(scenario: Scenario) -> dict[int, list[Query]]:
          for slot, oid in per_client[cid]),
         key=itemgetter(0),
     )
-    by_slot: dict[int, list[Query]] = {}
-    for qid, (slot, cid, oid) in enumerate(issued):
-        by_slot.setdefault(slot, []).append((qid, cid, oid, specs[cid].qos(oid)))
-    return by_slot
+    return [(slot, qid, cid, oid, specs[cid].qos(oid))
+            for qid, (slot, cid, oid) in enumerate(issued)]
 
 
 def run(scenario: Scenario) -> Metrics:
-    """Advance the slot clock through one fully seeded scenario, in the
-    engine for the cell's resolution mode.
+    """Answer one fully seeded scenario's queries in issue order, each after
+    advancing to its slot with the mode's steps, then advance to the end.
 
     The records are the run's one account of its queries: the query
     counters are counted from them. Raises ``InvariantError`` unless each
@@ -1044,10 +1050,14 @@ def run(scenario: Scenario) -> Metrics:
     metrics.counters = counters = dict.fromkeys(("requeries", "ttl_drops", "broadcast_slots",
                                                  "on_demand_responses", "batching_saved"), 0)
     metrics.per_client_energy = {c.client_id: 0.0 for c in scenario.clients}
-    queries = _queries_by_slot(scenario)
-    issued = sum(map(len, queries.values()))
-    engine = _run_broadcast if scenario.resolution_mode == "broadcast" else _run_p2p
-    engine(scenario, metrics, queries)
+    queries = _queries(scenario)
+    steps = _broadcast_steps if scenario.resolution_mode == "broadcast" else _p2p_steps
+    advance, answer = steps(scenario, metrics)
+    for query in queries:
+        advance(query[0])
+        answer(*query)
+    advance(scenario.duration_slots)
+    issued = len(queries)
     records = metrics.records
     records.sort(key=itemgetter(0))
     ids = list(map(itemgetter(0), records))
@@ -1068,17 +1078,14 @@ def run(scenario: Scenario) -> Metrics:
     return metrics
 
 
-def _run_p2p(
-    scenario: Scenario, metrics: Metrics, queries: dict[int, list[Query]]
-) -> None:
+def _p2p_steps(scenario: Scenario, metrics: Metrics) -> Steps:
     """Resolve each query down the peer-to-peer chain.
 
     Each source applies its own scheduled writes when read, and only
-    TTL-policy caches are ticked, in client order: the metrics are the
-    bytes of writing every source and ticking every cache in every slot.
-
-    Raises ``InvariantError`` if an answer carries a write from after its
-    slot.
+    TTL-policy caches are ticked, in client order, each only from its first
+    tick slot on: the metrics are the bytes of writing every source and
+    ticking every cache in every slot. ``answer`` raises ``InvariantError``
+    if an answer carries a write from after its slot.
     """
     counters, records = metrics.counters, metrics.records
     sources = {
@@ -1103,26 +1110,28 @@ def _run_p2p(
         im = InformationManager(spec.client_id, cell, cache)
         for service in spec.providers:
             im.register_provider(service)
+    interval = scenario.tick_interval
+    # each TTL cache's first tick slot: only its tick raises it, and an insert
+    # lowers it only from inf, so only a ticked or an infinite one is asked again
+    first_ticks = [math.inf] * len(ttl_caches)
 
-    for t in range(scenario.duration_slots):
-        for qid, cid, oid, qos in queries.get(t, ()):
-            outcome = cell.ims[cid].resolve_query(oid, qos, t)
-            if outcome.write_time > t + 1:
-                raise InvariantError(
-                    f"query {qid}: {oid} answered with a write at "
-                    f"{outcome.write_time}, after slot {t}"
-                )
-            if outcome.resolution is Resolution.UNRESOLVED:
-                records.append(QueryRecord(qid, cid, oid, t, "unresolved",
-                                           outcome.latency, 0.0, qos, False, 0.0))
-                continue
-            staleness = sources[oid].last_write(t) - outcome.write_time
-            records.append(QueryRecord(qid, cid, oid, t, outcome.resolution.value,
-                                       outcome.latency, staleness, qos,
-                                       accepts(qos, outcome.p_nm), outcome.p_nm))
+    def first_tick(cache: ClientCache) -> float:
+        """The first tick slot from the cache's next expiry."""
+        due = cache.next_expiry()
+        return due if due == math.inf else -(-due // interval) * interval
 
-        if ttl_caches and t % scenario.tick_interval == 0:
-            for cache in ttl_caches:
+    def advance(slot: int) -> None:
+        if math.inf in first_ticks:
+            for i, cache in enumerate(ttl_caches):
+                if first_ticks[i] == math.inf:
+                    first_ticks[i] = first_tick(cache)
+        # a tick slot at a time, tick each cache that may act before ``slot``;
+        # once ticked at t, a cache's first tick slot is after t
+        while first_ticks and min(first_ticks) < slot:
+            t = min(first_ticks)
+            for i, cache in enumerate(ttl_caches):
+                if first_ticks[i] != t:
+                    continue
                 for action in cache.tick(t):
                     if action.action == "drop":
                         counters["ttl_drops"] += 1
@@ -1132,11 +1141,28 @@ def _run_p2p(
                         stats = source.read(t)
                         cache.insert(CacheEntry(action.object_id, stats, cached_at=t), t)
                         counters["requeries"] += 1
+                first_ticks[i] = first_tick(cache)
+
+    def answer(t: int, qid: int, cid: str, oid: str, qos: float) -> None:
+        outcome = cell.ims[cid].resolve_query(oid, qos, t)
+        if outcome.write_time > t:
+            raise InvariantError(
+                f"query {qid}: {oid} answered with a write at "
+                f"{outcome.write_time}, after slot {t}"
+            )
+        if outcome.resolution is Resolution.UNRESOLVED:
+            records.append(QueryRecord(qid, cid, oid, t, "unresolved",
+                                       outcome.latency, 0.0, qos, False, 0.0))
+            return
+        staleness = sources[oid].last_write(t) - outcome.write_time
+        records.append(QueryRecord(qid, cid, oid, t, outcome.resolution.value,
+                                   outcome.latency, staleness, qos,
+                                   accepts(qos, outcome.p_nm), outcome.p_nm))
+
+    return advance, answer
 
 
-def _run_broadcast(
-    scenario: Scenario, metrics: Metrics, queries: dict[int, list[Query]]
-) -> None:
+def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
     """Answer each query from the air or from a batched multicast.
 
     No sources, caches or information managers are built: an aired
@@ -1144,43 +1170,54 @@ def _run_broadcast(
     is 0 whatever the source's history. A published object is read by
     ``retrieval.after_index`` and costed by ``retrieval.account``; any other
     query joins its object's batch, whose response time ``submit`` returns.
-    Either way the query is recorded in the slot it is issued. The server
-    sends its multicasts once, after the slot loop, and they are counted
-    there. ``broadcast_slots`` counts channel-slots on air: each slot adds
-    the channels of the program then in force, if any.
+    Either way the query is recorded in the slot it is issued.
+
+    ``advance`` replans before the queries of each ``replan_interval``-th
+    slot, and the run ends at ``duration_slots``, where the server sends its
+    multicasts once and they are counted. At each of these slots
+    ``broadcast_slots`` adds the channels of the program in force times the
+    slots since the last, so it counts channel-slots on air.
     """
     counters, records = metrics.counters, metrics.records
     cost = scenario.cell.cost_model
-    replan_interval = scenario.cell.replan_interval
+    interval, end = scenario.cell.replan_interval, scenario.duration_slots
     plan_result, program = plan_cell(scenario, initial_rates(scenario))
     metrics.plan = plan_summary(plan_result)
     batching = broadcast_plan.BatchingServer(scenario.cell.batching_window)
     observed_requests = {o.object_id: 0 for o in scenario.objects}
+    stops = chain(range(interval, end, interval) if interval > 0 else (), [end])
+    last_stop, next_stop = 0, next(stops)
 
-    for t in range(scenario.duration_slots):
-        if replan_interval > 0 and t > 0 and t % replan_interval == 0:
+    def advance(slot: int) -> None:
+        nonlocal program, last_stop, next_stop
+        while next_stop <= slot:
+            t, next_stop = next_stop, next(stops, math.inf)
+            if program is not None:  # channel-slots on air
+                counters["broadcast_slots"] += program.n_channels * (t - last_stop)
+            last_stop = t
+            if t == end:
+                multicasts = batching.advance(math.inf)
+                counters["on_demand_responses"] = len(multicasts)
+                counters["batching_saved"] = sum(m.saved_transmissions for m in multicasts)
+                return
             observed_rates = {oid: n / t for oid, n in observed_requests.items()}
             new_result, new_program = plan_cell(scenario, observed_rates)
             if new_result.feasible:
                 program = new_program
                 metrics.plan = plan_summary(new_result)
-        if program is not None:  # channel-slots on air
-            counters["broadcast_slots"] += program.n_channels
 
-        for qid, cid, oid, qos in queries.get(t, ()):
-            observed_requests[oid] += 1
-            if program is None or oid not in program.directory:
-                kind, latency = "on_demand", batching.submit(oid, t) - t + 1.0
-            else:
-                plan = retrieval.after_index([oid], program, t, cost)
-                metrics.per_client_energy[cid] += retrieval.account(plan, cost)["energy"]
-                kind, latency = "broadcast", float(plan.total_slots)
-            records.append(QueryRecord(qid, cid, oid, t, kind, latency,
-                                       0.0, qos, accepts(qos, 1.0), 1.0))
+    def answer(t: int, qid: int, cid: str, oid: str, qos: float) -> None:
+        observed_requests[oid] += 1
+        if program is None or oid not in program.directory:
+            kind, latency = "on_demand", batching.submit(oid, t) - t + 1.0
+        else:
+            plan = retrieval.after_index([oid], program, t, cost)
+            metrics.per_client_energy[cid] += retrieval.account(plan, cost)["energy"]
+            kind, latency = "broadcast", float(plan.total_slots)
+        records.append(QueryRecord(qid, cid, oid, t, kind, latency,
+                                   0.0, qos, accepts(qos, 1.0), 1.0))
 
-    multicasts = batching.advance(math.inf)
-    counters["on_demand_responses"] = len(multicasts)
-    counters["batching_saved"] = sum(m.saved_transmissions for m in multicasts)
+    return advance, answer
 
 
 def plan_summary(result: broadcast_plan.PartitionResult) -> dict:

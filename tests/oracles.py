@@ -4,6 +4,8 @@ Everything here deliberately avoids the code paths under test: the normal
 CDF is numerically integrated rather than using erf, the bandwidth split is
 a brute-force grid search rather than golden-section, utility maximization
 is exhaustive, and plan feasibility is re-derived from first principles.
+The engine's former loops over every slot are kept as the reference for
+its one loop over the queries.
 """
 
 from __future__ import annotations
@@ -11,17 +13,19 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from functools import reduce
-from operator import add
+from operator import add, itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
+from aircell import broadcast_plan, retrieval
 from aircell.air_schedule import INDEX, NotApplicable
 from aircell.broadcast_plan import AccessTime, Partition, PartitionResult, Unstable
 from aircell.cache import (
     SCORED_POLICIES,
+    TTL_POLICIES,
     CacheEntry,
     ClientCache,
     EvictionReport,
@@ -32,11 +36,25 @@ from aircell.cache import (
 from aircell.freshness import (
     FreshnessStats,
     InsufficientHistory,
+    InvariantError,
     SourceObject,
+    accepts,
     p_not_modified,
 )
+from aircell.p2p import InformationManager, P2PCell, Resolution
 from aircell.retrieval import PlannedRead, RefusedSize, RetrievalPlan
-from aircell.sim import substream, zipf_pmf
+from aircell.sim import (
+    Metrics,
+    QueryRecord,
+    Scenario,
+    _write_times,
+    generate_workload,
+    initial_rates,
+    plan_cell,
+    plan_summary,
+    substream,
+    zipf_pmf,
+)
 
 
 def fold(xs) -> float:
@@ -872,3 +890,181 @@ def compensated_sum(iterable, /, start=0):
     for item in items:
         result = result + item
     return result
+
+
+# --------------------------------------------------------------------------
+# The engine as two slot loops, one per resolution mode. Each visits every
+# slot of the run and ticks every TTL cache at every tick slot, so it needs
+# none of the skipping that ``sim.run`` relies on to be exact.
+# --------------------------------------------------------------------------
+
+# A query as the slot loops take it: (query_id, client_id, object_id, qos).
+Query = tuple[int, str, str, float]
+
+
+def _queries_by_slot(scenario: Scenario) -> dict[int, list[Query]]:
+    """The workload's queries by the slot they are issued in, in client id
+    order within a slot; ids are numbered in this order from 0."""
+    specs = {c.client_id: c for c in scenario.clients}
+    per_client = generate_workload(scenario)
+    issued = sorted(  # stable
+        ((slot, cid, oid) for cid in sorted(per_client)
+         for slot, oid in per_client[cid]),
+        key=itemgetter(0),
+    )
+    by_slot: dict[int, list[Query]] = {}
+    for qid, (slot, cid, oid) in enumerate(issued):
+        by_slot.setdefault(slot, []).append((qid, cid, oid, specs[cid].qos(oid)))
+    return by_slot
+
+
+def run_slot_loops(scenario: Scenario) -> Metrics:
+    """``sim.run`` as it was when each mode had its own loop over every
+    slot of the run, busy or idle: the reference for the engine's one loop
+    over the queries. The loops below are that engine's, unchanged.
+
+    The records are the run's one account of its queries: the query
+    counters are counted from them. Raises ``InvariantError`` unless each
+    issued query has exactly one record.
+    """
+    metrics = Metrics(scenario.schema_id, scenario.seed, scenario.duration_slots)
+    metrics.counters = counters = dict.fromkeys(("requeries", "ttl_drops", "broadcast_slots",
+                                                 "on_demand_responses", "batching_saved"), 0)
+    metrics.per_client_energy = {c.client_id: 0.0 for c in scenario.clients}
+    queries = _queries_by_slot(scenario)
+    issued = sum(map(len, queries.values()))
+    engine = _run_broadcast if scenario.resolution_mode == "broadcast" else _run_p2p
+    engine(scenario, metrics, queries)
+    records = metrics.records
+    records.sort(key=itemgetter(0))
+    ids = list(map(itemgetter(0), records))
+    if ids != list(range(issued)):
+        # the first place where the sorted ids leave 0, 1, 2, ...
+        i = next((i for i, qid in enumerate(ids) if qid != i), len(ids))
+        problem = (f"query {ids[i]} has more than one record" if i < len(ids) and ids[i] < i
+                   else f"query {i} has no record" if i < issued
+                   else f"query {ids[issued]} was never issued")
+        raise InvariantError(f"{len(ids)} records for {issued} issued queries: {problem}")
+    resolutions = Counter(map(itemgetter(4), records))
+    counters.update(
+        issued=issued, answered=len(records) - resolutions["unresolved"],
+        unresolved=resolutions["unresolved"], index_reads=resolutions["broadcast"],
+        source_load=(resolutions["source"] + counters["requeries"]
+                     + counters["on_demand_responses"]),
+    )
+    return metrics
+
+
+def _run_p2p(
+    scenario: Scenario, metrics: Metrics, queries: dict[int, list[Query]]
+) -> None:
+    """Resolve each query down the peer-to-peer chain.
+
+    Each source applies its own scheduled writes when read, and only
+    TTL-policy caches are ticked, in client order: the metrics are the
+    bytes of writing every source and ticking every cache in every slot.
+
+    Raises ``InvariantError`` if an answer carries a write from after its
+    slot.
+    """
+    counters, records = metrics.counters, metrics.records
+    sources = {
+        o.object_id: SourceObject(
+            o.object_id, reachable=o.reachable,
+            schedule=_write_times(o, scenario.seed, scenario.history_burnin),
+        )
+        for o in scenario.objects
+    }
+    cell = P2PCell(scenario.adjacency, sources, scenario.costs,
+                   p2p_enabled=scenario.p2p, overhearing=scenario.overhearing)
+    ttl_caches: list[ClientCache] = []  # in client order, the order of ticks
+    for spec in sorted(scenario.clients, key=lambda c: c.client_id):
+        cache = None
+        if scenario.caching:
+            cache = ClientCache(
+                spec.cache_capacity, spec.policy, qos_for=spec.qos,
+                default_ttl=scenario.default_ttl, read_window=scenario.read_window,
+            )
+            if spec.policy in TTL_POLICIES:
+                ttl_caches.append(cache)
+        im = InformationManager(spec.client_id, cell, cache)
+        for service in spec.providers:
+            im.register_provider(service)
+
+    for t in range(scenario.duration_slots):
+        for qid, cid, oid, qos in queries.get(t, ()):
+            outcome = cell.ims[cid].resolve_query(oid, qos, t)
+            if outcome.write_time > t + 1:
+                raise InvariantError(
+                    f"query {qid}: {oid} answered with a write at "
+                    f"{outcome.write_time}, after slot {t}"
+                )
+            if outcome.resolution is Resolution.UNRESOLVED:
+                records.append(QueryRecord(qid, cid, oid, t, "unresolved",
+                                           outcome.latency, 0.0, qos, False, 0.0))
+                continue
+            staleness = sources[oid].last_write(t) - outcome.write_time
+            records.append(QueryRecord(qid, cid, oid, t, outcome.resolution.value,
+                                       outcome.latency, staleness, qos,
+                                       accepts(qos, outcome.p_nm), outcome.p_nm))
+
+        if ttl_caches and t % scenario.tick_interval == 0:
+            for cache in ttl_caches:
+                for action in cache.tick(t):
+                    if action.action == "drop":
+                        counters["ttl_drops"] += 1
+                        continue
+                    source = sources[action.object_id]
+                    if source.reachable:
+                        stats = source.read(t)
+                        cache.insert(CacheEntry(action.object_id, stats, cached_at=t), t)
+                        counters["requeries"] += 1
+
+
+def _run_broadcast(
+    scenario: Scenario, metrics: Metrics, queries: dict[int, list[Query]]
+) -> None:
+    """Answer each query from the air or from a batched multicast.
+
+    No sources, caches or information managers are built: an aired
+    or multicast answer carries the source's current write, so its staleness
+    is 0 whatever the source's history. A published object is read by
+    ``retrieval.after_index`` and costed by ``retrieval.account``; any other
+    query joins its object's batch, whose response time ``submit`` returns.
+    Either way the query is recorded in the slot it is issued. The server
+    sends its multicasts once, after the slot loop, and they are counted
+    there. ``broadcast_slots`` counts channel-slots on air: each slot adds
+    the channels of the program then in force, if any.
+    """
+    counters, records = metrics.counters, metrics.records
+    cost = scenario.cell.cost_model
+    replan_interval = scenario.cell.replan_interval
+    plan_result, program = plan_cell(scenario, initial_rates(scenario))
+    metrics.plan = plan_summary(plan_result)
+    batching = broadcast_plan.BatchingServer(scenario.cell.batching_window)
+    observed_requests = {o.object_id: 0 for o in scenario.objects}
+
+    for t in range(scenario.duration_slots):
+        if replan_interval > 0 and t > 0 and t % replan_interval == 0:
+            observed_rates = {oid: n / t for oid, n in observed_requests.items()}
+            new_result, new_program = plan_cell(scenario, observed_rates)
+            if new_result.feasible:
+                program = new_program
+                metrics.plan = plan_summary(new_result)
+        if program is not None:  # channel-slots on air
+            counters["broadcast_slots"] += program.n_channels
+
+        for qid, cid, oid, qos in queries.get(t, ()):
+            observed_requests[oid] += 1
+            if program is None or oid not in program.directory:
+                kind, latency = "on_demand", batching.submit(oid, t) - t + 1.0
+            else:
+                plan = retrieval.after_index([oid], program, t, cost)
+                metrics.per_client_energy[cid] += retrieval.account(plan, cost)["energy"]
+                kind, latency = "broadcast", float(plan.total_slots)
+            records.append(QueryRecord(qid, cid, oid, t, kind, latency,
+                                       0.0, qos, accepts(qos, 1.0), 1.0))
+
+    multicasts = batching.advance(math.inf)
+    counters["on_demand_responses"] = len(multicasts)
+    counters["batching_saved"] = sum(m.saved_transmissions for m in multicasts)

@@ -424,6 +424,31 @@ class TestTtlPolicies:
         assert len(walks) == 1  # "a" is pending and "b" is not yet due
         assert [(a.action, a.object_id) for a in cache.tick(16.0)] == [("requery", "b")]
 
+    def test_next_expiry_is_the_first_time_a_tick_may_act(self):
+        cache = ClientCache(4, PolicyKind.TTL_REQUERY, default_ttl=10.0)
+        assert cache.next_expiry() == float("inf")  # empty
+        cache.insert(entry("a", cached_at=0.0), now=0.0)
+        cache.insert(entry("b", cached_at=5.0), now=5.0)  # a later insert keeps it
+        assert cache.next_expiry() == 11  # age 11 is the first above the ttl
+        assert cache.tick(10.0) == []
+        assert [a.object_id for a in cache.tick(11.0)] == ["a"]
+        assert cache.next_expiry() == 16  # "a" is pending, "b" is next
+        cache.insert(entry("a", cached_at=12.0), now=12.0)  # the refresh
+        assert cache.next_expiry() == 16
+        fractional = ClientCache(4, PolicyKind.TTL_DROP, default_ttl=7.25)
+        fractional.insert(entry("a", cached_at=3.0), now=3.0)
+        assert fractional.next_expiry() == 11
+        assert fractional.tick(10.0) == [] and fractional.tick(11.0) != []
+
+    @pytest.mark.parametrize("policy, ttl", [
+        (PolicyKind.LRU, 1.0), (PolicyKind.TTL_DROP, None),
+        (PolicyKind.TTL_REQUERY, float("inf")),
+    ])
+    def test_no_expiry_where_tick_never_acts(self, policy, ttl):
+        cache = ClientCache(4, policy, default_ttl=ttl)
+        cache.insert(entry("a", cached_at=0.0), now=0.0)
+        assert cache.next_expiry() == float("inf")
+
     @settings(max_examples=200, deadline=None)
     @given(
         drop=st.booleans(),
@@ -445,8 +470,10 @@ class TestTtlPolicies:
                 for c in (cache, mirror):
                     c.insert(entry(oid, cached_at=max(now - age, 0.0)), now)
             else:
+                due = cache.next_expiry()
                 actions = [(a.action, a.object_id) for a in cache.tick(now)]
                 assert actions == ttl_tick_reference(mirror.entries, drop, ttl, now)
+                assert now >= due or actions == []
             assert [(k, e.cached_at, e.requery_pending) for k, e in cache.entries.items()] == [
                 (k, e.cached_at, e.requery_pending) for k, e in mirror.entries.items()
             ]

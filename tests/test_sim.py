@@ -590,10 +590,8 @@ class TestBroadcastMode:
     def test_broadcast_slots_count_the_programs_on_air(
         self, monkeypatch, bandwidth, seed, on_air, index_reads
     ):
-        doc = broadcast_doc(seed)
-        doc["objects"]["count"] = 12
-        doc["clients"].update(count=4, request_rate=0.02)
-        doc["cell"].update(total_bandwidth=bandwidth, threshold=0.02, replan_interval=40)
+        doc = on_and_off_air_doc(seed)
+        doc["cell"]["total_bandwidth"] = bandwidth
         plans = []  # every plan made, in order: at slot 0, then every 40 slots
         plan_cell = sim.plan_cell
 
@@ -1449,12 +1447,14 @@ class TestUnrunnableCells:
 
 
 class TestInvariants:
-    def test_causality_violation_raises(self, monkeypatch):
+    # a write at now + 1 lies in the next slot, after the query's
+    @pytest.mark.parametrize("offset", [1, 2])
+    def test_causality_violation_raises(self, monkeypatch, offset):
         resolve = p2p.InformationManager.resolve_query
 
         def from_the_future(self, service_id, qos, now):
             outcome = resolve(self, service_id, qos, now)
-            return outcome._replace(write_time=now + 2)
+            return outcome._replace(write_time=now + offset)
 
         monkeypatch.setattr(p2p.InformationManager, "resolve_query", from_the_future)
         with pytest.raises(InvariantError, match="after slot"):
@@ -1464,7 +1464,7 @@ class TestInvariants:
         # the records are the run's account: every issued query has exactly one
         scn = scenario_from_dict(p2p_doc())
         issued = run(scn).counters["issued"]
-        engine = sim._run_p2p
+        steps = sim._p2p_steps
 
         def record(records, qid):
             return next(r for r in records if r.query_id == qid)
@@ -1477,11 +1477,17 @@ class TestInvariants:
                 lambda records: records.append(records[-1]._replace(query_id=issued)),
         }
         for message, tamper in cases.items():
-            def tampered(scenario, metrics, queries, tamper=tamper):
-                engine(scenario, metrics, queries)
-                tamper(metrics.records)
+            def tampered(scenario, metrics, tamper=tamper):
+                advance, answer = steps(scenario, metrics)
 
-            monkeypatch.setattr(sim, "_run_p2p", tampered)
+                def advance_then_tamper(slot):  # once the run ends
+                    advance(slot)
+                    if slot == scenario.duration_slots:
+                        tamper(metrics.records)
+
+                return advance_then_tamper, answer
+
+            monkeypatch.setattr(sim, "_p2p_steps", tampered)
             with pytest.raises(InvariantError, match=f"issued queries: {message}$"):
                 run(scn)
 
@@ -1639,3 +1645,115 @@ class TestEveryDocument:
         assert counters["answered"] + counters["unresolved"] == counters["issued"]
         metrics.to_json_bytes()
         metrics.to_csv_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(documents())
+    def test_replays_the_slot_loops(self, doc):
+        try:
+            scn = scenario_from_dict(doc)
+        except ScenarioError:
+            return
+        assert_replays_the_slot_loops(scn)
+
+
+def assert_replays_the_slot_loops(scn: sim.Scenario) -> None:
+    """``run`` gives what the engine's old loops over every slot gave."""
+    got, want = run(scn), oracles.run_slot_loops(scn)
+    assert got.records == want.records
+    assert got.counters == want.counters
+    assert got.per_client_energy == want.per_client_energy
+    assert got.plan == want.plan
+
+
+def sparse_ttl_doc(duration_slots=10**6, **cache):
+    """Ten TTL-requery clients asking about once per 1,000 slots each, of
+    sources that write about once per 20,000 slots."""
+    doc = p2p_doc(1, duration_slots=duration_slots)
+    doc["objects"] = {"count": 40, "mtbu": 20_000.0, "stdv_mtbu": 4_000.0}
+    doc["clients"] = {"count": 10, "cache_capacity": 8, "policy": "ttl_requery",
+                      "default_qos": 0.3, "request_rate": 0.001}
+    doc["cache"] = cache
+    return doc
+
+
+def sparse_broadcast_doc(duration_slots=10**6):
+    """The same objects and demand in a cell replanned every 1,000 slots."""
+    doc = broadcast_doc(1, duration_slots=duration_slots)
+    doc["objects"] = {"count": 40, "mtbu": 20_000.0, "stdv_mtbu": 4_000.0}
+    doc["clients"].update(count=10, request_rate=0.001)
+    doc["cell"]["replan_interval"] = 1_000
+    return doc
+
+
+def with_cache(doc: dict, **cache) -> dict:
+    """``doc`` with its ``cache`` section's keys set; None drops a key."""
+    doc["cache"] = {k: v for k, v in {**doc.get("cache", {}), **cache}.items()
+                    if v is not None}
+    return doc
+
+
+def with_replan(doc: dict, interval: int) -> dict:
+    doc["cell"]["replan_interval"] = interval
+    return doc
+
+
+def on_and_off_air_doc(seed: int) -> dict:
+    """A cell whose replans take it on or off air (see
+    ``test_broadcast_slots_count_the_programs_on_air``)."""
+    doc = broadcast_doc(seed)
+    doc["objects"]["count"] = 12
+    doc["clients"].update(count=4, request_rate=0.02)
+    doc["cell"].update(total_bandwidth=4.0, threshold=0.02, replan_interval=40)
+    return doc
+
+
+# fractional, integral, infinite and absent TTLs on every tick grid; replan
+# intervals of 0 or less, of every slot and of a few; and runs longer than
+# 10**5 slots in which almost every slot is idle
+SLOT_LOOP_CASES = {
+    **{f"mixed-ttl-{ttl}-tick-{tick}": with_cache(mixed_doc(), default_ttl=ttl,
+                                                  tick_interval=tick)
+       for ttl in (0.5, 1.0, 7.25, 60.0, math.inf, None) for tick in (1, 2, 13)},
+    **{f"dedicated-replan-{interval}": with_replan(dedicated_index_doc(), interval)
+       for interval in (-1, 0, 1, 7, 100)},
+    "distributed-ttl": distributed_ttl_doc(),
+    **{f"on-and-off-air-{seed}": on_and_off_air_doc(seed) for seed in (1, 2)},
+    "sparse-ttl": sparse_ttl_doc(200_000, default_ttl=37.5, tick_interval=3),
+    "sparse-broadcast": sparse_broadcast_doc(200_000),
+}
+
+
+class TestOneLoop:
+    @pytest.mark.parametrize("name", sorted(SLOT_LOOP_CASES))
+    def test_replays_the_slot_loops(self, name):
+        assert_replays_the_slot_loops(scenario_from_dict(SLOT_LOOP_CASES[name]))
+
+    @pytest.mark.parametrize("ttl", [600.0, math.inf, None])
+    def test_ticks_follow_the_events_not_the_slots(self, monkeypatch, ttl):
+        """A tick is made only at a slot from a cache's next expiry on, so it
+        either acts or finds the cache's oldest copy gone. An action is a
+        requery here, as every source is reachable and the policy requeries,
+        and only an answer's insert can displace an oldest copy, at most one
+        per query: ticks <= requeries + drops + queries. Ticking every cache
+        at every slot would make 10 * 10**6 calls."""
+        calls = []
+        tick = sim.ClientCache.tick
+        monkeypatch.setattr(sim.ClientCache, "tick",
+                            lambda cache, now: calls.append(now) or tick(cache, now))
+        counters = run(scenario_from_dict(sparse_ttl_doc(default_ttl=ttl))).counters
+        assert 9_000 < counters["issued"] < 11_000
+        bound = counters["issued"] + counters["requeries"] + counters["ttl_drops"]
+        assert len(calls) <= bound
+        if ttl is None or ttl == math.inf:
+            assert calls == []
+        else:
+            assert counters["requeries"] > 10**5 and bound < 2 * 10**5
+
+    def test_plans_follow_the_replan_slots(self, monkeypatch):
+        calls = []
+        plan_cell = sim.plan_cell
+        monkeypatch.setattr(sim, "plan_cell",
+                            lambda *args: calls.append(args) or plan_cell(*args))
+        counters = run(scenario_from_dict(sparse_broadcast_doc())).counters
+        assert 9_000 < counters["issued"] < 11_000
+        assert len(calls) == 1 + len(range(1_000, 10**6, 1_000))
