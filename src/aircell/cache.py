@@ -120,8 +120,6 @@ class ReadTracker:
 class EvictionReport(NamedTuple):
     admitted: bool
     evicted: str | None = None
-    incoming_score: float | None = None
-    min_score: float | None = None
 
 
 @dataclass(frozen=True)
@@ -157,9 +155,6 @@ class ClientCache:
         self.reads = ReadTracker(read_window)
         # at most the least cached_at of the entries not pending a requery
         self._oldest = math.inf
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def __contains__(self, object_id: str) -> bool:
         return object_id in self.entries
@@ -227,12 +222,12 @@ class ClientCache:
             (incoming, _, _), *residents = self.score(
                 [(entry.object_id, entry), *self.entries.items()], now)
             # the minimum score, oldest cached_at first on ties
-            min_score, _, victim = min(residents)
-            if incoming <= min_score:
-                return EvictionReport(False, None, incoming, min_score)
+            lowest, _, victim = min(residents)
+            if incoming <= lowest:
+                return EvictionReport(False)
             del self.entries[victim]
             self.entries[entry.object_id] = entry
-            return EvictionReport(True, victim, incoming, min_score)
+            return EvictionReport(True, victim)
 
         victim, _ = self.entries.popitem(last=False)  # least recently used
         self.entries[entry.object_id] = entry

@@ -134,6 +134,8 @@ def _write_report(report: dict, out: str | Path | None) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise InputError(f"--jobs: must be >= 1, got {args.jobs}")
     scenario = parse_scenario(args.scenario)
     seeds = _parse_seeds(args.seeds)
     out = Path(args.out)

@@ -64,10 +64,6 @@ class UpdateLog:
         self.update_times.append(float(t))
         return self
 
-    @property
-    def n_intervals(self) -> int:
-        return max(0, len(self.update_times) - 1)
-
     def stats(self) -> FreshnessStats:
         """Derive MTBU / STDV / time-of-last-update from the log.
 
@@ -119,11 +115,6 @@ def p_modified(stats: FreshnessStats, now: float) -> float:
         return 0.0 if t < stats.mtbu else 1.0
     z = (t - stats.mtbu) / stats.stdv_mtbu
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def p_not_modified(stats: FreshnessStats, now: float) -> float:
-    """Complement of p_modified; P_NM + P_M is exactly 1."""
-    return 1.0 - p_modified(stats, now)
 
 
 def p_not_modified_or_zero(stats: FreshnessStats, now: float) -> float:

@@ -148,6 +148,15 @@ class Scenario:
 # At 1e150 a draw even 100 standard deviations out stays below 1.1e152,
 # so the squares of 10^4 such intervals still sum to a finite number.
 _MAX_MTBU = 1e150
+# The largest link cost, batching window and radio energy. A query's latency
+# is at most 2 * hop, source, or the batching window plus one slot. An aired
+# read pays each of its slots at most the largest energy, and it spans fewer
+# than 10^19 slots: at most two cycles of at most 2 * 10^6 slots each, and
+# one channel switch of at most sys.maxsize slots. A mean latency, and a
+# client's or the cell's energy, adds at most 10^6 clients times 10^6
+# requests, so at 1e270 the largest sum is below 10^12 * 10^19 * 1e270 =
+# 1e301, finite; 1e308 made them inf.
+_MAX_COST = 1e270
 # The most draws a run may ask of one stream: writes of one source, or
 # requests of one client. A source writes once per mtbu of simulated time
 # and a client asks request_rate times per slot, so mtbu below
@@ -236,8 +245,9 @@ SCHEMA: dict[str, dict[str, Field]] = {
         ),
         "workload": (Field("zipf_theta", float, 0.8, lo=0),),
         "costs": (
-            Field("local", float, 0.0, lo=0), Field("hop", float, 1.0, lo=0),
-            Field("source", float, 5.0, lo=0),
+            Field("local", float, 0.0, lo=0, hi=_MAX_COST),
+            Field("hop", float, 1.0, lo=0, hi=_MAX_COST),
+            Field("source", float, 5.0, lo=0, hi=_MAX_COST),
         ),
         "cell": (
             Field("channels", int, 1, lo=1, hi=_MAX_EVENTS), Field("m", int, 1, lo=1),
@@ -246,13 +256,15 @@ SCHEMA: dict[str, dict[str, Field]] = {
             Field("total_bandwidth", float, 10.0, above=0),
             Field("request_size", float, 0.25, lo=0),
             Field("threshold", float, math.inf, no_limit=True),
-            Field("batching_window", float, 0.0, lo=0),
+            Field("batching_window", float, 0.0, lo=0, hi=_MAX_COST),
             Field("replan_interval", int, 0),  # 0 or less: never replan
             Field("cost_model", object, {}),
         ),
         "cell.cost_model": (
-            Field("switch_slots", int, 1, lo=1), Field("e_active", float, 1.0, lo=0),
-            Field("e_doze", float, 0.05, lo=0), Field("e_switch", float, 0.5, lo=0),
+            Field("switch_slots", int, 1, lo=1),
+            Field("e_active", float, 1.0, lo=0, hi=_MAX_COST),
+            Field("e_doze", float, 0.05, lo=0, hi=_MAX_COST),
+            Field("e_switch", float, 0.5, lo=0, hi=_MAX_COST),
         ),
         "cache": (
             Field("default_ttl", float, None, above=0, no_limit=True),
@@ -894,12 +906,11 @@ def _write_times(spec: ObjectSpec, seed: int, burnin: int) -> Iterator[float]:
     """A source's write times, in increasing order and without end:
     ``burnin`` writes before slot 0, then one per further inter-update
     draw. Draws are normal, resampled if nonpositive, from the object's own
-    substream, so when they are taken changes no value."""
+    substream, so when they are taken changes no value; with zero spread
+    numpy's normal draw is the mean itself, bit for bit."""
     rng = substream(seed, "updates", spec.object_id)
 
     def draws() -> Iterator[float]:
-        if spec.stdv_mtbu == 0.0:
-            yield from repeat(spec.mtbu)  # without end: no draws at all
         while True:
             for d in rng.normal(spec.mtbu, spec.stdv_mtbu, _DRAW_BLOCK).tolist():
                 if d > 0:

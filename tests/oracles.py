@@ -39,7 +39,7 @@ from aircell.freshness import (
     InvariantError,
     SourceObject,
     accepts,
-    p_not_modified,
+    p_modified,
 )
 from aircell.p2p import InformationManager, P2PCell, Resolution
 from aircell.retrieval import PlannedRead, RefusedSize, RetrievalPlan
@@ -265,11 +265,11 @@ def score_admission_replay(capacity: int, offers: list[tuple[str, float, float]]
         if len(kept) < capacity:
             kept[object_id] = (score, offered_at)
             continue
-        min_score = min(s for s, _ in kept.values())
-        if score <= min_score:
+        lowest = min(s for s, _ in kept.values())
+        if score <= lowest:
             continue
         victim = min(
-            (at, oid) for oid, (s, at) in kept.items() if s == min_score
+            (at, oid) for oid, (s, at) in kept.items() if s == lowest
         )[1]
         del kept[victim]
         kept[object_id] = (score, offered_at)
@@ -286,7 +286,7 @@ def score_admission_replay(capacity: int, offers: list[tuple[str, float, float]]
 
 def _p_not_modified_or_zero_reference(stats: FreshnessStats, now: float) -> float:
     try:
-        return p_not_modified(stats, now)
+        return 1.0 - p_modified(stats, now)
     except InsufficientHistory:
         return 0.0
 
@@ -357,14 +357,14 @@ class ClientCacheReference(ClientCache):
             incoming = self.score_one(entry, now)
             scored = [(self.score_one(e, now), e.cached_at, oid)
                       for oid, e in self.entries.items()]
-            min_score, _, _ = min(scored)
-            if incoming <= min_score:
-                return EvictionReport(False, None, incoming, min_score)
-            victims = [(at, oid) for sc, at, oid in scored if sc == min_score]
+            lowest, _, _ = min(scored)
+            if incoming <= lowest:
+                return EvictionReport(False)
+            victims = [(at, oid) for sc, at, oid in scored if sc == lowest]
             _, victim = min(victims)  # oldest cached_at first
             del self.entries[victim]
             self.entries[entry.object_id] = entry
-            return EvictionReport(True, victim, incoming, min_score)
+            return EvictionReport(True, victim)
 
         victim, _ = self.entries.popitem(last=False)  # least recently used
         self.entries[entry.object_id] = entry

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from aircell import air_schedule, broadcast_plan, fidelity, retrieval
-from aircell.freshness import FreshnessStats, p_modified, p_not_modified
+from aircell.freshness import FreshnessStats, p_modified, p_not_modified_or_zero
 from aircell.sim import run, scenario_from_dict
 from conftest import random_retrieval_instance
 from oracles import (
@@ -38,7 +38,7 @@ def test_criterion_1_freshness_closed_form():
     if abs(p_modified(stats, 100.0) - 0.5) > 1e-9:
         failures.append("p_modified at the mean elapsed time is not 0.5")
     for now in (80.0, 100.0, 120.0, 163.0, 420.0):
-        if abs(p_modified(stats, now) + p_not_modified(stats, now) - 1.0) > 1e-12:
+        if abs(p_modified(stats, now) + p_not_modified_or_zero(stats, now) - 1.0) > 1e-12:
             failures.append(f"complement identity broken at now={now}")
     rng = np.random.default_rng(101)
     draws = rng.normal(100.0, 20.0, size=100_000)

@@ -12,7 +12,7 @@ from aircell.cache import (
     ReadStats,
     ReadTracker,
 )
-from aircell.freshness import FreshnessStats, InvariantError, p_not_modified
+from aircell.freshness import FreshnessStats, InvariantError, p_not_modified_or_zero
 from oracles import (
     ClientCacheReference,
     lru_reference,
@@ -87,7 +87,7 @@ class TestScores:
             cache.reads.record(20.0, "a")
             copy = entry("a", mtbu=100.0, stdv=float(rng.uniform(1, 50)))
             now = float(rng.uniform(0, 200))
-            p_nm = p_not_modified(copy.source_stats_snapshot, now)
+            p_nm = p_not_modified_or_zero(copy.source_stats_snapshot, now)
             score = score_of(cache, copy, now)
             assert (score < 0) == (p_nm < qos)
             assert -1.0 <= score <= 1.0
@@ -228,7 +228,7 @@ class TestScoredAdmission:
         for i, oid in enumerate(["a", "b", "c"]):
             report = cache.insert(entry(oid, cached_at=float(i)), now=float(i))
             assert report.admitted and report.evicted is None
-        assert len(cache) == 3
+        assert len(cache.entries) == 3
 
     def test_tie_evicts_oldest(self):
         cache = ClientCache(2, PolicyKind.CQF)
@@ -339,6 +339,10 @@ class TestOnePassScoring:
                 if read_first:
                     for c in (cache, reference):
                         c.record_read(oid, now)
+                # bit-exact: the one pass and the per-entry scores are equal floats
+                offered = [(oid, copy), *cache.entries.items()]
+                assert cache.score(offered, now) == [
+                    (reference.score_one(e, now), e.cached_at, o) for o, e in offered]
                 assert repr(cache.insert(copy, now)) == repr(reference.insert(copy, now))
             else:
                 now += step[1]
@@ -372,7 +376,7 @@ class TestLruPolicy:
         for step in range(100):
             cache.insert(entry(f"o{int(rng.integers(0, 20))}", cached_at=float(step)),
                          now=float(step))
-            assert len(cache) <= 3
+            assert len(cache.entries) <= 3
 
 
 class TestTtlPolicies:
@@ -487,4 +491,4 @@ class TestReinsertion:
         report = cache.insert(entry("a", cached_at=5.0), now=5.0)
         assert report.admitted and report.evicted is None
         assert cache.entries["a"].cached_at == 5.0
-        assert len(cache) == 2
+        assert len(cache.entries) == 2

@@ -244,6 +244,16 @@ class TestRunCommand:
             f"error: --seeds: {bad!r} is not a seed or a lo..hi range\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_fewer_than_one_job_exits_2(self, tmp_path, capsys, jobs):
+        # they used to run the seeds one after another and exit 0
+        out = tmp_path / "x"
+        code = main(["run", "--scenario", str(write_scenario(tmp_path, MINI)),
+                     "--out", str(out), "--jobs", jobs])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: --jobs: must be >= 1, got {jobs}\n")
+        assert not out.exists()
+
     def test_too_many_seeds_refused_before_any_list(self, monkeypatch):
         # "0..10000000000" used to build the whole list of seeds first
         def no_list(*args):

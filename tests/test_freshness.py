@@ -11,7 +11,6 @@ from aircell.freshness import (
     UpdateLog,
     accepts,
     p_modified,
-    p_not_modified,
     p_not_modified_or_zero,
 )
 from oracles import mean_and_pop_std, normal_cdf
@@ -31,7 +30,7 @@ class TestUpdateLog:
     def test_first_update_leaves_no_interval(self):
         log = UpdateLog().record_update(10)
         assert log.update_times == [10]
-        assert log.n_intervals == 0
+        assert log.stats().n_intervals == 0
 
     def test_single_interval(self):
         log = UpdateLog([10.0]).record_update(110)
@@ -147,7 +146,7 @@ class TestModifiedProbability:
     def test_complement_is_exact(self):
         for now in (80.0, 100.0, 123.4, 500.0):
             pm = p_modified(stats(100, 20), now)
-            pnm = p_not_modified(stats(100, 20), now)
+            pnm = p_not_modified_or_zero(stats(100, 20), now)
             assert abs(pm + pnm - 1.0) <= 1e-12
 
     def test_zero_spread_steps_at_mean(self):

@@ -1,7 +1,7 @@
 import pytest
 
 from aircell.cache import CacheEntry, ClientCache, PolicyKind
-from aircell.freshness import FreshnessStats, SourceObject, p_not_modified
+from aircell.freshness import FreshnessStats, SourceObject, p_not_modified_or_zero
 from aircell.p2p import InformationManager, P2PCell, Resolution
 from oracles import normal_cdf
 
@@ -66,7 +66,7 @@ class TestChainOrder:
         now = 120.0
         a.query_cache.insert(aged_entry("svc", 0.3, now), now=now)
         b.query_cache.insert(aged_entry("svc", 0.7, now), now=now)
-        local_pnm = p_not_modified(a.query_cache.peek("svc").source_stats_snapshot, now)
+        local_pnm = p_not_modified_or_zero(a.query_cache.peek("svc").source_stats_snapshot, now)
         assert local_pnm == pytest.approx(0.3, abs=1e-6)
         outcome = a.resolve_query("svc", qos=0.5, now=now)
         assert outcome.resolution is Resolution.NEIGHBOR_CACHE

@@ -921,6 +921,47 @@ class TestNonFiniteInputs:
         assert metrics.counters["ttl_drops"] == 0
 
 
+# the latency and energy inputs capped at sim._MAX_COST
+COST_FIELDS = [
+    ("costs", "local"), ("costs", "hop"), ("costs", "source"),
+    ("cell", "batching_window"),
+    ("cell.cost_model", "e_active"), ("cell.cost_model", "e_doze"),
+    ("cell.cost_model", "e_switch"),
+]
+
+
+class TestCostCaps:
+    """A latency or energy input at its cap keeps every reported number
+    finite; each used to make some of them inf at 1e308."""
+
+    @pytest.mark.parametrize("path", COST_FIELDS, ids=".".join)
+    def test_at_the_cap_every_number_is_finite(self, path):
+        cap = sim._MAX_COST
+        if path == ("cell.cost_model", "e_doze"):
+            # dozing must cost less than listening, which is at the cap
+            doc = with_field(path, math.nextafter(cap, 0.0))
+            doc["cell"]["cost_model"]["e_active"] = cap
+        else:
+            doc = with_field(path, cap)
+        if path[0] == "costs":
+            doc["resolution_mode"] = "p2p"
+        if path == ("cell.cost_model", "e_switch"):
+            # every read then switches from the index channel to a data channel
+            doc["cell"]["dedicated_index_channel"] = True
+        metrics = run(scenario_from_dict(doc))
+        latencies = [r.latency_slots for r in metrics.records]
+        energies = list(metrics.per_client_energy.values())
+        assert all(map(math.isfinite, [*metrics.summary().values(), *latencies, *energies]))
+        # the capped input is charged: it shows in some latency or energy
+        charged = energies if path[0] == "cell.cost_model" else latencies
+        assert max(charged) >= math.nextafter(cap, 0.0)
+
+    @pytest.mark.parametrize("path", COST_FIELDS, ids=".".join)
+    def test_above_the_cap_is_one_violation(self, path):
+        doc = with_field(path, math.nextafter(sim._MAX_COST, math.inf))
+        assert violations(doc) == [f"{'.'.join(path)}: must be in [0, 1e+270]"]
+
+
 class TestTypedFields:
     """A field of the wrong type is a violation, not a raw exception."""
 
@@ -1382,7 +1423,7 @@ class TestSchemaTable:
                       cache={"default_ttl": 0, "tick_interval": 0})
         assert violations(doc) == [
             "history_burnin: must be in [3, 1000000]",
-            "costs.hop: must be >= 0",
+            "costs.hop: must be in [0, 1e+270]",
             "cache.default_ttl: must be > 0",
             "cache.tick_interval: must be >= 1",
         ]
@@ -1410,8 +1451,8 @@ class TestSchemaTable:
         doc["cell"]["cost_model"] = {"switch_slots": 0, "e_active": -1.0, "e_switch": -2}
         assert violations(doc) == [
             "cell.cost_model.switch_slots: must be >= 1",
-            "cell.cost_model.e_active: must be >= 0",
-            "cell.cost_model.e_switch: must be >= 0",
+            "cell.cost_model.e_active: must be in [0, 1e+270]",
+            "cell.cost_model.e_switch: must be in [0, 1e+270]",
         ]
 
     @pytest.mark.parametrize("e_doze, e_active", [(2.0, 1.0), (0.5, 0.5), (0.1, 0)])
