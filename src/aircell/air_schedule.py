@@ -3,18 +3,21 @@
 A program lays the published objects out over one or more channels, all
 sharing one cycle length, under a chosen indexing scheme. Objects are of
 unit size: each airs in one slot of one channel per cycle, and an index
-segment fills one slot. On each data channel:
+segment fills one slot. Each data channel airs its n data slots in g
+contiguous groups, earlier groups one slot larger, each after one index
+slot:
 
-  NONE            data slots only
-  DISTRIBUTED     one index slot immediately before each data slot
-  ONCE_PER_CYCLE  one aggregate index slot at the start of the cycle
-  ONE_M(m)        the whole aggregate index repeated m times, equally spaced
+  NONE            g = 0: data slots only
+  ONCE_PER_CYCLE  g = 1: one index slot at the start of the cycle
+  DISTRIBUTED     g = n: one index slot immediately before each data slot
+  ONE_M(m)        g = min(m, n): the index repeated m times, equally spaced
 
 With a dedicated index channel, channel 0 airs the index in every slot and
 the data channels carry data only. A program is stored as its directory
 (object -> channel, slot) and its index positions; every index slot carries
 the full directory, so a client that has read any index segment can plan
-retrieval of any object.
+retrieval of any object. A client tuning in at a uniform time waits
+L / (2m) slots on average for the next of m index slots in a cycle of L.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ INDEX = "index"  # the label of an index read in a retrieval plan
 
 
 class NotApplicable(Exception):
-    """The scheme has no aggregate index segments to wait for."""
+    """The program has no index slots to wait for."""
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,6 @@ class BroadcastProgram:
 
     n_channels: int
     cycle_len_slots: int
-    scheme: IndexScheme
     dedicated_index_channel: bool = False
     directory: dict[str, tuple[int, int]] = field(default_factory=dict)
     # the index slots of channel 0, where every index read is made; each
@@ -68,27 +70,19 @@ class BroadcastProgram:
             return []
         return list(self.index_positions)
 
-    def index_segment_count(self) -> int:
-        """Aggregate index segments per cycle on an index-carrying channel."""
-        if self.scheme.kind in ("none", "distributed") and not self.dedicated_index_channel:
-            raise NotApplicable(f"scheme {self.scheme.kind!r} has no aggregate index")
-        return len(self.index_positions)
-
 
 def _layout_positions(n_data: int, scheme: IndexScheme) -> tuple[list[int], list[int]]:
-    """Cycle positions of (index slots, data slots) for a channel of n_data >= 1."""
-    if scheme.kind == "none":
+    """Cycle positions of (index slots, data slots) for a channel of n_data >= 1,
+    in the g groups of the module docstring."""
+    groups = {"none": 0, "once_per_cycle": 1, "distributed": n_data}.get(
+        scheme.kind, min(scheme.m, n_data)
+    )
+    if not groups:
         return [], list(range(n_data))
-    if scheme.kind == "distributed":
-        return [2 * i for i in range(n_data)], [2 * i + 1 for i in range(n_data)]
-    if scheme.kind == "once_per_cycle":
-        return [0], list(range(1, 1 + n_data))
-    # m contiguous groups of data, earlier groups one larger, each after an index slot
-    m = min(scheme.m, n_data)
-    base, extra = divmod(n_data, m)
+    base, extra = divmod(n_data, groups)
     index_pos: list[int] = []
     data_pos: list[int] = []
-    for group in range(m):
+    for group in range(groups):
         index_pos.append(len(index_pos) + len(data_pos))
         start = index_pos[-1] + 1
         data_pos.extend(range(start, start + base + (group < extra)))
@@ -131,7 +125,6 @@ def build_program(
     return BroadcastProgram(
         n_channels=channels,
         cycle_len_slots=cycle_len,
-        scheme=scheme,
         dedicated_index_channel=dedicated_index_channel,
         directory=directory,
         index_positions=tuple(range(cycle_len) if dedicated_index_channel else index_pos),
@@ -139,9 +132,10 @@ def build_program(
 
 
 def expected_index_wait(program: BroadcastProgram) -> float:
-    """Mean slots until the next aggregate index segment: L / (2m)."""
-    m = program.index_segment_count()
-    return program.cycle_len_slots / (2.0 * m)
+    """Mean slots until the next index slot: L / (2m) for m index slots."""
+    if not program.index_positions:
+        raise NotApplicable("the program has no index slots")
+    return program.cycle_len_slots / (2.0 * len(program.index_positions))
 
 
 def next_index_read_end(program: BroadcastProgram, now_slot: int) -> int:
@@ -154,7 +148,7 @@ def next_index_read_end(program: BroadcastProgram, now_slot: int) -> int:
     """
     positions = program.index_positions
     if not positions:
-        raise NotApplicable(f"scheme {program.scheme.kind!r} has no aggregate index")
+        raise NotApplicable("the program has no index slots")
     length = program.cycle_len_slots
     phase = now_slot % length
     return now_slot + min((p - phase) % length for p in positions)

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, chain, islice, repeat
 from operator import add, itemgetter
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -134,12 +133,6 @@ class Scenario:
     tick_interval: int
     read_window: int
 
-    def index_scheme(self) -> air_schedule.IndexScheme:
-        cell = self.cell
-        if cell.scheme == "one_m":
-            return air_schedule.one_m(cell.m)
-        return air_schedule.IndexScheme(cell.scheme)
-
 
 # The largest mtbu and stdv_mtbu a source may have. The burn-in sums its
 # draws (``_write_times``) and the update statistics square the intervals'
@@ -157,6 +150,12 @@ _MAX_MTBU = 1e150
 # requests, so at 1e270 the largest sum is below 10^12 * 10^19 * 1e270 =
 # 1e301, finite; 1e308 made them inf.
 _MAX_COST = 1e270
+# The largest total bandwidth. The split search
+# (``broadcast_plan.optimize_bandwidth_split``) adds its two bracket ends and
+# doubles the broadcast bandwidth, each at most the total: past float max / 2
+# ~ 9e307 either is inf, and 1e308 made the bracket's midpoint inf and the
+# on-demand service rate -inf.
+_MAX_BANDWIDTH = 1e307
 # The most draws a run may ask of one stream: writes of one source, or
 # requests of one client. A source writes once per mtbu of simulated time
 # and a client asks request_rate times per slot, so mtbu below
@@ -170,8 +169,13 @@ _MAX_COST = 1e270
 # cache refreshes each entry once per ttl, and a cell replans once per
 # replan_interval, so a run's events still grow with its length. It caps
 # cell.channels too: a program costs nothing per empty channel, but
-# ``dump-program`` prints a row for each.
+# ``dump-program`` prints a row for each. And it caps the objects of a
+# list, as of a compact block, which ``_MAX_ZIPF_THETA`` relies on.
 _MAX_EVENTS = 10**6
+# The largest Zipf exponent. ``zipf_pmf`` raises each rank up to the object
+# count, at most 10^6, to the power theta; 10^(6 theta) stays below float
+# max ~ 1.8e308 for theta up to 308.25 / 6 ~ 51.4, and 1e308 overflowed.
+_MAX_ZIPF_THETA = 51.0
 
 _REQUIRED = object()
 
@@ -243,7 +247,7 @@ SCHEMA: dict[str, dict[str, Field]] = {
             Field("caching", bool, True), Field("p2p", bool, True),
             Field("overhearing", bool, False),
         ),
-        "workload": (Field("zipf_theta", float, 0.8, lo=0),),
+        "workload": (Field("zipf_theta", float, 0.8, lo=0, hi=_MAX_ZIPF_THETA),),
         "costs": (
             Field("local", float, 0.0, lo=0, hi=_MAX_COST),
             Field("hop", float, 1.0, lo=0, hi=_MAX_COST),
@@ -253,7 +257,7 @@ SCHEMA: dict[str, dict[str, Field]] = {
             Field("channels", int, 1, lo=1, hi=_MAX_EVENTS), Field("m", int, 1, lo=1),
             Field("scheme", ("none", "distributed", "once_per_cycle", "one_m"), "one_m"),
             Field("dedicated_index_channel", bool, False),
-            Field("total_bandwidth", float, 10.0, above=0),
+            Field("total_bandwidth", float, 10.0, above=0, hi=_MAX_BANDWIDTH),
             Field("request_size", float, 0.25, lo=0),
             Field("threshold", float, math.inf, no_limit=True),
             Field("batching_window", float, 0.0, lo=0, hi=_MAX_COST),
@@ -474,6 +478,9 @@ def _expand_objects(
         ]
     if not isinstance(spec, list):
         errs.append(f"objects: must be a list or a mapping, got {type(spec).__name__}")
+        return []
+    if len(spec) > _MAX_EVENTS:
+        errs.append(f"objects: must hold at most {_MAX_EVENTS} objects, got {len(spec)}")
         return []
     objects = []
     for i, entry in enumerate(spec):
@@ -703,28 +710,6 @@ class QueryRecord(NamedTuple):
     p_nm: float
 
 
-# How json.dumps spells what float.__repr__ writes as nan, inf and -inf.
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_text(value) -> str:
-    """``value`` as ``json.dumps`` writes a string, boolean or number.
-
-    A float goes through ``float.__repr__``, not ``repr``, so a subclass
-    such as a numpy scalar reads as the plain float it is, as json has it.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"{type(value).__name__} {value!r} is not a JSON scalar")
-
-
 def _csv_text(value) -> str:
     """``value`` as a CSV field: numbers as in the JSON, booleans as 1 and 0.
 
@@ -737,7 +722,7 @@ def _csv_text(value) -> str:
         return value
     if isinstance(value, bool):
         return "1" if value else "0"
-    return _json_text(value)
+    return json.dumps(value)
 
 
 def _column_texts(values: list, text) -> list[str]:
@@ -756,7 +741,7 @@ def _column_texts(values: list, text) -> list[str]:
     if kinds == {float}:
         distinct = list(set(values))
         table = dict(zip(distinct, map(float.__repr__, distinct)))
-        if _NON_FINITE.keys().isdisjoint(table.values()) and not (
+        if all(map(math.isfinite, distinct)) and not (
             0.0 in table and -1.0 in map(math.copysign, repeat(1.0), values)
         ):
             return list(map(table.__getitem__, values))
@@ -776,7 +761,7 @@ def _record_rows(
 ) -> Iterator[bytes]:
     """``sep.join(row % texts for each record)``, encoded, a batch at a time.
 
-    ``texts`` are ``text`` (``_json_text`` or ``_csv_text``) of the record's
+    ``texts`` are ``text`` (``json.dumps`` or ``_csv_text``) of the record's
     fields at the indices ``fields``, which ``row``'s ``%s`` take in order.
     Each row is one ``str.join`` of its parts, the pieces of ``row`` between
     the fields and the fields' texts, with no ``%`` per row.
@@ -797,7 +782,7 @@ def _record_rows(
 # A record as json.dumps(sort_keys=True) writes it as a dict
 _JSON_KEYS = sorted(QueryRecord._fields)
 _JSON_FIELDS = [QueryRecord._fields.index(key) for key in _JSON_KEYS]
-_JSON_ROW = "{" + ", ".join(f"{_json_text(key)}: %s" for key in _JSON_KEYS) + "}"
+_JSON_ROW = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in _JSON_KEYS) + "}"
 
 
 @dataclass
@@ -844,8 +829,8 @@ class Metrics:
 
         Everything but the records goes through ``json.dumps``, written in
         two parts around the ``"records"`` key. The records are written
-        straight from their fields by ``_json_text``'s rules, with no dict
-        per record.
+        straight from their fields by ``json.dumps``, with no dict per
+        record.
         """
         head = {
             "schema_id": self.schema_id,
@@ -863,7 +848,7 @@ class Metrics:
         after = json.dumps({k: v for k, v in head.items() if k > "records"},
                            sort_keys=True)
         rows = b", ".join(
-            _record_rows(self.records, _JSON_FIELDS, _json_text, _JSON_ROW, ", ")
+            _record_rows(self.records, _JSON_FIELDS, json.dumps, _JSON_ROW, ", ")
         )
         return b"".join((
             before[:-1].encode(), b', "records": [', rows, b"], ",
@@ -947,18 +932,16 @@ def plan_cell(
     ``rates`` holds every object's rate in scenario order, as
     ``initial_rates`` does. The program is None when nothing is published.
     """
-    params = broadcast_plan.PlanParams(
-        scenario.cell.total_bandwidth, scenario.cell.request_size,
-        scenario.cell.threshold,
-    )
+    cell = scenario.cell
+    params = broadcast_plan.PlanParams(cell.total_bandwidth, cell.request_size, cell.threshold)
     result = broadcast_plan.partition_objects(rates, params)
     program = None
     if result.partition.published:
         program = air_schedule.build_program(
             list(result.partition.published),
-            scenario.cell.channels,
-            scenario.index_scheme(),
-            dedicated_index_channel=scenario.cell.dedicated_index_channel,
+            cell.channels,
+            air_schedule.IndexScheme(cell.scheme, cell.m),
+            dedicated_index_channel=cell.dedicated_index_channel,
         )
     return result, program
 
@@ -1232,13 +1215,18 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
 
 
 def plan_summary(result: broadcast_plan.PartitionResult) -> dict:
-    """The report of a partition: what ``Metrics.plan`` holds."""
+    """The report of a partition: what ``Metrics.plan`` holds. An unstable
+    plan's infinite expected access reads as None, since JSON has no inf."""
+    raw, normalized = (
+        value if math.isfinite(value) else None
+        for value in (result.access.raw, result.access.normalized)
+    )
     return {
         "published_count": len(result.partition.published),
         "published": list(result.partition.published),
         "b_b": result.partition.b_b,
         "b_d": result.partition.b_d,
-        "expected_access_raw": result.access.raw,
-        "expected_access_normalized": result.access.normalized,
+        "expected_access_raw": raw,
+        "expected_access_normalized": normalized,
         "feasible": result.feasible,
     }

@@ -762,7 +762,7 @@ def next_index_read_end_reference(program, now_slot: int) -> int:
     channel = 0 if program.dedicated_index_channel else first_data_channel
     positions = program.index_slots(channel)
     if not positions:
-        raise NotApplicable(f"scheme {program.scheme.kind!r} has no aggregate index")
+        raise NotApplicable("the program has no index slots")
     length = program.cycle_len_slots
     phase = now_slot % length
     deltas = [(p - phase) % length for p in positions]

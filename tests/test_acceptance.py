@@ -82,27 +82,38 @@ def test_criterion_3_index_wait_and_length_relations():
     failures = []
     objs = [f"o{i}" for i in range(8)]
     rng = np.random.default_rng(303)
-    lengths = {}
-    for m in (1, 2, 4):
-        program = air_schedule.build_program(objs, 1, air_schedule.one_m(m))
+    # (scheme, channels, dedicated index channel) of every program the engine airs
+    cases = {f"m={m}": (air_schedule.one_m(m), 1, False) for m in (1, 2, 4)}
+    cases.update({
+        "once_per_cycle": (air_schedule.ONCE_PER_CYCLE, 1, False),
+        "distributed": (air_schedule.DISTRIBUTED, 1, False),
+        "dedicated index channel": (air_schedule.one_m(2), 3, True),
+    })
+    for name, (scheme, channels, dedicated) in cases.items():
+        program = air_schedule.build_program(
+            objs, channels, scheme, dedicated_index_channel=dedicated
+        )
         length = program.cycle_len_slots
-        lengths[m] = length
-        expected = air_schedule.expected_index_wait(program)
-        if expected != length / (2.0 * m):
-            failures.append(f"m={m}: formula wait is not L/(2m)")
         positions = np.array(program.index_slots(0))
+        expected = air_schedule.expected_index_wait(program)
+        if expected != length / (2.0 * len(positions)):
+            failures.append(f"{name}: formula wait is not L/(2m)")
         starts = rng.uniform(0.0, length, size=100_000)
         waits = np.min((positions[None, :] - starts[:, None]) % length, axis=1)
         mean = float(waits.mean())
         if abs(mean - expected) / expected > 0.02:
-            failures.append(f"m={m}: empirical wait {mean:.4f} vs {expected:.4f}")
+            failures.append(f"{name}: empirical wait {mean:.4f} vs {expected:.4f}")
+    lengths = {
+        m: air_schedule.build_program(objs, 1, air_schedule.one_m(m)).cycle_len_slots
+        for m in (1, 2, 4)
+    }
     if not (lengths[1] < lengths[2] < lengths[4]):
         failures.append(f"cycle lengths not increasing in m: {lengths}")
     l_none = air_schedule.build_program(objs, 1, air_schedule.NONE).cycle_len_slots
     l_dist = air_schedule.build_program(objs, 1, air_schedule.DISTRIBUTED).cycle_len_slots
     if not all(l_none <= lengths[m] <= l_dist for m in lengths):
         failures.append(f"length ordering violated: none={l_none} dist={l_dist} {lengths}")
-    report(3, "replicated index wait and cycle length relations",
+    report(3, "index wait of every scheme and cycle length relations",
            failures, time.perf_counter() - t0, 5.0)
 
 

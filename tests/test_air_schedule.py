@@ -66,7 +66,7 @@ class TestLayouts:
 
     def test_replicas_capped_at_object_count(self):
         p = build_program(["a", "b"], 1, one_m(5))
-        assert p.index_segment_count() == 2
+        assert p.index_slots(0) == [0, 2]
 
     def test_invalid_scheme_rejected(self):
         with pytest.raises(ValueError):
@@ -118,7 +118,7 @@ class TestMultiChannel:
         p = build_program(objs, 3, one_m(2), dedicated_index_channel=True)
         assert all(kind == INDEX for kind in kinds(p, 0))
         assert all(kind != INDEX for ch in (1, 2) for kind in kinds(p, ch))
-        assert p.index_segment_count() == p.cycle_len_slots
+        assert p.index_slots(0) == list(range(p.cycle_len_slots))
         assert expected_index_wait(p) == 0.5
 
 
@@ -132,17 +132,24 @@ class TestIndexWait:
         p1 = build_program(seven, 1, ONCE_PER_CYCLE)
         assert p1.cycle_len_slots == 8
         assert expected_index_wait(p1) == 4.0
+        # an index slot before each of 4 data slots: L = 8 over 4 index slots
+        assert expected_index_wait(build_program(OBJS4, 1, DISTRIBUTED)) == 1.0
 
-    def test_not_applicable_without_aggregate_index(self):
-        for scheme in (NONE, DISTRIBUTED):
-            p = build_program(OBJS4, 1, scheme)
-            with pytest.raises(NotApplicable):
-                expected_index_wait(p)
+    def test_not_applicable_without_index_slots(self):
+        with pytest.raises(NotApplicable):
+            expected_index_wait(build_program(OBJS4, 1, NONE))
 
-    @pytest.mark.parametrize("m", [1, 2, 4])
-    def test_empirical_wait_matches_formula(self, m, rng):
+    @pytest.mark.parametrize("scheme, dedicated", [
+        pytest.param(one_m(1), False, id="1"),
+        pytest.param(one_m(2), False, id="2"),
+        pytest.param(one_m(4), False, id="4"),
+        pytest.param(ONCE_PER_CYCLE, False, id="once_per_cycle"),
+        pytest.param(DISTRIBUTED, False, id="distributed"),
+        pytest.param(one_m(2), True, id="dedicated"),
+    ])
+    def test_empirical_wait_matches_formula(self, scheme, dedicated, rng):
         objs = [f"o{i}" for i in range(8)]
-        p = build_program(objs, 1, one_m(m))
+        p = build_program(objs, 3 if dedicated else 1, scheme, dedicated_index_channel=dedicated)
         length = p.cycle_len_slots
         positions = np.array(p.index_slots(0))
         starts = rng.uniform(0, length, size=50_000)

@@ -399,6 +399,20 @@ class TestPlanningCommands:
         assert report["published_count"] + report["on_demand_count"] == 6
         assert report["b_b"] + report["b_d"] == pytest.approx(10.0)
 
+    def test_unstable_plan_is_strict_json(self, tmp_path, capsys):
+        # 4 clients x 0.1 requests per slot x 1.25 = 0.5 > 0.3: no partition is stable
+        doc = self.broadcast_doc()
+        doc["cell"]["total_bandwidth"] = 0.3
+        scenario = write_scenario(tmp_path, doc)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert main(["plan", "--scenario", str(scenario)]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert report["feasible"] is False
+        assert report["expected_access_raw"] is report["expected_access_normalized"] is None
+
     def test_plan_stdout_matches_the_run_plan(self, tmp_path, capsys):
         doc = self.broadcast_doc()
         scenario = write_scenario(tmp_path, doc)

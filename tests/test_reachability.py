@@ -31,9 +31,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # Each unreached function, by its dotted name, and the ROADMAP item that
 # will wire it or that it waits for.
 ALLOWED = {
-    # item 1, the benchmark: perfbench/tracing.py wraps it, so it is deleted
-    # only with a change to the benchmark
-    "cache.ReadTracker.stats_for": "item 1",
+    # item 1, the benchmark: perfbench/tracing.py wraps stats_for, and
+    # perfbench/workloads.py builds its programs with one_m, so each is
+    # deleted only with a change to the benchmark
+    **dict.fromkeys(("cache.ReadTracker.stats_for", "air_schedule.one_m"), "item 1"),
     # item 2, multi-object queries through the engine: the retrieval planners
     **dict.fromkeys((
         "retrieval.RetrievalRequest.__post_init__", "retrieval.row_scan",
@@ -44,7 +45,6 @@ ALLOWED = {
     # item 4, the engine serves the plan it reports: the closed forms
     **dict.fromkeys((
         "broadcast_plan.expected_access_time", "air_schedule.expected_index_wait",
-        "air_schedule.BroadcastProgram.index_segment_count",
     ), "item 4"),
     # item 6, adaptation back in the engine: the fidelity selection half
     **dict.fromkeys((
@@ -122,6 +122,10 @@ def corpus(tmp: Path) -> tuple[list[list[str]], list[int]]:
     broadcast = docs["broadcast"] = dict(scenario, resolution_mode="broadcast", cell=cell)
     docs["dedicated"] = dict(
         broadcast, cell=dict(cell, channels=3, dedicated_index_channel=True))
+    # a cell with too little bandwidth for any stable partition, and one
+    # with more than the reader allows
+    docs["unstable"] = dict(broadcast, cell=dict(cell, total_bandwidth=0.5))
+    docs["too_much_bandwidth"] = dict(broadcast, cell=dict(cell, total_bandwidth=1e308))
     docs["no_objects"] = {"seed": 1, "duration_slots": 10, "cell": {"channels": 1}}
     docs["too_many_channels"] = {"seed": 1, "duration_slots": 10,
                                  "objects": {"count": 2, "mtbu": 50.0},
@@ -158,10 +162,13 @@ def corpus(tmp: Path) -> tuple[list[list[str]], list[int]]:
         (run("providers"), 0),
         *(([command, "--scenario", path(f"{name}.json")], 0)
           for name in ("broadcast", "dedicated") for command in ("plan", "dump-program")),
+        (["plan", "--scenario", path("unstable.json")], 0),
+        (run("unstable"), 0),
         (["compare", path("out_scenario/summary.json"),
           path("out_broadcast/summary.json")], 0),
         (["plan", "--scenario", path("no_objects.json")], 2),
         (["plan", "--scenario", path("too_many_channels.json")], 2),
+        (["plan", "--scenario", path("too_much_bandwidth.json")], 2),
         (run("scenario", "--jobs", "0"), 2),
     ]
     return [argv for argv, _ in calls], [code for _, code in calls]

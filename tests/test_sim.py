@@ -5,6 +5,7 @@ import json
 import math
 import statistics
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -962,6 +963,62 @@ class TestCostCaps:
         assert violations(doc) == [f"{'.'.join(path)}: must be in [0, 1e+270]"]
 
 
+def strict_json(text):
+    """``text`` parsed as JSON, refusing the NaN and Infinity it does not define."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestPlannerRanges:
+    """A total bandwidth or Zipf exponent at its cap runs, and an unstable
+    plan is written as strict JSON. At 1e308 the bandwidth made the split
+    search's midpoint inf, and the exponent overflowed ``np.power``."""
+
+    def test_bandwidth_at_the_cap_plans_finitely(self):
+        metrics = run(scenario_from_dict(
+            with_field(("cell", "total_bandwidth"), sim._MAX_BANDWIDTH)
+        ))
+        plan = metrics.plan
+        assert plan["feasible"] and plan["b_b"] + plan["b_d"] == sim._MAX_BANDWIDTH
+        assert all(map(math.isfinite, (plan["expected_access_raw"],
+                                       plan["expected_access_normalized"])))
+        strict_json(metrics.to_json_bytes())
+
+    def test_bandwidth_above_the_cap_is_one_violation(self):
+        doc = with_field(("cell", "total_bandwidth"),
+                         math.nextafter(sim._MAX_BANDWIDTH, math.inf))
+        assert violations(doc) == ["cell.total_bandwidth: must be in (0, 1e+307]"]
+
+    def test_unstable_plan_writes_null(self):
+        # 6 clients x 0.08 requests per slot x 1.25 = 0.6 > 0.5: not even the
+        # all-on-demand partition is stable
+        metrics = run(scenario_from_dict(with_field(("cell", "total_bandwidth"), 0.5)))
+        plan = strict_json(metrics.to_json_bytes())["plan"]
+        assert plan == metrics.plan
+        assert (plan["feasible"], plan["published_count"]) == (False, 0)
+        assert plan["expected_access_raw"] is None
+        assert plan["expected_access_normalized"] is None
+
+    def test_zipf_pmf_at_the_cap_with_the_most_objects(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pmf = sim.zipf_pmf(sim._MAX_EVENTS, sim._MAX_ZIPF_THETA)
+        assert np.isfinite(pmf).all() and pmf[0] > 0.0
+        metrics = run(scenario_from_dict(p2p_doc(workload={"zipf_theta": sim._MAX_ZIPF_THETA})))
+        # every query asks for the most popular object: the next has odds 2^-51
+        assert metrics.records and {r.object_id for r in metrics.records} == {"obj0"}
+
+    def test_zipf_above_the_cap_is_one_violation(self):
+        doc = p2p_doc(workload={"zipf_theta": math.nextafter(sim._MAX_ZIPF_THETA, math.inf)})
+        assert violations(doc) == ["workload.zipf_theta: must be in [0, 51.0]"]
+
+    def test_objects_list_past_the_cap_is_one_violation(self):
+        # one mapping listed many times: the length is checked before any entry
+        doc = p2p_doc(objects=[{"object_id": "o", "mtbu": 100.0}] * (sim._MAX_EVENTS + 1))
+        assert violations(doc) == ["objects: must hold at most 1000000 objects, got 1000001"]
+
+
 class TestTypedFields:
     """A field of the wrong type is a violation, not a raw exception."""
 
@@ -1484,7 +1541,7 @@ class TestUnrunnableCells:
         doc["cell"].update(scheme="none", threshold=math.inf)
         scn = scenario_from_dict(doc)
         _, program = sim.plan_cell(scn, sim.initial_rates(scn))
-        assert program is not None and program.scheme.kind == "none"
+        assert program is not None and program.index_positions == ()
 
 
 class TestInvariants:
@@ -1555,7 +1612,8 @@ ANY_JSON = st.sampled_from([None, True, False, 0, 3, -1, 2.5, "x", "", [], [1], 
 
 
 def in_range(row: sim.Field):
-    """Values the table accepts for ``row``, run sizes kept small."""
+    """Values the table accepts for ``row``, run sizes kept small, and a
+    number's range end: its ``hi``, or float max where it has none."""
     if row.kind is bool:
         return st.booleans()
     if row.kind is str:
@@ -1568,6 +1626,7 @@ def in_range(row: sim.Field):
     if row.kind is int:
         return st.integers(lo, hi)
     values = st.floats(lo, hi, exclude_min=row.above is not None and lo <= row.above)
+    values = st.one_of(values, st.just(sys.float_info.max if row.hi is None else float(row.hi)))
     return st.one_of(values, st.just(math.inf)) if row.no_limit else values
 
 
@@ -1684,7 +1743,7 @@ class TestEveryDocument:
         metrics = run(scn)
         counters = metrics.counters
         assert counters["answered"] + counters["unresolved"] == counters["issued"]
-        metrics.to_json_bytes()
+        strict_json(metrics.to_json_bytes())
         metrics.to_csv_bytes()
 
     @settings(max_examples=300, deadline=None)
