@@ -16,16 +16,19 @@ The planner's input is a rate map, object id to arrival rate, whose
 iteration order is the caller's and fixes the order in which the total
 rate is summed; every sum of rates adds left to right from 0, as ``sum()``
 does before CPython 3.12 (whose ``sum()`` is compensated). A plan is one
-pass over the objects plus a golden-section search per prefix: the rates
-are listed once in ``move_order``, each prefix's group rates are sums over
-that list, and ``optimize_bandwidth_split`` takes the prefix's length and
-its two group rates and evaluates its objective inline, with no call or
-allocation per step.
+pass over the objects: the rates are listed once in ``move_order``, and
+each prefix's group rates are sums over that list. ``_screen`` decides most
+prefixes from the closed-form optimum of the split; the split search,
+``optimize_bandwidth_split``, runs only for the prefix the plan returns and
+for the few the screen cannot decide. The search takes the prefix's length
+and its two group rates and evaluates its objective inline, with no call
+or allocation per step.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import reduce
@@ -48,10 +51,12 @@ class PlanParams:
     threshold: float = math.inf  # access-time cap for the partition loop
 
     def __post_init__(self) -> None:
-        if self.total_bandwidth <= 0:
-            raise ValueError("total bandwidth must be > 0")
-        if self.request_size < 0:
-            raise ValueError("request size must be >= 0")
+        if not 0 < self.total_bandwidth < math.inf:
+            raise ValueError("total bandwidth must be finite and > 0")
+        if not 0 <= self.request_size < math.inf:
+            raise ValueError("request size must be finite and >= 0")
+        if math.isnan(self.threshold):
+            raise ValueError("threshold must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -187,6 +192,76 @@ def optimize_bandwidth_split(
     return (b_b, total_b - b_b)
 
 
+# The screen's relative margin. Both sides of each of its comparisons are
+# f(x) = A/x + C/(U - x) evaluated in floats at points at least tol = 1e-6 B
+# inside (0, U), with A, C and tol normal floats. Each operation rounds by
+# 2**-53 relative except U - x (in the search, (B - x) / (1 + R) - lambda_d),
+# whose cancellation costs about ulp(B) / tol ~ 2.2e-10 relative. Where f is
+# flat to within that error a search step may keep the wrong side of its
+# bracket; by convexity and the golden ratio of the steps each such step
+# costs f at most about 3.2 times the error, and a search makes about 30
+# steps. All told that is below 1e-7, so 1e-6 leaves a tenfold margin.
+_SCREEN_MARGIN = 1e-6
+_NORMAL = sys.float_info.min  # the least normal float
+
+
+def _screen(k: int, pub_rate: float, od_rate: float, params: PlanParams) -> bool | None:
+    """Whether prefix k's optimized access time holds the threshold, decided
+    from the split's closed form; None where the closed form cannot say.
+
+    With U = B - lambda_d (1 + R), A = lambda_b k / 2 and C = lambda_d (1 + R),
+    ``optimize_bandwidth_split`` minimizes f(x) = A/x + C/(U - x) over the
+    broadcast bandwidth x. Its minimum is f* = (sqrt A + sqrt C)^2 / U, at
+    x* = U sqrt A / (sqrt A + sqrt C). No split does better than f*, so the
+    prefix fails when f* exceeds the threshold. The search's last bracket
+    is at most tol wide and holds x*, so the split it returns is within
+    tol / 2 of x*, where by convexity f is at most the larger of
+    f(x* - 2 tol) and f(x* + 2 tol): the prefix holds when that is under the
+    threshold. Both comparisons keep the margin ``_SCREEN_MARGIN``. The
+    search's degenerate cases (an empty group, a stable interval of 2 tol or
+    less), an x* within 3 tol of either end, a subnormal A, C or tol, and a
+    non-finite value are left to the search. The closed form is the
+    search's objective solved: a change to the one must change the other.
+    """
+    total_b = params.total_bandwidth
+    per_request = 1.0 + params.request_size
+    upper = total_b - od_rate * per_request
+    tol = 1e-6 * total_b
+    a, c = pub_rate * k / 2.0, od_rate * per_request
+    if not (a >= _NORMAL and c >= _NORMAL and tol >= _NORMAL and upper > 2 * tol):
+        return None
+    root_a = math.sqrt(a)
+    roots = root_a + math.sqrt(c)
+    least = roots * roots / upper  # a product overflows to inf, where ** raises
+    if not math.isfinite(least):
+        return None
+    if least * (1.0 - _SCREEN_MARGIN) > params.threshold:
+        return False
+    x = upper * (root_a / roots)
+    if not 3 * tol <= x <= upper - 3 * tol:
+        return None
+    left, right = x - 2 * tol, x + 2 * tol
+    worst = max(a / left + c / (upper - left), a / right + c / (upper - right))
+    if worst * (1.0 + _SCREEN_MARGIN) < params.threshold:
+        return True
+    return None
+
+
+def _plan_prefix(
+    k: int, pub_rate: float, od_rate: float, params: PlanParams, total_rate: float
+) -> tuple[float, float, AccessTime]:
+    """Prefix k's optimized split and its access time; an unstable prefix
+    gets the split (0, B) and an infinite access time."""
+    try:
+        b_b, b_d = optimize_bandwidth_split(k, pub_rate, od_rate, params)
+    except Unstable:
+        total_b = params.total_bandwidth
+        mu_d = total_b / (1.0 + params.request_size)
+        return 0.0, total_b, AccessTime(math.inf, math.inf, math.inf, math.inf, mu_d, od_rate)
+    access = _access_time(k, pub_rate, od_rate, b_b, b_d, params.request_size, total_rate)
+    return b_b, b_d, access
+
+
 def move_order(rates: Mapping[str, float]) -> list[str]:
     """Objects by descending arrival rate, ties by ascending id."""
     _check(rates)
@@ -206,7 +281,10 @@ def partition_objects(rates: Mapping[str, float], params: PlanParams) -> Partiti
 
     The rates are listed once in move order. Prefix k's group rates are the
     first k of them as a running sum and the rest as a scan from k on, the
-    additions ``expected_access_time`` makes, in its order. ``move_order``
+    additions ``expected_access_time`` makes, in its order. ``_screen``
+    tells whether each prefix holds; only a prefix it leaves open is planned
+    on the way, and the prefix returned is planned at the end, so the
+    result is the one that planning every prefix gives. ``move_order``
     refuses a bad rate.
     """
     if not rates:
@@ -216,27 +294,22 @@ def partition_objects(rates: Mapping[str, float], params: PlanParams) -> Partiti
     # the trailing 0.0 is the empty suffix's rate, and it turns a scan of
     # -0.0 rates alone into the 0.0 that a fold from 0 gives
     column = np.array(listed + [0.0])
-    total, total_b = reduce(add, rates.values(), 0), params.total_bandwidth
-    pub_rate, kept = 0, None  # kept: the last prefix that holds (k, b_b, b_d, access)
+    total = reduce(add, rates.values(), 0)
+    pub_rate, kept = 0, None  # kept: the last prefix that holds (k, pub_rate, od_rate)
     for k in range(len(order) + 1):
         if k:
             pub_rate += listed[k - 1]
         od_rate = np.add.accumulate(column[k:])[-1].item()
-        try:
-            b_b, b_d = optimize_bandwidth_split(k, pub_rate, od_rate, params)
-        except Unstable:
-            b_b, b_d = 0.0, total_b
-            mu_d = total_b / (1.0 + params.request_size)
-            access = AccessTime(math.inf, math.inf, math.inf, math.inf, mu_d, od_rate)
-        else:
-            access = _access_time(
-                k, pub_rate, od_rate, b_b, b_d, params.request_size, total
-            )
-        if not (math.isfinite(access.raw) and access.raw <= params.threshold):
+        holds = _screen(k, pub_rate, od_rate, params)
+        if holds is None:
+            raw = _plan_prefix(k, pub_rate, od_rate, params, total)[2].raw
+            holds = math.isfinite(raw) and raw <= params.threshold
+        if not holds:
             break
-        kept = (k, b_b, b_d, access)
+        kept = (k, pub_rate, od_rate)
     # infeasible if even prefix 0 fails: that prefix is returned, flagged
-    k, b_b, b_d, access = kept or (k, b_b, b_d, access)
+    k, pub_rate, od_rate = kept or (k, pub_rate, od_rate)
+    b_b, b_d, access = _plan_prefix(k, pub_rate, od_rate, params, total)
     partition = Partition(tuple(order[:k]), tuple(order[k:]), b_b, b_d)
     return PartitionResult(partition, access, kept is not None)
 

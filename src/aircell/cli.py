@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import statistics
 import sys
@@ -251,10 +252,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_plan(args: argparse.Namespace) -> int:
     scenario = _cell_scenario(args.scenario)
     result, _ = plan_cell(scenario, initial_rates(scenario))
+    threshold = scenario.cell.threshold
     report = {
         **plan_summary(result),
         "on_demand_count": len(result.partition.on_demand),
-        "threshold": scenario.cell.threshold,
+        # "no limit" reads as None, as plan_summary's infinities do
+        "threshold": threshold if math.isfinite(threshold) else None,
     }
     return _write_report(report, None)
 

@@ -154,7 +154,10 @@ _MAX_COST = 1e270
 # (``broadcast_plan.optimize_bandwidth_split``) adds its two bracket ends and
 # doubles the broadcast bandwidth, each at most the total: past float max / 2
 # ~ 9e307 either is inf, and 1e308 made the bracket's midpoint inf and the
-# on-demand service rate -inf.
+# on-demand service rate -inf. The closed-form screen beside the search
+# (``broadcast_plan._screen``) stays below the total too: its points lie
+# inside the stable interval, and a value that overflows leaves the prefix
+# to the search.
 _MAX_BANDWIDTH = 1e307
 # The most draws a run may ask of one stream: writes of one source, or
 # requests of one client. A source writes once per mtbu of simulated time

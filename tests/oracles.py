@@ -590,13 +590,20 @@ def _ref_evaluate_prefix(order, k, demands, params):
     return part, _ref_expected_access_time(part, demands, params)
 
 
+def _ref_move_order(demands):
+    return [d.object_id for d in sorted(demands, key=lambda d: (-d.rate, d.object_id))]
+
+
+def prefix_reference(demands, params, k):
+    """The plan of the move order's first k objects published: (partition, access)."""
+    return _ref_evaluate_prefix(_ref_move_order(demands), k, demands, params)
+
+
 def partition_reference(demands, params):
     """The greedy publish loop, prefix by prefix through the public split."""
     if not demands:
         raise ValueError("no demands given")
-    order = [
-        d.object_id for d in sorted(demands, key=lambda d: (-d.rate, d.object_id))
-    ]
+    order = _ref_move_order(demands)
 
     def satisfies(access) -> bool:
         return math.isfinite(access.raw) and access.raw <= params.threshold

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aircell import sim
+from aircell import broadcast_plan, sim
 from aircell.broadcast_plan import (
     BatchingServer,
     Partition,
@@ -20,6 +20,7 @@ from oracles import (
     DemandRecord,
     grid_search_split,
     partition_reference,
+    prefix_reference,
     replay_partition,
 )
 
@@ -32,6 +33,30 @@ def demands_of(rates: dict[str, float]) -> dict[str, float]:
 def records_of(rates: dict[str, float]) -> list[DemandRecord]:
     """The reference planner's input for a rate map, in the map's order."""
     return [DemandRecord(oid, r, 1.0) for oid, r in rates.items()]
+
+
+class TestPlanParams:
+    @pytest.mark.parametrize(
+        "bandwidth, request_size, threshold, message",
+        [
+            (math.nan, 0.25, math.inf, "total bandwidth must be finite and > 0"),
+            (math.inf, 0.25, math.inf, "total bandwidth must be finite and > 0"),
+            (0.0, 0.25, math.inf, "total bandwidth must be finite and > 0"),
+            (10.0, math.nan, math.inf, "request size must be finite and >= 0"),
+            (10.0, math.inf, math.inf, "request size must be finite and >= 0"),
+            (10.0, -0.25, math.inf, "request size must be finite and >= 0"),
+            (10.0, 0.25, math.nan, "threshold must not be NaN"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_refused(
+        self, bandwidth, request_size, threshold, message
+    ):
+        # PlanParams(nan, 0.25) used to plan to b_d = nan
+        with pytest.raises(ValueError, match=message):
+            PlanParams(bandwidth, request_size, threshold)
+
+    def test_infinite_threshold_is_no_limit(self):
+        assert PlanParams(10.0, 0.25).threshold == math.inf
 
 
 class TestExpectedAccessTime:
@@ -109,6 +134,25 @@ class TestBandwidthSplit:
             b_b, _ = optimize_bandwidth_split(k, pub_rate, od_rate, params)
             grid_b, _ = grid_search_split(k, pub_rate, od_rate, bandwidth, 1.0, request)
             assert abs(b_b - grid_b) <= 1e-3 * bandwidth
+
+    def test_search_lands_within_tol_of_the_closed_form(self, rng):
+        # partition_objects screens prefixes on this: the search minimizes
+        # A/x + C/(U - x), whose minimum on [tol, U - tol] is
+        # x* = U sqrt(A) / (sqrt(A) + sqrt(C)) clamped to that interval
+        for _ in range(300):
+            k = int(rng.integers(1, 500))
+            pub_rate, od_rate = (float(r) for r in rng.uniform(1e-3, 5.0, size=2))
+            request = float(rng.uniform(0.0, 0.5))
+            bandwidth = od_rate * (1.0 + request) * float(rng.uniform(1.001, 10.0))
+            b_b, _ = optimize_bandwidth_split(
+                k, pub_rate, od_rate, PlanParams(bandwidth, request)
+            )
+            upper = bandwidth - od_rate * (1.0 + request)
+            root_a = math.sqrt(pub_rate * k / 2.0)
+            root_c = math.sqrt(od_rate * (1.0 + request))
+            tol = 1e-6 * bandwidth
+            x_star = min(max(upper * root_a / (root_a + root_c), tol), upper - tol)
+            assert abs(b_b - x_star) <= tol
 
     def test_unstable_split(self):
         with pytest.raises(Unstable):
@@ -240,6 +284,51 @@ class TestPartitionBitExact:
         params = PlanParams(bandwidth, request, threshold)
         expected = partition_reference(records_of(by_id), params)
         assert partition_objects(by_id, params) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rates=st.integers(1, 60).flatmap(
+            lambda n: st.lists(_rates, min_size=n, max_size=n)
+        ),
+        request=st.sampled_from([0.0, 0.25, 0.4]),
+        headroom=st.floats(1.05, 4.0, allow_nan=False),
+        data=st.data(),
+    )
+    def test_threshold_at_a_prefix_access_time(self, rates, request, headroom, data):
+        # at, or a rounding away from, a prefix's own access time the
+        # closed-form screen cannot tell, and the search has to
+        by_id = {f"o{i:02d}": r for i, r in enumerate(rates)}
+        bandwidth = max(sum(rates) * (1.0 + request) * headroom, 0.1)
+        k = data.draw(st.integers(0, len(rates)), label="k")
+        raw = prefix_reference(records_of(by_id), PlanParams(bandwidth, request), k)[1].raw
+        assume(math.isfinite(raw))
+        for threshold in (
+            raw, math.nextafter(raw, -math.inf), math.nextafter(raw, math.inf),
+            raw * (1 - 1e-12), raw * (1 + 1e-12),
+        ):
+            params = PlanParams(bandwidth, request, threshold)
+            expected = partition_reference(records_of(by_id), params)
+            assert partition_objects(by_id, params) == expected
+
+    def test_few_searches_on_a_large_cell(self, monkeypatch):
+        # 500 Zipf-distributed objects whose cap of 5 stops the loop part-way:
+        # the screen decides nearly every prefix, and the search plans the
+        # prefix returned
+        n = 500
+        weights = 1.0 / np.arange(1, n + 1, dtype=float)
+        rates = {f"obj{i:03d}": 2.0 * float(w) for i, w in enumerate(weights / weights.sum())}
+        params = PlanParams(10.0, 0.25, threshold=5.0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return optimize_bandwidth_split(*args)
+
+        monkeypatch.setattr(broadcast_plan, "optimize_bandwidth_split", counted)
+        result = partition_objects(rates, params)
+        assert 0 < len(result.partition.published) < n
+        assert len(calls) <= 3
+        assert result == partition_reference(records_of(rates), params)
 
     def test_saturated_cell_is_infeasible(self):
         # on-demand load 10 * 1.25 exceeds the bandwidth, so prefix 0 is

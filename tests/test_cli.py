@@ -25,6 +25,11 @@ MINI = {
 }
 
 
+def refuse_constant(constant):
+    """``json.loads``' ``parse_constant``: Infinity and NaN are not JSON."""
+    raise ValueError(f"{constant} is not JSON")
+
+
 def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -404,14 +409,20 @@ class TestPlanningCommands:
         doc = self.broadcast_doc()
         doc["cell"]["total_bandwidth"] = 0.3
         scenario = write_scenario(tmp_path, doc)
-
-        def refuse(constant):
-            raise ValueError(f"{constant} is not JSON")
-
         assert main(["plan", "--scenario", str(scenario)]) == 0
-        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
         assert report["feasible"] is False
         assert report["expected_access_raw"] is report["expected_access_normalized"] is None
+
+    def test_no_limit_threshold_is_strict_json(self, tmp_path, capsys):
+        # the default threshold is inf, "no limit": it printed as Infinity
+        doc = self.broadcast_doc()
+        del doc["cell"]["threshold"]
+        scenario = write_scenario(tmp_path, doc)
+        assert main(["plan", "--scenario", str(scenario)]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+        assert report["threshold"] is None
+        assert report["feasible"] is True and report["published_count"] == 6
 
     def test_plan_stdout_matches_the_run_plan(self, tmp_path, capsys):
         doc = self.broadcast_doc()
