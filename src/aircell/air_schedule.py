@@ -22,6 +22,7 @@ L / (2m) slots on average for the next of m index slots in a cycle of L.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 INDEX = "index"  # the label of an index read in a retrieval plan
@@ -61,8 +62,9 @@ class BroadcastProgram:
     cycle_len_slots: int
     dedicated_index_channel: bool = False
     directory: dict[str, tuple[int, int]] = field(default_factory=dict)
-    # the index slots of channel 0, where every index read is made; each
-    # data channel repeats them unless channel 0 is a dedicated index channel
+    # the index slots of channel 0, ascending, where every index read is
+    # made; each data channel repeats them unless channel 0 is a dedicated
+    # index channel
     index_positions: tuple[int, ...] = ()
 
     def index_slots(self, channel: int) -> list[int]:
@@ -151,4 +153,6 @@ def next_index_read_end(program: BroadcastProgram, now_slot: int) -> int:
         raise NotApplicable("the program has no index slots")
     length = program.cycle_len_slots
     phase = now_slot % length
-    return now_slot + min((p - phase) % length for p in positions)
+    i = bisect_left(positions, phase)
+    # past the last index slot of the cycle, the first of the next
+    return now_slot + (positions[i] if i < len(positions) else positions[0] + length) - phase

@@ -15,14 +15,19 @@ time stays under a threshold.
 The planner's input is a rate map, object id to arrival rate, whose
 iteration order is the caller's and fixes the order in which the total
 rate is summed; every sum of rates adds left to right from 0, as ``sum()``
-does before CPython 3.12 (whose ``sum()`` is compensated). A plan is one
-pass over the objects: the rates are listed once in ``move_order``, and
-each prefix's group rates are sums over that list. ``_screen`` decides most
-prefixes from the closed-form optimum of the split; the split search,
-``optimize_bandwidth_split``, runs only for the prefix the plan returns and
-for the few the screen cannot decide. The search takes the prefix's length
-and its two group rates and evaluates its objective inline, with no call
-or allocation per step.
+does before CPython 3.12 (whose ``sum()`` is compensated). A plan costs
+one sort and O(n) array work. The rates are listed once in ``move_order``;
+one running sum of that list gives every prefix's published rate exactly,
+and one from the other end gives every on-demand rate, which differs from
+the left-to-right sum by at most a bound relative to it and so is known to
+an interval. ``_screen_prefixes`` decides every prefix at once from the
+closed-form optimum of the split, taking for each of its tests the end of
+the interval that is worse for it. A suffix whose sum is 0 holds only
+zeros, and its prefix is decided exactly. The split search,
+``optimize_bandwidth_split``, runs, on the suffix folded left to right,
+only for the prefix the plan returns and for the few the screen leaves
+open. The search takes the prefix's length and its two group rates and
+evaluates its objective inline, with no call or allocation per step.
 """
 
 from __future__ import annotations
@@ -84,10 +89,15 @@ class PartitionResult:
     feasible: bool
 
 
-def _check(rates: Mapping[str, float]) -> None:
-    """Refuse a rate that is not finite and >= 0."""
+def _check(rates: Mapping[str, float]) -> float:
+    """The total rate, added left to right from 0 in the map's order. Refuse
+    a rate that is not finite and >= 0, and a total that is not finite."""
     if not all(0 <= rate < math.inf for rate in rates.values()):
         raise ValueError("arrival rate must be finite and >= 0")
+    total = reduce(add, rates.values(), 0)
+    if total == math.inf:
+        raise ValueError("total arrival rate must be finite")
+    return total
 
 
 def _access_time(
@@ -117,10 +127,9 @@ def expected_access_time(
     partition: Partition, rates: Mapping[str, float], params: PlanParams
 ) -> AccessTime:
     """Expected access time of a partition at its recorded bandwidth split."""
-    _check(rates)
+    total = _check(rates)
     pub_rate = reduce(add, (rates[o] for o in partition.published), 0)
     od_rate = reduce(add, (rates[o] for o in partition.on_demand), 0)
-    total = reduce(add, rates.values(), 0)
     return _access_time(
         len(partition.published), pub_rate, od_rate,
         partition.b_b, partition.b_d, params.request_size, total,
@@ -200,51 +209,98 @@ def optimize_bandwidth_split(
 # flat to within that error a search step may keep the wrong side of its
 # bracket; by convexity and the golden ratio of the steps each such step
 # costs f at most about 3.2 times the error, and a search makes about 30
-# steps. All told that is below 1e-7, so 1e-6 leaves a tenfold margin.
+# steps. All told that is below 1e-7, so 1e-6 leaves a tenfold margin. The
+# screen knows lambda_d only to an interval; that costs nothing from this
+# budget, since each test is made at the end of the interval that is worse
+# for it.
 _SCREEN_MARGIN = 1e-6
 _NORMAL = sys.float_info.min  # the least normal float
+# The screen's on-demand rates are summed right to left, the search's left
+# to right. A sum of m nonnegative floats is within gamma_(m-1) S of the
+# exact sum S in any order, gamma_j = j u / (1 - j u) with u = 2**-53
+# (Higham, Accuracy and Stability of Numerical Algorithms, section 4.2), so
+# the two orders differ by at most 2 gamma_(m-1) S. For a suffix of at most
+# n + 1 terms, od * (1 -+ 4 (n + 2) u) brackets the left-to-right sum with room
+# for the rounding of those two products: additions are exact where a sum
+# is subnormal, so a subnormal od is the left-to-right sum itself.
+_UNIT_ROUNDOFF = 2.0**-53
 
 
-def _screen(k: int, pub_rate: float, od_rate: float, params: PlanParams) -> bool | None:
-    """Whether prefix k's optimized access time holds the threshold, decided
-    from the split's closed form; None where the closed form cannot say.
+def _screen_prefixes(
+    pub: np.ndarray, od: np.ndarray, params: PlanParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each prefix holds the threshold, and whether it fails it,
+    from its published rate ``pub[k]`` and its on-demand rate ``od[k]``
+    summed right to left; a prefix that does neither is left to the search.
 
     With U = B - lambda_d (1 + R), A = lambda_b k / 2 and C = lambda_d (1 + R),
     ``optimize_bandwidth_split`` minimizes f(x) = A/x + C/(U - x) over the
     broadcast bandwidth x. Its minimum is f* = (sqrt A + sqrt C)^2 / U, at
-    x* = U sqrt A / (sqrt A + sqrt C). No split does better than f*, so the
-    prefix fails when f* exceeds the threshold. The search's last bracket
-    is at most tol wide and holds x*, so the split it returns is within
-    tol / 2 of x*, where by convexity f is at most the larger of
-    f(x* - 2 tol) and f(x* + 2 tol): the prefix holds when that is under the
-    threshold. Both comparisons keep the margin ``_SCREEN_MARGIN``. The
-    search's degenerate cases (an empty group, a stable interval of 2 tol or
-    less), an x* within 3 tol of either end, a subnormal A, C or tol, and a
-    non-finite value are left to the search. The closed form is the
-    search's objective solved: a change to the one must change the other.
+    x* = U sqrt A / (sqrt A + sqrt C). The search's lambda_d, the suffix
+    folded left to right, lies in [lo, hi] around od (see ``_UNIT_ROUNDOFF``);
+    as lambda_d rises, f rises at every x, f* rises and x* falls.
+
+    - Fails: f*(lo) exceeds the threshold. No split does better than f* at
+      lambda_d, which is at least f*(lo).
+    - Holds: f at hi is under the threshold at both ends of
+      [x*(hi) - 2 tol, x*(lo) + 2 tol]. The search's last bracket is at most
+      tol wide and holds x* at lambda_d, which lies in [x*(hi), x*(lo)], so
+      the split it returns is within tol / 2 of that x*. There f is at most
+      f at hi, which is convex and so at most its value at one end.
+
+    Both comparisons keep the margin ``_SCREEN_MARGIN``. The search's
+    degenerate cases (an empty group, a stable interval of 2 tol or less at
+    hi), an x* within 3 tol of either end, a subnormal A, C or tol, and a
+    non-finite value are left to the search. The closed form is the search's
+    objective solved: a change to the one must change the other.
+
+    A suffix whose od is 0 holds only rates of 0. Its left-to-right fold is
+    0.0 and the search returns (B, 0), so the prefix's access time is the
+    one ``_access_time`` gives at that split, 0.0 + lambda_b k / (2 B), and
+    it is decided here in the same operations, exactly.
     """
-    total_b = params.total_bandwidth
+    n = len(pub) - 1
+    total_b, threshold = params.total_bandwidth, params.threshold
     per_request = 1.0 + params.request_size
-    upper = total_b - od_rate * per_request
     tol = 1e-6 * total_b
-    a, c = pub_rate * k / 2.0, od_rate * per_request
-    if not (a >= _NORMAL and c >= _NORMAL and tol >= _NORMAL and upper > 2 * tol):
-        return None
-    root_a = math.sqrt(a)
-    roots = root_a + math.sqrt(c)
-    least = roots * roots / upper  # a product overflows to inf, where ** raises
-    if not math.isfinite(least):
-        return None
-    if least * (1.0 - _SCREEN_MARGIN) > params.threshold:
-        return False
-    x = upper * (root_a / roots)
-    if not 3 * tol <= x <= upper - 3 * tol:
-        return None
-    left, right = x - 2 * tol, x + 2 * tol
-    worst = max(a / left + c / (upper - left), a / right + c / (upper - right))
-    if worst * (1.0 + _SCREEN_MARGIN) < params.threshold:
-        return True
-    return None
+    k = np.arange(n + 1, dtype=float)
+    spread = 4.0 * (n + 2) * _UNIT_ROUNDOFF
+    # an overflow, a division by 0 or a NaN makes a value that is not
+    # finite, and a prefix with one is left to the search or, in the zero
+    # tail, fails
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        raw = np.where(pub > 0, 0.0 + pub * (k / (2.0 * total_b)), 0.0)
+        zero_holds = np.isfinite(raw) & (raw <= threshold)
+        a = pub * k / 2.0
+        c_lo = od * (1.0 - spread) * per_request
+        c_hi = od * (1.0 + spread) * per_request
+        upper_lo, upper_hi = total_b - c_lo, total_b - c_hi
+        root_a = np.sqrt(a)
+        roots_lo, roots_hi = root_a + np.sqrt(c_lo), root_a + np.sqrt(c_hi)
+        least = roots_lo * roots_lo / upper_lo
+        x_lo, x_hi = upper_lo * (root_a / roots_lo), upper_hi * (root_a / roots_hi)
+        left, right = x_hi - 2 * tol, x_lo + 2 * tol
+        worst = np.maximum(
+            a / left + c_hi / (upper_hi - left), a / right + c_hi / (upper_hi - right)
+        )
+        screened = (
+            (a >= _NORMAL) & (c_lo >= _NORMAL) & (tol >= _NORMAL)
+            & (upper_hi > 2 * tol) & np.isfinite(least)
+        )
+        fails = screened & (least * (1.0 - _SCREEN_MARGIN) > threshold)
+        holds = (
+            screened & (3 * tol <= x_hi) & (x_lo <= upper_hi - 3 * tol)
+            & (worst * (1.0 + _SCREEN_MARGIN) < threshold)
+        )
+    zero = od == 0
+    return np.where(zero, zero_holds, holds), np.where(zero, ~zero_holds, fails)
+
+
+def _suffix_rate(column: np.ndarray, k: int) -> float:
+    """Prefix k's on-demand rate: ``column[k:]`` added left to right, the
+    fold ``expected_access_time`` makes."""
+    with np.errstate(over="ignore"):  # a sum past float max is inf, as in Python
+        return np.add.accumulate(column[k:])[-1].item()
 
 
 def _plan_prefix(
@@ -263,8 +319,8 @@ def _plan_prefix(
 
 
 def move_order(rates: Mapping[str, float]) -> list[str]:
-    """Objects by descending arrival rate, ties by ascending id."""
-    _check(rates)
+    """Objects by descending arrival rate, ties by ascending id. The rates
+    are taken as given: ``partition_objects`` checks them first."""
     # a reversed sort keeps equal rates in their ascending id order
     return sorted(sorted(rates), key=rates.__getitem__, reverse=True)
 
@@ -279,39 +335,43 @@ def partition_objects(rates: Mapping[str, float], params: PlanParams) -> Partiti
     the initial configuration violates the threshold, it is returned flagged
     infeasible.
 
-    The rates are listed once in move order. Prefix k's group rates are the
-    first k of them as a running sum and the rest as a scan from k on, the
-    additions ``expected_access_time`` makes, in its order. ``_screen``
-    tells whether each prefix holds; only a prefix it leaves open is planned
-    on the way, and the prefix returned is planned at the end, so the
-    result is the one that planning every prefix gives. ``move_order``
-    refuses a bad rate.
+    The rates are listed once in move order. Every prefix's published rate
+    is one running sum of that list, the additions ``expected_access_time``
+    makes, in its order; its on-demand rate is one running sum from the
+    other end, known to an interval. ``_screen_prefixes`` decides every
+    prefix at once from these, and the zero tail exactly. Only a prefix it
+    leaves open before the first that fails, and the prefix returned, get
+    their suffix folded left to right and planned by the search, so the
+    result is the one that planning every prefix gives. A plan costs the
+    sort and O(n) array work. ``_check`` refuses a bad rate, or a total
+    that is not finite.
     """
     if not rates:
         raise ValueError("no rates given")
+    total = _check(rates)
     order = move_order(rates)
-    listed = [rates[o] for o in order]
-    # the trailing 0.0 is the empty suffix's rate, and it turns a scan of
-    # -0.0 rates alone into the 0.0 that a fold from 0 gives
-    column = np.array(listed + [0.0])
-    total = reduce(add, rates.values(), 0)
-    pub_rate, kept = 0, None  # kept: the last prefix that holds (k, pub_rate, od_rate)
-    for k in range(len(order) + 1):
-        if k:
-            pub_rate += listed[k - 1]
-        od_rate = np.add.accumulate(column[k:])[-1].item()
-        holds = _screen(k, pub_rate, od_rate, params)
-        if holds is None:
-            raw = _plan_prefix(k, pub_rate, od_rate, params, total)[2].raw
-            holds = math.isfinite(raw) and raw <= params.threshold
-        if not holds:
-            break
-        kept = (k, pub_rate, od_rate)
+    # the rates in move order between two 0.0s: the first starts the
+    # prefixes' running sum from 0, and the last is the empty suffix's rate,
+    # which turns a fold of -0.0 rates alone into the 0.0 a fold from 0 gives
+    padded = np.array([0.0, *map(rates.__getitem__, order), 0.0])
+    column = padded[1:]
+    with np.errstate(over="ignore"):  # a sum past float max is inf, and left open
+        pub = np.add.accumulate(padded[:-1])
+        od = np.add.accumulate(column[::-1])[::-1]
+    holds, fails = _screen_prefixes(pub, od, params)
+    stop = len(order) + 1  # the first prefix that fails
+    for k in np.flatnonzero(~holds).tolist():
+        if not fails[k]:
+            raw = _plan_prefix(k, pub[k].item(), _suffix_rate(column, k), params, total)[2].raw
+            if math.isfinite(raw) and raw <= params.threshold:
+                continue
+        stop = k
+        break
     # infeasible if even prefix 0 fails: that prefix is returned, flagged
-    k, pub_rate, od_rate = kept or (k, pub_rate, od_rate)
-    b_b, b_d, access = _plan_prefix(k, pub_rate, od_rate, params, total)
+    k = max(stop - 1, 0)
+    b_b, b_d, access = _plan_prefix(k, pub[k].item(), _suffix_rate(column, k), params, total)
     partition = Partition(tuple(order[:k]), tuple(order[k:]), b_b, b_d)
-    return PartitionResult(partition, access, kept is not None)
+    return PartitionResult(partition, access, stop > 0)
 
 
 @dataclass(frozen=True)

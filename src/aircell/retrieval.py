@@ -26,6 +26,7 @@ index read. The engine reads every published object this way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import air_schedule
 from .air_schedule import BroadcastProgram
@@ -53,15 +54,13 @@ class CostModel:
             raise ValueError("dozing must cost less than active listening")
 
 
-@dataclass(frozen=True)
-class PlannedRead:
+class PlannedRead(NamedTuple):
     object_id: str
     channel: int
     slot: int  # absolute
 
 
-@dataclass(frozen=True)
-class RetrievalPlan:
+class RetrievalPlan(NamedTuple):
     reads: tuple[PlannedRead, ...]
     start_slot: int
     total_slots: int  # response time: slots from start through last read

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aircell.air_schedule import (
     DISTRIBUTED,
@@ -13,6 +15,7 @@ from aircell.air_schedule import (
     next_index_read_end,
     one_m,
 )
+from oracles import next_index_read_end_reference
 
 OBJS4 = ["a", "b", "c", "d"]
 DATA, PAD = "data", "pad"
@@ -175,3 +178,31 @@ class TestLocate:
         assert next_index_read_end(p, 5) == 8
         with pytest.raises(NotApplicable):
             next_index_read_end(build_program(OBJS4, 1, NONE), 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        data_channels=st.integers(1, 4),
+        scheme=st.one_of(
+            st.sampled_from([NONE, ONCE_PER_CYCLE, DISTRIBUTED]),
+            st.integers(1, 12).map(lambda m: IndexScheme("one_m", m)),
+        ),
+        dedicated=st.booleans(),
+        start=st.integers(0, 10**9),
+    )
+    def test_next_index_read_end_matches_reference(
+        self, n, data_channels, scheme, dedicated, start
+    ):
+        # every phase of two cycles, from a start anywhere
+        program = build_program(
+            [f"o{i}" for i in range(n)], data_channels + dedicated, scheme,
+            dedicated_index_channel=dedicated,
+        )
+        for now in range(start, start + 2 * program.cycle_len_slots):
+            if program.index_positions:
+                assert next_index_read_end(program, now) == next_index_read_end_reference(
+                    program, now
+                )
+            else:
+                with pytest.raises(NotApplicable):
+                    next_index_read_end(program, now)

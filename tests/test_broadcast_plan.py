@@ -252,6 +252,17 @@ _rates = st.one_of(
     st.sampled_from([0.0, 0.5, 1.0, 2.0]),
     st.floats(1e-3, 10.0, allow_nan=False, allow_infinity=False),
 )
+# the share of the objects that nobody asks for, as after a replan
+_unasked = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+# a power of ten for the rates and the bandwidth alike, which leaves every
+# access time where it is at scale 1: rates run from 1e-303 to 1e301
+_exponents = st.one_of(st.just(0), st.integers(-300, 300))
+
+
+def unasked(rates: list[float], share: float) -> list[float]:
+    """``rates`` with the last ``share`` of them set to 0.0 and -0.0 in turn."""
+    zeros = int(len(rates) * share)
+    return rates[: len(rates) - zeros] + [(0.0, -0.0)[i % 2] for i in range(zeros)]
 
 
 class TestPartitionBitExact:
@@ -271,14 +282,18 @@ class TestPartitionBitExact:
         mid_cap=st.one_of(st.none(), st.floats(2e-3, 0.08)),
         # the map's order is the caller's, and the planner sums it in that order
         ids_descending=st.booleans(),
+        share=_unasked,
+        exponent=_exponents,
     )
     def test_matches_reference_exactly(
-        self, rates, request, headroom, threshold, mid_cap, ids_descending
+        self, rates, request, headroom, threshold, mid_cap, ids_descending, share, exponent
     ):
+        rates, scale = unasked(rates, share), 10.0**exponent
         listed = list(enumerate(rates))
-        by_id = {f"o{i:02d}": r for i, r in (listed[::-1] if ids_descending else listed)}
+        by_id = {f"o{i:02d}": r * scale
+                 for i, r in (listed[::-1] if ids_descending else listed)}
         load = sum(rates) * (1.0 + request)
-        bandwidth = max(load * headroom, 0.1)
+        bandwidth = max(load * headroom, 0.1) * scale
         if mid_cap is not None:
             threshold = mid_cap * sum(rates)
         params = PlanParams(bandwidth, request, threshold)
@@ -292,13 +307,19 @@ class TestPartitionBitExact:
         ),
         request=st.sampled_from([0.0, 0.25, 0.4]),
         headroom=st.floats(1.05, 4.0, allow_nan=False),
+        share=_unasked,
+        exponent=_exponents,
         data=st.data(),
     )
-    def test_threshold_at_a_prefix_access_time(self, rates, request, headroom, data):
+    def test_threshold_at_a_prefix_access_time(
+        self, rates, request, headroom, share, exponent, data
+    ):
         # at, or a rounding away from, a prefix's own access time the
-        # closed-form screen cannot tell, and the search has to
-        by_id = {f"o{i:02d}": r for i, r in enumerate(rates)}
-        bandwidth = max(sum(rates) * (1.0 + request) * headroom, 0.1)
+        # closed-form screen cannot tell, and the search has to; in the zero
+        # tail the screen's exact rule has to
+        rates, scale = unasked(rates, share), 10.0**exponent
+        by_id = {f"o{i:02d}": r * scale for i, r in enumerate(rates)}
+        bandwidth = max(sum(rates) * (1.0 + request) * headroom, 0.1) * scale
         k = data.draw(st.integers(0, len(rates)), label="k")
         raw = prefix_reference(records_of(by_id), PlanParams(bandwidth, request), k)[1].raw
         assume(math.isfinite(raw))
@@ -309,6 +330,58 @@ class TestPartitionBitExact:
             params = PlanParams(bandwidth, request, threshold)
             expected = partition_reference(records_of(by_id), params)
             assert partition_objects(by_id, params) == expected
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rates, params", [
+        # subnormal rates, sums and bandwidths
+        ({"a": 5e-324, "b": 1e-320, "c": 0.0}, PlanParams(1e-318, 0.25)),
+        ({"a": 3e-310, "b": 2e-310, "c": 2e-310, "d": 0.0}, PlanParams(4e-309, 0.25, 5.0)),
+        ({"a": 1e-300, "b": 5e-324}, PlanParams(1e-299, 0.0)),
+        # k / (2 B) is inf at every prefix past 0, and the zero tail is
+        # planned at (B, 0) with no demand to weigh it
+        ({"a": 0.0, "b": -0.0}, PlanParams(5e-324, 0.25)),
+        # on-demand demand past a subnormal bandwidth
+        ({"a": 1.0, "b": 0.0}, PlanParams(5e-324, 0.25)),
+    ])
+    def test_tiny_scales_match_reference_without_warning(self, rates, params):
+        assert partition_objects(rates, params) == partition_reference(records_of(rates), params)
+
+    @pytest.mark.filterwarnings("error")
+    def test_total_past_float_max_refused(self):
+        # each rate is finite, their sum is not: numpy warned of the overflow
+        rates = {"a": 1.7e308, "b": 5.7e307}
+        with pytest.raises(ValueError, match="total arrival rate must be finite"):
+            partition_objects(rates, PlanParams(1e307, 0.25, 1e300))
+        with pytest.raises(ValueError, match="total arrival rate must be finite"):
+            expected_access_time(Partition(("a",), ("b",), 0.5, 0.5), rates, PlanParams(1.0, 0.25))
+
+    def test_few_folds_and_searches_on_a_cell_mostly_unasked(self, monkeypatch):
+        # 10**5 objects of which 90 % have rate 0, as after a replan, and no
+        # cap: the zero tail is decided exactly and the rest by the screen,
+        # so only prefix 0 and the prefix returned are folded and searched
+        n, asked = 100_000, 10_000
+        weights = 1.0 / np.arange(1, asked + 1, dtype=float)
+        rates = dict.fromkeys((f"obj{i:06d}" for i in range(n)), 0.0)
+        for i, w in enumerate(weights / weights.sum()):
+            rates[f"obj{10 * i:06d}"] = 2.0 * float(w)
+        params = PlanParams(10.0, 0.25)
+        searches, folds = [], []
+
+        def counting(calls, call):
+            def counted(*args):
+                calls.append(args)
+                return call(*args)
+            return counted
+
+        monkeypatch.setattr(broadcast_plan, "optimize_bandwidth_split",
+                            counting(searches, optimize_bandwidth_split))
+        monkeypatch.setattr(broadcast_plan, "_suffix_rate",
+                            counting(folds, broadcast_plan._suffix_rate))
+        result = partition_objects(rates, params)
+        assert len(result.partition.published) == n and result.feasible
+        assert (result.partition.b_b, result.partition.b_d) == (10.0, 0.0)
+        assert result.access == expected_access_time(result.partition, rates, params)
+        assert len(searches) <= 3 and len(folds) <= 3
 
     def test_few_searches_on_a_large_cell(self, monkeypatch):
         # 500 Zipf-distributed objects whose cap of 5 stops the loop part-way:
