@@ -21,7 +21,7 @@ import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .freshness import FreshnessStats, InvariantError, p_not_modified_or_zero
 
@@ -48,20 +48,24 @@ class ReadStats(NamedTuple):
     n_reads: int
 
 
-@dataclass
 class CacheEntry:
-    object_id: str
-    source_stats_snapshot: FreshnessStats
-    cached_at: float
-    requery_pending: bool = False
+    """A cached copy: the source's stats snapshot it was served with, when
+    it was cached, and whether a TTL requery of it is pending."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("object_id", "source_stats_snapshot", "cached_at", "requery_pending")
+
+    def __init__(self, object_id: str, source_stats_snapshot: FreshnessStats,
+                 cached_at: float, requery_pending: bool = False):
         # clocks are global in-sim, so a copy can never predate its write
-        if self.cached_at < self.source_stats_snapshot.t_last_update:
+        if cached_at < source_stats_snapshot.t_last_update:
             raise InvariantError(
-                f"{self.object_id}: cached at {self.cached_at} before its write "
-                f"at {self.source_stats_snapshot.t_last_update}"
+                f"{object_id}: cached at {cached_at} before its write "
+                f"at {source_stats_snapshot.t_last_update}"
             )
+        self.object_id = object_id
+        self.source_stats_snapshot = source_stats_snapshot
+        self.cached_at = cached_at
+        self.requery_pending = requery_pending
 
 
 class ReadTracker:
@@ -107,19 +111,20 @@ class ReadTracker:
             mtbr = self._mtbr[object_id] = sum(gaps) / len(gaps)
         return mtbr
 
-    def f_r(self, object_id: str) -> float:
-        """The object's share of the window's reads; 0 while it is empty."""
-        total = len(self._order)
-        return len(self._times.get(object_id, ())) / total if total else 0.0
-
     def stats_for(self, object_id: str) -> ReadStats:
-        return ReadStats(self.mtbr(object_id), self.f_r(object_id),
-                         len(self._times.get(object_id, ())))
+        """The object's MTBR, its share of the window's reads (0 while the
+        window is empty), and its read count."""
+        n_reads, total = len(self._times.get(object_id, ())), len(self._order)
+        return ReadStats(self.mtbr(object_id), n_reads / total if total else 0.0, n_reads)
 
 
 class EvictionReport(NamedTuple):
     admitted: bool
     evicted: str | None = None
+
+
+# the reports that name no victim, built once
+_ADMITTED, _REFUSED = EvictionReport(True), EvictionReport(False)
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,9 @@ class TickAction:
 class ClientCache:
     """Count-bounded cache owned by a single client.
 
-    ``qos_for`` supplies the owner's QoS setting per object (ACQF scoring);
-    ``default_ttl`` is every entry's time-to-live under the TTL policies.
+    The owner's QoS setting for an object (ACQF scoring) is its entry in
+    ``qos_overrides``, else ``default_qos``; ``default_ttl`` is every
+    entry's time-to-live under the TTL policies.
     Only the owner's reads (get) update recency and read stats; remote
     serves should use ``peek``.
     """
@@ -141,7 +147,8 @@ class ClientCache:
         self,
         capacity: int,
         policy: PolicyKind,
-        qos_for: Callable[[str], float] | None = None,
+        default_qos: float = 0.0,
+        qos_overrides: Mapping[str, float] | None = None,
         default_ttl: float | None = None,
         read_window: int = 256,
     ):
@@ -149,15 +156,13 @@ class ClientCache:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.policy = policy
-        self.qos_for = qos_for or (lambda _obj: 0.0)
+        self.default_qos = default_qos
+        self.qos_overrides = qos_overrides or {}
         self.default_ttl = default_ttl
         self.entries: OrderedDict[str, CacheEntry] = OrderedDict()
         self.reads = ReadTracker(read_window)
         # at most the least cached_at of the entries not pending a requery
         self._oldest = math.inf
-
-    def __contains__(self, object_id: str) -> bool:
-        return object_id in self.entries
 
     def record_read(self, object_id: str, now: float) -> None:
         """Count a local request for an object toward its read statistics.
@@ -187,36 +192,49 @@ class ClientCache:
         CQF is the update interval over the read interval, mtbu / mtbr, and
         0 for an object read fewer than twice. ACQF is the read share times
         the QoS margin, f_r * (p_nm - qos), negative exactly when a read
-        object fails its owner's QoS test. Each loop asks the tracker only
-        for the one statistic its policy reads; the other policies have no
-        score.
+        object fails its owner's QoS test, and 0 for an object not read in
+        the window, whose P_NM is then not asked. Each loop reads the
+        tracker's window and memo itself, so a Python call per entry is
+        made only for an MTBR not yet memoized and for each P_NM; the other
+        policies have no score.
         """
+        reads = self.reads
         if self.policy is PolicyKind.CQF:
-            mtbr = self.reads.mtbr
+            memo, mtbr = reads._mtbr, reads.mtbr
             scored = []
             for oid, e in entries:
-                m = mtbr(oid)
+                m = memo.get(oid)
+                if m is None:
+                    m = mtbr(oid)
                 score = 0.0 if m is None or m <= 0 else e.source_stats_snapshot.mtbu / m
                 scored.append((score, e.cached_at, oid))
             return scored
         if self.policy is not PolicyKind.ACQF:
             raise ValueError(f"policy {self.policy} has no score")
-        f_r, qos_for, p_nm = self.reads.f_r, self.qos_for, p_not_modified_or_zero
-        return [
-            (f_r(oid) * (p_nm(e.source_stats_snapshot, now) - qos_for(oid)), e.cached_at, oid)
-            for oid, e in entries
-        ]
+        times, total = reads._times, len(reads._order)
+        qos, default_qos = self.qos_overrides.get, self.default_qos
+        p_nm = p_not_modified_or_zero
+        scored = []
+        for oid, e in entries:
+            n_reads = len(times.get(oid, ()))
+            score = 0.0
+            if n_reads:
+                margin = p_nm(e.source_stats_snapshot, now) - qos(oid, default_qos)
+                score = n_reads / total * margin
+            scored.append((score, e.cached_at, oid))
+        return scored
 
     def insert(self, entry: CacheEntry, now: float) -> EvictionReport:
         """Admit an entry, evicting per policy when the cache is full."""
-        self._oldest = min(self._oldest, entry.cached_at)
+        if entry.cached_at < self._oldest:
+            self._oldest = entry.cached_at
         if entry.object_id in self.entries:
             self.entries[entry.object_id] = entry
             self.entries.move_to_end(entry.object_id)
-            return EvictionReport(admitted=True)
+            return _ADMITTED
         if len(self.entries) < self.capacity:
             self.entries[entry.object_id] = entry
-            return EvictionReport(admitted=True)
+            return _ADMITTED
 
         if self.policy in SCORED_POLICIES:
             (incoming, _, _), *residents = self.score(
@@ -224,7 +242,7 @@ class ClientCache:
             # the minimum score, oldest cached_at first on ties
             lowest, _, victim = min(residents)
             if incoming <= lowest:
-                return EvictionReport(False)
+                return _REFUSED
             del self.entries[victim]
             self.entries[entry.object_id] = entry
             return EvictionReport(True, victim)

@@ -96,9 +96,20 @@ def _parse_seeds(text: str) -> list[int]:
     return list(dict.fromkeys(seed for lo, hi in bounds for seed in range(lo, hi + 1)))
 
 
-def _run_one(scenario: Scenario, seed: int, out: Path, fmt: str) -> dict[str, float]:
-    """Run ``seed``, write its ``metrics_<seed>.<fmt>`` and return its summary."""
-    metrics = run(_with_seed(scenario, seed))
+# The scenario this process runs seeds of. ``_keep_scenario`` sets it once
+# per process, in each worker as it starts, so a task carries only its seed.
+_scenario: Scenario | None = None
+
+
+def _keep_scenario(scenario: Scenario) -> None:
+    global _scenario
+    _scenario = scenario
+
+
+def _run_one(seed: int, out: Path, fmt: str) -> dict[str, float]:
+    """Run ``seed`` of the kept scenario, write its ``metrics_<seed>.<fmt>``
+    and return its summary."""
+    metrics = run(_with_seed(_scenario, seed))
     data = metrics.to_csv_bytes() if fmt == "csv" else metrics.to_json_bytes()
     (out / f"metrics_{seed}.{fmt}").write_bytes(data)
     return metrics.summary()
@@ -150,10 +161,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     summaries: dict[int, dict[str, float]] = {}
     failures: list[str] = []
-    # the pool starts all its workers at the first submit
+    # the pool starts all its workers at the first submit, and each keeps
+    # the scenario as it starts; without a pool this process runs the seeds
     workers = min(args.jobs, len(seeds), os.cpu_count() or 1)
-    run_seed = partial(_run_one, scenario, out=out, fmt=args.format)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    pool = None
+    if workers > 1:
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_keep_scenario,
+                                   initargs=(scenario,))
+    else:
+        _keep_scenario(scenario)
+    run_seed = partial(_run_one, out=out, fmt=args.format)
+    with pool or nullcontext():
         futures = [pool.submit(run_seed, seed) if pool else None for seed in seeds]
         for seed, future in zip(seeds, futures):
             try:

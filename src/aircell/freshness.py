@@ -8,6 +8,12 @@ cached copy has been modified after an elapsed time t since the last source
 write is the normal CDF evaluated at t; its complement is the probability
 the copy is still current (P_NM), which is compared against a per-user,
 per-object QoS setting in [0, 1].
+
+The spread is the one statistic whose cost grows with the history: a
+snapshot's standard deviation is folded over all its intervals. So a
+snapshot handed out by ``UpdateLog.stats`` folds it only when it is first
+read, which is when P_NM is first asked of the copy, and a snapshot that
+no P_NM ever judges never folds.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, field
+
+
+_SQRT2 = math.sqrt(2.0)
 
 
 class InsufficientHistory(Exception):
@@ -29,18 +38,41 @@ class InvariantError(RuntimeError):
     """A simulation invariant broke; an explicit check, so ``-O`` keeps it."""
 
 
-@dataclass(frozen=True)
 class FreshnessStats:
     """Update statistics a source hands out with every read.
 
     mtbu and stdv_mtbu are in simulation time units; stdv_mtbu is the
     population standard deviation (divide by n) of the recorded intervals.
+    A snapshot from ``UpdateLog.stats`` folds ``stdv_mtbu`` only when it is
+    first read, from the log's first ``n_intervals`` intervals: the squared
+    deviations added left to right from 0, as ``sum()`` adds floats before
+    CPython 3.12 (whose ``sum()`` is compensated), and the square root of
+    their mean.
     """
 
-    mtbu: float
-    stdv_mtbu: float
-    t_last_update: float
-    n_intervals: int
+    __slots__ = ("mtbu", "_stdv", "t_last_update", "n_intervals", "_intervals")
+
+    def __init__(self, mtbu: float, stdv_mtbu: float | None, t_last_update: float,
+                 n_intervals: int, intervals: list[float] | None = None):
+        # with ``stdv_mtbu`` None, ``intervals`` is the list whose first
+        # ``n_intervals`` the spread is folded from; it may grow meanwhile
+        self.mtbu = mtbu
+        self._stdv = stdv_mtbu
+        self.t_last_update = t_last_update
+        self.n_intervals = n_intervals
+        self._intervals = intervals
+
+    @property
+    def stdv_mtbu(self) -> float:
+        stdv = self._stdv
+        if stdv is None:
+            intervals, n, mtbu = self._intervals, self.n_intervals, self.mtbu
+            squares = 0
+            for x in intervals if len(intervals) == n else intervals[:n]:
+                squares += (x - mtbu) ** 2
+            stdv = self._stdv = math.sqrt(squares / n)
+            self._intervals = None
+        return stdv
 
 
 @dataclass
@@ -70,9 +102,10 @@ class UpdateLog:
         Memoized on the log length. The log only grows, so a length change
         is exactly a new write, whether it came through ``record_update`` or
         a direct append to ``update_times``. A write adds one interval to
-        the kept list and to their running total, and the squared deviations
-        are added over that list in order: left to right from 0, as ``sum()``
-        adds floats before CPython 3.12 (whose ``sum()`` is compensated).
+        the kept list and to their running total, which give the mean. The
+        spread is not folded here: the snapshot folds it over its first
+        ``n_intervals`` intervals when ``stdv_mtbu`` is first read, however
+        far the log has grown by then.
         """
         n = len(self.update_times)
         if self._memo is None or self._memo[0] != n:
@@ -89,12 +122,8 @@ class UpdateLog:
         for i in range(len(intervals), len(times) - 1):
             intervals.append(times[i + 1] - times[i])
             self._total += intervals[-1]
-        n = len(intervals)
-        mtbu = self._total / n
-        squares = 0
-        for x in intervals:
-            squares += (x - mtbu) ** 2
-        return FreshnessStats(mtbu, math.sqrt(squares / n), times[-1], n)
+        return FreshnessStats(self._total / len(intervals), None, times[-1],
+                              len(intervals), intervals)
 
 
 def p_modified(stats: FreshnessStats, now: float) -> float:
@@ -111,10 +140,11 @@ def p_modified(stats: FreshnessStats, now: float) -> float:
     t = now - stats.t_last_update
     if t < 0:
         raise ValueError(f"now={now} precedes last update at {stats.t_last_update}")
-    if stats.stdv_mtbu == 0.0:
-        return 0.0 if t < stats.mtbu else 1.0
-    z = (t - stats.mtbu) / stats.stdv_mtbu
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    mtbu, stdv = stats.mtbu, stats.stdv_mtbu
+    if stdv == 0.0:
+        return 0.0 if t < mtbu else 1.0
+    z = (t - mtbu) / stdv
+    return 0.5 * (1.0 + math.erf(z / _SQRT2))
 
 
 def p_not_modified_or_zero(stats: FreshnessStats, now: float) -> float:

@@ -144,7 +144,7 @@ class InformationManager:
                 peer = ims[nid]
                 cache = peer.query_cache
                 if service_id not in peer.providers and (
-                    cache is None or service_id not in cache
+                    cache is None or service_id not in cache.entries
                 ):
                     continue  # holds no copy and no provider: it would answer None
                 answer = peer.handle_neighbor_query(service_id, qos, now)

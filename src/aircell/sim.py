@@ -1075,6 +1075,10 @@ def run(scenario: Scenario) -> Metrics:
     return metrics
 
 
+# each tier's record text: a dict lookup is cheaper than an Enum's ``.value``
+_RESOLUTION_TEXT = {r: r.value for r in Resolution}
+
+
 def _p2p_steps(scenario: Scenario, metrics: Metrics) -> Steps:
     """Resolve each query down the peer-to-peer chain.
 
@@ -1099,7 +1103,7 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics) -> Steps:
         cache = None
         if scenario.caching:
             cache = ClientCache(
-                spec.cache_capacity, spec.policy, qos_for=spec.qos,
+                spec.cache_capacity, spec.policy, spec.default_qos, spec.qos_overrides,
                 default_ttl=scenario.default_ttl, read_window=scenario.read_window,
             )
             if spec.policy in TTL_POLICIES:
@@ -1152,7 +1156,7 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics) -> Steps:
                                        outcome.latency, 0.0, qos, False, 0.0))
             return
         staleness = sources[oid].last_write(t) - outcome.write_time
-        records.append(QueryRecord(qid, cid, oid, t, outcome.resolution.value,
+        records.append(QueryRecord(qid, cid, oid, t, _RESOLUTION_TEXT[outcome.resolution],
                                    outcome.latency, staleness, qos,
                                    accepts(qos, outcome.p_nm), outcome.p_nm))
 

@@ -323,11 +323,13 @@ class ReadTrackerReference(ReadTracker):
 
 
 class ClientCacheReference(ClientCache):
-    """A cache whose ``insert`` scores a full cache one ``score_one`` per entry."""
+    """A cache whose ``insert`` scores a full cache one ``score_one`` per
+    entry, with the owner's QoS per object from ``qos_for``."""
 
-    def __init__(self, capacity, policy, qos_for=None, default_ttl=None,
+    def __init__(self, capacity, policy, qos_for, default_ttl=None,
                  read_window: int = 256):
-        super().__init__(capacity, policy, qos_for, default_ttl, read_window)
+        super().__init__(capacity, policy, default_ttl=default_ttl, read_window=read_window)
+        self.qos_for = qos_for
         self.reads = ReadTrackerReference(read_window)
 
     def score_one(self, entry: CacheEntry, now: float) -> float:
@@ -989,7 +991,7 @@ def _run_p2p(
         cache = None
         if scenario.caching:
             cache = ClientCache(
-                spec.cache_capacity, spec.policy, qos_for=spec.qos,
+                spec.cache_capacity, spec.policy, spec.default_qos, spec.qos_overrides,
                 default_ttl=scenario.default_ttl, read_window=scenario.read_window,
             )
             if spec.policy in TTL_POLICIES:

@@ -36,7 +36,7 @@ def reads_every(tracker: ReadTracker, oid: str, period: float, n: int, t0=0.0):
 
 
 def scored_cache(policy, qos=0.0):
-    return ClientCache(4, policy, qos_for=lambda _oid: qos)
+    return ClientCache(4, policy, default_qos=qos)
 
 
 def score_of(cache: ClientCache, e, now: float) -> float:
@@ -267,8 +267,7 @@ class TestScoredAdmission:
         assert set(cache.entries) == expected
 
     def test_acqf_policy_prefers_qos_satisfying_entries(self):
-        qos = {"fails": 0.9, "meets": 0.2}.get
-        cache = ClientCache(1, PolicyKind.ACQF, qos_for=lambda o: qos(o, 0.0))
+        cache = ClientCache(1, PolicyKind.ACQF, qos_overrides={"fails": 0.9, "meets": 0.2})
         reads_every(cache.reads, "fails", 10.0, 4)
         reads_every(cache.reads, "meets", 10.0, 4)
         # both copies fresh enough that p_nm ~ 1 at now=40
@@ -325,7 +324,7 @@ class TestOnePassScoring:
         def qos_for(oid):
             return overrides.get(oid, default_qos)
 
-        cache = ClientCache(capacity, policy, qos_for, read_window=window)
+        cache = ClientCache(capacity, policy, default_qos, overrides, read_window=window)
         reference = ClientCacheReference(capacity, policy, qos_for, read_window=window)
         now = 0.0
         for step in steps:
@@ -386,7 +385,7 @@ class TestTtlPolicies:
         assert cache.tick(now=50.0) == []      # boundary: age == ttl is kept
         actions = cache.tick(now=51.0)
         assert [(a.action, a.object_id) for a in actions] == [("drop", "a")]
-        assert "a" not in cache
+        assert "a" not in cache.entries
 
     def test_requery_emitted_once(self):
         cache = ClientCache(4, PolicyKind.TTL_REQUERY, default_ttl=50.0)
@@ -394,7 +393,7 @@ class TestTtlPolicies:
         first = cache.tick(now=51.0)
         assert [(a.action, a.object_id) for a in first] == [("requery", "a")]
         assert cache.tick(now=52.0) == []      # pending; not re-emitted
-        assert "a" in cache                    # entry stays until refreshed
+        assert "a" in cache.entries            # entry stays until refreshed
         cache.insert(entry("a", cached_at=60.0), now=60.0)
         assert cache.tick(now=61.0) == []
 

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -124,12 +125,14 @@ class TestRunCommand:
     @pytest.fixture
     def pools(self, monkeypatch):
         """The ``max_workers`` of every pool ``run`` starts; the pool runs
-        its jobs inline, so no process is started."""
+        its initializer and its jobs inline, so no process is started."""
         started = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 started.append(max_workers)
+                if initializer is not None:
+                    initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -144,6 +147,51 @@ class TestRunCommand:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
         return started
+
+    def test_a_task_carries_its_seed_not_the_scenario(self, tmp_path, monkeypatch):
+        # every task used to pickle the whole scenario: 9.8 MB at 2*10^5 objects
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        sent = []
+
+        class PicklingPool:
+            """Pickles what crosses to a worker, as a process pool does."""
+
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                if initializer is not None:
+                    sent.append(("init", len(pickle.dumps(initargs))))
+                    initializer(*pickle.loads(pickle.dumps(initargs)))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                task = pickle.dumps((fn, args))
+                sent.append(("task", len(task)))
+                fn, args = pickle.loads(task)
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", PicklingPool)
+        sizes = {}
+        for count, name in ((6, "small"), (6000, "large")):
+            sent.clear()
+            doc = dict(MINI, objects=dict(MINI["objects"], count=count))
+            out = tmp_path / name
+            assert main(["run", "--scenario", str(write_scenario(tmp_path, doc)),
+                         "--seeds", "1..3", "--out", str(out), "--jobs", "2"]) == 0
+            assert len(list(out.glob("metrics_*.json"))) == 3
+            sizes[count] = list(sent)
+        # a task is the same few hundred bytes whatever the object count
+        tasks = {count: {size for kind, size in s if kind == "task"} for count, s in sizes.items()}
+        assert tasks[6000] == tasks[6] and len(tasks[6]) == 1 and max(tasks[6]) < 1_000
+        # and the scenario, which grows with the objects, is sent once per pool
+        (_, small), (_, large) = sizes[6][0], sizes[6000][0]
+        assert [kind for kind, _ in sizes[6000]] == ["init", "task", "task", "task"]
+        assert large > 100 * small
 
     def test_worker_pool_no_larger_than_the_seed_count(self, tmp_path, monkeypatch, pools):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aircell import cache, freshness, p2p, sim
 from aircell.freshness import (
     FreshnessStats,
     InsufficientHistory,
@@ -62,12 +63,18 @@ class TestUpdateLog:
             UpdateLog().stats()
 
 
-def fresh_stats(times: list[float]) -> FreshnessStats:
+def values(stats: FreshnessStats) -> tuple[float, float, float, int]:
+    """A snapshot's four statistics, reading (so folding) its spread."""
+    return stats.mtbu, stats.stdv_mtbu, stats.t_last_update, stats.n_intervals
+
+
+def fresh_stats(times: list[float]) -> tuple[float, float, float, int]:
+    """The statistics of ``times`` computed from scratch, as ``values``."""
     if len(times) == 1:
-        return FreshnessStats(0.0, 0.0, times[-1], 0)
+        return 0.0, 0.0, times[-1], 0
     intervals = [b - a for a, b in zip(times, times[1:])]
     mean, std = mean_and_pop_std(intervals)
-    return FreshnessStats(mean, std, times[-1], len(intervals))
+    return mean, std, times[-1], len(intervals)
 
 
 class TestMemoizedStats:
@@ -82,16 +89,16 @@ class TestMemoizedStats:
         for gap in gaps:
             t += gap
             log.record_update(t)
-            assert log.stats() == fresh_stats(log.update_times)
-            assert log.stats() == log.stats()
+            assert values(log.stats()) == fresh_stats(log.update_times)
+            assert log.stats() is log.stats()
 
     def test_direct_append_invalidates(self):
         log = UpdateLog([0.0, 100.0, 220.0])
         before = log.stats()
         log.update_times.append(300.0)
         after = log.stats()
-        assert after != before
-        assert after == fresh_stats([0.0, 100.0, 220.0, 300.0])
+        assert values(after) != values(before)
+        assert values(after) == fresh_stats([0.0, 100.0, 220.0, 300.0])
         assert after.mtbu == GOLDEN_MTBU
 
     @example(preset=[1.0, 100.0], steps=[
@@ -117,8 +124,8 @@ class TestMemoizedStats:
             elif kind == "append":
                 log.update_times.append(t)
             else:
-                assert log.stats() == fresh_stats(log.update_times)
-        assert log.stats() == fresh_stats(log.update_times)
+                assert values(log.stats()) == fresh_stats(log.update_times)
+        assert values(log.stats()) == fresh_stats(log.update_times)
 
     def test_kept_intervals_over_a_long_history(self, rng):
         log = UpdateLog([0.0])
@@ -126,9 +133,77 @@ class TestMemoizedStats:
         for i, gap in enumerate(gaps, 1):
             log.record_update(log.update_times[-1] + float(gap))
             if i % 250 == 0:
-                assert log.stats() == fresh_stats(log.update_times)
+                assert values(log.stats()) == fresh_stats(log.update_times)
         assert len(log.update_times) == 5_000
-        assert log.stats() == fresh_stats(log.update_times)
+        assert values(log.stats()) == fresh_stats(log.update_times)
+
+
+class TestDeferredSpread:
+    """A snapshot folds its spread when it is first read, over the log's
+    first ``n_intervals`` intervals, and must give the eager fold's float."""
+
+    @example(steps=[("write", 5.0), ("write", 7.0), ("snapshot", 0), ("write", 1.0),
+                    ("write", 30.0), ("snapshot", 0), ("read", 0), ("read", 1)])
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.one_of(
+        st.tuples(st.just("write"),
+                  st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)),
+        st.tuples(st.just("snapshot"), st.just(0)),
+        st.tuples(st.just("read"), st.integers(0, 40)),
+    ), max_size=60))
+    def test_equals_the_eager_fold_however_late_it_is_read(self, steps):
+        log = UpdateLog([0.0])
+        taken = []  # each snapshot, with the log's write times when it was taken
+        for kind, arg in steps:
+            if kind == "write":
+                log.record_update(log.update_times[-1] + arg)
+            elif kind == "snapshot":
+                taken.append((log.stats(), list(log.update_times)))
+            elif taken:
+                snap, times = taken[arg % len(taken)]
+                assert snap.n_intervals == len(times) - 1
+                assert snap.stdv_mtbu == fresh_stats(times)[1]
+        for snap, times in taken:  # the rest are read only now
+            assert values(snap) == fresh_stats(times)
+
+    def test_folded_once_when_first_read(self):
+        log = UpdateLog([0.0, 100.0, 220.0])
+        snap = log.stats()
+        assert snap._stdv is None
+        log.record_update(300.0)
+        assert snap.stdv_mtbu == 10.0  # of 100 and 120 only
+        # the spread is kept, and the log's interval list released
+        assert (snap._stdv, snap._intervals) == (10.0, None)
+        assert snap.stdv_mtbu == 10.0
+
+    def test_the_engine_folds_only_what_p_nm_judges(self, monkeypatch):
+        made, judged = [], set()
+        compute, p_nm = UpdateLog._compute_stats, p_not_modified_or_zero
+
+        def recorded(self):
+            made.append(compute(self))
+            return made[-1]
+
+        def judging(stats, now):
+            judged.add(id(stats))
+            return p_nm(stats, now)
+
+        monkeypatch.setattr(UpdateLog, "_compute_stats", recorded)
+        for module in (freshness, cache, p2p):
+            monkeypatch.setattr(module, "p_not_modified_or_zero", judging)
+        doc = {"seed": 3, "duration_slots": 3_000,
+               "objects": {"count": 30, "mtbu_range": [20.0, 200.0]},
+               "clients": [{"client_id": f"c{i}", "cache_capacity": 3,
+                            "policy": ("acqf", "cqf", "lru", "ttl_requery")[i % 4],
+                            "default_qos": 0.3, "request_rate": 0.08} for i in range(8)],
+               "adjacency": {"kind": "ring", "degree": 2},
+               "cache": {"default_ttl": 60.0}}
+        sim.run(sim.scenario_from_dict(doc))
+        # n_intervals < 2 gives P_NM 0 without reading the spread
+        folded = {id(s) for s in made if s.n_intervals and s._stdv is not None}
+        asked = {id(s) for s in made if s.n_intervals >= 2 and id(s) in judged}
+        assert folded == asked
+        assert 0 < len(folded) < len(made)
 
 
 class TestModifiedProbability:
@@ -236,7 +311,7 @@ class TestSourceObject:
                     getattr(scheduled, method)(now)
                 continue
             if method == "read":
-                assert scheduled.read(now) == by_hand.read(now)
+                assert values(scheduled.read(now)) == values(by_hand.read(now))
             else:
                 assert scheduled.last_write(now) == by_hand.log.update_times[-1]
             assert scheduled.log.update_times == by_hand.log.update_times

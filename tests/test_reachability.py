@@ -115,7 +115,7 @@ def corpus(tmp: Path) -> tuple[list[list[str]], list[int]]:
     scenario = json.loads(next(b for b in blocks if '"p2p"' in b))
     docs["scenario"] = scenario
     # the documents of the CI workflow's "Installed entry point" step, but for
-    # its two of a million slots and its cell of 2*10^5 objects: they reach
+    # its three of a million slots and its cell of 2*10^5 objects: they reach
     # no function the others miss, and under the profile hook they would
     # take most of the test's time
     cell = {"channels": 2, "total_bandwidth": 10.0, "threshold": 0.1,
