@@ -12,18 +12,19 @@ between the two groups is optimized numerically, and the partition itself
 is grown greedily from the most demanded object while the optimized access
 time stays under a threshold.
 
-The planner's input is a rate map, object id to arrival rate, whose
-iteration order is the caller's and fixes the order in which the total
-rate is summed; every sum of rates adds left to right from 0, as ``sum()``
-does before CPython 3.12 (whose ``sum()`` is compensated). A plan costs
-one sort and O(n) array work. The rates are listed once in ``move_order``;
-one running sum of that list gives every prefix's published rate exactly,
-and one from the other end gives every on-demand rate, which differs from
-the left-to-right sum by at most a bound relative to it and so is known to
-an interval. ``_screen_prefixes`` decides every prefix at once from the
-closed-form optimum of the split, taking for each of its tests the end of
-the interval that is worse for it. A suffix whose sum is 0 holds only
-zeros, and its prefix is decided exactly. The split search,
+The planner's input is a ``Catalog`` of the cell's object ids, listed and
+sorted once per run, and a float column of their arrival rates in the
+catalog's order, which fixes the order in which the total rate is summed;
+every sum of rates adds left to right from 0, as ``sum()`` does before
+CPython 3.12 (whose ``sum()`` is compensated). A plan costs one sort of the
+objects asked for and O(n) array work. ``move_order`` lists the rates
+once; one running sum of that list gives every prefix's published rate
+exactly, and one from the other end gives every on-demand rate, which
+differs from the left-to-right sum by at most a bound relative to it and so
+is known to an interval. ``_screen_prefixes`` decides every prefix at once
+from the closed-form optimum of the split, taking for each of its tests the
+end of the interval that is worse for it. A suffix whose sum is 0 holds
+only zeros, and its prefix is decided exactly. The split search,
 ``optimize_bandwidth_split``, runs, on the suffix folded left to right,
 only for the prefix the plan returns and for the few the screen leaves
 open. The search takes the prefix's length and its two group rates and
@@ -34,10 +35,11 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,12 +91,43 @@ class PartitionResult:
     feasible: bool
 
 
-def _check(rates: Mapping[str, float]) -> float:
-    """The total rate, added left to right from 0 in the map's order. Refuse
+class Catalog(NamedTuple):
+    """A cell's object ids, listed once for every plan of the cell.
+
+    ``ids`` holds them in the caller's order, the order of every rate
+    column planned against the catalog, in an object array: a numpy ``'U'``
+    array would drop an id's trailing NULs. ``position`` maps each id to its
+    place in that order, and ``ascending`` holds the positions that list the
+    ids in ascending id order.
+    """
+
+    ids: np.ndarray
+    position: dict[str, int]
+    ascending: np.ndarray
+
+    @classmethod
+    def of(cls, ids: Iterable[str]) -> Catalog:
+        """The catalog of ``ids``, in their order; refuse a repeated id."""
+        listed = list(ids)
+        position = dict(zip(listed, range(len(listed))))
+        if len(position) != len(listed):
+            raise ValueError("object ids must be distinct")
+        ascending = sorted(range(len(listed)), key=listed.__getitem__)
+        return cls(np.array(listed, dtype=object), position, np.array(ascending, dtype=np.intp))
+
+
+def _check(catalog: Catalog, rates: np.ndarray) -> float:
+    """The total rate, added left to right from 0 in the column's order.
+    Refuse an empty column, one that is not one rate per catalogued object,
     a rate that is not finite and >= 0, and a total that is not finite."""
-    if not all(0 <= rate < math.inf for rate in rates.values()):
+    if not len(rates):
+        raise ValueError("no rates given")
+    if rates.shape != catalog.ids.shape:
+        raise ValueError("rates must hold one rate per catalogued object")
+    if not ((rates >= 0) & (rates < math.inf)).all():
         raise ValueError("arrival rate must be finite and >= 0")
-    total = reduce(add, rates.values(), 0)
+    with np.errstate(over="ignore"):  # a sum past float max is inf, as in Python
+        total = np.add.accumulate(np.concatenate(([0.0], rates)))[-1].item()
     if total == math.inf:
         raise ValueError("total arrival rate must be finite")
     return total
@@ -124,12 +157,14 @@ def _access_time(
 
 
 def expected_access_time(
-    partition: Partition, rates: Mapping[str, float], params: PlanParams
+    partition: Partition, catalog: Catalog, rates: np.ndarray, params: PlanParams
 ) -> AccessTime:
-    """Expected access time of a partition at its recorded bandwidth split."""
-    total = _check(rates)
-    pub_rate = reduce(add, (rates[o] for o in partition.published), 0)
-    od_rate = reduce(add, (rates[o] for o in partition.on_demand), 0)
+    """Expected access time of a partition at its recorded bandwidth split,
+    with each group's rate added left to right in the partition's order."""
+    total = _check(catalog, rates)
+    listed, position = rates.tolist(), catalog.position
+    pub_rate = reduce(add, (listed[position[o]] for o in partition.published), 0)
+    od_rate = reduce(add, (listed[position[o]] for o in partition.on_demand), 0)
     return _access_time(
         len(partition.published), pub_rate, od_rate,
         partition.b_b, partition.b_d, params.request_size, total,
@@ -318,22 +353,31 @@ def _plan_prefix(
     return b_b, b_d, access
 
 
-def move_order(rates: Mapping[str, float]) -> list[str]:
-    """Objects by descending arrival rate, ties by ascending id. The rates
-    are taken as given: ``partition_objects`` checks them first."""
-    # a reversed sort keeps equal rates in their ascending id order
-    return sorted(sorted(rates), key=rates.__getitem__, reverse=True)
+def move_order(catalog: Catalog, rates: np.ndarray) -> np.ndarray:
+    """The objects' positions by descending arrival rate, ties by ascending
+    id. The rates are taken as given: ``partition_objects`` checks them
+    first. Only the objects asked for are sorted: the rest, the rates of 0,
+    follow in the catalog's ascending id order."""
+    ascending = catalog.ascending
+    asked = rates[ascending] > 0
+    by_id = ascending[asked]
+    # a stable sort of the negated rates keeps equal rates in id order
+    by_rate = by_id[np.argsort(-rates[by_id], kind="stable")]
+    return np.concatenate((by_rate, ascending[~asked]))
 
 
-def partition_objects(rates: Mapping[str, float], params: PlanParams) -> PartitionResult:
+def partition_objects(
+    catalog: Catalog, rates: np.ndarray, params: PlanParams
+) -> PartitionResult:
     """Grow the published set greedily while the threshold holds.
 
-    Starting from all-on-demand, the most demanded remaining object is moved
-    to the published group and the bandwidth split re-optimized; the loop
-    stops at the first configuration whose optimized access time exceeds the
-    threshold (or is unstable) and returns the last satisfying one. If even
-    the initial configuration violates the threshold, it is returned flagged
-    infeasible.
+    ``rates`` is a float64 array: ``rates[i]`` is the arrival rate of
+    ``catalog.ids[i]``. Starting from all-on-demand, the most demanded
+    remaining object is moved to the published group and the bandwidth
+    split re-optimized; the loop stops at the first configuration whose
+    optimized access time exceeds the threshold (or is unstable) and
+    returns the last satisfying one. If even the initial configuration
+    violates the threshold, it is returned flagged infeasible.
 
     The rates are listed once in move order. Every prefix's published rate
     is one running sum of that list, the additions ``expected_access_time``
@@ -343,17 +387,15 @@ def partition_objects(rates: Mapping[str, float], params: PlanParams) -> Partiti
     leaves open before the first that fails, and the prefix returned, get
     their suffix folded left to right and planned by the search, so the
     result is the one that planning every prefix gives. A plan costs the
-    sort and O(n) array work. ``_check`` refuses a bad rate, or a total
-    that is not finite.
+    sort of the objects asked for and O(n) array work. ``_check`` refuses a
+    bad column, or a total that is not finite.
     """
-    if not rates:
-        raise ValueError("no rates given")
-    total = _check(rates)
-    order = move_order(rates)
+    total = _check(catalog, rates)
+    order = move_order(catalog, rates)
     # the rates in move order between two 0.0s: the first starts the
     # prefixes' running sum from 0, and the last is the empty suffix's rate,
     # which turns a fold of -0.0 rates alone into the 0.0 a fold from 0 gives
-    padded = np.array([0.0, *map(rates.__getitem__, order), 0.0])
+    padded = np.concatenate(([0.0], rates[order], [0.0]))
     column = padded[1:]
     with np.errstate(over="ignore"):  # a sum past float max is inf, and left open
         pub = np.add.accumulate(padded[:-1])
@@ -370,7 +412,8 @@ def partition_objects(rates: Mapping[str, float], params: PlanParams) -> Partiti
     # infeasible if even prefix 0 fails: that prefix is returned, flagged
     k = max(stop - 1, 0)
     b_b, b_d, access = _plan_prefix(k, pub[k].item(), _suffix_rate(column, k), params, total)
-    partition = Partition(tuple(order[:k]), tuple(order[k:]), b_b, b_d)
+    ids = catalog.ids[order].tolist()
+    partition = Partition(tuple(ids[:k]), tuple(ids[k:]), b_b, b_d)
     return PartitionResult(partition, access, stop > 0)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict, deque
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple
 
@@ -127,8 +126,7 @@ class EvictionReport(NamedTuple):
 _ADMITTED, _REFUSED = EvictionReport(True), EvictionReport(False)
 
 
-@dataclass(frozen=True)
-class TickAction:
+class TickAction(NamedTuple):
     action: str  # "drop" | "requery"
     object_id: str
 

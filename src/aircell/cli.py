@@ -27,6 +27,7 @@ from .sim import (
     SCHEMA_ID,
     Scenario,
     ScenarioError,
+    cell_catalog,
     initial_rates,
     plan_cell,
     plan_summary,
@@ -237,7 +238,7 @@ def _cell_scenario(path: str) -> Scenario:
 
 def cmd_dump_program(args: argparse.Namespace) -> int:
     scenario = _cell_scenario(args.scenario)
-    _, program = plan_cell(scenario, initial_rates(scenario))
+    _, program = plan_cell(scenario, cell_catalog(scenario), initial_rates(scenario))
     if program is None:
         print("(no published objects; everything is on demand)")
         return 0
@@ -269,7 +270,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     scenario = _cell_scenario(args.scenario)
-    result, _ = plan_cell(scenario, initial_rates(scenario))
+    result, _ = plan_cell(scenario, cell_catalog(scenario), initial_rates(scenario))
     threshold = scenario.cell.threshold
     report = {
         **plan_summary(result),

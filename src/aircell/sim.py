@@ -41,6 +41,7 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import reduce
+from heapq import heappop, heappush
 from itertools import accumulate, chain, islice, repeat
 from operator import add, itemgetter
 from typing import NamedTuple
@@ -913,31 +914,35 @@ def _write_times(spec: ObjectSpec, seed: int, burnin: int) -> Iterator[float]:
         yield t
 
 
-def initial_rates(scenario: Scenario) -> dict[str, float]:
-    """Per-object arrival rates before any are observed.
+def initial_rates(scenario: Scenario) -> np.ndarray:
+    """Per-object arrival rates before any are observed, in scenario order.
 
     The clients' total request rate, added left to right, spread over the
-    objects by the Zipf popularity of their position in the scenario.
+    objects by the Zipf popularity of their position in the scenario: each
+    rate is ``total_rate * float(pmf[i])``, one float64 product.
     """
     total_rate = reduce(add, (c.request_rate for c in scenario.clients), 0)
-    pmf = zipf_pmf(len(scenario.objects), scenario.zipf_theta)
-    return {
-        o.object_id: total_rate * float(pmf[i])
-        for i, o in enumerate(scenario.objects)
-    }
+    return total_rate * zipf_pmf(len(scenario.objects), scenario.zipf_theta)
+
+
+def cell_catalog(scenario: Scenario) -> broadcast_plan.Catalog:
+    """The scenario's object ids in scenario order, sorted once for every
+    plan of its cell."""
+    return broadcast_plan.Catalog.of([o.object_id for o in scenario.objects])
 
 
 def plan_cell(
-    scenario: Scenario, rates: dict[str, float]
+    scenario: Scenario, catalog: broadcast_plan.Catalog, rates: np.ndarray
 ) -> tuple[broadcast_plan.PartitionResult, air_schedule.BroadcastProgram | None]:
     """Partition the cell's objects at ``rates`` and lay out the published set.
 
-    ``rates`` holds every object's rate in scenario order, as
-    ``initial_rates`` does. The program is None when nothing is published.
+    ``catalog`` is ``cell_catalog(scenario)``, and ``rates`` a float column
+    of every object's rate in scenario order, as ``initial_rates`` returns.
+    The program is None when nothing is published.
     """
     cell = scenario.cell
     params = broadcast_plan.PlanParams(cell.total_bandwidth, cell.request_size, cell.threshold)
-    result = broadcast_plan.partition_objects(rates, params)
+    result = broadcast_plan.partition_objects(catalog, rates, params)
     program = None
     if result.partition.published:
         program = air_schedule.build_program(
@@ -1112,37 +1117,43 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics) -> Steps:
         for service in spec.providers:
             im.register_provider(service)
     interval = scenario.tick_interval
-    # each TTL cache's first tick slot: only its tick raises it, and an insert
-    # lowers it only from inf, so only a ticked or an infinite one is asked again
-    first_ticks = [math.inf] * len(ttl_caches)
+    # the tick agenda: (first tick slot, position) of each TTL cache whose
+    # first tick slot is finite, and the positions of those whose is inf.
+    # Only its tick raises a cache's first tick slot, and an insert lowers it
+    # only from inf, so only a ticked cache or an idle one is asked again.
+    agenda: list[tuple[int, int]] = []
+    idle = list(range(len(ttl_caches)))
 
-    def first_tick(cache: ClientCache) -> float:
-        """The first tick slot from the cache's next expiry."""
-        due = cache.next_expiry()
-        return due if due == math.inf else -(-due // interval) * interval
+    def schedule(i: int) -> None:
+        """Put cache ``i`` on the agenda at its first tick slot, or idle."""
+        due = ttl_caches[i].next_expiry()
+        if due == math.inf:
+            idle.append(i)
+        else:
+            heappush(agenda, (-(-due // interval) * interval, i))
 
     def advance(slot: int) -> None:
-        if math.inf in first_ticks:
-            for i, cache in enumerate(ttl_caches):
-                if first_ticks[i] == math.inf:
-                    first_ticks[i] = first_tick(cache)
-        # a tick slot at a time, tick each cache that may act before ``slot``;
-        # once ticked at t, a cache's first tick slot is after t
-        while first_ticks and min(first_ticks) < slot:
-            t = min(first_ticks)
-            for i, cache in enumerate(ttl_caches):
-                if first_ticks[i] != t:
+        if idle:
+            asked = idle[:]
+            idle.clear()
+            for i in asked:
+                schedule(i)
+        # a tick slot at a time, tick each cache that may act before ``slot``,
+        # in client order; once ticked at t, a cache's first tick slot is
+        # after t
+        while agenda and agenda[0][0] < slot:
+            t, i = heappop(agenda)
+            cache = ttl_caches[i]
+            for action in cache.tick(t):
+                if action.action == "drop":
+                    counters["ttl_drops"] += 1
                     continue
-                for action in cache.tick(t):
-                    if action.action == "drop":
-                        counters["ttl_drops"] += 1
-                        continue
-                    source = sources[action.object_id]
-                    if source.reachable:
-                        stats = source.read(t)
-                        cache.insert(CacheEntry(action.object_id, stats, cached_at=t), t)
-                        counters["requeries"] += 1
-                first_ticks[i] = first_tick(cache)
+                source = sources[action.object_id]
+                if source.reachable:
+                    stats = source.read(t)
+                    cache.insert(CacheEntry(action.object_id, stats, cached_at=t), t)
+                    counters["requeries"] += 1
+            schedule(i)
 
     def answer(t: int, qid: int, cid: str, oid: str, qos: float) -> None:
         outcome = cell.ims[cid].resolve_query(oid, qos, t)
@@ -1182,10 +1193,13 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
     counters, records = metrics.counters, metrics.records
     cost = scenario.cell.cost_model
     interval, end = scenario.cell.replan_interval, scenario.duration_slots
-    plan_result, program = plan_cell(scenario, initial_rates(scenario))
+    catalog = cell_catalog(scenario)
+    plan_result, program = plan_cell(scenario, catalog, initial_rates(scenario))
     metrics.plan = plan_summary(plan_result)
     batching = broadcast_plan.BatchingServer(scenario.cell.batching_window)
-    observed_requests = {o.object_id: 0 for o in scenario.objects}
+    # requests so far per object, in scenario order
+    position = catalog.position
+    requests = [0] * len(position)
     stops = chain(range(interval, end, interval) if interval > 0 else (), [end])
     last_stop, next_stop = 0, next(stops)
 
@@ -1201,14 +1215,15 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
                 counters["on_demand_responses"] = len(multicasts)
                 counters["batching_saved"] = sum(m.saved_transmissions for m in multicasts)
                 return
-            observed_rates = {oid: n / t for oid, n in observed_requests.items()}
-            new_result, new_program = plan_cell(scenario, observed_rates)
+            # each count over t in float64: the quotient Python's n / t gives
+            observed = np.array(requests, dtype=np.float64) / t
+            new_result, new_program = plan_cell(scenario, catalog, observed)
             if new_result.feasible:
                 program = new_program
                 metrics.plan = plan_summary(new_result)
 
     def answer(t: int, qid: int, cid: str, oid: str, qos: float) -> None:
-        observed_requests[oid] += 1
+        requests[position[oid]] += 1
         if program is None or oid not in program.directory:
             kind, latency = "on_demand", batching.submit(oid, t) - t + 1.0
         else:

@@ -48,6 +48,7 @@ from aircell.sim import (
     QueryRecord,
     Scenario,
     _write_times,
+    cell_catalog,
     generate_workload,
     initial_rates,
     plan_cell,
@@ -1048,15 +1049,16 @@ def _run_broadcast(
     counters, records = metrics.counters, metrics.records
     cost = scenario.cell.cost_model
     replan_interval = scenario.cell.replan_interval
-    plan_result, program = plan_cell(scenario, initial_rates(scenario))
+    catalog = cell_catalog(scenario)
+    plan_result, program = plan_cell(scenario, catalog, initial_rates(scenario))
     metrics.plan = plan_summary(plan_result)
     batching = broadcast_plan.BatchingServer(scenario.cell.batching_window)
     observed_requests = {o.object_id: 0 for o in scenario.objects}
 
     for t in range(scenario.duration_slots):
         if replan_interval > 0 and t > 0 and t % replan_interval == 0:
-            observed_rates = {oid: n / t for oid, n in observed_requests.items()}
-            new_result, new_program = plan_cell(scenario, observed_rates)
+            observed_rates = np.array([n / t for n in observed_requests.values()])
+            new_result, new_program = plan_cell(scenario, catalog, observed_rates)
             if new_result.feasible:
                 program = new_program
                 metrics.plan = plan_summary(new_result)

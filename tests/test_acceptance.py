@@ -204,8 +204,10 @@ def test_criterion_7_partition_against_replay_oracle():
         threshold = float(rng.uniform(0.3, 8.0))
         demands = dict(sorted(rates.items()))
         params = broadcast_plan.PlanParams(bandwidth, 0.25, threshold)
-        result = broadcast_plan.partition_objects(demands, params)
-        order = broadcast_plan.move_order(demands)
+        catalog = broadcast_plan.Catalog.of(demands)
+        column = np.array(list(demands.values()))
+        result = broadcast_plan.partition_objects(catalog, column, params)
+        order = catalog.ids[broadcast_plan.move_order(catalog, column)].tolist()
         k = len(result.partition.published)
         if list(result.partition.published) != order[:k]:
             failures.append(f"instance {i}: published set is not a demand prefix")
@@ -229,7 +231,7 @@ def test_criterion_7_partition_against_replay_oracle():
                         broadcast_plan.Partition(
                             tuple(order[: k + 1]), tuple(order[k + 1 :]), b_b, b_d
                         ),
-                        demands, params,
+                        catalog, column, params,
                     )
                     if nxt.raw <= threshold:
                         failures.append(f"instance {i}: next move also satisfies")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from aircell import broadcast_plan, sim
 from aircell.broadcast_plan import (
     BatchingServer,
+    Catalog,
     Partition,
     PlanParams,
     Unstable,
@@ -33,6 +34,18 @@ def demands_of(rates: dict[str, float]) -> dict[str, float]:
 def records_of(rates: dict[str, float]) -> list[DemandRecord]:
     """The reference planner's input for a rate map, in the map's order."""
     return [DemandRecord(oid, r, 1.0) for oid, r in rates.items()]
+
+
+def planned(rates: dict[str, float]) -> tuple[Catalog, np.ndarray]:
+    """The planner's input for a rate map: its ids and its rate column, in
+    the map's order."""
+    return Catalog.of(rates), np.array(list(rates.values()), dtype=float)
+
+
+def move_order_ids(rates: dict[str, float]) -> list[str]:
+    """The map's ids in ``move_order``."""
+    catalog, column = planned(rates)
+    return catalog.ids[move_order(catalog, column)].tolist()
 
 
 class TestPlanParams:
@@ -63,7 +76,7 @@ class TestExpectedAccessTime:
     def test_broadcast_half_cycle(self):
         demands = demands_of({"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0})
         part = Partition(("a", "b", "c", "d"), (), b_b=2.0, b_d=0.0)
-        access = expected_access_time(part, demands, PlanParams(2.0, 0.25))
+        access = expected_access_time(part, *planned(demands), PlanParams(2.0, 0.25))
         assert access.t_broadcast == 1.0  # 4 * 1 / (2 * 2)
         assert access.raw == pytest.approx(4.0 * 1.0)
         assert access.normalized == pytest.approx(1.0)
@@ -71,7 +84,7 @@ class TestExpectedAccessTime:
     def test_on_demand_queue(self):
         demands = demands_of({"a": 2.0, "b": 2.0})
         part = Partition((), ("a", "b"), b_b=0.0, b_d=10.0)
-        access = expected_access_time(part, demands, PlanParams(10.0, 0.25))
+        access = expected_access_time(part, *planned(demands), PlanParams(10.0, 0.25))
         assert access.mu_d == pytest.approx(8.0)
         assert access.lambda_d == pytest.approx(4.0)
         assert access.t_on_demand == pytest.approx(0.25)
@@ -80,23 +93,23 @@ class TestExpectedAccessTime:
         rates = {f"o{i}": 0.5 for i in range(6)}
         demands = demands_of(rates)
         part = Partition(tuple(sorted(rates)), (), b_b=3.0, b_d=0.0)
-        access = expected_access_time(part, demands, PlanParams(3.0, 0.25))
+        access = expected_access_time(part, *planned(demands), PlanParams(3.0, 0.25))
         assert access.raw == pytest.approx(sum(rates.values()) * 6 * 1.0 / (2 * 3.0))
 
     def test_unstable_raises(self):
         demands = demands_of({"a": 9.0})
         part = Partition((), ("a",), b_b=5.0, b_d=5.0)
         with pytest.raises(Unstable):
-            expected_access_time(part, demands, PlanParams(10.0, 0.25))
+            expected_access_time(part, *planned(demands), PlanParams(10.0, 0.25))
 
     def test_finite_iff_stable(self):
         demands = demands_of({"a": 1.0, "b": 1.0})
         stable = Partition(("a",), ("b",), b_b=5.0, b_d=5.0)
-        access = expected_access_time(stable, demands, PlanParams(10.0, 0.25))
+        access = expected_access_time(stable, *planned(demands), PlanParams(10.0, 0.25))
         assert math.isfinite(access.raw)
         barely = Partition(("a",), ("b",), b_b=8.75, b_d=1.25)
         with pytest.raises(Unstable):  # mu_d = 1.0 == lambda_d
-            expected_access_time(barely, demands, PlanParams(10.0, 0.25))
+            expected_access_time(barely, *planned(demands), PlanParams(10.0, 0.25))
 
 
 class TestBandwidthSplit:
@@ -169,13 +182,13 @@ class TestBandwidthSplit:
 class TestPartition:
     def test_infinite_threshold_publishes_everything(self):
         demands = demands_of({"a": 3.0, "b": 2.0, "c": 1.0})
-        result = partition_objects(demands, PlanParams(10.0, 0.25, math.inf))
+        result = partition_objects(*planned(demands), PlanParams(10.0, 0.25, math.inf))
         assert result.partition.published == ("a", "b", "c")
         assert result.feasible
 
     def test_impossible_threshold_flags_infeasible(self):
         demands = demands_of({"a": 3.0, "b": 2.0})
-        result = partition_objects(demands, PlanParams(10.0, 0.25, threshold=1e-9))
+        result = partition_objects(*planned(demands), PlanParams(10.0, 0.25, threshold=1e-9))
         assert result.partition.published == ()
         assert not result.feasible
 
@@ -185,12 +198,12 @@ class TestPartition:
         pmf = weights / weights.sum()
         rates = {f"obj{i:02d}": 6.0 * float(pmf[i]) for i in range(n)}
         params = PlanParams(10.0, 0.25, threshold=3.0)
-        result = partition_objects(demands_of(rates), params)
+        result = partition_objects(*planned(demands_of(rates)), params)
         oracle_pub, oracle_feasible, _ = replay_partition(rates, 10.0, 1.0, 0.25, 3.0)
         assert result.feasible == oracle_feasible
         assert list(result.partition.published) == oracle_pub
         assert len(result.partition.published) == 4  # frozen via the replay oracle
-        order = move_order(demands_of(rates))
+        order = move_order_ids(demands_of(rates))
         assert list(result.partition.published) == order[: len(result.partition.published)]
 
     def test_random_instances_match_replay_oracle(self, rng):
@@ -200,14 +213,14 @@ class TestPartition:
             bandwidth = float(sum(rates.values()) * 1.25 * rng.uniform(1.0, 3.0))
             threshold = float(rng.uniform(0.5, 8.0))
             params = PlanParams(bandwidth, 0.25, threshold)
-            result = partition_objects(demands_of(rates), params)
+            result = partition_objects(*planned(demands_of(rates)), params)
             oracle_pub, oracle_feasible, _ = replay_partition(
                 rates, bandwidth, 1.0, 0.25, threshold
             )
             assert result.feasible == oracle_feasible
             if oracle_feasible:
                 assert list(result.partition.published) == oracle_pub
-            order = move_order(demands_of(rates))
+            order = move_order_ids(demands_of(rates))
             k = len(result.partition.published)
             assert list(result.partition.published) == order[:k]
 
@@ -218,13 +231,13 @@ class TestPartition:
             bandwidth = float(sum(rates.values()) * 1.25 * rng.uniform(1.2, 2.5))
             threshold = float(rng.uniform(1.0, 6.0))
             params = PlanParams(bandwidth, 0.25, threshold)
-            result = partition_objects(demands_of(rates), params)
+            result = partition_objects(*planned(demands_of(rates)), params)
             if not result.feasible:
                 continue
             assert result.access.raw <= threshold
             k = len(result.partition.published)
             if k < n:
-                order = move_order(demands_of(rates))
+                order = move_order_ids(demands_of(rates))
                 nxt_pub, nxt_od = order[: k + 1], order[k + 1 :]
                 try:
                     b_b, b_d = optimize_bandwidth_split(
@@ -233,7 +246,7 @@ class TestPartition:
                     )
                     nxt = expected_access_time(
                         Partition(tuple(nxt_pub), tuple(nxt_od), b_b, b_d),
-                        demands_of(rates), params,
+                        *planned(demands_of(rates)), params,
                     )
                     assert nxt.raw > threshold
                 except Unstable:
@@ -241,9 +254,9 @@ class TestPartition:
 
     def test_move_order_invariant_under_scaling(self, rng):
         rates = {f"o{i}": float(rng.uniform(0.1, 5.0)) for i in range(12)}
-        base = move_order(demands_of(rates))
+        base = move_order_ids(demands_of(rates))
         for factor in (0.01, 3.0, 250.0):
-            scaled = move_order(demands_of({k: v * factor for k, v in rates.items()}))
+            scaled = move_order_ids(demands_of({k: v * factor for k, v in rates.items()}))
             assert scaled == base
 
 
@@ -298,7 +311,7 @@ class TestPartitionBitExact:
             threshold = mid_cap * sum(rates)
         params = PlanParams(bandwidth, request, threshold)
         expected = partition_reference(records_of(by_id), params)
-        assert partition_objects(by_id, params) == expected
+        assert partition_objects(*planned(by_id), params) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -329,7 +342,7 @@ class TestPartitionBitExact:
         ):
             params = PlanParams(bandwidth, request, threshold)
             expected = partition_reference(records_of(by_id), params)
-            assert partition_objects(by_id, params) == expected
+            assert partition_objects(*planned(by_id), params) == expected
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rates, params", [
@@ -344,16 +357,18 @@ class TestPartitionBitExact:
         ({"a": 1.0, "b": 0.0}, PlanParams(5e-324, 0.25)),
     ])
     def test_tiny_scales_match_reference_without_warning(self, rates, params):
-        assert partition_objects(rates, params) == partition_reference(records_of(rates), params)
+        assert partition_objects(*planned(rates), params) == partition_reference(
+            records_of(rates), params)
 
     @pytest.mark.filterwarnings("error")
     def test_total_past_float_max_refused(self):
         # each rate is finite, their sum is not: numpy warned of the overflow
         rates = {"a": 1.7e308, "b": 5.7e307}
         with pytest.raises(ValueError, match="total arrival rate must be finite"):
-            partition_objects(rates, PlanParams(1e307, 0.25, 1e300))
+            partition_objects(*planned(rates), PlanParams(1e307, 0.25, 1e300))
         with pytest.raises(ValueError, match="total arrival rate must be finite"):
-            expected_access_time(Partition(("a",), ("b",), 0.5, 0.5), rates, PlanParams(1.0, 0.25))
+            expected_access_time(Partition(("a",), ("b",), 0.5, 0.5), *planned(rates),
+                                 PlanParams(1.0, 0.25))
 
     def test_few_folds_and_searches_on_a_cell_mostly_unasked(self, monkeypatch):
         # 10**5 objects of which 90 % have rate 0, as after a replan, and no
@@ -377,10 +392,10 @@ class TestPartitionBitExact:
                             counting(searches, optimize_bandwidth_split))
         monkeypatch.setattr(broadcast_plan, "_suffix_rate",
                             counting(folds, broadcast_plan._suffix_rate))
-        result = partition_objects(rates, params)
+        result = partition_objects(*planned(rates), params)
         assert len(result.partition.published) == n and result.feasible
         assert (result.partition.b_b, result.partition.b_d) == (10.0, 0.0)
-        assert result.access == expected_access_time(result.partition, rates, params)
+        assert result.access == expected_access_time(result.partition, *planned(rates), params)
         assert len(searches) <= 3 and len(folds) <= 3
 
     def test_few_searches_on_a_large_cell(self, monkeypatch):
@@ -398,7 +413,7 @@ class TestPartitionBitExact:
             return optimize_bandwidth_split(*args)
 
         monkeypatch.setattr(broadcast_plan, "optimize_bandwidth_split", counted)
-        result = partition_objects(rates, params)
+        result = partition_objects(*planned(rates), params)
         assert 0 < len(result.partition.published) < n
         assert len(calls) <= 3
         assert result == partition_reference(records_of(rates), params)
@@ -409,49 +424,105 @@ class TestPartitionBitExact:
         # are unstable only through rounding
         demands = demands_of({"a": 4.0, "b": 3.0, "c": 3.0})
         params = PlanParams(10.0 * 1.25 * 0.9, 0.25, 50.0)
-        result = partition_objects(demands, params)
+        result = partition_objects(*planned(demands), params)
         assert result == partition_reference(records_of(demands), params)
         assert not result.feasible and math.isinf(result.access.raw)
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
     def test_non_finite_or_negative_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="arrival rate must be finite and >= 0"):
-            partition_objects({"a": 1.0, "b": rate}, PlanParams(10.0, 0.25))
+            partition_objects(*planned({"a": 1.0, "b": rate}), PlanParams(10.0, 0.25))
+
+    @pytest.mark.parametrize("rate", [1.0, 0.0])
+    @pytest.mark.parametrize("ids", [("a", "a\x00", "b"), ("b", "a\x00", "a")])
+    def test_ids_differing_by_a_trailing_nul_keep_their_order(self, ids, rate):
+        # a numpy 'U' array drops trailing NULs, so "a" and "a\x00" would
+        # tie and keep the caller's order; in id order "a" comes first,
+        # among the objects asked for and in the zero tail alike
+        demand = {"a": rate, "a\x00": rate, "b": 0.5}
+        rates = {oid: demand[oid] for oid in ids}
+        params = PlanParams(10.0, 0.25)
+        result = partition_objects(*planned(rates), params)
+        assert result == partition_reference(records_of(rates), params)
+        published = result.partition.published
+        assert published.index("a") + 1 == published.index("a\x00")
+
+    @pytest.mark.parametrize("clients", [
+        {"count": 3, "request_rate": 0.05},
+        [{"client_id": "x", "request_rate": 0.7}, {"client_id": "y", "request_rate": 0.1}],
+        {"count": 2, "request_rate": 0.0},
+        [],  # no clients: the total is the int 0
+    ])
+    def test_initial_rates_are_the_scalar_products(self, clients):
+        doc = {"seed": 1, "duration_slots": 10, "objects": {"count": 25, "mtbu": 50.0},
+               "clients": clients, "workload": {"zipf_theta": 0.7}, "cell": {"channels": 1}}
+        scenario = sim.scenario_from_dict(doc)
+        total_rate = 0
+        for c in scenario.clients:
+            total_rate += c.request_rate
+        pmf = sim.zipf_pmf(25, 0.7)
+        expected = [total_rate * float(pmf[i]) for i in range(25)]
+        column = sim.initial_rates(scenario)
+        assert column.dtype == np.float64
+        assert [x.hex() for x in column.tolist()] == [x.hex() for x in expected]
+
+    def test_a_catalog_refuses_a_repeated_id_and_a_misfit_column(self):
+        with pytest.raises(ValueError, match="object ids must be distinct"):
+            Catalog.of(["a", "b", "a"])
+        catalog = Catalog.of(["b", "a"])
+        assert catalog.ascending.tolist() == [1, 0]
+        with pytest.raises(ValueError, match="one rate per catalogued object"):
+            partition_objects(catalog, np.array([1.0]), PlanParams(10.0, 0.25))
+        with pytest.raises(ValueError, match="no rates given"):
+            partition_objects(Catalog.of([]), np.array([]), PlanParams(10.0, 0.25))
 
     def test_engine_plans_match_reference(self, monkeypatch):
         # a replanning cell whose observed rates, counts over slots so far,
         # hold many zeros and many ties
-        doc = {
-            "seed": 11, "duration_slots": 1200, "resolution_mode": "broadcast",
-            "objects": {"count": 40, "mtbu": 100.0},
-            "clients": {"count": 3, "request_rate": 0.05},
-            "workload": {"zipf_theta": 0.9},
-            "cell": {"channels": 2, "total_bandwidth": 1.0, "threshold": 0.3,
-                     "batching_window": 2.0, "replan_interval": 40},
-        }
-        scenario = sim.scenario_from_dict(doc)
-        plans = []
-        plan_cell = sim.plan_cell
+        engine_plans_match_reference(monkeypatch, {"count": 40, "mtbu": 100.0})
 
-        def recording(scn, rates):
-            made = plan_cell(scn, rates)
-            plans.append((dict(rates), made[0]))
-            return made
+    def test_engine_plans_match_reference_out_of_id_order(self, monkeypatch):
+        # the same cell listed out of id order: the Zipf ranks, the ties'
+        # order and the order of the sums all differ from the id order
+        shuffled = np.random.default_rng(3).permutation(40).tolist()
+        engine_plans_match_reference(
+            monkeypatch, [{"object_id": f"obj{i:02d}", "mtbu": 100.0} for i in shuffled])
 
-        monkeypatch.setattr(sim, "plan_cell", recording)
-        sim.run(scenario)
-        assert len(plans) == 30  # at slot 0, then every 40 slots
-        cell = scenario.cell
-        params = PlanParams(cell.total_bandwidth, cell.request_size, cell.threshold)
-        for rates, result in plans:
-            assert list(rates) == [o.object_id for o in scenario.objects]
-            assert result == partition_reference(records_of(rates), params)
-        zeros = [sum(r == 0.0 for r in rates.values()) for rates, _ in plans[1:]]
-        ties = [len(rates) - len(set(rates.values())) for rates, _ in plans[1:]]
-        assert min(zeros) > 0 and min(ties) > 0
-        # the cut moves as demand is observed, and one plan is refused
-        assert {len(result.partition.published) for _, result in plans} == {0, 1, 2}
-        assert {result.feasible for _, result in plans} == {True, False}
+
+def engine_plans_match_reference(monkeypatch, objects) -> None:
+    """Every plan of a replanning broadcast run of ``objects`` is the
+    reference planner's at the rates the engine passed."""
+    doc = {
+        "seed": 11, "duration_slots": 1200, "resolution_mode": "broadcast",
+        "objects": objects,
+        "clients": {"count": 3, "request_rate": 0.05},
+        "workload": {"zipf_theta": 0.9},
+        "cell": {"channels": 2, "total_bandwidth": 1.0, "threshold": 0.3,
+                 "batching_window": 2.0, "replan_interval": 40},
+    }
+    scenario = sim.scenario_from_dict(doc)
+    plans = []
+    plan_cell = sim.plan_cell
+
+    def recording(scn, catalog, rates):
+        made = plan_cell(scn, catalog, rates)
+        plans.append((dict(zip(catalog.ids.tolist(), rates.tolist())), made[0]))
+        return made
+
+    monkeypatch.setattr(sim, "plan_cell", recording)
+    sim.run(scenario)
+    assert len(plans) == 30  # at slot 0, then every 40 slots
+    cell = scenario.cell
+    params = PlanParams(cell.total_bandwidth, cell.request_size, cell.threshold)
+    for rates, result in plans:
+        assert list(rates) == [o.object_id for o in scenario.objects]
+        assert result == partition_reference(records_of(rates), params)
+    zeros = [sum(r == 0.0 for r in rates.values()) for rates, _ in plans[1:]]
+    ties = [len(rates) - len(set(rates.values())) for rates, _ in plans[1:]]
+    assert min(zeros) > 0 and min(ties) > 0
+    # the cut moves as demand is observed, and one plan is refused
+    assert {len(result.partition.published) for _, result in plans} == {0, 1, 2}
+    assert {result.feasible for _, result in plans} == {True, False}
 
 
 class TestBatching:

@@ -1540,7 +1540,7 @@ class TestUnrunnableCells:
         doc = broadcast_doc(resolution_mode="p2p")
         doc["cell"].update(scheme="none", threshold=math.inf)
         scn = scenario_from_dict(doc)
-        _, program = sim.plan_cell(scn, sim.initial_rates(scn))
+        _, program = sim.plan_cell(scn, sim.cell_catalog(scn), sim.initial_rates(scn))
         assert program is not None and program.index_positions == ()
 
 
