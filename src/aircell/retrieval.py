@@ -21,6 +21,11 @@ slot after the read before it; every planner builds its plan with it.
 ``after_index`` is the whole aired read from a cold start: the next index
 segment, then a fixed order handed to ``simulate_order`` behind that
 index read. The engine reads every published object this way.
+
+The engine makes an aired read per query, so these two build their
+``PlannedRead`` and ``RetrievalPlan`` tuples with ``tuple.__new__``, the
+fields in declaration order: the ``__new__`` that ``NamedTuple`` generates
+is one interpreted call per tuple, and these are the same tuples without it.
 """
 
 from __future__ import annotations
@@ -68,6 +73,11 @@ class RetrievalPlan(NamedTuple):
     active_slots: int
 
 
+# A PlannedRead or RetrievalPlan without NamedTuple's interpreted __new__:
+# _new(Cls, (fields in declaration order)) builds the same tuple.
+_new = tuple.__new__
+
+
 @dataclass(frozen=True)
 class RetrievalRequest:
     desired: frozenset[str]
@@ -110,7 +120,16 @@ def simulate_order(
 ) -> RetrievalPlan:
     """Schedule a fixed retrieval order from ``start``: read ``first``, if
     given, and then each object of ``order`` at its earliest slot after the
-    read before it."""
+    read before it. An empty ``order`` raises ``ValueError``.
+
+    The plan runs from ``start`` through the last slot walked. Its reads and
+    the plan itself are built with ``tuple.__new__``, not the ``NamedTuple``
+    constructors: the engine makes one plan per aired read, and the
+    generated ``__new__`` is one interpreted call per tuple.
+    """
+    if not order:
+        raise ValueError("order is empty")
+    directory = program.directory
     length, sigma = program.cycle_len_slots, cost.switch_slots
     reads: list[PlannedRead] = []
     switches = 0
@@ -119,36 +138,33 @@ def simulate_order(
         reads.append(first)
         slot, prev_channel = first.slot, first.channel
     for obj in order:
-        channel, cycle_slot = program.directory[obj]
+        channel, cycle_slot = directory[obj]
         slot, switched = _earliest_read(
             channel, cycle_slot, length, slot, prev_channel, sigma
         )
         switches += switched
-        reads.append(PlannedRead(obj, channel, slot))
+        reads.append(_new(PlannedRead, (obj, channel, slot)))
         prev_channel = channel
-    return RetrievalPlan(
-        reads=tuple(reads),
-        start_slot=start,
-        total_slots=reads[-1].slot - start + 1,
-        switches=switches,
-        active_slots=len(reads),
-    )
+    return _new(RetrievalPlan, (tuple(reads), start, slot - start + 1, switches, len(reads)))
 
 
 def after_index(
     order: list[str], program: BroadcastProgram, now: int, cost: CostModel
 ) -> RetrievalPlan:
     """Read the next index segment from ``now``, then ``order``, each object
-    at its earliest slot after the read before it.
+    at its earliest slot after the read before it. An empty ``order``
+    raises ``ValueError``.
 
     A dedicated index channel is channel 0. Otherwise every data channel
     carries the index slots at the same positions, and the index is read on
     the first object's channel.
     """
+    if not order:
+        raise ValueError("order is empty")
     channel = 0 if program.dedicated_index_channel else program.directory[order[0]][0]
-    index_read = PlannedRead(
+    index_read = _new(PlannedRead, (
         air_schedule.INDEX, channel, air_schedule.next_index_read_end(program, now)
-    )
+    ))
     return simulate_order(order, program, now, cost, index_read)
 
 

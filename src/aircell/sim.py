@@ -714,6 +714,11 @@ class QueryRecord(NamedTuple):
     p_nm: float
 
 
+# A QueryRecord without NamedTuple's interpreted __new__, one per query:
+# _new(QueryRecord, (fields in declaration order)) builds the same tuple.
+_new = tuple.__new__
+
+
 def _csv_text(value) -> str:
     """``value`` as a CSV field: numbers as in the JSON, booleans as 1 and 0.
 
@@ -1163,13 +1168,14 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics) -> Steps:
                 f"{outcome.write_time}, after slot {t}"
             )
         if outcome.resolution is Resolution.UNRESOLVED:
-            records.append(QueryRecord(qid, cid, oid, t, "unresolved",
-                                       outcome.latency, 0.0, qos, False, 0.0))
+            records.append(_new(QueryRecord, (qid, cid, oid, t, "unresolved",
+                                              outcome.latency, 0.0, qos, False, 0.0)))
             return
         staleness = sources[oid].last_write(t) - outcome.write_time
-        records.append(QueryRecord(qid, cid, oid, t, _RESOLUTION_TEXT[outcome.resolution],
-                                   outcome.latency, staleness, qos,
-                                   accepts(qos, outcome.p_nm), outcome.p_nm))
+        records.append(_new(QueryRecord, (qid, cid, oid, t,
+                                          _RESOLUTION_TEXT[outcome.resolution],
+                                          outcome.latency, staleness, qos,
+                                          accepts(qos, outcome.p_nm), outcome.p_nm)))
 
     return advance, answer
 
@@ -1230,8 +1236,8 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
             plan = retrieval.after_index([oid], program, t, cost)
             metrics.per_client_energy[cid] += retrieval.account(plan, cost)["energy"]
             kind, latency = "broadcast", float(plan.total_slots)
-        records.append(QueryRecord(qid, cid, oid, t, kind, latency,
-                                   0.0, qos, accepts(qos, 1.0), 1.0))
+        records.append(_new(QueryRecord, (qid, cid, oid, t, kind, latency,
+                                          0.0, qos, accepts(qos, 1.0), 1.0)))
 
     return advance, answer
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from aircell import broadcast_plan, retrieval
+from aircell import broadcast_plan
 from aircell.air_schedule import INDEX, NotApplicable
 from aircell.broadcast_plan import AccessTime, Partition, PartitionResult, Unstable
 from aircell.cache import (
@@ -1039,9 +1039,11 @@ def _run_broadcast(
     No sources, caches or information managers are built: an aired
     or multicast answer carries the source's current write, so its staleness
     is 0 whatever the source's history. A published object is read by
-    ``retrieval.after_index`` and costed by ``retrieval.account``; any other
-    query joins its object's batch, whose response time ``submit`` returns.
-    Either way the query is recorded in the slot it is issued. The server
+    ``aired_read_reference`` and costed with ``retrieval.account``'s
+    arithmetic written out, in its order of operations, so that energies
+    compare bit for bit; any other query joins its object's batch, whose
+    response time ``submit`` returns. Either way the query is recorded in
+    the slot it is issued. The server
     sends its multicasts once, after the slot loop, and they are counted
     there. ``broadcast_slots`` counts channel-slots on air: each slot adds
     the channels of the program then in force, if any.
@@ -1070,8 +1072,13 @@ def _run_broadcast(
             if program is None or oid not in program.directory:
                 kind, latency = "on_demand", batching.submit(oid, t) - t + 1.0
             else:
-                plan = retrieval.after_index([oid], program, t, cost)
-                metrics.per_client_energy[cid] += retrieval.account(plan, cost)["energy"]
+                plan = aired_read_reference(program, oid, t, cost)
+                doze = plan.total_slots - plan.active_slots - cost.switch_slots * plan.switches
+                metrics.per_client_energy[cid] += (
+                    plan.active_slots * cost.e_active
+                    + doze * cost.e_doze
+                    + plan.switches * cost.e_switch
+                )
                 kind, latency = "broadcast", float(plan.total_slots)
             records.append(QueryRecord(qid, cid, oid, t, kind, latency,
                                        0.0, qos, accepts(qos, 1.0), 1.0))

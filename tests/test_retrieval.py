@@ -17,6 +17,7 @@ from aircell.retrieval import (
     CostModel,
     PlannedRead,
     RefusedSize,
+    RetrievalPlan,
     RetrievalRequest,
     account,
     after_index,
@@ -246,6 +247,18 @@ class TestAfterIndex:
             assert plan.switches == rest.switches + dedicated
             assert (plan.start_slot, plan.active_slots) == (now, k + 1)
             assert plan.total_slots == rest.reads[-1].slot - now + 1
+            # built without the NamedTuple constructors, still the named types
+            assert type(plan) is RetrievalPlan
+            assert all(type(r) is PlannedRead for r in plan.reads + rest.reads)
+            assert RetrievalPlan(**plan._asdict()) == plan
+
+    @pytest.mark.parametrize("dedicated", [False, True])
+    def test_empty_order_refused(self, dedicated):
+        p = build_program(OBJS4, 2, ONCE_PER_CYCLE, dedicated_index_channel=dedicated)
+        with pytest.raises(ValueError, match="order is empty"):
+            after_index([], p, 0, COST)
+        with pytest.raises(ValueError, match="order is empty"):
+            simulate_order([], p, 0, COST)
 
     def test_same_read_as_locate_and_hand_built_plan(self):
         layouts = [

@@ -1760,6 +1760,8 @@ def assert_replays_the_slot_loops(scn: sim.Scenario) -> None:
     """``run`` gives what the engine's old loops over every slot gave."""
     got, want = run(scn), oracles.run_slot_loops(scn)
     assert got.records == want.records
+    # equal tuples of another type would also compare equal
+    assert all(type(r) is sim.QueryRecord for r in got.records)
     assert got.counters == want.counters
     assert got.per_client_energy == want.per_client_energy
     assert got.plan == want.plan
