@@ -14,6 +14,11 @@ snapshot's standard deviation is folded over all its intervals. So a
 snapshot handed out by ``UpdateLog.stats`` folds it only when it is first
 read, which is when P_NM is first asked of the copy, and a snapshot that
 no P_NM ever judges never folds.
+
+P_NM is asked of a cached copy on every query that finds one, so
+``p_not_modified_or_zero`` states the whole model in one call: the
+history check, the elapsed time, the snapshot's spread (folded on first
+use) and the normal tail, with no helper call between them.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ _SQRT2 = math.sqrt(2.0)
 
 
 class InsufficientHistory(Exception):
-    """Fewer than two inter-update intervals: no basis for a probability."""
+    """No write recorded: a source has no statistics to hand out."""
 
 
 class NonMonotonicUpdate(ValueError):
@@ -126,34 +131,28 @@ class UpdateLog:
                               len(intervals), intervals)
 
 
-def p_modified(stats: FreshnessStats, now: float) -> float:
-    """Probability the object changed since its last recorded source write.
+def p_not_modified_or_zero(stats: FreshnessStats, now: float) -> float:
+    """P_NM: the probability the object has not changed since its last
+    recorded source write, with insufficient history (fewer than two
+    intervals) treated as certainly-modified (0.0).
 
-    Computed as the standard normal CDF of (t - MTBU) / STDV with
+    The complement of the standard normal CDF of (t - MTBU) / STDV with
     t = now - t_last_update. With zero spread the normal family degenerates
-    to a step at the mean: 0 before MTBU has elapsed, 1 at or after.
+    to a step at the mean: 1 before MTBU has elapsed, 0 at or after. Cached
+    copies without a usable probability estimate are acceptable only under
+    a QoS setting of 0, which is the intended degenerate rule.
     """
     if stats.n_intervals < 2:
-        raise InsufficientHistory(
-            f"{stats.n_intervals} interval(s) recorded; need at least 2"
-        )
+        return 0.0
     t = now - stats.t_last_update
     if t < 0:
         raise ValueError(f"now={now} precedes last update at {stats.t_last_update}")
-    mtbu, stdv = stats.mtbu, stats.stdv_mtbu
+    mtbu, stdv = stats.mtbu, stats._stdv
+    if stdv is None:
+        stdv = stats.stdv_mtbu
     if stdv == 0.0:
-        return 0.0 if t < mtbu else 1.0
-    z = (t - mtbu) / stdv
-    return 0.5 * (1.0 + math.erf(z / _SQRT2))
-
-
-def p_not_modified_or_zero(stats: FreshnessStats, now: float) -> float:
-    """P_NM, with insufficient history treated as certainly-modified (0.0).
-
-    Cached copies without a usable probability estimate are then acceptable
-    only under a QoS setting of 0, which is the intended degenerate rule.
-    """
-    return 0.0 if stats.n_intervals < 2 else 1.0 - p_modified(stats, now)
+        return 1.0 if t < mtbu else 0.0
+    return 1.0 - 0.5 * (1.0 + math.erf((t - mtbu) / stdv / _SQRT2))
 
 
 def accepts(qos: float, p_nm: float) -> bool:

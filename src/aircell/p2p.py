@@ -11,6 +11,13 @@ querier's QoS setting; when several neighbours can answer, the freshest
 copy wins, the lowest client id on ties. An answer carries the source's
 update statistics, whose ``t_last_update`` is the write it reflects, and
 no data.
+
+The chain runs once per query, so each step is done once: the own step is
+written out in ``resolve_query``, P_NM is one ``p_not_modified_or_zero``
+call, a source or provider read goes to ``_finish`` as its P_NM and
+snapshot, and an ``Answer`` is built only for a neighbour's reply. Answers
+and outcomes are built with ``tuple.__new__``, skipping NamedTuple's
+interpreted constructor; they are the same tuples of the same types.
 """
 
 from __future__ import annotations
@@ -58,6 +65,12 @@ class QueryOutcome(NamedTuple):
     write_time: float  # the source write the answer reflects
 
 
+# An Answer or QueryOutcome without NamedTuple's interpreted __new__, one
+# or more per query: _new(Cls, (fields in declaration order)) builds the
+# same tuple.
+_new = tuple.__new__
+
+
 class P2PCell:
     """Shared context: topology, data sources, link costs, toggles, and the
     information manager of each client, which registers itself."""
@@ -99,86 +112,90 @@ class InformationManager:
 
     # -- answering ---------------------------------------------------------
 
-    def _answer(self, service_id: str, qos: float, now: float) -> Answer | None:
-        """The cached copy if it meets ``qos``, else a read of a local
-        provider, else None. Recency-neutral: the cache is only peeked."""
-        if self.query_cache is not None:
-            entry = self.query_cache.peek(service_id)
-            if entry is not None:
-                p_nm = p_not_modified_or_zero(entry.source_stats_snapshot, now)
-                if accepts(qos, p_nm):
-                    return Answer(True, p_nm, entry.source_stats_snapshot)
-        if service_id in self.providers:
-            return Answer(False, 1.0, self.cell.sources[service_id].read(now))
-        return None
-
     def handle_neighbor_query(
         self, service_id: str, qos: float, now: float
     ) -> Answer | None:
-        """Answer a neighbour's one-hop query; the own step calls ``_answer``."""
-        return self._answer(service_id, qos, now)
+        """Answer a neighbour's one-hop query: the cached copy if it meets
+        ``qos``, else a read of a local provider, else None. Recency-neutral:
+        the cache is only peeked."""
+        if self.query_cache is not None:
+            entry = self.query_cache.peek(service_id)
+            if entry is not None:
+                stats = entry.source_stats_snapshot
+                p_nm = p_not_modified_or_zero(stats, now)
+                if accepts(qos, p_nm):
+                    return _new(Answer, (True, p_nm, stats))
+        if service_id in self.providers:
+            return _new(Answer, (False, 1.0, self.cell.sources[service_id].read(now)))
+        return None
 
     # -- the resolution chain ----------------------------------------------
 
     def resolve_query(self, service_id: str, qos: float, now: float) -> QueryOutcome:
-        """Resolve a consumer query through the cache/provider/neighbour/source chain."""
-        costs = self.cell.costs
-        if self.query_cache is not None:
-            self.query_cache.record_read(service_id, now)
-        answer = self._answer(service_id, qos, now)
-        if answer is not None:
-            if answer.from_cache:
-                self.query_cache.get(service_id, now)  # recency touch on a real hit
-                return QueryOutcome(
-                    service_id, Resolution.LOCAL_CACHE, costs.local, answer.p_nm,
-                    self.client_id, answer.stats.t_last_update,
-                )
+        """Resolve a consumer query through the cache/provider/neighbour/source
+        chain. The own step is ``handle_neighbor_query``'s, except that a real
+        cache hit touches the copy's recency."""
+        cell, costs, cache = self.cell, self.cell.costs, self.query_cache
+        if cache is not None:
+            cache.record_read(service_id, now)
+            entry = cache.peek(service_id)
+            if entry is not None:
+                stats = entry.source_stats_snapshot
+                p_nm = p_not_modified_or_zero(stats, now)
+                if accepts(qos, p_nm):
+                    cache.get(service_id, now)  # recency touch on a real hit
+                    return _new(QueryOutcome, (
+                        service_id, Resolution.LOCAL_CACHE, costs.local, p_nm,
+                        self.client_id, stats.t_last_update,
+                    ))
+        if service_id in self.providers:
             return self._finish(
                 service_id, Resolution.LOCAL_PROVIDER, costs.local, now,
-                answer, self.client_id,
+                1.0, cell.sources[service_id].read(now), self.client_id,
             )
 
-        if self.cell.p2p_enabled:
-            best, best_id, ims = None, None, self.cell.ims
+        if cell.p2p_enabled:
+            best, best_id, ims = None, None, cell.ims
             for nid in self.neighbors:  # in id order, so the first of equals wins
                 peer = ims[nid]
-                cache = peer.query_cache
+                peer_cache = peer.query_cache
                 if service_id not in peer.providers and (
-                    cache is None or service_id not in cache.entries
+                    peer_cache is None or service_id not in peer_cache.entries
                 ):
                     continue  # holds no copy and no provider: it would answer None
                 answer = peer.handle_neighbor_query(service_id, qos, now)
                 if answer is not None and (best is None or answer.p_nm > best.p_nm):
                     best, best_id = answer, nid
             if best is not None:
+                from_cache, p_nm, stats = best
                 resolution = (
-                    Resolution.NEIGHBOR_CACHE if best.from_cache
+                    Resolution.NEIGHBOR_CACHE if from_cache
                     else Resolution.NEIGHBOR_PROVIDER
                 )
                 return self._finish(
-                    service_id, resolution, 2 * costs.hop, now, best, best_id
+                    service_id, resolution, 2 * costs.hop, now, p_nm, stats, best_id
                 )
 
-        source = self.cell.sources.get(service_id)
+        source = cell.sources.get(service_id)
         if source is None:
             raise KeyError(f"no source serves {service_id}")
         if source.reachable:
             return self._finish(
                 service_id, Resolution.SOURCE, costs.source, now,
-                Answer(False, 1.0, source.read(now)), "source",
+                1.0, source.read(now), "source",
             )
-        return QueryOutcome(
-            service_id, Resolution.UNRESOLVED, costs.source, 0.0, None, now
-        )
+        return _new(QueryOutcome, (
+            service_id, Resolution.UNRESOLVED, costs.source, 0.0, None, now,
+        ))
 
     def _finish(
         self, service_id: str, resolution: Resolution, latency: float, now: float,
-        answer: Answer, served_by: str,
+        p_nm: float, stats: FreshnessStats, served_by: str,
     ) -> QueryOutcome:
-        """Cache a copy of a fetched answer, and with overhearing a copy in
-        each neighbour but the one that served it; each cache gets its own
-        entry, since an entry's requery flag is its cache's alone."""
-        stats = answer.stats
+        """Cache a copy of a fetched answer, whose not-modified probability
+        is ``p_nm`` and whose snapshot is ``stats``, and with overhearing a
+        copy in each neighbour but the one that served it; each cache gets
+        its own entry, since an entry's requery flag is its cache's alone."""
         if self.query_cache is not None:
             self.query_cache.insert(CacheEntry(service_id, stats, cached_at=now), now)
         if self.cell.overhearing:
@@ -186,7 +203,6 @@ class InformationManager:
                 peer = self.cell.ims[nid].query_cache
                 if nid != served_by and peer is not None:
                     peer.insert(CacheEntry(service_id, stats, cached_at=now), now)
-        return QueryOutcome(
-            service_id, resolution, latency, answer.p_nm, served_by,
-            stats.t_last_update,
-        )
+        return _new(QueryOutcome, (
+            service_id, resolution, latency, p_nm, served_by, stats.t_last_update,
+        ))

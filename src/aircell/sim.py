@@ -1087,6 +1087,8 @@ def run(scenario: Scenario) -> Metrics:
 
 # each tier's record text: a dict lookup is cheaper than an Enum's ``.value``
 _RESOLUTION_TEXT = {r: r.value for r in Resolution}
+# the tiers that serve a copy, which may lag the source's latest write
+_CACHE_TIERS = frozenset((Resolution.LOCAL_CACHE, Resolution.NEIGHBOR_CACHE))
 
 
 def _p2p_steps(scenario: Scenario, metrics: Metrics) -> Steps:
@@ -1161,21 +1163,22 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics) -> Steps:
             schedule(i)
 
     def answer(t: int, qid: int, cid: str, oid: str, qos: float) -> None:
-        outcome = cell.ims[cid].resolve_query(oid, qos, t)
-        if outcome.write_time > t:
+        _, resolution, latency, p_nm, _, write_time = cell.ims[cid].resolve_query(oid, qos, t)
+        if write_time > t:
             raise InvariantError(
                 f"query {qid}: {oid} answered with a write at "
-                f"{outcome.write_time}, after slot {t}"
+                f"{write_time}, after slot {t}"
             )
-        if outcome.resolution is Resolution.UNRESOLVED:
+        if resolution is Resolution.UNRESOLVED:
             records.append(_new(QueryRecord, (qid, cid, oid, t, "unresolved",
-                                              outcome.latency, 0.0, qos, False, 0.0)))
+                                              latency, 0.0, qos, False, 0.0)))
             return
-        staleness = sources[oid].last_write(t) - outcome.write_time
-        records.append(_new(QueryRecord, (qid, cid, oid, t,
-                                          _RESOLUTION_TEXT[outcome.resolution],
-                                          outcome.latency, staleness, qos,
-                                          accepts(qos, outcome.p_nm), outcome.p_nm)))
+        # a source or provider read is of the source at t, so it reflects
+        # the latest write: its staleness, that write less itself, is 0.0
+        staleness = (sources[oid].last_write(t) - write_time
+                     if resolution in _CACHE_TIERS else 0.0)
+        records.append(_new(QueryRecord, (qid, cid, oid, t, _RESOLUTION_TEXT[resolution],
+                                          latency, staleness, qos, accepts(qos, p_nm), p_nm)))
 
     return advance, answer
 

@@ -35,13 +35,10 @@ from aircell.cache import (
 )
 from aircell.freshness import (
     FreshnessStats,
-    InsufficientHistory,
     InvariantError,
     SourceObject,
     accepts,
-    p_modified,
 )
-from aircell.p2p import InformationManager, P2PCell, Resolution
 from aircell.retrieval import PlannedRead, RefusedSize, RetrievalPlan
 from aircell.sim import (
     Metrics,
@@ -285,11 +282,25 @@ def score_admission_replay(capacity: int, offers: list[tuple[str, float, float]]
 # is held to equal reports and entry order, not a tolerance.
 # --------------------------------------------------------------------------
 
-def _p_not_modified_or_zero_reference(stats: FreshnessStats, now: float) -> float:
-    try:
-        return 1.0 - p_modified(stats, now)
-    except InsufficientHistory:
+def p_not_modified_or_zero_reference(stats: FreshnessStats, now: float) -> float:
+    """P_NM written out as the complement of the probability of a change,
+    with that probability's operations in the order the model has always
+    used, so that it equals the library's bit for bit; insufficient history
+    (fewer than two intervals) gives 0.0. Unlike the rest of this module it
+    uses ``math.erf``: the quadrature CDF above agrees only to a tolerance.
+    """
+    if stats.n_intervals < 2:
         return 0.0
+    t = now - stats.t_last_update
+    if t < 0:
+        raise ValueError(f"now={now} precedes last update at {stats.t_last_update}")
+    mtbu, stdv = stats.mtbu, stats.stdv_mtbu
+    if stdv == 0.0:
+        p_modified = 0.0 if t < mtbu else 1.0
+    else:
+        z = (t - mtbu) / stdv
+        p_modified = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    return 1.0 - p_modified
 
 
 def _cqf_reference(stats: FreshnessStats, reads: ReadStats) -> float:
@@ -338,7 +349,7 @@ class ClientCacheReference(ClientCache):
             return _cqf_reference(entry.source_stats_snapshot,
                                   self.reads.stats_for(entry.object_id))
         if self.policy is PolicyKind.ACQF:
-            p_nm = _p_not_modified_or_zero_reference(entry.source_stats_snapshot, now)
+            p_nm = p_not_modified_or_zero_reference(entry.source_stats_snapshot, now)
             return _acqf_reference(
                 self.reads.stats_for(entry.object_id).f_r,
                 p_nm,
@@ -973,6 +984,8 @@ def _run_p2p(
     Each source applies its own scheduled writes when read, and only
     TTL-policy caches are ticked, in client order: the metrics are the
     bytes of writing every source and ticking every cache in every slot.
+    The chain is ``resolve_reference``'s, over the library's caches and
+    sources, and every answer's staleness is taken from the source.
 
     Raises ``InvariantError`` if an answer carries a write from after its
     slot.
@@ -985,8 +998,7 @@ def _run_p2p(
         )
         for o in scenario.objects
     }
-    cell = P2PCell(scenario.adjacency, sources, scenario.costs,
-                   p2p_enabled=scenario.p2p, overhearing=scenario.overhearing)
+    caches: dict[str, ClientCache | None] = {}
     ttl_caches: list[ClientCache] = []  # in client order, the order of ticks
     for spec in sorted(scenario.clients, key=lambda c: c.client_id):
         cache = None
@@ -997,26 +1009,28 @@ def _run_p2p(
             )
             if spec.policy in TTL_POLICIES:
                 ttl_caches.append(cache)
-        im = InformationManager(spec.client_id, cell, cache)
-        for service in spec.providers:
-            im.register_provider(service)
+        caches[spec.client_id] = cache
+    cell = CellReference(
+        caches, {c.client_id: set(c.providers) for c in scenario.clients},
+        {cid: sorted(scenario.adjacency.get(cid, ())) for cid in caches},
+        sources, scenario,
+    )
 
     for t in range(scenario.duration_slots):
         for qid, cid, oid, qos in queries.get(t, ()):
-            outcome = cell.ims[cid].resolve_query(oid, qos, t)
-            if outcome.write_time > t + 1:
+            resolution, latency, p_nm, write_time = resolve_reference(cell, cid, oid, qos, t)
+            if write_time > t:
                 raise InvariantError(
                     f"query {qid}: {oid} answered with a write at "
-                    f"{outcome.write_time}, after slot {t}"
+                    f"{write_time}, after slot {t}"
                 )
-            if outcome.resolution is Resolution.UNRESOLVED:
+            if resolution == "unresolved":
                 records.append(QueryRecord(qid, cid, oid, t, "unresolved",
-                                           outcome.latency, 0.0, qos, False, 0.0))
+                                           latency, 0.0, qos, False, 0.0))
                 continue
-            staleness = sources[oid].last_write(t) - outcome.write_time
-            records.append(QueryRecord(qid, cid, oid, t, outcome.resolution.value,
-                                       outcome.latency, staleness, qos,
-                                       accepts(qos, outcome.p_nm), outcome.p_nm))
+            staleness = sources[oid].last_write(t) - write_time
+            records.append(QueryRecord(qid, cid, oid, t, resolution, latency,
+                                       staleness, qos, accepts(qos, p_nm), p_nm))
 
         if ttl_caches and t % scenario.tick_interval == 0:
             for cache in ttl_caches:
@@ -1029,6 +1043,76 @@ def _run_p2p(
                         stats = source.read(t)
                         cache.insert(CacheEntry(action.object_id, stats, cached_at=t), t)
                         counters["requeries"] += 1
+
+
+class CellReference(NamedTuple):
+    """A cell as the reference chain reads it: per client id, its cache (or
+    None), the objects it provides and its neighbours in id order."""
+
+    caches: dict[str, ClientCache | None]
+    providers: dict[str, set[str]]
+    neighbors: dict[str, list[str]]
+    sources: dict[str, SourceObject]
+    scenario: Scenario
+
+
+def _own_answer_reference(cell: CellReference, cid: str, oid: str, qos: float,
+                          now: float) -> tuple[str, float, FreshnessStats] | None:
+    """Client ``cid``'s own answer: ("cache", P_NM, snapshot) for a cached
+    copy that meets ``qos``, ("provider", 1.0, read) for a provider it
+    registered, else None. The cache is only peeked."""
+    cache = cell.caches[cid]
+    entry = cache.peek(oid) if cache is not None else None
+    if entry is not None:
+        p_nm = p_not_modified_or_zero_reference(entry.source_stats_snapshot, now)
+        if p_nm >= qos:
+            return "cache", p_nm, entry.source_stats_snapshot
+    if oid in cell.providers[cid]:
+        return "provider", 1.0, cell.sources[oid].read(now)
+    return None
+
+
+def resolve_reference(cell: CellReference, cid: str, oid: str, qos: float,
+                      now: float) -> tuple[str, float, float, float]:
+    """The resolution chain, one step after another: the querier's own
+    answer, then every neighbour's in id order, the freshest winning and
+    the first of equals on ties, then the source. A fetched answer is
+    cached by the querier and, with overhearing, by each neighbour but the
+    one that served it. Returns (resolution, latency, P_NM, write time)."""
+    costs, cache = cell.scenario.costs, cell.caches[cid]
+
+    def fetched(resolution, latency, p_nm, stats, served_by):
+        if cache is not None:
+            cache.insert(CacheEntry(oid, stats, cached_at=now), now)
+        if cell.scenario.overhearing:
+            for nid in cell.neighbors[cid]:
+                peer = cell.caches[nid]
+                if nid != served_by and peer is not None:
+                    peer.insert(CacheEntry(oid, stats, cached_at=now), now)
+        return resolution, latency, p_nm, stats.t_last_update
+
+    if cache is not None:
+        cache.record_read(oid, now)
+    own = _own_answer_reference(cell, cid, oid, qos, now)
+    if own is not None:
+        kind, p_nm, stats = own
+        if kind == "cache":
+            cache.get(oid, now)
+            return "local_cache", costs.local, p_nm, stats.t_last_update
+        return fetched("local_provider", costs.local, p_nm, stats, cid)
+    best = None
+    if cell.scenario.p2p:
+        for nid in cell.neighbors[cid]:
+            answer = _own_answer_reference(cell, nid, oid, qos, now)
+            if answer is not None and (best is None or answer[1] > best[1][1]):
+                best = (nid, answer)
+    if best is not None:
+        nid, (kind, p_nm, stats) = best
+        return fetched(f"neighbor_{kind}", 2 * costs.hop, p_nm, stats, nid)
+    source = cell.sources[oid]
+    if source.reachable:
+        return fetched("source", costs.source, 1.0, source.read(now), "source")
+    return "unresolved", costs.source, 0.0, now
 
 
 def _run_broadcast(

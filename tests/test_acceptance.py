@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from aircell import air_schedule, broadcast_plan, fidelity, retrieval
-from aircell.freshness import FreshnessStats, p_modified, p_not_modified_or_zero
+from aircell.freshness import FreshnessStats, p_not_modified_or_zero
 from aircell.sim import run, scenario_from_dict
 from conftest import random_retrieval_instance
 from oracles import (
@@ -35,22 +35,26 @@ def test_criterion_1_freshness_closed_form():
     t0 = time.perf_counter()
     failures = []
     stats = FreshnessStats(100.0, 20.0, 0.0, 10)
-    if abs(p_modified(stats, 100.0) - 0.5) > 1e-9:
-        failures.append("p_modified at the mean elapsed time is not 0.5")
-    for now in (80.0, 100.0, 120.0, 163.0, 420.0):
-        if abs(p_modified(stats, now) + p_not_modified_or_zero(stats, now) - 1.0) > 1e-12:
-            failures.append(f"complement identity broken at now={now}")
+    if abs(p_not_modified_or_zero(stats, 100.0) - 0.5) > 1e-9:
+        failures.append("P_NM at the mean elapsed time is not 0.5")
+    for d in (0.0, 20.0, 37.0, 63.0, 100.0):
+        # the normal family is symmetric about the mean elapsed time: the
+        # copy d before it is as likely unchanged as the copy d after it changed
+        early = p_not_modified_or_zero(stats, 100.0 - d)
+        late = p_not_modified_or_zero(FreshnessStats(100.0, 20.0, -d, 10), 100.0)
+        if abs(early + late - 1.0) > 1e-12:
+            failures.append(f"complement identity broken at d={d}")
     rng = np.random.default_rng(101)
     draws = rng.normal(100.0, 20.0, size=100_000)
     while (draws <= 0).any():
         bad = draws <= 0
         draws[bad] = rng.normal(100.0, 20.0, size=int(bad.sum()))
     for t in (80.0, 100.0, 120.0):
-        empirical = float((draws <= t).mean())
-        if abs(empirical - p_modified(stats, t)) > 0.02:
+        unchanged = float((draws > t).mean())
+        if abs(unchanged - p_not_modified_or_zero(stats, t)) > 0.02:
             failures.append(
-                f"Monte-Carlo fraction {empirical:.4f} vs model "
-                f"{p_modified(stats, t):.4f} at t={t}"
+                f"Monte-Carlo unchanged fraction {unchanged:.4f} vs P_NM "
+                f"{p_not_modified_or_zero(stats, t):.4f} at t={t}"
             )
     report(1, "freshness closed form and Monte-Carlo agreement",
            failures, time.perf_counter() - t0, 5.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,10 +13,9 @@ from aircell.freshness import (
     SourceObject,
     UpdateLog,
     accepts,
-    p_modified,
     p_not_modified_or_zero,
 )
-from oracles import mean_and_pop_std, normal_cdf
+from oracles import fold, mean_and_pop_std, normal_cdf, p_not_modified_or_zero_reference
 
 # frozen from the statistics oracle over intervals {100, 120, 80}
 GOLDEN_MTBU = 100.0
@@ -207,45 +208,52 @@ class TestDeferredSpread:
 
 
 class TestModifiedProbability:
+    """P_NM, the complement of the probability of a change since the last
+    source write."""
+
     def test_half_at_mean_elapsed_time(self):
-        assert p_modified(stats(100, 20), now=100.0) == pytest.approx(0.5, abs=1e-9)
+        assert p_not_modified_or_zero(stats(100, 20), now=100.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_two_sigma_matches_cdf_oracle(self):
-        got = p_modified(stats(100, 20), now=140.0)
-        assert got == pytest.approx(normal_cdf(2.0), abs=1e-7)
-        assert got == pytest.approx(PHI_2, abs=1e-7)
+        got = p_not_modified_or_zero(stats(100, 20), now=140.0)
+        assert got == pytest.approx(1.0 - normal_cdf(2.0), abs=1e-7)
+        assert got == pytest.approx(1.0 - PHI_2, abs=1e-7)
 
     def test_far_tail_is_certain(self):
-        assert p_modified(stats(100, 20), now=300.0) > 0.9999
+        assert p_not_modified_or_zero(stats(100, 20), now=300.0) < 1e-4
 
     def test_complement_is_exact(self):
-        for now in (80.0, 100.0, 123.4, 500.0):
-            pm = p_modified(stats(100, 20), now)
-            pnm = p_not_modified_or_zero(stats(100, 20), now)
-            assert abs(pm + pnm - 1.0) <= 1e-12
+        # the normal family is symmetric about the mean elapsed time
+        for d in (0.0, 20.0, 23.4, 100.0):
+            early = p_not_modified_or_zero(stats(100, 20), 100.0 - d)
+            late = p_not_modified_or_zero(stats(100, 20, t_last=-d), 100.0)
+            assert abs(early + late - 1.0) <= 1e-12
 
     def test_zero_spread_steps_at_mean(self):
         s = stats(100, 0)
-        assert p_modified(s, 99.999) == 0.0
-        assert p_modified(s, 100.0) == 1.0
-        assert p_modified(s, 250.0) == 1.0
+        assert p_not_modified_or_zero(s, 99.999) == 1.0
+        assert p_not_modified_or_zero(s, 100.0) == 0.0
+        assert p_not_modified_or_zero(s, 250.0) == 0.0
 
     def test_insufficient_history(self):
+        for n in (0, 1):  # the history is checked first: even before the last write
+            assert p_not_modified_or_zero(stats(100, 20, n=n), now=50.0) == 0.0
+            assert p_not_modified_or_zero(stats(100, 20, t_last=60.0, n=n), now=50.0) == 0.0
         with pytest.raises(InsufficientHistory):
-            p_modified(stats(100, 20, n=1), now=50.0)
-        assert p_not_modified_or_zero(stats(100, 20, n=1), now=50.0) == 0.0
+            UpdateLog().stats()
 
     def test_now_before_last_update_rejected(self):
         with pytest.raises(ValueError):
-            p_modified(stats(100, 20, t_last=50.0), now=10.0)
+            p_not_modified_or_zero(stats(100, 20, t_last=50.0), now=10.0)
 
     def test_nondecreasing_in_now(self, rng):
+        # the probability of a change, 1 - P_NM, only grows with the elapsed time
         for _ in range(50):
             mtbu = float(rng.uniform(10, 500))
             stdv = float(rng.uniform(0.5, mtbu / 2))
             s = stats(mtbu, stdv)
             times = np.sort(rng.uniform(0, 4 * mtbu, size=40))
-            values = [p_modified(s, t) for t in times]
+            values = [1.0 - p_not_modified_or_zero(s, t) for t in times]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_monte_carlo_agreement(self, rng):
@@ -256,8 +264,52 @@ class TestModifiedProbability:
             draws[bad] = rng.normal(100, 20, size=int(bad.sum()))
         s = stats(100, 20)
         for t in (80.0, 100.0, 120.0):
-            empirical = float((draws <= t).mean())
-            assert abs(empirical - p_modified(s, t)) <= 0.02
+            unchanged = float((draws > t).mean())
+            assert abs(unchanged - p_not_modified_or_zero(s, t)) <= 0.02
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        intervals=st.one_of(
+            st.lists(st.floats(0.5, 500.0), max_size=12),
+            # integral intervals add exactly: a mean with no spread
+            st.builds(lambda c, n: [float(c)] * n, st.integers(1, 300), st.integers(0, 12)),
+        ),
+        t_last=st.integers(-1000, 1000).map(float),
+        elapsed=st.floats(-200.0, 2000.0),
+    )
+    @example(intervals=[], t_last=0.0, elapsed=5.0)
+    @example(intervals=[40.0], t_last=0.0, elapsed=-5.0)
+    @example(intervals=[40.0, 40.0], t_last=0.0, elapsed=39.0)
+    @example(intervals=[40.0, 40.0], t_last=0.0, elapsed=40.0)
+    @example(intervals=[40.0, 40.0], t_last=0.0, elapsed=41.0)
+    @example(intervals=[30.0, 50.0], t_last=10.0, elapsed=0.0)
+    @example(intervals=[30.0, 50.0], t_last=10.0, elapsed=-1.0)
+    def test_bit_exact_against_the_reference(self, intervals, t_last, elapsed):
+        """Equal to the reference by ``==`` and by the sign of zero, on a
+        snapshot whose spread is folded on first use and on one handed its
+        spread; the first call folds it, and the second reads the fold."""
+        n = len(intervals)
+        mtbu = fold(intervals) / n if n else 0.0
+        if n:
+            lazy = FreshnessStats(mtbu, None, t_last, n, list(intervals))
+        else:  # what a log of one write hands out
+            lazy = FreshnessStats(0.0, 0.0, t_last, 0)
+        stdv = math.sqrt(fold((x - mtbu) ** 2 for x in intervals) / n) if n else 0.0
+        given_spread = FreshnessStats(mtbu, stdv, t_last, n)
+        now = t_last + elapsed
+        if n >= 2 and now < t_last:
+            with pytest.raises(ValueError):
+                p_not_modified_or_zero(lazy, now)
+            with pytest.raises(ValueError):
+                p_not_modified_or_zero_reference(given_spread, now)
+            return
+        want = p_not_modified_or_zero_reference(given_spread, now)
+        for _ in range(2):
+            got = p_not_modified_or_zero(lazy, now)
+            assert got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+            if n >= 2:  # folded once: the kept intervals are gone
+                assert lazy._intervals is None and lazy._stdv == stdv
 
 
 class TestAccepts:

@@ -2,7 +2,7 @@ import pytest
 
 from aircell.cache import CacheEntry, ClientCache, PolicyKind
 from aircell.freshness import FreshnessStats, SourceObject, p_not_modified_or_zero
-from aircell.p2p import InformationManager, P2PCell, Resolution
+from aircell.p2p import Answer, InformationManager, P2PCell, QueryOutcome, Resolution
 from oracles import normal_cdf
 
 MTBU, STDV = 100.0, 20.0
@@ -41,12 +41,21 @@ def make_im(cell, client_id, capacity=8, policy=PolicyKind.LRU):
     return InformationManager(client_id, cell, cache)
 
 
+def plain(result, cls):
+    """``result``, checked to be a ``cls`` itself whose fields round-trip;
+    equal tuples of another type would also compare equal."""
+    assert type(result) is cls
+    assert cls(**result._asdict()) == result
+    assert list(result._asdict()) == list(cls._fields)
+    return result
+
+
 class TestChainOrder:
     def test_zero_qos_hits_local_cache(self):
         cell = make_cell({"a": set()})
         im = make_im(cell, "a")
         im.query_cache.insert(aged_entry("svc", 0.4, now=50.0), now=50.0)
-        outcome = im.resolve_query("svc", qos=0.0, now=50.0)
+        outcome = plain(im.resolve_query("svc", qos=0.0, now=50.0), QueryOutcome)
         assert outcome.resolution is Resolution.LOCAL_CACHE
         assert outcome.latency == cell.costs.local
 
@@ -55,7 +64,7 @@ class TestChainOrder:
         a, b = make_im(cell, "a"), make_im(cell, "b")
         a.query_cache.insert(aged_entry("svc", 0.95, now=10.0), now=10.0)
         b.query_cache.insert(aged_entry("svc", 0.99, now=10.0), now=10.0)
-        outcome = a.resolve_query("svc", qos=1.0, now=10.0)
+        outcome = plain(a.resolve_query("svc", qos=1.0, now=10.0), QueryOutcome)
         assert outcome.resolution is Resolution.SOURCE
         assert outcome.latency == cell.costs.source
         assert outcome.p_nm == 1.0
@@ -68,7 +77,7 @@ class TestChainOrder:
         b.query_cache.insert(aged_entry("svc", 0.7, now), now=now)
         local_pnm = p_not_modified_or_zero(a.query_cache.peek("svc").source_stats_snapshot, now)
         assert local_pnm == pytest.approx(0.3, abs=1e-6)
-        outcome = a.resolve_query("svc", qos=0.5, now=now)
+        outcome = plain(a.resolve_query("svc", qos=0.5, now=now), QueryOutcome)
         assert outcome.resolution is Resolution.NEIGHBOR_CACHE
         assert outcome.served_by == "b"
         assert outcome.p_nm == pytest.approx(0.7, abs=1e-6)
@@ -79,7 +88,7 @@ class TestChainOrder:
         a, b = make_im(cell, "a"), make_im(cell, "b")
         a.register_provider("svc")
         b.query_cache.insert(aged_entry("svc", 0.99, now=5.0), now=5.0)
-        outcome = a.resolve_query("svc", qos=0.8, now=5.0)
+        outcome = plain(a.resolve_query("svc", qos=0.8, now=5.0), QueryOutcome)
         assert outcome.resolution is Resolution.LOCAL_PROVIDER
 
     def test_freshest_neighbor_wins_ties_by_id(self):
@@ -105,7 +114,7 @@ class TestChainOrder:
         b, c = make_im(cell, "b"), make_im(cell, "c")
         b.query_cache.insert(aged_entry("svc", 0.6, now=30.0), now=30.0)
         c.register_provider("svc")
-        outcome = a.resolve_query("svc", qos=0.2, now=30.0)
+        outcome = plain(a.resolve_query("svc", qos=0.2, now=30.0), QueryOutcome)
         assert outcome.resolution is Resolution.NEIGHBOR_PROVIDER
         assert outcome.served_by == "c"
 
@@ -113,7 +122,7 @@ class TestChainOrder:
         cell = make_cell({"a": set()})
         cell.sources["svc"].reachable = False
         im = make_im(cell, "a")
-        outcome = im.resolve_query("svc", qos=0.9, now=10.0)
+        outcome = plain(im.resolve_query("svc", qos=0.9, now=10.0), QueryOutcome)
         assert outcome.resolution is Resolution.UNRESOLVED
         assert outcome.served_by is None
 
@@ -169,9 +178,14 @@ class TestNeighborService:
         b = make_im(cell, "b")
         assert b.handle_neighbor_query("svc", 0.2, now=10.0) is None
         b.register_provider("svc")
-        assert b.handle_neighbor_query("svc", 0.2, now=10.0).from_cache is False
-        b.query_cache.insert(aged_entry("svc", 0.6, now=10.0), now=10.0)
-        assert b.handle_neighbor_query("svc", 0.2, now=10.0).from_cache is True
+        read = plain(b.handle_neighbor_query("svc", 0.2, now=10.0), Answer)
+        assert read.from_cache is False and read.p_nm == 1.0
+        assert read.stats is cell.sources["svc"].log.stats()
+        entry = aged_entry("svc", 0.6, now=10.0)
+        b.query_cache.insert(entry, now=10.0)
+        copy = plain(b.handle_neighbor_query("svc", 0.2, now=10.0), Answer)
+        assert copy.from_cache is True and copy.stats is entry.source_stats_snapshot
+        assert copy.p_nm == p_not_modified_or_zero(entry.source_stats_snapshot, 10.0)
 
     def test_stale_cache_falls_through_to_provider(self):
         cell = make_cell({"a": {"b"}, "b": {"a"}})

@@ -427,7 +427,13 @@ class TestDeterminism:
         c = metrics.counters
         assert c["unresolved"] > 0 and c["requeries"] > 0 and c["ttl_drops"] > 0
         kinds = {r.resolution for r in metrics.records}
-        assert {"local_cache", "neighbor_cache", "local_provider", "source"} <= kinds
+        assert {"local_cache", "neighbor_cache", "local_provider", "neighbor_provider",
+                "source", "unresolved"} <= kinds
+        # a source or provider read is of the source at its slot: exactly +0.0
+        read = [r.staleness_slots for r in metrics.records
+                if r.resolution in ("source", "local_provider", "neighbor_provider")]
+        assert all(s == 0.0 and math.copysign(1.0, s) == 1.0 for s in read)
+        assert any(r.staleness_slots > 0 for r in metrics.records)
 
     def test_zero_duration_is_empty(self):
         metrics = run(scenario_from_dict(p2p_doc(duration_slots=0)))
