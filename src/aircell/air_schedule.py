@@ -23,6 +23,7 @@ L / (2m) slots on average for the next of m index slots in a cycle of L.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 
 INDEX = "index"  # the label of an index read in a retrieval plan
@@ -104,7 +105,8 @@ def build_program(
     Index slots are placed per scheme among the ``ceil(n / d)`` data slots
     of the fullest channel, so they coincide on every channel. With a
     dedicated index channel, channel 0 carries only index slots and the
-    data channels carry bare data.
+    data channels carry bare data. An id published more than once raises
+    ``ValueError``: each object airs in one slot per cycle.
     """
     if channels < 1:
         raise ValueError("need at least one channel")
@@ -124,6 +126,9 @@ def build_program(
         obj: (i % data_channels + offset, data_pos[i // data_channels])
         for i, obj in enumerate(published)
     }
+    if len(directory) < len(published):
+        repeated = sorted(obj for obj, count in Counter(published).items() if count > 1)
+        raise ValueError(f"published more than once: {repeated}")
     return BroadcastProgram(
         n_channels=channels,
         cycle_len_slots=cycle_len,

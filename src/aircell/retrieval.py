@@ -16,6 +16,22 @@ plain enumeration (the lexicographically smallest order wins). The search
 and the 2-opt score orders by their slot arithmetic alone; a full
 ``RetrievalPlan`` is built once, for the order returned.
 
+That arithmetic is read from per-request gap tables. A read of object j
+always falls on a slot congruent to its cycle slot ``cs_j``, and the
+earliest read after a slot ``e`` is ``e + (cs - e) % L``, which moves by
+exactly mL when ``e`` does. So the slots from a read of j to the earliest
+read of i after it, ``gap[j][i]``, and whether that read switches
+channels, are the same in every cycle, and ``_earliest_read`` fills them
+once from ``cs_j``. An order's last slot is then its first read's slot
+plus the gaps along it, an exact integer sum. The 2-opt scores each
+candidate reversal in O(1) from prefix sums of the forward and the
+reversed gaps along the current order. The exhaustive search cuts a
+prefix when its last slot plus, for each unread object, the least gap
+into it from any other object of the request exceeds the incumbent's
+last slot: every unread object is entered from some other object, so the
+bound is admissible, and since every gap is at least one slot it is never
+weaker than one slot per unread object.
+
 ``simulate_order`` schedules a fixed order, each object at its earliest
 slot after the read before it; every planner builds its plan with it.
 ``after_index`` is the whole aired read from a cold start: the next index
@@ -31,6 +47,7 @@ is one interpreted call per tuple, and these are the same tuples without it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import air_schedule
@@ -216,18 +233,32 @@ def next_object_access(req: RetrievalRequest, cost: CostModel) -> RetrievalPlan:
     return simulate_order(order, program, req.start, cost)
 
 
-def _last_slot(
-    reads: list[tuple[int, int]], length: int, prev_slot: int,
-    prev_channel: int | None, sigma: int,
-) -> int:
-    """Slot of the last read when ``reads`` (channel, cycle slot) follow a read
-    at ``prev_slot`` on ``prev_channel``, each at its earliest slot."""
-    for channel, cycle_slot in reads:
-        prev_slot, _ = _earliest_read(
-            channel, cycle_slot, length, prev_slot, prev_channel, sigma
-        )
-        prev_channel = channel
-    return prev_slot
+def _gap_tables(
+    objs: list[str], req: RetrievalRequest, cost: CostModel
+) -> tuple[list[int], list[list[int]], list[list[bool]]]:
+    """The gap tables of ``objs``: ``first[i]``, the slot of the earliest
+    read of ``objs[i]`` from ``req.start``; ``gap[j][i]``, the slots from a
+    read of ``objs[j]`` to the earliest read of ``objs[i]`` after it, in
+    any cycle; and ``switch[j][i]``, whether that read switches channels.
+    """
+    directory, length = req.program.directory, req.program.cycle_len_slots
+    sigma, before = cost.switch_slots, req.start - 1
+    where = [directory[obj] for obj in objs]
+    first = [_earliest_read(ch, cs, length, before, None, sigma)[0] for ch, cs in where]
+    gap: list[list[int]] = []
+    switch: list[list[bool]] = []
+    for prev_channel, prev_slot in where:
+        gaps: list[int] = []
+        switches: list[bool] = []
+        for channel, cycle_slot in where:
+            slot, switched = _earliest_read(
+                channel, cycle_slot, length, prev_slot, prev_channel, sigma
+            )
+            gaps.append(slot - prev_slot)
+            switches.append(switched)
+        gap.append(gaps)
+        switch.append(switches)
+    return first, gap, switch
 
 
 def tsp_order(
@@ -238,41 +269,48 @@ def tsp_order(
     Tour cost is the simulated elapsed slot count of executing the order
     under the conflict rules; the search is deterministic and stops at a
     local optimum or after ``max_iterations`` candidate reversals. A
-    candidate is scored by its last slot alone, walking only the reversed
-    segment and the suffix from the schedule of the unchanged prefix; the
-    plan is built once, for the winning order.
+    candidate is scored by its last slot alone, in O(1): reversing
+    ``pos[i:j + 1]`` keeps the forward gaps of the prefix and the suffix
+    and reads the segment's gaps backwards, each part one subtraction of
+    prefix sums, rebuilt after each accepted reversal. The plan is built
+    once, for the winning order.
     """
-    program, length, sigma = req.program, req.program.cycle_len_slots, cost.switch_slots
-    order = [r.object_id for r in next_object_access(req, cost).reads]
-    where = [program.directory[obj] for obj in order]
-    best_last = _last_slot(where, length, req.start - 1, None, sigma)
-    n = len(order)
+    greedy = [r.object_id for r in next_object_access(req, cost).reads]
+    first, gap, _ = _gap_tables(greedy, req, cost)
+    n = len(greedy)
+    pos = list(range(n))  # the current order, as indices into greedy
+    # fwd[t] and back[t]: the gaps along pos[:t + 1], forwards and reversed
+    fwd = [0, *accumulate(gap[a][b] for a, b in zip(pos, pos[1:]))]
+    back = [0, *accumulate(gap[b][a] for a, b in zip(pos, pos[1:]))]
+    best_last = first[0] + fwd[-1]
     iterations = 0
     improved = True
     while improved and iterations < max_iterations:
         improved = False
-        # the schedule of where[:i], which no reversal at i or later changes
-        prefix_slot, prefix_channel = req.start - 1, None
         for i in range(n - 1):
+            # the reversed segment is entered from the start or from pos[i - 1]
+            if i:
+                head, into = first[pos[0]] + fwd[i - 1], gap[pos[i - 1]]
+            else:
+                head, into = 0, first
+            base, out = head - back[i], gap[pos[i]]
             for j in range(i + 1, n):
                 iterations += 1
-                candidate = where[i : j + 1][::-1] + where[j + 1 :]
-                last = _last_slot(candidate, length, prefix_slot, prefix_channel, sigma)
+                last = base + into[pos[j]] + back[j]
+                if j < n - 1:  # the suffix is entered from pos[i]
+                    last += out[pos[j + 1]] + fwd[-1] - fwd[j + 1]
                 if last < best_last:
-                    order[i : j + 1] = order[i : j + 1][::-1]
-                    where[i:] = candidate
+                    pos[i : j + 1] = pos[i : j + 1][::-1]
+                    fwd = [0, *accumulate(gap[a][b] for a, b in zip(pos, pos[1:]))]
+                    back = [0, *accumulate(gap[b][a] for a, b in zip(pos, pos[1:]))]
+                    base, out = head - back[i], gap[pos[i]]
                     best_last = last
                     improved = True
                 if iterations >= max_iterations:
                     break
             if iterations >= max_iterations:
                 break
-            channel, cycle_slot = where[i]
-            prefix_slot, _ = _earliest_read(
-                channel, cycle_slot, length, prefix_slot, prefix_channel, sigma
-            )
-            prefix_channel = channel
-    return simulate_order(order, program, req.start, cost)
+    return simulate_order([greedy[p] for p in pos], req.program, req.start, cost)
 
 
 def brute_force(
@@ -284,45 +322,49 @@ def brute_force(
     lexicographically smallest object order wins. The orders are searched
     depth first over the sorted ids, so they come in lexicographic order
     and an incumbent is replaced only by a strictly better one. Each shared
-    prefix is scheduled once, and a prefix is cut off as soon as its
-    remaining objects, one slot each at the least, cannot finish by the
-    incumbent's last slot. The search is exact: the cut prefixes hold no
-    order that would have replaced the incumbent.
+    prefix is scheduled once, from the gap tables, and cut off as soon as
+    its last slot plus the least gap into each unread object exceeds the
+    incumbent's last slot. No order of a cut prefix finishes by that slot,
+    and ties are still searched: the search is exact.
     """
     n = len(req.desired)
     if n > max_objects:
         raise RefusedSize(f"{n} objects > limit {max_objects}")
-    program, length, sigma = req.program, req.program.cycle_len_slots, cost.switch_slots
     ids = sorted(req.desired)
-    where = [program.directory[obj] for obj in ids]
+    first, gap, switch = _gap_tables(ids, req, cost)
+    # the least gap into each object from another object of the request
+    least_in = [min((gap[j][i] for j in range(n) if j != i), default=0) for i in range(n)]
     unused = [True] * n
     prefix: list[int] = []
     best_key: tuple[int, int] | None = None
     best_order: list[int] = []
 
-    def extend(prev_slot: int, prev_channel: int | None, switches: int) -> None:
+    def extend(
+        slot: int, switches: int, gaps: list[int], switched: list[bool], need: int
+    ) -> None:
+        """Every order that continues ``prefix``, whose last read is at
+        ``slot`` and is followed by ``gaps`` and ``switched``; ``need`` is
+        the least slots its unread objects take."""
         nonlocal best_key, best_order
-        remaining = n - len(prefix) - 1  # objects left after the next read
+        leaf = len(prefix) == n - 1
         for i in range(n):
             if not unused[i]:
                 continue
-            channel, cycle_slot = where[i]
-            slot, switched = _earliest_read(
-                channel, cycle_slot, length, prev_slot, prev_channel, sigma
-            )
-            if remaining == 0:
-                key = (slot, switches + switched)
-                if best_key is None or key < best_key:
-                    best_key, best_order = key, prefix + [i]
-            elif best_key is None or slot + remaining <= best_key[0]:
+            at, flips = slot + gaps[i], switches + switched[i]
+            if leaf:
+                if best_key is None or (at, flips) < best_key:
+                    best_key, best_order = (at, flips), prefix + [i]
+                continue
+            rest = need - least_in[i]
+            if best_key is None or at + rest <= best_key[0]:
                 unused[i] = False
                 prefix.append(i)
-                extend(slot, channel, switches + switched)
+                extend(at, flips, gap[i], switch[i], rest)
                 prefix.pop()
                 unused[i] = True
 
-    extend(req.start - 1, None, 0)
-    return simulate_order([ids[i] for i in best_order], program, req.start, cost)
+    extend(0, 0, first, [False] * n, sum(least_in))
+    return simulate_order([ids[i] for i in best_order], req.program, req.start, cost)
 
 
 def plan_as_dict(plan: RetrievalPlan) -> dict:

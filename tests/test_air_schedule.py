@@ -71,6 +71,14 @@ class TestLayouts:
         p = build_program(["a", "b"], 1, one_m(5))
         assert p.index_slots(0) == [0, 2]
 
+    @pytest.mark.parametrize("dedicated", [False, True])
+    def test_repeated_id_rejected(self, dedicated):
+        # x would air only at its last position, leaving a slot of padding
+        with pytest.raises(ValueError, match=r"published more than once: \['x'\]"):
+            build_program(["x", "y", "x"], 2, one_m(1), dedicated_index_channel=dedicated)
+        with pytest.raises(ValueError, match=r"\['a', 'b'\]"):
+            build_program(["b", "a", "b", "c", "a"], 1, NONE)
+
     def test_invalid_scheme_rejected(self):
         with pytest.raises(ValueError):
             IndexScheme("bogus")

@@ -38,7 +38,7 @@ ALLOWED = {
     # item 2, multi-object queries through the engine: the retrieval planners
     **dict.fromkeys((
         "retrieval.RetrievalRequest.__post_init__", "retrieval.row_scan",
-        "retrieval.next_object_access", "retrieval._last_slot", "retrieval.tsp_order",
+        "retrieval.next_object_access", "retrieval._gap_tables", "retrieval.tsp_order",
         "retrieval.brute_force", "retrieval.brute_force.extend",
         "retrieval.plan_as_dict",
     ), "item 2"),

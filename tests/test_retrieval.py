@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,8 @@ from aircell.retrieval import (
     RefusedSize,
     RetrievalPlan,
     RetrievalRequest,
+    _earliest_read,
+    _gap_tables,
     account,
     after_index,
     brute_force,
@@ -335,8 +338,9 @@ class TestStatisticalOrdering:
 
 
 @st.composite
-def retrieval_cases(draw):
-    """A request on an indexed multi-channel program, a radio and a 2-opt budget.
+def retrieval_cases(draw, least=1, most=16):
+    """A request of ``least`` to ``most`` objects on an indexed multi-channel
+    program, a radio and a 2-opt budget.
 
     Programs are small next to the request, so objects share cycle slots
     across channels and different orders often tie on (last slot, switches).
@@ -344,9 +348,9 @@ def retrieval_cases(draw):
     channels = draw(st.integers(1, 4))
     dedicated = channels >= 2 and draw(st.booleans())
     scheme = draw(st.sampled_from((NONE, DISTRIBUTED, ONCE_PER_CYCLE, one_m(2), one_m(3))))
-    names = draw(st.permutations([f"o{i:02d}" for i in range(draw(st.integers(1, 16)))]))
+    k = draw(st.integers(least, most))
+    names = draw(st.permutations([f"o{i:02d}" for i in range(draw(st.integers(k, 16)))]))
     program = build_program(list(names), channels, scheme, dedicated_index_channel=dedicated)
-    k = draw(st.integers(1, min(7, len(names))))
     desired = draw(st.lists(st.sampled_from(names), min_size=k, max_size=k, unique=True))
     start = draw(st.integers(0, 3 * program.cycle_len_slots))
     cost = CostModel(switch_slots=draw(st.integers(1, 4)))
@@ -361,6 +365,31 @@ TIED = request({"a": (0, 0), "b": (1, 0)}, 2, 4, ["b", "a"])
 BACK_TO_BACK = request(
     {"a": (1, 2), "b": (1, 0), "c": (2, 3), "d": (1, 1)}, 3, 6, "abcd"
 )
+# a, b and c at slots 0, 1 and 3 of one channel, cycle 4: (a, b, c) ends at
+# slot 3. The prefix (b) reads b at slot 1, and 1 + 2 unread objects <= 3;
+# but a is entered at least 1 slot after another object (from c) and c at
+# least 2 (from b), and 1 + 1 + 2 > 3
+CUT = request({"a": (0, 0), "b": (0, 1), "c": (0, 3)}, 1, 4, "abc")
+
+
+def prefixes_entered(req: RetrievalRequest, cost: CostModel) -> int:
+    """How many prefixes ``brute_force`` extends on ``req``, the empty one too."""
+    extend = next(
+        c for c in brute_force.__code__.co_consts if getattr(c, "co_name", "") == "extend"
+    )
+    entered = 0
+
+    def count(frame, event, arg):
+        nonlocal entered
+        entered += event == "call" and frame.f_code is extend
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        brute_force(req, cost)
+    finally:
+        sys.setprofile(previous)
+    return entered
 
 
 class TestAgainstWholePlanSearch:
@@ -376,13 +405,26 @@ class TestAgainstWholePlanSearch:
         assert (plan.total_slots, plan.switches) == (9, 1)
         assert plan == brute_force_reference(BACK_TO_BACK, COST)
 
+    def test_least_incoming_gaps_cut_what_one_slot_per_object_keeps(self):
+        first, gap, _ = _gap_tables(["a", "b", "c"], CUT, COST)
+        assert first == [0, 1, 3]
+        assert gap == [[4, 1, 3], [3, 4, 2], [1, 2, 4]]
+        plan = brute_force(CUT, COST)
+        assert plan == brute_force_reference(CUT, COST)
+        assert [r.object_id for r in plan.reads] == ["a", "b", "c"]
+        # (), (a) and (a, b); one slot per unread object would enter (b) too
+        assert prefixes_entered(CUT, COST) == 3
+
     @settings(max_examples=400, deadline=None)
     @given(retrieval_cases())
     @example((TIED, COST, 10_000))
     @example((BACK_TO_BACK, COST, 10_000))
+    @example((CUT, COST, 10_000))
     def test_same_plans(self, case):
         req, cost, max_iterations = case
-        assert brute_force(req, cost) == brute_force_reference(req, cost)
+        # the reference schedules all 8! orders in full: k = 8 has its own test
+        if len(req.desired) <= 7:
+            assert brute_force(req, cost) == brute_force_reference(req, cost)
         assert tsp_order(req, cost, max_iterations) == tsp_order_reference(
             req, cost, max_iterations
         )
@@ -392,3 +434,34 @@ class TestAgainstWholePlanSearch:
         assert simulate_order(order, req.program, req.start, cost) == (
             simulate_order_reference(order, req.program, req.start, cost)
         )
+
+    @settings(max_examples=20, deadline=None)
+    @given(retrieval_cases(least=8, most=8))
+    def test_same_exhaustive_plans_at_the_size_limit(self, case):
+        req, cost, _ = case
+        assert brute_force(req, cost) == brute_force_reference(req, cost)
+
+
+class TestGapTables:
+    """The gap from a read to the next holds in every cycle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(retrieval_cases())
+    @example((CUT, COST, 10_000))
+    def test_gaps_hold_in_every_cycle(self, case):
+        req, cost, _ = case
+        objs = sorted(req.desired)
+        first, gap, switch = _gap_tables(objs, req, cost)
+        length, sigma = req.program.cycle_len_slots, cost.switch_slots
+        where = [req.program.directory[obj] for obj in objs]
+        for (channel, cycle_slot), slot in zip(where, first):
+            assert _earliest_read(
+                channel, cycle_slot, length, req.start - 1, None, sigma
+            ) == (slot, False)
+        for (prev_channel, prev_cycle_slot), gaps, switches in zip(where, gap, switch):
+            for (channel, cycle_slot), slots, switched in zip(where, gaps, switches):
+                for m in range(3):
+                    read = prev_cycle_slot + m * length
+                    assert _earliest_read(
+                        channel, cycle_slot, length, read, prev_channel, sigma
+                    ) == (read + slots, switched)
