@@ -3,13 +3,18 @@
 Logging collects (configuration, measured consumption) samples per
 resource, and learning fits one linear model per resource by ordinary
 least squares over the fidelity parameters. Selection keeps the grid
-configurations whose predicted consumption fits the resource limits and
-chooses, across suppliers, the one with the greatest utility
+configurations whose predicted consumption fits the resource limits, one
+boolean array mask over the grid, and chooses, across suppliers, the one
+with the greatest utility
 
     f_s * prod_p F_p(c_p) ** w_p
 
 visiting suppliers in descending preference f_s and stopping once no
 remaining f_s can beat the best utility found (the product is at most 1).
+Each factor ``F_p(v) ** w_p`` is evaluated once per distinct value within a
+selection. The mask and the utilities use the float operations of the
+per-configuration definitions, ``ResourceModel.predict`` and
+``config_utility``, in their order, so they are those functions' to the bit.
 The types here do not check their fields. The one fidelity input the
 schema reader in ``sim`` reads is an ``aircell fit`` sample log, which it
 checks once; a library caller passes well-formed values.
@@ -21,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add
+from operator import add, getitem, mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -177,37 +182,39 @@ def feasible_configs(
     """Configurations whose predicted consumption fits every resource limit.
 
     With no limits the full (discretized) Cartesian domain is returned; an
-    empty result is a valid outcome meaning nothing fits. Each axis value is
-    encoded once, and each binding model's term ``c * x`` for it computed
-    once; a configuration's prediction is then its model's intercept plus
-    the sum of its terms, the float operations of ``ResourceModel.predict``
-    in the same order, so exactly the configurations it admits are kept.
-    The sums are built axis by axis, each adding its terms to the sums of
-    the axes before it, so a prefix shared by many configurations is added
-    once.
+    empty result is a valid outcome meaning nothing fits. The filter is one
+    boolean array over the grid. Each axis value is encoded once, and each
+    binding model's terms ``c * x`` along an axis form one float64 array,
+    shaped to lie along that axis; a model's predictions over the grid are
+    then ``intercept + (0 + t_1 + t_2 + ...)``, broadcast axis by axis.
+    These are the IEEE operations of ``ResourceModel.predict``, in the same
+    order, so exactly the configurations it admits are kept, as the grid's
+    own tuples. An overflow or ``inf * 0`` is as silent as in Python floats.
     """
     grid = domain.grid(continuous_points)
     if not available:
         return grid
     axes = [p.grid_values(continuous_points) for p in domain.parameters]
-    coords = [[p.encode(v) for v in axis] for p, axis in zip(domain.parameters, axes)]
-    fits = [True] * len(grid)
-    for m in models:
-        if m.resource_id not in available:
-            continue
-        limit = available[m.resource_id]
-        # like predict, a model reads only the leading axes it has coefficients
-        # for; its prediction repeats over the grid points of the other axes
-        sums = [0]
-        for c, xs in zip(m.coefficients, coords):
-            terms = [c * float(x) for x in xs]
-            sums = [s + t for s in sums for t in terms]
-        repeat = math.prod(len(axis) for axis in axes[len(m.coefficients):])
-        fits = [
-            ok and m.intercept + s <= limit
-            for ok, s in zip(fits, (s for s in sums for _ in range(repeat)))
-        ]
-    return [cfg for cfg, ok in zip(grid, fits) if ok]
+    shape = [len(axis) for axis in axes]
+    # each axis's coordinates, shaped to lie along that axis of the grid
+    coords = [
+        np.array([p.encode(v) for v in axis], dtype=np.float64).reshape(
+            [-1 if d == i else 1 for d in range(len(axes))]
+        )
+        for i, (p, axis) in enumerate(zip(domain.parameters, axes))
+    ]
+    fits = np.ones(shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for m in models:
+            if m.resource_id not in available:
+                continue
+            # like predict, a model reads only the leading axes it has
+            # coefficients for; its sums repeat along the other axes
+            sums = 0
+            for c, xs in zip(m.coefficients, coords):
+                sums = sums + c * xs
+            fits &= m.intercept + sums <= available[m.resource_id]
+    return list(itertools.compress(grid, fits.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -303,17 +310,42 @@ def maximize_utility(
 
     Suppliers are visited in descending preference; because the weighted
     product is at most 1, a supplier whose f_s is below the best utility so
-    far cannot win, and neither can any later one.
+    far cannot win, and neither can any later one. The first strictly
+    greater utility wins a tie.
+
+    Each factor ``F_p(v) ** w_p`` is evaluated once per distinct value ``v``
+    of each parameter within a call, when a configuration first needs it.
+    A configuration's utility is ``f_s * (1.0 * f_1 * f_2 * ...)``,
+    ``config_utility``'s float operations in its order, so the two agree to
+    the bit, and its errors are ``config_utility``'s, raised when it is
+    scored.
     """
     ordered = sorted(suppliers, key=lambda s: (-s.f_s, s.supplier_id))
+    # a configuration of any length mismatches when these two do
+    width = len(utilities) if len(utilities) == len(weights) else None
+    factors: list[dict] = [{} for _ in utilities]  # per parameter: value -> F(v) ** w
+    weights_checked = False
     best: tuple[float, str, tuple] | None = None
     visited: list[str] = []
     for supplier in ordered:
         if best is not None and supplier.f_s < best[0]:
             break
         visited.append(supplier.supplier_id)
+        f_s = supplier.f_s
         for config in feasible.get(supplier.supplier_id, ()):
-            u = config_utility(config, utilities, weights, supplier.f_s)
+            if len(config) != width:
+                raise ValueError("config, utilities, and weights lengths differ")
+            if not weights_checked:
+                _check_weights(weights)
+                weights_checked = True
+            try:
+                product = reduce(mul, map(getitem, factors, config), 1.0)
+            except KeyError:  # a value not met before: its factors, in order
+                for known, fn, w, value in zip(factors, utilities, weights, config):
+                    if value not in known:
+                        known[value] = fn.eval(value) ** w
+                product = reduce(mul, map(getitem, factors, config), 1.0)
+            u = f_s * product
             if best is None or u > best[0]:
                 best = (u, supplier.supplier_id, tuple(config))
     if best is None:

@@ -20,17 +20,21 @@ That arithmetic is read from per-request gap tables. A read of object j
 always falls on a slot congruent to its cycle slot ``cs_j``, and the
 earliest read after a slot ``e`` is ``e + (cs - e) % L``, which moves by
 exactly mL when ``e`` does. So the slots from a read of j to the earliest
-read of i after it, ``gap[j][i]``, and whether that read switches
-channels, are the same in every cycle, and ``_earliest_read`` fills them
-once from ``cs_j``. An order's last slot is then its first read's slot
-plus the gaps along it, an exact integer sum. The 2-opt scores each
-candidate reversal in O(1) from prefix sums of the forward and the
-reversed gaps along the current order. The exhaustive search cuts a
-prefix when its last slot plus, for each unread object, the least gap
-into it from any other object of the request exceeds the incumbent's
-last slot: every unread object is entered from some other object, so the
-bound is admissible, and since every gap is at least one slot it is never
-weaker than one slot per unread object.
+read of i after it, ``gap[j][i]``, are the same in every cycle, and
+``_gap_tables`` fills them once from ``cs_j`` with that expression inline;
+the read switches channels exactly when i's channel is not j's. An
+order's last slot is then its first read's slot plus the gaps along it,
+an exact integer sum. The nearest-neighbour rule is stated once, in
+``_gap_tables``: one scan of the tables gives the greedy order, which
+Next Object Access plans, the 2-opt starts from, and the exhaustive
+search takes as its first bound. The 2-opt scores each candidate
+reversal in O(1) from prefix sums of the forward and the reversed gaps
+along the current order. The exhaustive search cuts a prefix when its
+last slot plus, for each unread object, the least gap into it from any
+other object of the request exceeds the incumbent's last slot: every
+unread object is entered from some other object, so the bound is
+admissible, and since every gap is at least one slot it is never weaker
+than one slot per unread object.
 
 ``simulate_order`` schedules a fixed order, each object at its earliest
 slot after the read before it; every planner builds its plan with it.
@@ -210,55 +214,54 @@ def row_scan(req: RetrievalRequest, cost: CostModel) -> RetrievalPlan:
 
 
 def next_object_access(req: RetrievalRequest, cost: CostModel) -> RetrievalPlan:
-    """Greedy: always fetch the remaining object with the earliest feasible slot."""
-    program, length = req.program, req.program.cycle_len_slots
-    remaining = sorted(req.desired)
-    order: list[str] = []
-    prev_slot, prev_channel = req.start - 1, None
-    while remaining:
-        best: tuple[int, bool, int, str] | None = None
-        for obj in remaining:
-            channel, cycle_slot = program.directory[obj]
-            slot, switched = _earliest_read(
-                channel, cycle_slot, length, prev_slot, prev_channel,
-                cost.switch_slots,
-            )
-            key = (slot, switched, channel, obj)
-            if best is None or key < best:
-                best = key
-        slot, _, channel, obj = best
-        order.append(obj)
-        remaining.remove(obj)
-        prev_slot, prev_channel = slot, channel
-    return simulate_order(order, program, req.start, cost)
+    """Greedy: always fetch the remaining object with the earliest feasible
+    slot, ties to staying on the channel, then to the lower channel and id.
+    The order is the one ``_gap_tables`` reads from its tables."""
+    ids = sorted(req.desired)
+    greedy = _gap_tables(ids, req, cost)[2]
+    return simulate_order([ids[i] for i in greedy], req.program, req.start, cost)
 
 
 def _gap_tables(
     objs: list[str], req: RetrievalRequest, cost: CostModel
-) -> tuple[list[int], list[list[int]], list[list[bool]]]:
-    """The gap tables of ``objs``: ``first[i]``, the slot of the earliest
-    read of ``objs[i]`` from ``req.start``; ``gap[j][i]``, the slots from a
-    read of ``objs[j]`` to the earliest read of ``objs[i]`` after it, in
-    any cycle; and ``switch[j][i]``, whether that read switches channels.
+) -> tuple[list[int], list[list[int]], list[int]]:
+    """The gap tables of ``objs`` and the greedy order they imply.
+
+    ``first[i]`` is the slot of the earliest read of ``objs[i]`` from
+    ``req.start``, and ``gap[j][i]`` the slots from a read of ``objs[j]`` to
+    the earliest read of ``objs[i]`` after it, in any cycle. Each entry is
+    ``_earliest_read``'s ``e + (cs - e) % L``, computed inline; a read
+    switches channels exactly when its channel differs from the last one.
+
+    ``greedy`` is the nearest-neighbour order, as indices into ``objs``:
+    from the start and then from each read, the unread object whose read
+    comes first, by the key (slot, switched, channel, id). Every candidate
+    is read after the same slot, so its gap stands for its slot, and one
+    scan of the tables gives the order.
     """
     directory, length = req.program.directory, req.program.cycle_len_slots
-    sigma, before = cost.switch_slots, req.start - 1
+    sigma, start = cost.switch_slots, req.start
     where = [directory[obj] for obj in objs]
-    first = [_earliest_read(ch, cs, length, before, None, sigma)[0] for ch, cs in where]
+    first = [start + (cs - start) % length for _, cs in where]
     gap: list[list[int]] = []
-    switch: list[list[bool]] = []
     for prev_channel, prev_slot in where:
-        gaps: list[int] = []
-        switches: list[bool] = []
-        for channel, cycle_slot in where:
-            slot, switched = _earliest_read(
-                channel, cycle_slot, length, prev_slot, prev_channel, sigma
-            )
-            gaps.append(slot - prev_slot)
-            switches.append(switched)
-        gap.append(gaps)
-        switch.append(switches)
-    return first, gap, switch
+        near, far = prev_slot + 1, prev_slot + 1 + sigma
+        gap.append([
+            1 + (cs - near) % length if channel == prev_channel
+            else 1 + sigma + (cs - far) % length
+            for channel, cs in where
+        ])
+    channels = [channel for channel, _ in where]
+    # from the start no read switches: every candidate's switch term is alike
+    gaps, at = first, None
+    unread = list(range(len(objs)))
+    greedy: list[int] = []
+    while unread:
+        i = min((gaps[i], channels[i] != at, channels[i], objs[i], i) for i in unread)[-1]
+        greedy.append(i)
+        unread.remove(i)
+        gaps, at = gap[i], channels[i]
+    return first, gap, greedy
 
 
 def tsp_order(
@@ -268,21 +271,22 @@ def tsp_order(
 
     Tour cost is the simulated elapsed slot count of executing the order
     under the conflict rules; the search is deterministic and stops at a
-    local optimum or after ``max_iterations`` candidate reversals. A
+    local optimum or after ``max_iterations`` candidate reversals. It starts
+    from the greedy order that ``_gap_tables`` reads off the tables it
+    scores with, so the request's slot arithmetic is done once. A
     candidate is scored by its last slot alone, in O(1): reversing
     ``pos[i:j + 1]`` keeps the forward gaps of the prefix and the suffix
     and reads the segment's gaps backwards, each part one subtraction of
     prefix sums, rebuilt after each accepted reversal. The plan is built
     once, for the winning order.
     """
-    greedy = [r.object_id for r in next_object_access(req, cost).reads]
-    first, gap, _ = _gap_tables(greedy, req, cost)
-    n = len(greedy)
-    pos = list(range(n))  # the current order, as indices into greedy
+    ids = sorted(req.desired)
+    first, gap, pos = _gap_tables(ids, req, cost)  # pos: the order, as indices
+    n = len(ids)
     # fwd[t] and back[t]: the gaps along pos[:t + 1], forwards and reversed
     fwd = [0, *accumulate(gap[a][b] for a, b in zip(pos, pos[1:]))]
     back = [0, *accumulate(gap[b][a] for a, b in zip(pos, pos[1:]))]
-    best_last = first[0] + fwd[-1]
+    best_last = first[pos[0]] + fwd[-1]
     iterations = 0
     improved = True
     while improved and iterations < max_iterations:
@@ -310,7 +314,7 @@ def tsp_order(
                     break
             if iterations >= max_iterations:
                 break
-    return simulate_order([greedy[p] for p in pos], req.program, req.start, cost)
+    return simulate_order([ids[p] for p in pos], req.program, req.start, cost)
 
 
 def brute_force(
@@ -326,17 +330,32 @@ def brute_force(
     its last slot plus the least gap into each unread object exceeds the
     incumbent's last slot. No order of a cut prefix finishes by that slot,
     and ties are still searched: the search is exact.
+
+    The search starts from a key without an order: the greedy order's
+    (last slot, switches) with one switch added. The greedy order does
+    better than that, so the optimum is never cut, and the first order in
+    lexicographic order to reach the optimum's key replaces the seed as it
+    replaces any worse incumbent. The same plan is found, and it is cut
+    by the greedy's last slot from the first prefix on.
     """
     n = len(req.desired)
     if n > max_objects:
         raise RefusedSize(f"{n} objects > limit {max_objects}")
     ids = sorted(req.desired)
-    first, gap, switch = _gap_tables(ids, req, cost)
+    first, gap, greedy = _gap_tables(ids, req, cost)
+    # switch[j][i]: whether reading ids[i] right after ids[j] switches channels
+    channels = [req.program.directory[obj][0] for obj in ids]
+    switch = [[channel != prev for channel in channels] for prev in channels]
     # the least gap into each object from another object of the request
     least_in = [min((gap[j][i] for j in range(n) if j != i), default=0) for i in range(n)]
     unused = [True] * n
     prefix: list[int] = []
-    best_key: tuple[int, int] | None = None
+    # the seed: the greedy order's (last slot, switches), one switch worse
+    steps = list(zip(greedy, greedy[1:]))
+    best_key = (
+        first[greedy[0]] + sum(gap[a][b] for a, b in steps),
+        sum(switch[a][b] for a, b in steps) + 1,
+    )
     best_order: list[int] = []
 
     def extend(
@@ -352,11 +371,11 @@ def brute_force(
                 continue
             at, flips = slot + gaps[i], switches + switched[i]
             if leaf:
-                if best_key is None or (at, flips) < best_key:
+                if (at, flips) < best_key:
                     best_key, best_order = (at, flips), prefix + [i]
                 continue
             rest = need - least_in[i]
-            if best_key is None or at + rest <= best_key[0]:
+            if at + rest <= best_key[0]:
                 unused[i] = False
                 prefix.append(i)
                 extend(at, flips, gap[i], switch[i], rest)

@@ -1173,12 +1173,15 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics) -> Steps:
             records.append(_new(QueryRecord, (qid, cid, oid, t, "unresolved",
                                               latency, 0.0, qos, False, 0.0)))
             return
-        # a source or provider read is of the source at t, so it reflects
-        # the latest write: its staleness, that write less itself, is 0.0
-        staleness = (sources[oid].last_write(t) - write_time
-                     if resolution in _CACHE_TIERS else 0.0)
+        if resolution in _CACHE_TIERS:
+            staleness, met = sources[oid].last_write(t) - write_time, accepts(qos, p_nm)
+        else:
+            # a source or provider read is of the source at t, so it reflects
+            # the latest write: its staleness, that write less itself, is 0.0,
+            # and its P_NM, 1.0, meets any QoS the reader admits (0 to 1)
+            staleness, met = 0.0, True
         records.append(_new(QueryRecord, (qid, cid, oid, t, _RESOLUTION_TEXT[resolution],
-                                          latency, staleness, qos, accepts(qos, p_nm), p_nm)))
+                                          latency, staleness, qos, met, p_nm)))
 
     return advance, answer
 
@@ -1209,6 +1212,10 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
     # requests so far per object, in scenario order
     position = catalog.position
     requests = [0] * len(position)
+    # an aired read's energy by the plan numbers its account reads (the radio
+    # is the run's): aired reads take few shapes, each costed by
+    # retrieval.account once rather than once per read
+    energies: dict[tuple[int, int, int], float] = {}
     stops = chain(range(interval, end, interval) if interval > 0 else (), [end])
     last_stop, next_stop = 0, next(stops)
 
@@ -1237,10 +1244,16 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
             kind, latency = "on_demand", batching.submit(oid, t) - t + 1.0
         else:
             plan = retrieval.after_index([oid], program, t, cost)
-            metrics.per_client_energy[cid] += retrieval.account(plan, cost)["energy"]
+            shape = plan[2:]  # (total_slots, switches, active_slots)
+            spent = energies.get(shape)
+            if spent is None:
+                spent = energies[shape] = retrieval.account(plan, cost)["energy"]
+            metrics.per_client_energy[cid] += spent
             kind, latency = "broadcast", float(plan.total_slots)
+        # the answer is the source's current write, P_NM 1.0, which meets any
+        # QoS the reader admits (0 to 1)
         records.append(_new(QueryRecord, (qid, cid, oid, t, kind, latency,
-                                          0.0, qos, accepts(qos, 1.0), 1.0)))
+                                          0.0, qos, True, 1.0)))
 
     return advance, answer
 

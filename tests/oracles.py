@@ -213,6 +213,27 @@ def exhaustive_max_utility(suppliers, utilities, weights, feasible):
     return best
 
 
+def maximize_utility_reference(suppliers, utilities, weights, feasible):
+    """The selection as one ``config_utility`` call per configuration:
+    suppliers in descending preference, the early stop, and the first
+    strictly greater utility winning a tie."""
+    from aircell.fidelity import MaxUtilityResult, NoConfiguration, config_utility
+
+    best = None
+    visited = []
+    for supplier in sorted(suppliers, key=lambda s: (-s.f_s, s.supplier_id)):
+        if best is not None and supplier.f_s < best[0]:
+            break
+        visited.append(supplier.supplier_id)
+        for config in feasible.get(supplier.supplier_id, ()):
+            u = config_utility(config, utilities, weights, supplier.f_s)
+            if best is None or u > best[0]:
+                best = (u, supplier.supplier_id, tuple(config))
+    if best is None:
+        raise NoConfiguration(tuple(visited))
+    return MaxUtilityResult(best[1], best[2], best[0], tuple(visited))
+
+
 def lru_reference(capacity: int, accesses: list[tuple[str, str]]):
     """Doubly-linked-list style LRU: ("get"|"put", key) -> (keys, evictions)."""
     order: OrderedDict[str, bool] = OrderedDict()

@@ -24,7 +24,11 @@ from aircell.fidelity import (
     sigmoid_utility,
     table_utility,
 )
-from oracles import exhaustive_max_utility, feasible_configs_reference
+from oracles import (
+    exhaustive_max_utility,
+    feasible_configs_reference,
+    maximize_utility_reference,
+)
 
 TWO_PARAMS = FidelityDomain((continuous("p1", 0.0, 10.0), continuous("p2", 0.0, 10.0)))
 
@@ -156,9 +160,14 @@ parameters = st.one_of(
 ).map(lambda lo_w: ("continuous", (lo_w[0], lo_w[0] + lo_w[1])))
 
 
+# the ends of the floats: sums that overflow, and inf * 0 on a zero coordinate
+extreme = st.sampled_from((1e308, -1e308, math.inf, -math.inf))
+
+
 @st.composite
-def filter_instances(draw):
-    """A domain, models over it, and limits, some set exactly on a prediction."""
+def filter_instances(draw, numbers=finite):
+    """A domain, models over it, and limits, some set exactly on a prediction.
+    ``numbers`` draws the coefficients, the intercepts and the limits."""
     axes = draw(st.lists(parameters, max_size=4))
     domain = FidelityDomain(tuple(
         continuous(f"p{i}", *values) if kind == "continuous" else discrete(f"p{i}", values)
@@ -167,12 +176,12 @@ def filter_instances(draw):
     points = draw(st.integers(1, 5))
     models = draw(st.lists(st.builds(
         ResourceModel, st.sampled_from(("bw", "cpu", "mem")),
-        st.lists(finite, min_size=max(0, len(axes) - 1), max_size=len(axes) + 1).map(tuple),
-        finite,
+        st.lists(numbers, min_size=max(0, len(axes) - 1), max_size=len(axes) + 1).map(tuple),
+        numbers,
     ), max_size=3))
     limits = draw(st.one_of(st.none(), st.dictionaries(
         st.sampled_from(("bw", "cpu")),
-        st.one_of(finite, st.just(math.inf)), max_size=2,
+        st.one_of(numbers, st.just(math.inf)), max_size=2,
     )))
     grid = domain.grid(points)
     if limits and models and draw(st.booleans()):
@@ -208,6 +217,26 @@ class TestFeasibleConfigsOracle:
         assert [tuple(map(type, c)) for c in got] == [
             tuple(map(type, c)) for c in expected
         ]
+
+    def test_inf_against_a_zero_coordinate_fails_silently(self):
+        domain = FidelityDomain((discrete("p", (0, 1)), discrete("q", (1.0, 2.0))))
+        model = ResourceModel("bw", (math.inf, 1e308), -1e308)
+        # inf * 0 is nan, which fits no limit; inf + 1e308 * q is inf
+        assert feasible_configs([model], domain, {"bw": math.inf}) == [(1, 1.0), (1, 2.0)]
+        # 1e308 + 1e308 * 2.0 overflows to inf, over a finite limit
+        overflow = ResourceModel("bw", (1e308, 1e308), 0.0)
+        assert feasible_configs([overflow], domain, {"bw": 1e308}) == [(0, 1.0)]
+        for m, limit in ((model, math.inf), (model, 1e308), (overflow, 1e308)):
+            assert feasible_configs([m], domain, {"bw": limit}) == (
+                feasible_configs_reference([m], domain, {"bw": limit})
+            )
+
+    # the suite turns RuntimeWarning into an error: an overflow or inf * 0
+    # in the array filter must be as silent as in Python floats
+    @settings(max_examples=400, deadline=None)
+    @given(filter_instances(finite | extreme))
+    def test_extreme_floats_match_the_per_point_filter(self, instance):
+        assert feasible_configs(*instance) == feasible_configs_reference(*instance)
 
 
 class TestConfigUtility:
@@ -348,3 +377,96 @@ class TestMaximizeUtility:
                         u = config_utility(cfg, utilities, weights, s.f_s)
                         if running_best is None or u > running_best:
                             running_best = u
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def selection_problems(draw):
+    """Suppliers over one domain of table and sigmoid parameters, some
+    continuous (grid values ``np.float64``), with weights and a feasible
+    subset of the grid per supplier, some suppliers tied on preference."""
+    params, utilities = [], []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("numbers", "labels", "continuous")))
+        if kind == "continuous":
+            lo = draw(finite)
+            params.append(continuous(f"p{i}", lo, lo + draw(st.floats(0.5, 20.0))))
+            knee = draw(finite)
+            utilities.append(sigmoid_utility(knee, knee + draw(st.floats(0.1, 30.0))))
+            continue
+        values = draw(st.lists(
+            st.integers(-5, 5) if kind == "numbers" else st.sampled_from("abcde"),
+            min_size=1, max_size=4, unique=True,
+        ))
+        params.append(discrete(f"p{i}", values))
+        if kind == "numbers" and draw(st.booleans()):
+            utilities.append(sigmoid_utility(-3.0, 3.0))
+        else:
+            utilities.append(table_utility({v: draw(unit) for v in values}))
+    domain = FidelityDomain(tuple(params))
+    grid = domain.grid(draw(st.integers(1, 5)))
+    suppliers = [
+        Supplier(f"s{i}", draw(st.sampled_from((0.5, 0.9, 1.0)) | unit), domain)
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    feasible = {
+        s.supplier_id: [grid[j] for j in draw(st.lists(
+            st.integers(0, len(grid) - 1), max_size=12, unique=True))]
+        for s in suppliers if draw(st.booleans()) or s is suppliers[0]
+    }
+    weights = [draw(unit) for _ in params]
+    return suppliers, utilities, weights, feasible
+
+
+class TestSelectionAgainstConfigUtility:
+    """The selection scores as one config_utility call per configuration."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(selection_problems())
+    def test_same_result_to_the_bit(self, problem):
+        try:
+            expected = maximize_utility_reference(*problem)
+        except NoConfiguration as refused:
+            with pytest.raises(NoConfiguration) as raised:
+                maximize_utility(*problem)
+            assert raised.value.evaluated_suppliers == refused.evaluated_suppliers
+            return
+        result = maximize_utility(*problem)
+        assert result == expected
+        assert result.utility.hex() == expected.utility.hex()
+        assert [type(v) for v in result.config] == [type(v) for v in expected.config]
+
+    DOMAIN = FidelityDomain((discrete("p", ("a", "b")), discrete("q", ("x",))))
+    UTILITIES = [table_utility({"a": 0.8}), table_utility({"x": 1.0})]
+
+    @pytest.mark.parametrize("utilities, weights, config", [
+        (UTILITIES, [1.0, 1.0], ("b", "x")),  # no utility mapped for "b"
+        (UTILITIES, [1.0, 1.5], ("a", "x")),  # a weight above 1
+        (UTILITIES, [-0.5, 1.0], ("a", "x")),  # a weight below 0
+        (UTILITIES, [1.0, 1.0], ("a",)),  # a configuration too short
+        (UTILITIES, [1.0], ("a", "x")),  # fewer weights than utilities
+    ])
+    def test_errors_are_config_utilitys_when_a_configuration_is_scored(
+        self, utilities, weights, config
+    ):
+        supplier = Supplier("s", 0.8, self.DOMAIN)
+        with pytest.raises(ValueError) as scored:
+            config_utility(config, utilities, weights, supplier.f_s)
+        with pytest.raises(ValueError) as selected:
+            maximize_utility([supplier], utilities, weights, {"s": [config]})
+        assert str(selected.value) == str(scored.value)
+        # and none while nothing is scored
+        with pytest.raises(NoConfiguration) as refused:
+            maximize_utility([supplier], utilities, weights, {"s": []})
+        assert refused.value.evaluated_suppliers == ("s",)
+
+    def test_a_configuration_after_the_early_stop_is_never_scored(self):
+        # "b" has no utility: only scoring the worse supplier's configuration raises
+        best, worse = Supplier("best", 0.9, self.DOMAIN), Supplier("worse", 0.5, self.DOMAIN)
+        feasible = {"best": [("a", "x")], "worse": [("b", "x")]}
+        result = maximize_utility([worse, best], self.UTILITIES, [1.0, 1.0], feasible)
+        assert (result.supplier_id, result.evaluated_suppliers) == ("best", ("best",))
+        with pytest.raises(ValueError, match="no utility mapped"):
+            maximize_utility([worse, best], self.UTILITIES, [1.0, 1.0], dict(feasible, best=[]))
