@@ -191,10 +191,11 @@ def feasible_configs(
     order, so exactly the configurations it admits are kept, as the grid's
     own tuples. An overflow or ``inf * 0`` is as silent as in Python floats.
     """
-    grid = domain.grid(continuous_points)
+    # each axis's values once, for the grid's tuples and for its coordinates
+    axes = [p.grid_values(continuous_points) for p in domain.parameters]
+    grid = list(itertools.product(*axes))
     if not available:
         return grid
-    axes = [p.grid_values(continuous_points) for p in domain.parameters]
     shape = [len(axis) for axis in axes]
     # each axis's coordinates, shaped to lie along that axis of the grid
     coords = [

@@ -40,16 +40,25 @@ than one slot per unread object.
 slot after the read before it; every planner builds its plan with it.
 ``after_index`` is the whole aired read from a cold start: the next index
 segment, then a fixed order handed to ``simulate_order`` behind that
-index read. The engine reads every published object this way.
+index read. These two build their ``PlannedRead`` and ``RetrievalPlan``
+tuples with ``tuple.__new__``, the fields in declaration order: the
+``__new__`` that ``NamedTuple`` generates is one interpreted call per
+tuple, and these are the same tuples without it.
 
-The engine makes an aired read per query, so these two build their
-``PlannedRead`` and ``RetrievalPlan`` tuples with ``tuple.__new__``, the
-fields in declaration order: the ``__new__`` that ``NamedTuple`` generates
-is one interpreted call per tuple, and these are the same tuples without it.
+The engine reads one published object per query, and builds no plan for
+it: ``aired_reader`` gives the numbers ``after_index([oid], ...)`` would,
+``(total_slots, switches, active_slots)``, by slot arithmetic. The wait
+for the next index segment depends only on the phase ``t % L``, so the
+index read's end is a per-phase offset, taken from
+``air_schedule.next_index_read_end`` the first time a phase is asked; the
+object's read after it is ``e + (cs - e) % L``, exact in every cycle for
+the reason above. A program thus costs one table entry per phase its
+queries fall on, never O(L) up front.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -145,8 +154,8 @@ def simulate_order(
 
     The plan runs from ``start`` through the last slot walked. Its reads and
     the plan itself are built with ``tuple.__new__``, not the ``NamedTuple``
-    constructors: the engine makes one plan per aired read, and the
-    generated ``__new__`` is one interpreted call per tuple.
+    constructors, whose generated ``__new__`` is one interpreted call per
+    tuple.
     """
     if not order:
         raise ValueError("order is empty")
@@ -187,6 +196,37 @@ def after_index(
         air_schedule.INDEX, channel, air_schedule.next_index_read_end(program, now)
     ))
     return simulate_order(order, program, now, cost, index_read)
+
+
+def aired_reader(
+    program: BroadcastProgram, cost: CostModel
+) -> Callable[[str, int], tuple[int, int, int]]:
+    """A function of ``(oid, t)`` that returns ``after_index([oid], program,
+    t, cost)``'s ``(total_slots, switches, active_slots)`` for a published
+    ``oid``, without building the plan; an object off the air raises
+    ``KeyError``.
+
+    ``lead[p]`` is the slots from a start at phase ``p`` to the first slot
+    at which the object may be read: the index read's end, less ``p``, then
+    one slot, and ``switch_slots`` more with a dedicated index channel,
+    whose every data read switches. It is filled on the first read at ``p``.
+    """
+    directory, length = program.directory, program.cycle_len_slots
+    switches = int(program.dedicated_index_channel)
+    after = 1 + cost.switch_slots * switches
+    lead: dict[int, int] = {}
+
+    def read(oid: str, t: int) -> tuple[int, int, int]:
+        phase = t % length
+        to_read = lead.get(phase)
+        if to_read is None:
+            to_read = lead[phase] = (
+                air_schedule.next_index_read_end(program, phase) - phase + after
+            )
+        # the read at e + (cs - e) % L, e = t + to_read, is this many slots from t
+        return to_read + (directory[oid][1] - t - to_read) % length + 1, switches, 2
+
+    return read
 
 
 def row_scan(req: RetrievalRequest, cost: CostModel) -> RetrievalPlan:

@@ -22,9 +22,12 @@ them changes no value, and a ``tick`` before the next expiry, or under
 another policy, does nothing. A broadcast cell builds no
 sources, caches or peer-to-peer managers at all: an aired or multicast
 answer is the source's current write, fresh by construction, so no
-broadcast metric depends on a source's history. Its reads are
-planned and costed by the retrieval library (``retrieval.after_index``,
-``retrieval.account``), and it replans only at its replan slots. An
+broadcast metric depends on a source's history. Its aired reads go
+through the retrieval library's per-program reader
+(``retrieval.aired_reader``), slot arithmetic over a table of index
+waits by phase; each distinct read shape is planned and costed once
+(``retrieval.after_index``, ``retrieval.account``), and the plan must
+agree with the reader. The cell replans only at its replan slots. An
 on-demand answer's time is fixed when its request joins a batch, so every
 broadcast query is recorded in the slot it is issued, and the batching
 server sends its multicasts once, when the run ends.
@@ -1191,10 +1194,16 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
 
     No sources, caches or information managers are built: an aired
     or multicast answer carries the source's current write, so its staleness
-    is 0 whatever the source's history. A published object is read by
-    ``retrieval.after_index`` and costed by ``retrieval.account``; any other
-    query joins its object's batch, whose response time ``submit`` returns.
-    Either way the query is recorded in the slot it is issued.
+    is 0 whatever the source's history. A published object is read by the
+    ``retrieval.aired_reader`` of the program in force, built when the
+    program comes into force, which gives the read's ``(total_slots,
+    switches, active_slots)`` without a plan. The first read of each of
+    these shapes is also planned by ``retrieval.after_index`` and costed by
+    ``retrieval.account``: a plan that reads otherwise raises
+    ``InvariantError``, and the shape's energy is kept for every later read
+    of it. Any other query joins its object's batch, whose response time
+    ``submit`` returns. Either way the query is recorded in the slot it is
+    issued.
 
     ``advance`` replans before the queries of each ``replan_interval``-th
     slot, and the run ends at ``duration_slots``, where the server sends its
@@ -1212,15 +1221,15 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
     # requests so far per object, in scenario order
     position = catalog.position
     requests = [0] * len(position)
+    read = None if program is None else retrieval.aired_reader(program, cost)
     # an aired read's energy by the plan numbers its account reads (the radio
-    # is the run's): aired reads take few shapes, each costed by
-    # retrieval.account once rather than once per read
+    # is the run's): aired reads take few shapes, each planned and costed once
     energies: dict[tuple[int, int, int], float] = {}
     stops = chain(range(interval, end, interval) if interval > 0 else (), [end])
     last_stop, next_stop = 0, next(stops)
 
     def advance(slot: int) -> None:
-        nonlocal program, last_stop, next_stop
+        nonlocal program, read, last_stop, next_stop
         while next_stop <= slot:
             t, next_stop = next_stop, next(stops, math.inf)
             if program is not None:  # channel-slots on air
@@ -1236,6 +1245,7 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
             new_result, new_program = plan_cell(scenario, catalog, observed)
             if new_result.feasible:
                 program = new_program
+                read = None if program is None else retrieval.aired_reader(program, cost)
                 metrics.plan = plan_summary(new_result)
 
     def answer(t: int, qid: int, cid: str, oid: str, qos: float) -> None:
@@ -1243,13 +1253,18 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
         if program is None or oid not in program.directory:
             kind, latency = "on_demand", batching.submit(oid, t) - t + 1.0
         else:
-            plan = retrieval.after_index([oid], program, t, cost)
-            shape = plan[2:]  # (total_slots, switches, active_slots)
+            shape = read(oid, t)  # (total_slots, switches, active_slots)
             spent = energies.get(shape)
             if spent is None:
+                plan = retrieval.after_index([oid], program, t, cost)
+                if plan[2:] != shape:
+                    raise InvariantError(
+                        f"query {qid}: {oid} at slot {t} read as {shape}, "
+                        f"planned as {plan[2:]}"
+                    )
                 spent = energies[shape] = retrieval.account(plan, cost)["energy"]
             metrics.per_client_energy[cid] += spent
-            kind, latency = "broadcast", float(plan.total_slots)
+            kind, latency = "broadcast", float(shape[0])
         # the answer is the source's current write, P_NM 1.0, which meets any
         # QoS the reader admits (0 to 1)
         records.append(_new(QueryRecord, (qid, cid, oid, t, kind, latency,

@@ -9,6 +9,7 @@ from aircell.fidelity import (
     FidelityDomain,
     InsufficientSamples,
     NoConfiguration,
+    Parameter,
     RankDeficient,
     ResourceModel,
     SampleStore,
@@ -146,6 +147,19 @@ class TestFeasibleConfigs:
         model = ResourceModel("bw", (1.0, 0.0), intercept=100.0)
         domain = FidelityDomain((discrete("p1", (1.0,)), discrete("p2", (1.0,))))
         assert feasible_configs([model], domain, {"bw": 1.0}) == []
+
+    @pytest.mark.parametrize("available", [None, {"bw": 30.0}])
+    def test_each_axis_is_discretized_once(self, monkeypatch, available):
+        asked = []
+        grid_values = Parameter.grid_values
+        monkeypatch.setattr(Parameter, "grid_values",
+                            lambda p, points: asked.append(p.name) or grid_values(p, points))
+        domain = FidelityDomain((continuous("p1", 0.0, 10.0), discrete("p2", (1.0, 2.0)),
+                                 continuous("p3", -1.0, 1.0)))
+        model = ResourceModel("bw", (2.0, 3.0, 1.0), intercept=1.0)
+        kept = feasible_configs([model], domain, available, continuous_points=5)
+        assert sorted(asked) == ["p1", "p2", "p3"]
+        assert kept == feasible_configs_reference([model], domain, available, 5)
 
 
 # integers over a prime: floats whose sums and products round

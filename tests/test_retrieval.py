@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aircell import air_schedule
 from aircell.air_schedule import (
     DISTRIBUTED,
     INDEX,
@@ -24,6 +25,7 @@ from aircell.retrieval import (
     _gap_tables,
     account,
     after_index,
+    aired_reader,
     brute_force,
     next_object_access,
     plan_as_dict,
@@ -264,26 +266,66 @@ class TestAfterIndex:
             simulate_order([], p, 0, COST)
 
     def test_same_read_as_locate_and_hand_built_plan(self):
+        # and the engine's aired reader gives the plan's numbers
         layouts = [
             (channels, dedicated)
             for channels in range(1, 5) for dedicated in (False, True)
             if channels >= 2 or not dedicated
         ]
-        schemes = (DISTRIBUTED, ONCE_PER_CYCLE, one_m(1), one_m(2), one_m(3))
+        schemes = (DISTRIBUTED, ONCE_PER_CYCLE, one_m(1), one_m(2), one_m(3), one_m(4))
         cases = 0
         for (channels, dedicated), scheme, n, sigma in itertools.product(
-            layouts, schemes, (1, 4, 7), (1, 2, 3)
+            layouts, schemes, (1, 4, 7, 16), (1, 2, 3)
         ):
             objs = [f"o{i}" for i in range(n)]
             p = build_program(objs, channels, scheme, dedicated_index_channel=dedicated)
             cost = CostModel(switch_slots=sigma)
-            for now, obj in itertools.product(range(3 * p.cycle_len_slots), objs):
+            read = aired_reader(p, cost)
+            length = p.cycle_len_slots
+            # three cycles from slot 0, then starts far past them
+            starts = [*range(3 * length), *(10**6 + d for d in (0, 1, 7, 3 * length - 1))]
+            for now, obj in itertools.product(starts, objs):
                 plan = after_index([obj], p, now, cost)
                 expected = aired_read_reference(p, obj, now, cost)
                 assert plan == expected
                 assert account(plan, cost) == account(expected, cost)
+                assert read(obj, now) == plan[2:]
                 cases += 1
-        assert cases == 16_866
+        assert cases == 101_250
+
+
+class TestAiredReader:
+    """The per-program reader fills its table only at the phases asked; its
+    numbers are checked in ``TestAfterIndex``."""
+
+    @pytest.mark.parametrize("dedicated", [False, True])
+    def test_each_phase_asks_the_index_rule_once(self, monkeypatch, dedicated):
+        calls = []
+        rule = air_schedule.next_index_read_end
+        monkeypatch.setattr(air_schedule, "next_index_read_end",
+                            lambda program, now: calls.append(now) or rule(program, now))
+        objs = [f"o{i}" for i in range(11)]
+        p = build_program(objs, 3, one_m(2), dedicated_index_channel=dedicated)
+        length = p.cycle_len_slots
+        read = aired_reader(p, COST)
+        assert calls == []  # nothing is filled before a read asks
+        # a phase asked again, in any cycle, is read from the table
+        for now in (5, 5 + length, 10**6 * length + 5):
+            for obj in objs:
+                read(obj, now)
+        assert calls == [5]
+        for now in range(3 * length):
+            for obj in objs:
+                read(obj, now)
+        assert sorted(calls) == list(range(length))
+        # a new program's reader starts with an empty table
+        aired_reader(p, COST)("o0", 5)
+        assert calls[-1] == 5 and len(calls) == length + 1
+
+    def test_object_off_the_air_raises(self):
+        p = build_program(OBJS4, 1, ONCE_PER_CYCLE)
+        with pytest.raises(KeyError):
+            aired_reader(p, COST)("zzz", 0)
 
 
 class TestAccount:

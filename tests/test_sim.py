@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from aircell import fidelity, p2p, sim
+from aircell import fidelity, p2p, retrieval, sim
 from aircell.freshness import InvariantError, SourceObject
 from aircell.sim import (
     ScenarioError,
@@ -1563,6 +1563,30 @@ class TestInvariants:
         monkeypatch.setattr(p2p.InformationManager, "resolve_query", from_the_future)
         with pytest.raises(InvariantError, match="after slot"):
             run(scenario_from_dict(p2p_doc()))
+
+    @pytest.mark.parametrize("dedicated", [False, True])
+    @pytest.mark.parametrize("off", [1, -1])
+    def test_aired_reader_one_slot_off_raises(self, monkeypatch, off, dedicated):
+        # the first read of each shape is planned too, and the plan must agree
+        doc = broadcast_doc()
+        if dedicated:
+            doc["cell"].update(channels=3, dedicated_index_channel=True)
+        scn = scenario_from_dict(doc)
+        aired = [r.query_id for r in run(scn).records if r.resolution == "broadcast"]
+        build = retrieval.aired_reader
+
+        def one_slot_off(program, cost):
+            read = build(program, cost)
+
+            def off_read(oid, t):
+                total, switches, active = read(oid, t)
+                return total + off, switches, active
+
+            return off_read
+
+        monkeypatch.setattr(retrieval, "aired_reader", one_slot_off)
+        with pytest.raises(InvariantError, match=f"^query {min(aired)}: .* read as "):
+            run(scn)
 
     def test_conservation_violation_raises(self, monkeypatch):
         # the records are the run's account: every issued query has exactly one

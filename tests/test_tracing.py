@@ -81,18 +81,54 @@ def small_broadcast_run() -> sim.Metrics:
     return sim.run(sim.scenario_from_dict(doc))
 
 
+def spy_on_readers(monkeypatch) -> list[set[int]]:
+    """Record, for each aired reader the engine builds, the phases its
+    reads were asked at."""
+    readers = []
+    build = aircell.retrieval.aired_reader
+
+    def spied(program, cost):
+        read = build(program, cost)
+        phases: set[int] = set()
+        readers.append(phases)
+
+        def spied_read(oid, t):
+            phases.add(t % program.cycle_len_slots)
+            return read(oid, t)
+
+        return spied_read
+
+    monkeypatch.setattr(aircell.retrieval, "aired_reader", spied)
+    return readers
+
+
+def read_counts(readers, metrics: sim.Metrics) -> tuple[int, int, int]:
+    """The aired reads of a run, the index-wait table entries its readers
+    filled (one per phase asked of each), and the read shapes it costed.
+    A shape is ``(total_slots, switches, active_slots)``; within a cell
+    only the first varies, and it is the record's latency."""
+    aired = [r.latency_slots for r in metrics.records if r.resolution == "broadcast"]
+    return len(aired), sum(map(len, readers)), len(set(aired))
+
+
 class TestTracedBroadcast:
-    def test_every_plan_and_aired_read_is_a_span(self, tracing):
-        # a planner or read path that routes around a traced name fails here
+    def test_every_plan_and_aired_read_is_a_span(self, tracing, monkeypatch):
+        # a planner or read path that routes around a traced name, or around
+        # the aired reader's table, fails here
         plain = small_broadcast_run().to_json_bytes()
+        readers = spy_on_readers(monkeypatch)
         with tracing.Tracer(aircell) as tracer:
             traced = small_broadcast_run()
         assert traced.to_json_bytes() == plain
         plans = 1 + len(range(40, 600, 40))  # at slot 0, then every 40 slots
         assert tracer.totals["broadcast_plan.partition"][0] == plans
-        aired = sum(r.resolution == "broadcast" for r in traced.records)
+        aired, fills, shapes = read_counts(readers, traced)
         assert aired > 0 and traced.counters["on_demand_responses"] > 0
-        assert tracer.totals["air_schedule.next_index_read_end"][0] == aired
+        # the table saves work: phases recur within a program's reads
+        assert shapes < fills < aired
+        # the index rule is asked once per phase of each program, and once
+        # more by the plan that checks each new shape
+        assert tracer.totals["air_schedule.next_index_read_end"][0] == fills + shapes
 
 
 class TestEngineReachesTracedNames:
@@ -103,12 +139,14 @@ class TestEngineReachesTracedNames:
             small_p2p_run()
         assert tracer.totals["cache.score"][0] > 0
 
-    def test_plans_split_and_aired_reads_simulate_an_order(self, tracing):
+    def test_plans_split_and_aired_shapes_simulate_an_order(self, tracing, monkeypatch):
+        readers = spy_on_readers(monkeypatch)
         with tracing.Tracer(aircell) as tracer:
             traced = small_broadcast_run()
         plans = tracer.totals["broadcast_plan.partition"][0]
         assert plans > 0
         assert tracer.totals["broadcast_plan.split"][0] >= plans
-        aired = sum(r.resolution == "broadcast" for r in traced.records)
-        assert aired > 0
-        assert tracer.totals["retrieval.simulate_order"][0] == aired
+        aired, _, shapes = read_counts(readers, traced)
+        assert 0 < shapes < aired
+        # each read shape is planned once, to cost it and check the reader
+        assert tracer.totals["retrieval.simulate_order"][0] == shapes
