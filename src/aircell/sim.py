@@ -9,23 +9,25 @@ substream of the master seed, so toggling one subsystem never perturbs
 another's stream and identical seeds give byte-identical metrics; a
 block of request gaps leaves the floats and generator state of scalar draws.
 
-The engine's work follows the events, not slots times population.
-``run`` walks the queries once, in issue order; the cell's mode supplies
-an ``advance`` step, which does what falls due before a slot's queries,
-and an ``answer`` step, which records one query. No code visits a slot in
-which nothing happens. A source holds its schedule of write times
-(``_write_times``) and applies the writes due by ``now`` itself when it is
-read at ``now``, and only caches under a TTL policy are ticked, each only
-at the tick slots from its next expiry on (``ClientCache.next_expiry``).
-Both are exact: a source's draws come from its own substream, so deferring
-them changes no value, and a ``tick`` before the next expiry, or under
-another policy, does nothing. A broadcast cell builds no
-sources, caches or peer-to-peer managers at all: an aired or multicast
-answer is the source's current write, fresh by construction, so no
-broadcast metric depends on a source's history. Its aired reads go
+The engine's work follows the events, not slots times population. ``run``
+walks the queries once, in issue order, as four columns: each client's
+draws are kept as arrays (``generate_workload``) and merged by one stable
+sort of their slots (``_queries``), with no tuple per query. The cell's
+mode supplies an ``advance`` step, which does what falls due before a
+slot's queries, and an ``answer`` step, which records one query. No code
+visits a slot in which nothing happens. A source holds its schedule of
+write times (``_write_times``) and applies the writes due by ``now``
+itself when it is read at ``now``, and only caches under a TTL policy are
+ticked, each only at the tick slots from its next expiry on
+(``ClientCache.next_expiry``). Both are exact: a source's draws come from
+its own substream, so deferring them changes no value, and a ``tick``
+before the next expiry, or under another policy, does nothing. A broadcast
+cell builds no sources, caches or peer-to-peer managers at all: an aired
+or multicast answer is the source's current write, fresh by construction,
+so no broadcast metric depends on a source's history. Its aired reads go
 through the retrieval library's per-program reader
-(``retrieval.aired_reader``), slot arithmetic over a table of index
-waits by phase; each distinct read shape is planned and costed once
+(``retrieval.aired_reader``), slot arithmetic over a table of index waits
+by phase; each distinct read shape is planned and costed once
 (``retrieval.after_index``, ``retrieval.account``), and the plan must
 agree with the reader. The cell replans only at its replan slots. An
 on-demand answer's time is fixed when its request joins a batch, so every
@@ -653,43 +655,51 @@ def zipf_pmf(n: int, theta: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _arrival_times(rng: np.random.Generator, rate: float, duration: int) -> list[float]:
+def _arrival_times(rng: np.random.Generator, rate: float, duration: int) -> np.ndarray:
     """Poisson arrival times below ``duration``, as adding one
     ``rng.exponential(1 / rate)`` gap at a time makes them: ``np.cumsum``
     adds each block of gaps in order onto the last time kept. The last block
     is drawn again up to the gap past the end, where a scalar loop stops."""
     scale, expected = 1.0 / rate, rate * duration
     size = min(_MAX_EVENTS, int(expected + 4.0 * math.sqrt(expected)) + 16)
-    times, kept, t = [], size, 0.0
+    blocks, kept, t = [], size, 0.0
     while kept == size:  # every gap of the block ended below the duration
         state = rng.bit_generator.state
         gaps = rng.exponential(scale, size)
         gaps[0] += t
         ends = np.cumsum(gaps)
         kept = int(np.searchsorted(ends, duration))  # how many end below it
-        times.extend(ends[:kept].tolist())
+        blocks.append(ends[:kept])
         t = ends[-1]
     rng.bit_generator.state = state
     rng.exponential(scale, kept + 1)
-    return times
+    return np.concatenate(blocks)
 
 
-def generate_workload(scenario: Scenario) -> dict[str, tuple[tuple[int, str], ...]]:
-    """Each client's request stream, (slot, object_id) pairs reproducible from
+# A client's requests as two columns: the slot each is issued in, and the
+# scenario index of the object it asks for.
+Stream = tuple[np.ndarray, np.ndarray]
+
+
+def generate_workload(scenario: Scenario) -> dict[str, Stream]:
+    """Each active client's request stream, by client id in order, as two
+    int64 columns: the slot of each request, its arrival time truncated as
+    ``int`` does, and the scenario index of its object. Reproducible from
     the seed: Poisson arrivals with Zipf-distributed object popularity, the
-    gaps drawn in blocks (``_arrival_times``); an idle client has no generator."""
+    gaps drawn in blocks (``_arrival_times``) and the objects in one
+    ``rng.choice``. A client with no request rate, or any client of a
+    scenario with no objects, builds no generator and has no entry."""
     n = len(scenario.objects)
-    pmf = zipf_pmf(n, scenario.zipf_theta) if n else None
-    ids = [o.object_id for o in scenario.objects]
-    per_client: dict[str, tuple[tuple[int, str], ...]] = {}
+    per_client: dict[str, Stream] = {}
+    if not n:
+        return per_client
+    pmf = zipf_pmf(n, scenario.zipf_theta)
     for spec in sorted(scenario.clients, key=lambda c: c.client_id):
-        stream: tuple[tuple[int, str], ...] = ()
-        if spec.request_rate > 0 and n:
+        if spec.request_rate > 0:
             rng = substream(scenario.seed, "workload", spec.client_id)
             times = _arrival_times(rng, spec.request_rate, scenario.duration_slots)
-            picks = rng.choice(n, size=len(times), p=pmf).tolist()
-            stream = tuple((int(t), ids[k]) for t, k in zip(times, picks))
-        per_client[spec.client_id] = stream
+            picks = rng.choice(n, size=len(times), p=pmf)
+            per_client[spec.client_id] = (times.astype(np.int64), picks)
     return per_client
 
 
@@ -808,18 +818,20 @@ class Metrics:
     plan: dict | None = None
 
     def summary(self) -> dict[str, float]:
-        """The run's totals and means; each float sum adds left to right, as
-        ``sum()`` does before CPython 3.12, whose ``sum()`` is compensated."""
-        served = [r for r in self.records if r.resolution != "unresolved"]
-        cached = [
-            r for r in self.records
-            if r.resolution in ("local_cache", "neighbor_cache")
-        ]
-        violations = sum(1 for r in cached if not r.qos_met)
+        """The run's totals and means, in one pass over the records; each
+        float sum adds left to right, as ``sum()`` does before CPython 3.12,
+        whose ``sum()`` is compensated."""
+        served = violations = 0
         latency = staleness = 0
-        for r in served:
-            latency += r.latency_slots
-            staleness += r.staleness_slots
+        # r[4] is the resolution, r[5] the latency, r[6] the staleness and
+        # r[8] qos_met: an index reads faster than a field name
+        for r in self.records:
+            if r[4] != "unresolved":
+                served += 1
+                latency += r[5]
+                staleness += r[6]
+                if not r[8] and r[4] in _CACHED_TEXTS:
+                    violations += 1
         out = {
             "issued": float(self.counters.get("issued", 0)),
             "answered": float(self.counters.get("answered", 0)),
@@ -827,8 +839,8 @@ class Metrics:
             "source_load": float(self.counters.get("source_load", 0)),
             "requeries": float(self.counters.get("requeries", 0)),
             "qos_violations": float(violations),
-            "mean_latency_slots": latency / len(served) if served else 0.0,
-            "mean_staleness_slots": staleness / len(served) if served else 0.0,
+            "mean_latency_slots": latency / served if served else 0.0,
+            "mean_staleness_slots": staleness / served if served else 0.0,
             "broadcast_slots": float(self.counters.get("broadcast_slots", 0)),
             "on_demand_responses": float(self.counters.get("on_demand_responses", 0)),
             "batching_saved": float(self.counters.get("batching_saved", 0)),
@@ -842,7 +854,7 @@ class Metrics:
         Everything but the records goes through ``json.dumps``, written in
         two parts around the ``"records"`` key. The records are written
         straight from their fields by ``json.dumps``, with no dict per
-        record.
+        record, a batch at a time, and all the parts are joined once.
         """
         head = {
             "schema_id": self.schema_id,
@@ -859,13 +871,12 @@ class Metrics:
                             sort_keys=True)
         after = json.dumps({k: v for k, v in head.items() if k > "records"},
                            sort_keys=True)
-        rows = b", ".join(
-            _record_rows(self.records, _JSON_FIELDS, json.dumps, _JSON_ROW, ", ")
-        )
-        return b"".join((
-            before[:-1].encode(), b', "records": [', rows, b"], ",
-            after[1:].encode(),
-        ))
+        rows = _record_rows(self.records, _JSON_FIELDS, json.dumps, _JSON_ROW, ", ")
+        parts = [before[:-1].encode(), b', "records": [', next(rows, b"")]
+        for batch in rows:
+            parts += (b", ", batch)
+        parts += (b"], ", after[1:].encode())
+        return b"".join(parts)
 
     CSV_COLUMNS = (
         "query_id", "client_id", "object_id", "resolution",
@@ -886,7 +897,8 @@ class Metrics:
         for client in sorted(self.per_client_energy):
             energy = _csv_text(self.per_client_energy[client])
             lines.append(f"summary,{_csv_text(client)},energy,{energy},,,,".encode())
-        return b"\n".join(lines) + b"\n"
+        lines.append(b"")  # the last line ends too
+        return b"\n".join(lines)
 
 
 # --------------------------------------------------------------------------
@@ -1027,25 +1039,49 @@ def read_sample_log(doc) -> fidelity.SampleStore:
     return store
 
 
-# A query as ``run`` walks them: (slot, query_id, client_id, object_id, qos).
-Query = tuple[int, int, str, str, float]
+# The queries as ``run`` walks them, four columns in issue order: each
+# query's slot, client id, object id and QoS; a query's id is its position.
+Queries = tuple[list[int], list[str], list[str], list[float]]
 # A resolution mode's two steps: ``advance(slot)`` does what falls due
-# before the queries of ``slot``, and ``answer(*query)`` records one query.
+# before the queries of ``slot``, and ``answer(slot, query_id, client_id,
+# object_id, qos)`` records one query.
 Steps = tuple[Callable[[int], None], Callable[[int, int, str, str, float], None]]
 
 
-def _queries(scenario: Scenario) -> list[Query]:
+def _queries(scenario: Scenario) -> Queries:
     """The workload's queries in issue order: by slot, and by client id
-    within a slot; ids are numbered in this order from 0."""
+    within a slot; ids are numbered in this order from 0.
+
+    Each client's columns are put end to end in client id order and ordered
+    by one stable sort of their slots, which keeps that order within a slot.
+    The ids are the scenario's own strings. A query's QoS is its client's
+    ``default_qos``; a client with per-object overrides asks ``ClientSpec.qos``
+    once for each object it asks for, not once per query.
+    """
+    workload = generate_workload(scenario)
+    if not workload:
+        return [], [], [], []
     specs = {c.client_id: c for c in scenario.clients}
-    per_client = generate_workload(scenario)
-    issued = sorted(  # stable
-        ((slot, cid, oid) for cid in sorted(per_client)
-         for slot, oid in per_client[cid]),
-        key=itemgetter(0),
+    clients = [specs[cid] for cid in workload]
+    slot_columns, pick_columns = zip(*workload.values())
+    counts = list(map(len, slot_columns))
+    owner = np.repeat(np.arange(len(clients)), counts)  # each query's client
+    slots, picks = np.concatenate(slot_columns), np.concatenate(pick_columns)
+    # object arrays, so each query holds the scenario's own Python values
+    ids = np.array([o.object_id for o in scenario.objects], dtype=object)
+    qos = np.array([c.default_qos for c in clients], dtype=object)[owner]
+    for spec, end, count in zip(clients, accumulate(counts), counts):
+        if spec.qos_overrides:
+            asked, inverse = np.unique(picks[end - count : end], return_inverse=True)
+            values = np.array([spec.qos(oid) for oid in ids[asked]], dtype=object)
+            qos[end - count : end] = values[inverse]
+    order = slots.argsort(kind="stable")
+    return (
+        slots[order].tolist(),
+        np.array(list(workload), dtype=object)[owner[order]].tolist(),
+        ids[picks[order]].tolist(),
+        qos[order].tolist(),
     )
-    return [(slot, qid, cid, oid, specs[cid].qos(oid))
-            for qid, (slot, cid, oid) in enumerate(issued)]
 
 
 def run(scenario: Scenario) -> Metrics:
@@ -1060,18 +1096,21 @@ def run(scenario: Scenario) -> Metrics:
     metrics.counters = counters = dict.fromkeys(("requeries", "ttl_drops", "broadcast_slots",
                                                  "on_demand_responses", "batching_saved"), 0)
     metrics.per_client_energy = {c.client_id: 0.0 for c in scenario.clients}
-    queries = _queries(scenario)
+    slots, cids, oids, qos = _queries(scenario)
+    issued = len(slots)
     steps = _broadcast_steps if scenario.resolution_mode == "broadcast" else _p2p_steps
     advance, answer = steps(scenario, metrics)
-    for query in queries:
-        advance(query[0])
-        answer(*query)
+    for qid, t, cid, oid, q in zip(range(issued), slots, cids, oids, qos):
+        advance(t)
+        answer(t, qid, cid, oid, q)
     advance(scenario.duration_slots)
-    issued = len(queries)
     records = metrics.records
-    records.sort(key=itemgetter(0))
     ids = list(map(itemgetter(0), records))
-    if ids != list(range(issued)):
+    expected = list(range(issued))
+    if ids != expected:  # both steps record in query order; sort one out of place
+        records.sort(key=itemgetter(0))
+        ids = list(map(itemgetter(0), records))
+    if ids != expected:
         # the first place where the sorted ids leave 0, 1, 2, ...
         i = next((i for i, qid in enumerate(ids) if qid != i), len(ids))
         problem = (f"query {ids[i]} has more than one record" if i < len(ids) and ids[i] < i
@@ -1092,6 +1131,8 @@ def run(scenario: Scenario) -> Metrics:
 _RESOLUTION_TEXT = {r: r.value for r in Resolution}
 # the tiers that serve a copy, which may lag the source's latest write
 _CACHE_TIERS = frozenset((Resolution.LOCAL_CACHE, Resolution.NEIGHBOR_CACHE))
+# and their record texts: ``Metrics.summary`` counts their QoS violations
+_CACHED_TEXTS = frozenset(map(_RESOLUTION_TEXT.get, _CACHE_TIERS))
 
 
 def _p2p_steps(scenario: Scenario, metrics: Metrics) -> Steps:

@@ -474,6 +474,38 @@ def generate_workload_reference(scenario) -> dict[str, tuple[tuple[int, str], ..
     return per_client
 
 
+def workload_pairs(scenario) -> dict[str, tuple[tuple[int, str], ...]]:
+    """``sim.generate_workload``'s columns in the shape of
+    ``generate_workload_reference``: every client, by id, with its (slot,
+    object_id) pairs, and () for one that asks nothing."""
+    ids = [o.object_id for o in scenario.objects]
+    drawn = generate_workload(scenario)
+    per_client: dict[str, tuple[tuple[int, str], ...]] = {}
+    for spec in sorted(scenario.clients, key=lambda c: c.client_id):
+        stream = ()
+        if spec.client_id in drawn:
+            slots, picks = drawn[spec.client_id]
+            stream = tuple(zip(slots.tolist(), [ids[k] for k in picks.tolist()]))
+        per_client[spec.client_id] = stream
+    return per_client
+
+
+def queries_reference(scenario) -> list[tuple[int, int, str, str, float]]:
+    """``sim._queries`` as it stood when it built a tuple per query, kept
+    verbatim but for its draws, which come from
+    ``generate_workload_reference``: (slot, query_id, client_id, object_id,
+    qos) in issue order, by slot and by client id within a slot."""
+    specs = {c.client_id: c for c in scenario.clients}
+    per_client = generate_workload_reference(scenario)
+    issued = sorted(  # stable
+        ((slot, cid, oid) for cid in sorted(per_client)
+         for slot, oid in per_client[cid]),
+        key=itemgetter(0),
+    )
+    return [(slot, qid, cid, oid, specs[cid].qos(oid))
+            for qid, (slot, cid, oid) in enumerate(issued)]
+
+
 def batches_reference(records, window: float):
     """The batching rule replayed over a run's ``on_demand`` records.
 
@@ -948,7 +980,7 @@ def _queries_by_slot(scenario: Scenario) -> dict[int, list[Query]]:
     """The workload's queries by the slot they are issued in, in client id
     order within a slot; ids are numbered in this order from 0."""
     specs = {c.client_id: c for c in scenario.clients}
-    per_client = generate_workload(scenario)
+    per_client = workload_pairs(scenario)
     issued = sorted(  # stable
         ((slot, cid, oid) for cid in sorted(per_client)
          for slot, oid in per_client[cid]),

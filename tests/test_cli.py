@@ -13,7 +13,8 @@ import pytest
 import aircell
 from aircell import cli
 from aircell.cli import InputError, _with_seed, aggregate_summaries, main, parse_scenario
-from aircell.sim import ScenarioError, generate_workload, run, scenario_from_dict
+from aircell.sim import ScenarioError, run, scenario_from_dict
+from oracles import workload_pairs
 
 MINI = {
     "seed": 1,
@@ -84,7 +85,7 @@ class TestSeeds:
         assert len({o.mtbu for o in scn.objects}) == 6  # drawn, one per object
         assert one.objects == two.objects == scn.objects
         assert (one.seed, two.seed) == (1, 2)
-        assert generate_workload(one) != generate_workload(two)
+        assert workload_pairs(one) != workload_pairs(two)
 
 
 class TestRunCommand:

@@ -4,7 +4,8 @@ allow-listed with the ROADMAP item that will wire it.
 A child process installs ``sys.setprofile`` before it imports the package,
 so functions called at import time count, and then runs ``cli.main`` over a
 fixed corpus: the documents the CI workflow runs, one run per cache policy
-with a TTL set, a document whose clients register providers, a sample log
+with a TTL set, a document whose clients register providers, one whose
+clients override the QoS of some objects, a sample log
 with a numeric discrete parameter, and the refused inputs. A function is
 reached when its code object is called. It is matched to its definition by
 its first line, which for a decorated function is the line of its first
@@ -139,6 +140,12 @@ def corpus(tmp: Path) -> tuple[list[list[str]], list[int]]:
     docs["providers"] = dict(scenario, clients=[
         {"client_id": "a", "request_rate": 0.1, "providers": ["obj0", "obj1"]},
         {"client_id": "b", "request_rate": 0.1}])
+    # CI's document of per-object QoS: only a client with overrides asks
+    # ``ClientSpec.qos``, once for each object it asks for
+    docs["qos_overrides"] = dict(scenario, clients=[
+        dict({"client_id": f"client{i}", "cache_capacity": 6, "default_qos": 0.3,
+              "request_rate": 0.08}, **({"qos": {"obj0": 0.9, "obj3": -0.0}} if i % 2 == 0 else {}))
+        for i in range(6)])
     docs["numeric_samples"] = {
         "domain": [{"name": "level", "kind": "discrete", "values": [1, 2, 3]}],
         "samples": [{"config": {"level": level}, "consumption": {"cpu": 2.0 * level}}
@@ -161,6 +168,7 @@ def corpus(tmp: Path) -> tuple[list[list[str]], list[int]]:
           for fmt in ((), ("--format", "csv"))),
         *((run(policy), 0) for policy in ("lru", "ttl_drop", "ttl_requery", "cqf", "acqf")),
         (run("providers"), 0),
+        (run("qos_overrides"), 0),
         *(([command, "--scenario", path(f"{name}.json")], 0)
           for name in ("broadcast", "dedicated") for command in ("plan", "dump-program")),
         (["plan", "--scenario", path("unstable.json")], 0),

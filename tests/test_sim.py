@@ -19,7 +19,6 @@ from aircell import fidelity, p2p, retrieval, sim
 from aircell.freshness import InvariantError, SourceObject
 from aircell.sim import (
     ScenarioError,
-    generate_workload,
     run,
     scenario_from_dict,
     substream,
@@ -29,6 +28,8 @@ from oracles import (
     UpdateProcessReference,
     arrival_times_reference,
     generate_workload_reference,
+    queries_reference,
+    workload_pairs,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -218,22 +219,22 @@ class TestWorkload:
         scn = scenario_from_dict(p2p_doc(clients={
             "count": 3, "request_rate": 0.0, "policy": "lru",
         }))
-        streams = generate_workload(scn)
+        streams = workload_pairs(scn)
         assert sorted(streams) == ["client0", "client1", "client2"]
         assert not any(streams.values())
 
     def test_same_seed_identical_streams(self):
         scn = scenario_from_dict(p2p_doc(seed=42))
-        assert generate_workload(scn) == generate_workload(scn)
+        assert workload_pairs(scn) == workload_pairs(scn)
 
     def test_different_seeds_differ(self):
-        a = generate_workload(scenario_from_dict(p2p_doc(seed=1)))
-        b = generate_workload(scenario_from_dict(p2p_doc(seed=2)))
+        a = workload_pairs(scenario_from_dict(p2p_doc(seed=1)))
+        b = workload_pairs(scenario_from_dict(p2p_doc(seed=2)))
         assert a != b
 
     def test_times_within_duration(self):
         scn = scenario_from_dict(p2p_doc(seed=5))
-        for stream in generate_workload(scn).values():
+        for stream in workload_pairs(scn).values():
             assert all(0 <= t < scn.duration_slots for t, _ in stream)
 
     def test_theta_zero_is_uniform_by_chi_square(self):
@@ -246,7 +247,7 @@ class TestWorkload:
             workload={"zipf_theta": 0.0},
         ))
         counts = {}
-        for stream in generate_workload(scn).values():
+        for stream in workload_pairs(scn).values():
             for _, oid in stream:
                 counts[oid] = counts.get(oid, 0) + 1
         total = sum(counts.values())
@@ -255,6 +256,17 @@ class TestWorkload:
                    for i in range(n_objects))
         df = n_objects - 1
         assert stat <= df + 3 * math.sqrt(2 * df)
+
+    def test_streams_are_int64_columns_of_active_clients(self):
+        scn = scenario_from_dict(p2p_doc(clients=[
+            {"client_id": "b", "request_rate": 0.1}, {"client_id": "a"},
+            {"client_id": "c", "request_rate": 0.2},
+        ]))
+        streams = sim.generate_workload(scn)
+        assert list(streams) == ["b", "c"]  # by id, and no entry for the idle one
+        for slots, picks in streams.values():
+            assert slots.dtype == picks.dtype == np.int64
+            assert len(slots) == len(picks) > 0
 
     def test_zipf_pmf_shape(self):
         pmf = zipf_pmf(5, 1.0)
@@ -306,7 +318,7 @@ class TestBlockDraws:
                      for i, kind in enumerate(kinds)],
         ))
         with mock.patch.object(sim, "_MAX_EVENTS", block):
-            streams, states = workload_and_generators(generate_workload, sim, scenario)
+            streams, states = workload_and_generators(workload_pairs, sim, scenario)
         expected, expected_states = workload_and_generators(
             generate_workload_reference, oracles, scenario
         )
@@ -328,11 +340,121 @@ class TestBlockDraws:
             {"client_id": "c", "request_rate": rate}
         ]))  # the schema takes it
         drawn, scalar = substream(seed, "workload", "c"), substream(seed, "workload", "c")
-        times = sim._arrival_times(drawn, rate, duration)
+        times = sim._arrival_times(drawn, rate, duration).tolist()
         assert times == arrival_times_reference(scalar, rate, duration)
         assert drawn.bit_generator.state == scalar.bit_generator.state
         # a full first block means a second one was drawn
         assert (len(times) >= sim._MAX_EVENTS) == (blocks == 2)
+
+
+# the QoS values a query test draws: -0.0 is in range, and must stay -0.0
+_QOS_DRAWS = st.sampled_from([0.0, -0.0, 0.25, 1.0])
+
+
+@st.composite
+def query_documents(draw):
+    """A p2p document of up to four objects and five clients, some idle and
+    some busy enough that clients share slots, with QoS overrides; the
+    clients are listed out of id order."""
+    n_objects = draw(st.integers(0, 4))
+    positions = draw(st.permutations(range(draw(st.integers(1, 5)))))
+    clients = []
+    for i in positions:
+        overrides = draw(st.sets(st.integers(0, n_objects - 1))) if n_objects else ()
+        clients.append({
+            "client_id": f"c{i}",
+            "request_rate": draw(st.sampled_from([0.0, 0.3]) | st.floats(0.5, 3.0)),
+            "default_qos": draw(_QOS_DRAWS),
+            "qos": {f"o{k}": draw(_QOS_DRAWS) for k in sorted(overrides)},
+        })
+    return p2p_doc(
+        seed=draw(st.integers(0, 2**32 - 1)), duration_slots=draw(st.integers(0, 60)),
+        objects=[{"object_id": f"o{k}", "mtbu": 50.0} for k in range(n_objects)],
+        clients=clients,
+    )
+
+
+def query_columns_doc():
+    """Three busy clients over five objects; one overrides the QoS of two."""
+    return p2p_doc(duration_slots=2_000, clients=[
+        {"client_id": "a", "request_rate": 0.5, "default_qos": 0.3,
+         "qos": {"obj1": 0.9, "obj4": -0.0}},
+        {"client_id": "b", "request_rate": 0.5, "default_qos": 0.6},
+        {"client_id": "c", "request_rate": 0.5},
+    ], objects={"count": 5, "mtbu": 120.0, "stdv_mtbu": 25.0})
+
+
+class TestQueryColumns:
+    """``sim._queries`` against the tuple-built merge it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=query_documents())
+    def test_equal_to_the_tuple_built_queries(self, doc):
+        scenario = scenario_from_dict(doc)
+        slots, cids, oids, qos = sim._queries(scenario)
+        expected = queries_reference(scenario)
+        assert len(slots) == len(cids) == len(oids) == len(qos) == len(expected)
+        for got, want in zip(zip(slots, range(len(slots)), cids, oids, qos), expected):
+            assert got == want
+            # the scenario's own strings, and the QoS as a float of its sign
+            assert got[2] is want[2] and got[3] is want[3]
+            assert type(got[0]) is int and type(got[4]) is float
+            assert math.copysign(1.0, got[4]) == math.copysign(1.0, want[4])
+
+    def test_client_qos_is_asked_per_object_not_per_query(self, monkeypatch):
+        scenario = scenario_from_dict(query_columns_doc())
+        asked = []
+        qos = sim.ClientSpec.qos
+        monkeypatch.setattr(sim.ClientSpec, "qos",
+                            lambda spec, oid: asked.append((spec.client_id, oid))
+                            or qos(spec, oid))
+        slots, cids, oids, _ = sim._queries(scenario)
+        # once for each object the overriding client asks for, and no other
+        assert sorted(asked) == sorted({(c, o) for c, o in zip(cids, oids) if c == "a"})
+        assert len(asked) <= 5 < len(slots) // 100
+        asked.clear()
+        metrics = run(scenario)
+        assert len(asked) <= 5 and metrics.counters["issued"] == len(slots)
+
+    @pytest.mark.parametrize("doc_fn", [query_columns_doc, broadcast_doc])
+    def test_run_draws_the_workload_once_through_the_module(self, monkeypatch, doc_fn):
+        scenario = scenario_from_dict(doc_fn())
+        expected = run(scenario).to_json_bytes()
+        calls = []
+        generate = sim.generate_workload
+        monkeypatch.setattr(sim, "generate_workload",
+                            lambda scn: calls.append(scn) or generate(scn))
+        assert run(scenario).to_json_bytes() == expected
+        assert calls == [scenario]
+
+    def test_no_objects_and_idle_clients_issue_nothing(self):
+        for doc in (p2p_doc(objects=[]), p2p_doc(clients={"count": 3, "request_rate": 0.0})):
+            scenario = scenario_from_dict(doc)
+            assert sim.generate_workload(scenario) == {}
+            assert sim._queries(scenario) == ([], [], [], [])
+            assert run(scenario).counters["issued"] == 0
+
+
+class TestSummary:
+    def test_one_pass_against_the_record_lists(self):
+        # latencies whose left-to-right sum, 1.0, is not their exact sum, 2.0
+        rows = [
+            ("local_cache", 1e16, 3.0, False), ("neighbor_cache", 1.0, 0.5, False),
+            ("neighbor_cache", -1e16, 1.0, True), ("unresolved", 7.0, 0.0, False),
+            ("source", 1.0, 0.0, False), ("broadcast", 0.0, 0.0, True),
+        ]
+        records = [sim.QueryRecord(i, "c", "o", i, resolution, latency, staleness,
+                                   0.5, met, 0.9)
+                   for i, (resolution, latency, staleness, met) in enumerate(rows)]
+        out = sim.Metrics("s", 1, 10, records=records).summary()
+        served = [r for r in records if r.resolution != "unresolved"]
+        assert out["mean_latency_slots"] == oracles.fold(
+            r.latency_slots for r in served) / len(served) == 1.0 / 5
+        assert out["mean_staleness_slots"] == oracles.fold(
+            r.staleness_slots for r in served) / len(served)
+        # only a cached copy that misses its QoS is a violation
+        assert out["qos_violations"] == 2.0
+        assert sim.Metrics("s", 1, 10).summary()["mean_latency_slots"] == 0.0
 
 
 class TestDeterminism:
@@ -1587,6 +1709,28 @@ class TestInvariants:
         monkeypatch.setattr(retrieval, "aired_reader", one_slot_off)
         with pytest.raises(InvariantError, match=f"^query {min(aired)}: .* read as "):
             run(scn)
+
+    def test_records_out_of_order_are_sorted_by_id(self, monkeypatch):
+        # the steps record in query order; records that are not are put in it
+        scn = scenario_from_dict(p2p_doc())
+        expected = run(scn)
+        steps = sim._p2p_steps
+
+        def reversing(scenario, metrics):
+            advance, answer = steps(scenario, metrics)
+
+            def advance_then_reverse(slot):  # once the run ends
+                advance(slot)
+                if slot == scenario.duration_slots:
+                    metrics.records.reverse()
+
+            return advance_then_reverse, answer
+
+        monkeypatch.setattr(sim, "_p2p_steps", reversing)
+        metrics = run(scn)
+        assert len(metrics.records) > 1
+        assert metrics.records == expected.records
+        assert metrics.to_json_bytes() == expected.to_json_bytes()
 
     def test_conservation_violation_raises(self, monkeypatch):
         # the records are the run's account: every issued query has exactly one
