@@ -21,7 +21,11 @@ itself when it is read at ``now``, and only caches under a TTL policy are
 ticked, each only at the tick slots from its next expiry on
 (``ClientCache.next_expiry``). Both are exact: a source's draws come from
 its own substream, so deferring them changes no value, and a ``tick``
-before the next expiry, or under another policy, does nothing. A broadcast
+before the next expiry, or under another policy, does nothing. A source
+draws its normals 32 at a time from its substream, a write adds one
+interval to its kept statistics, and a cache re-derives an object's mean
+read interval only after that object's reads change; each sum is made in
+the order a full recomputation uses, so the floats are the same. A broadcast
 cell builds no sources, caches or peer-to-peer managers at all: an aired
 or multicast answer is the source's current write, fresh by construction,
 so no broadcast metric depends on a source's history. Its aired reads go
@@ -1248,7 +1252,8 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
 
     ``advance`` replans before the queries of each ``replan_interval``-th
     slot, and the run ends at ``duration_slots``, where the server sends its
-    multicasts once and they are counted. At each of these slots
+    multicasts once and they are counted, and the plan in force is reported
+    as ``Metrics.plan``. At each of these slots
     ``broadcast_slots`` adds the channels of the program in force times the
     slots since the last, so it counts channel-slots on air.
     """
@@ -1257,7 +1262,6 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
     interval, end = scenario.cell.replan_interval, scenario.duration_slots
     catalog = cell_catalog(scenario)
     plan_result, program = plan_cell(scenario, catalog, initial_rates(scenario))
-    metrics.plan = plan_summary(plan_result)
     batching = broadcast_plan.BatchingServer(scenario.cell.batching_window)
     # requests so far per object, in scenario order
     position = catalog.position
@@ -1270,7 +1274,7 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
     last_stop, next_stop = 0, next(stops)
 
     def advance(slot: int) -> None:
-        nonlocal program, read, last_stop, next_stop
+        nonlocal plan_result, program, read, last_stop, next_stop
         while next_stop <= slot:
             t, next_stop = next_stop, next(stops, math.inf)
             if program is not None:  # channel-slots on air
@@ -1280,14 +1284,14 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
                 multicasts = batching.advance(math.inf)
                 counters["on_demand_responses"] = len(multicasts)
                 counters["batching_saved"] = sum(m.saved_transmissions for m in multicasts)
+                metrics.plan = plan_summary(plan_result)
                 return
             # each count over t in float64: the quotient Python's n / t gives
             observed = np.array(requests, dtype=np.float64) / t
             new_result, new_program = plan_cell(scenario, catalog, observed)
             if new_result.feasible:
-                program = new_program
+                plan_result, program = new_result, new_program
                 read = None if program is None else retrieval.aired_reader(program, cost)
-                metrics.plan = plan_summary(new_result)
 
     def answer(t: int, qid: int, cid: str, oid: str, qos: float) -> None:
         requests[position[oid]] += 1

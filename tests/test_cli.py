@@ -1,7 +1,6 @@
 import json
 import os
 import pickle
-import re
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 
 import aircell
+import corpus
 from aircell import cli
 from aircell.cli import InputError, _with_seed, aggregate_summaries, main, parse_scenario
 from aircell.sim import ScenarioError, run, scenario_from_dict
@@ -663,7 +663,7 @@ class TestUnwritableOutput:
         # the report's bare write let FileNotFoundError escape with exit 1
         if command == "fit":
             path = tmp_path / "samples.json"
-            path.write_text(next(b for b in readme_json_blocks() if '"samples"' in b))
+            path.write_text(next(b for b in corpus.readme_blocks() if '"samples"' in b))
             args = ["fit", "--samples", str(path)]
         else:
             path = write_scenario(tmp_path, {"metrics": {}}, "summary.json")
@@ -673,15 +673,9 @@ class TestUnwritableOutput:
         assert capsys.readouterr() == ("", f"error: {out}: No such file or directory\n")
 
 
-def readme_json_blocks() -> list[str]:
-    """The text of every ```json block of the README."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    return re.findall(r"```json\n(.*?)```", readme, flags=re.S)
-
-
 class TestReadme:
     def test_every_json_block_is_read(self, tmp_path, capsys):
-        blocks = readme_json_blocks()
+        blocks = corpus.readme_blocks()
         logs = [b for b in blocks if '"samples"' in b]
         assert logs and len(logs) < len(blocks)
         for block in blocks:

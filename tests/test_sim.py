@@ -741,6 +741,25 @@ class TestBroadcastMode:
         assert metrics.counters["broadcast_slots"] == expected == on_air
         assert metrics.counters["index_reads"] == index_reads
 
+    @pytest.mark.parametrize("bandwidth, seed", [(4.0, 2), (10.0, 1)])
+    def test_the_plan_in_force_is_reported_once(self, monkeypatch, bandwidth, seed):
+        """``Metrics.plan`` reports the plan in force when the run ends, the
+        last feasible one or else the first, and is built once, not at each
+        replan."""
+        plans, reported = [], []
+        plan_cell, plan_summary = sim.plan_cell, sim.plan_summary
+        monkeypatch.setattr(sim, "plan_cell",
+                            lambda *args: plans.append(plan_cell(*args)) or plans[-1])
+        monkeypatch.setattr(sim, "plan_summary",
+                            lambda result: reported.append(result) or plan_summary(result))
+        doc = on_and_off_air_doc(seed)
+        doc["cell"]["total_bandwidth"] = bandwidth
+        metrics = run(scenario_from_dict(doc))
+        adopted = [result for i, (result, _) in enumerate(plans) if i == 0 or result.feasible]
+        assert len(adopted) > 2  # a report per adoption would be more than one
+        assert len(reported) == 1 and reported[0] is adopted[-1]
+        assert metrics.plan == plan_summary(adopted[-1])
+
     def test_replan_hook_runs_deterministically(self):
         doc = broadcast_doc(seed=13)
         doc["cell"]["replan_interval"] = 100
