@@ -124,6 +124,9 @@ class EvictionReport(NamedTuple):
 
 # the reports that name no victim, built once
 _ADMITTED, _REFUSED = EvictionReport(True), EvictionReport(False)
+# An EvictionReport without NamedTuple's interpreted __new__, one per
+# eviction: _new(EvictionReport, (True, victim)) builds the same tuple.
+_new = tuple.__new__
 
 
 class TickAction(NamedTuple):
@@ -243,11 +246,11 @@ class ClientCache:
                 return _REFUSED
             del self.entries[victim]
             self.entries[entry.object_id] = entry
-            return EvictionReport(True, victim)
+            return _new(EvictionReport, (True, victim))
 
         victim, _ = self.entries.popitem(last=False)  # least recently used
         self.entries[entry.object_id] = entry
-        return EvictionReport(True, victim)
+        return _new(EvictionReport, (True, victim))
 
     def next_expiry(self) -> float:
         """The first integer ``now`` at which ``tick`` may act, for entries

@@ -108,11 +108,11 @@ def _keep_scenario(scenario: Scenario) -> None:
 
 
 def _run_one(seed: int, out: Path, fmt: str) -> dict[str, float]:
-    """Run ``seed`` of the kept scenario, write its ``metrics_<seed>.<fmt>``
-    and return its summary."""
+    """Run ``seed`` of the kept scenario, stream its ``metrics_<seed>.<fmt>``
+    to the file and return its summary."""
     metrics = run(_with_seed(_scenario, seed))
-    data = metrics.to_csv_bytes() if fmt == "csv" else metrics.to_json_bytes()
-    (out / f"metrics_{seed}.{fmt}").write_bytes(data)
+    with open(out / f"metrics_{seed}.{fmt}", "wb") as fp:
+        (metrics.write_csv if fmt == "csv" else metrics.write_json)(fp)
     return metrics.summary()
 
 

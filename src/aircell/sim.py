@@ -14,8 +14,12 @@ walks the queries once, in issue order, as four columns: each client's
 draws are kept as arrays (``generate_workload``) and merged by one stable
 sort of their slots (``_queries``), with no tuple per query. The cell's
 mode supplies an ``advance`` step, which does what falls due before a
-slot's queries, and an ``answer`` step, which records one query. No code
-visits a slot in which nothing happens. A source holds its schedule of
+slot's queries, and an ``answer`` step, which appends one query's outcome
+to five columns beside the query stream (``Outcomes``). The run is
+checked, summarised and written from these columns: a ``QueryRecord`` is
+built only when ``Metrics.records`` is read, and the writers stream a
+batch of rows at a time to a file. No code visits a slot in which nothing
+happens. A source holds its schedule of
 write times (``_write_times``) and applies the writes due by ``now``
 itself when it is read at ``now``, and only caches under a TTL policy are
 ticked, each only at the tick slots from its next expiry on
@@ -42,17 +46,18 @@ server sends its multicasts once, when the run ends.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import numbers
 import sys
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import accumulate, chain, islice, repeat
-from operator import add, itemgetter
+from operator import add, eq
 from typing import NamedTuple
 
 import numpy as np
@@ -714,8 +719,8 @@ def generate_workload(scenario: Scenario) -> dict[str, Stream]:
 class QueryRecord(NamedTuple):
     """One query's outcome: a plain tuple whose fields also have names.
 
-    ``Metrics.to_json_bytes`` writes a record as a JSON object whose keys are
-    these names in sorted order; ``Metrics.to_csv_bytes`` writes the fields
+    ``Metrics.write_json`` writes a record as a JSON object whose keys are
+    these names in sorted order; ``Metrics.write_csv`` writes the fields
     in ``Metrics.CSV_COLUMNS`` order.
     """
 
@@ -731,9 +736,61 @@ class QueryRecord(NamedTuple):
     p_nm: float
 
 
-# A QueryRecord without NamedTuple's interpreted __new__, one per query:
+# A QueryRecord without NamedTuple's interpreted __new__:
 # _new(QueryRecord, (fields in declaration order)) builds the same tuple.
 _new = tuple.__new__
+
+
+# The queries as ``run`` walks them, four columns in issue order: each
+# query's slot, client id, object id and QoS; a query's id is its position.
+Queries = tuple[list[int], list[str], list[str], list[float]]
+
+
+class Outcomes(NamedTuple):
+    """Each query's outcome as five columns, one entry per query in query
+    id order: what a mode's ``answer`` step appends to."""
+
+    resolution: list[str]
+    latency_slots: list[float]
+    staleness_slots: list[float]
+    qos_met: list[bool]
+    p_nm: list[float]
+
+
+def _no_outcomes() -> Outcomes:
+    return Outcomes([], [], [], [], [])
+
+
+class Records(Sequence):
+    """A run's records as columns, one per ``QueryRecord`` field in its
+    order, read only. The writers slice the columns; read as a sequence,
+    record ``i`` is a ``QueryRecord`` built from entry ``i`` of each column
+    when it is read, so iterating holds one record at a time and never the
+    whole list. Equal to any sequence of the same records in the same
+    order."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: list):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        return _new(QueryRecord, [column[index] for column in self.columns])
+
+    def __iter__(self) -> Iterator[QueryRecord]:
+        return map(_new, repeat(QueryRecord), zip(*self.columns))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
 
 
 def _csv_text(value) -> str:
@@ -751,7 +808,7 @@ def _csv_text(value) -> str:
     return json.dumps(value)
 
 
-def _column_texts(values: list, text) -> list[str]:
+def _column_texts(values, text) -> list[str]:
     """``text(v)`` for each of ``values``, one field of many records.
 
     The same texts, with no Python call per value when the column has one
@@ -783,24 +840,23 @@ _ROW_BATCH = 4096
 
 
 def _record_rows(
-    records: list[QueryRecord], fields: list[int], text, row: str, sep: str
+    records: Records, fields: list[int], text, row: str, sep: str
 ) -> Iterator[bytes]:
     """``sep.join(row % texts for each record)``, encoded, a batch at a time.
 
     ``texts`` are ``text`` (``json.dumps`` or ``_csv_text``) of the record's
     fields at the indices ``fields``, which ``row``'s ``%s`` take in order.
-    Each row is one ``str.join`` of its parts, the pieces of ``row`` between
+    Each batch slices those fields' columns, with no tuple per record, and
+    each row is one ``str.join`` of its parts, the pieces of ``row`` between
     the fields and the fields' texts, with no ``%`` per row.
     """
     *pieces, end = row.split("%s")
+    columns = records.columns
     for start in range(0, len(records), _ROW_BATCH):
-        batch = records[start : start + _ROW_BATCH]
+        stop = start + _ROW_BATCH
         streams = []
         for piece, i in zip(pieces, fields):
-            # not zip(*batch): an iterator per record is a tracked object,
-            # and enough of them set off the garbage collector mid-write
-            column = list(map(itemgetter(i), batch))
-            streams += (repeat(piece), _column_texts(column, text))
+            streams += (repeat(piece), _column_texts(columns[i][start:stop], text))
         streams.append(repeat(end))
         yield sep.join(map("".join, zip(*streams))).encode()
 
@@ -813,28 +869,43 @@ _JSON_ROW = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in _JSON_KEYS) + "}
 
 @dataclass
 class Metrics:
+    """A run's account: its counters, energy and plan, and its queries and
+    their outcomes as nine columns with one entry per query. A
+    query's id is its position. ``records`` reads them as ``QueryRecord``s;
+    the writers and ``summary`` read the columns themselves."""
+
     schema_id: str
     seed: int
     duration_slots: int
-    records: list[QueryRecord] = field(default_factory=list)
+    queries: Queries = ((), (), (), ())  # no queries: never appended to
+    outcomes: Outcomes = field(default_factory=_no_outcomes)
     counters: dict[str, float] = field(default_factory=dict)
     per_client_energy: dict[str, float] = field(default_factory=dict)
     plan: dict | None = None
 
+    @property
+    def records(self) -> Records:
+        """The queries and their outcomes: the ids, which are positions, and
+        the nine columns, in ``QueryRecord`` field order."""
+        slots, cids, oids, qos = self.queries
+        resolution, latency, staleness, met, p_nm = self.outcomes
+        return Records([range(len(slots)), cids, oids, slots, resolution, latency,
+                        staleness, qos, met, p_nm])
+
     def summary(self) -> dict[str, float]:
-        """The run's totals and means, in one pass over the records; each
-        float sum adds left to right, as ``sum()`` does before CPython 3.12,
-        whose ``sum()`` is compensated."""
+        """The run's totals and means, in one pass over the outcome columns;
+        each float sum adds left to right, as ``sum()`` does before CPython
+        3.12, whose ``sum()`` is compensated."""
         served = violations = 0
         latency = staleness = 0
-        # r[4] is the resolution, r[5] the latency, r[6] the staleness and
-        # r[8] qos_met: an index reads faster than a field name
-        for r in self.records:
-            if r[4] != "unresolved":
+        o = self.outcomes
+        for kind, lat, stale, met in zip(o.resolution, o.latency_slots,
+                                         o.staleness_slots, o.qos_met):
+            if kind != "unresolved":
                 served += 1
-                latency += r[5]
-                staleness += r[6]
-                if not r[8] and r[4] in _CACHED_TEXTS:
+                latency += lat
+                staleness += stale
+                if not met and kind in _CACHED_TEXTS:
                     violations += 1
         out = {
             "issued": float(self.counters.get("issued", 0)),
@@ -852,13 +923,14 @@ class Metrics:
         }
         return out
 
-    def to_json_bytes(self) -> bytes:
-        """The run as the bytes of ``json.dumps(..., sort_keys=True)``.
+    def write_json(self, fp) -> None:
+        """The run as the bytes of ``json.dumps(..., sort_keys=True)``, written
+        to the binary file ``fp``.
 
         Everything but the records goes through ``json.dumps``, written in
         two parts around the ``"records"`` key. The records are written
-        straight from their fields by ``json.dumps``, with no dict per
-        record, a batch at a time, and all the parts are joined once.
+        straight from the columns by ``json.dumps``, with no dict or tuple
+        per record, a batch at a time.
         """
         head = {
             "schema_id": self.schema_id,
@@ -875,34 +947,51 @@ class Metrics:
                             sort_keys=True)
         after = json.dumps({k: v for k, v in head.items() if k > "records"},
                            sort_keys=True)
+        write = fp.write
+        write(before[:-1].encode() + b', "records": [')
         rows = _record_rows(self.records, _JSON_FIELDS, json.dumps, _JSON_ROW, ", ")
-        parts = [before[:-1].encode(), b', "records": [', next(rows, b"")]
+        write(next(rows, b""))
         for batch in rows:
-            parts += (b", ", batch)
-        parts += (b"], ", after[1:].encode())
-        return b"".join(parts)
+            write(b", ")
+            write(batch)
+        write(b"], " + after[1:].encode())
+
+    def to_json_bytes(self) -> bytes:
+        """What ``write_json`` writes, as one bytes object."""
+        buffer = io.BytesIO()
+        self.write_json(buffer)
+        return buffer.getvalue()
 
     CSV_COLUMNS = (
         "query_id", "client_id", "object_id", "resolution",
         "latency_slots", "staleness_slots", "qos", "qos_met",
     )
 
-    def to_csv_bytes(self) -> bytes:
-        """One row per record in ``CSV_COLUMNS``, then the summary rows.
+    def write_csv(self, fp) -> None:
+        """One row per record in ``CSV_COLUMNS``, then the summary rows, each
+        line ended, written to the binary file ``fp``.
 
         Fields are written by ``_csv_text``.
         """
         fields = [QueryRecord._fields.index(c) for c in self.CSV_COLUMNS]
         row = ",".join(["%s"] * len(fields))
-        lines = [",".join(self.CSV_COLUMNS).encode()]
-        lines.extend(_record_rows(self.records, fields, _csv_text, row, "\n"))
-        for key, value in self.summary().items():
-            lines.append(f"summary,*,{key},{_csv_text(value)},,,,".encode())
+        write = fp.write
+        write(",".join(self.CSV_COLUMNS).encode() + b"\n")
+        for batch in _record_rows(self.records, fields, _csv_text, row, "\n"):
+            write(batch)
+            write(b"\n")
+        lines = [f"summary,*,{key},{_csv_text(value)},,,,\n"
+                 for key, value in self.summary().items()]
         for client in sorted(self.per_client_energy):
             energy = _csv_text(self.per_client_energy[client])
-            lines.append(f"summary,{_csv_text(client)},energy,{energy},,,,".encode())
-        lines.append(b"")  # the last line ends too
-        return b"\n".join(lines)
+            lines.append(f"summary,{_csv_text(client)},energy,{energy},,,,\n")
+        write("".join(lines).encode())
+
+    def to_csv_bytes(self) -> bytes:
+        """What ``write_csv`` writes, as one bytes object."""
+        buffer = io.BytesIO()
+        self.write_csv(buffer)
+        return buffer.getvalue()
 
 
 # --------------------------------------------------------------------------
@@ -1043,12 +1132,9 @@ def read_sample_log(doc) -> fidelity.SampleStore:
     return store
 
 
-# The queries as ``run`` walks them, four columns in issue order: each
-# query's slot, client id, object id and QoS; a query's id is its position.
-Queries = tuple[list[int], list[str], list[str], list[float]]
 # A resolution mode's two steps: ``advance(slot)`` does what falls due
 # before the queries of ``slot``, and ``answer(slot, query_id, client_id,
-# object_id, qos)`` records one query.
+# object_id, qos)`` appends the query's outcome to ``Metrics.outcomes``.
 Steps = tuple[Callable[[int], None], Callable[[int, int, str, str, float], None]]
 
 
@@ -1092,15 +1178,16 @@ def run(scenario: Scenario) -> Metrics:
     """Answer one fully seeded scenario's queries in issue order, each after
     advancing to its slot with the mode's steps, then advance to the end.
 
-    The records are the run's one account of its queries: the query
+    The outcome columns are the run's one account of its queries: the query
     counters are counted from them. Raises ``InvariantError`` unless each
-    issued query has exactly one record.
+    outcome column holds exactly one entry per issued query.
     """
-    metrics = Metrics(scenario.schema_id, scenario.seed, scenario.duration_slots)
+    metrics = Metrics(scenario.schema_id, scenario.seed, scenario.duration_slots,
+                      queries=_queries(scenario))
     metrics.counters = counters = dict.fromkeys(("requeries", "ttl_drops", "broadcast_slots",
                                                  "on_demand_responses", "batching_saved"), 0)
     metrics.per_client_energy = {c.client_id: 0.0 for c in scenario.clients}
-    slots, cids, oids, qos = _queries(scenario)
+    slots, cids, oids, qos = metrics.queries
     issued = len(slots)
     steps = _broadcast_steps if scenario.resolution_mode == "broadcast" else _p2p_steps
     advance, answer = steps(scenario, metrics)
@@ -1108,22 +1195,15 @@ def run(scenario: Scenario) -> Metrics:
         advance(t)
         answer(t, qid, cid, oid, q)
     advance(scenario.duration_slots)
-    records = metrics.records
-    ids = list(map(itemgetter(0), records))
-    expected = list(range(issued))
-    if ids != expected:  # both steps record in query order; sort one out of place
-        records.sort(key=itemgetter(0))
-        ids = list(map(itemgetter(0), records))
-    if ids != expected:
-        # the first place where the sorted ids leave 0, 1, 2, ...
-        i = next((i for i, qid in enumerate(ids) if qid != i), len(ids))
-        problem = (f"query {ids[i]} has more than one record" if i < len(ids) and ids[i] < i
-                   else f"query {i} has no record" if i < issued
-                   else f"query {ids[issued]} was never issued")
-        raise InvariantError(f"{len(ids)} records for {issued} issued queries: {problem}")
-    resolutions = Counter(map(itemgetter(4), records))
+    outcomes = metrics.outcomes
+    for name, column in zip(Outcomes._fields, outcomes):
+        if len(column) != issued:
+            raise InvariantError(
+                f"{len(column)} {name} entries for {issued} issued queries"
+            )
+    resolutions = Counter(outcomes.resolution)
     counters.update(
-        issued=issued, answered=len(records) - resolutions["unresolved"],
+        issued=issued, answered=issued - resolutions["unresolved"],
         unresolved=resolutions["unresolved"], index_reads=resolutions["broadcast"],
         source_load=(resolutions["source"] + counters["requeries"]
                      + counters["on_demand_responses"]),
@@ -1148,7 +1228,10 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics) -> Steps:
     ticking every cache in every slot. ``answer`` raises ``InvariantError``
     if an answer carries a write from after its slot.
     """
-    counters, records = metrics.counters, metrics.records
+    counters = metrics.counters
+    # one append per outcome column
+    (add_resolution, add_latency, add_staleness, add_met,
+     add_p_nm) = (column.append for column in metrics.outcomes)
     sources = {
         o.object_id: SourceObject(
             o.object_id, reachable=o.reachable,
@@ -1218,18 +1301,19 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics) -> Steps:
                 f"{write_time}, after slot {t}"
             )
         if resolution is Resolution.UNRESOLVED:
-            records.append(_new(QueryRecord, (qid, cid, oid, t, "unresolved",
-                                              latency, 0.0, qos, False, 0.0)))
-            return
-        if resolution in _CACHE_TIERS:
+            staleness, met, p_nm = 0.0, False, 0.0
+        elif resolution in _CACHE_TIERS:
             staleness, met = sources[oid].last_write(t) - write_time, accepts(qos, p_nm)
         else:
             # a source or provider read is of the source at t, so it reflects
             # the latest write: its staleness, that write less itself, is 0.0,
             # and its P_NM, 1.0, meets any QoS the reader admits (0 to 1)
             staleness, met = 0.0, True
-        records.append(_new(QueryRecord, (qid, cid, oid, t, _RESOLUTION_TEXT[resolution],
-                                          latency, staleness, qos, met, p_nm)))
+        add_resolution(_RESOLUTION_TEXT[resolution])
+        add_latency(latency)
+        add_staleness(staleness)
+        add_met(met)
+        add_p_nm(p_nm)
 
     return advance, answer
 
@@ -1257,7 +1341,10 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
     ``broadcast_slots`` adds the channels of the program in force times the
     slots since the last, so it counts channel-slots on air.
     """
-    counters, records = metrics.counters, metrics.records
+    counters = metrics.counters
+    # one append per outcome column
+    (add_resolution, add_latency, add_staleness, add_met,
+     add_p_nm) = (column.append for column in metrics.outcomes)
     cost = scenario.cell.cost_model
     interval, end = scenario.cell.replan_interval, scenario.duration_slots
     catalog = cell_catalog(scenario)
@@ -1312,8 +1399,11 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
             kind, latency = "broadcast", float(shape[0])
         # the answer is the source's current write, P_NM 1.0, which meets any
         # QoS the reader admits (0 to 1)
-        records.append(_new(QueryRecord, (qid, cid, oid, t, kind, latency,
-                                          0.0, qos, True, 1.0)))
+        add_resolution(kind)
+        add_latency(latency)
+        add_staleness(0.0)
+        add_met(True)
+        add_p_nm(1.0)
 
     return advance, answer
 

@@ -42,6 +42,7 @@ from aircell.freshness import (
 from aircell.retrieval import PlannedRead, RefusedSize, RetrievalPlan
 from aircell.sim import (
     Metrics,
+    Outcomes,
     QueryRecord,
     Scenario,
     _write_times,
@@ -909,6 +910,40 @@ def metrics_json_reference(metrics) -> bytes:
     return json.dumps(document, sort_keys=True, indent=None).encode()
 
 
+def metrics_csv_reference(metrics) -> bytes:
+    """``Metrics.to_csv_bytes`` as it was before the record writer: one line
+    per record, each field written by itself, and every line ended."""
+    def text(value) -> str:
+        if isinstance(value, str):
+            if any(c in value for c in ',"\r\n'):
+                return '"' + value.replace('"', '""') + '"'
+            return value
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        return json.dumps(value)
+
+    lines = [",".join(Metrics.CSV_COLUMNS)]
+    lines += [",".join(text(getattr(r, c)) for c in Metrics.CSV_COLUMNS)
+              for r in metrics.records]
+    lines += [f"summary,*,{key},{text(value)},,,," for key, value in metrics.summary().items()]
+    lines += [f"summary,{text(cid)},energy,{text(metrics.per_client_energy[cid])},,,,"
+              for cid in sorted(metrics.per_client_energy)]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def with_records(metrics: Metrics, records) -> Metrics:
+    """``metrics`` with its query and outcome columns holding ``records``,
+    whose query ids must be their positions, as a run's are."""
+    ids = [r.query_id for r in records]
+    if ids != list(range(len(records))):
+        raise ValueError(f"query ids {ids} are not their positions")
+    columns = [[r[i] for r in records] for i in range(len(QueryRecord._fields))]
+    _, cids, oids, slots, resolution, latency, staleness, qos, met, p_nm = columns
+    metrics.queries = (slots, cids, oids, qos)
+    metrics.outcomes = Outcomes(resolution, latency, staleness, met, p_nm)
+    return metrics
+
+
 # --------------------------------------------------------------------------
 # CPython 3.12's builtin ``sum``, for running 3.12's float sums on an older
 # interpreter. From 3.12 on, ``sum`` adds exact floats with Neumaier's
@@ -995,7 +1030,14 @@ def _queries_by_slot(scenario: Scenario) -> dict[int, list[Query]]:
 def run_slot_loops(scenario: Scenario) -> Metrics:
     """``sim.run`` as it was when each mode had its own loop over every
     slot of the run, busy or idle: the reference for the engine's one loop
-    over the queries. The loops below are that engine's, unchanged.
+    over the queries. Its columns hold ``slot_loops``'s records."""
+    return with_records(*slot_loops(scenario))
+
+
+def slot_loops(scenario: Scenario) -> tuple[Metrics, list[QueryRecord]]:
+    """The slot loops' metrics, with no query or outcome columns, and their
+    records, a list of ``QueryRecord``s in query id order, as ``sim.run``
+    kept them. The loops below are that engine's, unchanged.
 
     The records are the run's one account of its queries: the query
     counters are counted from them. Raises ``InvariantError`` unless each
@@ -1008,8 +1050,8 @@ def run_slot_loops(scenario: Scenario) -> Metrics:
     queries = _queries_by_slot(scenario)
     issued = sum(map(len, queries.values()))
     engine = _run_broadcast if scenario.resolution_mode == "broadcast" else _run_p2p
-    engine(scenario, metrics, queries)
-    records = metrics.records
+    records: list[QueryRecord] = []
+    engine(scenario, metrics, queries, records)
     records.sort(key=itemgetter(0))
     ids = list(map(itemgetter(0), records))
     if ids != list(range(issued)):
@@ -1026,11 +1068,12 @@ def run_slot_loops(scenario: Scenario) -> Metrics:
         source_load=(resolutions["source"] + counters["requeries"]
                      + counters["on_demand_responses"]),
     )
-    return metrics
+    return metrics, records
 
 
 def _run_p2p(
-    scenario: Scenario, metrics: Metrics, queries: dict[int, list[Query]]
+    scenario: Scenario, metrics: Metrics, queries: dict[int, list[Query]],
+    records: list[QueryRecord],
 ) -> None:
     """Resolve each query down the peer-to-peer chain.
 
@@ -1043,7 +1086,7 @@ def _run_p2p(
     Raises ``InvariantError`` if an answer carries a write from after its
     slot.
     """
-    counters, records = metrics.counters, metrics.records
+    counters = metrics.counters
     sources = {
         o.object_id: SourceObject(
             o.object_id, reachable=o.reachable,
@@ -1169,7 +1212,8 @@ def resolve_reference(cell: CellReference, cid: str, oid: str, qos: float,
 
 
 def _run_broadcast(
-    scenario: Scenario, metrics: Metrics, queries: dict[int, list[Query]]
+    scenario: Scenario, metrics: Metrics, queries: dict[int, list[Query]],
+    records: list[QueryRecord],
 ) -> None:
     """Answer each query from the air or from a batched multicast.
 
@@ -1185,7 +1229,7 @@ def _run_broadcast(
     there. ``broadcast_slots`` counts channel-slots on air: each slot adds
     the channels of the program then in force, if any.
     """
-    counters, records = metrics.counters, metrics.records
+    counters = metrics.counters
     cost = scenario.cell.cost_model
     replan_interval = scenario.cell.replan_interval
     catalog = cell_catalog(scenario)

@@ -1,7 +1,10 @@
-"""The record writer: ``Metrics.to_json_bytes`` and ``Metrics.to_csv_bytes``."""
+"""The record writer: ``Metrics.write_json`` and ``Metrics.write_csv``, their
+in-memory twins ``to_json_bytes`` and ``to_csv_bytes``, and the records
+view they write from."""
 
 import csv
 import io
+import json
 import math
 from unittest import mock
 
@@ -10,9 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import corpus
 from aircell import sim
 from aircell.sim import Metrics, QueryRecord
-from oracles import metrics_json_reference
+from oracles import metrics_csv_reference, metrics_json_reference, slot_loops, with_records
+from test_reachability import HEAVY
 
 # numpy warns when a summary's sums of drawn numpy scalars overflow or add
 # inf to -inf; the writer tests only compare bytes
@@ -39,7 +44,8 @@ numbers = floats | ints | floats.map(np.float64)
 @st.composite
 def record_lists(draw, ids=ids):
     """Records whose fields each come from one kind of value or from a mix,
-    so both a column of one exact type and a mixed column are written."""
+    so both a column of one exact type and a mixed column are written. A
+    query's id is its position, as in a run."""
     n = draw(st.integers(0, 9))
 
     def column(*kinds):
@@ -48,7 +54,7 @@ def record_lists(draw, ids=ids):
 
     numeric = (floats, ints, numbers)
     fields = [
-        column(ints, numbers), column(ids, st.sampled_from(["c1", "c,2"])),
+        range(n), column(ids, st.sampled_from(["c1", "c,2"])),
         column(ids), column(ints, numbers), column(ids, st.just("source")),
         column(*numeric), column(*numeric), column(*numeric),
         column(st.booleans()), column(*numeric),
@@ -57,12 +63,13 @@ def record_lists(draw, ids=ids):
 
 
 def metrics_with(records, client_ids=("c1",), published=("o1",)) -> Metrics:
-    return Metrics(
-        "aircell-scenario/1", 7, 100, records=records,
+    """A run's metrics whose columns hold ``records``."""
+    return with_records(Metrics(
+        "aircell-scenario/1", 7, 100,
         counters={"issued": len(records), "answered": 0, "unresolved": 0},
         per_client_energy={cid: 0.5 for cid in client_ids},
         plan={"published": list(published), "b_b": 1.5, "feasible": True},
-    )
+    ), records)
 
 
 class TestJsonWriter:
@@ -85,7 +92,7 @@ class TestJsonWriter:
         assert metrics.to_json_bytes() == metrics_json_reference(metrics)
 
     def test_integral_floats_and_ints_stay_apart(self):
-        record = QueryRecord(1, "c", "o", 2, "source", 3.0, 0, 1, True, np.float64(0.5))
+        record = QueryRecord(0, "c", "o", 2, "source", 3.0, 0, 1, True, np.float64(0.5))
         text = metrics_with([record]).to_json_bytes()
         assert (b'"issued_at": 2, "latency_slots": 3.0' in text
                 and b'"qos": 1, ' in text and b'"staleness_slots": 0}' in text
@@ -98,17 +105,19 @@ def read_back(metrics: Metrics) -> list[list[str]]:
 
 class TestCsvWriter:
     def test_comma_in_id_is_quoted(self):
-        record = QueryRecord(5, "client4", 'a,"b', 5, "source", 5.0, 0.0, 0.3, True, 1.0)
+        record = QueryRecord(0, "client4", 'a,"b', 5, "source", 5.0, 0.0, 0.3, True, 1.0)
         rows = read_back(metrics_with([record]))
-        assert rows[1] == ["5", "client4", 'a,"b', "source", "5.0", "0.0", "0.3", "1"]
-        assert b'5,client4,"a,""b",source,' in metrics_with([record]).to_csv_bytes()
+        assert rows[1] == ["0", "client4", 'a,"b', "source", "5.0", "0.0", "0.3", "1"]
+        assert b'0,client4,"a,""b",source,' in metrics_with([record]).to_csv_bytes()
 
     @settings(max_examples=200, deadline=None)
     @given(records=record_lists(ids=st.text(st.characters(blacklist_categories=("Cs",)),
                                             max_size=6) | st.sampled_from(AWKWARD_IDS)),
            client_ids=st.lists(st.sampled_from(AWKWARD_IDS), max_size=3, unique=True))
     def test_ids_read_back(self, records, client_ids):
-        rows = read_back(metrics_with(records, client_ids))
+        metrics = metrics_with(records, client_ids)
+        assert metrics.to_csv_bytes() == metrics_csv_reference(metrics)
+        rows = read_back(metrics)
         columns = Metrics.CSV_COLUMNS
         assert rows[0] == list(columns)
         data = rows[1 : 1 + len(records)]
@@ -119,3 +128,65 @@ class TestCsvWriter:
         assert [r[7] for r in data] == [str(int(r.qos_met)) for r in records]
         energy = [(r[1], r[3]) for r in rows[1 + len(records):] if r[2] == "energy"]
         assert energy == [(cid, "0.5") for cid in sorted(client_ids)]
+
+
+# the corpus documents the reachability gate runs, the ones CI runs but its
+# heavy ones
+RUN = [name for name, doc in corpus.documents().items()
+       if not name.endswith("samples") and name not in corpus.REFUSED + tuple(HEAVY)]
+
+
+def corpus_scenario(name: str, seed: int) -> sim.Scenario:
+    doc = corpus.documents()[name]
+    doc = json.loads(doc) if isinstance(doc, str) else doc
+    return sim.scenario_from_dict(dict(doc, seed=seed))
+
+
+class TestStreamedWriters:
+    def test_every_document_the_gate_runs_is_written(self):
+        assert {"scenario", "p2p_tiers", "broadcast", "tiny_replan"} <= set(RUN)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", RUN)
+    def test_the_stream_is_the_in_memory_bytes(self, tmp_path, name, seed):
+        metrics = sim.run(corpus_scenario(name, seed))
+        for write, in_memory, reference in (
+            (metrics.write_json, metrics.to_json_bytes, metrics_json_reference),
+            (metrics.write_csv, metrics.to_csv_bytes, metrics_csv_reference),
+        ):
+            path = tmp_path / write.__name__
+            with open(path, "wb") as fp:
+                write(fp)
+            assert path.read_bytes() == in_memory() == reference(metrics)
+
+
+class TestRecordsView:
+    def test_the_view_is_the_slot_loops_record_list(self):
+        scn = corpus_scenario("p2p_tiers", 1)
+        view = sim.run(scn).records
+        _, records = slot_loops(scn)
+        n = len(records)
+        assert n > 2 and len(view) == n
+        assert view == records and records == view and list(view) == records
+        assert all(type(r) is QueryRecord for r in view)
+        assert [view[i] for i in range(-n, n)] == records + records
+        assert view[1:-1:2] == records[1:-1:2] and view[::-1] == records[::-1]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[index]
+        assert view != records[:-1] and view != records[::-1] and view != "records"
+        assert records[-1] in view and view.index(records[-1]) == n - 1
+
+    def test_the_view_is_read_only(self):
+        view = sim.run(corpus_scenario("scenario", 1)).records
+        record = view[0]
+        with pytest.raises(TypeError):
+            view[0] = record
+        with pytest.raises(TypeError):
+            del view[0]
+        for method in ("append", "extend", "insert", "pop", "remove", "sort", "reverse"):
+            assert not hasattr(view, method)
+        with pytest.raises(AttributeError):
+            view.other = []
+        with pytest.raises(TypeError):
+            hash(view)
