@@ -112,8 +112,7 @@ def _run_one(seed: int, out: Path, fmt: str) -> dict[str, float]:
     to the file and return its summary."""
     metrics = run(_with_seed(_scenario, seed))
     with open(out / f"metrics_{seed}.{fmt}", "wb") as fp:
-        (metrics.write_csv if fmt == "csv" else metrics.write_json)(fp)
-    return metrics.summary()
+        return (metrics.write_csv if fmt == "csv" else metrics.write_json)(fp)
 
 
 def aggregate_summaries(per_seed: dict[int, dict[str, float]]) -> dict:

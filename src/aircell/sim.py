@@ -12,17 +12,16 @@ block of request gaps leaves the floats and generator state of scalar draws.
 The engine's work follows the events, not slots times population. ``run``
 walks the queries once, in issue order, as four columns: each client's
 draws are kept as arrays (``generate_workload``) and merged by one stable
-sort of their slots (``_queries``), with no tuple per query. The cell's
-mode supplies an ``advance`` step, which does what falls due before a
-slot's queries, and an ``answer`` step, which appends one query's outcome
-to five columns beside the query stream (``Outcomes``). The run is
-checked, summarised and written from these columns: a ``QueryRecord`` is
-built only when ``Metrics.records`` is read, and the writers stream a
-batch of rows at a time to a file. No code visits a slot in which nothing
-happens. A source holds its schedule of
-write times (``_write_times``) and applies the writes due by ``now``
-itself when it is read at ``now``, and only caches under a TTL policy are
-ticked, each only at the tick slots from its next expiry on
+sort of their slots (``_queries``), with no tuple per query. All else that
+is timed is a stop on ``run``'s one agenda, a heap that the cell's mode
+pushes to: a slot's stops are made before its queries, so what follows the
+queries of slot t is the stop at t + 1. The mode's ``answer`` appends one
+query's outcome to five columns beside the query stream (``Outcomes``),
+from which the run is checked, summarised and written, a batch of rows at
+a time. No code visits a slot in which nothing happens. A source holds its
+schedule of write times (``_write_times``) and applies the writes due by
+``now`` itself when it is read at ``now``, and only caches under a TTL
+policy are ticked, each only at the tick slots from its next expiry on
 (``ClientCache.next_expiry``). Both are exact: a source's draws come from
 its own substream, so deferring them changes no value, and a ``tick``
 before the next expiry, or under another policy, does nothing. A source
@@ -37,10 +36,10 @@ through the retrieval library's per-program reader
 (``retrieval.aired_reader``), slot arithmetic over a table of index waits
 by phase; each distinct read shape is planned and costed once
 (``retrieval.after_index``, ``retrieval.account``), and the plan must
-agree with the reader. The cell replans only at its replan slots. An
-on-demand answer's time is fixed when its request joins a batch, so every
-broadcast query is recorded in the slot it is issued, and the batching
-server sends its multicasts once, when the run ends.
+agree with the reader. The cell replans only at its replan slots, each a
+stop. An on-demand answer's time is fixed when its request joins a batch,
+so every broadcast query is recorded in the slot it is issued, and the
+batching server sends its multicasts once, at the stop that ends the run.
 """
 
 from __future__ import annotations
@@ -52,12 +51,12 @@ import math
 import numbers
 import sys
 from collections import Counter
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from heapq import heappop, heappush
-from itertools import accumulate, chain, islice, repeat
-from operator import add, eq
+from itertools import accumulate, islice, repeat
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -757,17 +756,12 @@ class Outcomes(NamedTuple):
     p_nm: list[float]
 
 
-def _no_outcomes() -> Outcomes:
-    return Outcomes([], [], [], [], [])
-
-
-class Records(Sequence):
+class Records:
     """A run's records as columns, one per ``QueryRecord`` field in its
-    order, read only. The writers slice the columns; read as a sequence,
-    record ``i`` is a ``QueryRecord`` built from entry ``i`` of each column
-    when it is read, so iterating holds one record at a time and never the
-    whole list. Equal to any sequence of the same records in the same
-    order."""
+    order, read only. The writers slice the columns; iterated, record ``i``
+    is a ``QueryRecord`` built from entry ``i`` of each column when it is
+    reached, so iterating holds one record at a time and never the whole
+    list."""
 
     __slots__ = ("columns",)
 
@@ -777,20 +771,8 @@ class Records(Sequence):
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        return _new(QueryRecord, [column[index] for column in self.columns])
-
     def __iter__(self) -> Iterator[QueryRecord]:
         return map(_new, repeat(QueryRecord), zip(*self.columns))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None
 
 
 def _csv_text(value) -> str:
@@ -878,7 +860,7 @@ class Metrics:
     seed: int
     duration_slots: int
     queries: Queries = ((), (), (), ())  # no queries: never appended to
-    outcomes: Outcomes = field(default_factory=_no_outcomes)
+    outcomes: Outcomes = field(default_factory=lambda: Outcomes([], [], [], [], []))
     counters: dict[str, float] = field(default_factory=dict)
     per_client_energy: dict[str, float] = field(default_factory=dict)
     plan: dict | None = None
@@ -907,7 +889,7 @@ class Metrics:
                 staleness += stale
                 if not met and kind in _CACHED_TEXTS:
                     violations += 1
-        out = {
+        return {
             "issued": float(self.counters.get("issued", 0)),
             "answered": float(self.counters.get("answered", 0)),
             "unresolved": float(self.counters.get("unresolved", 0)),
@@ -921,17 +903,17 @@ class Metrics:
             "batching_saved": float(self.counters.get("batching_saved", 0)),
             "total_energy": float(reduce(add, self.per_client_energy.values(), 0)),
         }
-        return out
 
-    def write_json(self, fp) -> None:
+    def write_json(self, fp) -> dict[str, float]:
         """The run as the bytes of ``json.dumps(..., sort_keys=True)``, written
-        to the binary file ``fp``.
+        to the binary file ``fp``; returns the summary it wrote.
 
         Everything but the records goes through ``json.dumps``, written in
         two parts around the ``"records"`` key. The records are written
         straight from the columns by ``json.dumps``, with no dict or tuple
         per record, a batch at a time.
         """
+        summary = self.summary()
         head = {
             "schema_id": self.schema_id,
             "seed": self.seed,
@@ -941,7 +923,7 @@ class Metrics:
             "plan": self.plan,
             # no selection is made; the key stays so the bytes stay those pinned
             "fidelity_selection": None,
-            "summary": self.summary(),
+            "summary": summary,
         }
         before = json.dumps({k: v for k, v in head.items() if k < "records"},
                             sort_keys=True)
@@ -955,6 +937,7 @@ class Metrics:
             write(b", ")
             write(batch)
         write(b"], " + after[1:].encode())
+        return summary
 
     def to_json_bytes(self) -> bytes:
         """What ``write_json`` writes, as one bytes object."""
@@ -967,9 +950,10 @@ class Metrics:
         "latency_slots", "staleness_slots", "qos", "qos_met",
     )
 
-    def write_csv(self, fp) -> None:
+    def write_csv(self, fp) -> dict[str, float]:
         """One row per record in ``CSV_COLUMNS``, then the summary rows, each
-        line ended, written to the binary file ``fp``.
+        line ended, written to the binary file ``fp``; returns the summary it
+        wrote.
 
         Fields are written by ``_csv_text``.
         """
@@ -980,18 +964,14 @@ class Metrics:
         for batch in _record_rows(self.records, fields, _csv_text, row, "\n"):
             write(batch)
             write(b"\n")
+        summary = self.summary()
         lines = [f"summary,*,{key},{_csv_text(value)},,,,\n"
-                 for key, value in self.summary().items()]
+                 for key, value in summary.items()]
         for client in sorted(self.per_client_energy):
             energy = _csv_text(self.per_client_energy[client])
             lines.append(f"summary,{_csv_text(client)},energy,{energy},,,,\n")
         write("".join(lines).encode())
-
-    def to_csv_bytes(self) -> bytes:
-        """What ``write_csv`` writes, as one bytes object."""
-        buffer = io.BytesIO()
-        self.write_csv(buffer)
-        return buffer.getvalue()
+        return summary
 
 
 # --------------------------------------------------------------------------
@@ -1132,12 +1112,6 @@ def read_sample_log(doc) -> fidelity.SampleStore:
     return store
 
 
-# A resolution mode's two steps: ``advance(slot)`` does what falls due
-# before the queries of ``slot``, and ``answer(slot, query_id, client_id,
-# object_id, qos)`` appends the query's outcome to ``Metrics.outcomes``.
-Steps = tuple[Callable[[int], None], Callable[[int, int, str, str, float], None]]
-
-
 def _queries(scenario: Scenario) -> Queries:
     """The workload's queries in issue order: by slot, and by client id
     within a slot; ids are numbered in this order from 0.
@@ -1175,12 +1149,13 @@ def _queries(scenario: Scenario) -> Queries:
 
 
 def run(scenario: Scenario) -> Metrics:
-    """Answer one fully seeded scenario's queries in issue order, each after
-    advancing to its slot with the mode's steps, then advance to the end.
-
-    The outcome columns are the run's one account of its queries: the query
-    counters are counted from them. Raises ``InvariantError`` unless each
-    outcome column holds exactly one entry per issued query.
+    """Answer one fully seeded scenario's queries in issue order, each
+    after the agenda's stops due by its slot, then make the stops due by
+    ``duration_slots``. A stop ``(slot, order, action)`` is made as
+    ``action(slot)``; no two share a slot and an order, so the heap never
+    compares actions. The query counters are counted from the outcome
+    columns; raises ``InvariantError`` unless each holds exactly one entry
+    per issued query.
     """
     metrics = Metrics(scenario.schema_id, scenario.seed, scenario.duration_slots,
                       queries=_queries(scenario))
@@ -1189,12 +1164,17 @@ def run(scenario: Scenario) -> Metrics:
     metrics.per_client_energy = {c.client_id: 0.0 for c in scenario.clients}
     slots, cids, oids, qos = metrics.queries
     issued = len(slots)
+    agenda: list[tuple[int, float, Callable[[int], None]]] = []
     steps = _broadcast_steps if scenario.resolution_mode == "broadcast" else _p2p_steps
-    advance, answer = steps(scenario, metrics)
+    answer = steps(scenario, metrics, agenda)
     for qid, t, cid, oid, q in zip(range(issued), slots, cids, oids, qos):
-        advance(t)
+        while agenda and agenda[0][0] <= t:
+            slot, _, action = heappop(agenda)
+            action(slot)
         answer(t, qid, cid, oid, q)
-    advance(scenario.duration_slots)
+    while agenda and agenda[0][0] <= scenario.duration_slots:
+        slot, _, action = heappop(agenda)
+        action(slot)
     outcomes = metrics.outcomes
     for name, column in zip(Outcomes._fields, outcomes):
         if len(column) != issued:
@@ -1219,14 +1199,18 @@ _CACHE_TIERS = frozenset((Resolution.LOCAL_CACHE, Resolution.NEIGHBOR_CACHE))
 _CACHED_TEXTS = frozenset(map(_RESOLUTION_TEXT.get, _CACHE_TIERS))
 
 
-def _p2p_steps(scenario: Scenario, metrics: Metrics) -> Steps:
-    """Resolve each query down the peer-to-peer chain.
+def _p2p_steps(scenario: Scenario, metrics: Metrics, agenda: list) -> Callable:
+    """Resolve each query down the peer-to-peer chain; return ``answer``.
 
     Each source applies its own scheduled writes when read, and only
-    TTL-policy caches are ticked, in client order, each only from its first
-    tick slot on: the metrics are the bytes of writing every source and
-    ticking every cache in every slot. ``answer`` raises ``InvariantError``
-    if an answer carries a write from after its slot.
+    TTL-policy caches are ticked, each only from its first tick slot on:
+    the metrics are the bytes of writing every source and ticking every
+    cache in every slot. A tick at t, after t's queries, is the stop at
+    t + 1, ordered by the cache's position, and pushes the next. A cache
+    whose first tick slot is inf is off the agenda; only an insert lowers
+    that, so it is asked again only after an answer of its client or, with
+    overhearing, of a neighbour. ``answer`` raises ``InvariantError`` if an
+    answer carries a write from after its slot.
     """
     counters = metrics.counters
     # one append per outcome column
@@ -1242,6 +1226,7 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics) -> Steps:
     cell = P2PCell(scenario.adjacency, sources, scenario.costs,
                    p2p_enabled=scenario.p2p, overhearing=scenario.overhearing)
     ttl_caches: list[ClientCache] = []  # in client order, the order of ticks
+    position: dict[str, int] = {}  # each TTL cache's index in it, by client id
     for spec in sorted(scenario.clients, key=lambda c: c.client_id):
         cache = None
         if scenario.caching:
@@ -1250,48 +1235,40 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics) -> Steps:
                 default_ttl=scenario.default_ttl, read_window=scenario.read_window,
             )
             if spec.policy in TTL_POLICIES:
+                position[spec.client_id] = len(ttl_caches)
                 ttl_caches.append(cache)
         im = InformationManager(spec.client_id, cell, cache)
         for service in spec.providers:
             im.register_provider(service)
+    # the TTL caches an answer of each client can insert into
+    overheard = cell.neighbors if scenario.overhearing else {}
+    inserts = {cid: [position[c] for c in [cid, *overheard.get(cid, ())] if c in position]
+               for cid in cell.ims}
     interval = scenario.tick_interval
-    # the tick agenda: (first tick slot, position) of each TTL cache whose
-    # first tick slot is finite, and the positions of those whose is inf.
-    # Only its tick raises a cache's first tick slot, and an insert lowers it
-    # only from inf, so only a ticked cache or an idle one is asked again.
-    agenda: list[tuple[int, int]] = []
-    idle = list(range(len(ttl_caches)))
+    off = [True] * len(ttl_caches)  # each cache starts empty, first tick slot inf
 
     def schedule(i: int) -> None:
-        """Put cache ``i`` on the agenda at its first tick slot, or idle."""
+        """Push cache ``i``'s tick at its first tick slot, or take it off."""
         due = ttl_caches[i].next_expiry()
-        if due == math.inf:
-            idle.append(i)
-        else:
-            heappush(agenda, (-(-due // interval) * interval, i))
+        off[i] = due == math.inf
+        if not off[i]:
+            heappush(agenda, (-(-due // interval) * interval + 1, i, ticks[i]))
 
-    def advance(slot: int) -> None:
-        if idle:
-            asked = idle[:]
-            idle.clear()
-            for i in asked:
-                schedule(i)
-        # a tick slot at a time, tick each cache that may act before ``slot``,
-        # in client order; once ticked at t, a cache's first tick slot is
-        # after t
-        while agenda and agenda[0][0] < slot:
-            t, i = heappop(agenda)
-            cache = ttl_caches[i]
-            for action in cache.tick(t):
-                if action.action == "drop":
-                    counters["ttl_drops"] += 1
-                    continue
-                source = sources[action.object_id]
-                if source.reachable:
-                    stats = source.read(t)
-                    cache.insert(CacheEntry(action.object_id, stats, cached_at=t), t)
-                    counters["requeries"] += 1
-            schedule(i)
+    def tick(i: int, stop: int) -> None:
+        # once ticked at t, a cache's first tick slot is after t
+        cache, t = ttl_caches[i], stop - 1
+        for action in cache.tick(t):
+            if action.action == "drop":
+                counters["ttl_drops"] += 1
+                continue
+            source = sources[action.object_id]
+            if source.reachable:
+                stats = source.read(t)
+                cache.insert(CacheEntry(action.object_id, stats, cached_at=t), t)
+                counters["requeries"] += 1
+        schedule(i)
+
+    ticks = [partial(tick, i) for i in range(len(ttl_caches))]
 
     def answer(t: int, qid: int, cid: str, oid: str, qos: float) -> None:
         _, resolution, latency, p_nm, _, write_time = cell.ims[cid].resolve_query(oid, qos, t)
@@ -1314,32 +1291,33 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics) -> Steps:
         add_staleness(staleness)
         add_met(met)
         add_p_nm(p_nm)
+        for i in inserts[cid]:
+            if off[i]:
+                schedule(i)
 
-    return advance, answer
+    return answer
 
 
-def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
-    """Answer each query from the air or from a batched multicast.
+def _broadcast_steps(scenario: Scenario, metrics: Metrics, agenda: list) -> Callable:
+    """Answer each query from the air or from a batched multicast; return
+    ``answer``.
 
-    No sources, caches or information managers are built: an aired
-    or multicast answer carries the source's current write, so its staleness
+    No sources, caches or information managers are built: an aired or
+    multicast answer carries the source's current write, so its staleness
     is 0 whatever the source's history. A published object is read by the
-    ``retrieval.aired_reader`` of the program in force, built when the
-    program comes into force, which gives the read's ``(total_slots,
-    switches, active_slots)`` without a plan. The first read of each of
-    these shapes is also planned by ``retrieval.after_index`` and costed by
-    ``retrieval.account``: a plan that reads otherwise raises
-    ``InvariantError``, and the shape's energy is kept for every later read
-    of it. Any other query joins its object's batch, whose response time
-    ``submit`` returns. Either way the query is recorded in the slot it is
-    issued.
+    ``retrieval.aired_reader`` of the program in force, which gives the
+    read's ``(total_slots, switches, active_slots)`` without a plan; the
+    first read of each shape is also planned by ``retrieval.after_index``,
+    which must agree or ``InvariantError`` is raised, and costed once by
+    ``retrieval.account``. Any other query joins its object's batch, whose
+    response time ``submit`` returns. Either way the query is recorded in
+    the slot it is issued.
 
-    ``advance`` replans before the queries of each ``replan_interval``-th
-    slot, and the run ends at ``duration_slots``, where the server sends its
-    multicasts once and they are counted, and the plan in force is reported
-    as ``Metrics.plan``. At each of these slots
-    ``broadcast_slots`` adds the channels of the program in force times the
-    slots since the last, so it counts channel-slots on air.
+    Each ``replan_interval``-th slot is a replan stop, which pushes the
+    next, and the stop at ``duration_slots`` sends the server's multicasts
+    once and reports the plan in force as ``Metrics.plan``. Each stop adds
+    to ``broadcast_slots`` the channels of the program in force times the
+    slots since the last stop.
     """
     counters = metrics.counters
     # one append per outcome column
@@ -1357,28 +1335,36 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
     # an aired read's energy by the plan numbers its account reads (the radio
     # is the run's): aired reads take few shapes, each planned and costed once
     energies: dict[tuple[int, int, int], float] = {}
-    stops = chain(range(interval, end, interval) if interval > 0 else (), [end])
-    last_stop, next_stop = 0, next(stops)
+    last_stop = 0
 
-    def advance(slot: int) -> None:
-        nonlocal plan_result, program, read, last_stop, next_stop
-        while next_stop <= slot:
-            t, next_stop = next_stop, next(stops, math.inf)
-            if program is not None:  # channel-slots on air
-                counters["broadcast_slots"] += program.n_channels * (t - last_stop)
-            last_stop = t
-            if t == end:
-                multicasts = batching.advance(math.inf)
-                counters["on_demand_responses"] = len(multicasts)
-                counters["batching_saved"] = sum(m.saved_transmissions for m in multicasts)
-                metrics.plan = plan_summary(plan_result)
-                return
-            # each count over t in float64: the quotient Python's n / t gives
-            observed = np.array(requests, dtype=np.float64) / t
-            new_result, new_program = plan_cell(scenario, catalog, observed)
-            if new_result.feasible:
-                plan_result, program = new_result, new_program
-                read = None if program is None else retrieval.aired_reader(program, cost)
+    def on_air(t: int) -> None:  # the channel-slots since the last stop
+        nonlocal last_stop
+        if program is not None:
+            counters["broadcast_slots"] += program.n_channels * (t - last_stop)
+        last_stop = t
+
+    def replan(t: int) -> None:
+        nonlocal plan_result, program, read
+        on_air(t)
+        if t + interval < end:
+            heappush(agenda, (t + interval, 0, replan))
+        # each count over t in float64: the quotient Python's n / t gives
+        observed = np.array(requests, dtype=np.float64) / t
+        new_result, new_program = plan_cell(scenario, catalog, observed)
+        if new_result.feasible:
+            plan_result, program = new_result, new_program
+            read = None if program is None else retrieval.aired_reader(program, cost)
+
+    def finish(t: int) -> None:
+        on_air(t)
+        multicasts = batching.advance(math.inf)
+        counters["on_demand_responses"] = len(multicasts)
+        counters["batching_saved"] = sum(m.saved_transmissions for m in multicasts)
+        metrics.plan = plan_summary(plan_result)
+
+    if 0 < interval < end:
+        heappush(agenda, (interval, 0, replan))
+    heappush(agenda, (end, 0, finish))
 
     def answer(t: int, qid: int, cid: str, oid: str, qos: float) -> None:
         requests[position[oid]] += 1
@@ -1405,7 +1391,7 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics) -> Steps:
         add_met(True)
         add_p_nm(1.0)
 
-    return advance, answer
+    return answer
 
 
 def plan_summary(result: broadcast_plan.PartitionResult) -> dict:

@@ -106,6 +106,17 @@ def documents() -> dict[str, str | dict]:
     # of 2*10^5 objects switches channels
     docs["large_air_dedicated"] = dict(
         large_air, cell=dict(large_air["cell"], channels=3, dedicated_index_channel=True))
+    # forty TTL readers spread around a ring of 2,000 clients that never
+    # ask: a run's cost per query must not grow with the idle caches, and
+    # those that overhear a copy drop it when its TTL runs out
+    docs["idle_ttl"] = dict(
+        scenario, duration_slots=1000, objects={"count": 200, "mtbu": 100.0},
+        clients=[{"client_id": f"client{i:04d}", "cache_capacity": 8,
+                  **({"policy": "ttl_requery", "default_qos": 0.3, "request_rate": 0.2}
+                     if i % 51 == 0 else {"policy": "ttl_drop"})}
+                 for i in range(40 * 51)],
+        toggles={"p2p": True, "caching": True, "overhearing": True},
+        cache={"default_ttl": 50.0})
     docs["no_objects"] = {"seed": 1, "duration_slots": 10, "cell": {"channels": 1}}
     docs["too_many_channels"] = {"seed": 1, "duration_slots": 10,
                                  "objects": {"count": 2, "mtbu": 50.0},

@@ -10,6 +10,7 @@ its one loop over the queries.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -910,9 +911,17 @@ def metrics_json_reference(metrics) -> bytes:
     return json.dumps(document, sort_keys=True, indent=None).encode()
 
 
+def csv_bytes(metrics: Metrics) -> bytes:
+    """What ``Metrics.write_csv`` writes, as one bytes object."""
+    buffer = io.BytesIO()
+    metrics.write_csv(buffer)
+    return buffer.getvalue()
+
+
 def metrics_csv_reference(metrics) -> bytes:
-    """``Metrics.to_csv_bytes`` as it was before the record writer: one line
-    per record, each field written by itself, and every line ended."""
+    """``Metrics.write_csv``'s bytes as they were before the record writer:
+    one line per record, each field written by itself, and every line
+    ended."""
     def text(value) -> str:
         if isinstance(value, str):
             if any(c in value for c in ',"\r\n'):

@@ -15,6 +15,7 @@ from aircell.sim import run, scenario_from_dict
 from conftest import random_retrieval_instance
 from oracles import (
     check_plan,
+    csv_bytes,
     exhaustive_max_utility,
     grid_search_split,
     replay_partition,
@@ -398,7 +399,7 @@ def test_criterion_10_byte_identical_reruns():
         second = run(scenario_from_dict(doc))
         if first.to_json_bytes() != second.to_json_bytes():
             failures.append(f"{name}: JSON metrics differ between reruns")
-        if first.to_csv_bytes() != second.to_csv_bytes():
+        if csv_bytes(first) != csv_bytes(second):
             failures.append(f"{name}: CSV metrics differ between reruns")
     report(10, "identical seeds give byte-identical metrics",
            failures, time.perf_counter() - t0, 60.0)

@@ -11,7 +11,7 @@ import pytest
 
 import aircell
 import corpus
-from aircell import cli
+from aircell import cli, sim
 from aircell.cli import InputError, _with_seed, aggregate_summaries, main, parse_scenario
 from aircell.sim import ScenarioError, run, scenario_from_dict
 from oracles import workload_pairs
@@ -99,6 +99,22 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seeds"] == [1]
         assert "source_load" in summary["metrics"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_one_summary_per_seed(self, tmp_path, monkeypatch, fmt):
+        # the writer returns the summary it wrote, which the run keeps
+        calls = []
+        summary = sim.Metrics.summary
+        monkeypatch.setattr(sim.Metrics, "summary",
+                            lambda metrics: calls.append(metrics.seed) or summary(metrics))
+        scenario = write_scenario(tmp_path, MINI)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario), "--seeds", "1",
+                     "--format", fmt, "--out", str(out)]) == 0
+        assert calls == [1]
+        kept = json.loads((out / "summary.json").read_text())["metrics"]
+        metrics = run(_with_seed(parse_scenario(str(scenario)), 1))
+        assert {key: value["mean"] for key, value in kept.items()} == metrics.summary()
 
     def test_seed_range_writes_one_file_per_seed(self, tmp_path):
         scenario = write_scenario(tmp_path, MINI)

@@ -36,14 +36,8 @@ ALLOWED = {
     **dict.fromkeys(("cache.ReadTracker.stats_for", "air_schedule.one_m"), "item 1"),
     # item 1 too: the command line streams a run's records from their
     # columns, but perfbench/run.py serialises a run with to_json_bytes and
-    # perfbench/checks.py iterates Metrics.records. With them stay the rest
-    # of the records view's sequence protocol, indexing and equality, and
-    # to_csv_bytes, the CSV twin of to_json_bytes; tests and CI compare
-    # the streamed files against both writers
-    **dict.fromkeys((
-        "sim.Metrics.to_json_bytes", "sim.Metrics.to_csv_bytes", "sim.Records.__iter__",
-        "sim.Records.__getitem__", "sim.Records.__eq__",
-    ), "item 1"),
+    # perfbench/checks.py iterates Metrics.records
+    **dict.fromkeys(("sim.Metrics.to_json_bytes", "sim.Records.__iter__"), "item 1"),
     # item 2, multi-object queries through the engine: the retrieval planners
     **dict.fromkeys((
         "retrieval.RetrievalRequest.__post_init__", "retrieval.row_scan",

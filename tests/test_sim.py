@@ -1,6 +1,7 @@
 import builtins
 import gc
 import hashlib
+import heapq
 import importlib.util
 import json
 import math
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 import oracles
 from aircell import fidelity, p2p, retrieval, sim
 from aircell.freshness import InvariantError, SourceObject
@@ -465,7 +467,7 @@ class TestDeterminism:
         a = run(scenario_from_dict(doc_fn(seed=7)))
         b = run(scenario_from_dict(doc_fn(seed=7)))
         assert a.to_json_bytes() == b.to_json_bytes()
-        assert a.to_csv_bytes() == b.to_csv_bytes()
+        assert oracles.csv_bytes(a) == oracles.csv_bytes(b)
 
     def test_different_seeds_differ(self):
         a = run(scenario_from_dict(p2p_doc(seed=7)))
@@ -489,7 +491,7 @@ class TestDeterminism:
             "63254465e23a33520a754553c8bb57607d8b811d021ec148322159aa3240a376"),
     }
 
-    # SHA-256 of to_csv_bytes() for the same documents
+    # SHA-256 of write_csv's bytes for the same documents
     GOLDEN_CSV = {
         "system_p2p": "b7411a7f5b51b20035854d2fc4c9f519c5f5063531bfc303f260702fa7389e41",
         "system_broadcast":
@@ -506,7 +508,7 @@ class TestDeterminism:
         doc_fn, expected = self.GOLDEN[name]
         metrics = run(scenario_from_dict(doc_fn()))
         assert hashlib.sha256(metrics.to_json_bytes()).hexdigest() == expected
-        csv_digest = hashlib.sha256(metrics.to_csv_bytes()).hexdigest()
+        csv_digest = hashlib.sha256(oracles.csv_bytes(metrics)).hexdigest()
         assert csv_digest == self.GOLDEN_CSV[name]
 
     @pytest.mark.parametrize("name", ["p2p_lru", "p2p_qf_churn", "broadcast_replan"])
@@ -561,7 +563,7 @@ class TestDeterminism:
 
     def test_zero_duration_is_empty(self):
         metrics = run(scenario_from_dict(p2p_doc(duration_slots=0)))
-        assert metrics.records == []
+        assert list(metrics.records) == []
         assert metrics.counters["issued"] == 0
 
 
@@ -1555,7 +1557,7 @@ class TestIdFields:
         ]
 
     def test_lone_surrogate_rejected_before_the_csv(self):
-        # it used to run and write JSON, then fail in to_csv_bytes
+        # it used to run and write JSON, then fail in the CSV writer
         doc = {"seed": 1, "duration_slots": 50,
                "objects": [{"object_id": "a\ud800", "mtbu": 20.0}],
                "clients": {"count": 2, "request_rate": 0.3}}
@@ -1569,7 +1571,7 @@ class TestIdFields:
                "clients": {"count": 2, "request_rate": 0.3, "id_prefix": "ü"}}
         metrics = run(scenario_from_dict(doc))
         assert metrics.counters["issued"] > 0
-        assert "ü0" in metrics.to_csv_bytes().decode()
+        assert "ü0" in oracles.csv_bytes(metrics).decode()
 
 
 def field_table() -> list[str]:
@@ -1770,19 +1772,19 @@ class TestInvariants:
         issued = run(scn).counters["issued"]
         steps = sim._p2p_steps
 
-        def tampered(scenario, metrics):
-            advance, answer = steps(scenario, metrics)
+        def tampered(scenario, metrics, agenda):
+            answer = steps(scenario, metrics, agenda)
 
-            def advance_then_tamper(slot):  # once the run ends
-                advance(slot)
-                if slot == scenario.duration_slots:
-                    column = getattr(metrics.outcomes, name)
-                    if change == "drop":
-                        column.pop()
-                    else:
-                        column.append(column[-1])
+            def tamper(slot):
+                column = getattr(metrics.outcomes, name)
+                if change == "drop":
+                    column.pop()
+                else:
+                    column.append(column[-1])
 
-            return advance_then_tamper, answer
+            # a stop of its own, made once the run ends, after its ticks
+            heapq.heappush(agenda, (scenario.duration_slots, math.inf, tamper))
+            return answer
 
         monkeypatch.setattr(sim, "_p2p_steps", tampered)
         entries = issued - 1 if change == "drop" else issued + 1
@@ -1811,7 +1813,7 @@ class TestInvariants:
             assert metrics.counters["issued"] > 0
             assert built == []
             metrics.to_json_bytes()
-            metrics.to_csv_bytes()
+            oracles.csv_bytes(metrics)
             assert built == []
             next(iter(metrics.records))
             assert len(built) == 1
@@ -1972,7 +1974,7 @@ class TestEveryDocument:
         counters = metrics.counters
         assert counters["answered"] + counters["unresolved"] == counters["issued"]
         strict_json(metrics.to_json_bytes())
-        metrics.to_csv_bytes()
+        oracles.csv_bytes(metrics)
 
     @settings(max_examples=300, deadline=None)
     @given(documents())
@@ -1987,7 +1989,7 @@ class TestEveryDocument:
 def assert_replays_the_slot_loops(scn: sim.Scenario) -> None:
     """``run`` gives what the engine's old loops over every slot gave."""
     got, want = run(scn), oracles.run_slot_loops(scn)
-    assert got.records == want.records
+    assert list(got.records) == list(want.records)
     # equal tuples of another type would also compare equal
     assert all(type(r) is sim.QueryRecord for r in got.records)
     assert got.counters == want.counters
@@ -2037,6 +2039,8 @@ def on_and_off_air_doc(seed: int) -> dict:
     return doc
 
 
+IDLE_TTL = corpus.documents()["idle_ttl"]
+
 # fractional, integral, infinite and absent TTLs on every tick grid; replan
 # intervals of 0 or less, of every slot and of a few; and runs longer than
 # 10**5 slots in which almost every slot is idle
@@ -2050,6 +2054,9 @@ SLOT_LOOP_CASES = {
     **{f"on-and-off-air-{seed}": on_and_off_air_doc(seed) for seed in (1, 2)},
     "sparse-ttl": sparse_ttl_doc(200_000, default_ttl=37.5, tick_interval=3),
     "sparse-broadcast": sparse_broadcast_doc(200_000),
+    # four readers among 200 idle TTL caches that overhear copies: caches go
+    # off the agenda and back on
+    "idle-ttl": dict(IDLE_TTL, duration_slots=300, clients=IDLE_TTL["clients"][:4 * 51]),
 }
 
 
@@ -2078,6 +2085,30 @@ class TestOneLoop:
             assert calls == []
         else:
             assert counters["requeries"] > 10**5 and bound < 2 * 10**5
+
+    def test_idle_caches_cost_nothing_per_query(self, monkeypatch):
+        """A TTL cache whose first tick slot is inf is asked again only after
+        an answer that can insert into it: the querier's own and, with
+        overhearing, its neighbours'. So the next-expiry calls are at most
+        one per tick and 1 + degree per query, however many caches idle;
+        asking every idle cache before every query would make about
+        2,000 * 8,000 calls."""
+        doc = IDLE_TTL
+        idle = [c for c in doc["clients"] if "request_rate" not in c]
+        assert len(idle) >= 500 and doc["toggles"]["overhearing"]
+        calls = {"next_expiry": 0, "tick": 0}
+        for name in calls:
+            method = getattr(sim.ClientCache, name)
+
+            def counted(*args, name=name, method=method):
+                calls[name] += 1
+                return method(*args)
+
+            monkeypatch.setattr(sim.ClientCache, name, counted)
+        counters = run(scenario_from_dict(doc)).counters
+        degree = doc["adjacency"]["degree"]
+        assert counters["issued"] > 5_000 and counters["ttl_drops"] > 0
+        assert calls["next_expiry"] <= counters["issued"] * (1 + degree) + calls["tick"]
 
     def test_plans_follow_the_replan_slots(self, monkeypatch):
         calls = []

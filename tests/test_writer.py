@@ -1,6 +1,5 @@
-"""The record writer: ``Metrics.write_json`` and ``Metrics.write_csv``, their
-in-memory twins ``to_json_bytes`` and ``to_csv_bytes``, and the records
-view they write from."""
+"""The record writer: ``Metrics.write_json`` and ``Metrics.write_csv``, the
+in-memory twin ``to_json_bytes``, and the records view they write from."""
 
 import csv
 import io
@@ -16,7 +15,13 @@ from hypothesis import strategies as st
 import corpus
 from aircell import sim
 from aircell.sim import Metrics, QueryRecord
-from oracles import metrics_csv_reference, metrics_json_reference, slot_loops, with_records
+from oracles import (
+    csv_bytes,
+    metrics_csv_reference,
+    metrics_json_reference,
+    slot_loops,
+    with_records,
+)
 from test_reachability import HEAVY
 
 # numpy warns when a summary's sums of drawn numpy scalars overflow or add
@@ -100,7 +105,7 @@ class TestJsonWriter:
 
 
 def read_back(metrics: Metrics) -> list[list[str]]:
-    return list(csv.reader(io.StringIO(metrics.to_csv_bytes().decode(), newline="")))
+    return list(csv.reader(io.StringIO(csv_bytes(metrics).decode(), newline="")))
 
 
 class TestCsvWriter:
@@ -108,7 +113,7 @@ class TestCsvWriter:
         record = QueryRecord(0, "client4", 'a,"b', 5, "source", 5.0, 0.0, 0.3, True, 1.0)
         rows = read_back(metrics_with([record]))
         assert rows[1] == ["0", "client4", 'a,"b', "source", "5.0", "0.0", "0.3", "1"]
-        assert b'0,client4,"a,""b",source,' in metrics_with([record]).to_csv_bytes()
+        assert b'0,client4,"a,""b",source,' in csv_bytes(metrics_with([record]))
 
     @settings(max_examples=200, deadline=None)
     @given(records=record_lists(ids=st.text(st.characters(blacklist_categories=("Cs",)),
@@ -116,7 +121,7 @@ class TestCsvWriter:
            client_ids=st.lists(st.sampled_from(AWKWARD_IDS), max_size=3, unique=True))
     def test_ids_read_back(self, records, client_ids):
         metrics = metrics_with(records, client_ids)
-        assert metrics.to_csv_bytes() == metrics_csv_reference(metrics)
+        assert csv_bytes(metrics) == metrics_csv_reference(metrics)
         rows = read_back(metrics)
         columns = Metrics.CSV_COLUMNS
         assert rows[0] == list(columns)
@@ -149,15 +154,15 @@ class TestStreamedWriters:
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("name", RUN)
     def test_the_stream_is_the_in_memory_bytes(self, tmp_path, name, seed):
+        # each writer returns the summary it wrote
         metrics = sim.run(corpus_scenario(name, seed))
-        for write, in_memory, reference in (
-            (metrics.write_json, metrics.to_json_bytes, metrics_json_reference),
-            (metrics.write_csv, metrics.to_csv_bytes, metrics_csv_reference),
-        ):
+        for write, reference in ((metrics.write_json, metrics_json_reference),
+                                 (metrics.write_csv, metrics_csv_reference)):
             path = tmp_path / write.__name__
             with open(path, "wb") as fp:
-                write(fp)
-            assert path.read_bytes() == in_memory() == reference(metrics)
+                assert write(fp) == metrics.summary()
+            assert path.read_bytes() == reference(metrics)
+        assert metrics.to_json_bytes() == (tmp_path / "write_json").read_bytes()
 
 
 class TestRecordsView:
@@ -167,19 +172,12 @@ class TestRecordsView:
         _, records = slot_loops(scn)
         n = len(records)
         assert n > 2 and len(view) == n
-        assert view == records and records == view and list(view) == records
+        assert list(view) == records == list(view)
         assert all(type(r) is QueryRecord for r in view)
-        assert [view[i] for i in range(-n, n)] == records + records
-        assert view[1:-1:2] == records[1:-1:2] and view[::-1] == records[::-1]
-        for index in (n, -n - 1):
-            with pytest.raises(IndexError):
-                view[index]
-        assert view != records[:-1] and view != records[::-1] and view != "records"
-        assert records[-1] in view and view.index(records[-1]) == n - 1
 
     def test_the_view_is_read_only(self):
         view = sim.run(corpus_scenario("scenario", 1)).records
-        record = view[0]
+        record = next(iter(view))
         with pytest.raises(TypeError):
             view[0] = record
         with pytest.raises(TypeError):
@@ -188,5 +186,3 @@ class TestRecordsView:
             assert not hasattr(view, method)
         with pytest.raises(AttributeError):
             view.other = []
-        with pytest.raises(TypeError):
-            hash(view)
