@@ -38,7 +38,7 @@ import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add
+from operator import add, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -417,8 +417,11 @@ def partition_objects(
     return PartitionResult(partition, access, stop > 0)
 
 
-@dataclass(frozen=True)
-class Multicast:
+class Multicast(NamedTuple):
+    """One transmission that answers ``size`` same-object requests at
+    ``response_time``. ``BatchingServer`` builds it with ``tuple.__new__``,
+    skipping NamedTuple's interpreted constructor: the same tuple."""
+
     object_id: str
     response_time: float
     size: int  # the requests the one transmission answers
@@ -426,6 +429,12 @@ class Multicast:
     @property
     def saved_transmissions(self) -> int:
         return self.size - 1
+
+
+# _new(Multicast, (object_id, response_time, size)) builds a Multicast
+_new = tuple.__new__
+# a multicast's sort key, (response_time, object_id)
+_FIRING_ORDER = itemgetter(1, 0)
 
 
 @dataclass
@@ -438,7 +447,8 @@ class BatchingServer:
     individually at its arrival time. A request's response time is fixed
     when it joins its batch, so ``submit`` returns it; ``advance`` only
     sends the multicasts. An open batch is its response time and its
-    request count, and a sealed one a ``Multicast``.
+    request count, and a sealed one a ``Multicast``, built only when the
+    batch is sealed or fired and with no call of the class.
     """
 
     window: float
@@ -453,7 +463,7 @@ class BatchingServer:
                 batch[1] += 1
                 return batch[0]
             # the window has closed; seal the old batch
-            self._ready.append(Multicast(object_id, batch[0], batch[1]))
+            self._ready.append(_new(Multicast, (object_id, *batch)))
         response_time = t + self.window
         self._open[object_id] = [response_time, 1]
         return response_time
@@ -463,9 +473,8 @@ class BatchingServer:
         fired, self._ready = self._ready, []
         for object_id in [o for o, (response_time, _) in self._open.items()
                           if response_time <= now]:
-            response_time, size = self._open.pop(object_id)
-            fired.append(Multicast(object_id, response_time, size))
+            fired.append(_new(Multicast, (object_id, *self._open.pop(object_id))))
         # the only equal keys are one object's sealed batch and its open one
         # at window 0, and the sort is stable: the sealed batch comes first
-        fired.sort(key=lambda m: (m.response_time, m.object_id))
+        fired.sort(key=_FIRING_ORDER)
         return fired

@@ -15,12 +15,13 @@ draws are kept as arrays (``generate_workload``) and merged by one stable
 sort of their slots (``_queries``), with no tuple per query. All else that
 is timed is a stop on ``run``'s one agenda, a heap that the cell's mode
 pushes to: a slot's stops are made before its queries, so what follows the
-queries of slot t is the stop at t + 1. The mode's ``answer`` appends one
-query's outcome to five columns beside the query stream (``Outcomes``),
-from which the run is checked, summarised and written, a batch of rows at
-a time. No code visits a slot in which nothing happens. A source holds its
-schedule of write times (``_write_times``) and applies the writes due by
-``now`` itself when it is read at ``now``, and only caches under a TTL
+queries of slot t is the stop at t + 1. The mode's steps fill five outcome
+columns beside the query stream (``Outcomes``), one entry per query, from
+which the run is checked, summarised and written, a batch of rows at a
+time; a field whose values in a batch all write alike is written once for
+the batch. No code visits a slot in which nothing happens. A source holds
+its schedule of write times (``_write_times``) and applies the writes due
+by ``now`` itself when it is read at ``now``, and only caches under a TTL
 policy are ticked, each only at the tick slots from its next expiry on
 (``ClientCache.next_expiry``). Both are exact: a source's draws come from
 its own substream, so deferring them changes no value, and a ``tick``
@@ -37,9 +38,12 @@ through the retrieval library's per-program reader
 by phase; each distinct read shape is planned and costed once
 (``retrieval.after_index``, ``retrieval.account``), and the plan must
 agree with the reader. The cell replans only at its replan slots, each a
-stop. An on-demand answer's time is fixed when its request joins a batch,
-so every broadcast query is recorded in the slot it is issued, and the
-batching server sends its multicasts once, at the stop that ends the run.
+stop, which counts the demand since the last one in one array pass. An
+on-demand answer's time is fixed when its request joins a batch, so every
+broadcast query is recorded in the slot it is issued, and the batching
+server sends its multicasts once, at the stop that ends the run; a broadcast
+answer appends only its resolution and latency, and that stop writes the
+outcomes that every broadcast answer shares.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ import json
 import math
 import numbers
 import sys
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -747,7 +752,9 @@ Queries = tuple[list[int], list[str], list[str], list[float]]
 
 class Outcomes(NamedTuple):
     """Each query's outcome as five columns, one entry per query in query
-    id order: what a mode's ``answer`` step appends to."""
+    id order, filled by a mode's steps: the p2p ``answer`` appends to all
+    five, and the broadcast ``answer`` to the first two, its ``finish``
+    stop writing the other three, which hold one value for every answer."""
 
     resolution: list[str]
     latency_slots: list[float]
@@ -790,15 +797,21 @@ def _csv_text(value) -> str:
     return json.dumps(value)
 
 
-def _column_texts(values, text) -> list[str]:
-    """``text(v)`` for each of ``values``, one field of many records.
+def _column_texts(values, text) -> list[str] | str:
+    """``text(v)`` for each of ``values``, one field of many records, or one
+    ``str`` when every value writes alike.
 
     The same texts, with no Python call per value when the column has one
     exact type: ints and floats are what their own ``__repr__`` writes in
     both formats, unless non-finite, and floats, strings and booleans
     repeat, so each distinct one is written once. Equal floats write alike
     except 0.0 and -0.0, which one key would merge, so a float column
-    holding a zero and any negative value is written value by value.
+    holding a zero and any negative value is written value by value. A
+    float, string or boolean column whose values all write alike by these
+    rules is returned as that one text. Equal values of different types,
+    such as 1, 1.0 and True, write unlike and are never folded. Int
+    columns are not checked: a run's are its query ids and slots, which
+    vary.
     """
     kinds = set(map(type, values))
     if kinds == {int}:
@@ -806,14 +819,18 @@ def _column_texts(values, text) -> list[str]:
     if kinds == {float}:
         distinct = list(set(values))
         table = dict(zip(distinct, map(float.__repr__, distinct)))
-        if all(map(math.isfinite, distinct)) and not (
+        if not all(map(math.isfinite, distinct)) or (
             0.0 in table and -1.0 in map(math.copysign, repeat(1.0), values)
         ):
-            return list(map(table.__getitem__, values))
+            return list(map(text, values))
     elif kinds in ({str}, {bool}):
         table = {v: text(v) for v in set(values)}
-        return list(map(table.__getitem__, values))
-    return list(map(text, values))
+    else:
+        return list(map(text, values))
+    if len(table) == 1:  # every value writes alike
+        (only,) = table.values()
+        return only
+    return list(map(table.__getitem__, values))
 
 
 # Records are written this many at a time, so the per-field texts held at
@@ -830,16 +847,25 @@ def _record_rows(
     fields at the indices ``fields``, which ``row``'s ``%s`` take in order.
     Each batch slices those fields' columns, with no tuple per record, and
     each row is one ``str.join`` of its parts, the pieces of ``row`` between
-    the fields and the fields' texts, with no ``%`` per row.
+    the fields and the fields' texts, with no ``%`` per row. A field that
+    ``_column_texts`` writes as one text for the batch is joined into the
+    pieces around it once, so it adds no part to each row's join.
     """
     *pieces, end = row.split("%s")
     columns = records.columns
-    for start in range(0, len(records), _ROW_BATCH):
+    total = len(records)
+    for start in range(0, total, _ROW_BATCH):
         stop = start + _ROW_BATCH
-        streams = []
+        streams, fixed = [], ""  # fixed: the row's text since the last stream
         for piece, i in zip(pieces, fields):
-            streams += (repeat(piece), _column_texts(columns[i][start:stop], text))
-        streams.append(repeat(end))
+            texts = _column_texts(columns[i][start:stop], text)
+            if isinstance(texts, str):
+                fixed += piece + texts
+            else:
+                streams += (repeat(fixed + piece), texts)
+                fixed = ""
+        # bounded, so a batch whose every field writes alike has its rows
+        streams.append(repeat(fixed + end, min(stop, total) - start))
         yield sep.join(map("".join, zip(*streams))).encode()
 
 
@@ -1311,26 +1337,33 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics, agenda: list) -> Call
     which must agree or ``InvariantError`` is raised, and costed once by
     ``retrieval.account``. Any other query joins its object's batch, whose
     response time ``submit`` returns. Either way the query is recorded in
-    the slot it is issued.
+    the slot it is issued, and ``answer`` appends only what varies: its
+    resolution and latency.
 
     Each ``replan_interval``-th slot is a replan stop, which pushes the
-    next, and the stop at ``duration_slots`` sends the server's multicasts
-    once and reports the plan in force as ``Metrics.plan``. Each stop adds
-    to ``broadcast_slots`` the channels of the program in force times the
-    slots since the last stop.
+    next. It counts the demand it plans from in one ``np.bincount`` of the
+    queries issued since the last replan, each query's object mapped to its
+    catalog position once per run, so no query pays for the count. The stop
+    at ``duration_slots`` sends the server's multicasts once, reports the
+    plan in force as ``Metrics.plan`` and writes the three outcome columns
+    that hold one value for every answer: staleness 0.0, QoS met, P_NM 1.0.
+    Each stop adds to ``broadcast_slots`` the channels of the program in
+    force times the slots since the last stop.
     """
     counters = metrics.counters
-    # one append per outcome column
-    (add_resolution, add_latency, add_staleness, add_met,
-     add_p_nm) = (column.append for column in metrics.outcomes)
+    outcomes = metrics.outcomes
+    add_resolution, add_latency = outcomes.resolution.append, outcomes.latency_slots.append
     cost = scenario.cell.cost_model
     interval, end = scenario.cell.replan_interval, scenario.duration_slots
     catalog = cell_catalog(scenario)
     plan_result, program = plan_cell(scenario, catalog, initial_rates(scenario))
     batching = broadcast_plan.BatchingServer(scenario.cell.batching_window)
-    # requests so far per object, in scenario order
-    position = catalog.position
-    requests = [0] * len(position)
+    slots, _, oids, _ = metrics.queries
+    # each query's object as its catalog position, and the requests per
+    # object, in scenario order, of the first ``counted_to`` queries
+    asked = np.fromiter(map(catalog.position.__getitem__, oids), np.intp, len(oids))
+    requests = np.zeros(len(catalog.ids), np.int64)
+    counted_to = 0
     read = None if program is None else retrieval.aired_reader(program, cost)
     # an aired read's energy by the plan numbers its account reads (the radio
     # is the run's): aired reads take few shapes, each planned and costed once
@@ -1344,12 +1377,17 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics, agenda: list) -> Call
         last_stop = t
 
     def replan(t: int) -> None:
-        nonlocal plan_result, program, read
+        nonlocal plan_result, program, read, requests, counted_to
         on_air(t)
         if t + interval < end:
             heappush(agenda, (t + interval, 0, replan))
+        # the stops at t are made before t's queries: count those before t
+        issued = bisect_left(slots, t)
+        if issued > counted_to:
+            requests += np.bincount(asked[counted_to:issued], minlength=len(requests))
+            counted_to = issued
         # each count over t in float64: the quotient Python's n / t gives
-        observed = np.array(requests, dtype=np.float64) / t
+        observed = requests / t
         new_result, new_program = plan_cell(scenario, catalog, observed)
         if new_result.feasible:
             plan_result, program = new_result, new_program
@@ -1361,13 +1399,18 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics, agenda: list) -> Call
         counters["on_demand_responses"] = len(multicasts)
         counters["batching_saved"] = sum(m.saved_transmissions for m in multicasts)
         metrics.plan = plan_summary(plan_result)
+        # every answer is the source's current write, P_NM 1.0, which meets
+        # any QoS the reader admits (0 to 1): its staleness is 0.0
+        issued = len(slots)
+        outcomes.staleness_slots.extend([0.0] * issued)
+        outcomes.qos_met.extend([True] * issued)
+        outcomes.p_nm.extend([1.0] * issued)
 
     if 0 < interval < end:
         heappush(agenda, (interval, 0, replan))
     heappush(agenda, (end, 0, finish))
 
     def answer(t: int, qid: int, cid: str, oid: str, qos: float) -> None:
-        requests[position[oid]] += 1
         if program is None or oid not in program.directory:
             kind, latency = "on_demand", batching.submit(oid, t) - t + 1.0
         else:
@@ -1383,13 +1426,8 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics, agenda: list) -> Call
                 spent = energies[shape] = retrieval.account(plan, cost)["energy"]
             metrics.per_client_energy[cid] += spent
             kind, latency = "broadcast", float(shape[0])
-        # the answer is the source's current write, P_NM 1.0, which meets any
-        # QoS the reader admits (0 to 1)
         add_resolution(kind)
         add_latency(latency)
-        add_staleness(0.0)
-        add_met(True)
-        add_p_nm(1.0)
 
     return answer
 

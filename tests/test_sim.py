@@ -9,6 +9,7 @@ import statistics
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import corpus
 import oracles
-from aircell import fidelity, p2p, retrieval, sim
+from aircell import broadcast_plan, fidelity, p2p, retrieval, sim
 from aircell.freshness import InvariantError, SourceObject
 from aircell.sim import (
     ScenarioError,
@@ -1819,6 +1820,27 @@ class TestInvariants:
             assert len(built) == 1
             built.clear()
 
+    def test_broadcast_builds_no_multicast_by_its_class(self, monkeypatch):
+        # the batching server builds each multicast with tuple.__new__: no
+        # call of the class, in a run or in ``advance``
+        built = []
+
+        def construct(cls, *fields):
+            built.append(fields)
+            return tuple.__new__(cls, fields)
+
+        monkeypatch.setattr(broadcast_plan.Multicast, "__new__", staticmethod(construct))
+        metrics = run(scenario_from_dict(broadcast_doc()))
+        assert metrics.counters["on_demand_responses"] > 0
+        server = broadcast_plan.BatchingServer(2.0)
+        for oid, t in [("a", 0), ("b", 1), ("a", 1), ("a", 3)]:
+            server.submit(oid, t)
+        fired = server.advance(10)
+        assert built == []
+        assert [tuple(m) for m in fired] == [("a", 2.0, 2), ("b", 3.0, 1), ("a", 5.0, 1)]
+        assert all(type(m) is broadcast_plan.Multicast for m in fired)
+        assert [m.saved_transmissions for m in fired] == [1, 0, 0]
+
 
 # --------------------------------------------------------------------------
 # Every document either raises ScenarioError or runs and conserves queries
@@ -2115,6 +2137,21 @@ class TestOneLoop:
         plan_cell = sim.plan_cell
         monkeypatch.setattr(sim, "plan_cell",
                             lambda *args: calls.append(args) or plan_cell(*args))
-        counters = run(scenario_from_dict(sparse_broadcast_doc())).counters
-        assert 9_000 < counters["issued"] < 11_000
-        assert len(calls) == 1 + len(range(1_000, 10**6, 1_000))
+        scenario = scenario_from_dict(sparse_broadcast_doc())
+        metrics = run(scenario)
+        assert 9_000 < metrics.counters["issued"] < 11_000
+        replans = range(1_000, 10**6, 1_000)
+        assert len(calls) == 1 + len(replans)
+        # each replan plans from the queries issued before its slot, each
+        # object's count over the slot, bit for bit
+        slots, _, oids, _ = metrics.queries
+        ids = [o.object_id for o in scenario.objects]
+        asked, issued = Counter(), 0
+        for t, (_, _, rates) in zip(replans, calls[1:]):
+            while issued < len(slots) and slots[issued] < t:
+                asked[oids[issued]] += 1
+                issued += 1
+            expected = np.array([asked[oid] for oid in ids], dtype=np.float64) / t
+            assert rates.dtype == np.float64
+            assert rates.tobytes() == expected.tobytes()
+        assert issued > 9_000

@@ -67,6 +67,21 @@ def record_lists(draw, ids=ids):
     return [QueryRecord(*values) for values in zip(*fields)]
 
 
+def folding_records() -> list[QueryRecord]:
+    """Six records written in batches of 3, whose columns fold in some
+    batches and not in others: the client id, QoS and QoS met are one value
+    in the first batch and vary in the second; the latency holds 1, 1.0 and
+    True, equal values that write unlike, then one float; the staleness is
+    -0.0 throughout, and the resolution and P_NM are one value throughout."""
+    return [
+        QueryRecord(i, cid, f"o{i % 4}", 10 + i, "source", latency, -0.0, qos, met, 1.0)
+        for i, (cid, latency, qos, met) in enumerate([
+            ("c1", 1, 0.3, True), ("c1", 1.0, 0.3, True), ("c1", True, 0.3, True),
+            ("c1", 2.0, 0.3, True), ("c,2", 2.0, 0.5, False), ("c1", 2.0, 0.3, True),
+        ])
+    ]
+
+
 def metrics_with(records, client_ids=("c1",), published=("o1",)) -> Metrics:
     """A run's metrics whose columns hold ``records``."""
     return with_records(Metrics(
@@ -82,6 +97,8 @@ class TestJsonWriter:
     @given(records=record_lists(), batch=st.integers(1, 4),
            client_ids=st.lists(ids, max_size=3), published=st.lists(ids, max_size=3))
     @example(records=[], batch=1, client_ids=[], published=['"records": []'])
+    @example(records=folding_records(), batch=3, client_ids=["c1"], published=[])
+    @example(records=folding_records()[:1], batch=1, client_ids=["c1"], published=[])
     def test_bytes_match_json_dumps(self, records, batch, client_ids, published):
         metrics = metrics_with(records, client_ids, published)
         with mock.patch.object(sim, "_ROW_BATCH", batch):
@@ -95,6 +112,33 @@ class TestJsonWriter:
         ]
         metrics = metrics_with(records)
         assert metrics.to_json_bytes() == metrics_json_reference(metrics)
+
+    @pytest.mark.parametrize("values, text, folds", [
+        ([0.5, 0.5, 0.5], json.dumps, True),
+        ([True, True], json.dumps, True),
+        (["source"] * 3, sim._csv_text, True),
+        (["a,b"] * 2, sim._csv_text, True),
+        ([-0.0, -0.0], json.dumps, None),
+        ([math.inf, math.inf], json.dumps, None),
+        # one key but two texts, and one value but three texts
+        ([0.0, -0.0], json.dumps, False),
+        ([1, 1.0, True], json.dumps, False),
+        ([1, 1.0, True], sim._csv_text, False),
+    ])
+    def test_a_column_that_writes_alike_is_one_text(self, values, text, folds):
+        texts = sim._column_texts(values, text)
+        if folds is not None:
+            assert isinstance(texts, str) == folds
+        if isinstance(texts, str):
+            texts = [texts] * len(values)
+        assert texts == [text(v) for v in values]
+
+    def test_rows_whose_fields_all_write_alike(self):
+        # no field varies: each batch is one row's text, once per record
+        records = sim.Records([range(5), ["c"] * 5])
+        with mock.patch.object(sim, "_ROW_BATCH", 2):
+            rows = list(sim._record_rows(records, [1], json.dumps, "[%s]", ","))
+        assert rows == [b'["c"],["c"]', b'["c"],["c"]', b'["c"]']
 
     def test_integral_floats_and_ints_stay_apart(self):
         record = QueryRecord(0, "c", "o", 2, "source", 3.0, 0, 1, True, np.float64(0.5))
@@ -118,10 +162,14 @@ class TestCsvWriter:
     @settings(max_examples=200, deadline=None)
     @given(records=record_lists(ids=st.text(st.characters(blacklist_categories=("Cs",)),
                                             max_size=6) | st.sampled_from(AWKWARD_IDS)),
-           client_ids=st.lists(st.sampled_from(AWKWARD_IDS), max_size=3, unique=True))
-    def test_ids_read_back(self, records, client_ids):
+           client_ids=st.lists(st.sampled_from(AWKWARD_IDS), max_size=3, unique=True),
+           batch=st.integers(1, 4))
+    @example(records=folding_records(), client_ids=["c1"], batch=3)
+    @example(records=folding_records()[:1], client_ids=["c1"], batch=1)
+    def test_ids_read_back(self, records, client_ids, batch):
         metrics = metrics_with(records, client_ids)
-        assert csv_bytes(metrics) == metrics_csv_reference(metrics)
+        with mock.patch.object(sim, "_ROW_BATCH", batch):
+            assert csv_bytes(metrics) == metrics_csv_reference(metrics)
         rows = read_back(metrics)
         columns = Metrics.CSV_COLUMNS
         assert rows[0] == list(columns)
