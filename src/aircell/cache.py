@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict, deque
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .freshness import FreshnessStats, InvariantError, p_not_modified_or_zero
 
@@ -141,7 +141,8 @@ class ClientCache:
     ``qos_overrides``, else ``default_qos``; ``default_ttl`` is every
     entry's time-to-live under the TTL policies.
     Only the owner's reads (get) update recency and read stats; remote
-    serves should use ``peek``.
+    serves should use ``peek``. Whoever inserts, ``insert`` calls ``wake``,
+    if the ticking engine set it, when ``next_expiry`` turns finite.
     """
 
     def __init__(
@@ -164,6 +165,8 @@ class ClientCache:
         self.reads = ReadTracker(read_window)
         # at most the least cached_at of the entries not pending a requery
         self._oldest = math.inf
+        # called by ``insert`` when the first tick time turns finite
+        self.wake: Callable[[], None] | None = None
 
     def record_read(self, object_id: str, now: float) -> None:
         """Count a local request for an object toward its read statistics.
@@ -226,9 +229,14 @@ class ClientCache:
         return scored
 
     def insert(self, entry: CacheEntry, now: float) -> EvictionReport:
-        """Admit an entry, evicting per policy when the cache is full."""
+        """Admit an entry, evicting per policy when the cache is full. If
+        the kept oldest ``cached_at`` was inf, the entry lowers it and then
+        calls ``wake``, if set, before it is stored."""
         if entry.cached_at < self._oldest:
+            woke = self._oldest == math.inf
             self._oldest = entry.cached_at
+            if woke and self.wake is not None:
+                self.wake()
         if entry.object_id in self.entries:
             self.entries[entry.object_id] = entry
             self.entries.move_to_end(entry.object_id)
@@ -256,12 +264,12 @@ class ClientCache:
         """The first integer ``now`` at which ``tick`` may act, for entries
         cached at integer times; inf if it never can.
 
-        An entry cached at c is first older than the ttl at
-        c + floor(ttl) + 1, and the kept oldest ``cached_at`` is a lower
-        bound on the entries not pending a requery, so ``tick`` does
-        nothing before this time. At or after it, ``tick``'s own test
-        decides. While entries are cached at nondecreasing times, only
-        ``tick`` raises it, and ``insert`` lowers it only from inf.
+        An entry cached at c is first older than the ttl at c + floor(ttl)
+        + 1, and the kept oldest ``cached_at`` is a lower bound on the
+        entries not pending a requery, so ``tick`` does nothing before this
+        time. At or after it, ``tick``'s own test decides. While entries are
+        cached at nondecreasing times, only ``tick`` raises it, and
+        ``insert`` lowers it only from inf, and then calls ``wake``.
         """
         ttl = self.default_ttl
         if (self.policy not in TTL_POLICIES or ttl is None or ttl == math.inf
@@ -281,16 +289,17 @@ class ClientCache:
         if self.policy not in TTL_POLICIES or ttl is None or now - self._oldest <= ttl:
             return []
         actions: list[TickAction] = []
-        self._oldest = math.inf
+        oldest = math.inf
         for object_id in list(self.entries):
             entry = self.entries[object_id]
             if now - entry.cached_at <= ttl:
-                if not entry.requery_pending:
-                    self._oldest = min(self._oldest, entry.cached_at)
+                if not entry.requery_pending and entry.cached_at < oldest:
+                    oldest = entry.cached_at
             elif self.policy is PolicyKind.TTL_DROP:
                 del self.entries[object_id]
                 actions.append(TickAction("drop", object_id))
             elif not entry.requery_pending:
                 entry.requery_pending = True
                 actions.append(TickAction("requery", object_id))
+        self._oldest = oldest
         return actions

@@ -1234,9 +1234,9 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics, agenda: list) -> Callable:
     cache in every slot. A tick at t, after t's queries, is the stop at
     t + 1, ordered by the cache's position, and pushes the next. A cache
     whose first tick slot is inf is off the agenda; only an insert lowers
-    that, so it is asked again only after an answer of its client or, with
-    overhearing, of a neighbour. ``answer`` raises ``InvariantError`` if an
-    answer carries a write from after its slot.
+    that, and the cache then wakes itself (``ClientCache.wake``), whoever
+    inserted, so a cache has at most one stop pending. ``answer`` raises
+    ``InvariantError`` if an answer carries a write from after its slot.
     """
     counters = metrics.counters
     # one append per outcome column
@@ -1252,38 +1252,21 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics, agenda: list) -> Callable:
     cell = P2PCell(scenario.adjacency, sources, scenario.costs,
                    p2p_enabled=scenario.p2p, overhearing=scenario.overhearing)
     ttl_caches: list[ClientCache] = []  # in client order, the order of ticks
-    position: dict[str, int] = {}  # each TTL cache's index in it, by client id
-    for spec in sorted(scenario.clients, key=lambda c: c.client_id):
-        cache = None
-        if scenario.caching:
-            cache = ClientCache(
-                spec.cache_capacity, spec.policy, spec.default_qos, spec.qos_overrides,
-                default_ttl=scenario.default_ttl, read_window=scenario.read_window,
-            )
-            if spec.policy in TTL_POLICIES:
-                position[spec.client_id] = len(ttl_caches)
-                ttl_caches.append(cache)
-        im = InformationManager(spec.client_id, cell, cache)
-        for service in spec.providers:
-            im.register_provider(service)
-    # the TTL caches an answer of each client can insert into
-    overheard = cell.neighbors if scenario.overhearing else {}
-    inserts = {cid: [position[c] for c in [cid, *overheard.get(cid, ())] if c in position]
-               for cid in cell.ims}
     interval = scenario.tick_interval
-    off = [True] * len(ttl_caches)  # each cache starts empty, first tick slot inf
 
     def schedule(i: int) -> None:
-        """Push cache ``i``'s tick at its first tick slot, or take it off."""
+        """Push cache ``i``'s tick at its first tick slot, if it has one."""
         due = ttl_caches[i].next_expiry()
-        off[i] = due == math.inf
-        if not off[i]:
+        if due != math.inf:
             heappush(agenda, (-(-due // interval) * interval + 1, i, ticks[i]))
 
     def tick(i: int, stop: int) -> None:
-        # once ticked at t, a cache's first tick slot is after t
+        # once ticked at t, a cache's first tick slot is after t; a requery
+        # at t cannot lower a finite one, and wakes the cache from inf
         cache, t = ttl_caches[i], stop - 1
-        for action in cache.tick(t):
+        actions = cache.tick(t)
+        schedule(i)
+        for action in actions:
             if action.action == "drop":
                 counters["ttl_drops"] += 1
                 continue
@@ -1292,8 +1275,20 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics, agenda: list) -> Callable:
                 stats = source.read(t)
                 cache.insert(CacheEntry(action.object_id, stats, cached_at=t), t)
                 counters["requeries"] += 1
-        schedule(i)
 
+    for spec in sorted(scenario.clients, key=lambda c: c.client_id):
+        cache = None
+        if scenario.caching:
+            cache = ClientCache(
+                spec.cache_capacity, spec.policy, spec.default_qos, spec.qos_overrides,
+                default_ttl=scenario.default_ttl, read_window=scenario.read_window,
+            )
+            if spec.policy in TTL_POLICIES:
+                cache.wake = partial(schedule, len(ttl_caches))
+                ttl_caches.append(cache)
+        im = InformationManager(spec.client_id, cell, cache)
+        for service in spec.providers:
+            im.register_provider(service)
     ticks = [partial(tick, i) for i in range(len(ttl_caches))]
 
     def answer(t: int, qid: int, cid: str, oid: str, qos: float) -> None:
@@ -1317,9 +1312,6 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics, agenda: list) -> Callable:
         add_staleness(staleness)
         add_met(met)
         add_p_nm(p_nm)
-        for i in inserts[cid]:
-            if off[i]:
-                schedule(i)
 
     return answer
 

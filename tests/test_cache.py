@@ -443,6 +443,24 @@ class TestTtlPolicies:
         assert fractional.next_expiry() == 11
         assert fractional.tick(10.0) == [] and fractional.tick(11.0) != []
 
+    @pytest.mark.parametrize("policy", [PolicyKind.TTL_DROP, PolicyKind.TTL_REQUERY])
+    def test_wake_fires_when_the_first_tick_time_turns_finite(self, policy):
+        cache = ClientCache(4, policy, default_ttl=10.0)
+        wakes = []
+        cache.wake = lambda: wakes.append(cache.next_expiry())
+        cache.insert(entry("a", cached_at=3.0), now=3.0)
+        assert wakes == [14]  # the first insert into an empty cache
+        cache.insert(entry("b", cached_at=1.0), now=5.0)  # lowers a finite time
+        assert cache.next_expiry() == 12
+        assert [a.object_id for a in cache.tick(12.0)] == ["b"]
+        cache.insert(entry("c", cached_at=12.0), now=12.0)
+        assert wakes == [14]  # while the first tick time is finite, no insert wakes
+        assert [a.object_id for a in cache.tick(23.0)] == ["a", "c"]
+        assert cache.next_expiry() == float("inf")  # no copy left that is not pending
+        cache.insert(entry("d", cached_at=23.0), now=23.0)
+        cache.insert(entry("e", cached_at=24.0), now=24.0)
+        assert wakes == [14, 34]
+
     @pytest.mark.parametrize("policy, ttl", [
         (PolicyKind.LRU, 1.0), (PolicyKind.TTL_DROP, None),
         (PolicyKind.TTL_REQUERY, float("inf")),

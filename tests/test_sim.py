@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import corpus
 import oracles
 from aircell import broadcast_plan, fidelity, p2p, retrieval, sim
+from aircell.cache import CacheEntry
 from aircell.freshness import InvariantError, SourceObject
 from aircell.sim import (
     ScenarioError,
@@ -2109,28 +2110,71 @@ class TestOneLoop:
             assert counters["requeries"] > 10**5 and bound < 2 * 10**5
 
     def test_idle_caches_cost_nothing_per_query(self, monkeypatch):
-        """A TTL cache whose first tick slot is inf is asked again only after
-        an answer that can insert into it: the querier's own and, with
-        overhearing, its neighbours'. So the next-expiry calls are at most
-        one per tick and 1 + degree per query, however many caches idle;
-        asking every idle cache before every query would make about
-        2,000 * 8,000 calls."""
+        """A TTL cache whose first tick slot is inf is off the agenda until an
+        insert wakes it, whoever inserts. So the next-expiry calls are one
+        per tick and one per wake, however many caches idle; asking every
+        idle cache before every query would make about 2,000 * 8,000 calls."""
         doc = IDLE_TTL
         idle = [c for c in doc["clients"] if "request_rate" not in c]
         assert len(idle) >= 500 and doc["toggles"]["overhearing"]
-        calls = {"next_expiry": 0, "tick": 0}
-        for name in calls:
-            method = getattr(sim.ClientCache, name)
+        calls = Counter()
 
-            def counted(*args, name=name, method=method):
-                calls[name] += 1
-                return method(*args)
+        class Counted(sim.ClientCache):
+            def tick(self, now):
+                calls["tick"] += 1
+                return super().tick(now)
 
-            monkeypatch.setattr(sim.ClientCache, name, counted)
+            def next_expiry(self):
+                calls["next_expiry"] += 1
+                return super().next_expiry()
+
+            @property
+            def wake(self):
+                return self._wake
+
+            @wake.setter
+            def wake(self, wake):
+                def counted():
+                    calls["wake"] += 1
+                    wake()
+
+                self._wake = None if wake is None else counted
+
+        monkeypatch.setattr(sim, "ClientCache", Counted)
         counters = run(scenario_from_dict(doc)).counters
-        degree = doc["adjacency"]["degree"]
         assert counters["issued"] > 5_000 and counters["ttl_drops"] > 0
-        assert calls["next_expiry"] <= counters["issued"] * (1 + degree) + calls["tick"]
+        assert calls["wake"] > 0 and calls["tick"] > 0
+        assert calls["next_expiry"] == calls["tick"] + calls["wake"]
+
+    def test_a_cache_wakes_whoever_inserts(self, monkeypatch):
+        """An insert the engine is not told of still puts a TTL cache on the
+        agenda: a relay that keeps a copy of each fetch of a client it is
+        not linked to drops each copy once its TTL has run out."""
+        ttl, duration = 10.0, 400
+        doc = p2p_doc(
+            duration_slots=duration, adjacency={"kind": "ring", "degree": 0},
+            cache={"default_ttl": ttl},
+            clients=[{"client_id": "reader", "policy": "lru", "cache_capacity": 6,
+                      "default_qos": 0.3, "request_rate": 0.5},
+                     {"client_id": "relay", "policy": "ttl_drop", "cache_capacity": 6,
+                      "request_rate": 0.0}])
+        finish, relays = p2p.InformationManager._finish, []
+
+        def relayed(im, service_id, resolution, latency, now, p_nm, stats, served_by):
+            outcome = finish(im, service_id, resolution, latency, now, p_nm, stats, served_by)
+            relay = im.cell.ims["relay"].query_cache
+            relay.insert(CacheEntry(service_id, stats, cached_at=now), now)
+            relays.append(relay)
+            return outcome
+
+        monkeypatch.setattr(p2p.InformationManager, "_finish", relayed)
+        scenario = scenario_from_dict(doc)
+        assert scenario.adjacency == {"reader": set(), "relay": set()}
+        counters = run(scenario).counters
+        assert counters["issued"] > 100 and len(relays) > 50
+        assert counters["ttl_drops"] > 0
+        # each copy is dropped by the tick after its TTL runs out
+        assert all(duration - e.cached_at <= ttl + 1 for e in relays[0].entries.values())
 
     def test_plans_follow_the_replan_slots(self, monkeypatch):
         calls = []
