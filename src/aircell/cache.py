@@ -129,11 +129,6 @@ _ADMITTED, _REFUSED = EvictionReport(True), EvictionReport(False)
 _new = tuple.__new__
 
 
-class TickAction(NamedTuple):
-    action: str  # "drop" | "requery"
-    object_id: str
-
-
 class ClientCache:
     """Count-bounded cache owned by a single client.
 
@@ -277,8 +272,9 @@ class ClientCache:
             return math.inf
         return math.floor(self._oldest) + math.floor(ttl) + 1
 
-    def tick(self, now: float) -> list[TickAction]:
-        """Expire entries under the TTL policies (strict age > ttl).
+    def tick(self, now: float) -> list[str]:
+        """Expire entries under the TTL policies (strict age > ttl): drop
+        each, or flag it pending a requery; return their ids as walked.
 
         The entries are walked only if the oldest one not pending a requery
         may have expired: ``now - cached_at`` only shrinks as ``cached_at``
@@ -288,7 +284,7 @@ class ClientCache:
         ttl = self.default_ttl
         if self.policy not in TTL_POLICIES or ttl is None or now - self._oldest <= ttl:
             return []
-        actions: list[TickAction] = []
+        expired: list[str] = []
         oldest = math.inf
         for object_id in list(self.entries):
             entry = self.entries[object_id]
@@ -297,9 +293,9 @@ class ClientCache:
                     oldest = entry.cached_at
             elif self.policy is PolicyKind.TTL_DROP:
                 del self.entries[object_id]
-                actions.append(TickAction("drop", object_id))
+                expired.append(object_id)
             elif not entry.requery_pending:
                 entry.requery_pending = True
-                actions.append(TickAction("requery", object_id))
+                expired.append(object_id)
         self._oldest = oldest
-        return actions
+        return expired

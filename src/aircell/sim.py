@@ -9,17 +9,18 @@ substream of the master seed, so toggling one subsystem never perturbs
 another's stream and identical seeds give byte-identical metrics; a
 block of request gaps leaves the floats and generator state of scalar draws.
 
-The engine's work follows the events, not slots times population. ``run``
-walks the queries once, in issue order, as four columns: each client's
-draws are kept as arrays (``generate_workload``) and merged by one stable
-sort of their slots (``_queries``), with no tuple per query. All else that
-is timed is a stop on ``run``'s one agenda, a heap that the cell's mode
+The engine's work follows the events, not slots times population. A run's
+records are named columns, one per ``QueryRecord`` field (``Metrics.columns``).
+``run`` walks the queries once, in issue order, from four of them: each
+client's draws are kept as arrays (``generate_workload``) and merged by one
+stable sort of their slots (``_queries``), with no tuple per query. All else
+that is timed is a stop on ``run``'s one agenda, a heap that the cell's mode
 pushes to: a slot's stops are made before its queries, so what follows the
-queries of slot t is the stop at t + 1. The mode's steps fill five outcome
-columns beside the query stream (``Outcomes``), one entry per query, from
-which the run is checked, summarised and written, a batch of rows at a
-time; a field whose values in a batch all write alike is written once for
-the batch. No code visits a slot in which nothing happens. A source holds
+queries of slot t is the stop at t + 1. The mode's steps fill the five
+outcome columns, one entry per query, from which the run is checked,
+summarised and written, a batch of rows at a time; a field whose values in a
+batch all write alike is written once for the batch. No code visits a slot
+in which nothing happens. A source holds
 its schedule of write times (``_write_times``) and applies the writes due
 by ``now`` itself when it is read at ``now``, and only caches under a TTL
 policy are ticked, each only at the tick slots from its next expiry on
@@ -56,11 +57,12 @@ import numbers
 import sys
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from heapq import heappop, heappush
 from itertools import accumulate, islice, repeat
+from json.encoder import encode_basestring_ascii
 from operator import add
 from typing import NamedTuple
 
@@ -192,7 +194,8 @@ _MAX_BANDWIDTH = 1e307
 # replan_interval, so a run's events still grow with its length. It caps
 # cell.channels too: a program costs nothing per empty channel, but
 # ``dump-program`` prints a row for each. And it caps the objects of a
-# list, as of a compact block, which ``_MAX_ZIPF_THETA`` relies on.
+# list, as of a compact block, which ``_MAX_ZIPF_THETA`` relies on, and the
+# clients of a list, as of a block, which ``_MAX_COST`` relies on.
 _MAX_EVENTS = 10**6
 # The largest Zipf exponent. ``zipf_pmf`` raises each rank up to the object
 # count, at most 10^6, to the power theta; 10^(6 theta) stays below float
@@ -546,6 +549,9 @@ def _expand_clients(
     if not isinstance(spec, list):
         errs.append(f"clients: must be a list or a mapping, got {type(spec).__name__}")
         return []
+    if len(spec) > _MAX_EVENTS:
+        errs.append(f"clients: must hold at most {_MAX_EVENTS} clients, got {len(spec)}")
+        return []
     entries = (
         read(c, f"clients[{i}]", SCHEMA["clients[]"]) for i, c in enumerate(spec)
     )
@@ -723,9 +729,10 @@ def generate_workload(scenario: Scenario) -> dict[str, Stream]:
 class QueryRecord(NamedTuple):
     """One query's outcome: a plain tuple whose fields also have names.
 
+    ``Metrics.columns`` holds a run's records as one column per field.
     ``Metrics.write_json`` writes a record as a JSON object whose keys are
-    these names in sorted order; ``Metrics.write_csv`` writes the fields
-    in ``Metrics.CSV_COLUMNS`` order.
+    these names in sorted order; ``Metrics.write_csv`` writes the fields in
+    ``Metrics.CSV_COLUMNS`` order.
     """
 
     query_id: int
@@ -740,46 +747,11 @@ class QueryRecord(NamedTuple):
     p_nm: float
 
 
-# A QueryRecord without NamedTuple's interpreted __new__:
-# _new(QueryRecord, (fields in declaration order)) builds the same tuple.
-_new = tuple.__new__
-
-
-# The queries as ``run`` walks them, four columns in issue order: each
-# query's slot, client id, object id and QoS; a query's id is its position.
-Queries = tuple[list[int], list[str], list[str], list[float]]
-
-
-class Outcomes(NamedTuple):
-    """Each query's outcome as five columns, one entry per query in query
-    id order, filled by a mode's steps: the p2p ``answer`` appends to all
-    five, and the broadcast ``answer`` to the first two, its ``finish``
-    stop writing the other three, which hold one value for every answer."""
-
-    resolution: list[str]
-    latency_slots: list[float]
-    staleness_slots: list[float]
-    qos_met: list[bool]
-    p_nm: list[float]
-
-
-class Records:
-    """A run's records as columns, one per ``QueryRecord`` field in its
-    order, read only. The writers slice the columns; iterated, record ``i``
-    is a ``QueryRecord`` built from entry ``i`` of each column when it is
-    reached, so iterating holds one record at a time and never the whole
-    list."""
-
-    __slots__ = ("columns",)
-
-    def __init__(self, columns: list):
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __iter__(self) -> Iterator[QueryRecord]:
-        return map(_new, repeat(QueryRecord), zip(*self.columns))
+# The columns a mode's steps fill, one entry per query in query id order:
+# the p2p ``answer`` appends to all five, and the broadcast ``answer`` to
+# the first two, its ``finish`` stop writing the other three, which hold
+# one value for every answer.
+_OUTCOMES = ("resolution", "latency_slots", "staleness_slots", "qos_met", "p_nm")
 
 
 def _csv_text(value) -> str:
@@ -804,7 +776,8 @@ def _column_texts(values, text) -> list[str] | str:
     The same texts, with no Python call per value when the column has one
     exact type: ints and floats are what their own ``__repr__`` writes in
     both formats, unless non-finite, and floats, strings and booleans
-    repeat, so each distinct one is written once. Equal floats write alike
+    repeat, so each distinct one is written once, a JSON string by the C
+    encoder ``json.dumps`` calls for a ``str``. Equal floats write alike
     except 0.0 and -0.0, which one key would merge, so a float column
     holding a zero and any negative value is written value by value. A
     float, string or boolean column whose values all write alike by these
@@ -824,7 +797,10 @@ def _column_texts(values, text) -> list[str] | str:
         ):
             return list(map(text, values))
     elif kinds in ({str}, {bool}):
-        table = {v: text(v) for v in set(values)}
+        if kinds == {str} and text is json.dumps:
+            text = encode_basestring_ascii
+        distinct = list(set(values))
+        table = dict(zip(distinct, map(text, distinct)))
     else:
         return list(map(text, values))
     if len(table) == 1:  # every value writes alike
@@ -838,27 +814,25 @@ def _column_texts(values, text) -> list[str] | str:
 _ROW_BATCH = 4096
 
 
-def _record_rows(
-    records: Records, fields: list[int], text, row: str, sep: str
-) -> Iterator[bytes]:
+def _record_rows(columns: list[Sequence], text, row: str, sep: str) -> Iterator[bytes]:
     """``sep.join(row % texts for each record)``, encoded, a batch at a time.
 
-    ``texts`` are ``text`` (``json.dumps`` or ``_csv_text``) of the record's
-    fields at the indices ``fields``, which ``row``'s ``%s`` take in order.
-    Each batch slices those fields' columns, with no tuple per record, and
-    each row is one ``str.join`` of its parts, the pieces of ``row`` between
-    the fields and the fields' texts, with no ``%`` per row. A field that
-    ``_column_texts`` writes as one text for the batch is joined into the
-    pieces around it once, so it adds no part to each row's join.
+    ``texts`` are ``text`` (``json.dumps`` or ``_csv_text``) of a record's
+    entries in ``columns``, picked by name from ``Metrics.columns`` in the
+    order ``row``'s ``%s`` take them. Each batch slices the columns, with
+    no tuple per record, and each row is one ``str.join`` of its parts, the
+    pieces of ``row`` between the fields and the fields' texts, with no
+    ``%`` per row. A field that ``_column_texts`` writes as one text for the
+    batch is joined into the pieces around it once, so it adds no part to
+    each row's join.
     """
     *pieces, end = row.split("%s")
-    columns = records.columns
-    total = len(records)
+    total = len(columns[0])
     for start in range(0, total, _ROW_BATCH):
         stop = start + _ROW_BATCH
         streams, fixed = [], ""  # fixed: the row's text since the last stream
-        for piece, i in zip(pieces, fields):
-            texts = _column_texts(columns[i][start:stop], text)
+        for piece, column in zip(pieces, columns):
+            texts = _column_texts(column[start:stop], text)
             if isinstance(texts, str):
                 fixed += piece + texts
             else:
@@ -871,34 +845,32 @@ def _record_rows(
 
 # A record as json.dumps(sort_keys=True) writes it as a dict
 _JSON_KEYS = sorted(QueryRecord._fields)
-_JSON_FIELDS = [QueryRecord._fields.index(key) for key in _JSON_KEYS]
 _JSON_ROW = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in _JSON_KEYS) + "}"
 
 
 @dataclass
 class Metrics:
-    """A run's account: its counters, energy and plan, and its queries and
-    their outcomes as nine columns with one entry per query. A
-    query's id is its position. ``records`` reads them as ``QueryRecord``s;
-    the writers and ``summary`` read the columns themselves."""
+    """A run's account: its counters, energy and plan, and its records as
+    ``columns``, one per ``QueryRecord`` field by name in field order, with
+    one entry per query; the ``query_id`` column is the range of positions.
+    ``summary`` and the writers pick the columns they read by name."""
 
     schema_id: str
     seed: int
     duration_slots: int
-    queries: Queries = ((), (), (), ())  # no queries: never appended to
-    outcomes: Outcomes = field(default_factory=lambda: Outcomes([], [], [], [], []))
+    # no queries: never appended to
+    columns: dict[str, Sequence] = field(
+        default_factory=lambda: dict.fromkeys(QueryRecord._fields, ()))
     counters: dict[str, float] = field(default_factory=dict)
     per_client_energy: dict[str, float] = field(default_factory=dict)
     plan: dict | None = None
 
     @property
-    def records(self) -> Records:
-        """The queries and their outcomes: the ids, which are positions, and
-        the nine columns, in ``QueryRecord`` field order."""
-        slots, cids, oids, qos = self.queries
-        resolution, latency, staleness, met, p_nm = self.outcomes
-        return Records([range(len(slots)), cids, oids, slots, resolution, latency,
-                        staleness, qos, met, p_nm])
+    def records(self) -> Iterator[QueryRecord]:
+        """The records in query id order, each a ``QueryRecord`` built from
+        its entries in the columns when it is reached, so iterating holds
+        one record at a time and never the whole list."""
+        return map(QueryRecord._make, zip(*self.columns.values()))
 
     def summary(self) -> dict[str, float]:
         """The run's totals and means, in one pass over the outcome columns;
@@ -906,9 +878,9 @@ class Metrics:
         3.12, whose ``sum()`` is compensated."""
         served = violations = 0
         latency = staleness = 0
-        o = self.outcomes
-        for kind, lat, stale, met in zip(o.resolution, o.latency_slots,
-                                         o.staleness_slots, o.qos_met):
+        c = self.columns
+        for kind, lat, stale, met in zip(c["resolution"], c["latency_slots"],
+                                         c["staleness_slots"], c["qos_met"]):
             if kind != "unresolved":
                 served += 1
                 latency += lat
@@ -957,7 +929,7 @@ class Metrics:
                            sort_keys=True)
         write = fp.write
         write(before[:-1].encode() + b', "records": [')
-        rows = _record_rows(self.records, _JSON_FIELDS, json.dumps, _JSON_ROW, ", ")
+        rows = _record_rows([self.columns[k] for k in _JSON_KEYS], json.dumps, _JSON_ROW, ", ")
         write(next(rows, b""))
         for batch in rows:
             write(b", ")
@@ -983,11 +955,11 @@ class Metrics:
 
         Fields are written by ``_csv_text``.
         """
-        fields = [QueryRecord._fields.index(c) for c in self.CSV_COLUMNS]
-        row = ",".join(["%s"] * len(fields))
+        columns = [self.columns[name] for name in self.CSV_COLUMNS]
+        row = ",".join(["%s"] * len(columns))
         write = fp.write
         write(",".join(self.CSV_COLUMNS).encode() + b"\n")
-        for batch in _record_rows(self.records, fields, _csv_text, row, "\n"):
+        for batch in _record_rows(columns, _csv_text, row, "\n"):
             write(batch)
             write(b"\n")
         summary = self.summary()
@@ -1138,9 +1110,10 @@ def read_sample_log(doc) -> fidelity.SampleStore:
     return store
 
 
-def _queries(scenario: Scenario) -> Queries:
+def _queries(scenario: Scenario) -> dict[str, list]:
     """The workload's queries in issue order: by slot, and by client id
-    within a slot; ids are numbered in this order from 0.
+    within a slot, as the columns ``client_id``, ``object_id``, ``issued_at``
+    (the slot) and ``qos``; ids are numbered in this order from 0.
 
     Each client's columns are put end to end in client id order and ordered
     by one stable sort of their slots, which keeps that order within a slot.
@@ -1150,7 +1123,7 @@ def _queries(scenario: Scenario) -> Queries:
     """
     workload = generate_workload(scenario)
     if not workload:
-        return [], [], [], []
+        return {"client_id": [], "object_id": [], "issued_at": [], "qos": []}
     specs = {c.client_id: c for c in scenario.clients}
     clients = [specs[cid] for cid in workload]
     slot_columns, pick_columns = zip(*workload.values())
@@ -1166,12 +1139,12 @@ def _queries(scenario: Scenario) -> Queries:
             values = np.array([spec.qos(oid) for oid in ids[asked]], dtype=object)
             qos[end - count : end] = values[inverse]
     order = slots.argsort(kind="stable")
-    return (
-        slots[order].tolist(),
-        np.array(list(workload), dtype=object)[owner[order]].tolist(),
-        ids[picks[order]].tolist(),
-        qos[order].tolist(),
-    )
+    return {
+        "client_id": np.array(list(workload), dtype=object)[owner[order]].tolist(),
+        "object_id": ids[picks[order]].tolist(),
+        "issued_at": slots[order].tolist(),
+        "qos": qos[order].tolist(),
+    }
 
 
 def run(scenario: Scenario) -> Metrics:
@@ -1180,20 +1153,23 @@ def run(scenario: Scenario) -> Metrics:
     ``duration_slots``. A stop ``(slot, order, action)`` is made as
     ``action(slot)``; no two share a slot and an order, so the heap never
     compares actions. The query counters are counted from the outcome
-    columns; raises ``InvariantError`` unless each holds exactly one entry
-    per issued query.
+    columns the mode's steps fill; raises ``InvariantError`` unless each
+    holds exactly one entry per issued query.
     """
-    metrics = Metrics(scenario.schema_id, scenario.seed, scenario.duration_slots,
-                      queries=_queries(scenario))
+    queries = _queries(scenario)
+    issued = len(queries["issued_at"])
+    columns = {name: queries.get(name, []) for name in QueryRecord._fields}
+    columns["query_id"] = range(issued)
+    metrics = Metrics(scenario.schema_id, scenario.seed, scenario.duration_slots, columns)
     metrics.counters = counters = dict.fromkeys(("requeries", "ttl_drops", "broadcast_slots",
                                                  "on_demand_responses", "batching_saved"), 0)
     metrics.per_client_energy = {c.client_id: 0.0 for c in scenario.clients}
-    slots, cids, oids, qos = metrics.queries
-    issued = len(slots)
     agenda: list[tuple[int, float, Callable[[int], None]]] = []
     steps = _broadcast_steps if scenario.resolution_mode == "broadcast" else _p2p_steps
     answer = steps(scenario, metrics, agenda)
-    for qid, t, cid, oid, q in zip(range(issued), slots, cids, oids, qos):
+    for qid, t, cid, oid, q in zip(columns["query_id"], columns["issued_at"],
+                                   columns["client_id"], columns["object_id"],
+                                   columns["qos"]):
         while agenda and agenda[0][0] <= t:
             slot, _, action = heappop(agenda)
             action(slot)
@@ -1201,13 +1177,12 @@ def run(scenario: Scenario) -> Metrics:
     while agenda and agenda[0][0] <= scenario.duration_slots:
         slot, _, action = heappop(agenda)
         action(slot)
-    outcomes = metrics.outcomes
-    for name, column in zip(Outcomes._fields, outcomes):
-        if len(column) != issued:
+    for name in _OUTCOMES:
+        if len(columns[name]) != issued:
             raise InvariantError(
-                f"{len(column)} {name} entries for {issued} issued queries"
+                f"{len(columns[name])} {name} entries for {issued} issued queries"
             )
-    resolutions = Counter(outcomes.resolution)
+    resolutions = Counter(columns["resolution"])
     counters.update(
         issued=issued, answered=issued - resolutions["unresolved"],
         unresolved=resolutions["unresolved"], index_reads=resolutions["broadcast"],
@@ -1241,7 +1216,7 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics, agenda: list) -> Callable:
     counters = metrics.counters
     # one append per outcome column
     (add_resolution, add_latency, add_staleness, add_met,
-     add_p_nm) = (column.append for column in metrics.outcomes)
+     add_p_nm) = (metrics.columns[name].append for name in _OUTCOMES)
     sources = {
         o.object_id: SourceObject(
             o.object_id, reachable=o.reachable,
@@ -1264,16 +1239,15 @@ def _p2p_steps(scenario: Scenario, metrics: Metrics, agenda: list) -> Callable:
         # once ticked at t, a cache's first tick slot is after t; a requery
         # at t cannot lower a finite one, and wakes the cache from inf
         cache, t = ttl_caches[i], stop - 1
-        actions = cache.tick(t)
+        expired = cache.tick(t)
         schedule(i)
-        for action in actions:
-            if action.action == "drop":
-                counters["ttl_drops"] += 1
-                continue
-            source = sources[action.object_id]
+        if cache.policy is PolicyKind.TTL_DROP:
+            counters["ttl_drops"] += len(expired)
+            return
+        for object_id in expired:
+            source = sources[object_id]
             if source.reachable:
-                stats = source.read(t)
-                cache.insert(CacheEntry(action.object_id, stats, cached_at=t), t)
+                cache.insert(CacheEntry(object_id, source.read(t), cached_at=t), t)
                 counters["requeries"] += 1
 
     for spec in sorted(scenario.clients, key=lambda c: c.client_id):
@@ -1343,14 +1317,14 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics, agenda: list) -> Call
     force times the slots since the last stop.
     """
     counters = metrics.counters
-    outcomes = metrics.outcomes
-    add_resolution, add_latency = outcomes.resolution.append, outcomes.latency_slots.append
+    columns = metrics.columns
+    add_resolution, add_latency = columns["resolution"].append, columns["latency_slots"].append
     cost = scenario.cell.cost_model
     interval, end = scenario.cell.replan_interval, scenario.duration_slots
     catalog = cell_catalog(scenario)
     plan_result, program = plan_cell(scenario, catalog, initial_rates(scenario))
     batching = broadcast_plan.BatchingServer(scenario.cell.batching_window)
-    slots, _, oids, _ = metrics.queries
+    slots, oids = columns["issued_at"], columns["object_id"]
     # each query's object as its catalog position, and the requests per
     # object, in scenario order, of the first ``counted_to`` queries
     asked = np.fromiter(map(catalog.position.__getitem__, oids), np.intp, len(oids))
@@ -1393,10 +1367,8 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics, agenda: list) -> Call
         metrics.plan = plan_summary(plan_result)
         # every answer is the source's current write, P_NM 1.0, which meets
         # any QoS the reader admits (0 to 1): its staleness is 0.0
-        issued = len(slots)
-        outcomes.staleness_slots.extend([0.0] * issued)
-        outcomes.qos_met.extend([True] * issued)
-        outcomes.p_nm.extend([1.0] * issued)
+        for name, value in (("staleness_slots", 0.0), ("qos_met", True), ("p_nm", 1.0)):
+            columns[name].extend([value] * len(slots))
 
     if 0 < interval < end:
         heappush(agenda, (interval, 0, replan))

@@ -43,7 +43,6 @@ from aircell.freshness import (
 from aircell.retrieval import PlannedRead, RefusedSize, RetrievalPlan
 from aircell.sim import (
     Metrics,
-    Outcomes,
     QueryRecord,
     Scenario,
     _write_times,
@@ -255,21 +254,22 @@ def lru_reference(capacity: int, accesses: list[tuple[str, str]]):
     return list(order), evictions
 
 
-def ttl_tick_reference(entries, drop: bool, ttl: float, now: float) -> list[tuple[str, str]]:
+def ttl_tick_reference(entries, drop: bool, ttl: float, now: float) -> list[str]:
     """The TTL tick as a walk over every entry: drop, or flag for a requery,
-    each entry older than ``ttl`` (strictly), in place; its (action, id)s."""
-    actions = []
+    each entry older than ``ttl`` (strictly), in place; the ids it drops or
+    flags, in the order walked."""
+    expired = []
     for object_id in list(entries):
         entry = entries[object_id]
         if now - entry.cached_at <= ttl:
             continue
         if drop:
             del entries[object_id]
-            actions.append(("drop", object_id))
+            expired.append(object_id)
         elif not entry.requery_pending:
             entry.requery_pending = True
-            actions.append(("requery", object_id))
-    return actions
+            expired.append(object_id)
+    return expired
 
 
 def score_admission_replay(capacity: int, offers: list[tuple[str, float, float]]):
@@ -941,15 +941,15 @@ def metrics_csv_reference(metrics) -> bytes:
 
 
 def with_records(metrics: Metrics, records) -> Metrics:
-    """``metrics`` with its query and outcome columns holding ``records``,
-    whose query ids must be their positions, as a run's are."""
+    """``metrics`` with its columns holding ``records``, whose query ids
+    must be their positions, as a run's are; its ``query_id`` column is
+    the range of them, as a run's is."""
     ids = [r.query_id for r in records]
     if ids != list(range(len(records))):
         raise ValueError(f"query ids {ids} are not their positions")
-    columns = [[r[i] for r in records] for i in range(len(QueryRecord._fields))]
-    _, cids, oids, slots, resolution, latency, staleness, qos, met, p_nm = columns
-    metrics.queries = (slots, cids, oids, qos)
-    metrics.outcomes = Outcomes(resolution, latency, staleness, met, p_nm)
+    metrics.columns = {name: [getattr(r, name) for r in records]
+                       for name in QueryRecord._fields}
+    metrics.columns["query_id"] = range(len(records))
     return metrics
 
 
@@ -1139,14 +1139,14 @@ def _run_p2p(
 
         if ttl_caches and t % scenario.tick_interval == 0:
             for cache in ttl_caches:
-                for action in cache.tick(t):
-                    if action.action == "drop":
+                for object_id in cache.tick(t):
+                    if cache.policy is PolicyKind.TTL_DROP:
                         counters["ttl_drops"] += 1
                         continue
-                    source = sources[action.object_id]
+                    source = sources[object_id]
                     if source.reachable:
                         stats = source.read(t)
-                        cache.insert(CacheEntry(action.object_id, stats, cached_at=t), t)
+                        cache.insert(CacheEntry(object_id, stats, cached_at=t), t)
                         counters["requeries"] += 1
 
 

@@ -383,15 +383,14 @@ class TestTtlPolicies:
         cache = ClientCache(4, PolicyKind.TTL_DROP, default_ttl=50.0)
         cache.insert(entry("a", cached_at=0.0), now=0.0)
         assert cache.tick(now=50.0) == []      # boundary: age == ttl is kept
-        actions = cache.tick(now=51.0)
-        assert [(a.action, a.object_id) for a in actions] == [("drop", "a")]
+        assert cache.tick(now=51.0) == ["a"]
         assert "a" not in cache.entries
 
     def test_requery_emitted_once(self):
         cache = ClientCache(4, PolicyKind.TTL_REQUERY, default_ttl=50.0)
         cache.insert(entry("a", cached_at=0.0), now=0.0)
-        first = cache.tick(now=51.0)
-        assert [(a.action, a.object_id) for a in first] == [("requery", "a")]
+        assert cache.tick(now=51.0) == ["a"]
+        assert cache.entries["a"].requery_pending
         assert cache.tick(now=52.0) == []      # pending; not re-emitted
         assert "a" in cache.entries            # entry stays until refreshed
         cache.insert(entry("a", cached_at=60.0), now=60.0)
@@ -400,7 +399,7 @@ class TestTtlPolicies:
     def test_default_ttl_applies(self):
         cache = ClientCache(4, PolicyKind.TTL_DROP, default_ttl=10.0)
         cache.insert(entry("a", cached_at=0.0), now=0.0)
-        assert cache.tick(now=11.0)[0].object_id == "a"
+        assert cache.tick(now=11.0) == ["a"]
 
     def test_non_ttl_policies_never_tick(self):
         cache = ClientCache(4, PolicyKind.LRU, default_ttl=1.0)
@@ -421,11 +420,11 @@ class TestTtlPolicies:
         cache.insert(entry("b", cached_at=5.0), now=5.0)
         assert [cache.tick(float(t)) for t in range(11)] == [[]] * 11
         assert walks == []
-        assert [(a.action, a.object_id) for a in cache.tick(11.0)] == [("requery", "a")]
+        assert cache.tick(11.0) == ["a"]
         assert len(walks) == 1
         assert [cache.tick(float(t)) for t in range(12, 16)] == [[]] * 4
         assert len(walks) == 1  # "a" is pending and "b" is not yet due
-        assert [(a.action, a.object_id) for a in cache.tick(16.0)] == [("requery", "b")]
+        assert cache.tick(16.0) == ["b"]
 
     def test_next_expiry_is_the_first_time_a_tick_may_act(self):
         cache = ClientCache(4, PolicyKind.TTL_REQUERY, default_ttl=10.0)
@@ -434,7 +433,7 @@ class TestTtlPolicies:
         cache.insert(entry("b", cached_at=5.0), now=5.0)  # a later insert keeps it
         assert cache.next_expiry() == 11  # age 11 is the first above the ttl
         assert cache.tick(10.0) == []
-        assert [a.object_id for a in cache.tick(11.0)] == ["a"]
+        assert cache.tick(11.0) == ["a"]
         assert cache.next_expiry() == 16  # "a" is pending, "b" is next
         cache.insert(entry("a", cached_at=12.0), now=12.0)  # the refresh
         assert cache.next_expiry() == 16
@@ -452,10 +451,10 @@ class TestTtlPolicies:
         assert wakes == [14]  # the first insert into an empty cache
         cache.insert(entry("b", cached_at=1.0), now=5.0)  # lowers a finite time
         assert cache.next_expiry() == 12
-        assert [a.object_id for a in cache.tick(12.0)] == ["b"]
+        assert cache.tick(12.0) == ["b"]
         cache.insert(entry("c", cached_at=12.0), now=12.0)
         assert wakes == [14]  # while the first tick time is finite, no insert wakes
-        assert [a.object_id for a in cache.tick(23.0)] == ["a", "c"]
+        assert cache.tick(23.0) == ["a", "c"]
         assert cache.next_expiry() == float("inf")  # no copy left that is not pending
         cache.insert(entry("d", cached_at=23.0), now=23.0)
         cache.insert(entry("e", cached_at=24.0), now=24.0)
@@ -492,9 +491,9 @@ class TestTtlPolicies:
                     c.insert(entry(oid, cached_at=max(now - age, 0.0)), now)
             else:
                 due = cache.next_expiry()
-                actions = [(a.action, a.object_id) for a in cache.tick(now)]
-                assert actions == ttl_tick_reference(mirror.entries, drop, ttl, now)
-                assert now >= due or actions == []
+                expired = cache.tick(now)
+                assert expired == ttl_tick_reference(mirror.entries, drop, ttl, now)
+                assert now >= due or expired == []
             assert [(k, e.cached_at, e.requery_pending) for k, e in cache.entries.items()] == [
                 (k, e.cached_at, e.requery_pending) for k, e in mirror.entries.items()
             ]

@@ -7,6 +7,7 @@ import json
 import math
 import statistics
 import sys
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -41,11 +42,11 @@ from oracles import (
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def benchmark_workloads():
-    """``perfbench/workloads.py``, loaded by path under its own module name."""
-    name = "perfbench_workloads"
+def benchmark_module(stem: str):
+    """``perfbench/<stem>.py``, loaded by path under its own module name."""
+    name = f"perfbench_{stem}"
     if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{stem}.py")
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module  # dataclasses look their module up here
         spec.loader.exec_module(module)
@@ -397,7 +398,9 @@ class TestQueryColumns:
     @given(doc=query_documents())
     def test_equal_to_the_tuple_built_queries(self, doc):
         scenario = scenario_from_dict(doc)
-        slots, cids, oids, qos = sim._queries(scenario)
+        queries = sim._queries(scenario)
+        slots, cids, oids, qos = (queries[name] for name in
+                                  ("issued_at", "client_id", "object_id", "qos"))
         expected = queries_reference(scenario)
         assert len(slots) == len(cids) == len(oids) == len(qos) == len(expected)
         for got, want in zip(zip(slots, range(len(slots)), cids, oids, qos), expected):
@@ -414,7 +417,8 @@ class TestQueryColumns:
         monkeypatch.setattr(sim.ClientSpec, "qos",
                             lambda spec, oid: asked.append((spec.client_id, oid))
                             or qos(spec, oid))
-        slots, cids, oids, _ = sim._queries(scenario)
+        queries = sim._queries(scenario)
+        slots, cids, oids = queries["issued_at"], queries["client_id"], queries["object_id"]
         # once for each object the overriding client asks for, and no other
         assert sorted(asked) == sorted({(c, o) for c, o in zip(cids, oids) if c == "a"})
         assert len(asked) <= 5 < len(slots) // 100
@@ -437,7 +441,8 @@ class TestQueryColumns:
         for doc in (p2p_doc(objects=[]), p2p_doc(clients={"count": 3, "request_rate": 0.0})):
             scenario = scenario_from_dict(doc)
             assert sim.generate_workload(scenario) == {}
-            assert sim._queries(scenario) == ([], [], [], [])
+            assert sim._queries(scenario) == dict.fromkeys(
+                ("client_id", "object_id", "issued_at", "qos"), [])
             assert run(scenario).counters["issued"] == 0
 
 
@@ -515,12 +520,13 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", ["p2p_lru", "p2p_qf_churn", "broadcast_replan"])
     def test_benchmark_pins(self, name):
-        # the benchmark's own documents and pins, read without importing its
-        # harness: its correctness gate becomes a unit test
+        # the benchmark's own documents, pins and engine gate, read without
+        # importing its harness: its correctness gate becomes a unit test
         pins = json.loads((PERFBENCH / "digests.json").read_text())
-        doc = benchmark_workloads().SCENARIOS[name](pins["default_seed"])
+        doc = benchmark_module("workloads").SCENARIOS[name](pins["default_seed"])
         metrics = run(scenario_from_dict(doc))
         assert hashlib.sha256(metrics.to_json_bytes()).hexdigest() == pins["sha256"][name]
+        assert benchmark_module("checks").check_engine(metrics) == []
 
     # CPython 3.12's float sum() is compensated; the engine adds its floats
     # left to right itself, so one set of pins holds on every interpreter
@@ -577,7 +583,7 @@ class TestMemory:
         # 696 B per query (CPython 3.11); columns and a streamed write peak
         # near 307. The bound is half of 696, about 13 % above that, for
         # another interpreter's allocations (CPython 3.12 say).
-        scn = scenario_from_dict(benchmark_workloads().SCENARIOS["p2p_lru"](1))
+        scn = scenario_from_dict(benchmark_module("workloads").SCENARIOS["p2p_lru"](1))
         run(scn)  # imports and lazily built tables, outside the measurement
         gc.collect()
         tracemalloc.start()
@@ -604,8 +610,9 @@ class TestConservationAndCausality:
         metrics = run(scenario_from_dict(p2p_doc(seed=11)))
         c = metrics.counters
         assert c["answered"] + c["unresolved"] == c["issued"]
-        assert len(metrics.records) == c["issued"]
-        assert [r.query_id for r in metrics.records] == list(range(int(c["issued"])))
+        records = list(metrics.records)
+        assert len(records) == c["issued"]
+        assert [r.query_id for r in records] == list(range(int(c["issued"])))
 
     def test_staleness_and_age_nonnegative(self):
         metrics = run(scenario_from_dict(p2p_doc(seed=13)))
@@ -1190,7 +1197,8 @@ class TestPlannerRanges:
         assert np.isfinite(pmf).all() and pmf[0] > 0.0
         metrics = run(scenario_from_dict(p2p_doc(workload={"zipf_theta": sim._MAX_ZIPF_THETA})))
         # every query asks for the most popular object: the next has odds 2^-51
-        assert metrics.records and {r.object_id for r in metrics.records} == {"obj0"}
+        records = list(metrics.records)
+        assert records and {r.object_id for r in records} == {"obj0"}
 
     def test_zipf_above_the_cap_is_one_violation(self):
         doc = p2p_doc(workload={"zipf_theta": math.nextafter(sim._MAX_ZIPF_THETA, math.inf)})
@@ -1200,6 +1208,24 @@ class TestPlannerRanges:
         # one mapping listed many times: the length is checked before any entry
         doc = p2p_doc(objects=[{"object_id": "o", "mtbu": 100.0}] * (sim._MAX_EVENTS + 1))
         assert violations(doc) == ["objects: must hold at most 1000000 objects, got 1000001"]
+
+    def test_clients_list_past_the_cap_is_one_violation(self):
+        # one mapping listed many times, which counts each time it is read:
+        # the length is checked before any entry, so none is
+        reads = []
+
+        class Entry(dict):
+            def items(self):
+                reads.append(1)
+                return super().items()
+
+        doc = p2p_doc(clients=[Entry()] * (sim._MAX_EVENTS + 1))
+        start = time.perf_counter()
+        assert violations(doc) == ["clients: must hold at most 1000000 clients, got 1000001"]
+        assert reads == []
+        # reading every entry took 4.0 s and made 1000001 violations
+        # (CPython 3.11, shared 2-vCPU host)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestTypedFields:
@@ -1766,7 +1792,7 @@ class TestInvariants:
             run(scn)
 
     @pytest.mark.parametrize("change", ["drop", "add"])
-    @pytest.mark.parametrize("name", sim.Outcomes._fields)
+    @pytest.mark.parametrize("name", sim._OUTCOMES)
     def test_conservation_violation_raises(self, monkeypatch, name, change):
         # the outcome columns are the run's account: each holds one entry per
         # issued query, an explicit check that holds under python -O too
@@ -1778,7 +1804,7 @@ class TestInvariants:
             answer = steps(scenario, metrics, agenda)
 
             def tamper(slot):
-                column = getattr(metrics.outcomes, name)
+                column = metrics.columns[name]
                 if change == "drop":
                     column.pop()
                 else:
@@ -1796,20 +1822,20 @@ class TestInvariants:
 
     def test_run_builds_no_record(self, monkeypatch):
         # each answer appends to the outcome columns: no QueryRecord is
-        # built, by its class or by tuple.__new__, until records are read
+        # built, by its class or by its _make, until records are read
         built = []
+        make = sim.QueryRecord._make
 
         def construct(cls, *fields):
             built.append(fields)
             return tuple.__new__(cls, fields)
 
-        def new(cls, fields):
-            if cls is sim.QueryRecord:
-                built.append(fields)
-            return tuple.__new__(cls, fields)
+        def spy(fields):
+            built.append(fields)
+            return make(fields)
 
         monkeypatch.setattr(sim.QueryRecord, "__new__", staticmethod(construct))
-        monkeypatch.setattr(sim, "_new", new)
+        monkeypatch.setattr(sim.QueryRecord, "_make", staticmethod(spy))
         for doc in (mixed_doc(), broadcast_doc()):
             metrics = run(scenario_from_dict(doc))
             assert metrics.counters["issued"] > 0
@@ -2188,7 +2214,7 @@ class TestOneLoop:
         assert len(calls) == 1 + len(replans)
         # each replan plans from the queries issued before its slot, each
         # object's count over the slot, bit for bit
-        slots, _, oids, _ = metrics.queries
+        slots, oids = metrics.columns["issued_at"], metrics.columns["object_id"]
         ids = [o.object_id for o in scenario.objects]
         asked, issued = Counter(), 0
         for t, (_, _, rates) in zip(replans, calls[1:]):

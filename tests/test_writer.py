@@ -1,5 +1,6 @@
 """The record writer: ``Metrics.write_json`` and ``Metrics.write_csv``, the
-in-memory twin ``to_json_bytes``, and the records view they write from."""
+in-memory twin ``to_json_bytes``, the columns they write from, and
+``Metrics.records``, which reads the columns as records."""
 
 import csv
 import io
@@ -124,6 +125,13 @@ class TestJsonWriter:
         ([0.0, -0.0], json.dumps, False),
         ([1, 1.0, True], json.dumps, False),
         ([1, 1.0, True], sim._csv_text, False),
+        # a JSON str column is written by the C encoder json.dumps calls for
+        # a str: non-ASCII text, quotes, backslashes, control characters, NUL
+        (AWKWARD_IDS, json.dumps, False),
+        (["ünïcödé", "\U0001f600", "\ud800 alone", "\u2028\u2029"], json.dumps, False),
+        (['q"uote', "back\\slash", "\x00nul", "\x01\x1f\x7f\x80", "\t\n\r\b\f"],
+         json.dumps, False),
+        (["\x00"] * 2, json.dumps, True),
     ])
     def test_a_column_that_writes_alike_is_one_text(self, values, text, folds):
         texts = sim._column_texts(values, text)
@@ -135,9 +143,8 @@ class TestJsonWriter:
 
     def test_rows_whose_fields_all_write_alike(self):
         # no field varies: each batch is one row's text, once per record
-        records = sim.Records([range(5), ["c"] * 5])
         with mock.patch.object(sim, "_ROW_BATCH", 2):
-            rows = list(sim._record_rows(records, [1], json.dumps, "[%s]", ","))
+            rows = list(sim._record_rows([["c"] * 5], json.dumps, "[%s]", ","))
         assert rows == [b'["c"],["c"]', b'["c"],["c"]', b'["c"]']
 
     def test_integral_floats_and_ints_stay_apart(self):
@@ -213,24 +220,32 @@ class TestStreamedWriters:
         assert metrics.to_json_bytes() == (tmp_path / "write_json").read_bytes()
 
 
-class TestRecordsView:
-    def test_the_view_is_the_slot_loops_record_list(self):
+class TestRecords:
+    def test_the_records_are_the_slot_loops_record_list(self):
         scn = corpus_scenario("p2p_tiers", 1)
-        view = sim.run(scn).records
+        metrics = sim.run(scn)
         _, records = slot_loops(scn)
-        n = len(records)
-        assert n > 2 and len(view) == n
-        assert list(view) == records == list(view)
-        assert all(type(r) is QueryRecord for r in view)
+        got = list(metrics.records)
+        assert len(records) > 2 and len(got) == len(records)
+        # each read of the records reads the columns afresh
+        assert got == records == list(metrics.records)
+        assert all(type(r) is QueryRecord for r in got)
 
-    def test_the_view_is_read_only(self):
-        view = sim.run(corpus_scenario("scenario", 1)).records
-        record = next(iter(view))
+    def test_the_columns_are_named_by_the_record_fields(self):
+        metrics = sim.run(corpus_scenario("p2p_tiers", 1))
+        assert tuple(metrics.columns) == QueryRecord._fields
+        issued = metrics.counters["issued"]
+        assert metrics.columns["query_id"] == range(issued)
+        assert {len(column) for column in metrics.columns.values()} == {issued}
+
+    def test_the_records_are_read_only(self):
+        records = sim.run(corpus_scenario("scenario", 1)).records
+        record = next(records)
         with pytest.raises(TypeError):
-            view[0] = record
+            records[0] = record
         with pytest.raises(TypeError):
-            del view[0]
+            del records[0]
         for method in ("append", "extend", "insert", "pop", "remove", "sort", "reverse"):
-            assert not hasattr(view, method)
+            assert not hasattr(records, method)
         with pytest.raises(AttributeError):
-            view.other = []
+            records.other = []
