@@ -38,7 +38,7 @@ import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add, itemgetter
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -433,8 +433,6 @@ class Multicast(NamedTuple):
 
 # _new(Multicast, (object_id, response_time, size)) builds a Multicast
 _new = tuple.__new__
-# a multicast's sort key, (response_time, object_id)
-_FIRING_ORDER = itemgetter(1, 0)
 
 
 @dataclass
@@ -469,12 +467,12 @@ class BatchingServer:
         return response_time
 
     def advance(self, now: float) -> list[Multicast]:
-        """Fire every batch whose window has closed by ``now``."""
+        """Fire every sealed batch, and every open one whose window has
+        closed by ``now``. The multicasts come in no promised order (the
+        sealed ones, then the open ones): their count and saved
+        transmissions, all a caller reads, need none."""
         fired, self._ready = self._ready, []
         for object_id in [o for o, (response_time, _) in self._open.items()
                           if response_time <= now]:
             fired.append(_new(Multicast, (object_id, *self._open.pop(object_id))))
-        # the only equal keys are one object's sealed batch and its open one
-        # at window 0, and the sort is stable: the sealed batch comes first
-        fired.sort(key=_FIRING_ORDER)
         return fired

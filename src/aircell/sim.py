@@ -19,7 +19,11 @@ pushes to: a slot's stops are made before its queries, so what follows the
 queries of slot t is the stop at t + 1. The mode's steps fill the five
 outcome columns, one entry per query, from which the run is checked,
 summarised and written, a batch of rows at a time; a field whose values in a
-batch all write alike is written once for the batch. No code visits a slot
+batch all write alike is written once for the batch. A column the engine
+knows to hold one value (a broadcast run's staleness, QoS met and P_NM, and
+the QoS when every asking client has one default and no overrides) is a
+``Repeated``, the value and its length, written once per batch with no look
+at its entries. No code visits a slot
 in which nothing happens. A source holds
 its schedule of write times (``_write_times``) and applies the writes due
 by ``now`` itself when it is read at ``now``, and only caches under a TTL
@@ -43,7 +47,7 @@ stop, which counts the demand since the last one in one array pass. An
 on-demand answer's time is fixed when its request joins a batch, so every
 broadcast query is recorded in the slot it is issued, and the batching
 server sends its multicasts once, at the stop that ends the run; a broadcast
-answer appends only its resolution and latency, and that stop writes the
+answer appends only its resolution and latency, and that stop stores the
 outcomes that every broadcast answer shares.
 """
 
@@ -194,8 +198,9 @@ _MAX_BANDWIDTH = 1e307
 # replan_interval, so a run's events still grow with its length. It caps
 # cell.channels too: a program costs nothing per empty channel, but
 # ``dump-program`` prints a row for each. And it caps the objects of a
-# list, as of a compact block, which ``_MAX_ZIPF_THETA`` relies on, and the
-# clients of a list, as of a block, which ``_MAX_COST`` relies on.
+# list, as of a compact block, which ``_MAX_ZIPF_THETA`` relies on, the
+# clients of a list, as of a block, which ``_MAX_COST`` relies on, and each
+# client's providers and listed neighbours, so no list is read past it.
 _MAX_EVENTS = 10**6
 # The largest Zipf exponent. ``zipf_pmf`` raises each rank up to the object
 # count, at most 10^6, to the power theta; 10^(6 theta) stays below float
@@ -341,6 +346,23 @@ def _listed(value, where: str, errs: list[str]) -> list:
         return value
     errs.append(f"{where}: must be a list, got {type(value).__name__}")
     return []
+
+
+def _too_long(items, where: str, noun: str, errs: list[str]) -> bool:
+    """Whether the list ``items`` holds more than ``_MAX_EVENTS`` entries,
+    which is then one violation in ``errs``; no entry is read."""
+    if len(items) <= _MAX_EVENTS:
+        return False
+    errs.append(f"{where}: must hold at most {_MAX_EVENTS} {noun}, got {len(items)}")
+    return True
+
+
+def _unknown(ids, known, what: str, errs: list[str]) -> None:
+    """One violation in ``errs`` for each distinct entry of ``ids`` that is
+    not a string in ``known``, however often it is repeated."""
+    errs.extend(dict.fromkeys(
+        f"{what} {x!r}" for x in ids if not (isinstance(x, str) and x in known)
+    ))
 
 
 _KIND_NAMES = {bool: "a boolean", str: "a string", list: "a list"}
@@ -504,8 +526,7 @@ def _expand_objects(
     if not isinstance(spec, list):
         errs.append(f"objects: must be a list or a mapping, got {type(spec).__name__}")
         return []
-    if len(spec) > _MAX_EVENTS:
-        errs.append(f"objects: must hold at most {_MAX_EVENTS} objects, got {len(spec)}")
+    if _too_long(spec, "objects", "objects", errs):
         return []
     objects = []
     for i, entry in enumerate(spec):
@@ -529,11 +550,11 @@ def _expand_clients(
                     f"{_MAX_EVENTS} / duration_slots = {_MAX_EVENTS / duration!r}, "
                     f"more than {_MAX_EVENTS} requests per client"
                 )
-            errs.extend(
-                f"{where}.{key}: unknown object {oid!r}"
-                for key in ("qos", "providers") for oid in v.get(key, ())
-                if not (isinstance(oid, str) and oid in object_ids)
-            )
+            if "providers" in v and _too_long(v["providers"], f"{where}.providers",
+                                              "objects", errs):
+                v["providers"] = []
+            for key in ("qos", "providers"):
+                _unknown(v.get(key, ()), object_ids, f"{where}.{key}: unknown object", errs)
         return v
 
     def client(v: dict, client_id: str) -> ClientSpec:
@@ -549,8 +570,7 @@ def _expand_clients(
     if not isinstance(spec, list):
         errs.append(f"clients: must be a list or a mapping, got {type(spec).__name__}")
         return []
-    if len(spec) > _MAX_EVENTS:
-        errs.append(f"clients: must hold at most {_MAX_EVENTS} clients, got {len(spec)}")
+    if _too_long(spec, "clients", "clients", errs):
         return []
     entries = (
         read(c, f"clients[{i}]", SCHEMA["clients[]"]) for i, c in enumerate(spec)
@@ -591,11 +611,12 @@ def _expand_adjacency(
         if not isinstance(neighbors, (list, tuple)):
             errs.append(f"adjacency[{cid}]: must be a list")
             continue
-        for nid in neighbors:
-            if not (isinstance(nid, str) and nid in known):
-                errs.append(f"adjacency[{cid}]: unknown neighbour {nid!r}")
-            elif nid != cid:
-                adj[cid].add(nid)
+        if _too_long(neighbors, f"adjacency[{cid}]", "neighbours", errs):
+            continue
+        _unknown(neighbors, known, f"adjacency[{cid}]: unknown neighbour", errs)
+        adj[cid].update(
+            nid for nid in neighbors if isinstance(nid, str) and nid in known and nid != cid
+        )
     # symmetrize: radio links are bidirectional
     for cid, neighbors in list(adj.items()):
         for nid in neighbors:
@@ -706,18 +727,22 @@ def generate_workload(scenario: Scenario) -> dict[str, Stream]:
     ``int`` does, and the scenario index of its object. Reproducible from
     the seed: Poisson arrivals with Zipf-distributed object popularity, the
     gaps drawn in blocks (``_arrival_times``) and the objects in one
-    ``rng.choice``. A client with no request rate, or any client of a
-    scenario with no objects, builds no generator and has no entry."""
+    search of uniform draws in the popularity's cumulative distribution,
+    made once per run: the picks and generator state of
+    ``rng.choice(n, size, p=pmf)``, which checks and sums ``pmf`` again on
+    each call. A client with no request rate, or any client of a scenario
+    with no objects, builds no generator and has no entry."""
     n = len(scenario.objects)
     per_client: dict[str, Stream] = {}
     if not n:
         return per_client
-    pmf = zipf_pmf(n, scenario.zipf_theta)
+    cdf = zipf_pmf(n, scenario.zipf_theta).cumsum()
+    cdf /= cdf[-1]
     for spec in sorted(scenario.clients, key=lambda c: c.client_id):
         if spec.request_rate > 0:
             rng = substream(scenario.seed, "workload", spec.client_id)
             times = _arrival_times(rng, spec.request_rate, scenario.duration_slots)
-            picks = rng.choice(n, size=len(times), p=pmf)
+            picks = cdf.searchsorted(rng.random(len(times)), side="right")
             per_client[spec.client_id] = (times.astype(np.int64), picks)
     return per_client
 
@@ -747,10 +772,35 @@ class QueryRecord(NamedTuple):
     p_nm: float
 
 
+class Repeated(Sequence):
+    """``n`` copies of ``value``, as a read-only sequence that holds one.
+
+    A column the engine knows to hold one value for every query is stored
+    as its value and its length. It reads as ``[value] * n`` does: an
+    integer index past either end raises ``IndexError``, a slice is again a
+    ``Repeated``, and iterating yields ``value`` ``n`` times.
+    """
+
+    __slots__ = ("value", "_n")
+
+    def __init__(self, value, n: int):
+        self.value, self._n = value, n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        picked = range(self._n)[index]  # raises as a list's index does
+        return Repeated(self.value, len(picked)) if isinstance(picked, range) else self.value
+
+    def __iter__(self) -> Iterator:
+        return repeat(self.value, self._n)
+
+
 # The columns a mode's steps fill, one entry per query in query id order:
 # the p2p ``answer`` appends to all five, and the broadcast ``answer`` to
-# the first two, its ``finish`` stop writing the other three, which hold
-# one value for every answer.
+# the first two, its ``finish`` stop storing the other three, which hold
+# one value for every answer, as ``Repeated``.
 _OUTCOMES = ("resolution", "latency_slots", "staleness_slots", "qos_met", "p_nm")
 
 
@@ -773,7 +823,9 @@ def _column_texts(values, text) -> list[str] | str:
     """``text(v)`` for each of ``values``, one field of many records, or one
     ``str`` when every value writes alike.
 
-    The same texts, with no Python call per value when the column has one
+    A nonempty ``Repeated`` is ``text`` of its one value, with no look at
+    its entries: its copies write alike, whatever the value. Otherwise the
+    same texts, with no Python call per value when the column has one
     exact type: ints and floats are what their own ``__repr__`` writes in
     both formats, unless non-finite, and floats, strings and booleans
     repeat, so each distinct one is written once, a JSON string by the C
@@ -786,6 +838,8 @@ def _column_texts(values, text) -> list[str] | str:
     columns are not checked: a run's are its query ids and slots, which
     vary.
     """
+    if type(values) is Repeated and values:
+        return text(values.value)
     kinds = set(map(type, values))
     if kinds == {int}:
         return list(map(int.__repr__, values))
@@ -852,8 +906,10 @@ _JSON_ROW = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in _JSON_KEYS) + "}
 class Metrics:
     """A run's account: its counters, energy and plan, and its records as
     ``columns``, one per ``QueryRecord`` field by name in field order, with
-    one entry per query; the ``query_id`` column is the range of positions.
-    ``summary`` and the writers pick the columns they read by name."""
+    one entry per query; the ``query_id`` column is the range of positions,
+    and a column the engine knows to hold one value is a ``Repeated``, which
+    the writers write once per batch. ``summary`` and the writers pick the
+    columns they read by name, and read each as any sequence."""
 
     schema_id: str
     seed: int
@@ -1110,7 +1166,7 @@ def read_sample_log(doc) -> fidelity.SampleStore:
     return store
 
 
-def _queries(scenario: Scenario) -> dict[str, list]:
+def _queries(scenario: Scenario) -> dict[str, Sequence]:
     """The workload's queries in issue order: by slot, and by client id
     within a slot, as the columns ``client_id``, ``object_id``, ``issued_at``
     (the slot) and ``qos``; ids are numbered in this order from 0.
@@ -1119,7 +1175,10 @@ def _queries(scenario: Scenario) -> dict[str, list]:
     by one stable sort of their slots, which keeps that order within a slot.
     The ids are the scenario's own strings. A query's QoS is its client's
     ``default_qos``; a client with per-object overrides asks ``ClientSpec.qos``
-    once for each object it asks for, not once per query.
+    once for each object it asks for, not once per query. When every client
+    that asks has no overrides and a default that writes alike (the same
+    type and ``repr``: 0.0 and -0.0 are equal but write unlike), the ``qos``
+    column is that one value, ``Repeated``.
     """
     workload = generate_workload(scenario)
     if not workload:
@@ -1132,18 +1191,23 @@ def _queries(scenario: Scenario) -> dict[str, list]:
     slots, picks = np.concatenate(slot_columns), np.concatenate(pick_columns)
     # object arrays, so each query holds the scenario's own Python values
     ids = np.array([o.object_id for o in scenario.objects], dtype=object)
-    qos = np.array([c.default_qos for c in clients], dtype=object)[owner]
-    for spec, end, count in zip(clients, accumulate(counts), counts):
-        if spec.qos_overrides:
-            asked, inverse = np.unique(picks[end - count : end], return_inverse=True)
-            values = np.array([spec.qos(oid) for oid in ids[asked]], dtype=object)
-            qos[end - count : end] = values[inverse]
     order = slots.argsort(kind="stable")
+    defaults = {(type(c.default_qos), repr(c.default_qos)) for c in clients}
+    if len(defaults) == 1 and not any(c.qos_overrides for c in clients):
+        qos = Repeated(clients[0].default_qos, len(slots))
+    else:
+        qos = np.array([c.default_qos for c in clients], dtype=object)[owner]
+        for spec, end, count in zip(clients, accumulate(counts), counts):
+            if spec.qos_overrides:
+                asked, inverse = np.unique(picks[end - count : end], return_inverse=True)
+                values = np.array([spec.qos(oid) for oid in ids[asked]], dtype=object)
+                qos[end - count : end] = values[inverse]
+        qos = qos[order].tolist()
     return {
         "client_id": np.array(list(workload), dtype=object)[owner[order]].tolist(),
         "object_id": ids[picks[order]].tolist(),
         "issued_at": slots[order].tolist(),
-        "qos": qos[order].tolist(),
+        "qos": qos,
     }
 
 
@@ -1310,11 +1374,12 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics, agenda: list) -> Call
     next. It counts the demand it plans from in one ``np.bincount`` of the
     queries issued since the last replan, each query's object mapped to its
     catalog position once per run, so no query pays for the count. The stop
-    at ``duration_slots`` sends the server's multicasts once, reports the
-    plan in force as ``Metrics.plan`` and writes the three outcome columns
-    that hold one value for every answer: staleness 0.0, QoS met, P_NM 1.0.
-    Each stop adds to ``broadcast_slots`` the channels of the program in
-    force times the slots since the last stop.
+    at ``duration_slots`` sends the server's multicasts once, in no order,
+    and counts them and their saved transmissions; it reports the plan in
+    force as ``Metrics.plan`` and stores the three outcome columns that hold
+    one value for every answer, each as a ``Repeated``: staleness 0.0, QoS
+    met, P_NM 1.0. Each stop adds to ``broadcast_slots`` the channels of the
+    program in force times the slots since the last stop.
     """
     counters = metrics.counters
     columns = metrics.columns
@@ -1368,7 +1433,7 @@ def _broadcast_steps(scenario: Scenario, metrics: Metrics, agenda: list) -> Call
         # every answer is the source's current write, P_NM 1.0, which meets
         # any QoS the reader admits (0 to 1): its staleness is 0.0
         for name, value in (("staleness_slots", 0.0), ("qos_met", True), ("p_nm", 1.0)):
-            columns[name].extend([value] * len(slots))
+            columns[name] = Repeated(value, len(slots))
 
     if 0 < interval < end:
         heappush(agenda, (interval, 0, replan))

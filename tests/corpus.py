@@ -55,6 +55,12 @@ def documents() -> dict[str, str | dict]:
         dict({"client_id": f"client{i}", "cache_capacity": 6, "default_qos": 0.3,
               "request_rate": 0.08}, **({"qos": {"obj0": 0.9, "obj3": -0.0}} if i % 2 == 0 else {}))
         for i in range(6)])
+    # the same cell with default QoS 0.0 and -0.0 on alternate clients and no
+    # overrides: equal values that write unlike, so the column keeps both
+    docs["signed_zero_qos"] = dict(scenario, clients=[
+        {"client_id": f"client{i}", "cache_capacity": 6, "default_qos": -0.0 if i % 2 else 0.0,
+         "request_rate": 0.08}
+        for i in range(6)])
     # one run per cache policy with a TTL set, and clients that register
     # providers
     for policy in ("lru", "ttl_drop", "ttl_requery", "cqf", "acqf"):

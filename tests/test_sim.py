@@ -275,6 +275,22 @@ class TestWorkload:
             assert slots.dtype == picks.dtype == np.int64
             assert len(slots) == len(picks) > 0
 
+    @pytest.mark.parametrize("n, theta", [(1, 0.8), (2, 0.0), (7, 51.0), (200, 0.6), (500, 0.8)])
+    def test_a_search_of_the_cdf_is_rng_choice(self, n, theta):
+        # what generate_workload draws with: the picks and generator state
+        # of rng.choice with p, which checks and sums the pmf on each call
+        pmf = zipf_pmf(n, theta)
+        cdf = pmf.cumsum()
+        cdf /= cdf[-1]
+        for seed in (0, 1, 7):
+            for size in (0, 1, 5, 1000):
+                want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = want_rng.choice(n, size=size, p=pmf)
+                got = cdf.searchsorted(got_rng.random(size), side="right")
+                assert got.dtype == want.dtype == np.int64
+                assert np.array_equal(got, want)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_zipf_pmf_shape(self):
         pmf = zipf_pmf(5, 1.0)
         assert pmf.sum() == pytest.approx(1.0)
@@ -314,15 +330,19 @@ class TestBlockDraws:
         busy_rate=st.floats(0.01, 2.0),
         # blocks this small make a busy client draw many of them
         block=st.sampled_from([1, 2, 5, 64, sim._MAX_EVENTS]),
+        # the picks against rng.choice's, at popularities flat to steep
+        n_objects=st.sampled_from([1, 2, 10, 500]),
+        theta=st.sampled_from([0.0, 0.8, 51.0]),
     )
     def test_same_streams_and_generator_states(
-        self, seed, duration, kinds, busy_rate, block
+        self, seed, duration, kinds, busy_rate, block, n_objects, theta
     ):
         rates = dict(_KINDS, busy=busy_rate)
         scenario = scenario_from_dict(p2p_doc(
             seed=seed, duration_slots=duration,
             clients=[{"client_id": f"c{i}", "request_rate": rates[kind]}
                      for i, kind in enumerate(kinds)],
+            objects={"count": n_objects, "mtbu": 120.0}, workload={"zipf_theta": theta},
         ))
         with mock.patch.object(sim, "_MAX_EVENTS", block):
             streams, states = workload_and_generators(workload_pairs, sim, scenario)
@@ -575,14 +595,62 @@ class TestDeterminism:
         assert metrics.counters["issued"] == 0
 
 
+class TestRepeatedColumns:
+    """A column the engine knows to hold one value is a ``Repeated``."""
+
+    def test_a_broadcast_run_stores_its_shared_outcomes_once(self):
+        metrics = run(scenario_from_dict(broadcast_doc()))
+        issued = metrics.counters["issued"]
+        assert issued > 0 and metrics.counters["on_demand_responses"] > 0
+        for name, value in (("staleness_slots", 0.0), ("qos_met", True), ("p_nm", 1.0),
+                            ("qos", 0.3)):
+            column = metrics.columns[name]
+            assert type(column) is sim.Repeated and len(column) == issued
+            assert type(column.value) is type(value) and column.value == value
+        assert math.copysign(1.0, metrics.columns["staleness_slots"].value) == 1.0
+        assert all(type(metrics.columns[name]) is list
+                   for name in ("client_id", "object_id", "issued_at", "resolution",
+                                "latency_slots"))
+
+    def test_one_default_qos_for_every_asking_client_is_one_value(self):
+        # the idle client's default differs, but it asks nothing
+        metrics = run(scenario_from_dict(p2p_doc(clients=[
+            {"client_id": "a", "request_rate": 0.1, "default_qos": 0.4},
+            {"client_id": "b", "request_rate": 0.1, "default_qos": 0.4},
+            {"client_id": "idle", "default_qos": 0.9}])))
+        qos = metrics.columns["qos"]
+        assert type(qos) is sim.Repeated and qos.value == 0.4
+        assert len(qos) == metrics.counters["issued"] > 0
+        # a p2p run's outcomes vary
+        assert all(type(metrics.columns[name]) is list for name in sim._OUTCOMES)
+
+    @pytest.mark.parametrize("name", ["signed_zero_qos", "qos_overrides"])
+    def test_qos_that_writes_unlike_keeps_a_list(self, name):
+        doc = corpus.documents()[name]
+        metrics = run(scenario_from_dict(doc))
+        qos = metrics.columns["qos"]
+        assert type(qos) is list and len(qos) == metrics.counters["issued"]
+        signs = {math.copysign(1.0, q) for q in qos if q == 0}
+        if name == "signed_zero_qos":
+            # equal defaults of both signs, each written as it is
+            assert signs == {1.0, -1.0} and set(qos) == {0.0}
+            text = metrics.to_json_bytes()
+            assert b'"qos": -0.0, ' in text and b'"qos": 0.0, ' in text
+            fields = {row.split(b",")[6] for row in oracles.csv_bytes(metrics).splitlines()}
+            assert {b"-0.0", b"0.0"} <= fields
+        else:
+            assert len(set(qos)) > 1
+
+
 class TestMemory:
     def test_run_and_streamed_json_peak_per_query(self, tmp_path):
         # ROADMAP item 20's bytes per query, on the p2p_lru workload's
         # document at seed 1: the tracemalloc peak of run plus write_json to
         # a file. A record tuple per query and the JSON held whole peaked at
         # 696 B per query (CPython 3.11); columns and a streamed write peak
-        # near 307. The bound is half of 696, about 13 % above that, for
-        # another interpreter's allocations (CPython 3.12 say).
+        # near 307, and near 298 with the QoS column one repeated value. The
+        # bound is half of 696, about 13 % above 307, for another
+        # interpreter's allocations (CPython 3.12 say).
         scn = scenario_from_dict(benchmark_module("workloads").SCENARIOS["p2p_lru"](1))
         run(scn)  # imports and lazily built tables, outside the measurement
         gc.collect()
@@ -1227,6 +1295,37 @@ class TestPlannerRanges:
         # (CPython 3.11, shared 2-vCPU host)
         assert time.perf_counter() - start < 1.0
 
+    def test_providers_list_past_the_cap_is_one_violation(self):
+        doc = p2p_doc(clients=[{"client_id": "a", "providers": ["x"] * (sim._MAX_EVENTS + 1)}])
+        start = time.perf_counter()
+        assert violations(doc) == [
+            "clients[0].providers: must hold at most 1000000 objects, got 1000001"]
+        assert time.perf_counter() - start < 1.0
+
+    def test_neighbour_list_past_the_cap_is_one_violation(self):
+        doc = p2p_doc(clients=[{"client_id": "a"}],
+                      adjacency={"a": ["x"] * (sim._MAX_EVENTS + 1)})
+        start = time.perf_counter()
+        assert violations(doc) == [
+            "adjacency[a]: must hold at most 1000000 neighbours, got 1000001"]
+        assert time.perf_counter() - start < 1.0
+
+    def test_an_unknown_id_is_one_violation_however_often_listed(self):
+        doc = p2p_doc(clients=[{"client_id": "a", "providers": ["x"] * 3},
+                               {"client_id": "b", "providers": ["obj0", [1], "x", [1]]}],
+                      adjacency={"a": ["y", "b", "y", "a", "y"]})
+        assert violations(doc) == [
+            "clients[0].providers: unknown object 'x'",
+            "clients[1].providers: unknown object [1]",
+            "clients[1].providers: unknown object 'x'",
+            "adjacency[a]: unknown neighbour 'y'",
+        ]
+
+    def test_listed_neighbours_are_kept_once_without_the_client_itself(self):
+        scn = scenario_from_dict(p2p_doc(
+            clients=[{"client_id": c} for c in "abc"], adjacency={"a": ["b", "a", "b"]}))
+        assert scn.adjacency == {"a": {"b"}, "b": {"a"}, "c": set()}
+
 
 class TestTypedFields:
     """A field of the wrong type is a violation, not a raw exception."""
@@ -1862,7 +1961,9 @@ class TestInvariants:
         server = broadcast_plan.BatchingServer(2.0)
         for oid, t in [("a", 0), ("b", 1), ("a", 1), ("a", 3)]:
             server.submit(oid, t)
-        fired = server.advance(10)
+        # advance promises no order: the multicasts sorted by (response
+        # time, object id)
+        fired = sorted(server.advance(10), key=lambda m: (m.response_time, m.object_id))
         assert built == []
         assert [tuple(m) for m in fired] == [("a", 2.0, 2), ("b", 3.0, 1), ("a", 5.0, 1)]
         assert all(type(m) is broadcast_plan.Multicast for m in fired)

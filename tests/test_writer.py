@@ -249,3 +249,59 @@ class TestRecords:
             assert not hasattr(records, method)
         with pytest.raises(AttributeError):
             records.other = []
+
+
+# the values a repeated column is written alike for, whatever their text:
+# a NaN, a signed zero and a boolean included
+REPEATED_VALUES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 1, 1.0, True, False, 0.3,
+    'ünï "quoted" back\\slash, a,b', "source",
+]
+
+
+class TestRepeated:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 50), index=st.integers(-60, 60),
+           start=st.none() | st.integers(-60, 60), stop=st.none() | st.integers(-60, 60),
+           step=st.none() | st.integers(-7, 7).filter(bool))
+    def test_reads_as_a_list_of_copies(self, n, index, start, stop, step):
+        value = object()
+        column, listed = sim.Repeated(value, n), [value] * n
+        assert len(column) == n and list(column) == listed
+        if -n <= index < n:
+            assert column[index] is listed[index]
+        else:
+            with pytest.raises(IndexError):
+                column[index]
+            with pytest.raises(IndexError):
+                listed[index]
+        part = column[start:stop:step]
+        assert type(part) is sim.Repeated and part.value is value
+        assert list(part) == listed[start:stop:step]
+
+    def test_is_a_read_only_sequence(self):
+        column = sim.Repeated(0.5, 3)
+        assert column.count(0.5) == 3 and column.index(0.5) == 0 and 0.5 in column
+        assert list(reversed(column)) == [0.5] * 3 and not sim.Repeated(0.5, 0)
+        with pytest.raises(TypeError):
+            column["0"]
+        with pytest.raises(TypeError):
+            column[0] = 1.0
+        with pytest.raises(AttributeError):
+            column.other = 1
+
+    @pytest.mark.parametrize("text", [json.dumps, sim._csv_text])
+    @pytest.mark.parametrize("value", REPEATED_VALUES)
+    def test_is_written_as_the_list_of_copies(self, value, text):
+        for n in (1, 2, 5):
+            texts = sim._column_texts(sim.Repeated(value, n), text)
+            assert texts == text(value)
+            listed = sim._column_texts([value] * n, text)
+            assert [texts] * n == ([listed] * n if isinstance(listed, str) else listed)
+        # and as rows, batch by batch, beside a column that varies
+        columns = [list(range(7)), sim.Repeated(value, 7)]
+        with mock.patch.object(sim, "_ROW_BATCH", 3):
+            rows = list(sim._record_rows(columns, text, "[%s|%s]", ","))
+            assert rows == list(sim._record_rows([columns[0], [value] * 7], text,
+                                                 "[%s|%s]", ","))
+        assert len(rows) == 3
